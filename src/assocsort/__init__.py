@@ -25,7 +25,6 @@ from .adapter import (
     ALGORITHMS,
     perm_rank_words,
     resolve_algorithm,
-    scan_min_max,
     sort_full_universe,
 )
 from .backend import current_backend, set_backend, use_backend, warmup
@@ -36,7 +35,7 @@ from .errors import (
     AssocSortError,
     CorruptStateError,
     DuplicateKeyError,
-    OutOfIntervalError,
+    InputError,
     VerificationError,
     WordRangeError,
 )
@@ -51,8 +50,8 @@ __all__ = [
     "AssocSortError",
     "CorruptStateError",
     "DuplicateKeyError",
+    "InputError",
     "OpCounters",
-    "OutOfIntervalError",
     "VerificationError",
     "WordConfig",
     "WordRangeError",
@@ -60,7 +59,6 @@ __all__ = [
     "current_backend",
     "perm_rank_words",
     "resolve_algorithm",
-    "scan_min_max",
     "set_backend",
     "sort",
     "sort_associative",

@@ -11,20 +11,18 @@ that allocates linear scratch).
 top bit and shifting the upper half down while it is sorted.
 """
 
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .backend import active
+from .core import TraceFn, check_array, sort_associative, sort_associative_recursive
 from .counters import OpCounters
 from .cycle_leader import sort_distinct_keys
-from .core import sort_associative, sort_associative_recursive
 from .errors import WordRangeError
 from .improved import sort_distinct_improved, sort_improved
 from .ranksort import sort_by_key
 from .words import WordConfig
-
-TraceFn = Callable[[str, int, np.ndarray], None]
 
 
 def perm_rank_words(
@@ -56,14 +54,6 @@ def resolve_algorithm(name: str):
         raise ValueError(f"unknown algorithm {name!r}: expected one of {known}")
 
 
-def scan_min_max(S: np.ndarray) -> Tuple[int, int]:
-    """Smallest and largest word of a non-empty array."""
-    if len(S) == 0:
-        raise ValueError("empty array has no extrema")
-    mn, mx = active().min_max(S, 0, len(S))
-    return int(mn), int(mx)
-
-
 def sort_full_universe(
     S: np.ndarray,
     algo: str = "assoc_improved",
@@ -75,11 +65,13 @@ def sort_full_universe(
 
     Partitions on the top bit (full-word swaps — the input has no tags
     yet), sorts the low half directly, then shifts the high half down by
-    ``2**(w-1)``, sorts it, and shifts it back.
+    ``2**(w-1)``, sorts it, and shifts it back.  Input is refused as by
+    :func:`~assocsort.core.check_words`, before any word is written.
     """
     cfg = cfg or WordConfig()
     counters = counters if counters is not None else OpCounters()
     sorter = resolve_algorithm(algo)
+    check_array(S)
     n = len(S)
     if n == 0:
         return counters

@@ -25,7 +25,6 @@ BACKENDS = ("numba", "numpy")
 
 _KERNEL_NAMES = (
     "min_max",
-    "cycle_leader",
     "implicit_practice",
     "collect_fixpoints",
     "practice",

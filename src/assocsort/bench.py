@@ -11,7 +11,6 @@ sort the same words.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import median
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
@@ -215,7 +214,6 @@ def run_bench(
     trials: int = 3,
     w: int = 63,
     do_verify: bool = False,
-    verify_workers: int = 0,
     trace=None,
     warm: bool = True,
 ) -> List[BenchRow]:
@@ -223,8 +221,7 @@ def run_bench(
 
     ``trace`` is a driver trace callback (see :func:`make_trace_writer`),
     attached only when the array is at most ``TRACE_LIMIT`` words and the
-    algorithm supports snapshots.  With ``verify_workers > 0``,
-    verification runs on a thread pool after timing.
+    algorithm supports snapshots.  Verification runs after timing.
     """
     cfg = WordConfig(w)
     rows: List[BenchRow] = []
@@ -263,20 +260,9 @@ def run_bench(
                         if do_verify:
                             label = f"{algo} n={n} m={m} {dist} trial={trial}"
                             pending.append((row, data, orig, label))
-    if pending:
-        if verify_workers > 0:
-            with ThreadPoolExecutor(max_workers=verify_workers) as pool:
-                futures = [
-                    pool.submit(verify, out, orig, label)
-                    for _, out, orig, label in pending
-                ]
-                for (row, _, _, _), fut in zip(pending, futures):
-                    fut.result()  # re-raises VerificationError
-                    row.verified = 1
-        else:
-            for row, out, orig, label in pending:
-                verify(out, orig, label)
-                row.verified = 1
+    for row, out, orig, label in pending:
+        verify(out, orig, label)
+        row.verified = 1
     return rows
 
 

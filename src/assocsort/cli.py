@@ -77,7 +77,7 @@ def _cmd_run(args) -> int:
         rows = run_bench(
             args.algos, args.ns, args.ratios, args.dists,
             seed=args.seed, trials=args.trials, w=args.w,
-            do_verify=args.verify, verify_workers=args.vw, trace=trace,
+            do_verify=args.verify, trace=trace,
         )
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
@@ -104,7 +104,7 @@ def _cmd_backends(args) -> int:
             rows = run_bench(
                 args.algos, args.ns, args.ratios, args.dists,
                 seed=args.seed, trials=args.trials, w=args.w,
-                do_verify=args.verify, verify_workers=args.vw,
+                do_verify=args.verify,
             )
         tables[name] = rows
         if args.csv:
@@ -132,10 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check every output against numpy's sort (untimed)",
     )
     run_p.add_argument(
-        "--vw", type=int, default=0, metavar="K",
-        help="verify on a pool of K threads (default: in line)",
-    )
-    run_p.add_argument(
         "--trace", metavar="PATH",
         help="write line-delimited JSON phase snapshots (arrays of at most "
              "64 words only)",
@@ -149,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     b_p = sub.add_parser("backends", help="compare numba and numpy kernels")
     _add_grid_args(b_p)
     b_p.add_argument("--verify", action="store_true", help="verify outputs")
-    b_p.add_argument("--vw", type=int, default=0, metavar="K", help="verifier threads")
     b_p.set_defaults(func=_cmd_backends)
     return parser
 

@@ -1,6 +1,13 @@
-"""Counting-variant sorting: practice, store, partition, retrieve.
+"""The input front door, the pass loop, and the counting variant.
 
-One pass of the sequential driver turns the front of the unsorted
+Every sorter enters through :func:`check_words`, which refuses malformed
+input before any word is written and scans the keys' minimum once, and
+then runs :func:`run_passes`, which calls the variant's *pass step* on
+the unsorted segment ``S[head:]`` until nothing is left.  A step returns
+how many words its pass settled and the smallest key it deferred; the
+next pass starts there, so no pass rescans for a minimum.
+
+The counting variant's sequential step turns the front of the unsorted
 segment into *short-term memory* — a compact run of node words, each
 remembering a distinct key (by former position) and its occurrence
 count — then expands that memory back into sorted keys:
@@ -20,33 +27,60 @@ The recursive driver instead stacks the memories of successive passes
 and unwinds them back-to-front, which needs no partitioning.
 """
 
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .backend import active
 from .counters import OpCounters
-from .errors import CorruptStateError, WordRangeError
-from .words import (
-    Interval,
-    PracticeSummary,
-    StorageLayout,
-    WordConfig,
-    epsilon,
-)
+from .errors import CorruptStateError, InputError, WordRangeError
+from .words import WordConfig, epsilon
 
 TraceFn = Callable[[str, int, np.ndarray], None]
 
 
-def check_words(S: np.ndarray, cfg: WordConfig) -> tuple:
-    """Validate keys against the word model; returns ``(min, max)``."""
+def check_array(S, what: str = "keys") -> None:
+    """Refuse anything but a writable 1-D ``int64`` numpy array."""
+    if not (
+        isinstance(S, np.ndarray)
+        and S.ndim == 1
+        and S.dtype == np.int64
+        and S.flags.writeable
+    ):
+        got = type(S).__name__
+        if isinstance(S, np.ndarray):
+            got = f"{S.ndim}-D {S.dtype} array (writeable={S.flags.writeable})"
+        raise InputError(f"{what} must be a writable 1-D int64 numpy array, got {got}")
+
+
+def check_words(
+    S: np.ndarray, cfg: WordConfig, P: Optional[np.ndarray] = None
+) -> Optional[tuple]:
+    """The front door of every sorter: validate before any word is written.
+
+    Refuses with :class:`~assocsort.errors.InputError` anything but a
+    writable 1-D ``int64`` array, and for a payload ``P`` one of the same
+    kind and length that shares no memory with the keys.  Then checks the
+    array length and the key range against the word model
+    (:class:`~assocsort.errors.WordRangeError`).  Returns the keys'
+    ``(min, max)``, or ``None`` when ``S`` is empty.
+    """
+    check_array(S)
     n = len(S)
+    if P is not None:
+        check_array(P, "payload")
+        if len(P) != n:
+            raise InputError(f"payload length {len(P)} != key length {n}")
+        if np.shares_memory(S, P):
+            raise InputError("payload shares memory with the keys")
     if n > cfg.tag_mask:
         raise WordRangeError(
             f"{n} words exceed the {cfg.tag_mask} node slots of w={cfg.w}"
         )
-    k = active()
-    mn, mx = k.min_max(S, 0, n)
+    if n == 0:
+        return None
+    mn, mx = active().min_max(S, 0, n)
     if mn < 0 or mx > cfg.max_key:
         raise WordRangeError(
             f"keys must lie in [0, {cfg.max_key}], saw [{mn}, {mx}]"
@@ -54,120 +88,121 @@ def check_words(S: np.ndarray, cfg: WordConfig) -> tuple:
     return int(mn), int(mx)
 
 
-def practice(
+def _quiet(phase: str) -> None:
+    pass
+
+
+def run_passes(
+    step: Callable[..., tuple],
     S: np.ndarray,
-    iv: Interval,
-    cfg: WordConfig,
-    lo: int = 0,
-    hi: Optional[int] = None,
-    counters: Optional[OpCounters] = None,
-) -> PracticeSummary:
-    """One counting practice pass over ``S[lo:hi]`` (see module docs)."""
-    hi = len(S) if hi is None else hi
-    k = active()
-    n_d, n_c, n_def, dnext, moves, created = k.practice(
-        S, lo, hi, iv.delta, iv.base, iv.span, cfg.tag_mask
-    )
-    if counters is not None:
-        counters.moves += int(moves)
-        counters.node_creations += int(created)
-    return PracticeSummary(
-        int(n_d), int(n_c), int(n_def), int(dnext) if dnext >= 0 else None
-    )
+    cfg: Optional[WordConfig],
+    counters: Optional[OpCounters],
+    trace: Optional[TraceFn],
+    P: Optional[np.ndarray] = None,
+) -> OpCounters:
+    """Sort ``S`` (carrying ``P``) in place, one ``step`` per pass.
 
-
-def store_nodes(
-    S: np.ndarray,
-    summary: PracticeSummary,
-    iv: Interval,
-    cfg: WordConfig,
-    lo: int = 0,
-    hi: Optional[int] = None,
-    counters: Optional[OpCounters] = None,
-) -> StorageLayout:
-    """Compact this pass's nodes into short-term memory at ``S[lo:]``."""
-    hi = len(S) if hi is None else hi
-    seg = hi - lo
-    split = cfg.pack_split(seg)
-    k = active()
-    eps_used, stored, moves, status = k.store_nodes(
-        S, lo, hi, iv.delta, iv.span, split, cfg.tag_mask, iv.base
-    )
-    if counters is not None:
-        counters.moves += int(moves)
-    if status != 0:
-        raise CorruptStateError(
-            f"storage failed (status {status}): needed companion "
-            f"{eps_used} of budget {iv.base}"
-        )
-    if stored != summary.n_distinct + eps_used:
-        raise CorruptStateError(
-            f"stored {stored} memory words for {summary.n_distinct} nodes "
-            f"and {eps_used} companions"
-        )
-    return StorageLayout(summary.n_distinct, int(eps_used), split)
-
-
-def partition_tail(
-    S: np.ndarray,
-    pivot: int,
-    lo: int,
-    hi: Optional[int] = None,
-    cfg: Optional[WordConfig] = None,
-    counters: Optional[OpCounters] = None,
-) -> int:
-    """Move words whose value plane is <= pivot before the rest.
-
-    Tag bits do not participate and do not move.  Returns the size of
-    the low side.
+    ``step(S, P, head, delta, cfg, counters, emit)`` sorts one pass of
+    the segment ``S[head:]`` at interval start ``delta`` and returns
+    ``(words_advanced, delta_next)``; ``delta_next`` is the smallest key
+    it deferred, or -1 when it deferred nothing.  Pass 1 starts at the minimum the front door
+    scanned, each later pass where its predecessor left off.  ``step``
+    reports each finished phase through ``emit(phase)``, which hands
+    ``trace`` a snapshot.
     """
     cfg = cfg or WordConfig()
-    hi = len(S) if hi is None else hi
-    k = active()
-    n_low, moves = k.partition_values(S, lo, hi, pivot, cfg.tag_mask)
-    if counters is not None:
-        counters.moves += int(moves)
-    return int(n_low)
+    counters = counters if counters is not None else OpCounters()
+    bounds = check_words(S, cfg, P)
+    if bounds is None:
+        return counters
+    emit = _quiet
+    if trace is not None:
+        emit = lambda phase: trace(phase, counters.passes, S.copy())
+    n = len(S)
+    head = 0
+    delta = bounds[0]
+    while head < n:
+        counters.passes += 1
+        advanced, dnext = step(S, P, head, delta, cfg, counters, emit)
+        head += advanced
+        if dnext < 0 and head != n:
+            raise CorruptStateError(f"sorted prefix stopped at {head} of {n}")
+        delta = int(dnext)
+    return counters
 
 
-def retrieve_sequential(
-    S: np.ndarray,
-    layout: StorageLayout,
-    n_companion: int,
-    iv: Interval,
-    cfg: WordConfig,
-    lo: int = 0,
-    counters: Optional[OpCounters] = None,
-) -> int:
-    """Expand memory at ``S[lo:]`` into its sorted keys, in place.
+def _practice_store(S, head, delta, cfg, counters):
+    """Practice ``S[head:]`` at ``delta`` and compact its nodes into memory.
 
-    Writes exactly ``n_distinct + n_companion`` keys starting at ``lo``;
-    returns that count.
+    Returns ``(n_distinct, n_companion, eps, eps_used, pack_split,
+    delta_next)``; the memory is ``n_distinct + eps_used`` words long.
     """
-    mem_hi = lo + layout.n_distinct + layout.eps_used
-    write_end = lo + layout.n_distinct + n_companion
     k = active()
-    written, moves, status = k.retrieve_packed(
-        S, lo, mem_hi, write_end, iv.delta, iv.base, layout.pack_split, cfg.tag_mask
-    )
-    if counters is not None:
-        counters.moves += int(moves)
-    if status != 0 or written != layout.n_distinct + n_companion:
-        raise CorruptStateError(
-            f"retrieval wrote {written} of {layout.n_distinct + n_companion} "
-            f"keys (status {status})"
-        )
-    return int(written)
-
-
-def _run_pass(S, head, n, delta, cfg, counters):
-    """Practice + store for one pass; shared by both drivers."""
+    n = len(S)
     seg = n - head
     eps = epsilon(seg, cfg)
-    iv = Interval(delta, seg - eps, eps)
-    summary = practice(S, iv, cfg, lo=head, hi=n, counters=counters)
-    layout = store_nodes(S, summary, iv, cfg, lo=head, hi=n, counters=counters)
-    return iv, summary, layout
+    split = cfg.pack_split(seg)
+    n_d, n_c, _, dnext, moves, created = k.practice(
+        S, head, n, delta, eps, seg - eps, cfg.tag_mask
+    )
+    counters.moves += moves
+    counters.node_creations += created
+    eps_used, stored, moves, status = k.store_nodes(
+        S, head, n, delta, seg - eps, split, cfg.tag_mask, eps
+    )
+    counters.moves += moves
+    if status != 0 or stored != n_d + eps_used:
+        raise CorruptStateError(
+            f"storage kept {stored} memory words for {n_d} nodes and "
+            f"{eps_used} companions of budget {eps} (status {status})"
+        )
+    return n_d, n_c, eps, eps_used, split, dnext
+
+
+def _sequential_step(S, P, head, delta, cfg, counters, emit):
+    """One practice/store/partition/retrieve cycle over ``S[head:]``."""
+    k = active()
+    n = len(S)
+    n_d, n_c, eps, eps_used, split, dnext = _practice_store(
+        S, head, delta, cfg, counters
+    )
+    emit("practice")
+    mem = head + n_d + eps_used
+    pivot = delta + (n - head - eps) - 1
+    n_low, moves = k.partition_values(S, mem, n, pivot, cfg.tag_mask)
+    counters.moves += moves
+    if n_low != n_c - eps_used:
+        raise CorruptStateError(
+            f"{n_low} idle words after storage, expected {n_c - eps_used}"
+        )
+    emit("partition")
+    written, moves, status = k.retrieve_packed(
+        S, head, mem, head + n_d + n_c, delta, eps, split, cfg.tag_mask
+    )
+    counters.moves += moves
+    if status != 0 or written != n_d + n_c:
+        raise CorruptStateError(
+            f"retrieval wrote {written} of {n_d + n_c} keys (status {status})"
+        )
+    emit("retrieve")
+    return n_d + n_c, dnext
+
+
+def _stack_step(stack, S, P, head, delta, cfg, counters, emit):
+    """Practice and store one pass, leaving its memory for the unwind.
+
+    The pass's control state, four ints, goes on ``stack``.  The next
+    pass starts right after the memory; the last pass owns the rest of
+    the segment, which the unwind overwrites.
+    """
+    n_d, _, _, eps_used, _, dnext = _practice_store(S, head, delta, cfg, counters)
+    emit("practice")
+    stack.append((n_d, eps_used, delta, head))
+    if len(stack) > counters.max_depth:
+        counters.max_depth = len(stack)
+    if dnext < 0:
+        return len(S) - head, dnext
+    return n_d + eps_used, dnext
 
 
 def sort_associative(
@@ -177,39 +212,7 @@ def sort_associative(
     trace: Optional[TraceFn] = None,
 ) -> OpCounters:
     """Sort ``S`` in place, one practice/store/retrieve cycle per pass."""
-    cfg = cfg or WordConfig()
-    counters = counters if counters is not None else OpCounters()
-    n = len(S)
-    if n == 0:
-        return counters
-    check_words(S, cfg)
-    k = active()
-    head = 0
-    while head < n:
-        counters.passes += 1
-        mn, _ = k.min_max(S, head, n)
-        iv, summary, layout = _run_pass(S, head, n, int(mn), cfg, counters)
-        if trace is not None:
-            trace("practice", counters.passes, S.copy())
-        live = summary.n_distinct + summary.n_companion
-        mem = layout.n_distinct + layout.eps_used
-        n_low = partition_tail(
-            S, iv.delta + iv.span - 1, head + mem, n, cfg, counters
-        )
-        if n_low != summary.n_companion - layout.eps_used:
-            raise CorruptStateError(
-                f"{n_low} idle words after storage, expected "
-                f"{summary.n_companion - layout.eps_used}"
-            )
-        if trace is not None:
-            trace("partition", counters.passes, S.copy())
-        retrieve_sequential(
-            S, layout, summary.n_companion, iv, cfg, lo=head, counters=counters
-        )
-        if trace is not None:
-            trace("retrieve", counters.passes, S.copy())
-        head += live
-    return counters
+    return run_passes(_sequential_step, S, cfg, counters, trace)
 
 
 def sort_associative_recursive(
@@ -227,44 +230,23 @@ def sort_associative_recursive(
     state is four words per level.
     """
     cfg = cfg or WordConfig()
-    counters = counters if counters is not None else OpCounters()
-    n = len(S)
-    if n == 0:
-        return counters
-    mn, _ = check_words(S, cfg)
-    k = active()
     stack = []
-    head = 0
-    delta = mn
-    while True:
-        counters.passes += 1
-        iv, summary, layout = _run_pass(S, head, n, delta, cfg, counters)
-        if trace is not None:
-            trace("practice", counters.passes, S.copy())
-        stack.append((layout.n_distinct, layout.eps_used, delta, head))
-        if len(stack) > counters.max_depth:
-            counters.max_depth = len(stack)
-        head += layout.n_distinct + layout.eps_used
-        if summary.n_deferred == 0:
-            break
-        delta = summary.delta_next
-    write_end = n
-    level = len(stack)
-    while stack:
+    counters = run_passes(partial(_stack_step, stack), S, cfg, counters, trace)
+    k = active()
+    write_end = len(S)
+    for level in range(len(stack), 0, -1):
         n_d, eps_used, delta, h = stack.pop()
-        seg = n - h
-        eps = epsilon(seg, cfg)
+        seg = len(S) - h
         written, moves, status = k.retrieve_packed(
-            S, h, h + n_d + eps_used, write_end, delta, eps,
+            S, h, h + n_d + eps_used, write_end, delta, epsilon(seg, cfg),
             cfg.pack_split(seg), cfg.tag_mask,
         )
-        counters.moves += int(moves)
+        counters.moves += moves
         if status != 0:
             raise CorruptStateError(f"unwind retrieval failed (status {status})")
-        write_end -= int(written)
+        write_end -= written
         if trace is not None:
             trace("retrieve", level, S.copy())
-        level -= 1
     if write_end != 0:
         raise CorruptStateError(
             f"unwind left {write_end} words unwritten at the front"

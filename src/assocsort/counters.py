@@ -23,10 +23,3 @@ class OpCounters:
     moves: int = 0
     node_creations: int = 0
     max_depth: int = 0
-
-    def merge(self, other: "OpCounters") -> "OpCounters":
-        self.passes += other.passes
-        self.moves += other.moves
-        self.node_creations += other.node_creations
-        self.max_depth = max(self.max_depth, other.max_depth)
-        return self

@@ -8,65 +8,40 @@ front (already in ascending order) and the pass repeats on the rest with
 the interval advanced to the smallest deferred key.
 """
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .backend import active
+from .core import TraceFn, run_passes
 from .counters import OpCounters
-from .errors import CorruptStateError, DuplicateKeyError, WordRangeError
+from .errors import CorruptStateError, DuplicateKeyError
 from .words import WordConfig
 
-TraceFn = Callable[[str, int, np.ndarray], None]
 
+def _implicit_step(S, P, head, delta, cfg, counters, emit):
+    """One pass over ``S[head:]``: settle, then compact the settled keys.
 
-def cycle_leader_permute(S: np.ndarray, delta: int, counters: Optional[OpCounters] = None) -> None:
-    """Permute ``S`` in place, assuming it holds exactly the keys
-    ``delta .. delta + len(S) - 1`` in some order."""
-    if len(S) == 0:
-        return
-    k = active()
-    moves, status = k.cycle_leader(S, 0, len(S), delta)
-    if status != 0:
-        raise DuplicateKeyError(
-            "keys are not a permutation of "
-            f"[{delta}, {delta + len(S)})"
-        )
-    if counters is not None:
-        counters.moves += int(moves)
-
-
-def implicit_practice_pass(
-    S: np.ndarray, lo: int, delta: int, counters: Optional[OpCounters] = None
-):
-    """Swap every key of ``[delta, delta + n)`` in ``S[lo:]`` to its slot.
-
-    Returns ``(n_settled, delta_next)`` where ``delta_next`` is the
-    smallest key left outside the interval (``None`` if none).
+    Practicing swaps every key of ``[delta, delta + len(S) - head)`` to
+    its slot.  Only a word at its own slot can be settled (deferred keys
+    fail the slot test everywhere), so compacting the fixpoints to the
+    front, in order, never misclassifies.
     """
     k = active()
-    n_d, dnext, moves, status = k.implicit_practice(S, lo, len(S), delta)
+    n = len(S)
+    n_d, dnext, moves, status = k.implicit_practice(S, head, n, delta)
     if status != 0:
         raise DuplicateKeyError("duplicate key detected while practicing")
-    if counters is not None:
-        counters.moves += int(moves)
-    return int(n_d), (int(dnext) if dnext >= 0 else None)
-
-
-def partition_practiced(
-    S: np.ndarray, lo: int, delta: int, counters: Optional[OpCounters] = None
-) -> int:
-    """Compact the settled keys of ``S[lo:]`` to the front, keeping order.
-
-    Only a word at its own slot can be settled (deferred keys fail the
-    slot test everywhere), so this never misclassifies.  Returns the
-    number of settled keys now occupying ``S[lo:lo + count]``.
-    """
-    k = active()
-    count, moves = k.collect_fixpoints(S, lo, len(S), delta)
-    if counters is not None:
-        counters.moves += int(moves)
-    return int(count)
+    counters.moves += moves
+    emit("practice")
+    count, moves = k.collect_fixpoints(S, head, n, delta)
+    counters.moves += moves
+    if count != n_d:
+        raise CorruptStateError(
+            f"settled {count} keys but practicing reported {n_d}"
+        )
+    emit("partition")
+    return n_d, dnext
 
 
 def sort_distinct_keys(
@@ -78,40 +53,7 @@ def sort_distinct_keys(
     """Sort an array of distinct keys in place; returns operation counters.
 
     The interval of the first pass starts at the array minimum; every
-    later pass starts at the smallest key the previous pass deferred, so
-    no re-scan for the minimum is needed.
+    later pass starts at the smallest key the previous pass deferred.
+    Raises :class:`~assocsort.errors.DuplicateKeyError` on a repeated key.
     """
-    cfg = cfg or WordConfig()
-    counters = counters if counters is not None else OpCounters()
-    n = len(S)
-    if n == 0:
-        return counters
-    if n > cfg.tag_mask:
-        raise WordRangeError(f"{n} words exceed the {cfg.tag_mask} slots of w={cfg.w}")
-    k = active()
-    mn, mx = k.min_max(S, 0, n)
-    if mn < 0 or mx > cfg.max_key:
-        raise WordRangeError(
-            f"keys must lie in [0, {cfg.max_key}], saw [{mn}, {mx}]"
-        )
-    delta = int(mn)
-    head = 0
-    while head < n:
-        counters.passes += 1
-        n_d, delta_next = implicit_practice_pass(S, head, delta, counters)
-        if trace is not None:
-            trace("practice", counters.passes, S.copy())
-        count = partition_practiced(S, head, delta, counters)
-        if count != n_d:
-            raise CorruptStateError(
-                f"settled {count} keys but practicing reported {n_d}"
-            )
-        if trace is not None:
-            trace("partition", counters.passes, S.copy())
-        head += n_d
-        if delta_next is None:
-            break
-        delta = delta_next
-    if head != n:
-        raise CorruptStateError(f"sorted prefix stopped at {head} of {n}")
-    return counters
+    return run_passes(_implicit_step, S, cfg, counters, trace)

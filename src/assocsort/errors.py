@@ -14,8 +14,10 @@ class WordRangeError(AssocSortError):
     """
 
 
-class OutOfIntervalError(AssocSortError):
-    """A key falls outside the practiced interval of the current pass."""
+class InputError(AssocSortError, ValueError):
+    """The input is not a writable 1-D ``int64`` array (or, for a
+    payload, not one of the keys' length that shares no memory with
+    them).  Raised by the front door before any word is written."""
 
 
 class DuplicateKeyError(AssocSortError):
@@ -27,8 +29,8 @@ class CorruptStateError(AssocSortError):
 
     This always indicates a bug (or concurrent mutation of the array),
     never a property of the input: input problems raise
-    :class:`WordRangeError` or :class:`DuplicateKeyError` before any
-    destructive phase begins.
+    :class:`InputError` or :class:`WordRangeError` before any word is
+    written, and repeated keys raise :class:`DuplicateKeyError`.
     """
 
 

@@ -24,59 +24,83 @@ bitmap, shrinking memory a further ``w - 1``-fold; duplicate keys are
 detected (the bit is already set) and rejected.
 """
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .backend import active
+from .core import TraceFn, run_passes
 from .counters import OpCounters
-from .core import check_words, practice
 from .errors import CorruptStateError, DuplicateKeyError
-from .words import Interval, PracticeSummary, WordConfig
-
-TraceFn = Callable[[str, int, np.ndarray], None]
+from .words import WordConfig
 
 
-def store_records(
-    S: np.ndarray,
-    n_distinct: int,
-    cfg: WordConfig,
-    lo: int = 0,
-    hi: Optional[int] = None,
-    counters: Optional[OpCounters] = None,
-) -> None:
-    """Park the k-th node's record in the value plane of ``S[lo + k]``."""
-    hi = len(S) if hi is None else hi
+def _park_and_partition(S, head, n_d, n_c, pivot, cfg, counters, emit):
+    """Park the k-th node's record in the value plane of ``S[head + k]``,
+    then gather the idle value planes (``<= pivot``) right behind them."""
     k = active()
-    stored, moves, status = k.store_records(S, lo, hi, n_distinct, cfg.tag_mask)
-    if counters is not None:
-        counters.moves += int(moves)
+    n = len(S)
+    stored, moves, status = k.store_records(S, head, n, n_d, cfg.tag_mask)
+    counters.moves += moves
     if status != 0:
         raise CorruptStateError(
-            f"found {stored} tagged words while parking {n_distinct} records"
+            f"found {stored} tagged words while parking {n_d} records"
         )
+    emit("store")
+    n_low, moves = k.partition_values(S, head + n_d, n, pivot, cfg.tag_mask)
+    counters.moves += moves
+    if n_low != n_c:
+        raise CorruptStateError(f"{n_low} idle words in the tail, expected {n_c}")
+    emit("partition")
 
 
-def retrieve_node_scan(
-    S: np.ndarray,
-    summary: PracticeSummary,
-    delta: int,
-    cfg: WordConfig,
-    lo: int = 0,
-    hi: Optional[int] = None,
-    counters: Optional[OpCounters] = None,
-) -> int:
-    """Expand parked records into sorted keys; returns keys written."""
-    hi = len(S) if hi is None else hi
+def _node_scan_step(S, P, head, delta, cfg, counters, emit):
+    """One pass over ``S[head:]`` whose interval spans the whole segment."""
     k = active()
-    moves, status = k.retrieve_node_scan(
-        S, lo, hi, summary.n_distinct, summary.n_companion, delta, cfg.tag_mask
+    n = len(S)
+    n_d, n_c, _, dnext, moves, created = k.practice(
+        S, head, n, delta, 0, n - head, cfg.tag_mask
     )
-    if counters is not None:
-        counters.moves += int(moves)
+    counters.moves += moves
+    counters.node_creations += created
+    emit("practice")
+    _park_and_partition(S, head, n_d, n_c, delta + n - head - 1, cfg, counters, emit)
+    moves, status = k.retrieve_node_scan(S, head, n, n_d, n_c, delta, cfg.tag_mask)
+    counters.moves += moves
     if status != 0:
         raise CorruptStateError(f"node-scan retrieval failed (status {status})")
-    return summary.n_distinct + summary.n_companion
+    emit("retrieve")
+    return n_d + n_c, dnext
+
+
+def _bitmap_step(S, P, head, delta, cfg, counters, emit):
+    """One pass over ``S[head:]`` recording ``w - 1`` keys per node.
+
+    The interval covers ``(w - 1)`` keys per segment word, clamped to
+    the node slots of the word model.
+    """
+    k = active()
+    n = len(S)
+    wm1 = cfg.w - 1
+    span = min(wm1 * (n - head), cfg.tag_mask)
+    n_d, n_c, _, dnext, moves, created, dup = k.practice_super(
+        S, head, n, delta, span, wm1, cfg.tag_mask
+    )
+    counters.moves += moves
+    counters.node_creations += created
+    if dup >= 0:
+        raise DuplicateKeyError(f"key {int(dup)} occurs more than once")
+    emit("practice")
+    pivot = min(delta + span - 1, cfg.max_key)
+    _park_and_partition(S, head, n_d, n_c, pivot, cfg, counters, emit)
+    moves, status = k.retrieve_super(
+        S, head, n, n_d, n_c, delta, wm1, cfg.tag_mask
+    )
+    counters.moves += moves
+    if status != 0:
+        raise CorruptStateError(f"bitmap retrieval failed (status {status})")
+    emit("retrieve")
+    return n_d + n_c, dnext
 
 
 def sort_improved(
@@ -86,50 +110,7 @@ def sort_improved(
     trace: Optional[TraceFn] = None,
 ) -> OpCounters:
     """Sort ``S`` in place; a single pass whenever ``max - min < n``."""
-    cfg = cfg or WordConfig()
-    counters = counters if counters is not None else OpCounters()
-    n = len(S)
-    if n == 0:
-        return counters
-    check_words(S, cfg)
-    k = active()
-    head = 0
-    while head < n:
-        counters.passes += 1
-        seg = n - head
-        mn, _ = k.min_max(S, head, n)
-        iv = Interval(int(mn), seg, 0)
-        summary = practice(S, iv, cfg, lo=head, hi=n, counters=counters)
-        if trace is not None:
-            trace("practice", counters.passes, S.copy())
-        store_records(S, summary.n_distinct, cfg, lo=head, hi=n, counters=counters)
-        if trace is not None:
-            trace("store", counters.passes, S.copy())
-        _partition_idle(S, head, n, summary, iv, cfg, counters)
-        if trace is not None:
-            trace("partition", counters.passes, S.copy())
-        retrieve_node_scan(
-            S, summary, iv.delta, cfg, lo=head, hi=n, counters=counters
-        )
-        if trace is not None:
-            trace("retrieve", counters.passes, S.copy())
-        head += summary.n_distinct + summary.n_companion
-    return counters
-
-
-def _partition_idle(S, head, n, summary, iv, cfg, counters):
-    """Gather idle value planes directly behind the record park."""
-    k = active()
-    n_low, moves = k.partition_values(
-        S, head + summary.n_distinct, n, iv.delta + iv.span - 1, cfg.tag_mask
-    )
-    if counters is not None:
-        counters.moves += int(moves)
-    if n_low != summary.n_companion:
-        raise CorruptStateError(
-            f"{n_low} idle words in the tail, expected {summary.n_companion}"
-        )
-    return int(n_low)
+    return run_passes(_node_scan_step, S, cfg, counters, trace)
 
 
 def sort_distinct_improved(
@@ -144,55 +125,4 @@ def sort_distinct_improved(
     ``(w - 1) * n`` of the minimum.  Raises
     :class:`~assocsort.errors.DuplicateKeyError` on a repeated key.
     """
-    cfg = cfg or WordConfig()
-    counters = counters if counters is not None else OpCounters()
-    n = len(S)
-    if n == 0:
-        return counters
-    check_words(S, cfg)
-    k = active()
-    wm1 = cfg.w - 1
-    head = 0
-    while head < n:
-        counters.passes += 1
-        seg = n - head
-        mn, _ = k.min_max(S, head, n)
-        delta = int(mn)
-        span = min(wm1 * seg, cfg.tag_mask)
-        n_d, n_c, n_def, dnext, moves, created, dup = k.practice_super(
-            S, head, n, delta, span, wm1, cfg.tag_mask
-        )
-        counters.moves += int(moves)
-        counters.node_creations += int(created)
-        if dup >= 0:
-            raise DuplicateKeyError(f"key {int(dup)} occurs more than once")
-        summary = PracticeSummary(
-            int(n_d), int(n_c), int(n_def), int(dnext) if dnext >= 0 else None
-        )
-        if trace is not None:
-            trace("practice", counters.passes, S.copy())
-        store_records(S, summary.n_distinct, cfg, lo=head, hi=n, counters=counters)
-        if trace is not None:
-            trace("store", counters.passes, S.copy())
-        pivot = min(delta + span - 1, cfg.max_key)
-        n_low, moves = k.partition_values(
-            S, head + summary.n_distinct, n, pivot, cfg.tag_mask
-        )
-        counters.moves += int(moves)
-        if n_low != summary.n_companion:
-            raise CorruptStateError(
-                f"{n_low} idle words in the tail, expected {summary.n_companion}"
-            )
-        if trace is not None:
-            trace("partition", counters.passes, S.copy())
-        rmoves, status = k.retrieve_super(
-            S, head, n, summary.n_distinct, summary.n_companion, delta, wm1,
-            cfg.tag_mask,
-        )
-        counters.moves += int(rmoves)
-        if status != 0:
-            raise CorruptStateError(f"bitmap retrieval failed (status {status})")
-        if trace is not None:
-            trace("retrieve", counters.passes, S.copy())
-        head += summary.n_distinct + summary.n_companion
-    return counters
+    return run_passes(_bitmap_step, S, cfg, counters, trace)

@@ -54,34 +54,6 @@ def min_max(S, lo, hi):
     return mn, mx
 
 
-def cycle_leader(S, lo, hi, delta):
-    """Permute distinct keys covering [delta, delta + hi - lo) into place.
-
-    Follows each displacement cycle from its leader.  Returns
-    ``(moves, status)``; a duplicate or out-of-range key surfaces as
-    STATUS_CURSOR instead of looping forever.
-    """
-    n = hi - lo
-    moves = 0
-    for i in range(lo, hi):
-        v = S[i]
-        moved = False
-        while v - delta != i - lo:
-            d = v - delta
-            if d < 0 or d >= n or moves > 2 * n:
-                return moves, STATUS_CURSOR
-            j = lo + d
-            t = S[j]
-            S[j] = v
-            v = t
-            moves += 1
-            moved = True
-        if moved:
-            S[i] = v
-            moves += 1
-    return moves, STATUS_OK
-
-
 def implicit_practice(S, lo, hi, delta):
     """One practicing pass for distinct keys, nodes implied by position.
 
@@ -603,78 +575,42 @@ def reactivate(K, P, lo, hi, n_sorted, tag):
             i += 1
             continue
         if x < n_sorted:
+            # Idle ticket: its destination is its value.
             q = lo + x
             if q == i:
                 i += 1
                 continue
-            y = K[q]
-            if not y & tag:
-                K[i] = y
-                K[q] = x
-                pp = P[i]
-                P[i] = P[q]
-                P[q] = pp
-                moves += 3
+        else:
+            # Deferred key: its destination is the pack cursor.
+            if i >= kc:
+                if i == kc:
+                    kc += 1
+                    i += 1
+                    continue
+                return moves, STATUS_CURSOR
+            if i >= lo + n_sorted:
+                i += 1  # already packed
                 continue
-            # Ticket claims a node's slot: place the ticket, then walk the
-            # chain of displaced nodes until one lands in the hole at i.
-            K[q] = x
-            curp = P[q]
-            P[q] = P[i]
-            moves += 2
-            former = x
-            cur = y
-            while True:
-                dd = cur & vmask
-                qq = lo + dd
-                if qq == i:
-                    K[i] = tag | former
-                    P[i] = curp
-                    moves += 2
-                    break
-                z = K[qq]
-                pz = P[qq]
-                K[qq] = tag | former
-                P[qq] = curp
-                moves += 2
-                if z & tag:
-                    cur = z
-                    curp = pz
-                    former = dd
-                else:
-                    K[i] = z
-                    P[i] = pz
-                    moves += 2
-                    break
-            continue
-        # Deferred key.
-        if i >= kc:
-            if i == kc:
-                kc += 1
-                i += 1
-                continue
-            return moves, STATUS_CURSOR
-        if i >= lo + n_sorted:
-            i += 1  # already packed
-            continue
-        if kc >= hi:
-            return moves, STATUS_CURSOR
-        y = K[kc]
+            if kc >= hi:
+                return moves, STATUS_CURSOR
+            q = kc
+            kc += 1
+        y = K[q]
         if not y & tag:
             K[i] = y
-            K[kc] = x
+            K[q] = x
             pp = P[i]
-            P[i] = P[kc]
-            P[kc] = pp
+            P[i] = P[q]
+            P[q] = pp
             moves += 3
-            kc += 1
             continue
-        K[kc] = x
-        curp = P[kc]
-        P[kc] = P[i]
+        # The word claims a node's slot: place it, then walk the chain of
+        # displaced nodes until one lands in the hole at i.
+        K[q] = x
+        curp = P[q]
+        P[q] = P[i]
         moves += 2
-        former = kc - lo
-        kc += 1
+        former = q - lo
         cur = y
         while True:
             dd = cur & vmask
@@ -698,7 +634,6 @@ def reactivate(K, P, lo, hi, n_sorted, tag):
                 P[i] = pz
                 moves += 2
                 break
-        continue
     return moves, STATUS_OK
 
 

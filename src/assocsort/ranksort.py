@@ -19,16 +19,54 @@ array alone.  Each pass:
    ``delta + record`` at each node, repeated over its run.
 """
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .backend import active
+from .core import TraceFn, run_passes
 from .counters import OpCounters
-from .errors import CorruptStateError, WordRangeError
+from .errors import CorruptStateError
 from .words import WordConfig
 
-TraceFn = Callable[[str, int, np.ndarray], None]
+
+def _rank_step(K, P, head, delta, cfg, counters, emit):
+    """One practice/accumulate/repractice/reactivate/restore pass over
+    ``K[head:]``, carrying ``P`` along."""
+    k = active()
+    n = len(K)
+    seg = n - head
+    tag = cfg.tag_mask
+    n_d, n_c, _, dnext, moves, created = k.practice_rank(
+        K, P, head, n, delta, seg, tag
+    )
+    counters.moves += moves
+    counters.node_creations += created
+    emit("practice")
+    n_nodes, total = k.accumulate_records(K, head, n, tag)
+    if n_nodes != n_d or total != n_d + n_c:
+        raise CorruptStateError(
+            f"accumulation saw {n_nodes} nodes/{total} elements, "
+            f"practice reported {n_d}/{n_d + n_c}"
+        )
+    emit("accumulate")
+    n_tickets, status = k.repractice_idle(K, head, n, delta, seg, tag)
+    if status != 0 or n_tickets != n_c:
+        raise CorruptStateError(
+            f"ticketing failed (status {status}, {n_tickets} of {n_c})"
+        )
+    emit("repractice")
+    moves, status = k.reactivate(K, P, head, n, n_d + n_c, tag)
+    counters.moves += moves
+    if status != 0:
+        raise CorruptStateError(f"reactivation failed (status {status})")
+    emit("reactivate")
+    moves, status = k.restore_keys(K, head, head + n_d + n_c, delta, tag)
+    counters.moves += moves
+    if status != 0:
+        raise CorruptStateError(f"key restoration failed (status {status})")
+    emit("restore")
+    return n_d + n_c, dnext
 
 
 def sort_by_key(
@@ -40,70 +78,11 @@ def sort_by_key(
 ) -> OpCounters:
     """Sort keys ``K`` in place, carrying ``P[i]`` with ``K[i]``.
 
-    The sort is not stable: equal keys keep their payloads but may
-    exchange relative order.
+    ``P`` must be a writable ``int64`` array of the same length that
+    shares no memory with ``K``.  The sort is not stable: equal keys keep
+    their payloads but may exchange relative order.
     """
-    cfg = cfg or WordConfig()
-    counters = counters if counters is not None else OpCounters()
-    n = len(K)
-    if len(P) != n:
-        raise ValueError(f"payload length {len(P)} != key length {n}")
-    if n == 0:
-        return counters
-    if n > cfg.tag_mask:
-        raise WordRangeError(
-            f"{n} elements exceed the {cfg.tag_mask} node slots of w={cfg.w}"
-        )
-    k = active()
-    mn, mx = k.min_max(K, 0, n)
-    if mn < 0 or mx > cfg.max_key:
-        raise WordRangeError(
-            f"keys must lie in [0, {cfg.max_key}], saw [{int(mn)}, {int(mx)}]"
-        )
-    head = 0
-    while head < n:
-        counters.passes += 1
-        seg = n - head
-        mn, _ = k.min_max(K, head, n)
-        delta = int(mn)
-        n_d, n_c, n_def, dnext, moves, created = k.practice_rank(
-            K, P, head, n, delta, seg, cfg.tag_mask
-        )
-        counters.moves += int(moves)
-        counters.node_creations += int(created)
-        if trace is not None:
-            trace("practice", counters.passes, K.copy())
-        n_nodes, total = k.accumulate_records(K, head, n, cfg.tag_mask)
-        if n_nodes != n_d or total != n_d + n_c:
-            raise CorruptStateError(
-                f"accumulation saw {n_nodes} nodes/{total} elements, "
-                f"practice reported {n_d}/{n_d + n_c}"
-            )
-        if trace is not None:
-            trace("accumulate", counters.passes, K.copy())
-        n_tickets, status = k.repractice_idle(K, head, n, delta, seg, cfg.tag_mask)
-        if status != 0 or n_tickets != n_c:
-            raise CorruptStateError(
-                f"ticketing failed (status {status}, {n_tickets} of {n_c})"
-            )
-        if trace is not None:
-            trace("repractice", counters.passes, K.copy())
-        moves, status = k.reactivate(K, P, head, n, n_d + n_c, cfg.tag_mask)
-        counters.moves += int(moves)
-        if status != 0:
-            raise CorruptStateError(f"reactivation failed (status {status})")
-        if trace is not None:
-            trace("reactivate", counters.passes, K.copy())
-        moves, status = k.restore_keys(
-            K, head, head + n_d + n_c, delta, cfg.tag_mask
-        )
-        counters.moves += int(moves)
-        if status != 0:
-            raise CorruptStateError(f"key restoration failed (status {status})")
-        if trace is not None:
-            trace("restore", counters.passes, K.copy())
-        head += n_d + n_c
-    return counters
+    return run_passes(_rank_step, K, cfg, counters, trace, P)
 
 
 def argsort_keys(

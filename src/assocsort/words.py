@@ -1,4 +1,4 @@
-"""Virtual word model and the scalar helpers built on it.
+"""Virtual word model: the word width, its masks, and the companion budget.
 
 All sorters in this package operate on ``numpy.int64`` arrays whose
 values are treated as *virtual words* of a configurable width ``w``.
@@ -14,9 +14,8 @@ never touches the host sign bit.
 
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import Optional
 
-from .errors import OutOfIntervalError, WordRangeError
+from .errors import WordRangeError
 
 MIN_WIDTH = 4
 MAX_WIDTH = 63
@@ -68,69 +67,6 @@ class WordConfig:
         return self.w - 1 - self.pos_bits(n)
 
 
-def is_node(word: int, cfg: WordConfig) -> bool:
-    """True if the word's tag bit is set."""
-    return bool(word & cfg.tag_mask)
-
-
-def encode_node(record: int, cfg: WordConfig) -> int:
-    """Build a node word carrying ``record`` in its low ``w - 1`` bits."""
-    if not 0 <= record <= cfg.value_mask:
-        raise WordRangeError(f"record {record} does not fit in {cfg.w - 1} bits")
-    return cfg.tag_mask | record
-
-
-def decode_record(word: int, cfg: WordConfig) -> int:
-    """Extract the record of a node word (the low ``w - 1`` bits)."""
-    return word & cfg.value_mask
-
-
-@dataclass(frozen=True)
-class Interval:
-    """The practiced interval of one pass.
-
-    Keys ``k`` with ``delta <= k < delta + span`` hash into the imaginary
-    linear subspace that starts ``base`` slots into the segment; keys at
-    or above ``delta + span`` stay unpracticed until a later pass, and
-    keys below ``delta`` are leftovers of an enclosing pass.
-    """
-
-    delta: int
-    span: int
-    base: int = 0
-
-
-def linear_hash(key: int, iv: Interval) -> int:
-    """Slot index (relative to the segment) for ``key``: one key per node."""
-    d = key - iv.delta
-    if d < 0 or d >= iv.span:
-        raise OutOfIntervalError(f"key {key} outside [{iv.delta}, {iv.delta + iv.span})")
-    return iv.base + d
-
-
-def linear_unhash(index: int, iv: Interval) -> int:
-    """Inverse of :func:`linear_hash`."""
-    return iv.delta + (index - iv.base)
-
-
-def super_hash(key: int, delta: int, cfg: WordConfig) -> tuple:
-    """Slot and bit for ``key`` when each node records ``w - 1`` keys.
-
-    Returns ``(j, k)``: the key is remembered as bit ``k`` of the record
-    of the node at relative slot ``j``.  The caller guarantees
-    ``0 <= key - delta < (w - 1) * n`` for the live segment length ``n``.
-    """
-    d = key - delta
-    if d < 0:
-        raise OutOfIntervalError(f"key {key} below interval start {delta}")
-    return d // (cfg.w - 1), d % (cfg.w - 1)
-
-
-def super_unhash(j: int, k: int, delta: int, cfg: WordConfig) -> int:
-    """Inverse of :func:`super_hash`."""
-    return delta + j * (cfg.w - 1) + k
-
-
 def epsilon(n: int, cfg: WordConfig) -> int:
     """Interval shrink needed so companion words can always be found.
 
@@ -157,34 +93,3 @@ def epsilon(n: int, cfg: WordConfig) -> int:
     eps = -(-(n // 2) // thr)  # ceil((n/2) / thr)
     demand = n // (thr + 1)
     return max(eps, demand)
-
-
-@dataclass(frozen=True)
-class PracticeSummary:
-    """What one practicing pass learned about its segment.
-
-    ``n_distinct`` nodes were created, absorbing ``n_companion`` repeat
-    occurrences; ``n_deferred`` words lay at or above the interval, the
-    smallest of them being ``delta_next`` (``None`` when nothing was
-    deferred).
-    """
-
-    n_distinct: int
-    n_companion: int
-    n_deferred: int
-    delta_next: Optional[int]
-
-
-@dataclass(frozen=True)
-class StorageLayout:
-    """Where storage left the short-term memory of a pass.
-
-    The memory occupies ``n_distinct + eps_used`` words at the front of
-    the segment: packed nodes carry position and count in one record,
-    and ``eps_used`` overfull nodes each own a companion word holding
-    the position.
-    """
-
-    n_distinct: int
-    eps_used: int
-    pack_split: int

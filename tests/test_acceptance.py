@@ -26,7 +26,7 @@ from assocsort.adapter import ALGORITHMS
 from assocsort.backend import HAS_NUMBA, PLAIN, _KERNEL_NAMES, use_backend, warmup
 from assocsort.bench import GENERATORS, gen_distinct, gen_uniform
 from assocsort.cli import main as cli_main
-from assocsort.core import sort_associative, sort_associative_recursive
+from assocsort.core import run_passes, sort_associative, sort_associative_recursive
 from assocsort.counters import OpCounters
 from assocsort.cycle_leader import sort_distinct_keys
 from assocsort.improved import sort_distinct_improved, sort_improved
@@ -230,14 +230,15 @@ def test_criterion_06_constant_auxiliary_space():
     """Iterative sorters use O(1) auxiliary words; the recursive driver's
     control stack stays within 8 words per pass.
 
-    Accounting is threefold: every kernel and driver runs on at most 64
-    local variable slots (the only per-call storage of the compiled
-    loops); traced allocations during a sort are a few hundred bytes of
+    Accounting is threefold: every kernel, driver and the shared pass
+    loop runs on at most 64 local variable slots (the only per-call
+    storage of the compiled loops); traced allocations during a sort are a few hundred bytes of
     scalar boxing and do not grow when n grows 16-fold; and the
     recursive driver's deepest stack (4 words per level) is bounded by
     its pass count.
     """
     drivers = [
+        run_passes,
         sort_associative,
         sort_associative_recursive,
         sort_improved,

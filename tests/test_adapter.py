@@ -8,7 +8,6 @@ from assocsort.adapter import (
     ALGORITHMS,
     perm_rank_words,
     resolve_algorithm,
-    scan_min_max,
     sort_full_universe,
 )
 from assocsort.errors import WordRangeError
@@ -67,11 +66,6 @@ class TestConvenience:
         S = vals.copy()
         perm_rank_words(S, cfg=WordConfig(32))
         assert np.array_equal(S, reference_sort(vals))
-
-    def test_scan_min_max(self, backend):
-        assert scan_min_max(arr(5, 1, 9, 1)) == (1, 9)
-        with pytest.raises(ValueError):
-            scan_min_max(np.empty(0, dtype=np.int64))
 
 
 class TestFullUniverse:

@@ -152,13 +152,6 @@ class TestRunBench:
         )
         assert [(r.n, r.m) for r in rows] == [(64, 128)]
 
-    def test_parallel_verification(self):
-        rows = run_bench(
-            ["assoc_improved"], [48], [1.0], ["uniform"],
-            seed=1, trials=2, w=32, do_verify=True, verify_workers=2, warm=False,
-        )
-        assert all(r.verified == 1 for r in rows)
-
     def test_rows_byte_stable_modulo_timing(self):
         kw = dict(seed=9, trials=2, w=32, do_verify=True, warm=False)
         a = run_bench(["assoc_improved", "lsd_radix"], [32], [1.0, 4.0], ["uniform"], **kw)

@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assocsort.core import (
-    check_words,
-    practice,
-    retrieve_sequential,
-    sort_associative,
-    sort_associative_recursive,
-    store_nodes,
-)
-from assocsort.counters import OpCounters
+from assocsort.backend import active
+from assocsort.core import check_words, sort_associative, sort_associative_recursive
 from assocsort.errors import WordRangeError
-from assocsort.words import Interval, WordConfig, epsilon
+from assocsort.words import WordConfig, epsilon
 
 from .conftest import arr
 from .oracles import decode_memory, practice_oracle, reference_sort, sorted_runs
@@ -45,52 +38,59 @@ class TestCheckWords:
 
 
 class TestPracticePhase:
+    """The counting variant's practice, store and retrieve kernels, each
+    with the interval a pass gives it: ``[delta, delta + n - eps)``,
+    hashed ``eps`` slots into the segment."""
+
     def test_summary_matches_oracle(self, backend, rng):
         for vals in _random_inputs(rng, 40):
             n = len(vals)
             delta = int(vals.min())
             eps = epsilon(n, CFG32)
-            iv = Interval(delta, n - eps, eps)
             S = vals.copy()
-            c = OpCounters()
-            summary = practice(S, iv, CFG32, 0, n, c)
-            e_d, e_c, e_def, e_next = practice_oracle(vals.tolist(), delta, iv.span)
-            assert summary.n_distinct == e_d
-            assert summary.n_companion == e_c
-            assert summary.n_deferred == e_def
-            assert summary.delta_next == e_next
-            assert c.node_creations == e_d
+            n_d, n_c, n_def, dnext, _, created = active().practice(
+                S, 0, n, delta, eps, n - eps, CFG32.tag_mask
+            )
+            e_d, e_c, e_def, e_next = practice_oracle(vals.tolist(), delta, n - eps)
+            assert (n_d, n_c, n_def) == (e_d, e_c, e_def)
+            assert (None if dnext < 0 else int(dnext)) == e_next
+            assert created == e_d
 
     def test_storage_decodes_to_run_counts(self, backend, rng):
+        tag = CFG16.tag_mask
         for vals in _random_inputs(rng, 40):
             n = len(vals)
             delta = int(vals.min())
             eps = epsilon(n, CFG16)
-            iv = Interval(delta, n - eps, eps)
+            split = CFG16.pack_split(n)
             S = vals.copy()
-            c = OpCounters()
-            summary = practice(S, iv, CFG16, 0, n, c)
-            layout = store_nodes(S, summary, iv, CFG16, 0, n, c)
-            got = decode_memory(
-                S, 0, layout.n_distinct, layout.eps_used, delta, iv.base,
-                layout.pack_split, CFG16.tag_mask,
+            k = active()
+            n_d, *_ = k.practice(S, 0, n, delta, eps, n - eps, tag)
+            eps_used, stored, _, status = k.store_nodes(
+                S, 0, n, delta, n - eps, split, tag, eps
             )
-            expect = [(k, cnt - 1) for k, cnt in sorted_runs(vals.tolist(), delta, iv.span)]
+            assert status == 0 and stored == n_d + eps_used
+            got = decode_memory(S, 0, n_d, eps_used, delta, eps, split, tag)
+            expect = [(key, cnt - 1) for key, cnt in sorted_runs(vals.tolist(), delta, n - eps)]
             assert got == expect
 
     def test_memory_retrieves_sorted(self, backend, rng):
         # practice + store + retrieve on inputs narrow enough for one pass
+        tag = CFG32.tag_mask
         for _ in range(25):
             n = int(rng.integers(2, 300))
             eps = epsilon(n, CFG32)
+            split = CFG32.pack_split(n)
             vals = rng.integers(0, n - eps, size=n).astype(np.int64) + 50
-            iv = Interval(50, n - eps, eps)
             S = vals.copy()
-            c = OpCounters()
-            summary = practice(S, iv, CFG32, 0, n, c)
-            assert summary.n_deferred == 0
-            layout = store_nodes(S, summary, iv, CFG32, 0, n, c)
-            retrieve_sequential(S, layout, summary.n_companion, iv, CFG32, 0, c)
+            k = active()
+            n_d, n_c, n_def, *_ = k.practice(S, 0, n, 50, eps, n - eps, tag)
+            assert n_def == 0
+            eps_used, *_ = k.store_nodes(S, 0, n, 50, n - eps, split, tag, eps)
+            written, _, status = k.retrieve_packed(
+                S, 0, n_d + eps_used, n_d + n_c, 50, eps, split, tag
+            )
+            assert status == 0 and written == n
             assert np.array_equal(S, reference_sort(vals))
 
 

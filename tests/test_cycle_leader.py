@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assocsort.counters import OpCounters
-from assocsort.cycle_leader import (
-    cycle_leader_permute,
-    implicit_practice_pass,
-    partition_practiced,
-    sort_distinct_keys,
-)
+from assocsort.backend import active
+from assocsort.cycle_leader import sort_distinct_keys
 from assocsort.errors import DuplicateKeyError, WordRangeError
 from assocsort.words import WordConfig
 
@@ -20,31 +15,15 @@ from .conftest import arr
 CFG32 = WordConfig(32)
 
 
-class TestCycleLeaderPermute:
-    def test_permutation_with_offset(self, backend, rng):
-        S = rng.permutation(500).astype(np.int64) + 1000
-        cycle_leader_permute(S, 1000)
-        assert S.tolist() == list(range(1000, 1500))
-
-    def test_empty_and_single(self, backend):
-        S = np.empty(0, dtype=np.int64)
-        cycle_leader_permute(S, 0)
-        S = arr(42)
-        cycle_leader_permute(S, 42)
-        assert S.tolist() == [42]
-
-    def test_rejects_non_permutation(self, backend):
-        with pytest.raises(DuplicateKeyError):
-            cycle_leader_permute(arr(3, 3, 4), 3)
-
-
 class TestPassPrimitives:
     def test_practice_then_partition(self, backend):
         S = arr(9, 0, 3, 1, 12)
-        n_d, dnext = implicit_practice_pass(S, 0, 0)
+        k = active()
+        n_d, dnext, _, status = k.implicit_practice(S, 0, 5, 0)
+        assert status == 0
         assert n_d == 3
         assert dnext == 9
-        count = partition_practiced(S, 0, 0)
+        count, _ = k.collect_fixpoints(S, 0, 5, 0)
         assert count == 3
         assert S[:3].tolist() == [0, 1, 3]
         assert sorted(S[3:].tolist()) == [9, 12]

@@ -1,0 +1,81 @@
+"""The one input contract every sorter shares.
+
+Keys (and a payload) must be writable 1-D ``int64`` numpy arrays, and a
+payload must share no memory with its keys.  Anything else is refused
+with :class:`~assocsort.errors.InputError` before a single word is
+written, the same way by every entry point.
+"""
+
+import numpy as np
+import pytest
+
+from assocsort.adapter import ALGORITHMS, sort_full_universe
+from assocsort.errors import InputError
+from assocsort.ranksort import sort_by_key
+from assocsort.words import WordConfig
+
+from .conftest import arr
+
+KEYS = [3, 1, 2, 1]
+CFG8 = WordConfig(8)
+
+
+def _read_only():
+    a = np.array(KEYS, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+MALFORMED = {
+    "int32": lambda: np.array(KEYS, dtype=np.int32),
+    "uint64": lambda: np.array(KEYS, dtype=np.uint64),
+    "float64": lambda: np.array(KEYS, dtype=np.float64),
+    "2-D": lambda: np.array([KEYS, KEYS], dtype=np.int64),
+    "read-only": _read_only,
+    "list": lambda: list(KEYS),
+}
+
+
+def _snapshot(x):
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
+    return list(x)
+
+
+SORTERS = {
+    **ALGORITHMS,
+    "sort_by_key": lambda S, cfg: sort_by_key(S, np.zeros(len(S), np.int64), cfg),
+    "sort_full_universe": lambda S, cfg: sort_full_universe(S, cfg=cfg),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("name", sorted(SORTERS))
+def test_malformed_keys_refused_untouched(name, kind):
+    S = MALFORMED[kind]()
+    before = _snapshot(S)
+    with pytest.raises(InputError):
+        SORTERS[name](S, cfg=CFG8)
+    assert _snapshot(S) == before
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_payload_refused_untouched(kind):
+    K = arr(*KEYS)
+    P = MALFORMED[kind]()
+    before = _snapshot(P)
+    with pytest.raises(InputError):
+        sort_by_key(K, P, CFG8)
+    assert _snapshot(P) == before
+    assert K.tolist() == KEYS
+
+
+@pytest.mark.parametrize("alias", ["same", "reversed"], ids=["P is K", "P is K[::-1]"])
+def test_payload_aliasing_keys_refused(alias):
+    K = arr(*KEYS)
+    P = K if alias == "same" else K[::-1]
+    with pytest.raises(InputError) as exc:
+        sort_by_key(K, P, CFG8)
+    assert "shares memory" in str(exc.value)
+    assert K.tolist() == KEYS
+

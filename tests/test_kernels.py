@@ -144,22 +144,6 @@ class TestImplicitPractice:
         assert status != 0
 
 
-class TestCycleLeader:
-    def test_sorts_a_permutation(self, backend, rng):
-        k = active()
-        for n in (1, 2, 7, 50):
-            S = rng.permutation(n).astype(np.int64) + 17
-            moves, status = k.cycle_leader(S, 0, n, 17)
-            assert status == 0
-            assert S.tolist() == list(range(17, 17 + n))
-
-    def test_rejects_duplicates(self, backend):
-        k = active()
-        S = arr(2, 2, 0)
-        _, status = k.cycle_leader(S, 0, 3, 0)
-        assert status != 0
-
-
 class TestSuperHashKernels:
     def test_bitmap_trace_w9(self, backend):
         # keys {0, 3, 10} at w=9: node 0 records bits {0, 3}, node 1

@@ -1,21 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assocsort.errors import OutOfIntervalError, WordRangeError
-from assocsort.words import (
-    Interval,
-    WordConfig,
-    decode_record,
-    encode_node,
-    epsilon,
-    is_node,
-    linear_hash,
-    linear_unhash,
-    super_hash,
-    super_unhash,
-)
+from assocsort.backend import active
+from assocsort.errors import WordRangeError
+from assocsort.words import WordConfig, epsilon
 
+from .conftest import arr
 from .oracles import epsilon_demand, super_hash_oracle
 
 
@@ -50,67 +42,80 @@ class TestWordConfig:
         assert cfg.pack_split(1024) == 5
 
 
-class TestNodeWords:
-    def test_tag_round_trip(self):
-        cfg = WordConfig(8)
-        node = encode_node(5, cfg)
-        assert is_node(node, cfg)
-        assert not is_node(5, cfg)
-        assert decode_record(node, cfg) == 5
-
-    def test_record_must_fit(self):
-        cfg = WordConfig(8)
-        with pytest.raises(WordRangeError):
-            encode_node(128, cfg)
-        encode_node(127, cfg)  # largest representable record
-
-    @given(st.integers(min_value=4, max_value=63), st.data())
-    def test_round_trip_any_width(self, w, data):
-        cfg = WordConfig(w)
-        rec = data.draw(st.integers(min_value=0, max_value=cfg.value_mask))
-        assert decode_record(encode_node(rec, cfg), cfg) == rec
-
-
 class TestLinearHash:
+    """The counting hash, inline in the ``practice`` kernel: key ``k`` of
+    the interval ``[delta, delta + span)`` owns slot ``base + k - delta``."""
+
     def test_hash_and_unhash(self):
-        iv = Interval(delta=100, span=50, base=3)
-        assert linear_hash(100, iv) == 3
-        assert linear_hash(149, iv) == 52
-        for key in (100, 120, 149):
-            assert linear_unhash(linear_hash(key, iv), iv) == key
+        cfg = WordConfig(16)
+        S = np.full(53, 500, dtype=np.int64)  # deferred filler
+        S[:3] = (149, 100, 120)
+        n_d, _, n_def, dnext, _, _ = active().practice(
+            S, 0, 53, 100, 3, 50, cfg.tag_mask
+        )
+        assert (n_d, n_def, dnext) == (3, 50, 500)
+        slots = [j for j in range(53) if S[j] & cfg.tag_mask]
+        assert slots == [3, 23, 52]
+        assert [100 + (j - 3) for j in slots] == [100, 120, 149]
 
     def test_out_of_interval(self):
-        iv = Interval(delta=100, span=50, base=0)
-        with pytest.raises(OutOfIntervalError):
-            linear_hash(99, iv)
-        with pytest.raises(OutOfIntervalError):
-            linear_hash(150, iv)
+        # below the interval: an idle leftover, skipped; at or above it:
+        # deferred to a later pass; neither becomes a node
+        cfg = WordConfig(16)
+        S = arr(99, 150, 100)
+        n_d, n_c, n_def, dnext, _, _ = active().practice(
+            S, 0, 3, 100, 0, 50, cfg.tag_mask
+        )
+        assert (n_d, n_c, n_def, dnext) == (1, 0, 1, 150)
+        assert S.tolist() == [cfg.tag_mask, 150, 99]
 
 
 class TestSuperHash:
+    """The bitmap hash, inline in the ``practice_super`` kernel: key
+    ``delta + d`` is bit ``d % (w - 1)`` of the node at slot
+    ``d // (w - 1)``."""
+
     def test_example(self):
         # key 19 above the interval start with 8 usable record bits:
         # slot 2, bit 3.
         cfg = WordConfig(9)
-        assert super_hash(19, 0, cfg) == (2, 3)
+        S = arr(19, 40, 50)
+        n_d, _, n_def, *_ = active().practice_super(S, 0, 3, 0, 24, 8, cfg.tag_mask)
+        assert (n_d, n_def) == (1, 2)
+        assert int(S[2]) == cfg.tag_mask | (1 << 3)
 
     def test_below_interval_rejected(self):
         cfg = WordConfig(9)
-        with pytest.raises(OutOfIntervalError):
-            super_hash(5, 10, cfg)
+        S = arr(5, 10)
+        n_d, n_c, n_def, *_, dup = active().practice_super(
+            S, 0, 2, 10, 16, 8, cfg.tag_mask
+        )
+        assert (n_d, n_c, n_def, dup) == (1, 0, 0, -1)
+        assert S.tolist() == [cfg.tag_mask | 1, 5]
 
-    @given(
-        st.integers(min_value=4, max_value=63),
-        st.integers(min_value=0, max_value=10**9),
-        st.integers(min_value=0, max_value=10**6),
-    )
-    def test_matches_oracle_and_inverts(self, w, delta, offset):
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=4, max_value=63), st.data())
+    def test_matches_oracle_and_inverts(self, w, data):
         cfg = WordConfig(w)
-        key = delta + offset
-        j, k = super_hash(key, delta, cfg)
-        assert (j, k) == super_hash_oracle(key, delta, w)
-        assert 0 <= k < w - 1
-        assert super_unhash(j, k, delta, cfg) == key
+        tag, wm1 = cfg.tag_mask, w - 1
+        n = data.draw(st.integers(min_value=1, max_value=min(8, tag // wm1)))
+        delta = data.draw(st.integers(min_value=0, max_value=min(tag - wm1 * n, 10**9)))
+        offsets = data.draw(
+            st.lists(st.integers(0, wm1 * n - 1), min_size=n, max_size=n, unique=True)
+        )
+        S = np.array(offsets, dtype=np.int64) + delta
+        k = active()
+        n_d, n_c, _, _, _, _, dup = k.practice_super(S, 0, n, delta, wm1 * n, wm1, tag)
+        assert dup == -1
+        for off in offsets:
+            j, bit = super_hash_oracle(delta + off, delta, w)
+            assert 0 <= bit < wm1
+            assert S[j] & tag and S[j] & (1 << bit)
+        k.store_records(S, 0, n, n_d, tag)
+        k.partition_values(S, n_d, n, delta + wm1 * n - 1, tag)
+        _, status = k.retrieve_super(S, 0, n, n_d, n_c, delta, wm1, tag)
+        assert status == 0
+        assert S.tolist() == sorted(delta + off for off in offsets)
 
 
 class TestEpsilon:
