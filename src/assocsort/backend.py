@@ -1,17 +1,19 @@
-"""Kernel backend selection: numba-compiled loops or plain-Python loops.
+"""Kernel backend selection: numba-compiled, C-compiled or plain-Python loops.
 
 Every hot loop lives in :mod:`assocsort.kernels` as an ordinary Python
 function over numpy arrays.  The ``numba`` backend compiles those
-functions with ``@njit``; the ``numpy`` backend runs them as-is (scalar
-loops over ``int64`` arrays), which is slow but dependency-light and
-bit-for-bit identical in behaviour.
+functions with ``@njit``; the ``c`` backend calls their line-for-line C
+port in ``kernels.c``, built by the system compiler and loaded through
+cffi (see :mod:`assocsort.ckernels`); the ``numpy`` backend runs them
+as-is (scalar loops over ``int64`` arrays), which is slow but needs
+nothing else.  All three write the same words and return the same values.
 
 The active backend is chosen, in order of precedence:
 
 1. :func:`set_backend` / :func:`use_backend`,
-2. the ``ASSOCSORT_BACKEND`` environment variable (``numba`` or
+2. the ``ASSOCSORT_BACKEND`` environment variable (``numba``, ``c`` or
    ``numpy``), read once at first use,
-3. ``numba`` when importable, else ``numpy``.
+3. the first of ``numba``, ``c`` and ``numpy`` that is :func:`available`.
 """
 
 import os
@@ -19,31 +21,13 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 from . import kernels as _kernels
+from .ckernels import SIGNATURES, BuildError
+from .ckernels import load as _load_c
 
 ENV_VAR = "ASSOCSORT_BACKEND"
-BACKENDS = ("numba", "numpy")
+BACKENDS = ("numba", "c", "numpy")
 
-_KERNEL_NAMES = (
-    "min_max",
-    "implicit_practice",
-    "collect_fixpoints",
-    "practice",
-    "store_nodes",
-    "partition_values",
-    "retrieve_packed",
-    "store_records",
-    "retrieve_node_scan",
-    "practice_super",
-    "retrieve_super",
-    "practice_rank",
-    "accumulate_records",
-    "repractice_idle",
-    "reactivate",
-    "restore_keys",
-    "partition_msb",
-    "add_const",
-    "radix_pass",
-)
+_KERNEL_NAMES = tuple(SIGNATURES)
 
 PLAIN = SimpleNamespace(
     **{name: getattr(_kernels, name) for name in _KERNEL_NAMES}
@@ -57,31 +41,48 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
     numba = None
     HAS_NUMBA = False
 
-_jitted = None
+_loaded = {"numpy": PLAIN}  # kernel namespaces built so far, by backend
+_missing = {}  # why a backend cannot run here, by backend
 _current = None
 
 
-def _build_jitted() -> SimpleNamespace:
-    global _jitted
-    if _jitted is None:
-        jit = numba.njit(cache=True, nogil=True)
-        _jitted = SimpleNamespace(
-            **{name: jit(getattr(_kernels, name)) for name in _KERNEL_NAMES}
-        )
-    return _jitted
+def _build(name: str) -> SimpleNamespace:
+    if name == "c":
+        return _load_c()
+    if not HAS_NUMBA:
+        raise BuildError("numba is not importable")
+    jit = numba.njit(cache=True, nogil=True)
+    return SimpleNamespace(**{k: jit(getattr(_kernels, k)) for k in _KERNEL_NAMES})
+
+
+def available(name: str) -> bool:
+    """Whether backend ``name`` can run here.
+
+    The first ask builds its kernels (``c`` compiles on a cache miss); the
+    answer, and the reason for a no, are kept for the process.
+    """
+    if name in BACKENDS and name not in _loaded and name not in _missing:
+        try:
+            _loaded[name] = _build(name)
+        except BuildError as exc:
+            _missing[name] = str(exc)
+    return name in _loaded
+
+
+def _check(name: str, source: str) -> str:
+    if name not in BACKENDS:
+        raise ValueError(f"{source}{name!r}: expected one of {', '.join(BACKENDS)}")
+    if not available(name):
+        raise ValueError(f"{source}{name!r}: the {name} backend cannot run here "
+                         f"({_missing[name]})")
+    return name
 
 
 def _resolve_default() -> str:
     value = os.environ.get(ENV_VAR, "").strip().lower()
     if value:
-        if value not in BACKENDS:
-            raise ValueError(
-                f"{ENV_VAR}={value!r}: expected one of {', '.join(BACKENDS)}"
-            )
-        if value == "numba" and not HAS_NUMBA:
-            raise ValueError(f"{ENV_VAR}=numba but numba is not importable")
-        return value
-    return "numba" if HAS_NUMBA else "numpy"
+        return _check(value, f"{ENV_VAR}=")
+    return next(name for name in BACKENDS if available(name))
 
 
 def current_backend() -> str:
@@ -95,11 +96,7 @@ def current_backend() -> str:
 def set_backend(name: str) -> None:
     """Select the kernel backend for subsequent sorts."""
     global _current
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}: expected one of {BACKENDS}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _current = name
+    _current = _check(name, "backend ")
 
 
 @contextmanager
@@ -115,16 +112,17 @@ def use_backend(name: str):
 
 def active() -> SimpleNamespace:
     """The kernel set of the currently selected backend."""
-    if current_backend() == "numba":
-        return _build_jitted()
-    return PLAIN
+    return _loaded[current_backend()]
 
 
 def warmup() -> str:
-    """Force-compile (or touch) every kernel via a tiny sort of each kind.
+    """Touch every kernel of the active backend once: a 16-word sort of
+    each kind, then the adapter's and the radix baseline's kernels.
 
-    Useful before timing so numba compilation never lands inside a
-    measured region.  Returns the active backend name.
+    Useful before timing, so that numba compilation or a first C build
+    never lands inside a measured region.  The inputs are fixed arrays
+    (no random generator, whose import alone costs more than the rest).
+    Returns the active backend name.
     """
     import numpy as np
 
@@ -132,17 +130,16 @@ def warmup() -> str:
     from .words import WordConfig
 
     cfg = WordConfig(8)
-    rng = np.random.default_rng(0)
+    ramp = np.arange(16, dtype=np.int64)
+    repeats = ramp[::-1] % 11  # five keys twice, six once, descending
+    shuffled = ramp * 5 % 16  # a permutation of 0..15
     for name, sorter in ALGORITHMS.items():
-        if name in ("cycle_distinct", "distinct_improved"):
-            data = rng.permutation(16).astype(np.int64)
-        else:
-            data = rng.integers(0, 16, size=16).astype(np.int64)
-        sorter(data, cfg=cfg)
+        distinct = name in ("cycle_distinct", "distinct_improved")
+        sorter((shuffled if distinct else repeats).copy(), cfg=cfg)
     k = active()
-    src = np.arange(8, dtype=np.int64)[::-1].copy()
+    src = ramp[::-1].copy()
     dst = np.empty_like(src)
-    k.radix_pass(src, dst, 8, 0)
-    k.partition_msb(src, 0, 8, 4)
-    k.add_const(src, 0, 8, 0)
+    k.radix_pass(src, dst, 16, 0)
+    k.partition_msb(src, 0, 16, 8)
+    k.add_const(src, 0, 16, 0)
     return current_backend()

@@ -2,7 +2,8 @@
 
 Rows time only the sort call (``time.perf_counter_ns``); generation and
 verification happen outside the measured region, and kernels are warmed
-before the first trial so numba compilation is never measured.
+before the first trial so neither numba compilation nor a first C
+build is ever measured.
 
 Instance data is reproducible across runs and machines: every instance
 derives its stream from ``numpy.random.SeedSequence((seed, n, m, trial))``

@@ -6,8 +6,8 @@ run
     Time algorithms over a grid of sizes, range ratios and
     distributions; optionally verify, write CSV, dump phase traces.
 backends
-    Run one grid twice — numba kernels and plain-Python kernels — and
-    print both median tables side by side.
+    Run one grid on every kernel backend that can run here (numba, C,
+    plain Python) and print the median tables one after another.
 """
 
 import argparse
@@ -15,7 +15,7 @@ import sys
 from typing import List, Optional
 
 from .adapter import ALGORITHMS
-from .backend import BACKENDS, HAS_NUMBA, current_backend, set_backend, use_backend
+from .backend import BACKENDS, available, current_backend, set_backend, use_backend
 from .bench import (
     BASELINES,
     GENERATORS,
@@ -97,7 +97,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_backends(args) -> int:
     _defaults(args)
-    names = [b for b in BACKENDS if b != "numba" or HAS_NUMBA]
+    names = [b for b in BACKENDS if available(b)]
     tables = {}
     for name in names:
         with use_backend(name):
@@ -138,11 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--backend", choices=BACKENDS,
-        help="kernel backend (default: numba when available)",
+        help="kernel backend (default: the first of numba, c, numpy that runs)",
     )
     run_p.set_defaults(func=_cmd_run)
 
-    b_p = sub.add_parser("backends", help="compare numba and numpy kernels")
+    b_p = sub.add_parser("backends", help="compare the kernel backends")
     _add_grid_args(b_p)
     b_p.add_argument("--verify", action="store_true", help="verify outputs")
     b_p.set_defaults(func=_cmd_backends)

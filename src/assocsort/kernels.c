@@ -1,0 +1,680 @@
+/* The hot loops of assocsort.kernels, in C.
+ *
+ * Each function mirrors the Python kernel of the same name line for line:
+ * the same arguments, the same results and the same STATUS_* codes, so
+ * both backends write the same words and report the same counters.
+ * Kernels never fail loudly; a broken invariant comes back as a negative
+ * status for the driver to raise on.
+ *
+ * Calling convention
+ * ------------------
+ * * An array argument is a base address and its stride in bytes (``S``
+ *   and ``S_s``), so strided and unaligned 1-D int64 views work as they
+ *   do on the Python backend.
+ * * The Python kernel's result tuple is written to ``out``, element by
+ *   element; kernels whose Python twin returns one integer return it.
+ * * Arithmetic stays inside int64: the word model caps w at 63, so keys,
+ *   tagged words and counts never reach the host sign bit.
+ */
+
+#include <stdint.h>
+
+#define STATUS_OK 0
+#define STATUS_OVERFULL -1
+#define STATUS_NO_IDLE -2
+#define STATUS_COLLISION -3
+#define STATUS_TAG_SCAN -4
+#define STATUS_BAD_HASH -5
+#define STATUS_BAD_PREFIX -6
+#define STATUS_CURSOR -7
+
+typedef int64_t i64;
+/* An int64 that may sit at any byte address. */
+typedef int64_t word __attribute__((aligned(1)));
+
+#define AT(A, i) (*(word *)((A) + (i) * A##_s))
+
+void min_max(char *S, i64 S_s, i64 lo, i64 hi, i64 *out)
+{
+    i64 mn = AT(S, lo), mx = mn;
+    for (i64 i = lo + 1; i < hi; i++) {
+        i64 v = AT(S, i);
+        if (v < mn)
+            mn = v;
+        if (v > mx)
+            mx = v;
+    }
+    out[0] = mn;
+    out[1] = mx;
+}
+
+void implicit_practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 *out)
+{
+    i64 n = hi - lo, n_d = 0, dnext = -1, moves = 0, status = STATUS_OK;
+    i64 i = lo;
+    while (i < hi) {
+        i64 v = AT(S, i);
+        i64 d = v - delta;
+        if (d < 0 || d >= n) {
+            if (dnext < 0 || v < dnext)
+                dnext = v;
+            i++;
+        } else if (d == i - lo) {
+            n_d++;
+            i++;
+        } else {
+            if (moves > 2 * n) {
+                status = STATUS_CURSOR;
+                break;
+            }
+            i64 j = lo + d;
+            AT(S, i) = AT(S, j);
+            AT(S, j) = v;
+            moves += 2;
+            if (j < i)
+                n_d++;
+        }
+    }
+    out[0] = n_d;
+    out[1] = dnext;
+    out[2] = moves;
+    out[3] = status;
+}
+
+void collect_fixpoints(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 *out)
+{
+    i64 wr = lo, moves = 0;
+    for (i64 i = lo; i < hi; i++) {
+        if (AT(S, i) - delta == i - lo) {
+            if (wr != i) {
+                i64 t = AT(S, wr);
+                AT(S, wr) = AT(S, i);
+                AT(S, i) = t;
+                moves += 2;
+            }
+            wr++;
+        }
+    }
+    out[0] = wr - lo;
+    out[1] = moves;
+}
+
+void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
+              i64 tag, i64 *out)
+{
+    i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
+    i64 i = lo;
+    while (i < hi) {
+        i64 v = AT(S, i);
+        if (v & tag) {
+            i++;
+            continue;
+        }
+        i64 d = v - delta;
+        if (d < 0) {
+            i++;
+            continue;
+        }
+        if (d >= span) {
+            n_def++;
+            if (dnext < 0 || v < dnext)
+                dnext = v;
+            i++;
+            continue;
+        }
+        i64 j = lo + base + d;
+        i64 t = AT(S, j);
+        if (t & tag) {
+            AT(S, j) = t + 1;
+            n_c++;
+            i++;
+        } else {
+            AT(S, i) = t;
+            AT(S, j) = tag;
+            moves++;
+            created++;
+            n_d++;
+            if (j < i)
+                i++;
+        }
+    }
+    out[0] = n_d;
+    out[1] = n_c;
+    out[2] = n_def;
+    out[3] = dnext;
+    out[4] = moves;
+    out[5] = created;
+}
+
+void store_nodes(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 span,
+                 i64 pack_split, i64 tag, i64 eps_budget, i64 *out)
+{
+    i64 thr = (i64)1 << pack_split;
+    i64 vmask = tag - 1;
+    i64 wr = lo, eps_used = 0, moves = 0, status = STATUS_OK;
+    for (i64 i = lo; i < hi; i++) {
+        i64 x = AT(S, i);
+        if (!(x & tag))
+            continue;
+        i64 cnt = x & vmask;
+        i64 fp = i - lo;
+        if (cnt < thr) {
+            i64 packed = tag | (fp << pack_split) | cnt;
+            if (wr != i) {
+                AT(S, i) = AT(S, wr);
+                moves++;
+            }
+            AT(S, wr) = packed;
+            moves++;
+            wr++;
+            continue;
+        }
+        eps_used++;
+        if (eps_used > eps_budget || wr >= i) {
+            status = STATUS_OVERFULL;
+            break;
+        }
+        /* Find an idle word to sacrifice for the companion slot. */
+        i64 q = wr;
+        while (q < hi) {
+            i64 y = AT(S, q);
+            if (!(y & tag)) {
+                i64 dq = y - delta;
+                if (0 <= dq && dq < span)
+                    break;
+            }
+            q++;
+        }
+        if (q == hi) {
+            status = STATUS_NO_IDLE;
+            break;
+        }
+        i64 node = tag | cnt;
+        if (q == wr) {
+            if (wr + 1 == i) {
+                AT(S, wr) = node;
+                AT(S, i) = fp;
+                moves += 2;
+            } else {
+                AT(S, i) = AT(S, wr + 1);
+                AT(S, wr) = node;
+                AT(S, wr + 1) = fp;
+                moves += 3;
+            }
+        } else if (q == wr + 1) {
+            AT(S, i) = AT(S, wr);
+            AT(S, wr) = node;
+            AT(S, wr + 1) = fp;
+            moves += 3;
+        } else if (wr + 1 == i) {
+            AT(S, q) = AT(S, wr);
+            AT(S, wr) = node;
+            AT(S, i) = fp;
+            moves += 3;
+        } else {
+            AT(S, q) = AT(S, wr + 1);
+            AT(S, i) = AT(S, wr);
+            AT(S, wr) = node;
+            AT(S, wr + 1) = fp;
+            moves += 4;
+        }
+        wr += 2;
+    }
+    out[0] = eps_used;
+    out[1] = wr - lo;
+    out[2] = moves;
+    out[3] = status;
+}
+
+void partition_values(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot, i64 tag,
+                      i64 *out)
+{
+    i64 vmask = tag - 1;
+    i64 l = lo, r = hi - 1, moves = 0;
+    while (l <= r) {
+        i64 a = AT(S, l) & vmask;
+        if (a <= pivot) {
+            l++;
+            continue;
+        }
+        i64 b = AT(S, r) & vmask;
+        if (b > pivot) {
+            r--;
+            continue;
+        }
+        AT(S, l) = (AT(S, l) & tag) | b;
+        AT(S, r) = (AT(S, r) & tag) | a;
+        moves += 2;
+        l++;
+        r--;
+    }
+    out[0] = l - lo;
+    out[1] = moves;
+}
+
+void retrieve_packed(char *S, i64 S_s, i64 lo, i64 mem_hi, i64 write_end,
+                     i64 delta, i64 base, i64 pack_split, i64 tag, i64 *out)
+{
+    i64 vmask = tag - 1;
+    i64 cmask = ((i64)1 << pack_split) - 1;
+    i64 r = mem_hi - 1, o = write_end - 1, moves = 0;
+    out[0] = 0;
+    while (r >= lo) {
+        i64 x = AT(S, r), fp, cnt;
+        if (x & tag) {
+            i64 rec = x & vmask;
+            fp = rec >> pack_split;
+            cnt = rec & cmask;
+        } else {
+            fp = x;
+            r--;
+            if (r < lo || !(AT(S, r) & tag)) {
+                out[1] = moves;
+                out[2] = STATUS_NO_IDLE;
+                return;
+            }
+            cnt = AT(S, r) & vmask;
+        }
+        i64 key = delta + (fp - base);
+        for (i64 c = 0; c <= cnt; c++) {
+            if (o < r) {
+                out[1] = moves;
+                out[2] = STATUS_COLLISION;
+                return;
+            }
+            AT(S, o) = key;
+            o--;
+            moves++;
+        }
+        r--;
+    }
+    out[0] = (write_end - 1) - o;
+    out[1] = moves;
+    out[2] = STATUS_OK;
+}
+
+void store_records(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 tag, i64 *out)
+{
+    i64 vmask = tag - 1;
+    i64 k = lo, moves = 0;
+    for (i64 p = lo; p < hi; p++) {
+        if (!(AT(S, p) & tag))
+            continue;
+        if (p != k) {
+            i64 a = AT(S, k), b = AT(S, p);
+            AT(S, k) = (a & tag) | (b & vmask);
+            AT(S, p) = (b & tag) | (a & vmask);
+            moves += 2;
+        }
+        k++;
+        if (k - lo == n_d)
+            break;
+    }
+    out[0] = k - lo;
+    out[1] = moves;
+    out[2] = k - lo != n_d ? STATUS_TAG_SCAN : STATUS_OK;
+}
+
+/* Shared by retrieve_node_scan (wm1 == 0: a record is a count) and
+ * retrieve_super (a record is a bitmap of wm1 keys). */
+static void retrieve_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
+                          i64 delta, i64 wm1, i64 tag, i64 *out)
+{
+    i64 vmask = tag - 1;
+    i64 o = lo + n_d + n_c - 1, p = hi - 1, moves = 0;
+    for (i64 k = n_d - 1; k >= 0; k--) {
+        while (p >= lo && !(AT(S, p) & tag))
+            p--;
+        if (p < lo) {
+            out[0] = moves;
+            out[1] = STATUS_TAG_SCAN;
+            return;
+        }
+        i64 rec = AT(S, lo + k) & vmask;
+        AT(S, p) = AT(S, p) & vmask;
+        if (wm1 == 0) {
+            i64 key = delta + (p - lo);
+            for (i64 c = 0; c <= rec; c++) {
+                if (o < lo + k) {
+                    out[0] = moves;
+                    out[1] = STATUS_COLLISION;
+                    return;
+                }
+                AT(S, o) = (AT(S, o) & tag) | key;
+                o--;
+                moves++;
+            }
+        } else {
+            i64 key0 = delta + (p - lo) * wm1;
+            for (i64 t = wm1 - 1; t >= 0; t--) {
+                if (rec & ((i64)1 << t)) {
+                    if (o < lo + k) {
+                        out[0] = moves;
+                        out[1] = STATUS_COLLISION;
+                        return;
+                    }
+                    AT(S, o) = (AT(S, o) & tag) | (key0 + t);
+                    o--;
+                    moves++;
+                }
+            }
+        }
+        p--;
+    }
+    out[0] = moves;
+    out[1] = o != lo - 1 ? STATUS_COLLISION : STATUS_OK;
+}
+
+void retrieve_node_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
+                        i64 delta, i64 tag, i64 *out)
+{
+    retrieve_scan(S, S_s, lo, hi, n_d, n_c, delta, 0, tag, out);
+}
+
+void retrieve_super(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
+                    i64 delta, i64 wm1, i64 tag, i64 *out)
+{
+    retrieve_scan(S, S_s, lo, hi, n_d, n_c, delta, wm1, tag, out);
+}
+
+void practice_super(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
+                    i64 span_keys, i64 wm1, i64 tag, i64 *out)
+{
+    i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
+    i64 dup = -1;
+    i64 i = lo;
+    while (i < hi) {
+        i64 v = AT(S, i);
+        if (v & tag) {
+            i++;
+            continue;
+        }
+        i64 d = v - delta;
+        if (d < 0) {
+            i++;
+            continue;
+        }
+        if (d >= span_keys) {
+            n_def++;
+            if (dnext < 0 || v < dnext)
+                dnext = v;
+            i++;
+            continue;
+        }
+        i64 j = lo + d / wm1;
+        i64 b = (i64)1 << (d % wm1);
+        i64 t = AT(S, j);
+        if (t & tag) {
+            if (t & b) {
+                dup = v;
+                break;
+            }
+            AT(S, j) = t | b;
+            n_c++;
+            i++;
+        } else {
+            AT(S, i) = t;
+            AT(S, j) = tag | b;
+            moves++;
+            created++;
+            n_d++;
+            if (j < i)
+                i++;
+        }
+    }
+    out[0] = n_d;
+    out[1] = n_c;
+    out[2] = n_def;
+    out[3] = dnext;
+    out[4] = moves;
+    out[5] = created;
+    out[6] = dup;
+}
+
+void practice_rank(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
+                   i64 delta, i64 span, i64 tag, i64 *out)
+{
+    i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
+    i64 i = lo;
+    while (i < hi) {
+        i64 v = AT(K, i);
+        if (v & tag) {
+            i++;
+            continue;
+        }
+        i64 d = v - delta;
+        if (d < 0) {
+            i++;
+            continue;
+        }
+        if (d >= span) {
+            n_def++;
+            if (dnext < 0 || v < dnext)
+                dnext = v;
+            i++;
+            continue;
+        }
+        i64 j = lo + d;
+        i64 t = AT(K, j);
+        if (t & tag) {
+            AT(K, j) = t + 1;
+            n_c++;
+            i++;
+        } else {
+            AT(K, i) = t;
+            AT(K, j) = tag;
+            i64 pp = AT(P, i);
+            AT(P, i) = AT(P, j);
+            AT(P, j) = pp;
+            moves += 3;
+            created++;
+            n_d++;
+            if (j < i)
+                i++;
+        }
+    }
+    out[0] = n_d;
+    out[1] = n_c;
+    out[2] = n_def;
+    out[3] = dnext;
+    out[4] = moves;
+    out[5] = created;
+}
+
+void accumulate_records(char *K, i64 K_s, i64 lo, i64 hi, i64 tag, i64 *out)
+{
+    i64 vmask = tag - 1;
+    i64 n_nodes = 0, total = 0;
+    for (i64 q = lo; q < hi; q++) {
+        i64 x = AT(K, q);
+        if (x & tag) {
+            total += (x & vmask) + 1;
+            AT(K, q) = tag | (total - 1);
+            n_nodes++;
+        }
+    }
+    out[0] = n_nodes;
+    out[1] = total;
+}
+
+void repractice_idle(char *K, i64 K_s, i64 lo, i64 hi, i64 delta, i64 span,
+                     i64 tag, i64 *out)
+{
+    i64 vmask = tag - 1;
+    i64 made = 0, status = STATUS_OK;
+    for (i64 q = lo; q < hi; q++) {
+        i64 x = AT(K, q);
+        if (x & tag)
+            continue;
+        i64 d = x - delta;
+        if (d < 0 || d >= span)
+            continue;
+        i64 j = lo + d;
+        i64 y = AT(K, j);
+        if (!(y & tag)) {
+            status = STATUS_BAD_HASH;
+            break;
+        }
+        AT(K, q) = y & vmask;
+        AT(K, j) = y - 1;
+        made++;
+    }
+    out[0] = made;
+    out[1] = status;
+}
+
+void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
+                i64 n_sorted, i64 tag, i64 *out)
+{
+    i64 vmask = tag - 1;
+    i64 moves = 0, status = STATUS_OK;
+    i64 kc = lo + n_sorted; /* pack cursor for deferred keys */
+    i64 i = lo;
+    while (i < hi) {
+        i64 x = AT(K, i), q;
+        if (x & tag) {
+            i++;
+            continue;
+        }
+        if (x < n_sorted) {
+            /* Idle ticket: its destination is its value. */
+            q = lo + x;
+            if (q == i) {
+                i++;
+                continue;
+            }
+        } else {
+            /* Deferred key: its destination is the pack cursor. */
+            if (i >= kc) {
+                if (i == kc) {
+                    kc++;
+                    i++;
+                    continue;
+                }
+                status = STATUS_CURSOR;
+                break;
+            }
+            if (i >= lo + n_sorted) {
+                i++; /* already packed */
+                continue;
+            }
+            if (kc >= hi) {
+                status = STATUS_CURSOR;
+                break;
+            }
+            q = kc;
+            kc++;
+        }
+        i64 y = AT(K, q);
+        if (!(y & tag)) {
+            AT(K, i) = y;
+            AT(K, q) = x;
+            i64 pp = AT(P, i);
+            AT(P, i) = AT(P, q);
+            AT(P, q) = pp;
+            moves += 3;
+            continue;
+        }
+        /* The word claims a node's slot: place it, then walk the chain of
+         * displaced nodes until one lands in the hole at i. */
+        AT(K, q) = x;
+        i64 curp = AT(P, q);
+        AT(P, q) = AT(P, i);
+        moves += 2;
+        i64 former = q - lo, cur = y;
+        for (;;) {
+            i64 dd = cur & vmask;
+            i64 qq = lo + dd;
+            if (qq == i) {
+                AT(K, i) = tag | former;
+                AT(P, i) = curp;
+                moves += 2;
+                break;
+            }
+            i64 z = AT(K, qq), pz = AT(P, qq);
+            AT(K, qq) = tag | former;
+            AT(P, qq) = curp;
+            moves += 2;
+            if (z & tag) {
+                cur = z;
+                curp = pz;
+                former = dd;
+            } else {
+                AT(K, i) = z;
+                AT(P, i) = pz;
+                moves += 2;
+                break;
+            }
+        }
+    }
+    out[0] = moves;
+    out[1] = status;
+}
+
+void restore_keys(char *K, i64 K_s, i64 lo, i64 hi_sorted, i64 delta, i64 tag,
+                  i64 *out)
+{
+    i64 vmask = tag - 1;
+    i64 key = -1, moves = 0, status = STATUS_OK;
+    for (i64 q = lo; q < hi_sorted; q++) {
+        i64 x = AT(K, q);
+        if (x & tag) {
+            key = delta + (x & vmask);
+        } else if (key < 0) {
+            status = STATUS_BAD_PREFIX;
+            break;
+        }
+        AT(K, q) = key;
+        moves++;
+    }
+    out[0] = moves;
+    out[1] = status;
+}
+
+void partition_msb(char *S, i64 S_s, i64 lo, i64 hi, i64 bit, i64 *out)
+{
+    i64 l = lo, r = hi - 1, moves = 0;
+    while (l <= r) {
+        if (!(AT(S, l) & bit)) {
+            l++;
+        } else if (AT(S, r) & bit) {
+            r--;
+        } else {
+            i64 t = AT(S, l);
+            AT(S, l) = AT(S, r);
+            AT(S, r) = t;
+            moves += 2;
+            l++;
+            r--;
+        }
+    }
+    out[0] = l - lo;
+    out[1] = moves;
+}
+
+i64 add_const(char *S, i64 S_s, i64 lo, i64 hi, i64 c)
+{
+    /* Wraps like numpy's int64 addition instead of overflowing. */
+    for (i64 i = lo; i < hi; i++)
+        AT(S, i) = (i64)((uint64_t)AT(S, i) + (uint64_t)c);
+    return hi - lo;
+}
+
+i64 radix_pass(char *src, i64 src_s, char *dst, i64 dst_s, i64 n, i64 shift)
+{
+    i64 counts[256] = {0};
+    for (i64 i = 0; i < n; i++)
+        counts[(AT(src, i) >> shift) & 0xFF]++;
+    i64 total = 0;
+    for (int b = 0; b < 256; b++) {
+        i64 c = counts[b];
+        counts[b] = total;
+        total += c;
+    }
+    for (i64 i = 0; i < n; i++) {
+        i64 d = (AT(src, i) >> shift) & 0xFF;
+        AT(dst, counts[d]) = AT(src, i);
+        counts[d]++;
+    }
+    return n;
+}

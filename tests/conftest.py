@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from assocsort.backend import HAS_NUMBA, use_backend
+from assocsort.backend import BACKENDS, available, current_backend, use_backend
 
 
-@pytest.fixture(params=["numba", "numpy"])
+@pytest.fixture(params=BACKENDS)
 def backend(request):
-    """Run the test under each kernel backend."""
-    if request.param == "numba" and not HAS_NUMBA:
-        pytest.skip("numba not installed")
+    """Run the test under each kernel backend that can run here."""
+    if not available(request.param):
+        pytest.skip(f"{request.param} backend unavailable")
     with use_backend(request.param):
         yield request.param
 
@@ -24,9 +24,11 @@ def arr(*values):
 
 @pytest.fixture(autouse=True, scope="session")
 def _warm_kernels():
-    # Compile the numba kernels once up front so individual test timings
-    # (and the allocation accounting in the acceptance tests) stay clean.
-    if HAS_NUMBA:
+    # Build and touch the default backend's kernels once up front (numba
+    # compiles, a first C build fills the cache) so individual test
+    # timings and the allocation accounting in the acceptance tests stay
+    # clean.
+    if current_backend() != "numpy":
         from assocsort.backend import warmup
 
         warmup()

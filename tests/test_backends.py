@@ -1,4 +1,4 @@
-"""The two kernel backends must be indistinguishable except for speed."""
+"""The kernel backends must be indistinguishable except for speed."""
 
 import os
 import subprocess
@@ -7,10 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+import assocsort
 from assocsort.adapter import ALGORITHMS
 from assocsort.backend import (
     BACKENDS,
-    HAS_NUMBA,
+    _KERNEL_NAMES,
+    active,
+    available,
     current_backend,
     set_backend,
     use_backend,
@@ -19,7 +22,7 @@ from assocsort.backend import (
 from assocsort.counters import OpCounters
 from assocsort.words import WordConfig
 
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
+COMPILED = [name for name in BACKENDS if name != "numpy" and available(name)]
 
 CFG32 = WordConfig(32)
 
@@ -30,27 +33,35 @@ def _inputs(rng, name, n):
     return rng.integers(0, 5 * n, size=n).astype(np.int64)
 
 
-@needs_numba
+@pytest.mark.skipif(not COMPILED, reason="no compiled backend can run here")
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_output_and_counters_identical(algo, rng):
     for n in (1, 2, 33, 400):
         vals = _inputs(rng, algo, n)
         outcomes = {}
-        for name in BACKENDS:
+        for name in COMPILED + ["numpy"]:
             with use_backend(name):
                 S = vals.copy()
                 c = OpCounters()
                 ALGORITHMS[algo](S, cfg=CFG32, counters=c)
                 outcomes[name] = (S.tolist(), c.passes, c.moves, c.node_creations, c.max_depth)
-        assert outcomes["numba"] == outcomes["numpy"], f"{algo} diverged at n={n}"
+        for name in COMPILED:
+            assert outcomes[name] == outcomes["numpy"], f"{algo} on {name} diverged at n={n}"
 
 
-@needs_numba
 def test_use_backend_restores():
     before = current_backend()
     with use_backend("numpy"):
         assert current_backend() == "numpy"
     assert current_backend() == before
+
+
+def test_default_is_first_available():
+    """numba, then c, then numpy: the first that can run here."""
+    code = "from assocsort.backend import current_backend; print(current_backend())"
+    proc = _run_child(None, code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == next(b for b in BACKENDS if available(b))
 
 
 def test_set_backend_rejects_unknown():
@@ -62,12 +73,55 @@ def test_warmup_reports_backend():
     assert warmup() in BACKENDS
 
 
+@pytest.mark.parametrize("name", BACKENDS)
+def test_warmup_calls_every_kernel(name):
+    if not available(name):
+        pytest.skip(f"{name} backend unavailable")
+    calls = dict.fromkeys(_KERNEL_NAMES, 0)
+
+    def counting(kernel_name, fn):
+        def call(*args):
+            calls[kernel_name] += 1
+            return fn(*args)
+
+        return call
+
+    with use_backend(name):
+        ns = active()
+        originals = dict(vars(ns))
+        try:
+            for kernel_name, fn in originals.items():
+                setattr(ns, kernel_name, counting(kernel_name, fn))
+            assert warmup() == name
+        finally:
+            for kernel_name, fn in originals.items():
+                setattr(ns, kernel_name, fn)
+    assert [k for k, c in calls.items() if not c] == []
+
+
+def test_warmup_does_not_import_numpy_random():
+    code = (
+        "import sys, assocsort\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "assocsort.warmup()\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    proc = _run_child(None, code)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
+
+
 def _run_child(env_value, code):
+    """Run ``code`` in a fresh interpreter with ``ASSOCSORT_BACKEND`` set
+    to ``env_value`` (unset for ``None``)."""
     env = dict(os.environ)
     if env_value is None:
         env.pop("ASSOCSORT_BACKEND", None)
     else:
         env["ASSOCSORT_BACKEND"] = env_value
+    src = os.path.dirname(os.path.dirname(assocsort.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )

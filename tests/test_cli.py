@@ -98,11 +98,12 @@ class TestBackendsCommand:
         numpy_csv = tmp_path / "cmp.numpy.csv"
         assert numpy_csv.exists()
         assert numpy_csv.read_text().splitlines()[0] == CSV_HEADER
-        from assocsort.backend import HAS_NUMBA
+        from assocsort.backend import BACKENDS, available
 
-        if HAS_NUMBA:
-            assert "--- backend: numba ---" in out
-            assert (tmp_path / "cmp.numba.csv").exists()
+        for name in BACKENDS:
+            ran = available(name)
+            assert (f"--- backend: {name} ---" in out) == ran
+            assert (tmp_path / f"cmp.{name}.csv").exists() == ran
 
 
 class TestParser:
