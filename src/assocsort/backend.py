@@ -18,19 +18,28 @@ The active backend is chosen, in order of precedence:
 
 import os
 from contextlib import contextmanager
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 from . import kernels as _kernels
-from .ckernels import SIGNATURES, BuildError
+from .ckernels import SIGNATURES, BuildError, guarded
 from .ckernels import load as _load_c
 
 ENV_VAR = "ASSOCSORT_BACKEND"
 BACKENDS = ("numba", "c", "numpy")
 
-_KERNEL_NAMES = tuple(SIGNATURES)
+# Pass loops are compiled with the kernels but kept off their namespace:
+# a loop runs a driver's passes and calls the kernels directly, so it is
+# driver work done in compiled code.  Whatever wraps every kernel of
+# :func:`active` (a tracer, a counter) then sees only per-word kernels,
+# and never one kernel call inside another.
+_LOOP_NAMES = ("improved_passes",)
+_KERNEL_NAMES = tuple(name for name in SIGNATURES if name not in _LOOP_NAMES)
 
 PLAIN = SimpleNamespace(
     **{name: getattr(_kernels, name) for name in _KERNEL_NAMES}
+)
+PLAIN_LOOPS = SimpleNamespace(
+    **{name: getattr(_kernels, name) for name in _LOOP_NAMES}
 )
 
 try:
@@ -42,17 +51,29 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
     HAS_NUMBA = False
 
 _loaded = {"numpy": PLAIN}  # kernel namespaces built so far, by backend
+_loops = {"numpy": PLAIN_LOOPS}  # their pass-loop namespaces
 _missing = {}  # why a backend cannot run here, by backend
 _current = None
 
 
-def _build(name: str) -> SimpleNamespace:
+def _build(name: str) -> tuple:
+    """``(kernels, loops)`` of backend ``name``, as two namespaces."""
     if name == "c":
-        return _load_c()
-    if not HAS_NUMBA:
+        every = vars(_load_c())
+    elif not HAS_NUMBA:
         raise BuildError("numba is not importable")
-    jit = numba.njit(cache=True, nogil=True)
-    return SimpleNamespace(**{k: jit(getattr(_kernels, k)) for k in _KERNEL_NAMES})
+    else:
+        jit = numba.njit(cache=True, nogil=True)
+        jitted = {k: jit(getattr(_kernels, k)) for k in _KERNEL_NAMES}
+        jitted["pass_interval"] = jit(_kernels.pass_interval)
+        # A pass loop calls kernels by their global names: compile it
+        # against the compiled kernels, not the plain functions of kernels.py.
+        for k in _LOOP_NAMES:
+            loop = getattr(_kernels, k)
+            jitted[k] = jit(FunctionType(loop.__code__, {**vars(_kernels), **jitted}, k))
+        every = {k: guarded(k, jitted[k]) for k in SIGNATURES}
+    return (SimpleNamespace(**{k: every[k] for k in _KERNEL_NAMES}),
+            SimpleNamespace(**{k: every[k] for k in _LOOP_NAMES}))
 
 
 def available(name: str) -> bool:
@@ -63,7 +84,7 @@ def available(name: str) -> bool:
     """
     if name in BACKENDS and name not in _loaded and name not in _missing:
         try:
-            _loaded[name] = _build(name)
+            _loaded[name], _loops[name] = _build(name)
         except BuildError as exc:
             _missing[name] = str(exc)
     return name in _loaded
@@ -115,9 +136,17 @@ def active() -> SimpleNamespace:
     return _loaded[current_backend()]
 
 
+def active_loops() -> SimpleNamespace:
+    """The pass loops of the currently selected backend."""
+    return _loops[current_backend()]
+
+
 def warmup() -> str:
-    """Touch every kernel of the active backend once: a 16-word sort of
-    each kind, then the adapter's and the radix baseline's kernels.
+    """Touch every kernel and pass loop of the active backend once: a
+    16-word sort of each kind, untraced and traced (the improved sorters
+    run their passes in one loop call only when untraced, and through the
+    per-phase kernels when traced), then the adapter's and the radix
+    baseline's kernels.
 
     Useful before timing, so that numba compilation or a first C build
     never lands inside a measured region.  The inputs are fixed arrays
@@ -133,9 +162,11 @@ def warmup() -> str:
     ramp = np.arange(16, dtype=np.int64)
     repeats = ramp[::-1] % 11  # five keys twice, six once, descending
     shuffled = ramp * 5 % 16  # a permutation of 0..15
+    quiet = lambda phase, passes, snapshot: None
     for name, sorter in ALGORITHMS.items():
         distinct = name in ("cycle_distinct", "distinct_improved")
-        sorter((shuffled if distinct else repeats).copy(), cfg=cfg)
+        for trace in (None, quiet):
+            sorter((shuffled if distinct else repeats).copy(), cfg=cfg, trace=trace)
     k = active()
     src = ramp[::-1].copy()
     dst = np.empty_like(src)

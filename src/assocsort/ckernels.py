@@ -15,14 +15,19 @@ when that cannot be created, ``assocsort-<uid>`` under the system's
 temporary directory, which must belong to the user and be writable by no
 one else.
 
-:func:`load` returns the 19 kernels as a namespace whose members take the
+:func:`load` returns the kernels as a namespace whose members take the
 same arguments and return the same tuples as :mod:`assocsort.kernels`.  It
 raises :class:`BuildError`, naming the reason, when cffi, the compiler or a
 usable cache directory is missing or the compile fails.
 
-The kernels trust the bounds their callers (the drivers) pass, as the
-Python kernels do; but where a Python kernel raises ``IndexError`` for an
-index past the array, a C kernel reads or writes past it.
+Each member checks the kernel's index arguments against the length of
+its arrays before any C runs.  When a word the kernel may touch lies
+outside them, the Python kernel runs instead: it raises ``IndexError``
+where an index leaves the array, and otherwise gives the ``numpy``
+backend's result (a slot range past the end is harmless when no key
+lands there).  A kernel that follows the words themselves to a slot
+(``reactivate``'s tickets and node records) checks that slot against its
+segment and fails with a status instead.
 """
 
 import os
@@ -35,31 +40,35 @@ from . import kernels as _kernels
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
 FLAGS = ("-O2", "-shared", "-fPIC")
 
-# Every kernel, by name: (leading array arguments, results).  This is the
-# list of kernels every backend provides.  The other arguments are
+# Every kernel, by name: (leading array arguments, results, bounds).  This
+# is the list of kernels every backend provides.  The other arguments are
 # integers, named as in the Python kernel.  Results 0 means the C function
 # returns the kernel's one integer; otherwise it writes that many into a
-# trailing ``int64_t *out``.
+# trailing ``int64_t *out``.  Bounds is the condition, over those integers
+# and ``size`` (the length of the shortest array), under which every word
+# the kernel may touch lies inside its arrays, so the C kernel may run.
+_SCAN = "0 <= lo and hi <= size"
 SIGNATURES = {
-    "min_max": (1, 2),
-    "implicit_practice": (1, 4),
-    "collect_fixpoints": (1, 2),
-    "practice": (1, 6),
-    "store_nodes": (1, 4),
-    "partition_values": (1, 2),
-    "retrieve_packed": (1, 3),
-    "store_records": (1, 3),
-    "retrieve_node_scan": (1, 2),
-    "practice_super": (1, 7),
-    "retrieve_super": (1, 2),
-    "practice_rank": (2, 6),
-    "accumulate_records": (1, 2),
-    "repractice_idle": (1, 2),
-    "reactivate": (2, 2),
-    "restore_keys": (1, 2),
-    "partition_msb": (1, 2),
-    "add_const": (1, 0),
-    "radix_pass": (2, 0),
+    "min_max": (1, 2, "0 <= lo < size and hi <= size"),
+    "implicit_practice": (1, 4, _SCAN),
+    "collect_fixpoints": (1, 2, _SCAN),
+    "practice": (1, 6, _SCAN + " and 0 <= base and lo + base + span <= size"),
+    "store_nodes": (1, 4, _SCAN),
+    "partition_values": (1, 2, _SCAN),
+    "retrieve_packed": (1, 3, "0 <= lo and mem_hi <= size and write_end <= size"),
+    "store_records": (1, 3, _SCAN),
+    "retrieve_node_scan": (1, 2, _SCAN + " and 0 <= n_c and lo + n_d + n_c <= size"),
+    "practice_super": (1, 7, _SCAN + " and 0 < wm1 and lo - (-span_keys // wm1) <= size"),
+    "retrieve_super": (1, 2, _SCAN + " and 0 <= n_c and lo + n_d + n_c <= size"),
+    "improved_passes": (1, 8, "0 <= head and hi <= size and 0 <= wm1"),
+    "practice_rank": (2, 6, _SCAN + " and lo + span <= size"),
+    "accumulate_records": (1, 2, _SCAN),
+    "repractice_idle": (1, 2, _SCAN + " and lo + span <= size"),
+    "reactivate": (2, 2, _SCAN),
+    "restore_keys": (1, 2, "0 <= lo and hi_sorted <= size"),
+    "partition_msb": (1, 2, _SCAN),
+    "add_const": (1, 0, _SCAN),
+    "radix_pass": (2, 0, "n <= size"),
 }
 
 
@@ -77,7 +86,7 @@ def _declaration(name, arrays, results):
     return f"int64_t {name}({', '.join(args)});"
 
 
-CDEF = "\n".join(_declaration(name, *sig) for name, sig in SIGNATURES.items())
+CDEF = "\n".join(_declaration(name, *sig[:2]) for name, sig in SIGNATURES.items())
 
 # The dlopen()ed library.  It lives here, not in the kernel namespace: the
 # namespace holds only kernels, and the library must outlive every call.
@@ -193,14 +202,37 @@ def load() -> SimpleNamespace:
     return _bind(ffi, _lib)
 
 
-def _wrapper(name, arrays, results):
+def _guard(name, arrays, bounds):
+    """Source of a function header for kernel ``name`` and the lines that
+    hand the call to the Python kernel ``py_<name>`` unless ``bounds``
+    hold."""
+    params = _params(name)
+    lines = [f"def {name}({', '.join(params)}):", f"    size = len({params[0]})"]
+    for a in params[1:arrays]:
+        lines.append(f"    if len({a}) < size: size = len({a})")
+    lines += [f"    if not ({bounds}):", f"        return py_{name}({', '.join(params)})"]
+    return lines
+
+
+def guarded(name, fn):
+    """``fn``, a compiled kernel ``name``, behind the bounds check of the
+    C kernels: a call outside them runs the Python kernel instead."""
+    arrays, _, bounds = SIGNATURES[name]
+    scope = {"fn": fn, "py_" + name: getattr(_kernels, name)}
+    lines = _guard(name, arrays, bounds)
+    lines.append(f"    return fn({', '.join(_params(name))})")
+    exec("\n".join(lines), scope)
+    return scope[name]
+
+
+def _wrapper(name, arrays, results, bounds):
     """Source of the Python function that calls C kernel ``name``.
 
     It takes the Python kernel's arguments and returns its tuple; each
     array becomes an address and a byte stride.
     """
     params = _params(name)
-    lines = [f"def {name}({', '.join(params)}):"]
+    lines = _guard(name, arrays, bounds)
     cargs = []
     for a in params[:arrays]:
         lines += [
@@ -239,6 +271,7 @@ def _bind(ffi, lib) -> SimpleNamespace:
              "new": ffi.new, "strided": strided}
     for name, sig in SIGNATURES.items():
         scope["c_" + name] = getattr(lib, name)
+        scope["py_" + name] = getattr(_kernels, name)
         exec(_wrapper(name, *sig), scope)
         scope[name].__doc__ = getattr(_kernels, name).__doc__
     return SimpleNamespace(**{name: scope[name] for name in SIGNATURES})

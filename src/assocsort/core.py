@@ -88,6 +88,19 @@ def check_words(
     return int(mn), int(mx)
 
 
+def start(
+    S: np.ndarray,
+    cfg: Optional[WordConfig],
+    counters: Optional[OpCounters],
+    P: Optional[np.ndarray] = None,
+) -> tuple:
+    """``(cfg, counters, bounds)`` of a sort: the defaults filled in and
+    :func:`check_words`' answer, ``None`` for an empty ``S``."""
+    cfg = cfg or WordConfig()
+    counters = counters if counters is not None else OpCounters()
+    return cfg, counters, check_words(S, cfg, P)
+
+
 def _quiet(phase: str) -> None:
     pass
 
@@ -105,14 +118,14 @@ def run_passes(
     ``step(S, P, head, delta, cfg, counters, emit)`` sorts one pass of
     the segment ``S[head:]`` at interval start ``delta`` and returns
     ``(words_advanced, delta_next)``; ``delta_next`` is the smallest key
-    it deferred, or -1 when it deferred nothing.  Pass 1 starts at the minimum the front door
-    scanned, each later pass where its predecessor left off.  ``step``
-    reports each finished phase through ``emit(phase)``, which hands
-    ``trace`` a snapshot.
+    it deferred, or -1 when it deferred nothing.  Pass 1 starts at the
+    minimum the front door scanned, each later pass where its predecessor
+    left off.  A pass that leaves words unsorted but deferred nothing, or
+    settled nothing, raises :func:`stalled`.  ``step`` reports each
+    finished phase through ``emit(phase)``, which hands ``trace`` a
+    snapshot.
     """
-    cfg = cfg or WordConfig()
-    counters = counters if counters is not None else OpCounters()
-    bounds = check_words(S, cfg, P)
+    cfg, counters, bounds = start(S, cfg, counters, P)
     if bounds is None:
         return counters
     emit = _quiet
@@ -125,10 +138,16 @@ def run_passes(
         counters.passes += 1
         advanced, dnext = step(S, P, head, delta, cfg, counters, emit)
         head += advanced
-        if dnext < 0 and head != n:
-            raise CorruptStateError(f"sorted prefix stopped at {head} of {n}")
+        if head != n and (dnext < 0 or advanced == 0):
+            raise stalled(head, n)
         delta = int(dnext)
     return counters
+
+
+def stalled(head: int, n: int) -> CorruptStateError:
+    """The error of a pass that left ``S[head:n]`` unsorted but deferred
+    no key or settled no word."""
+    return CorruptStateError(f"sorted prefix stopped at {head} of {n}")
 
 
 def _practice_store(S, head, delta, cfg, counters):

@@ -22,17 +22,47 @@ array with ``max - min < n`` does.
 The distinct-keys sibling packs ``w - 1`` keys into each node as a
 bitmap, shrinking memory a further ``w - 1``-fold; duplicate keys are
 detected (the bit is already set) and rejected.
+
+An untraced sort runs every pass in one call of the ``improved_passes``
+pass loop.  A traced sort runs each pass as the steps below, one kernel
+call per phase, so that it can hand the trace a snapshot after each.
+Both take the interval of ``kernels.pass_interval``, make the same
+checks in the same order, stop a pass that settles nothing, and raise
+the same error through :func:`_fail`.
 """
 
 from typing import Optional
 
 import numpy as np
 
-from .backend import active
-from .core import TraceFn, run_passes
+from .backend import active, active_loops
+from .core import TraceFn, run_passes, stalled, start
 from .counters import OpCounters
 from .errors import CorruptStateError, DuplicateKeyError
+from .kernels import (
+    PHASE_DUPLICATE,
+    PHASE_OK,
+    PHASE_PARTITION,
+    PHASE_RETRIEVE,
+    PHASE_STORE,
+    pass_interval,
+)
 from .words import WordConfig
+
+
+def _fail(phase, status, a, b):
+    """Raise the error of the failed check ``phase`` of a pass, with the
+    numbers ``a`` and ``b`` that ``improved_passes`` reports for it."""
+    if phase == PHASE_DUPLICATE:
+        raise DuplicateKeyError(f"key {int(a)} occurs more than once")
+    if phase == PHASE_STORE:
+        raise CorruptStateError(f"found {a} tagged words while parking {b} records")
+    if phase == PHASE_PARTITION:
+        raise CorruptStateError(f"{a} idle words in the tail, expected {b}")
+    if phase == PHASE_RETRIEVE:
+        kind = "bitmap" if a else "node-scan"
+        raise CorruptStateError(f"{kind} retrieval failed (status {status})")
+    raise stalled(a, b)  # PHASE_PREFIX
 
 
 def _park_and_partition(S, head, n_d, n_c, pivot, cfg, counters, emit):
@@ -43,64 +73,80 @@ def _park_and_partition(S, head, n_d, n_c, pivot, cfg, counters, emit):
     stored, moves, status = k.store_records(S, head, n, n_d, cfg.tag_mask)
     counters.moves += moves
     if status != 0:
-        raise CorruptStateError(
-            f"found {stored} tagged words while parking {n_d} records"
-        )
+        _fail(PHASE_STORE, status, stored, n_d)
     emit("store")
     n_low, moves = k.partition_values(S, head + n_d, n, pivot, cfg.tag_mask)
     counters.moves += moves
     if n_low != n_c:
-        raise CorruptStateError(f"{n_low} idle words in the tail, expected {n_c}")
+        _fail(PHASE_PARTITION, 0, n_low, n_c)
     emit("partition")
 
 
 def _node_scan_step(S, P, head, delta, cfg, counters, emit):
-    """One pass over ``S[head:]`` whose interval spans the whole segment."""
+    """One pass over ``S[head:]`` whose interval spans the whole segment
+    (the pass ``kernels.improved_passes`` runs with ``wm1 == 0``)."""
     k = active()
     n = len(S)
+    span, pivot = pass_interval(n - head, delta, 0, cfg.tag_mask)
     n_d, n_c, _, dnext, moves, created = k.practice(
-        S, head, n, delta, 0, n - head, cfg.tag_mask
+        S, head, n, delta, 0, span, cfg.tag_mask
     )
     counters.moves += moves
     counters.node_creations += created
     emit("practice")
-    _park_and_partition(S, head, n_d, n_c, delta + n - head - 1, cfg, counters, emit)
+    _park_and_partition(S, head, n_d, n_c, pivot, cfg, counters, emit)
     moves, status = k.retrieve_node_scan(S, head, n, n_d, n_c, delta, cfg.tag_mask)
     counters.moves += moves
     if status != 0:
-        raise CorruptStateError(f"node-scan retrieval failed (status {status})")
+        _fail(PHASE_RETRIEVE, status, 0, 0)
     emit("retrieve")
     return n_d + n_c, dnext
 
 
 def _bitmap_step(S, P, head, delta, cfg, counters, emit):
-    """One pass over ``S[head:]`` recording ``w - 1`` keys per node.
-
-    The interval covers ``(w - 1)`` keys per segment word, clamped to
-    the node slots of the word model.
-    """
+    """One pass over ``S[head:]`` recording ``w - 1`` keys per node (the
+    pass ``kernels.improved_passes`` runs with ``wm1 > 0``)."""
     k = active()
     n = len(S)
     wm1 = cfg.w - 1
-    span = min(wm1 * (n - head), cfg.tag_mask)
+    span, pivot = pass_interval(n - head, delta, wm1, cfg.tag_mask)
     n_d, n_c, _, dnext, moves, created, dup = k.practice_super(
         S, head, n, delta, span, wm1, cfg.tag_mask
     )
     counters.moves += moves
     counters.node_creations += created
     if dup >= 0:
-        raise DuplicateKeyError(f"key {int(dup)} occurs more than once")
+        _fail(PHASE_DUPLICATE, 0, dup, 0)
     emit("practice")
-    pivot = min(delta + span - 1, cfg.max_key)
     _park_and_partition(S, head, n_d, n_c, pivot, cfg, counters, emit)
     moves, status = k.retrieve_super(
         S, head, n, n_d, n_c, delta, wm1, cfg.tag_mask
     )
     counters.moves += moves
     if status != 0:
-        raise CorruptStateError(f"bitmap retrieval failed (status {status})")
+        _fail(PHASE_RETRIEVE, status, wm1, 0)
     emit("retrieve")
     return n_d + n_c, dnext
+
+
+def _sort(step, bitmap, S, cfg, counters, trace):
+    """Sort ``S`` with ``step`` per pass when traced, else in one
+    ``improved_passes`` call (bitmap nodes of ``w - 1`` keys if ``bitmap``)."""
+    if trace is not None:
+        return run_passes(step, S, cfg, counters, trace)
+    cfg, counters, bounds = start(S, cfg, counters)
+    if bounds is None:
+        return counters
+    wm1 = cfg.w - 1 if bitmap else 0
+    passes, moves, created, _, phase, status, a, b = active_loops().improved_passes(
+        S, 0, len(S), bounds[0], wm1, cfg.tag_mask
+    )
+    counters.passes += passes
+    counters.moves += moves
+    counters.node_creations += created
+    if phase != PHASE_OK:
+        _fail(phase, status, a, b)
+    return counters
 
 
 def sort_improved(
@@ -110,7 +156,7 @@ def sort_improved(
     trace: Optional[TraceFn] = None,
 ) -> OpCounters:
     """Sort ``S`` in place; a single pass whenever ``max - min < n``."""
-    return run_passes(_node_scan_step, S, cfg, counters, trace)
+    return _sort(_node_scan_step, False, S, cfg, counters, trace)
 
 
 def sort_distinct_improved(
@@ -125,4 +171,4 @@ def sort_distinct_improved(
     ``(w - 1) * n`` of the minimum.  Raises
     :class:`~assocsort.errors.DuplicateKeyError` on a repeated key.
     """
-    return run_passes(_bitmap_step, S, cfg, counters, trace)
+    return _sort(_bitmap_step, True, S, cfg, counters, trace)

@@ -27,6 +27,14 @@
 #define STATUS_BAD_HASH -5
 #define STATUS_BAD_PREFIX -6
 #define STATUS_CURSOR -7
+#define STATUS_BAD_SLOT -8
+
+#define PHASE_OK 0
+#define PHASE_DUPLICATE 1
+#define PHASE_STORE 2
+#define PHASE_PARTITION 3
+#define PHASE_RETRIEVE 4
+#define PHASE_PREFIX 5
 
 typedef int64_t i64;
 /* An int64 that may sit at any byte address. */
@@ -431,6 +439,79 @@ void practice_super(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
     out[6] = dup;
 }
 
+/* Every pass of both improved sorters in one call: the steps above, in a
+ * loop, with the checks of the per-phase steps in improved.py between them. */
+void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 wm1,
+                     i64 tag, i64 *out)
+{
+    i64 passes = 0, moves = 0, created = 0;
+    i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0;
+    i64 r[7];
+    while (head < hi) {
+        passes++;
+        /* The interval and pivot of kernels.pass_interval. */
+        i64 seg = hi - head, span = seg, pivot = delta + seg - 1;
+        r[6] = -1;
+        if (wm1 == 0) {
+            practice(S, S_s, head, hi, delta, 0, span, tag, r);
+        } else {
+            if (__builtin_mul_overflow(wm1, seg, &span) || span > tag)
+                span = tag;
+            pivot = delta + span - 1 < tag - 1 ? delta + span - 1 : tag - 1;
+            practice_super(S, S_s, head, hi, delta, span, wm1, tag, r);
+        }
+        i64 n_d = r[0], n_c = r[1], dnext = r[3];
+        moves += r[4];
+        created += r[5];
+        if (r[6] >= 0) {
+            phase = PHASE_DUPLICATE;
+            a = r[6];
+            break;
+        }
+        store_records(S, S_s, head, hi, n_d, tag, r);
+        moves += r[1];
+        if (r[2] != STATUS_OK) {
+            phase = PHASE_STORE;
+            status = r[2];
+            a = r[0];
+            b = n_d;
+            break;
+        }
+        partition_values(S, S_s, head + n_d, hi, pivot, tag, r);
+        moves += r[1];
+        if (r[0] != n_c) {
+            phase = PHASE_PARTITION;
+            a = r[0];
+            b = n_c;
+            break;
+        }
+        retrieve_scan(S, S_s, head, hi, n_d, n_c, delta, wm1, tag, r);
+        moves += r[0];
+        if (r[1] != STATUS_OK) {
+            phase = PHASE_RETRIEVE;
+            status = r[1];
+            a = wm1;
+            break;
+        }
+        head += n_d + n_c;
+        if (head != hi && (dnext < 0 || n_d + n_c == 0)) {
+            phase = PHASE_PREFIX;
+            a = head;
+            b = hi;
+            break;
+        }
+        delta = dnext;
+    }
+    out[0] = passes;
+    out[1] = moves;
+    out[2] = created;
+    out[3] = head;
+    out[4] = phase;
+    out[5] = status;
+    out[6] = a;
+    out[7] = b;
+}
+
 void practice_rank(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
                    i64 delta, i64 span, i64 tag, i64 *out)
 {
@@ -526,8 +607,9 @@ void repractice_idle(char *K, i64 K_s, i64 lo, i64 hi, i64 delta, i64 span,
 void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
                 i64 n_sorted, i64 tag, i64 *out)
 {
-    i64 vmask = tag - 1;
+    i64 vmask = tag - 1, n = hi - lo;
     i64 moves = 0, status = STATUS_OK;
+    i64 placed = 0; /* words put in their final slot */
     i64 kc = lo + n_sorted; /* pack cursor for deferred keys */
     i64 i = lo;
     while (i < hi) {
@@ -538,6 +620,10 @@ void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
         }
         if (x < n_sorted) {
             /* Idle ticket: its destination is its value. */
+            if (x < 0 || x >= n) {
+                status = STATUS_BAD_SLOT;
+                break;
+            }
             q = lo + x;
             if (q == i) {
                 i++;
@@ -565,6 +651,10 @@ void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
             q = kc;
             kc++;
         }
+        if (++placed > n) {
+            status = STATUS_BAD_SLOT;
+            break;
+        }
         i64 y = AT(K, q);
         if (!(y & tag)) {
             AT(K, i) = y;
@@ -584,6 +674,10 @@ void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
         i64 former = q - lo, cur = y;
         for (;;) {
             i64 dd = cur & vmask;
+            if (dd < 0 || dd >= n || ++placed > n) {
+                status = STATUS_BAD_SLOT;
+                break;
+            }
             i64 qq = lo + dd;
             if (qq == i) {
                 AT(K, i) = tag | former;
@@ -606,6 +700,8 @@ void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
                 break;
             }
         }
+        if (status != STATUS_OK)
+            break;
     }
     out[0] = moves;
     out[1] = status;

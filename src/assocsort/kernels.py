@@ -40,6 +40,24 @@ STATUS_BAD_PREFIX = -6
 # The scan cursor overtook the pack cursor, or keys were not a permutation
 # of the claimed interval.
 STATUS_CURSOR = -7
+# A ticket or node record names a slot outside the segment, or more words
+# were placed than the segment has slots (two words claim one slot).
+STATUS_BAD_SLOT = -8
+
+# Which check of an improved pass failed (:func:`improved_passes`); 0 when
+# none did.  Each names the numbers its error message needs.
+PHASE_OK = 0
+# ``practice_super`` met a key twice; ``a`` is the key.
+PHASE_DUPLICATE = 1
+# ``store_records`` found ``a`` tagged words for ``b`` records.
+PHASE_STORE = 2
+# ``partition_values`` gathered ``a`` idle words where ``b`` were expected.
+PHASE_PARTITION = 3
+# Retrieval failed with ``status``; ``a`` is ``wm1`` (0: node scan).
+PHASE_RETRIEVE = 4
+# The sorted prefix stopped at ``a`` of ``b``: a pass deferred nothing or
+# settled nothing.
+PHASE_PREFIX = 5
 
 
 def min_max(S, lo, hi):
@@ -459,6 +477,78 @@ def retrieve_super(S, lo, hi, n_d, n_c, delta, wm1, tag):
     return moves, STATUS_OK
 
 
+def pass_interval(seg, delta, wm1, tag):
+    """``(span, pivot)`` of an improved pass over ``seg`` words from key
+    ``delta``: the interval spans ``span`` keys, and ``partition_values``
+    gathers the words ``<= pivot``.
+
+    With ``wm1 == 0`` a node counts one key and the interval spans the
+    segment; otherwise a node is a bitmap of ``wm1`` keys and the interval
+    covers ``wm1`` keys per segment word, clamped to the ``tag`` node
+    slots of the word model.  The C loop computes the same.
+    """
+    if wm1 == 0:
+        return seg, delta + seg - 1
+    span = min(wm1 * seg, tag)
+    return span, min(delta + span - 1, tag - 1)
+
+
+def improved_passes(S, head, hi, delta, wm1, tag):
+    """Every pass of an improved sort of ``S[head:hi]``, from interval
+    start ``delta`` (the segment's minimum).
+
+    A pass is practice, ``store_records``, ``partition_values`` and
+    retrieval, the steps ``_node_scan_step`` (``wm1 == 0``: a node counts
+    one key) and ``_bitmap_step`` (a node is a bitmap of ``wm1`` keys) of
+    :mod:`assocsort.improved` run one kernel call per phase; a change to
+    one pass is made to the other, and to the C loop.  The next pass
+    starts at the smallest key this one deferred.  Returns ``(passes,
+    moves, node_creations, head, phase, status, a, b)``: the counters so
+    far, where the sorted prefix ends, and, when a check failed, the
+    ``PHASE_*`` that names it with its numbers ``a`` and ``b`` (the pass
+    stops there).  A pass that settles no word fails ``PHASE_PREFIX``, as
+    in ``core.run_passes``, so the loop ends within ``hi - head`` passes
+    whatever the arguments.
+    """
+    passes = 0
+    moves = 0
+    created = 0
+    while head < hi:
+        passes += 1
+        span, pivot = pass_interval(hi - head, delta, wm1, tag)
+        dup = -1
+        if wm1 == 0:
+            n_d, n_c, _, dnext, mv, cr = practice(S, head, hi, delta, 0, span, tag)
+        else:
+            n_d, n_c, _, dnext, mv, cr, dup = practice_super(
+                S, head, hi, delta, span, wm1, tag
+            )
+        moves += mv
+        created += cr
+        if dup >= 0:
+            return passes, moves, created, head, PHASE_DUPLICATE, 0, dup, 0
+        stored, mv, status = store_records(S, head, hi, n_d, tag)
+        moves += mv
+        if status != STATUS_OK:
+            return passes, moves, created, head, PHASE_STORE, status, stored, n_d
+        n_low, mv = partition_values(S, head + n_d, hi, pivot, tag)
+        moves += mv
+        if n_low != n_c:
+            return passes, moves, created, head, PHASE_PARTITION, 0, n_low, n_c
+        if wm1 == 0:
+            mv, status = retrieve_node_scan(S, head, hi, n_d, n_c, delta, tag)
+        else:
+            mv, status = retrieve_super(S, head, hi, n_d, n_c, delta, wm1, tag)
+        moves += mv
+        if status != STATUS_OK:
+            return passes, moves, created, head, PHASE_RETRIEVE, status, wm1, 0
+        head += n_d + n_c
+        if head != hi and (dnext < 0 or n_d + n_c == 0):
+            return passes, moves, created, head, PHASE_PREFIX, 0, head, hi
+        delta = dnext
+    return passes, moves, created, head, PHASE_OK, STATUS_OK, 0, 0
+
+
 def practice_rank(K, P, lo, hi, delta, span, tag):
     """Counting practice over parallel key/payload arrays.
 
@@ -564,10 +654,15 @@ def reactivate(K, P, lo, hi, n_sorted, tag):
     prefix in scan order).  Nodes are displaced at most once, along a
     chain of node-into-node placements that ends in the scan hole.
     A placed node's record is rewritten to its former slot index so the
-    key can be reconstructed later.  Returns ``(moves, status)``.
+    key can be reconstructed later.  Every word lands in its final slot
+    at most once, so a ticket or record naming a slot outside the segment,
+    or more placements than slots, fails ``STATUS_BAD_SLOT`` before any
+    word outside ``[lo, hi)`` is touched.  Returns ``(moves, status)``.
     """
     vmask = tag - 1
+    n = hi - lo
     moves = 0
+    placed = 0  # words put in their final slot
     kc = lo + n_sorted  # pack cursor for deferred keys
     i = lo
     while i < hi:
@@ -577,6 +672,8 @@ def reactivate(K, P, lo, hi, n_sorted, tag):
             continue
         if x < n_sorted:
             # Idle ticket: its destination is its value.
+            if x < 0 or x >= n:
+                return moves, STATUS_BAD_SLOT
             q = lo + x
             if q == i:
                 i += 1
@@ -596,6 +693,9 @@ def reactivate(K, P, lo, hi, n_sorted, tag):
                 return moves, STATUS_CURSOR
             q = kc
             kc += 1
+        placed += 1
+        if placed > n:
+            return moves, STATUS_BAD_SLOT
         y = K[q]
         if not y & tag:
             K[i] = y
@@ -615,6 +715,9 @@ def reactivate(K, P, lo, hi, n_sorted, tag):
         cur = y
         while True:
             dd = cur & vmask
+            placed += 1
+            if dd < 0 or dd >= n or placed > n:
+                return moves, STATUS_BAD_SLOT
             qq = lo + dd
             if qq == i:
                 K[i] = tag | former

@@ -12,7 +12,9 @@ from assocsort.adapter import ALGORITHMS
 from assocsort.backend import (
     BACKENDS,
     _KERNEL_NAMES,
+    _LOOP_NAMES,
     active,
+    active_loops,
     available,
     current_backend,
     set_backend,
@@ -96,6 +98,32 @@ def test_warmup_calls_every_kernel(name):
         finally:
             for kernel_name, fn in originals.items():
                 setattr(ns, kernel_name, fn)
+    assert [k for k, c in calls.items() if not c] == []
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_warmup_calls_every_loop(name):
+    if not available(name):
+        pytest.skip(f"{name} backend unavailable")
+    calls = dict.fromkeys(_LOOP_NAMES, 0)
+
+    def counting(loop_name, fn):
+        def call(*args):
+            calls[loop_name] += 1
+            return fn(*args)
+
+        return call
+
+    with use_backend(name):
+        ns = active_loops()
+        originals = dict(vars(ns))
+        try:
+            for loop_name, fn in originals.items():
+                setattr(ns, loop_name, counting(loop_name, fn))
+            assert warmup() == name
+        finally:
+            for loop_name, fn in originals.items():
+                setattr(ns, loop_name, fn)
     assert [k for k, c in calls.items() if not c] == []
 
 

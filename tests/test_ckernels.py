@@ -7,6 +7,7 @@ cache directory, so they pay for one compile each.
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -15,7 +16,15 @@ import pytest
 
 import assocsort
 from assocsort import ckernels, kernels
-from assocsort.backend import _KERNEL_NAMES, available
+from assocsort.backend import (
+    _KERNEL_NAMES,
+    _LOOP_NAMES,
+    BACKENDS,
+    active,
+    active_loops,
+    available,
+    use_backend,
+)
 from assocsort.words import WordConfig
 
 needs_c = pytest.mark.skipif(not available("c"), reason="c backend unavailable")
@@ -24,22 +33,151 @@ SRC = os.path.dirname(os.path.dirname(assocsort.__file__))
 
 
 def test_status_codes_match():
+    """The C and Python kernels give the ``STATUS_*`` and ``PHASE_*``
+    codes the same names and values."""
     text = open(ckernels.SOURCE, encoding="utf-8").read()
-    in_c = {k: int(v) for k, v in re.findall(r"#define (STATUS_\w+) (-?\d+)", text)}
-    in_py = {k: v for k, v in vars(kernels).items() if k.startswith("STATUS_")}
-    assert in_c == in_py
+    for prefix in ("STATUS_", "PHASE_"):
+        in_c = {k: int(v) for k, v in re.findall(rf"#define ({prefix}\w+) (-?\d+)", text)}
+        in_py = {k: v for k, v in vars(kernels).items() if k.startswith(prefix)}
+        assert in_c and in_c == in_py
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_source_compiles_without_warnings():
+    proc = subprocess.run(
+        ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", ckernels.SOURCE],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_index_past_view_is_refused(backend):
+    """``min_max`` over four words of a two-word view reads past it."""
+    S = np.arange(4, dtype=np.int64)
+    with pytest.raises(IndexError):
+        active().min_max(S[:2], 0, 4)
+
+
+T8 = 1 << 7
+# (kernel, arguments after the arrays) that reach outside arrays of 8
+# words, and the same call moved back inside them.
+PAST_THE_END = [
+    ("min_max", (8, 8), (7, 8)),
+    ("min_max", (-1, 4), (0, 4)),
+    ("implicit_practice", (0, 9, 0), (0, 8, 0)),
+    ("collect_fixpoints", (-1, 8, 0), (0, 8, 0)),
+    ("practice", (0, 8, 0, 1, 8, T8), (0, 8, 0, 0, 8, T8)),
+    ("practice", (0, 8, 0, -1, 8, T8), (0, 8, 0, 0, 8, T8)),
+    ("store_nodes", (0, 9, 0, 8, 3, T8, 0), (0, 8, 0, 8, 3, T8, 0)),
+    ("partition_values", (0, 9, 3, T8), (0, 8, 3, T8)),
+    ("retrieve_packed", (0, 4, 9, 0, 0, 3, T8), (0, 4, 8, 0, 0, 3, T8)),
+    ("retrieve_packed", (0, 9, 8, 0, 0, 3, T8), (0, 8, 8, 0, 0, 3, T8)),
+    ("store_records", (0, 9, 0, T8), (0, 8, 0, T8)),
+    ("retrieve_node_scan", (0, 8, 5, 4, 0, T8), (0, 8, 4, 4, 0, T8)),
+    ("retrieve_super", (2, 8, 6, 1, 0, 7, T8), (2, 8, 5, 1, 0, 7, T8)),
+    ("practice_super", (0, 8, 0, 57, 7, T8), (0, 8, 0, 56, 7, T8)),
+    ("improved_passes", (0, 9, 0, 0, T8), (0, 8, 0, 0, T8)),
+    ("improved_passes", (0, 8, 0, -1, T8), (0, 8, 0, 7, T8)),
+    ("practice_rank", (0, 8, 0, 9, T8), (0, 8, 0, 8, T8)),
+    ("accumulate_records", (0, 9, T8), (0, 8, T8)),
+    ("repractice_idle", (1, 8, 0, 8, T8), (0, 8, 0, 8, T8)),
+    ("reactivate", (0, 9, 0, T8), (0, 8, 0, T8)),
+    ("restore_keys", (0, 9, 0, T8), (0, 8, 0, T8)),
+    ("partition_msb", (0, 9, 4), (0, 8, 4)),
+    ("add_const", (0, 9, 1), (0, 8, 1)),
+    ("radix_pass", (9, 0), (8, 0)),
+]
+
+
+def _kernel(name):
+    """Kernel or pass loop ``name`` of the active backend."""
+    return getattr(active_loops() if name in _LOOP_NAMES else active(), name)
+
+
+def _call(name, args, lengths):
+    """Kernel ``name`` of the active backend on fresh ramps of ``lengths``:
+    its result or its error, and the words it left."""
+    words = [np.arange(n, dtype=np.int64) for n in lengths]
+    try:
+        got = tuple(int(x) for x in np.atleast_1d(_kernel(name)(*words, *args)))
+    except IndexError as exc:
+        got = str(exc)
+    return got, [w.tolist() for w in words]
+
+
+@needs_c
+@pytest.mark.parametrize("name, bad, good", PAST_THE_END)
+def test_c_kernels_check_their_bounds(name, bad, good):
+    """A call past the arrays never reaches C: it behaves as on numpy,
+    an ``IndexError`` where an index leaves the array."""
+    arrays = ckernels.SIGNATURES[name][0]
+    shapes = [[8] * arrays] + ([[8, 7], [7, 8]] if arrays == 2 else [])
+    for lengths in shapes:
+        for args in (bad, good):
+            outcomes = {}
+            for backend_name in ("c", "numpy"):
+                with use_backend(backend_name):
+                    outcomes[backend_name] = _call(name, args, lengths)
+            assert outcomes["c"] == outcomes["numpy"], (lengths, args)
+    with use_backend("numpy"):
+        assert not isinstance(_call(name, good, [8] * arrays)[0], str)
+
+
+def test_every_kernel_has_a_bounds_case():
+    assert {name for name, _, _ in PAST_THE_END} == set(ckernels.SIGNATURES)
+
+
+def _reactivate(K, lo, hi, n_sorted):
+    """``reactivate`` on every backend, over ``K`` and a payload ramp:
+    ``{backend: (result, keys, payload)}``."""
+    got = {}
+    for name in (b for b in BACKENDS if available(b)):
+        Kb = np.array(K, dtype=np.int64)
+        Pb = np.arange(len(K), dtype=np.int64)
+        with use_backend(name):
+            result = tuple(int(x) for x in active().reactivate(Kb, Pb, lo, hi, n_sorted, T8))
+        got[name] = (result, Kb.tolist(), Pb.tolist())
+    return got
+
+
+@pytest.mark.parametrize(
+    "K, lo, hi, n_sorted",
+    [
+        # A node record (``T8 | 6``) that points past a 4-word segment.
+        ([1, T8 | 6, 0, 0, 90, 91, 92, 93], 0, 4, 2),
+        ([90, 91, 92, 93, 1, T8 | 6, 0, 0], 4, 8, 2),
+        # Two tickets for one slot: they would swap forever.
+        ([0, 0], 0, 2, 2),
+        ([5, 1, 0, 1, 1, 3], 1, 5, 4),
+        # A ticket past the segment.
+        ([3, 0, 1, 2, 77], 0, 3, 4),
+    ],
+)
+def test_reactivate_stays_inside_its_segment(K, lo, hi, n_sorted):
+    """A corrupt ticket or record stops ``reactivate`` with
+    ``STATUS_BAD_SLOT`` on every backend, before it writes outside
+    ``[lo, hi)``."""
+    got = _reactivate(K, lo, hi, n_sorted)
+    assert len(set(map(repr, got.values()))) == 1, got
+    result, keys, payload = got["numpy"]
+    assert result[1] == kernels.STATUS_BAD_SLOT
+    outside = [i for i in range(len(K)) if not lo <= i < hi]
+    assert [keys[i] for i in outside] == [K[i] for i in outside]
+    assert [payload[i] for i in outside] == outside
 
 
 @needs_c
 def test_namespace_holds_only_the_kernels():
     """Anything else on it would be wrapped by tracers that wrap every
     attribute; the library handle lives in the loader module instead."""
-    from assocsort.backend import use_backend, active
-
     with use_backend("c"):
         ns = vars(active())
+        loops = vars(active_loops())
     assert sorted(ns) == sorted(_KERNEL_NAMES)
     assert all(callable(fn) for fn in ns.values())
+    # The pass loops call kernels themselves: they live on their own.
+    assert sorted(loops) == sorted(_LOOP_NAMES)
+    assert not set(ns) & set(loops)
 
 
 def _views(n, rng):
