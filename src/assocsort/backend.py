@@ -32,7 +32,16 @@ BACKENDS = ("numba", "c", "numpy")
 # driver work done in compiled code.  Whatever wraps every kernel of
 # :func:`active` (a tracer, a counter) then sees only per-word kernels,
 # and never one kernel call inside another.
-_LOOP_NAMES = ("improved_passes",)
+_LOOP_NAMES = (
+    "improved_passes",
+    "distinct_passes",
+    "sequential_passes",
+    "stacked_passes",
+    "unwind_levels",
+    "rank_passes",
+)
+# Plain functions the pass loops call besides the kernels.
+_HELPER_NAMES = ("pass_interval", "pass_budget", "practice_store")
 _KERNEL_NAMES = tuple(name for name in SIGNATURES if name not in _LOOP_NAMES)
 
 PLAIN = SimpleNamespace(
@@ -65,12 +74,13 @@ def _build(name: str) -> tuple:
     else:
         jit = numba.njit(cache=True, nogil=True)
         jitted = {k: jit(getattr(_kernels, k)) for k in _KERNEL_NAMES}
-        jitted["pass_interval"] = jit(_kernels.pass_interval)
-        # A pass loop calls kernels by their global names: compile it
-        # against the compiled kernels, not the plain functions of kernels.py.
-        for k in _LOOP_NAMES:
-            loop = getattr(_kernels, k)
-            jitted[k] = jit(FunctionType(loop.__code__, {**vars(_kernels), **jitted}, k))
+        # A helper or pass loop calls kernels by their global names: compile
+        # it against the compiled kernels, not the plain functions of
+        # kernels.py.  Helpers come first, since practice_store calls
+        # pass_budget and the loops call both.
+        for k in _HELPER_NAMES + _LOOP_NAMES:
+            fn = getattr(_kernels, k)
+            jitted[k] = jit(FunctionType(fn.__code__, {**vars(_kernels), **jitted}, k))
         every = {k: guarded(k, jitted[k]) for k in SIGNATURES}
     return (SimpleNamespace(**{k: every[k] for k in _KERNEL_NAMES}),
             SimpleNamespace(**{k: every[k] for k in _LOOP_NAMES}))
@@ -143,10 +153,9 @@ def active_loops() -> SimpleNamespace:
 
 def warmup() -> str:
     """Touch every kernel and pass loop of the active backend once: a
-    16-word sort of each kind, untraced and traced (the improved sorters
-    run their passes in one loop call only when untraced, and through the
-    per-phase kernels when traced), then the adapter's and the radix
-    baseline's kernels.
+    16-word sort of each kind, untraced and traced (a sort runs its passes
+    in one loop call only when untraced, and through the per-phase kernels
+    when traced), then the adapter's and the radix baseline's kernels.
 
     Useful before timing, so that numba compilation or a first C build
     never lands inside a measured region.  The inputs are fixed arrays

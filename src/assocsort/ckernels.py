@@ -8,7 +8,9 @@ that small module and ``dlopen``\\ s the library.  Both files are named by a
 CRC-32 of the source, the declarations, the flags, the machine and the
 cffi version, and are written atomically (a temporary file, then
 ``os.replace``), so concurrent first uses do not collide and an edited
-source is rebuilt.
+source is rebuilt.  The Python wrappers that call the kernels are generated
+source; their compiled code is cached beside the library in the same way
+(see :func:`_wrapper_code`), so a cache hit compiles nothing.
 
 The cache is ``$XDG_CACHE_HOME/assocsort`` (default ``~/.cache/assocsort``);
 when that cannot be created, ``assocsort-<uid>`` under the system's
@@ -30,9 +32,11 @@ lands there).  A kernel that follows the words themselves to a slot
 segment and fails with a status instead.
 """
 
+import marshal
 import os
 import sys
 import zlib
+from importlib.util import MAGIC_NUMBER
 from types import SimpleNamespace
 
 from . import kernels as _kernels
@@ -45,9 +49,13 @@ FLAGS = ("-O2", "-shared", "-fPIC")
 # integers, named as in the Python kernel.  Results 0 means the C function
 # returns the kernel's one integer; otherwise it writes that many into a
 # trailing ``int64_t *out``.  Bounds is the condition, over those integers
-# and ``size`` (the length of the shortest array), under which every word
-# the kernel may touch lies inside its arrays, so the C kernel may run.
+# and ``size`` (the length of the shortest array) or an array's own
+# ``len``, under which every word the kernel may touch lies inside its
+# arrays, so the C kernel may run.
 _SCAN = "0 <= lo and hi <= size"
+# A loop that takes the word width ``w`` packs positions of segments up to
+# ``1 << (w - 1)`` words, so every shift it makes stays inside a word.
+_WIDTH = " and 2 <= w <= 63 and hi - {} <= 1 << (w - 1)"
 SIGNATURES = {
     "min_max": (1, 2, "0 <= lo < size and hi <= size"),
     "implicit_practice": (1, 4, _SCAN),
@@ -61,6 +69,13 @@ SIGNATURES = {
     "practice_super": (1, 7, _SCAN + " and 0 < wm1 and lo - (-span_keys // wm1) <= size"),
     "retrieve_super": (1, 2, _SCAN + " and 0 <= n_c and lo + n_d + n_c <= size"),
     "improved_passes": (1, 8, "0 <= head and hi <= size and 0 <= wm1"),
+    "distinct_passes": (1, 10, "0 <= head and hi <= size"),
+    "sequential_passes": (1, 10, "0 <= head and hi <= size" + _WIDTH.format("head")),
+    "stacked_passes": (2, 12, "0 <= head and hi <= len(S) and 0 <= depth"
+                       " and 4 * cap <= len(L)" + _WIDTH.format("head")),
+    "unwind_levels": (2, 4, "0 <= lo and hi <= len(S) and 0 <= depth"
+                      " and 4 * depth <= len(L)" + _WIDTH.format("lo")),
+    "rank_passes": (2, 10, "0 <= head and hi <= size"),
     "practice_rank": (2, 6, _SCAN + " and lo + span <= size"),
     "accumulate_records": (1, 2, _SCAN),
     "repractice_idle": (1, 2, _SCAN + " and lo + span <= size"),
@@ -87,6 +102,9 @@ def _declaration(name, arrays, results):
 
 
 CDEF = "\n".join(_declaration(name, *sig[:2]) for name, sig in SIGNATURES.items())
+
+# The file name the generated kernel wrappers are compiled under.
+WRAPPERS = "<assocsort c kernel wrappers>"
 
 # The dlopen()ed library.  It lives here, not in the kernel namespace: the
 # namespace holds only kernels, and the library must outlive every call.
@@ -199,7 +217,7 @@ def load() -> SimpleNamespace:
                 ffi, _lib = _open(directory, name)
     except OSError as exc:
         raise BuildError(f"cannot build the c kernels: {exc}") from None
-    return _bind(ffi, _lib)
+    return _bind(ffi, _lib, os.path.join(directory, name))
 
 
 def _guard(name, arrays, bounds):
@@ -255,12 +273,48 @@ def _wrapper(name, arrays, results, bounds):
     return "\n".join(lines)
 
 
-def _bind(ffi, lib) -> SimpleNamespace:
+def _wrapper_code(path: str, source: str):
+    """``source`` compiled, from the cache file ``path`` when that holds it.
+
+    The file is the CRC-32s of ``source`` and of the marshalled code, then
+    the code; its name carries the interpreter's bytecode magic number.  A
+    file that is missing, truncated or holds other code is replaced,
+    atomically, by a fresh compile (left as it is where the directory
+    cannot be written).
+    """
+    path = f"{path}.{MAGIC_NUMBER.hex()}.wrappers"
+    key = zlib.crc32(source.encode()).to_bytes(4, "little")
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        payload = data[8:]
+        if data[:4] == key and data[4:8] == zlib.crc32(payload).to_bytes(4, "little"):
+            return marshal.loads(payload)
+    except (OSError, EOFError, ValueError, TypeError):
+        pass
+    code = compile(source, WRAPPERS, "exec")
+    payload = marshal.dumps(code)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(key + zlib.crc32(payload).to_bytes(4, "little") + payload)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+    return code
+
+
+def _bind(ffi, lib, path: str) -> SimpleNamespace:
     """The kernels as Python functions over the C functions of ``lib``.
 
     They are generated, one per kernel, with the parameters of the Python
     twin spelled out: with a generic ``*args`` wrapper instead, a sort of
-    5000 keys over 100n (~1,570 kernel calls) took about 7% longer.
+    5000 keys over 100n (~1,570 kernel calls) took about 7% longer.  The
+    generated source is compiled once and cached beside the library at
+    ``path`` (see :func:`_wrapper_code`).
     """
 
     def strided(A):
@@ -269,9 +323,11 @@ def _bind(ffi, lib) -> SimpleNamespace:
 
     scope = {"__name__": __name__, "from_buffer": ffi.from_buffer,
              "new": ffi.new, "strided": strided}
-    for name, sig in SIGNATURES.items():
+    for name in SIGNATURES:
         scope["c_" + name] = getattr(lib, name)
         scope["py_" + name] = getattr(_kernels, name)
-        exec(_wrapper(name, *sig), scope)
+    source = "\n\n".join(_wrapper(name, *sig) for name, sig in SIGNATURES.items())
+    exec(_wrapper_code(path, source), scope)
+    for name in SIGNATURES:
         scope[name].__doc__ = getattr(_kernels, name).__doc__
     return SimpleNamespace(**{name: scope[name] for name in SIGNATURES})

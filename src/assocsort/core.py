@@ -1,11 +1,16 @@
 """The input front door, the pass loop, and the counting variant.
 
 Every sorter enters through :func:`check_words`, which refuses malformed
-input before any word is written and scans the keys' minimum once, and
-then runs :func:`run_passes`, which calls the variant's *pass step* on
-the unsorted segment ``S[head:]`` until nothing is left.  A step returns
-how many words its pass settled and the smallest key it deferred; the
-next pass starts there, so no pass rescans for a minimum.
+input before any word is written and scans the keys' minimum once.  An
+untraced sort then makes one call of its compiled *pass loop*
+(:func:`run_loop`), which runs every pass.  A traced sort runs
+:func:`run_passes` instead, which calls the variant's *pass step*, one
+kernel call per phase, on the unsorted segment ``S[head:]`` until
+nothing is left, so that it can hand the trace a snapshot after each
+phase.  A step returns how many words its pass settled and the smallest
+key it deferred; the next pass starts there, so no pass rescans for a
+minimum.  A loop and its step make the same checks in the same order and
+raise the same error through the driver's ``_fail``.
 
 The counting variant's sequential step turns the front of the unsorted
 segment into *short-term memory* — a compact run of node words, each
@@ -32,10 +37,21 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .backend import active
+from .backend import active, active_loops
 from .counters import OpCounters
 from .errors import CorruptStateError, InputError, WordRangeError
+from .kernels import (
+    PHASE_OK,
+    PHASE_PARTITION,
+    PHASE_RETRIEVE,
+    PHASE_STORE,
+    PHASE_UNWIND,
+)
 from .words import WordConfig, epsilon
+
+# Levels the recursive driver's level buffer holds at first, and adds each
+# time the stacked passes fill it.
+LEVELS = 32
 
 TraceFn = Callable[[str, int, np.ndarray], None]
 
@@ -144,10 +160,64 @@ def run_passes(
     return counters
 
 
+def run_loop(
+    loop: str,
+    fail: Callable[..., None],
+    S: np.ndarray,
+    cfg: Optional[WordConfig],
+    counters: Optional[OpCounters],
+    P: Optional[np.ndarray] = None,
+    args: tuple = (),
+) -> OpCounters:
+    """Sort ``S`` (carrying ``P``) in place in one call of the pass loop
+    named ``loop`` on ``backend.active_loops()``.
+
+    The loop takes the arrays, the segment ``0, len(S)``, the minimum the
+    front door scanned and ``args``, and returns ``(passes, moves,
+    node_creations, head, phase, status, *numbers)``.  Its counters are
+    added to ``counters``; a failed check is raised by ``fail(phase,
+    status, *numbers)``.
+    """
+    cfg, counters, bounds = start(S, cfg, counters, P)
+    if bounds is None:
+        return counters
+    arrays = (S,) if P is None else (S, P)
+    passes, moves, created, _, phase, status, *numbers = getattr(active_loops(), loop)(
+        *arrays, 0, len(S), bounds[0], *args
+    )
+    counters.passes += passes
+    counters.moves += moves
+    counters.node_creations += created
+    if phase != PHASE_OK:
+        fail(phase, status, *numbers)
+    return counters
+
+
 def stalled(head: int, n: int) -> CorruptStateError:
     """The error of a pass that left ``S[head:n]`` unsorted but deferred
     no key or settled no word."""
     return CorruptStateError(f"sorted prefix stopped at {head} of {n}")
+
+
+def _fail(phase, status, a=0, b=0, c=0, d=0):
+    """Raise the error of the failed check ``phase`` of a sequential or
+    stacked pass or of the unwind, with the numbers that
+    ``sequential_passes``, ``stacked_passes`` and ``unwind_levels``
+    report for it."""
+    if phase == PHASE_STORE:
+        raise CorruptStateError(
+            f"storage kept {a} memory words for {b} nodes and "
+            f"{c} companions of budget {d} (status {status})"
+        )
+    if phase == PHASE_PARTITION:
+        raise CorruptStateError(f"{a} idle words after storage, expected {b}")
+    if phase == PHASE_RETRIEVE:
+        raise CorruptStateError(f"retrieval wrote {a} of {b} keys (status {status})")
+    if phase == PHASE_UNWIND:
+        if status:
+            raise CorruptStateError(f"unwind retrieval failed (status {status})")
+        raise CorruptStateError(f"unwind left {a} words unwritten at the front")
+    raise stalled(a, b)  # PHASE_PREFIX
 
 
 def _practice_store(S, head, delta, cfg, counters):
@@ -171,10 +241,7 @@ def _practice_store(S, head, delta, cfg, counters):
     )
     counters.moves += moves
     if status != 0 or stored != n_d + eps_used:
-        raise CorruptStateError(
-            f"storage kept {stored} memory words for {n_d} nodes and "
-            f"{eps_used} companions of budget {eps} (status {status})"
-        )
+        _fail(PHASE_STORE, status, stored, n_d, eps_used, eps)
     return n_d, n_c, eps, eps_used, split, dnext
 
 
@@ -191,18 +258,14 @@ def _sequential_step(S, P, head, delta, cfg, counters, emit):
     n_low, moves = k.partition_values(S, mem, n, pivot, cfg.tag_mask)
     counters.moves += moves
     if n_low != n_c - eps_used:
-        raise CorruptStateError(
-            f"{n_low} idle words after storage, expected {n_c - eps_used}"
-        )
+        _fail(PHASE_PARTITION, 0, n_low, n_c - eps_used)
     emit("partition")
     written, moves, status = k.retrieve_packed(
         S, head, mem, head + n_d + n_c, delta, eps, split, cfg.tag_mask
     )
     counters.moves += moves
     if status != 0 or written != n_d + n_c:
-        raise CorruptStateError(
-            f"retrieval wrote {written} of {n_d + n_c} keys (status {status})"
-        )
+        _fail(PHASE_RETRIEVE, status, written, n_d + n_c)
     emit("retrieve")
     return n_d + n_c, dnext
 
@@ -231,7 +294,10 @@ def sort_associative(
     trace: Optional[TraceFn] = None,
 ) -> OpCounters:
     """Sort ``S`` in place, one practice/store/retrieve cycle per pass."""
-    return run_passes(_sequential_step, S, cfg, counters, trace)
+    if trace is not None:
+        return run_passes(_sequential_step, S, cfg, counters, trace)
+    cfg = cfg or WordConfig()
+    return run_loop("sequential_passes", _fail, S, cfg, counters, args=(cfg.w,))
 
 
 def sort_associative_recursive(
@@ -246,8 +312,44 @@ def sort_associative_recursive(
     the tail; no partitioning happens.  The unwind retrieves memories
     newest-first, writing sorted keys right-to-left from the array end,
     which is guaranteed not to overtake the unread memories.  Control
-    state is four words per level.
+    state is four words per level: a Python list when traced, else an
+    ``int64`` level buffer that starts at ``LEVELS`` levels and grows by
+    as many whenever ``stacked_passes`` fills it.
     """
+    if trace is not None:
+        return _traced_recursive(S, cfg, counters, trace)
+    cfg, counters, bounds = start(S, cfg, counters)
+    if bounds is None:
+        return counters
+    loops = active_loops()
+    n = len(S)
+    L = np.empty(4 * LEVELS, dtype=np.int64)
+    head, delta, depth = 0, bounds[0], 0
+    while True:
+        passes, moves, created, head, delta, depth, phase, status, *numbers = (
+            loops.stacked_passes(S, L, head, n, delta, depth, len(L) // 4, cfg.w)
+        )
+        counters.passes += passes
+        counters.moves += moves
+        counters.node_creations += created
+        counters.max_depth = max(counters.max_depth, depth)
+        if phase != PHASE_OK:
+            _fail(phase, status, *numbers)
+        if head == n:
+            break
+        # In place (a realloc), so the old and the grown buffer are never
+        # held at once; nothing else refers to ``L``.
+        L.resize(len(L) + 4 * LEVELS, refcheck=False)
+    moves, phase, status, a = loops.unwind_levels(S, L, 0, n, depth, cfg.w)
+    counters.moves += moves
+    if phase != PHASE_OK:
+        _fail(phase, status, a)
+    return counters
+
+
+def _traced_recursive(S, cfg, counters, trace):
+    """:func:`sort_associative_recursive` one kernel call per phase and
+    per unwound level, each handing ``trace`` a snapshot."""
     cfg = cfg or WordConfig()
     stack = []
     counters = run_passes(partial(_stack_step, stack), S, cfg, counters, trace)
@@ -262,12 +364,9 @@ def sort_associative_recursive(
         )
         counters.moves += moves
         if status != 0:
-            raise CorruptStateError(f"unwind retrieval failed (status {status})")
+            _fail(PHASE_UNWIND, status)
         write_end -= written
-        if trace is not None:
-            trace("retrieve", level, S.copy())
+        trace("retrieve", level, S.copy())
     if write_end != 0:
-        raise CorruptStateError(
-            f"unwind left {write_end} words unwritten at the front"
-        )
+        _fail(PHASE_UNWIND, 0, write_end)
     return counters

@@ -35,13 +35,12 @@ from typing import Optional
 
 import numpy as np
 
-from .backend import active, active_loops
-from .core import TraceFn, run_passes, stalled, start
+from .backend import active
+from .core import TraceFn, run_loop, run_passes, stalled
 from .counters import OpCounters
 from .errors import CorruptStateError, DuplicateKeyError
 from .kernels import (
     PHASE_DUPLICATE,
-    PHASE_OK,
     PHASE_PARTITION,
     PHASE_RETRIEVE,
     PHASE_STORE,
@@ -134,19 +133,9 @@ def _sort(step, bitmap, S, cfg, counters, trace):
     ``improved_passes`` call (bitmap nodes of ``w - 1`` keys if ``bitmap``)."""
     if trace is not None:
         return run_passes(step, S, cfg, counters, trace)
-    cfg, counters, bounds = start(S, cfg, counters)
-    if bounds is None:
-        return counters
+    cfg = cfg or WordConfig()
     wm1 = cfg.w - 1 if bitmap else 0
-    passes, moves, created, _, phase, status, a, b = active_loops().improved_passes(
-        S, 0, len(S), bounds[0], wm1, cfg.tag_mask
-    )
-    counters.passes += passes
-    counters.moves += moves
-    counters.node_creations += created
-    if phase != PHASE_OK:
-        _fail(phase, status, a, b)
-    return counters
+    return run_loop("improved_passes", _fail, S, cfg, counters, args=(wm1, cfg.tag_mask))
 
 
 def sort_improved(

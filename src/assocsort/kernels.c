@@ -35,12 +35,28 @@
 #define PHASE_PARTITION 3
 #define PHASE_RETRIEVE 4
 #define PHASE_PREFIX 5
+#define PHASE_UNWIND 6
+#define PHASE_ACCUMULATE 7
+#define PHASE_TICKET 8
+#define PHASE_REACTIVATE 9
+#define PHASE_RESTORE 10
 
 typedef int64_t i64;
 /* An int64 that may sit at any byte address. */
 typedef int64_t word __attribute__((aligned(1)));
 
 #define AT(A, i) (*(word *)((A) + (i) * A##_s))
+
+/* The ten results of a pass loop: the counters, where the sorted prefix
+ * ends, and the failed check with its status and numbers. */
+static void loop_result(i64 *out, i64 passes, i64 moves, i64 created,
+                        i64 head, i64 phase, i64 status, i64 a, i64 b, i64 c,
+                        i64 d)
+{
+    i64 v[10] = {passes, moves, created, head, phase, status, a, b, c, d};
+    for (int k = 0; k < 10; k++)
+        out[k] = v[k];
+}
 
 void min_max(char *S, i64 S_s, i64 lo, i64 hi, i64 *out)
 {
@@ -105,6 +121,43 @@ void collect_fixpoints(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 *out)
     }
     out[0] = wr - lo;
     out[1] = moves;
+}
+
+/* Every pass of a cycle-leader sort in one call: the steps above, in a
+ * loop, with the checks of cycle_leader._implicit_step between them. */
+void distinct_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 *out)
+{
+    i64 passes = 0, moves = 0;
+    i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0;
+    i64 r[4];
+    while (head < hi) {
+        passes++;
+        implicit_practice(S, S_s, head, hi, delta, r);
+        i64 n_d = r[0], dnext = r[1];
+        if (r[3] != STATUS_OK) {
+            phase = PHASE_DUPLICATE;
+            status = r[3];
+            break;
+        }
+        moves += r[2];
+        collect_fixpoints(S, S_s, head, hi, delta, r);
+        moves += r[1];
+        if (r[0] != n_d) {
+            phase = PHASE_PARTITION;
+            a = r[0];
+            b = n_d;
+            break;
+        }
+        head += n_d;
+        if (head != hi && (dnext < 0 || n_d == 0)) {
+            phase = PHASE_PREFIX;
+            a = head;
+            b = hi;
+            break;
+        }
+        delta = dnext;
+    }
+    loop_result(out, passes, moves, 0, head, phase, status, a, b, 0, 0);
 }
 
 void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
@@ -299,6 +352,179 @@ void retrieve_packed(char *S, i64 S_s, i64 lo, i64 mem_hi, i64 write_end,
     out[0] = (write_end - 1) - o;
     out[1] = moves;
     out[2] = STATUS_OK;
+}
+
+/* kernels.pass_budget: the companion budget eps and the pack split of a
+ * counting pass over seg words, as words.epsilon and
+ * WordConfig.pack_split give them; lg = ceil(log2 seg), at least 1. */
+static void pass_budget(i64 seg, i64 w, i64 *eps, i64 *split)
+{
+    i64 lg = seg > 2 ? 64 - __builtin_clzll((uint64_t)(seg - 1)) : 1;
+    *split = w - 1 - lg;
+    *eps = 0;
+    if (2 * lg >= w) {
+        i64 thr = (i64)1 << *split;
+        i64 spread = (seg / 2 + thr - 1) / thr, demand = seg / (thr + 1);
+        *eps = spread > demand ? spread : demand;
+    }
+}
+
+/* kernels.practice_store: practice, then compact the nodes into memory.
+ * out: n_d, n_c, dnext, eps, eps_used, split, stored, status, moves,
+ * created. */
+static void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
+                           i64 w, i64 *out)
+{
+    i64 tag = (i64)1 << (w - 1), seg = hi - head, eps, split, p[6], st[4];
+    pass_budget(seg, w, &eps, &split);
+    practice(S, S_s, head, hi, delta, eps, seg - eps, tag, p);
+    store_nodes(S, S_s, head, hi, delta, seg - eps, split, tag, eps, st);
+    i64 v[10] = {p[0], p[1], p[3], eps, st[0], split, st[1], st[3],
+                 p[4] + st[2], p[5]};
+    for (int k = 0; k < 10; k++)
+        out[k] = v[k];
+}
+
+/* Every pass of a sequential counting sort in one call, with the checks of
+ * core._sequential_step between the phases. */
+void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 w,
+                       i64 *out)
+{
+    i64 tag = (i64)1 << (w - 1);
+    i64 passes = 0, moves = 0, created = 0;
+    i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0, c = 0, d = 0;
+    i64 r[10];
+    while (head < hi) {
+        passes++;
+        practice_store(S, S_s, head, hi, delta, w, r);
+        i64 n_d = r[0], n_c = r[1], dnext = r[2], eps = r[3], eps_used = r[4];
+        i64 split = r[5];
+        moves += r[8];
+        created += r[9];
+        if (r[7] != STATUS_OK || r[6] != n_d + eps_used) {
+            phase = PHASE_STORE;
+            status = r[7];
+            a = r[6];
+            b = n_d;
+            c = eps_used;
+            d = eps;
+            break;
+        }
+        i64 mem = head + n_d + eps_used;
+        i64 pivot = delta + (hi - head - eps) - 1;
+        partition_values(S, S_s, mem, hi, pivot, tag, r);
+        moves += r[1];
+        if (r[0] != n_c - eps_used) {
+            phase = PHASE_PARTITION;
+            a = r[0];
+            b = n_c - eps_used;
+            break;
+        }
+        retrieve_packed(S, S_s, head, mem, head + n_d + n_c, delta, eps, split,
+                        tag, r);
+        moves += r[1];
+        if (r[2] != STATUS_OK || r[0] != n_d + n_c) {
+            phase = PHASE_RETRIEVE;
+            status = r[2];
+            a = r[0];
+            b = n_d + n_c;
+            break;
+        }
+        head += n_d + n_c;
+        if (head != hi && (dnext < 0 || n_d + n_c == 0)) {
+            phase = PHASE_PREFIX;
+            a = head;
+            b = hi;
+            break;
+        }
+        delta = dnext;
+    }
+    loop_result(out, passes, moves, created, head, phase, status, a, b, c, d);
+}
+
+/* The passes of a recursive counting sort in one call, with the checks of
+ * core._stack_step, each writing its level (n_d, eps_used, delta, head)
+ * to L until cap levels are written. */
+void stacked_passes(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
+                    i64 delta, i64 depth, i64 cap, i64 w, i64 *out)
+{
+    i64 passes = 0, moves = 0, created = 0;
+    i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0, c = 0, d = 0;
+    i64 r[10];
+    while (head < hi && depth < cap) {
+        passes++;
+        practice_store(S, S_s, head, hi, delta, w, r);
+        i64 n_d = r[0], dnext = r[2], eps_used = r[4];
+        moves += r[8];
+        created += r[9];
+        if (r[7] != STATUS_OK || r[6] != n_d + eps_used) {
+            phase = PHASE_STORE;
+            status = r[7];
+            a = r[6];
+            b = n_d;
+            c = eps_used;
+            d = r[3];
+            break;
+        }
+        AT(L, 4 * depth) = n_d;
+        AT(L, 4 * depth + 1) = eps_used;
+        AT(L, 4 * depth + 2) = delta;
+        AT(L, 4 * depth + 3) = head;
+        depth++;
+        i64 advanced = dnext < 0 ? hi - head : n_d + eps_used;
+        head += advanced;
+        if (head != hi && (dnext < 0 || advanced == 0)) {
+            phase = PHASE_PREFIX;
+            a = head;
+            b = hi;
+            break;
+        }
+        delta = dnext;
+    }
+    i64 v[12] = {passes, moves, created, head, delta, depth, phase, status,
+                 a, b, c, d};
+    for (int k = 0; k < 12; k++)
+        out[k] = v[k];
+}
+
+/* Retrieve the depth stacked memories newest first, as the traced unwind
+ * of core.sort_associative_recursive does one level per call. */
+void unwind_levels(char *S, i64 S_s, char *L, i64 L_s, i64 lo, i64 hi,
+                   i64 depth, i64 w, i64 *out)
+{
+    i64 tag = (i64)1 << (w - 1);
+    i64 moves = 0, phase = PHASE_OK, status = STATUS_OK, a = 0, write_end = hi;
+    i64 r[3];
+    for (i64 level = depth - 1; level >= 0; level--) {
+        i64 n_d = AT(L, 4 * level), eps_used = AT(L, 4 * level + 1);
+        i64 delta = AT(L, 4 * level + 2), h = AT(L, 4 * level + 3);
+        if (h < lo || h > write_end || n_d < 0 || eps_used < 0 ||
+            n_d > write_end - h || eps_used > write_end - h - n_d ||
+            delta < 0 || delta >= tag) {
+            phase = PHASE_UNWIND;
+            status = STATUS_BAD_SLOT;
+            break;
+        }
+        i64 eps, split;
+        pass_budget(hi - h, w, &eps, &split);
+        retrieve_packed(S, S_s, h, h + n_d + eps_used, write_end, delta, eps,
+                        split, tag, r);
+        moves += r[1];
+        if (r[2] != STATUS_OK) {
+            phase = PHASE_UNWIND;
+            status = r[2];
+            break;
+        }
+        write_end -= r[0];
+    }
+    if (phase == PHASE_OK && write_end != lo) {
+        phase = PHASE_UNWIND;
+        a = write_end - lo;
+    }
+    out[0] = moves;
+    out[1] = phase;
+    out[2] = status;
+    out[3] = a;
 }
 
 void store_records(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 tag, i64 *out)
@@ -725,6 +951,64 @@ void restore_keys(char *K, i64 K_s, i64 lo, i64 hi_sorted, i64 delta, i64 tag,
     }
     out[0] = moves;
     out[1] = status;
+}
+
+/* Every pass of a rank sort in one call, with the checks of
+ * ranksort._rank_step between the phases. */
+void rank_passes(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
+                 i64 delta, i64 tag, i64 *out)
+{
+    i64 passes = 0, moves = 0, created = 0;
+    i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0, c = 0, d = 0;
+    i64 r[6];
+    while (head < hi) {
+        passes++;
+        i64 seg = hi - head;
+        practice_rank(K, K_s, P, P_s, head, hi, delta, seg, tag, r);
+        i64 n_d = r[0], n_c = r[1], dnext = r[3];
+        moves += r[4];
+        created += r[5];
+        accumulate_records(K, K_s, head, hi, tag, r);
+        if (r[0] != n_d || r[1] != n_d + n_c) {
+            phase = PHASE_ACCUMULATE;
+            a = r[0];
+            b = r[1];
+            c = n_d;
+            d = n_d + n_c;
+            break;
+        }
+        repractice_idle(K, K_s, head, hi, delta, seg, tag, r);
+        if (r[1] != STATUS_OK || r[0] != n_c) {
+            phase = PHASE_TICKET;
+            status = r[1];
+            a = r[0];
+            b = n_c;
+            break;
+        }
+        reactivate(K, K_s, P, P_s, head, hi, n_d + n_c, tag, r);
+        moves += r[0];
+        if (r[1] != STATUS_OK) {
+            phase = PHASE_REACTIVATE;
+            status = r[1];
+            break;
+        }
+        restore_keys(K, K_s, head, head + n_d + n_c, delta, tag, r);
+        moves += r[0];
+        if (r[1] != STATUS_OK) {
+            phase = PHASE_RESTORE;
+            status = r[1];
+            break;
+        }
+        head += n_d + n_c;
+        if (head != hi && (dnext < 0 || n_d + n_c == 0)) {
+            phase = PHASE_PREFIX;
+            a = head;
+            b = hi;
+            break;
+        }
+        delta = dnext;
+    }
+    loop_result(out, passes, moves, created, head, phase, status, a, b, c, d);
 }
 
 void partition_msb(char *S, i64 S_s, i64 lo, i64 hi, i64 bit, i64 *out)

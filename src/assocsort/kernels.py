@@ -41,23 +41,35 @@ STATUS_BAD_PREFIX = -6
 # of the claimed interval.
 STATUS_CURSOR = -7
 # A ticket or node record names a slot outside the segment, or more words
-# were placed than the segment has slots (two words claim one slot).
+# were placed than the segment has slots (two words claim one slot); or a
+# stacked level names memory outside the unwritten part of its segment.
 STATUS_BAD_SLOT = -8
 
-# Which check of an improved pass failed (:func:`improved_passes`); 0 when
-# none did.  Each names the numbers its error message needs.
+# Which check of a pass loop failed; 0 when none did.  A loop stops at the
+# first failed check and reports its ``PHASE_*`` with the numbers the
+# driver's error message needs; each loop's docstring names them.
 PHASE_OK = 0
-# ``practice_super`` met a key twice; ``a`` is the key.
+# Practice met a key twice.
 PHASE_DUPLICATE = 1
-# ``store_records`` found ``a`` tagged words for ``b`` records.
+# Storage kept other than one memory word per practiced node (and companion).
 PHASE_STORE = 2
-# ``partition_values`` gathered ``a`` idle words where ``b`` were expected.
+# The partition gathered other than the expected number of words.
 PHASE_PARTITION = 3
-# Retrieval failed with ``status``; ``a`` is ``wm1`` (0: node scan).
+# Retrieval failed, or wrote other than the practiced number of keys.
 PHASE_RETRIEVE = 4
 # The sorted prefix stopped at ``a`` of ``b``: a pass deferred nothing or
 # settled nothing.
 PHASE_PREFIX = 5
+# The unwind of stacked memories failed a level, or left words unwritten.
+PHASE_UNWIND = 6
+# Rank accumulation disagreed with practice.
+PHASE_ACCUMULATE = 7
+# Rank ticketing failed.
+PHASE_TICKET = 8
+# Rank reactivation failed.
+PHASE_REACTIVATE = 9
+# Rank key restoration failed.
+PHASE_RESTORE = 10
 
 
 def min_max(S, lo, hi):
@@ -130,6 +142,38 @@ def collect_fixpoints(S, lo, hi, delta):
                 moves += 2
             wr += 1
     return wr - lo, moves
+
+
+def distinct_passes(S, head, hi, delta):
+    """Every pass of a cycle-leader sort of distinct keys ``S[head:hi]``,
+    from interval start ``delta`` (the segment's minimum).
+
+    A pass is :func:`implicit_practice` then :func:`collect_fixpoints`,
+    the step ``_implicit_step`` of :mod:`assocsort.cycle_leader` runs one
+    kernel call per phase; a change to one is made to the other, and to
+    the C loop.  Returns ``(passes, moves, node_creations, head, phase,
+    status, a, b, c, d)`` (no pass creates a node): ``PHASE_DUPLICATE``
+    with practice's ``status``, whose moves are not counted;
+    ``PHASE_PARTITION`` when ``a`` keys settled where practice reported
+    ``b``; ``PHASE_PREFIX`` as in :func:`improved_passes`.
+    """
+    passes = 0
+    moves = 0
+    while head < hi:
+        passes += 1
+        n_d, dnext, mv, status = implicit_practice(S, head, hi, delta)
+        if status != STATUS_OK:
+            return passes, moves, 0, head, PHASE_DUPLICATE, status, 0, 0, 0, 0
+        moves += mv
+        count, mv = collect_fixpoints(S, head, hi, delta)
+        moves += mv
+        if count != n_d:
+            return passes, moves, 0, head, PHASE_PARTITION, 0, count, n_d, 0, 0
+        head += n_d
+        if head != hi and (dnext < 0 or n_d == 0):
+            return passes, moves, 0, head, PHASE_PREFIX, 0, head, hi, 0, 0
+        delta = dnext
+    return passes, moves, 0, head, PHASE_OK, STATUS_OK, 0, 0, 0, 0
 
 
 def practice(S, lo, hi, delta, base, span, tag):
@@ -332,6 +376,177 @@ def retrieve_packed(S, lo, mem_hi, write_end, delta, base, pack_split, tag):
     return (write_end - 1) - o, moves, STATUS_OK
 
 
+def pass_budget(seg, w):
+    """``(eps, pack_split)`` of a counting pass over ``seg`` words at word
+    width ``w``: ``words.epsilon`` and ``WordConfig.pack_split`` in
+    integers, which the C loops compute the same way.
+    """
+    lg = 1  # bits that address a position in the segment
+    while (1 << lg) < seg:
+        lg += 1
+    split = w - 1 - lg
+    if 2 * lg < w:
+        return 0, split
+    thr = 1 << split
+    return max(-(-(seg // 2) // thr), seg // (thr + 1)), split
+
+
+def practice_store(S, head, hi, delta, w):
+    """Practice ``S[head:hi]`` at ``delta`` and compact its nodes into
+    memory: the first half of a sequential or stacked pass, as
+    ``core._practice_store`` runs it one kernel call per phase.
+
+    Returns ``(n_distinct, n_companion, delta_next, eps, eps_used,
+    pack_split, stored, status, moves, created)``; the memory is
+    ``stored`` words long, which is ``n_distinct + eps_used`` when
+    ``status`` is 0 and storage kept every node.
+    """
+    tag = 1 << (w - 1)
+    seg = hi - head
+    eps, split = pass_budget(seg, w)
+    n_d, n_c, _, dnext, moves, created = practice(
+        S, head, hi, delta, eps, seg - eps, tag
+    )
+    eps_used, stored, mv, status = store_nodes(
+        S, head, hi, delta, seg - eps, split, tag, eps
+    )
+    return n_d, n_c, dnext, eps, eps_used, split, stored, status, moves + mv, created
+
+
+def sequential_passes(S, head, hi, delta, w):
+    """Every pass of a sequential counting sort of ``S[head:hi]`` at word
+    width ``w``, from interval start ``delta`` (the segment's minimum).
+
+    A pass is :func:`practice_store`, :func:`partition_values` and
+    :func:`retrieve_packed`, the step ``_sequential_step`` of
+    :mod:`assocsort.core` runs one kernel call per phase; a change to one
+    is made to the other, and to the C loop.  Returns ``(passes, moves,
+    node_creations, head, phase, status, a, b, c, d)``: ``PHASE_STORE``
+    when storage kept ``a`` memory words for ``b`` nodes and ``c``
+    companions of budget ``d``; ``PHASE_PARTITION`` when ``a`` idle words
+    were gathered where ``b`` were expected; ``PHASE_RETRIEVE`` when
+    retrieval wrote ``a`` of ``b`` keys; ``PHASE_PREFIX`` as in
+    :func:`improved_passes`.
+    """
+    tag = 1 << (w - 1)
+    passes = 0
+    moves = 0
+    created = 0
+    while head < hi:
+        passes += 1
+        n_d, n_c, dnext, eps, eps_used, split, stored, status, mv, cr = (
+            practice_store(S, head, hi, delta, w)
+        )
+        moves += mv
+        created += cr
+        if status != STATUS_OK or stored != n_d + eps_used:
+            return (passes, moves, created, head, PHASE_STORE, status,
+                    stored, n_d, eps_used, eps)
+        mem = head + n_d + eps_used
+        pivot = delta + (hi - head - eps) - 1
+        n_low, mv = partition_values(S, mem, hi, pivot, tag)
+        moves += mv
+        if n_low != n_c - eps_used:
+            return (passes, moves, created, head, PHASE_PARTITION, 0,
+                    n_low, n_c - eps_used, 0, 0)
+        written, mv, status = retrieve_packed(
+            S, head, mem, head + n_d + n_c, delta, eps, split, tag
+        )
+        moves += mv
+        if status != STATUS_OK or written != n_d + n_c:
+            return (passes, moves, created, head, PHASE_RETRIEVE, status,
+                    written, n_d + n_c, 0, 0)
+        head += n_d + n_c
+        if head != hi and (dnext < 0 or n_d + n_c == 0):
+            return passes, moves, created, head, PHASE_PREFIX, 0, head, hi, 0, 0
+        delta = dnext
+    return passes, moves, created, head, PHASE_OK, STATUS_OK, 0, 0, 0, 0
+
+
+def stacked_passes(S, L, head, hi, delta, depth, cap, w):
+    """The passes of a recursive counting sort of ``S[head:hi]``, each
+    leaving its memory in place for :func:`unwind_levels`.
+
+    A pass is :func:`practice_store`, the step ``_stack_step`` of
+    :mod:`assocsort.core` runs one kernel call per phase; a change to one
+    is made to the other, and to the C loop.  Each pass writes its level
+    ``(n_distinct, eps_used, delta, head)`` to ``L[4 * depth:]``, a
+    buffer of ``cap`` levels, ``depth`` of them already written.  The
+    next pass starts right after the memory; the last owns the rest of
+    the segment.  When ``depth`` reaches ``cap`` before ``head`` reaches
+    ``hi`` the loop returns, and the caller resumes it from the
+    ``head``, ``delta`` and ``depth`` it reports on a larger buffer.
+
+    Returns ``(passes, moves, node_creations, head, delta, depth, phase,
+    status, a, b, c, d)``, the failures numbered as in
+    :func:`sequential_passes`; a failed pass writes no level.
+    """
+    passes = 0
+    moves = 0
+    created = 0
+    while head < hi and depth < cap:
+        passes += 1
+        n_d, _, dnext, eps, eps_used, _, stored, status, mv, cr = practice_store(
+            S, head, hi, delta, w
+        )
+        moves += mv
+        created += cr
+        if status != STATUS_OK or stored != n_d + eps_used:
+            return (passes, moves, created, head, delta, depth, PHASE_STORE,
+                    status, stored, n_d, eps_used, eps)
+        L[4 * depth] = n_d
+        L[4 * depth + 1] = eps_used
+        L[4 * depth + 2] = delta
+        L[4 * depth + 3] = head
+        depth += 1
+        advanced = hi - head if dnext < 0 else n_d + eps_used
+        head += advanced
+        if head != hi and (dnext < 0 or advanced == 0):
+            return (passes, moves, created, head, delta, depth, PHASE_PREFIX, 0,
+                    head, hi, 0, 0)
+        delta = dnext
+    return (passes, moves, created, head, delta, depth, PHASE_OK, STATUS_OK,
+            0, 0, 0, 0)
+
+
+def unwind_levels(S, L, lo, hi, depth, w):
+    """Retrieve the ``depth`` memories :func:`stacked_passes` left in
+    ``S[lo:hi]``, newest first, writing sorted keys right-to-left from
+    ``hi``; the writes never overtake an unread memory.
+
+    The unwind of :func:`assocsort.core.sort_associative_recursive`'s
+    traced path, one kernel call per level; a change to one is made to
+    the other, and to the C loop.  A level naming memory outside
+    ``[lo, write_end)``, or a key outside the word, fails
+    ``STATUS_BAD_SLOT`` before its retrieval runs.  Returns ``(moves,
+    phase, status, a)``: ``PHASE_UNWIND`` with a level's ``status``, or
+    with status 0 when ``a`` words at the front were left unwritten.
+    """
+    tag = 1 << (w - 1)
+    moves = 0
+    write_end = hi
+    for level in range(depth - 1, -1, -1):
+        n_d = L[4 * level]
+        eps_used = L[4 * level + 1]
+        delta = L[4 * level + 2]
+        h = L[4 * level + 3]
+        if (h < lo or h > write_end or n_d < 0 or eps_used < 0
+                or n_d > write_end - h or eps_used > write_end - h - n_d
+                or delta < 0 or delta >= tag):
+            return moves, PHASE_UNWIND, STATUS_BAD_SLOT, 0
+        eps, split = pass_budget(hi - h, w)
+        written, mv, status = retrieve_packed(
+            S, h, h + n_d + eps_used, write_end, delta, eps, split, tag
+        )
+        moves += mv
+        if status != STATUS_OK:
+            return moves, PHASE_UNWIND, status, 0
+        write_end -= written
+    if write_end != lo:
+        return moves, PHASE_UNWIND, STATUS_OK, write_end - lo
+    return moves, PHASE_OK, STATUS_OK, 0
+
+
 def store_records(S, lo, hi, n_d, tag):
     """Move the k-th node's record into the value plane of ``S[lo + k]``.
 
@@ -506,9 +721,12 @@ def improved_passes(S, head, hi, delta, wm1, tag):
     moves, node_creations, head, phase, status, a, b)``: the counters so
     far, where the sorted prefix ends, and, when a check failed, the
     ``PHASE_*`` that names it with its numbers ``a`` and ``b`` (the pass
-    stops there).  A pass that settles no word fails ``PHASE_PREFIX``, as
-    in ``core.run_passes``, so the loop ends within ``hi - head`` passes
-    whatever the arguments.
+    stops there): ``PHASE_DUPLICATE`` the key ``a``; ``PHASE_STORE``
+    ``a`` tagged words for ``b`` records; ``PHASE_PARTITION`` ``a`` idle
+    words where ``b`` were expected; ``PHASE_RETRIEVE`` its ``status``,
+    with ``a = wm1``.  A pass that settles no word fails ``PHASE_PREFIX``
+    (the prefix stopped at ``a`` of ``b``), as in ``core.run_passes``, so
+    the loop ends within ``hi - head`` passes whatever the arguments.
     """
     passes = 0
     moves = 0
@@ -761,6 +979,53 @@ def restore_keys(K, lo, hi_sorted, delta, tag):
         K[q] = key
         moves += 1
     return moves, STATUS_OK
+
+
+def rank_passes(K, P, head, hi, delta, tag):
+    """Every pass of a rank sort of ``K[head:hi]``, carrying ``P``, from
+    interval start ``delta`` (the segment's minimum).
+
+    A pass is :func:`practice_rank`, :func:`accumulate_records`,
+    :func:`repractice_idle`, :func:`reactivate` and :func:`restore_keys`,
+    the step ``_rank_step`` of :mod:`assocsort.ranksort` runs one kernel
+    call per phase; a change to one is made to the other, and to the C
+    loop.  Returns ``(passes, moves, node_creations, head, phase, status,
+    a, b, c, d)``: ``PHASE_ACCUMULATE`` when accumulation saw ``a`` nodes
+    and ``b`` elements where practice reported ``c`` and ``d``;
+    ``PHASE_TICKET`` when ticketing made ``a`` of ``b`` tickets;
+    ``PHASE_REACTIVATE`` and ``PHASE_RESTORE`` with their ``status``;
+    ``PHASE_PREFIX`` as in :func:`improved_passes`.
+    """
+    passes = 0
+    moves = 0
+    created = 0
+    while head < hi:
+        passes += 1
+        seg = hi - head
+        n_d, n_c, _, dnext, mv, cr = practice_rank(K, P, head, hi, delta, seg, tag)
+        moves += mv
+        created += cr
+        n_nodes, total = accumulate_records(K, head, hi, tag)
+        if n_nodes != n_d or total != n_d + n_c:
+            return (passes, moves, created, head, PHASE_ACCUMULATE, 0,
+                    n_nodes, total, n_d, n_d + n_c)
+        n_tickets, status = repractice_idle(K, head, hi, delta, seg, tag)
+        if status != STATUS_OK or n_tickets != n_c:
+            return (passes, moves, created, head, PHASE_TICKET, status,
+                    n_tickets, n_c, 0, 0)
+        mv, status = reactivate(K, P, head, hi, n_d + n_c, tag)
+        moves += mv
+        if status != STATUS_OK:
+            return passes, moves, created, head, PHASE_REACTIVATE, status, 0, 0, 0, 0
+        mv, status = restore_keys(K, head, head + n_d + n_c, delta, tag)
+        moves += mv
+        if status != STATUS_OK:
+            return passes, moves, created, head, PHASE_RESTORE, status, 0, 0, 0, 0
+        head += n_d + n_c
+        if head != hi and (dnext < 0 or n_d + n_c == 0):
+            return passes, moves, created, head, PHASE_PREFIX, 0, head, hi, 0, 0
+        delta = dnext
+    return passes, moves, created, head, PHASE_OK, STATUS_OK, 0, 0, 0, 0
 
 
 def partition_msb(S, lo, hi, bit):

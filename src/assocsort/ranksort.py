@@ -17,6 +17,12 @@ array alone.  Each pass:
    becomes its former slot index.
 5. ``restore_keys`` — the sorted prefix is rewritten as keys:
    ``delta + record`` at each node, repeated over its run.
+
+An untraced sort runs every pass in one call of the ``rank_passes`` pass
+loop.  A traced sort runs each pass as :func:`_rank_step`, one kernel
+call per phase, so that it can hand the trace a snapshot after each.
+Both make the same checks in the same order and raise the same error
+through :func:`_fail`.
 """
 
 from typing import Optional, Tuple
@@ -24,10 +30,27 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .backend import active
-from .core import TraceFn, run_passes
+from .core import TraceFn, run_loop, run_passes, stalled
 from .counters import OpCounters
 from .errors import CorruptStateError
+from .kernels import PHASE_ACCUMULATE, PHASE_REACTIVATE, PHASE_RESTORE, PHASE_TICKET
 from .words import WordConfig
+
+
+def _fail(phase, status, a=0, b=0, c=0, d=0):
+    """Raise the error of the failed check ``phase`` of a pass, with the
+    numbers that ``rank_passes`` reports for it."""
+    if phase == PHASE_ACCUMULATE:
+        raise CorruptStateError(
+            f"accumulation saw {a} nodes/{b} elements, practice reported {c}/{d}"
+        )
+    if phase == PHASE_TICKET:
+        raise CorruptStateError(f"ticketing failed (status {status}, {a} of {b})")
+    if phase == PHASE_REACTIVATE:
+        raise CorruptStateError(f"reactivation failed (status {status})")
+    if phase == PHASE_RESTORE:
+        raise CorruptStateError(f"key restoration failed (status {status})")
+    raise stalled(a, b)  # PHASE_PREFIX
 
 
 def _rank_step(K, P, head, delta, cfg, counters, emit):
@@ -45,26 +68,21 @@ def _rank_step(K, P, head, delta, cfg, counters, emit):
     emit("practice")
     n_nodes, total = k.accumulate_records(K, head, n, tag)
     if n_nodes != n_d or total != n_d + n_c:
-        raise CorruptStateError(
-            f"accumulation saw {n_nodes} nodes/{total} elements, "
-            f"practice reported {n_d}/{n_d + n_c}"
-        )
+        _fail(PHASE_ACCUMULATE, 0, n_nodes, total, n_d, n_d + n_c)
     emit("accumulate")
     n_tickets, status = k.repractice_idle(K, head, n, delta, seg, tag)
     if status != 0 or n_tickets != n_c:
-        raise CorruptStateError(
-            f"ticketing failed (status {status}, {n_tickets} of {n_c})"
-        )
+        _fail(PHASE_TICKET, status, n_tickets, n_c)
     emit("repractice")
     moves, status = k.reactivate(K, P, head, n, n_d + n_c, tag)
     counters.moves += moves
     if status != 0:
-        raise CorruptStateError(f"reactivation failed (status {status})")
+        _fail(PHASE_REACTIVATE, status)
     emit("reactivate")
     moves, status = k.restore_keys(K, head, head + n_d + n_c, delta, tag)
     counters.moves += moves
     if status != 0:
-        raise CorruptStateError(f"key restoration failed (status {status})")
+        _fail(PHASE_RESTORE, status)
     emit("restore")
     return n_d + n_c, dnext
 
@@ -82,7 +100,10 @@ def sort_by_key(
     shares no memory with ``K``.  The sort is not stable: equal keys keep
     their payloads but may exchange relative order.
     """
-    return run_passes(_rank_step, K, cfg, counters, trace, P)
+    if trace is not None:
+        return run_passes(_rank_step, K, cfg, counters, trace, P)
+    cfg = cfg or WordConfig()
+    return run_loop("rank_passes", _fail, K, cfg, counters, P, (cfg.tag_mask,))
 
 
 def argsort_keys(

@@ -13,9 +13,9 @@ never touches the host sign bit.
 """
 
 from dataclasses import dataclass
-from math import ceil, log2
 
 from .errors import WordRangeError
+from .kernels import pass_budget
 
 MIN_WIDTH = 4
 MAX_WIDTH = 63
@@ -54,8 +54,9 @@ class WordConfig:
         return self.value_mask
 
     def pos_bits(self, n: int) -> int:
-        """Bits needed to address a position in a segment of length ``n``."""
-        return ceil(log2(n)) if n > 1 else 1
+        """Bits needed to address a position in a segment of length ``n``:
+        ``ceil(log2(n))``, at least 1, computed exactly in integers."""
+        return max((int(n) - 1).bit_length(), 1)
 
     def pack_split(self, n: int) -> int:
         """Record bit-budget left for a count once a position is packed in.
@@ -82,14 +83,9 @@ def epsilon(n: int, cfg: WordConfig) -> int:
     at most ``n // (thr + 1)`` nodes can be overfull at once; ``eps``
     covers that exactly (``ceil((n/2)/thr)`` alone falls short of it for
     ``thr >= 2``, e.g. four keys of three occurrences each in a 12-word
-    segment at ``w = 6``).
+    segment at ``w = 6``).  :func:`assocsort.kernels.pass_budget` computes
+    it, in integers, for both this function and the pass loops.
     """
     if n < 1 or n > cfg.tag_mask:
         raise WordRangeError(f"segment length {n} not in [1, {cfg.tag_mask}]")
-    lg = cfg.pos_bits(n)
-    if 2 * lg < cfg.w:
-        return 0
-    thr = 1 << (cfg.w - 1 - lg)
-    eps = -(-(n // 2) // thr)  # ceil((n/2) / thr)
-    demand = n // (thr + 1)
-    return max(eps, demand)
+    return pass_budget(n, cfg.w)[0]

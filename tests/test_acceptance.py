@@ -26,14 +26,17 @@ from assocsort.adapter import ALGORITHMS
 from assocsort.backend import (
     BACKENDS,
     PLAIN,
+    _HELPER_NAMES,
     _KERNEL_NAMES,
+    _LOOP_NAMES,
     available,
     use_backend,
     warmup,
 )
 from assocsort.bench import GENERATORS, gen_distinct, gen_uniform
 from assocsort.cli import main as cli_main
-from assocsort.core import run_passes, sort_associative, sort_associative_recursive
+from assocsort import kernels
+from assocsort.core import run_loop, run_passes, sort_associative, sort_associative_recursive
 from assocsort.counters import OpCounters
 from assocsort.cycle_leader import sort_distinct_keys
 from assocsort.improved import sort_distinct_improved, sort_improved
@@ -246,6 +249,7 @@ def test_criterion_06_constant_auxiliary_space():
     """
     drivers = [
         run_passes,
+        run_loop,
         sort_associative,
         sort_associative_recursive,
         sort_improved,
@@ -253,10 +257,10 @@ def test_criterion_06_constant_auxiliary_space():
         sort_distinct_improved,
         sort_by_key,
     ]
-    for name in _KERNEL_NAMES:
+    for name in _KERNEL_NAMES + _LOOP_NAMES + _HELPER_NAMES:
         if name == "radix_pass":  # baseline only: owns a 256-word histogram
             continue
-        fn = getattr(PLAIN, name)
+        fn = getattr(kernels, name)
         assert fn.__code__.co_nlocals <= 64, name
     for fn in drivers:
         assert fn.__code__.co_nlocals <= 64, fn.__name__

@@ -5,11 +5,13 @@ The build and fallback tests each run fresh interpreters against an empty
 cache directory, so they pay for one compile each.
 """
 
+import marshal
 import os
 import re
 import shutil
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -43,9 +45,13 @@ def test_status_codes_match():
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
-def test_source_compiles_without_warnings():
+def test_source_compiles_without_warnings(tmp_path):
+    """A full build with the backend's flags: the optimizer's warnings
+    (``-Wmaybe-uninitialized``, ``-Warray-bounds``) run only when code is
+    generated, not under ``-fsyntax-only``."""
     proc = subprocess.run(
-        ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", ckernels.SOURCE],
+        ["cc", *ckernels.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernels.so"), ckernels.SOURCE],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -86,6 +92,14 @@ PAST_THE_END = [
     ("partition_msb", (0, 9, 4), (0, 8, 4)),
     ("add_const", (0, 9, 1), (0, 8, 1)),
     ("radix_pass", (9, 0), (8, 0)),
+    ("distinct_passes", (0, 9, 0), (0, 8, 0)),
+    ("sequential_passes", (0, 9, 0, 8), (0, 8, 0, 8)),
+    ("stacked_passes", (0, 9, 0, 0, 2, 8), (0, 8, 0, 0, 2, 8)),
+    # A level buffer of 8 words holds 2 levels, not 3.
+    ("stacked_passes", (0, 8, 0, 2, 3, 8), (0, 8, 0, 1, 2, 8)),
+    ("unwind_levels", (0, 9, 1, 8), (0, 8, 1, 8)),
+    ("unwind_levels", (0, 8, 3, 8), (0, 8, 2, 8)),
+    ("rank_passes", (0, 9, 0, T8), (0, 8, 0, T8)),
 ]
 
 
@@ -237,14 +251,25 @@ def _child(code, tmp_path, path=None, **env_vars):
     )
 
 
+# Prints the backend, whether ``subprocess`` was imported (a compile), and
+# whether the generated kernel wrappers were compiled from source.
 SORT_AND_REPORT = (
-    "import sys, numpy as np, assocsort\n"
+    "import builtins, sys\n"
+    "compiled = []\n"
+    "_compile = builtins.compile\n"
+    "def compile(source, filename, *args, **kwargs):\n"
+    "    compiled.append(filename)\n"
+    "    return _compile(source, filename, *args, **kwargs)\n"
+    "builtins.compile = compile\n"
+    "import numpy as np, assocsort\n"
     "from assocsort.backend import current_backend\n"
+    "from assocsort.ckernels import WRAPPERS\n"
     "S = np.arange(500, dtype=np.int64)[::-1] % 37\n"
     "assocsort.sort(S)\n"
     "assert (S[:-1] <= S[1:]).all()\n"
-    "print(current_backend(), 'subprocess' in sys.modules)\n"
+    "print(current_backend(), 'subprocess' in sys.modules, WRAPPERS in compiled)\n"
 )
+CACHED = [".py", ".so", ".wrappers"]
 
 
 @pytest.fixture
@@ -275,13 +300,38 @@ def test_no_compiler_refuses_forced_c(tmp_path, no_cc):
 def test_second_process_loads_from_cache_without_compiler(tmp_path, no_cc):
     first = _child(SORT_AND_REPORT, tmp_path)
     assert first.returncode == 0, first.stderr
-    assert first.stdout.split() == ["c", "True"]
+    assert first.stdout.split() == ["c", "True", "True"]
     built = sorted(p.suffix for p in (tmp_path / "cache" / "assocsort").iterdir())
-    assert built == [".py", ".so"]
+    assert built == CACHED
     second = _child(SORT_AND_REPORT, tmp_path, path=no_cc)
     assert second.returncode == 0, second.stderr
-    # A cache hit neither compiles nor imports subprocess.
-    assert second.stdout.split() == ["c", "False"]
+    # A cache hit neither compiles the kernels nor imports subprocess, and
+    # compiles no wrapper source.
+    assert second.stdout.split() == ["c", "False", "False"]
+
+
+@needs_c
+def test_damaged_wrapper_cache_is_rewritten(tmp_path):
+    """A truncated, empty, foreign or corrupted wrapper file is ignored:
+    the wrappers are compiled afresh and the file rewritten, so the next
+    process hits.  The corrupted one still unmarshals, into wrappers that
+    would ask cffi for a type that does not exist."""
+    assert _child(SORT_AND_REPORT, tmp_path).returncode == 0
+    [wrappers] = (tmp_path / "cache" / "assocsort").glob("*.wrappers")
+    good = wrappers.read_bytes()
+    payload = marshal.dumps(compile("x = 1", "other", "exec"))
+    foreign = (zlib.crc32(b"other").to_bytes(4, "little")
+               + zlib.crc32(payload).to_bytes(4, "little") + payload)
+    corrupted = good.replace(b"char[]", b"chaR[]", 1)
+    assert corrupted != good
+    for damaged in (good[: len(good) // 2], b"", foreign, corrupted):
+        wrappers.write_bytes(damaged)
+        proc = _child(SORT_AND_REPORT, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["c", "False", "True"], damaged[:16]
+        assert wrappers.read_bytes() != damaged
+        proc = _child(SORT_AND_REPORT, tmp_path)
+        assert proc.stdout.split() == ["c", "False", "False"], damaged[:16]
 
 
 @needs_c
@@ -295,4 +345,4 @@ def test_uncreatable_cache_falls_back_to_private_temp_dir(tmp_path):
     assert proc.stdout.split()[0] == "c"
     fallback = tmp / f"assocsort-{os.getuid()}"
     assert oct(fallback.stat().st_mode & 0o777) == oct(0o700)
-    assert sorted(p.suffix for p in fallback.iterdir()) == [".py", ".so"]
+    assert sorted(p.suffix for p in fallback.iterdir()) == CACHED

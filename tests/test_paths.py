@@ -1,14 +1,15 @@
 """The traced and untraced paths of every sorter agree.
 
-An untraced improved sort runs all its passes in one ``improved_passes``
-pass-loop call; a traced one calls a kernel per phase, so that the trace
-sees each phase.  Both must leave the same keys and payload, the same
-four ``OpCounters`` fields, and, when they fail, the same exception with
-the same message.  The other sorters take one path either way and are
-held to the same rule.
+An untraced sort runs all its passes in one pass-loop call
+(``improved_passes``, ``sequential_passes``, ``stacked_passes`` and
+``unwind_levels``, ``distinct_passes`` or ``rank_passes``); a traced one
+calls a kernel per phase, so that the trace sees each phase.  Both must
+leave the same keys and payload, the same four ``OpCounters`` fields,
+and, when they fail, the same exception with the same message.
 
-``improved_passes`` is also fed corrupted segments directly: every
-backend must stop at the same failed check with the same numbers.
+Every pass loop is also fed corrupted segments directly: every backend
+must stop at the same failed check with the same numbers and words, and
+each driver's ``_fail`` turns that check into the pinned message.
 """
 
 import re
@@ -16,7 +17,7 @@ import re
 import numpy as np
 import pytest
 
-from assocsort import kernels
+from assocsort import core, cycle_leader, improved, kernels, ranksort
 from assocsort.adapter import ALGORITHMS
 from assocsort.backend import BACKENDS, active_loops, available, use_backend
 from assocsort.core import run_passes
@@ -82,12 +83,16 @@ def _outcome(sorter, w, keys, trace):
 def test_traced_and_untraced_agree(backend, sorter):
     quiet = lambda phase, passes, snapshot: None
     errors = 0
+    deepest = 0
     for w, keys in _instances(sorter):
         untraced = _outcome(sorter, w, keys, None)
         assert _outcome(sorter, w, keys, quiet) == untraced, (w, len(keys))
         errors += untraced[3] is not None
+        deepest = max(deepest, untraced[2][3])
     # Each distinct-key sorter met repeated keys and refused them.
     assert (errors > 0) == (sorter in DISTINCT_ONLY)
+    # The recursive sort outgrew its first level buffer and resumed.
+    assert (deepest > core.LEVELS) == (sorter == "assoc_rec")
 
 
 # A corrupted segment for each failed check, as
@@ -107,15 +112,22 @@ CORRUPT = [
 RUNNABLE = [name for name in BACKENDS if available(name)]
 
 
-def _passes_everywhere(keys, wm1, tag, delta):
-    """``improved_passes`` on every backend: ``{backend: (result, words)}``."""
+def _everywhere(loop, arrays, args):
+    """Pass loop ``loop`` on every backend, over fresh copies of
+    ``arrays``: ``{backend: (result, words of each array)}``."""
     got = {}
     for name in RUNNABLE:
-        S = np.array(keys, dtype=np.int64)
+        words = [np.array(a, dtype=np.int64) for a in arrays]
         with use_backend(name):
-            result = active_loops().improved_passes(S, 0, len(S), delta, wm1, tag)
-        got[name] = (tuple(int(x) for x in result), tuple(S.tolist()))
+            result = getattr(active_loops(), loop)(*words, *args)
+        got[name] = (tuple(int(x) for x in result), tuple(tuple(w.tolist()) for w in words))
     return got
+
+
+def _passes_everywhere(keys, wm1, tag, delta):
+    """``improved_passes`` on every backend: ``{backend: (result, words)}``."""
+    got = _everywhere("improved_passes", [keys], (0, len(keys), delta, wm1, tag))
+    return {name: (result, words[0]) for name, (result, words) in got.items()}
 
 
 @pytest.mark.parametrize("keys, wm1, tag, delta, phase, status", CORRUPT)
@@ -185,3 +197,198 @@ def test_failed_check_messages(phase, status, a, b, error, message):
     """Both paths raise through this one mapping; its words are pinned."""
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         _fail(phase, status, a, b)
+
+
+# Where each loop's result holds ``(phase, status)``.
+PHASE_AT = {"stacked_passes": 6, "unwind_levels": 1}
+L8 = [0] * 8  # an empty buffer of two levels
+# A corrupted segment for each reachable failed check of the other loops,
+# as (loop, arrays, arguments after them, expected phase, expected status).
+# ``distinct_passes`` cannot fail ``PHASE_PARTITION``: a word at its own
+# slot moves only for a second copy of its key, which practice stops on.
+LOOP_CORRUPT = [
+    ("distinct_passes", [[2, 2]], (0, 2, 1), kernels.PHASE_DUPLICATE, kernels.STATUS_CURSOR),
+    ("distinct_passes", [[6]], (0, 1, 5), kernels.PHASE_PREFIX, 0),
+    # A tagged word that practice never made a node, and its count.
+    ("sequential_passes", [[22]], (0, 1, 5, 5), kernels.PHASE_STORE, 0),
+    ("sequential_passes", [[25]], (0, 1, 9, 5), kernels.PHASE_STORE, kernels.STATUS_OVERFULL),
+    ("sequential_passes", [[9, 6, 1, 20, 6]], (0, 5, 0, 5), kernels.PHASE_STORE,
+     kernels.STATUS_NO_IDLE),
+    # A word below the interval is idle but was never practiced.
+    ("sequential_passes", [[2]], (0, 1, 3, 8), kernels.PHASE_PARTITION, 0),
+    ("sequential_passes", [[1, -1]], (0, 2, 0, 4), kernels.PHASE_RETRIEVE, 0),
+    ("sequential_passes", [[6]], (0, 1, 5, 6), kernels.PHASE_PREFIX, 0),
+    ("stacked_passes", [[22], L8], (0, 1, 5, 0, 2, 5), kernels.PHASE_STORE, 0),
+    ("stacked_passes", [[25], L8], (0, 1, 9, 0, 2, 5), kernels.PHASE_STORE,
+     kernels.STATUS_OVERFULL),
+    ("stacked_passes", [[6], L8], (0, 1, 5, 0, 2, 6), kernels.PHASE_PREFIX, 0),
+    # Levels ``(n_distinct, eps_used, delta, head)``: a memory past the
+    # segment, a key past the word, a companion with no node, a count
+    # that overruns the memory, and a memory that writes no key.
+    ("unwind_levels", [[4], [2, 0, 6, 0]], (0, 1, 1, 5), kernels.PHASE_UNWIND,
+     kernels.STATUS_BAD_SLOT),
+    ("unwind_levels", [[5], [1, 0, 16, 0]], (0, 1, 1, 5), kernels.PHASE_UNWIND,
+     kernels.STATUS_BAD_SLOT),
+    ("unwind_levels", [[0], [0, 1, 5, 0]], (0, 1, 1, 5), kernels.PHASE_UNWIND,
+     kernels.STATUS_NO_IDLE),
+    ("unwind_levels", [[21], [1, 0, 1, 0]], (0, 1, 1, 5), kernels.PHASE_UNWIND,
+     kernels.STATUS_COLLISION),
+    ("unwind_levels", [[9], [0, 0, 8, 0]], (0, 1, 1, 5), kernels.PHASE_UNWIND, 0),
+    ("rank_passes", [[22], [0]], (0, 1, 5, 16), kernels.PHASE_ACCUMULATE, 0),
+    ("rank_passes", [[6, 7, 4, 5, 7, 1, 2, 7, 2], list(range(9))], (0, 9, 1, 8),
+     kernels.PHASE_TICKET, kernels.STATUS_BAD_HASH),
+    ("rank_passes", [[1, 0], [0, 1]], (0, 2, 1, 32), kernels.PHASE_REACTIVATE,
+     kernels.STATUS_BAD_SLOT),
+    ("rank_passes", [[0, 2, 4], [0, 1, 2]], (0, 3, 1, 32), kernels.PHASE_REACTIVATE,
+     kernels.STATUS_CURSOR),
+    ("rank_passes", [[2, 0], [0, 1]], (0, 2, 1, 16), kernels.PHASE_RESTORE,
+     kernels.STATUS_BAD_PREFIX),
+    ("rank_passes", [[6], [0]], (0, 1, 5, 32), kernels.PHASE_PREFIX, 0),
+]
+
+
+@pytest.mark.parametrize("loop, arrays, args, phase, status", LOOP_CORRUPT)
+def test_corrupt_segment_stops_every_loop_alike(loop, arrays, args, phase, status):
+    got = _everywhere(loop, arrays, args)
+    assert len(set(got.values())) == 1, got
+    at = PHASE_AT.get(loop, 4)
+    assert got["numpy"][0][at : at + 2] == (phase, status)
+
+
+def test_every_loop_failure_has_a_case():
+    reached = {(loop, phase) for loop, _, _, phase, _ in LOOP_CORRUPT}
+    assert reached == {
+        ("distinct_passes", kernels.PHASE_DUPLICATE),
+        ("distinct_passes", kernels.PHASE_PREFIX),
+        *((loop, phase) for loop in ("sequential_passes",) for phase in (
+            kernels.PHASE_STORE, kernels.PHASE_PARTITION, kernels.PHASE_RETRIEVE,
+            kernels.PHASE_PREFIX)),
+        ("stacked_passes", kernels.PHASE_STORE),
+        ("stacked_passes", kernels.PHASE_PREFIX),
+        ("unwind_levels", kernels.PHASE_UNWIND),
+        *(("rank_passes", phase) for phase in (
+            kernels.PHASE_ACCUMULATE, kernels.PHASE_TICKET, kernels.PHASE_REACTIVATE,
+            kernels.PHASE_RESTORE, kernels.PHASE_PREFIX)),
+    }
+
+
+def _random_case(rng, loop):
+    """A random small segment for ``loop``, some words tagged, and the
+    arguments after its arrays."""
+    w = int(rng.choice([5, 8]))
+    tag = 1 << (w - 1)
+    n = int(rng.integers(1, 9))
+    S = rng.integers(0, tag, size=n)
+    S[rng.random(n) < 0.3] |= tag
+    delta = int((S & (tag - 1)).min()) + int(rng.integers(-1, 2))
+    if loop == "distinct_passes":
+        return [S], (0, n, delta)
+    if loop == "sequential_passes":
+        return [S], (0, n, delta, w)
+    if loop == "stacked_passes":
+        return [S, [0] * 8], (0, n, delta, 0, 2, w)
+    if loop == "unwind_levels":
+        depth = int(rng.integers(1, 3))
+        levels = [[int(rng.integers(0, 3)), int(rng.integers(0, 2)),
+                   int(rng.integers(0, tag + 1)), int(rng.integers(0, n))]
+                  for _ in range(depth)]
+        return [S, sum(levels, [])], (0, n, depth, w)
+    return [S, np.arange(n)], (0, n, delta, tag)
+
+
+K = kernels
+
+
+@pytest.mark.parametrize("loop, reach", [
+    ("distinct_passes", {(K.PHASE_OK, 0), (K.PHASE_DUPLICATE, K.STATUS_CURSOR),
+                         (K.PHASE_PREFIX, 0)}),
+    ("sequential_passes", {(K.PHASE_OK, 0), (K.PHASE_STORE, 0),
+                           (K.PHASE_STORE, K.STATUS_OVERFULL),
+                           (K.PHASE_STORE, K.STATUS_NO_IDLE),
+                           (K.PHASE_PARTITION, 0), (K.PHASE_PREFIX, 0)}),
+    ("stacked_passes", {(K.PHASE_OK, 0), (K.PHASE_STORE, 0),
+                        (K.PHASE_STORE, K.STATUS_OVERFULL),
+                        (K.PHASE_STORE, K.STATUS_NO_IDLE), (K.PHASE_PREFIX, 0)}),
+    ("unwind_levels", {(K.PHASE_UNWIND, 0), (K.PHASE_UNWIND, K.STATUS_NO_IDLE),
+                       (K.PHASE_UNWIND, K.STATUS_COLLISION),
+                       (K.PHASE_UNWIND, K.STATUS_BAD_SLOT)}),
+    ("rank_passes", {(K.PHASE_OK, 0), (K.PHASE_ACCUMULATE, 0), (K.PHASE_PREFIX, 0)}),
+])
+def test_random_segments_agree_on_every_loop(rng, loop, reach):
+    """300 random small segments per loop, some words tagged: every
+    backend stops at the same check with the same numbers and words."""
+    at = PHASE_AT.get(loop, 4)
+    reached = set()
+    for _ in range(300):
+        arrays, args = _random_case(rng, loop)
+        got = _everywhere(loop, arrays, args)
+        assert len(set(got.values())) == 1, (arrays, args, got)
+        reached.add(got["numpy"][0][at : at + 2])
+    assert reached == reach
+
+
+def test_stacked_passes_resume_where_they_stopped():
+    """A level buffer grown one level at a time gives the same words,
+    levels and counters as one large enough from the start, on every
+    backend."""
+    keys = [8, 6, 2, 40, 33, 6, 17, 2, 25, 9, 51, 8]
+    whole = _everywhere("stacked_passes", [keys, [0] * 64], (0, 12, 2, 0, 16, 8))
+    assert len(set(whole.values())) == 1, whole
+    result, (words, levels) = whole["numpy"]
+    depth = result[5]
+    assert result[3] == 12 and result[6] == kernels.PHASE_OK and depth > 2
+    for name in RUNNABLE:
+        S = np.array(keys, dtype=np.int64)
+        L = np.zeros(4, dtype=np.int64)
+        head, delta, depth, totals = 0, 2, 0, [0, 0, 0]
+        with use_backend(name):
+            while head < 12:
+                if 4 * depth == len(L):
+                    L = np.concatenate([L, np.zeros(4, dtype=np.int64)])
+                r = active_loops().stacked_passes(S, L, head, 12, delta, depth, len(L) // 4, 8)
+                assert r[6] == kernels.PHASE_OK
+                totals = [t + int(x) for t, x in zip(totals, r[:3])]
+                head, delta, depth = int(r[3]), int(r[4]), int(r[5])
+        assert (tuple(totals), depth) == (result[:3], result[5])
+        assert tuple(S.tolist()) == words
+        assert tuple(L.tolist()) == levels[: len(L)]
+
+
+@pytest.mark.parametrize(
+    "fail, phase, status, numbers, error, message",
+    [
+        (core._fail, kernels.PHASE_STORE, -1, (3, 2, 1, 0), CorruptStateError,
+         "storage kept 3 memory words for 2 nodes and 1 companions of budget 0 (status -1)"),
+        (core._fail, kernels.PHASE_PARTITION, 0, (2, 1), CorruptStateError,
+         "2 idle words after storage, expected 1"),
+        (core._fail, kernels.PHASE_RETRIEVE, -3, (0, 4), CorruptStateError,
+         "retrieval wrote 0 of 4 keys (status -3)"),
+        (core._fail, kernels.PHASE_UNWIND, -8, (0,), CorruptStateError,
+         "unwind retrieval failed (status -8)"),
+        (core._fail, kernels.PHASE_UNWIND, 0, (2,), CorruptStateError,
+         "unwind left 2 words unwritten at the front"),
+        (core._fail, kernels.PHASE_PREFIX, 0, (3, 5), CorruptStateError,
+         "sorted prefix stopped at 3 of 5"),
+        (cycle_leader._fail, kernels.PHASE_DUPLICATE, -7, (0, 0), DuplicateKeyError,
+         "duplicate key detected while practicing"),
+        (cycle_leader._fail, kernels.PHASE_PARTITION, 0, (2, 3), CorruptStateError,
+         "settled 2 keys but practicing reported 3"),
+        (cycle_leader._fail, kernels.PHASE_PREFIX, 0, (0, 1), CorruptStateError,
+         "sorted prefix stopped at 0 of 1"),
+        (ranksort._fail, kernels.PHASE_ACCUMULATE, 0, (2, 5, 1, 4), CorruptStateError,
+         "accumulation saw 2 nodes/5 elements, practice reported 1/4"),
+        (ranksort._fail, kernels.PHASE_TICKET, -5, (1, 3), CorruptStateError,
+         "ticketing failed (status -5, 1 of 3)"),
+        (ranksort._fail, kernels.PHASE_REACTIVATE, -8, (), CorruptStateError,
+         "reactivation failed (status -8)"),
+        (ranksort._fail, kernels.PHASE_RESTORE, -6, (), CorruptStateError,
+         "key restoration failed (status -6)"),
+        (ranksort._fail, kernels.PHASE_PREFIX, 0, (4, 9), CorruptStateError,
+         "sorted prefix stopped at 4 of 9"),
+    ],
+)
+def test_driver_failure_messages(fail, phase, status, numbers, error, message):
+    """Each driver's two paths raise through its ``_fail``; its words are
+    pinned."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        fail(phase, status, *numbers)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from assocsort.backend import active
 from assocsort.errors import WordRangeError
+from assocsort.kernels import pass_budget
 from assocsort.words import WordConfig, epsilon
 
 from .conftest import arr
@@ -40,6 +43,30 @@ class TestWordConfig:
         cfg = WordConfig(16)
         # 15 record bits, 10 of them for a position in a 1024-segment
         assert cfg.pack_split(1024) == 5
+
+    def test_exact_at_every_power_of_two(self):
+        """``pos_bits``, ``pack_split``, ``epsilon`` and the loops'
+        ``pass_budget`` at n = 2**k and 2**k +- 1 for every k up to 61 that
+        the width allows, against an integer oracle; ``ceil(log2(n))`` in
+        floating point gives 49 for 2**49 + 1."""
+        assert WordConfig().pos_bits(2**49 + 1) == 50
+        for w in range(4, 64):
+            cfg = WordConfig(w)
+            for k in range(62):
+                for n in (2**k - 1, 2**k, 2**k + 1):
+                    if not 1 <= n <= cfg.tag_mask:
+                        continue
+                    lg = 1
+                    while 2**lg < n:
+                        lg += 1
+                    split = w - 1 - lg
+                    eps = 0
+                    if 2 * lg >= w:
+                        eps = max(Fraction(n // 2, 2**split).__ceil__(), n // (2**split + 1))
+                    assert cfg.pos_bits(n) == lg, (w, n)
+                    assert cfg.pack_split(n) == split, (w, n)
+                    assert epsilon(n, cfg) == eps, (w, n)
+                    assert pass_budget(n, w) == (eps, split), (w, n)
 
 
 class TestLinearHash:
