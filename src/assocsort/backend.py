@@ -2,9 +2,9 @@
 
 Every hot loop lives in :mod:`assocsort.kernels` as an ordinary Python
 function over numpy arrays.  The ``numba`` backend compiles those
-functions with ``@njit``; the ``c`` backend calls their line-for-line C
-port in ``kernels.c``, built by the system compiler and loaded through
-cffi (see :mod:`assocsort.ckernels`); the ``numpy`` backend runs them
+functions with ``@njit``; the ``c`` backend calls their C twins in
+``kernels.c``, built by the system compiler and loaded through cffi (see
+:mod:`assocsort.ckernels`); the ``numpy`` backend runs them
 as-is (scalar loops over ``int64`` arrays), which is slow but needs
 nothing else.  All three write the same words and return the same values.
 

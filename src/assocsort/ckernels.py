@@ -8,9 +8,11 @@ that small module and ``dlopen``\\ s the library.  Both files are named by a
 CRC-32 of the source, the declarations, the flags, the machine and the
 cffi version, and are written atomically (a temporary file, then
 ``os.replace``), so concurrent first uses do not collide and an edited
-source is rebuilt.  The Python wrappers that call the kernels are generated
-source; their compiled code is cached beside the library in the same way
-(see :func:`_wrapper_code`), so a cache hit compiles nothing.
+source is rebuilt.  The compiled code of that module and of the generated
+Python wrappers that call the kernels is cached beside the library (see
+:func:`_cached_code`), so a cache hit compiles nothing.  A new build
+deletes all but the newest few builds in its directory (see
+:func:`_prune`); a process that finds its build gone builds it again.
 
 The cache is ``$XDG_CACHE_HOME/assocsort`` (default ``~/.cache/assocsort``);
 when that cannot be created, ``assocsort-<uid>`` under the system's
@@ -43,6 +45,11 @@ from . import kernels as _kernels
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
 FLAGS = ("-O2", "-shared", "-fPIC")
+# Every file of a build is named ``PREFIX`` + 8 hex digits + a suffix.
+PREFIX = "_kernels_"
+# Builds a new build leaves in its directory, itself included: enough that
+# checkouts of a few versions used side by side do not evict each other.
+KEEP_BUILDS = 4
 
 # Every kernel, by name: (leading array arguments, results, bounds).  This
 # is the list of kernels every backend provides.  The other arguments are
@@ -126,7 +133,7 @@ def _cache_dir() -> str:
 def _module_name(source: bytes, cffi_version: str) -> str:
     machine = os.uname().machine if hasattr(os, "uname") else ""
     salt = "\0".join((CDEF, " ".join(FLAGS), sys.platform, machine, cffi_version))
-    return f"_kernels_{zlib.crc32(source + salt.encode()):08x}"
+    return f"{PREFIX}{zlib.crc32(source + salt.encode()):08x}"
 
 
 def _writable_dir(primary: str) -> str:
@@ -153,9 +160,9 @@ def _open(directory: str, name: str):
     """``(ffi, lib)`` from a cached build; ``OSError`` when there is none."""
     path = os.path.join(directory, name)
     with open(path + ".py", encoding="utf-8") as fh:
-        code = compile(fh.read(), path + ".py", "exec")
+        source = fh.read()
     scope = {}
-    exec(code, scope)
+    exec(_cached_code(path, "module", source, path + ".py"), scope)
     ffi = scope["ffi"]
     return ffi, ffi.dlopen(path + ".so")
 
@@ -192,6 +199,39 @@ def _build(directory: str, name: str, source: bytes) -> None:
         os.replace(py, os.path.join(directory, name + ".py"))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    _prune(directory, name)
+
+
+def _prune(directory: str, name: str) -> None:
+    """Delete the files of every build in ``directory`` but build ``name``
+    and the newest others, ``KEEP_BUILDS`` in all, by the newest
+    modification time of each build's files.  Files that vanish or cannot
+    be deleted meanwhile are left to the next build."""
+    try:
+        files = os.listdir(directory)
+    except OSError:
+        return
+    builds = {}
+    for file in files:
+        build, dot, _ = file.partition(".")
+        if dot and build != name and build.startswith(PREFIX) and len(build) == len(name):
+            builds.setdefault(build, []).append(os.path.join(directory, file))
+
+    def mtime(build):
+        times = []
+        for path in builds[build]:
+            try:
+                times.append(os.path.getmtime(path))
+            except OSError:
+                pass
+        return max(times, default=0.0)
+
+    for build in sorted(builds, key=mtime, reverse=True)[KEEP_BUILDS - 1:]:
+        for path in builds[build]:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
 
 def load() -> SimpleNamespace:
@@ -273,16 +313,17 @@ def _wrapper(name, arrays, results, bounds):
     return "\n".join(lines)
 
 
-def _wrapper_code(path: str, source: str):
-    """``source`` compiled, from the cache file ``path`` when that holds it.
+def _cached_code(path: str, kind: str, source: str, filename: str):
+    """``source`` compiled as ``filename``, from the cache file of ``kind``
+    beside build ``path`` when that holds it.
 
-    The file is the CRC-32s of ``source`` and of the marshalled code, then
-    the code; its name carries the interpreter's bytecode magic number.  A
-    file that is missing, truncated or holds other code is replaced,
-    atomically, by a fresh compile (left as it is where the directory
-    cannot be written).
+    The file, ``<path>.<bytecode magic number>.<kind>``, is the CRC-32s
+    of ``source`` and of the marshalled code, then the code.  A file that
+    is missing, truncated or holds other code is replaced, atomically, by
+    a fresh compile (left as it is where the directory cannot be
+    written).
     """
-    path = f"{path}.{MAGIC_NUMBER.hex()}.wrappers"
+    path = f"{path}.{MAGIC_NUMBER.hex()}.{kind}"
     key = zlib.crc32(source.encode()).to_bytes(4, "little")
     try:
         with open(path, "rb") as fh:
@@ -292,7 +333,7 @@ def _wrapper_code(path: str, source: str):
             return marshal.loads(payload)
     except (OSError, EOFError, ValueError, TypeError):
         pass
-    code = compile(source, WRAPPERS, "exec")
+    code = compile(source, filename, "exec")
     payload = marshal.dumps(code)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -314,7 +355,7 @@ def _bind(ffi, lib, path: str) -> SimpleNamespace:
     twin spelled out: with a generic ``*args`` wrapper instead, a sort of
     5000 keys over 100n (~1,570 kernel calls) took about 7% longer.  The
     generated source is compiled once and cached beside the library at
-    ``path`` (see :func:`_wrapper_code`).
+    ``path`` (see :func:`_cached_code`).
     """
 
     def strided(A):
@@ -327,7 +368,7 @@ def _bind(ffi, lib, path: str) -> SimpleNamespace:
         scope["c_" + name] = getattr(lib, name)
         scope["py_" + name] = getattr(_kernels, name)
     source = "\n\n".join(_wrapper(name, *sig) for name, sig in SIGNATURES.items())
-    exec(_wrapper_code(path, source), scope)
+    exec(_cached_code(path, "wrappers", source, WRAPPERS), scope)
     for name in SIGNATURES:
         scope[name].__doc__ = getattr(_kernels, name).__doc__
     return SimpleNamespace(**{name: scope[name] for name in SIGNATURES})

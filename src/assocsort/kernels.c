@@ -1,8 +1,18 @@
 /* The hot loops of assocsort.kernels, in C.
  *
- * Each function mirrors the Python kernel of the same name line for line:
- * the same arguments, the same results and the same STATUS_* codes, so
- * both backends write the same words and report the same counters.
+ * kernels.py is the specification.  Each function here takes the
+ * arguments of the Python kernel of the same name and gives the same
+ * results, the same words and the same STATUS_* and PHASE_* codes, so
+ * both backends write the same words and report the same counters.  Two
+ * things exist only here, and change no result:
+ * * Skip paths.  Where a scan of improved_passes would only step past word
+ *   after word (keys practice defers, untagged words, value planes above
+ *   the pivot), it steps over blocks of 4 such words at a time.  The
+ *   standalone kernels always take them; the pass loop turns them on per
+ *   pass (see SKIP_SHARE), so dense segments keep the plain loop.
+ * * improved_passes is compiled twice from one body: once with the byte
+ *   stride fixed at 8, which every contiguous array has, and once for any
+ *   stride.
  * Kernels never fail loudly; a broken invariant comes back as a negative
  * status for the driver to raise on.
  *
@@ -46,6 +56,18 @@ typedef int64_t i64;
 typedef int64_t word __attribute__((aligned(1)));
 
 #define AT(A, i) (*(word *)((A) + (i) * A##_s))
+
+/* Inlined into every caller, so that the stride-8 instance of a pass loop
+ * sees its constant stride in every access. */
+#define INLINE static inline __attribute__((always_inline))
+
+/* A pass of improved_passes takes the skip paths when its practice
+ * deferred all but at most 1/SKIP_SHARE of the segment's words; the next
+ * pass's practice takes them when this one did.  Below that share runs
+ * are short and a failed block costs more than the blocks save: with the
+ * skip paths in every pass, sorts of keys over 3n-10n took 8-13% longer,
+ * and with this gate as long as without them. */
+#define SKIP_SHARE 16
 
 /* The ten results of a pass loop: the counters, where the sorted prefix
  * ends, and the failed check with its status and numbers. */
@@ -160,10 +182,77 @@ void distinct_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 *out)
     loop_result(out, passes, moves, 0, head, phase, status, a, b, 0, 0);
 }
 
-void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
-              i64 tag, i64 *out)
+/* The skip paths.  Each steps over whole blocks of 4 words that its scan
+ * would only step past, one word at a time, and returns the first word
+ * of the first block that holds any other word (or does not fit between
+ * the bounds); the scalar loop goes on from there. */
+
+/* Up from i: untagged keys at or past far = delta + max(span, 0), which
+ * practice defers, counted into *n_def and folded into *dnext.  The
+ * caller passes far < 0 where delta < 0 or far overflows, and then no
+ * block is skipped; otherwise a skipped key is at least far >= 0, so the
+ * scalar fold over a block is its minimum. */
+INLINE i64 skip_deferred(char *S, i64 S_s, i64 i, i64 hi, i64 far, i64 tag,
+                         i64 *n_def, i64 *dnext)
+{
+    while (far >= 0 && i + 4 <= hi) {
+        i64 v0 = AT(S, i), v1 = AT(S, i + 1), v2 = AT(S, i + 2);
+        i64 v3 = AT(S, i + 3);
+        i64 m01 = v0 < v1 ? v0 : v1, m23 = v2 < v3 ? v2 : v3;
+        i64 m = m01 < m23 ? m01 : m23;
+        if (m < far || ((v0 | v1 | v2 | v3) & tag))
+            break;
+        if (*dnext < 0 || m < *dnext)
+            *dnext = m;
+        *n_def += 4;
+        i += 4;
+    }
+    return i;
+}
+
+/* The far of skip_deferred for an interval of span keys from delta. */
+INLINE i64 deferred_from(i64 delta, i64 span)
+{
+    i64 far;
+    if (delta < 0 || __builtin_add_overflow(delta, span > 0 ? span : 0, &far))
+        return -1;
+    return far;
+}
+
+/* Up from p, below hi: untagged words. */
+INLINE i64 skip_untagged_up(char *S, i64 S_s, i64 p, i64 hi, i64 tag)
+{
+    while (p + 4 <= hi &&
+           !((AT(S, p) | AT(S, p + 1) | AT(S, p + 2) | AT(S, p + 3)) & tag))
+        p += 4;
+    return p;
+}
+
+/* Down from p, not below lo: untagged words. */
+INLINE i64 skip_untagged_down(char *S, i64 S_s, i64 p, i64 lo, i64 tag)
+{
+    while (p - 3 >= lo &&
+           !((AT(S, p) | AT(S, p - 1) | AT(S, p - 2) | AT(S, p - 3)) & tag))
+        p -= 4;
+    return p;
+}
+
+/* Down from r, not below l: value planes above pivot. */
+INLINE i64 skip_above(char *S, i64 S_s, i64 r, i64 l, i64 pivot, i64 vmask)
+{
+    while (r - 3 >= l &&
+           (((AT(S, r) & vmask) > pivot) & ((AT(S, r - 1) & vmask) > pivot) &
+            ((AT(S, r - 2) & vmask) > pivot) & ((AT(S, r - 3) & vmask) > pivot)))
+        r -= 4;
+    return r;
+}
+
+/* practice, taking the deferred-key skip path when skip is set. */
+INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
+                       i64 span, i64 tag, int skip, i64 *out)
 {
     i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
+    i64 far = deferred_from(delta, span);
     i64 i = lo;
     while (i < hi) {
         i64 v = AT(S, i);
@@ -181,6 +270,8 @@ void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
             if (dnext < 0 || v < dnext)
                 dnext = v;
             i++;
+            if (skip)
+                i = skip_deferred(S, S_s, i, hi, far, tag, &n_def, &dnext);
             continue;
         }
         i64 j = lo + base + d;
@@ -205,6 +296,12 @@ void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
     out[3] = dnext;
     out[4] = moves;
     out[5] = created;
+}
+
+void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
+              i64 tag, i64 *out)
+{
+    practice_k(S, S_s, lo, hi, delta, base, span, tag, 1, out);
 }
 
 void store_nodes(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 span,
@@ -287,8 +384,10 @@ void store_nodes(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 span,
     out[3] = status;
 }
 
-void partition_values(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot, i64 tag,
-                      i64 *out)
+/* partition_values, taking the skip path of its right-hand scan when
+ * skip is set. */
+INLINE void partition_values_k(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot,
+                               i64 tag, int skip, i64 *out)
 {
     i64 vmask = tag - 1;
     i64 l = lo, r = hi - 1, moves = 0;
@@ -301,6 +400,8 @@ void partition_values(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot, i64 tag,
         i64 b = AT(S, r) & vmask;
         if (b > pivot) {
             r--;
+            if (skip)
+                r = skip_above(S, S_s, r, l, pivot, vmask);
             continue;
         }
         AT(S, l) = (AT(S, l) & tag) | b;
@@ -311,6 +412,12 @@ void partition_values(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot, i64 tag,
     }
     out[0] = l - lo;
     out[1] = moves;
+}
+
+void partition_values(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot, i64 tag,
+                      i64 *out)
+{
+    partition_values_k(S, S_s, lo, hi, pivot, tag, 1, out);
 }
 
 void retrieve_packed(char *S, i64 S_s, i64 lo, i64 mem_hi, i64 write_end,
@@ -377,7 +484,7 @@ static void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
 {
     i64 tag = (i64)1 << (w - 1), seg = hi - head, eps, split, p[6], st[4];
     pass_budget(seg, w, &eps, &split);
-    practice(S, S_s, head, hi, delta, eps, seg - eps, tag, p);
+    practice_k(S, S_s, head, hi, delta, eps, seg - eps, tag, 0, p);
     store_nodes(S, S_s, head, hi, delta, seg - eps, split, tag, eps, st);
     i64 v[10] = {p[0], p[1], p[3], eps, st[0], split, st[1], st[3],
                  p[4] + st[2], p[5]};
@@ -412,7 +519,7 @@ void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 w,
         }
         i64 mem = head + n_d + eps_used;
         i64 pivot = delta + (hi - head - eps) - 1;
-        partition_values(S, S_s, mem, hi, pivot, tag, r);
+        partition_values_k(S, S_s, mem, hi, pivot, tag, 0, r);
         moves += r[1];
         if (r[0] != n_c - eps_used) {
             phase = PHASE_PARTITION;
@@ -527,13 +634,18 @@ void unwind_levels(char *S, i64 S_s, char *L, i64 L_s, i64 lo, i64 hi,
     out[3] = a;
 }
 
-void store_records(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 tag, i64 *out)
+/* store_records, taking the untagged-word skip path when skip is set. */
+INLINE void store_records_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 tag,
+                            int skip, i64 *out)
 {
     i64 vmask = tag - 1;
     i64 k = lo, moves = 0;
     for (i64 p = lo; p < hi; p++) {
-        if (!(AT(S, p) & tag))
+        if (!(AT(S, p) & tag)) {
+            if (skip)
+                p = skip_untagged_up(S, S_s, p + 1, hi, tag) - 1;
             continue;
+        }
         if (p != k) {
             i64 a = AT(S, k), b = AT(S, p);
             AT(S, k) = (a & tag) | (b & vmask);
@@ -549,14 +661,22 @@ void store_records(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 tag, i64 *out)
     out[2] = k - lo != n_d ? STATUS_TAG_SCAN : STATUS_OK;
 }
 
+void store_records(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 tag, i64 *out)
+{
+    store_records_k(S, S_s, lo, hi, n_d, tag, 1, out);
+}
+
 /* Shared by retrieve_node_scan (wm1 == 0: a record is a count) and
- * retrieve_super (a record is a bitmap of wm1 keys). */
-static void retrieve_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
-                          i64 delta, i64 wm1, i64 tag, i64 *out)
+ * retrieve_super (a record is a bitmap of wm1 keys); the tag scan takes
+ * the untagged-word skip path when skip is set. */
+INLINE void retrieve_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
+                          i64 delta, i64 wm1, i64 tag, int skip, i64 *out)
 {
     i64 vmask = tag - 1;
     i64 o = lo + n_d + n_c - 1, p = hi - 1, moves = 0;
     for (i64 k = n_d - 1; k >= 0; k--) {
+        if (skip)
+            p = skip_untagged_down(S, S_s, p, lo, tag);
         while (p >= lo && !(AT(S, p) & tag))
             p--;
         if (p < lo) {
@@ -602,20 +722,22 @@ static void retrieve_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
 void retrieve_node_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
                         i64 delta, i64 tag, i64 *out)
 {
-    retrieve_scan(S, S_s, lo, hi, n_d, n_c, delta, 0, tag, out);
+    retrieve_scan(S, S_s, lo, hi, n_d, n_c, delta, 0, tag, 1, out);
 }
 
 void retrieve_super(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
                     i64 delta, i64 wm1, i64 tag, i64 *out)
 {
-    retrieve_scan(S, S_s, lo, hi, n_d, n_c, delta, wm1, tag, out);
+    retrieve_scan(S, S_s, lo, hi, n_d, n_c, delta, wm1, tag, 1, out);
 }
 
-void practice_super(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
-                    i64 span_keys, i64 wm1, i64 tag, i64 *out)
+/* practice_super, taking the deferred-key skip path when skip is set. */
+INLINE void practice_super_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
+                             i64 span_keys, i64 wm1, i64 tag, int skip,
+                             i64 *out)
 {
     i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
-    i64 dup = -1;
+    i64 dup = -1, far = deferred_from(delta, span_keys);
     i64 i = lo;
     while (i < hi) {
         i64 v = AT(S, i);
@@ -633,6 +755,8 @@ void practice_super(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
             if (dnext < 0 || v < dnext)
                 dnext = v;
             i++;
+            if (skip)
+                i = skip_deferred(S, S_s, i, hi, far, tag, &n_def, &dnext);
             continue;
         }
         i64 j = lo + d / wm1;
@@ -665,28 +789,43 @@ void practice_super(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
     out[6] = dup;
 }
 
+void practice_super(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
+                    i64 span_keys, i64 wm1, i64 tag, i64 *out)
+{
+    practice_super_k(S, S_s, lo, hi, delta, span_keys, wm1, tag, 1, out);
+}
+
+/* Scan f(..., skip, out) with skip a constant in each branch, so that a
+ * pass without the skip paths runs a copy of the scan that has none. */
+#define SCAN(f, skip, out, ...) \
+    ((skip) ? f(__VA_ARGS__, 1, out) : f(__VA_ARGS__, 0, out))
+
 /* Every pass of both improved sorters in one call: the steps above, in a
- * loop, with the checks of the per-phase steps in improved.py between them. */
-void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 wm1,
-                     i64 tag, i64 *out)
+ * loop, with the checks of the per-phase steps in improved.py between them.
+ * Inlined into improved_passes twice, once with S_s fixed at 8. */
+INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
+                          i64 wm1, i64 tag, i64 *out)
 {
     i64 passes = 0, moves = 0, created = 0;
     i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0;
     i64 r[7];
+    int skip = 0;
     while (head < hi) {
         passes++;
         /* The interval and pivot of kernels.pass_interval. */
         i64 seg = hi - head, span = seg, pivot = delta + seg - 1;
         r[6] = -1;
         if (wm1 == 0) {
-            practice(S, S_s, head, hi, delta, 0, span, tag, r);
+            SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, tag);
         } else {
             if (__builtin_mul_overflow(wm1, seg, &span) || span > tag)
                 span = tag;
             pivot = delta + span - 1 < tag - 1 ? delta + span - 1 : tag - 1;
-            practice_super(S, S_s, head, hi, delta, span, wm1, tag, r);
+            SCAN(practice_super_k, skip, r, S, S_s, head, hi, delta, span, wm1,
+                 tag);
         }
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
+        skip = r[2] >= seg - seg / SKIP_SHARE;
         moves += r[4];
         created += r[5];
         if (r[6] >= 0) {
@@ -694,7 +833,7 @@ void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 wm1,
             a = r[6];
             break;
         }
-        store_records(S, S_s, head, hi, n_d, tag, r);
+        SCAN(store_records_k, skip, r, S, S_s, head, hi, n_d, tag);
         moves += r[1];
         if (r[2] != STATUS_OK) {
             phase = PHASE_STORE;
@@ -703,7 +842,7 @@ void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 wm1,
             b = n_d;
             break;
         }
-        partition_values(S, S_s, head + n_d, hi, pivot, tag, r);
+        SCAN(partition_values_k, skip, r, S, S_s, head + n_d, hi, pivot, tag);
         moves += r[1];
         if (r[0] != n_c) {
             phase = PHASE_PARTITION;
@@ -711,7 +850,7 @@ void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 wm1,
             b = n_c;
             break;
         }
-        retrieve_scan(S, S_s, head, hi, n_d, n_c, delta, wm1, tag, r);
+        SCAN(retrieve_scan, skip, r, S, S_s, head, hi, n_d, n_c, delta, wm1, tag);
         moves += r[0];
         if (r[1] != STATUS_OK) {
             phase = PHASE_RETRIEVE;
@@ -736,6 +875,15 @@ void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 wm1,
     out[5] = status;
     out[6] = a;
     out[7] = b;
+}
+
+void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 wm1,
+                     i64 tag, i64 *out)
+{
+    if (S_s == 8)
+        improved_loop(S, 8, head, hi, delta, wm1, tag, out);
+    else
+        improved_loop(S, S_s, head, hi, delta, wm1, tag, out);
 }
 
 void practice_rank(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,

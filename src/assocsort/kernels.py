@@ -3,7 +3,7 @@
 Each function is a straight-line scalar loop over an ``int64`` array with
 explicit ``lo``/``hi`` bounds, so callers never materialise views.  The
 :mod:`assocsort.backend` module compiles these with numba when that
-backend is active; ``kernels.c`` ports them line for line for the ``c``
+backend is active; ``kernels.c`` has their C twins for the ``c``
 backend; the same functions run unmodified under plain CPython as the
 numpy fallback path.  All paths produce identical arrays and counter
 values.

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import zlib
+from importlib.util import MAGIC_NUMBER
 
 import numpy as np
 import pytest
@@ -251,10 +252,11 @@ def _child(code, tmp_path, path=None, **env_vars):
     )
 
 
-# Prints the backend, whether ``subprocess`` was imported (a compile), and
-# whether the generated kernel wrappers were compiled from source.
+# Prints the backend, whether ``subprocess`` was imported (a compile),
+# whether the generated kernel wrappers were compiled from source, and
+# whether the cffi module of the build was.
 SORT_AND_REPORT = (
-    "import builtins, sys\n"
+    "import builtins, os, sys\n"
     "compiled = []\n"
     "_compile = builtins.compile\n"
     "def compile(source, filename, *args, **kwargs):\n"
@@ -263,13 +265,14 @@ SORT_AND_REPORT = (
     "builtins.compile = compile\n"
     "import numpy as np, assocsort\n"
     "from assocsort.backend import current_backend\n"
-    "from assocsort.ckernels import WRAPPERS\n"
+    "from assocsort.ckernels import PREFIX, WRAPPERS\n"
     "S = np.arange(500, dtype=np.int64)[::-1] % 37\n"
     "assocsort.sort(S)\n"
     "assert (S[:-1] <= S[1:]).all()\n"
-    "print(current_backend(), 'subprocess' in sys.modules, WRAPPERS in compiled)\n"
+    "module = any(os.path.basename(f).startswith(PREFIX) for f in compiled)\n"
+    "print(current_backend(), 'subprocess' in sys.modules, WRAPPERS in compiled, module)\n"
 )
-CACHED = [".py", ".so", ".wrappers"]
+CACHED = [".module", ".py", ".so", ".wrappers"]
 
 
 @pytest.fixture
@@ -300,14 +303,14 @@ def test_no_compiler_refuses_forced_c(tmp_path, no_cc):
 def test_second_process_loads_from_cache_without_compiler(tmp_path, no_cc):
     first = _child(SORT_AND_REPORT, tmp_path)
     assert first.returncode == 0, first.stderr
-    assert first.stdout.split() == ["c", "True", "True"]
+    assert first.stdout.split() == ["c", "True", "True", "True"]
     built = sorted(p.suffix for p in (tmp_path / "cache" / "assocsort").iterdir())
     assert built == CACHED
     second = _child(SORT_AND_REPORT, tmp_path, path=no_cc)
     assert second.returncode == 0, second.stderr
     # A cache hit neither compiles the kernels nor imports subprocess, and
-    # compiles no wrapper source.
-    assert second.stdout.split() == ["c", "False", "False"]
+    # compiles neither the wrappers' source nor the cffi module's.
+    assert second.stdout.split() == ["c", "False", "False", "False"]
 
 
 @needs_c
@@ -324,14 +327,19 @@ def test_damaged_wrapper_cache_is_rewritten(tmp_path):
                + zlib.crc32(payload).to_bytes(4, "little") + payload)
     corrupted = good.replace(b"char[]", b"chaR[]", 1)
     assert corrupted != good
+    # The cffi module's code goes through the same cache.
+    [module] = (tmp_path / "cache" / "assocsort").glob("*.module")
+    module.write_bytes(module.read_bytes()[:-1])
+    proc = _child(SORT_AND_REPORT, tmp_path)
+    assert proc.stdout.split() == ["c", "False", "False", "True"], proc.stderr
     for damaged in (good[: len(good) // 2], b"", foreign, corrupted):
         wrappers.write_bytes(damaged)
         proc = _child(SORT_AND_REPORT, tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["c", "False", "True"], damaged[:16]
+        assert proc.stdout.split() == ["c", "False", "True", "False"], damaged[:16]
         assert wrappers.read_bytes() != damaged
         proc = _child(SORT_AND_REPORT, tmp_path)
-        assert proc.stdout.split() == ["c", "False", "False"], damaged[:16]
+        assert proc.stdout.split() == ["c", "False", "False", "False"], damaged[:16]
 
 
 @needs_c
@@ -346,3 +354,52 @@ def test_uncreatable_cache_falls_back_to_private_temp_dir(tmp_path):
     fallback = tmp / f"assocsort-{os.getuid()}"
     assert oct(fallback.stat().st_mode & 0o777) == oct(0o700)
     assert sorted(p.suffix for p in fallback.iterdir()) == CACHED
+
+
+def _fake_build(directory, number, mtime):
+    """The files of a build named by ``number``, last modified at ``mtime``."""
+    name = f"{ckernels.PREFIX}{number:08x}"
+    for suffix in (".py", ".so", f".{MAGIC_NUMBER.hex()}.module",
+                   f".{MAGIC_NUMBER.hex()}.wrappers"):
+        path = directory / (name + suffix)
+        path.write_text("x")
+        os.utime(path, (mtime, mtime))
+    return name
+
+
+def _build_of(path):
+    return path.name[: len(ckernels.PREFIX) + 8]
+
+
+def test_prune_keeps_the_newest_builds(tmp_path):
+    """``_prune`` deletes the files of all but the newest ``KEEP_BUILDS``
+    builds, never those of the build it is given, and nothing else."""
+    names = [_fake_build(tmp_path, k, 1_000_000 + 10 * k) for k in range(8)]
+    # The build just made may be older on disk than others (a slow build).
+    current = names[1]
+    others = [tmp_path / "notes.txt", tmp_path / f"{ckernels.PREFIX}x", tmp_path / ".build-1"]
+    for path in others:
+        path.write_text("y")
+    ckernels._prune(str(tmp_path), current)
+    left = {_build_of(p) for p in tmp_path.iterdir()} - {_build_of(p) for p in others}
+    assert left == {current, *names[-(ckernels.KEEP_BUILDS - 1):]}
+    assert all(path.exists() for path in others)
+    # Each build that stays keeps every file.
+    assert len([p for p in tmp_path.iterdir() if _build_of(p) == current]) == len(CACHED)
+    ckernels._prune(str(tmp_path / "missing"), current)
+
+
+@needs_c
+def test_a_build_prunes_older_builds_and_a_pruned_build_is_rebuilt(tmp_path):
+    """A process whose build is gone builds it again, and that build
+    deletes the builds past ``KEEP_BUILDS``."""
+    assert _child(SORT_AND_REPORT, tmp_path).returncode == 0
+    cache = tmp_path / "cache" / "assocsort"
+    [so] = cache.glob("*.so")
+    old = [_fake_build(cache, k, 1_000_000 + k) for k in range(ckernels.KEEP_BUILDS + 2)]
+    so.unlink()
+    proc = _child(SORT_AND_REPORT, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[:2] == ["c", "True"]
+    builds = {_build_of(p) for p in cache.iterdir()}
+    assert builds == {_build_of(so), *old[-(ckernels.KEEP_BUILDS - 1):]}
