@@ -11,7 +11,7 @@ cffi version, and are written atomically (a temporary file, then
 source is rebuilt.  The compiled code of that module and of the generated
 Python wrappers that call the kernels is cached beside the library (see
 :func:`_cached_code`), so a cache hit compiles nothing.  A new build
-deletes all but the newest few builds in its directory (see
+deletes all but the most recently used few builds in its directory (see
 :func:`_prune`); a process that finds its build gone builds it again.
 
 The cache is ``$XDG_CACHE_HOME/assocsort`` (default ``~/.cache/assocsort``);
@@ -47,8 +47,9 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
 FLAGS = ("-O2", "-shared", "-fPIC")
 # Every file of a build is named ``PREFIX`` + 8 hex digits + a suffix.
 PREFIX = "_kernels_"
-# Builds a new build leaves in its directory, itself included: enough that
-# checkouts of a few versions used side by side do not evict each other.
+# Builds a new build leaves in its directory, itself included, the most
+# recently used first: enough that checkouts of a few versions used side
+# by side do not evict each other.
 KEEP_BUILDS = 4
 
 # Every kernel, by name: (leading array arguments, results, bounds).  This
@@ -157,14 +158,27 @@ def _writable_dir(primary: str) -> str:
 
 
 def _open(directory: str, name: str):
-    """``(ffi, lib)`` from a cached build; ``OSError`` when there is none."""
+    """``(ffi, lib)`` from a cached build; ``OSError`` when there is none.
+
+    A build that opens is marked as used (its library's modification time
+    is set to now), so that :func:`_prune` keeps the builds in use.
+    """
     path = os.path.join(directory, name)
+    # Checked first, so that a build whose library is gone (pruned by
+    # another process) goes to the rebuild without running its module.
+    if not os.path.exists(path + ".so"):
+        raise FileNotFoundError(path + ".so")
     with open(path + ".py", encoding="utf-8") as fh:
         source = fh.read()
     scope = {}
     exec(_cached_code(path, "module", source, path + ".py"), scope)
     ffi = scope["ffi"]
-    return ffi, ffi.dlopen(path + ".so")
+    lib = ffi.dlopen(path + ".so")
+    try:
+        os.utime(path + ".so")
+    except OSError:
+        pass
+    return ffi, lib
 
 
 def _build(directory: str, name: str, source: bytes) -> None:
@@ -204,9 +218,10 @@ def _build(directory: str, name: str, source: bytes) -> None:
 
 def _prune(directory: str, name: str) -> None:
     """Delete the files of every build in ``directory`` but build ``name``
-    and the newest others, ``KEEP_BUILDS`` in all, by the newest
-    modification time of each build's files.  Files that vanish or cannot
-    be deleted meanwhile are left to the next build."""
+    and the most recently used others, ``KEEP_BUILDS`` in all, by the
+    newest modification time of each build's files (:func:`_open` sets its
+    library's on every load).  Files that vanish or cannot be deleted
+    meanwhile are left to the next build."""
     try:
         files = os.listdir(directory)
     except OSError:

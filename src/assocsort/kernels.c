@@ -877,6 +877,8 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     out[7] = b;
 }
 
+/* The loop with S_s a constant 8 for contiguous arrays: with the generic
+ * instance alone, sorts of keys over 10n-100n took 11-16% longer. */
 void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 wm1,
                      i64 tag, i64 *out)
 {

@@ -1,16 +1,22 @@
-/* Runs the kernels of kernels.c that have skip paths, and every pass loop,
- * on buffers malloc()ed to exactly the words they may touch, for the
- * block-boundary shapes of test_skip_paths.py.  Built with
- * -fsanitize=address,undefined, a read one word past either end of a
- * buffer stops it with a report.  Each shape runs through views of byte
- * stride 8, 16 and -8 (both instances of improved_passes), which must
- * give the same results and words; a sort of a valid segment must leave
- * it sorted.  Prints the number of calls and exits 0 when all agree.
+/* Runs kernels of kernels.c on buffers malloc()ed to exactly the words
+ * they may touch.  Built with -fsanitize=address,undefined, a read one
+ * word past either end of a buffer stops it with a report.  The cases,
+ * the block-boundary shapes of test_skip_paths.py, come from that test
+ * on stdin, one a line:
+ *
+ *   <kernel> <sorts> <k> <k integer arguments> <n> <n words>
+ *
+ * Each case runs through views of byte stride 8, 16 and -8 (both
+ * instances of improved_passes), which must give the same results and
+ * words; where sorts is 1 and the loop reports no failure, it must leave
+ * its segment sorted.  Prints the number of cases and of failures, and
+ * exits 0 when there are none.
  *
  *   cc -O2 -g -fsanitize=address,undefined -fno-sanitize-recover \
  *      src/assocsort/kernels.c tests/skip_paths_driver.c -o driver
  */
 
+#include <inttypes.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -34,13 +40,18 @@ void rank_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64 *);
 
 #define NOUT 12
 #define MAXN 64
-#define T8 ((i64)1 << 7)
-#define T63 ((i64)1 << 62)
+#define MAXA 8
 
 enum { PRACTICE, PRACTICE_SUPER, STORE, PARTITION, RETRIEVE, RETRIEVE_SUPER,
-       IMPROVED, IMPROVED_SUPER, DISTINCT, SEQUENTIAL, STACKED, RANK };
+       IMPROVED, DISTINCT, SEQUENTIAL, STACKED, RANK, KINDS };
 
-static long calls, failures;
+static const char *const names[KINDS] = {
+    "practice", "practice_super", "store_records", "partition_values",
+    "retrieve_node_scan", "retrieve_super", "improved_passes",
+    "distinct_passes", "sequential_passes", "stacked_passes", "rank_passes",
+};
+
+static long failures;
 
 /* One strided view of n words in a buffer of exactly the bytes it spans. */
 typedef struct {
@@ -72,8 +83,11 @@ static void read_back(view v, i64 n, i64 *words)
     free(v.buf);
 }
 
-/* Kernel kind on words (and a payload ramp, for rank_passes) through views
- * of byte stride; out gets its results, words what it left. */
+/* Kernel kind with integer arguments a on words (and, for the loops
+ * that take one, a zeroed level array of 4n words or a payload ramp)
+ * through views of byte stride; out gets its results, words what it
+ * left.  stacked_passes is followed by unwind_levels when it stops with
+ * no failure at the end of its segment. */
 static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
                 i64 *out)
 {
@@ -82,49 +96,48 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
         P[i] = i;
     view S = view_of(words, n, stride), Pv = view_of(P, n, stride);
     view Lv = view_of(L, 4 * n, stride);
+    char *s = S.base;
     memset(out, 0, NOUT * sizeof *out);
     switch (kind) {
     case PRACTICE:
-        practice(S.base, stride, 0, n, a[0], a[1], a[2], a[3], out);
+        practice(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], out);
         break;
     case PRACTICE_SUPER:
-        practice_super(S.base, stride, 0, n, a[0], a[1], a[2], a[3], out);
+        practice_super(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], out);
         break;
     case STORE:
-        store_records(S.base, stride, 0, n, a[0], a[1], out);
+        store_records(s, stride, a[0], a[1], a[2], a[3], out);
         break;
     case PARTITION:
-        partition_values(S.base, stride, 0, n, a[0], a[1], out);
+        partition_values(s, stride, a[0], a[1], a[2], a[3], out);
         break;
     case RETRIEVE:
-        retrieve_node_scan(S.base, stride, 0, n, a[0], a[1], a[2], a[3], out);
+        retrieve_node_scan(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], out);
         break;
     case RETRIEVE_SUPER:
-        retrieve_super(S.base, stride, 0, n, a[0], a[1], a[2], a[3], a[4],
+        retrieve_super(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6],
                        out);
         break;
     case IMPROVED:
-    case IMPROVED_SUPER:
-        improved_passes(S.base, stride, 0, n, a[0], a[1], a[2], out);
+        improved_passes(s, stride, a[0], a[1], a[2], a[3], a[4], out);
         break;
     case DISTINCT:
-        distinct_passes(S.base, stride, 0, n, a[0], out);
+        distinct_passes(s, stride, a[0], a[1], a[2], out);
         break;
     case SEQUENTIAL:
-        sequential_passes(S.base, stride, 0, n, a[0], a[1], out);
+        sequential_passes(s, stride, a[0], a[1], a[2], a[3], out);
         break;
     case STACKED:
-        stacked_passes(S.base, stride, Lv.base, stride, 0, n, a[0], 0, n,
-                       a[1], out);
-        if (out[6] == 0 && out[3] == n)
-            unwind_levels(S.base, stride, Lv.base, stride, 0, n, out[5], a[1],
+        stacked_passes(s, stride, Lv.base, stride, a[0], a[1], a[2], a[3],
+                       a[4], a[5], out);
+        if (out[6] == 0 && out[3] == a[1])
+            unwind_levels(s, stride, Lv.base, stride, a[0], a[1], out[5], a[5],
                           out + 8);
         break;
     case RANK:
-        rank_passes(S.base, stride, Pv.base, stride, 0, n, a[0], a[1], out);
+        rank_passes(s, stride, Pv.base, stride, a[0], a[1], a[2], a[3], out);
         break;
     }
-    calls++;
     read_back(S, n, words);
     read_back(Pv, n, P);
     read_back(Lv, 4 * n, L);
@@ -144,8 +157,8 @@ static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
             memcpy(first, out, sizeof first);
             memcpy(w0, w, n * 8);
         } else if (memcmp(first, out, sizeof first) || memcmp(w0, w, n * 8)) {
-            fprintf(stderr, "kind %d, n %lld: stride %lld differs from 8\n",
-                    kind, (long long)n, (long long)strides[s]);
+            fprintf(stderr, "%s, n %lld: stride %lld differs from 8\n",
+                    names[kind], (long long)n, (long long)strides[s]);
             failures++;
         }
     }
@@ -154,116 +167,42 @@ static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
     i64 phase = kind == STACKED ? first[6] : first[4];
     for (i64 i = 1; phase == 0 && i < n; i++)
         if (w0[i - 1] > w0[i]) {
-            fprintf(stderr, "kind %d, n %lld: not sorted\n", kind, (long long)n);
+            fprintf(stderr, "%s, n %lld: not sorted\n", names[kind],
+                    (long long)n);
             failures++;
             break;
         }
 }
 
-/* Every kernel on a segment of n words whose words in [start, start + run)
- * are skippable for it and the others are not. */
-static void boundary_shape(i64 n, i64 start, i64 run)
+/* The number of the kernel called name; KINDS when there is none. */
+static int kind_of(const char *name)
 {
-    const i64 delta = 20;
-    i64 w[MAXN] = {0}, a[5];
-    /* practice and the pass loops: deferred keys in the run. */
-    for (i64 base = 0; base <= 1 && base < n; base++) {
-        i64 span = n - base;
-        for (i64 k = 0; k < n; k++) {
-            int in_run = k >= start && k < start + run;
-            i64 kind = (k + run) % 3;
-            w[k] = in_run ? delta + span + 1 + (5 * k + 3 * start) % 9
-                 : kind == 0 && span ? delta + (3 * k) % span
-                 : kind == 1 ? T8 | k : k;
-        }
-        a[0] = delta, a[1] = base, a[2] = span, a[3] = T8;
-        check(PRACTICE, w, n, a, 0);
-    }
-    for (i64 k = 0; k < n; k++) {
-        int in_run = k >= start && k < start + run;
-        w[k] = in_run ? delta + 7 * n + 1 + (5 * k) % 9 : delta + (5 * k) % (7 * n);
-    }
-    a[0] = delta, a[1] = 7 * n, a[2] = 7, a[3] = T8;
-    check(PRACTICE_SUPER, w, n, a, 0);
-    /* A valid segment: the loops sort it from its minimum, and from 0,
-     * where every key is deferred and the loop stops after one pass. */
-    i64 mn = INT64_MAX;
-    for (i64 k = 0; k < n; k++) {
-        int in_run = k >= start && k < start + run;
-        w[k] = in_run ? delta + 7 * n + 1 + (5 * k) % 9 : delta + (3 * k) % n;
-        mn = w[k] < mn ? w[k] : mn;
-    }
-    for (int from_zero = 0; from_zero <= 1; from_zero++) {
-        i64 d = from_zero ? 0 : mn;
-        a[0] = d, a[1] = 0, a[2] = T8;
-        check(IMPROVED, w, n, a, !from_zero);
-        a[1] = 7;
-        check(IMPROVED_SUPER, w, n, a, !from_zero);
-        check(DISTINCT, w, n, a, 0);
-        a[1] = 8;
-        check(SEQUENTIAL, w, n, a, !from_zero);
-        check(STACKED, w, n, a, 0);
-        a[1] = T8;
-        check(RANK, w, n, a, !from_zero);
-    }
-    /* store_records and the retrievals: untagged words in the run, value
-     * planes 0 or 1. */
-    i64 tags = 0;
-    for (i64 k = 0; k < n; k++) {
-        int in_run = k >= start && k < start + run;
-        w[k] = (in_run ? 0 : T8) | ((k + start) & 1);
-        tags += !in_run;
-    }
-    for (i64 n_d = tags > 0 ? tags - 1 : 0; n_d <= tags + 1; n_d++) {
-        a[0] = n_d, a[1] = T8;
-        check(STORE, w, n, a, 0);
-        i64 n_c = 0;
-        for (i64 k = 0; k < n_d && k < n; k++)
-            n_c += w[k] & 1;
-        if (n_d + n_c > n)
-            continue;
-        a[0] = n_d, a[1] = n_c, a[2] = delta, a[3] = T8;
-        check(RETRIEVE, w, n, a, 0);
-        a[3] = 7, a[4] = T8;
-        check(RETRIEVE_SUPER, w, n, a, 0);
-    }
-    /* partition_values: value planes above the pivot in the run. */
-    for (i64 k = 0; k < n; k++) {
-        int in_run = k >= start && k < start + run;
-        w[k] = (in_run ? 51 + k % 5 : 30 + k % 10) | (k % 2 ? T8 : 0);
-    }
-    a[0] = 50, a[1] = T8;
-    check(PARTITION, w, n, a, 0);
-}
-
-/* Sparse segments, where a pass defers at least 15/16 of its words and the
- * pass loop takes the skip paths: one key per interval, in three orders,
- * and (for the counting pass) each key twice. */
-static void sparse_shape(i64 n)
-{
-    i64 w[MAXN], a[3];
-    for (int order = 0; order < 3; order++)
-        for (int wm1 = 0; wm1 <= 62; wm1 += 62)
-            for (int twice = 0; twice <= (wm1 == 0); twice++) {
-                i64 gap = 2 * n * (wm1 ? wm1 : 1);
-                for (i64 k = 0; k < n; k++) {
-                    i64 r = order == 0 ? k : order == 1 ? n - 1 - k : (7 * k) % n;
-                    w[k] = 1000 + gap * (twice ? r / 2 : r);
-                }
-                a[0] = 1000, a[1] = wm1, a[2] = T63;
-                check(wm1 ? IMPROVED_SUPER : IMPROVED, w, n, a, 1);
-            }
+    int kind = 0;
+    while (kind < KINDS && strcmp(names[kind], name))
+        kind++;
+    return kind;
 }
 
 int main(void)
 {
-    for (i64 n = 1; n <= 12; n++)
-        for (i64 start = 0; start <= n; start++)
-            for (i64 run = 0; run <= 9 && start + run <= n; run++)
-                boundary_shape(n, start, run);
-    static const i64 sparse[] = {16, 17, 18, 19, 20, 23, 31, 32, 33, 40, 64};
-    for (size_t i = 0; i < sizeof sparse / sizeof *sparse; i++)
-        sparse_shape(sparse[i]);
-    printf("%ld calls, %ld failures\n", calls, failures);
+    char name[32];
+    int sorts;
+    i64 k, n, a[MAXA], w[MAXN];
+    long cases = 0;
+    while (scanf("%31s %d %" SCNd64, name, &sorts, &k) == 3) {
+        int kind = kind_of(name), ok = kind < KINDS && k >= 0 && k <= MAXA;
+        for (i64 i = 0; ok && i < k; i++)
+            ok = scanf("%" SCNd64, &a[i]) == 1;
+        ok = ok && scanf("%" SCNd64, &n) == 1 && n >= 1 && n <= MAXN;
+        for (i64 i = 0; ok && i < n; i++)
+            ok = scanf("%" SCNd64, &w[i]) == 1;
+        if (!ok) {
+            fprintf(stderr, "case %ld (%s): bad input\n", cases + 1, name);
+            return 2;
+        }
+        check(kind, w, n, a, sorts);
+        cases++;
+    }
+    printf("%ld cases, %ld failures\n", cases, failures);
     return failures != 0;
 }

@@ -389,17 +389,59 @@ def test_prune_keeps_the_newest_builds(tmp_path):
     ckernels._prune(str(tmp_path / "missing"), current)
 
 
+def test_a_build_without_its_library_is_not_opened(tmp_path, monkeypatch):
+    """``_open`` refuses a build whose library is gone before it runs the
+    build's module or asks cffi to load the library."""
+    name = f"{ckernels.PREFIX}{0:08x}"
+    (tmp_path / (name + ".py")).write_text("raise AssertionError('module ran')\n")
+
+    def no_code(*args):
+        raise AssertionError("module read")
+
+    monkeypatch.setattr(ckernels, "_cached_code", no_code)
+    with pytest.raises(FileNotFoundError, match=re.escape(name + ".so")):
+        ckernels._open(str(tmp_path), name)
+
+
 @needs_c
 def test_a_build_prunes_older_builds_and_a_pruned_build_is_rebuilt(tmp_path):
     """A process whose build is gone builds it again, and that build
-    deletes the builds past ``KEEP_BUILDS``."""
+    deletes the builds past ``KEEP_BUILDS``.  It goes straight to the
+    compiler, without running the module of a build it cannot load."""
     assert _child(SORT_AND_REPORT, tmp_path).returncode == 0
     cache = tmp_path / "cache" / "assocsort"
     [so] = cache.glob("*.so")
     old = [_fake_build(cache, k, 1_000_000 + k) for k in range(ckernels.KEEP_BUILDS + 2)]
     so.unlink()
-    proc = _child(SORT_AND_REPORT, tmp_path)
+    # Logs each build and each cached compile, by kind, in order.
+    steps = (
+        "from assocsort import ckernels as ck\n"
+        "steps = []\n"
+        "ck._build = lambda *a, f=ck._build: (steps.append('build'), f(*a))[1]\n"
+        "ck._cached_code = lambda p, kind, *a, f=ck._cached_code: "
+        "(steps.append(kind), f(p, kind, *a))[1]\n"
+    )
+    proc = _child(steps + SORT_AND_REPORT + "print(*steps)\n", tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[:2] == ["c", "True"]
+    report = proc.stdout.split()
+    assert report[:2] == ["c", "True"], report
+    assert report[4:] == ["build", "module", "wrappers"], report
     builds = {_build_of(p) for p in cache.iterdir()}
     assert builds == {_build_of(so), *old[-(ckernels.KEEP_BUILDS - 1):]}
+
+
+@needs_c
+def test_a_loaded_build_outlives_newer_builds_in_a_prune(tmp_path):
+    """Loading a build marks it used, so a prune keeps it over builds made
+    after it but used less recently."""
+    assert _child(SORT_AND_REPORT, tmp_path).returncode == 0
+    cache = tmp_path / "cache" / "assocsort"
+    [so] = cache.glob("*.so")
+    for path in cache.iterdir():
+        os.utime(path, (1_000_000, 1_000_000))
+    newer = [_fake_build(cache, k, 2_000_000 + k) for k in range(ckernels.KEEP_BUILDS + 1)]
+    proc = _child(SORT_AND_REPORT, tmp_path)
+    assert proc.stdout.split() == ["c", "False", "False", "False"], proc.stderr
+    ckernels._prune(str(cache), newer[-1])
+    builds = {_build_of(p) for p in cache.iterdir()}
+    assert builds == {_build_of(so), newer[-1], *newer[-(ckernels.KEEP_BUILDS - 1):-1]}

@@ -72,7 +72,7 @@ def _segment(n, start, run, skippable, other, pad):
     return [pad] * PAD + seg + [pad] * PAD
 
 
-def test_practice_steps_over_deferred_keys():
+def _practice_cases():
     """Deferred keys in the run, above the segment's other deferred-looking
     words; the padding is deferred and smaller still, so a block past
     ``hi`` changes ``n_def`` and ``dnext``, and a dropped fold ``dnext``."""
@@ -89,15 +89,15 @@ def test_practice_steps_over_deferred_keys():
 
             words = _segment(n, start, run, lambda k: far + 1 + (5 * k + 3 * start) % 9,
                              other, far)
-            _agree("practice", words, (PAD, PAD + n, DELTA, base, span, T8))
+            yield "practice", words, (PAD, PAD + n, DELTA, base, span, T8)
 
 
-def test_practice_super_steps_over_deferred_keys():
+def _practice_super_cases():
     for n, start, run in _shapes():
         far = DELTA + 7 * n
         words = _segment(n, start, run, lambda k: far + 1 + (5 * k) % 9,
                          lambda k: DELTA + (5 * k) % (7 * n), far)
-        _agree("practice_super", words, (PAD, PAD + n, DELTA, 7 * n, 7, T8))
+        yield "practice_super", words, (PAD, PAD + n, DELTA, 7 * n, 7, T8)
 
 
 def _tagged(n, start, run):
@@ -108,17 +108,16 @@ def _tagged(n, start, run):
     return words, n - run
 
 
-def test_store_records_steps_over_untagged_words():
+def _store_cases():
     for n, start, run in _shapes():
         words, tags = _tagged(n, start, run)
         for n_d in {max(tags - 1, 0), tags, tags + 1}:
-            _agree("store_records", words, (PAD, PAD + n, n_d, T8))
+            yield "store_records", words, (PAD, PAD + n, n_d, T8)
 
 
-def test_retrieval_tag_scans_step_over_untagged_words():
+def _retrieval_cases():
     """Records parked at the front are the value planes of the first
     ``n_d`` words, so every node is emitted once or twice."""
-    statuses = set()
     for n, start, run in _shapes():
         words, tags = _tagged(n, start, run)
         for n_d in {max(tags - 1, 0), tags, tags + 1}:
@@ -126,29 +125,23 @@ def test_retrieval_tag_scans_step_over_untagged_words():
             if n_d + n_c > n:
                 continue
             args = (PAD, PAD + n, n_d, n_c, DELTA)
-            statuses.add(_agree("retrieve_node_scan", words, args + (T8,))[1])
-            _agree("retrieve_super", words, args + (7, T8))
-    assert statuses == {kernels.STATUS_OK, kernels.STATUS_TAG_SCAN}
+            yield "retrieve_node_scan", words, args + (T8,)
+            yield "retrieve_super", words, args + (7, T8)
 
 
-def test_partition_steps_over_value_planes_above_the_pivot():
+def _partition_cases():
     pivot = 50
     for n, start, run in _shapes():
         words = _segment(n, start, run, lambda k: (51 + k % 5) | (T8 * (k % 2)),
                          lambda k: (30 + k % 10) | (T8 * (k % 2)), pivot + 1)
-        _agree("partition_values", words, (PAD, PAD + n, pivot, T8))
+        yield "partition_values", words, (PAD, PAD + n, pivot, T8)
 
 
-def _passes(words, n, delta, wm1, tag):
-    return _agree("improved_passes", words, (PAD, PAD + n, delta, wm1, tag))
-
-
-def test_improved_passes_on_boundary_shapes():
+def _pass_cases():
     """The run holds keys past the first pass's interval, the other words
     keys inside it.  From the segment's minimum the loop sorts it; from
     key 0 every key is deferred, so the first pass takes the skip paths
     and stops the loop."""
-    phases = set()
     for n, start, run in _shapes():
         for wm1 in (0, 7):
             far = DELTA + max(wm1, 1) * n
@@ -156,12 +149,13 @@ def test_improved_passes_on_boundary_shapes():
                    for k in range(n)]
             words = [0] * PAD + seg + [far] * PAD
             for delta in (min(seg), 0):
-                phases.add(_passes(words, n, delta, wm1, T8)[4])
-    assert phases == {kernels.PHASE_OK, kernels.PHASE_DUPLICATE, kernels.PHASE_PREFIX}
+                yield "improved_passes", words, (PAD, PAD + n, delta, wm1, T8)
 
 
-@pytest.mark.parametrize("n", [16, 17, 18, 19, 20, 23, 31, 32, 33, 40, 64])
-def test_improved_passes_on_sparse_segments(n):
+SPARSE = (16, 17, 18, 19, 20, 23, 31, 32, 33, 40, 64)
+
+
+def _sparse_pass_cases(n):
     """One key per pass interval (two for ``twice``), so each pass defers
     at least 15/16 of a segment of 16 words or more and the loop takes the
     skip paths; in three orders, so that runs end at different offsets."""
@@ -173,8 +167,48 @@ def test_improved_passes_on_sparse_segments(n):
                 # Padding at the first pass's interval end: a block that
                 # reads it moves the next pass's start.
                 words = [0] * PAD + seg + [1000 + n * max(wm1, 1)] * PAD
-                result = _passes(words, n, 1000, wm1, T63)
-                assert result[4] == kernels.PHASE_OK, result
+                yield "improved_passes", words, (PAD, PAD + n, 1000, wm1, T63)
+
+
+def test_practice_steps_over_deferred_keys():
+    for case in _practice_cases():
+        _agree(*case)
+
+
+def test_practice_super_steps_over_deferred_keys():
+    for case in _practice_super_cases():
+        _agree(*case)
+
+
+def test_store_records_steps_over_untagged_words():
+    for case in _store_cases():
+        _agree(*case)
+
+
+def test_retrieval_tag_scans_step_over_untagged_words():
+    statuses = set()
+    for name, words, args in _retrieval_cases():
+        status = _agree(name, words, args)[1]
+        if name == "retrieve_node_scan":
+            statuses.add(status)
+    assert statuses == {kernels.STATUS_OK, kernels.STATUS_TAG_SCAN}
+
+
+def test_partition_steps_over_value_planes_above_the_pivot():
+    for case in _partition_cases():
+        _agree(*case)
+
+
+def test_improved_passes_on_boundary_shapes():
+    phases = {_agree(*case)[4] for case in _pass_cases()}
+    assert phases == {kernels.PHASE_OK, kernels.PHASE_DUPLICATE, kernels.PHASE_PREFIX}
+
+
+@pytest.mark.parametrize("n", SPARSE)
+def test_improved_passes_on_sparse_segments(n):
+    for case in _sparse_pass_cases(n):
+        result = _agree(*case)
+        assert result[4] == kernels.PHASE_OK, result
 
 
 @pytest.mark.parametrize("step", STEPS)
@@ -205,6 +239,35 @@ def test_c_matches_numpy_at_scale(algo, ratio, step):
     assert got["c"][0] == sorted(keys.tolist())
 
 
+def _driver_input():
+    """The cases above, each on its segment alone (``lo`` 0, ``hi`` its
+    length), and the other pass loops on the segments of
+    :func:`_pass_cases` (counting width 8); a line each, as
+    ``skip_paths_driver.c`` reads them: kernel, whether the loop must
+    sort, the integer arguments and the words, each list after its
+    length."""
+    lines = []
+
+    def line(name, sorts, seg, args):
+        lines.append(" ".join(map(str, [name, int(sorts), len(args), *args, len(seg), *seg])))
+
+    cases = [*_practice_cases(), *_practice_super_cases(), *_store_cases(),
+             *_retrieval_cases(), *_partition_cases(), *_pass_cases(),
+             *(case for n in SPARSE for case in _sparse_pass_cases(n))]
+    for name, words, (lo, hi, *rest) in cases:
+        seg = words[lo:hi]
+        line(name, name == "improved_passes" and rest[0] == min(seg), seg, (0, hi - lo, *rest))
+    for _, words, (lo, hi, delta, wm1, tag) in _pass_cases():
+        if wm1 == 0:
+            seg, n = words[lo:hi], hi - lo
+            sorts = delta == min(seg)
+            line("distinct_passes", False, seg, (0, n, delta))
+            line("sequential_passes", sorts, seg, (0, n, delta, 8))
+            line("stacked_passes", False, seg, (0, n, delta, 0, n, 8))
+            line("rank_passes", sorts, seg, (0, n, delta, tag))
+    return lines
+
+
 SANITIZE = ["-O2", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover"]
 
 
@@ -226,6 +289,8 @@ def test_sanitized_driver(tmp_path):
     built = subprocess.run(["cc", *SANITIZE, "-o", str(driver), ckernels.SOURCE, DRIVER],
                            capture_output=True, text=True, timeout=300)
     assert built.returncode == 0, built.stderr
-    proc = subprocess.run([str(driver)], env=env, capture_output=True, text=True, timeout=300)
+    lines = _driver_input()
+    proc = subprocess.run([str(driver)], input="\n".join(lines) + "\n", env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-4000:]
-    assert proc.stdout.endswith(" 0 failures\n"), proc.stdout
+    assert proc.stdout == f"{len(lines)} cases, 0 failures\n", proc.stdout
