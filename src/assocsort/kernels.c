@@ -5,14 +5,16 @@
  * results, the same words and the same STATUS_* and PHASE_* codes, so
  * both backends write the same words and report the same counters.  Two
  * things exist only here, and change no result:
- * * Skip paths.  Where a scan of improved_passes would only step past word
- *   after word (keys practice defers, untagged words, value planes above
- *   the pivot), it steps over blocks of 4 such words at a time.  The
- *   standalone kernels always take them; the pass loop turns them on per
+ * * Skip paths.  Where a scan of a value-sort pass loop would only step
+ *   past word after word (keys practice defers or, in stacked_passes,
+ *   leaves below the interval, untagged words, value planes above the
+ *   pivot, words off their own slot), it steps over blocks of 4 such words
+ *   at a time.  The standalone kernels always take them; improved_passes,
+ *   sequential_passes, stacked_passes and distinct_passes turn them on per
  *   pass (see SKIP_SHARE), so dense segments keep the plain loop.
- * * improved_passes is compiled twice from one body: once with the byte
- *   stride fixed at 8, which every contiguous array has, and once for any
- *   stride.
+ * * Each of those four loops is compiled twice from one body: once with
+ *   the byte stride fixed at 8, which every contiguous array has, and once
+ *   for any stride.
  * Kernels never fail loudly; a broken invariant comes back as a negative
  * status for the driver to raise on.
  *
@@ -61,13 +63,21 @@ typedef int64_t word __attribute__((aligned(1)));
  * sees its constant stride in every access. */
 #define INLINE static inline __attribute__((always_inline))
 
-/* A pass of improved_passes takes the skip paths when its practice
- * deferred all but at most 1/SKIP_SHARE of the segment's words; the next
- * pass's practice takes them when this one did.  Below that share runs
- * are short and a failed block costs more than the blocks save: with the
- * skip paths in every pass, sorts of keys over 3n-10n took 8-13% longer,
- * and with this gate as long as without them. */
+/* A pass loop takes the skip paths in a pass that settled at most
+ * 1/SKIP_SHARE of its segment's words (nodes and companions; placed keys
+ * in distinct_passes): the scans after practice take them in that pass,
+ * and the next pass's practice takes them too.  Below that share runs are
+ * short and a failed block costs more than the blocks save: with the skip
+ * paths in every pass of improved_passes, sorts of keys over 3n-10n took
+ * 8-13% longer, and with this gate as long as without them. */
 #define SKIP_SHARE 16
+
+/* The gate: whether a pass over seg words takes the skip paths, given how
+ * many of them it settled. */
+INLINE int sparse(i64 settled, i64 seg)
+{
+    return settled <= seg / SKIP_SHARE;
+}
 
 /* The ten results of a pass loop: the counters, where the sorted prefix
  * ends, and the failed check with its status and numbers. */
@@ -92,94 +102,6 @@ void min_max(char *S, i64 S_s, i64 lo, i64 hi, i64 *out)
     }
     out[0] = mn;
     out[1] = mx;
-}
-
-void implicit_practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 *out)
-{
-    i64 n = hi - lo, n_d = 0, dnext = -1, moves = 0, status = STATUS_OK;
-    i64 i = lo;
-    while (i < hi) {
-        i64 v = AT(S, i);
-        i64 d = v - delta;
-        if (d < 0 || d >= n) {
-            if (dnext < 0 || v < dnext)
-                dnext = v;
-            i++;
-        } else if (d == i - lo) {
-            n_d++;
-            i++;
-        } else {
-            if (moves > 2 * n) {
-                status = STATUS_CURSOR;
-                break;
-            }
-            i64 j = lo + d;
-            AT(S, i) = AT(S, j);
-            AT(S, j) = v;
-            moves += 2;
-            if (j < i)
-                n_d++;
-        }
-    }
-    out[0] = n_d;
-    out[1] = dnext;
-    out[2] = moves;
-    out[3] = status;
-}
-
-void collect_fixpoints(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 *out)
-{
-    i64 wr = lo, moves = 0;
-    for (i64 i = lo; i < hi; i++) {
-        if (AT(S, i) - delta == i - lo) {
-            if (wr != i) {
-                i64 t = AT(S, wr);
-                AT(S, wr) = AT(S, i);
-                AT(S, i) = t;
-                moves += 2;
-            }
-            wr++;
-        }
-    }
-    out[0] = wr - lo;
-    out[1] = moves;
-}
-
-/* Every pass of a cycle-leader sort in one call: the steps above, in a
- * loop, with the checks of cycle_leader._implicit_step between them. */
-void distinct_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 *out)
-{
-    i64 passes = 0, moves = 0;
-    i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0;
-    i64 r[4];
-    while (head < hi) {
-        passes++;
-        implicit_practice(S, S_s, head, hi, delta, r);
-        i64 n_d = r[0], dnext = r[1];
-        if (r[3] != STATUS_OK) {
-            phase = PHASE_DUPLICATE;
-            status = r[3];
-            break;
-        }
-        moves += r[2];
-        collect_fixpoints(S, S_s, head, hi, delta, r);
-        moves += r[1];
-        if (r[0] != n_d) {
-            phase = PHASE_PARTITION;
-            a = r[0];
-            b = n_d;
-            break;
-        }
-        head += n_d;
-        if (head != hi && (dnext < 0 || n_d == 0)) {
-            phase = PHASE_PREFIX;
-            a = head;
-            b = hi;
-            break;
-        }
-        delta = dnext;
-    }
-    loop_result(out, passes, moves, 0, head, phase, status, a, b, 0, 0);
 }
 
 /* The skip paths.  Each steps over whole blocks of 4 words that its scan
@@ -219,6 +141,38 @@ INLINE i64 deferred_from(i64 delta, i64 span)
     return far;
 }
 
+INLINE uint64_t min_u(uint64_t a, uint64_t b)
+{
+    return a < b ? a : b;
+}
+
+/* Up from i: untagged keys outside [delta, far), which practice passes
+ * below the interval or defers; the deferred ones (at or past far) are
+ * counted into *n_def and folded into *dnext.  No block is skipped where
+ * far < 0, as in skip_deferred, nor one that holds a negative word.  So
+ * every skipped key is in [0, 2^63): v - far mod 2^64 is below 2^63 just
+ * for the deferred ones, and its least value is the least deferred key's. */
+INLINE i64 skip_outside(char *S, i64 S_s, i64 i, i64 hi, i64 delta, i64 far,
+                        i64 tag, i64 *n_def, i64 *dnext)
+{
+    uint64_t span = (uint64_t)far - (uint64_t)delta;
+    while (far >= 0 && i + 4 <= hi) {
+        i64 v0 = AT(S, i), v1 = AT(S, i + 1), v2 = AT(S, i + 2);
+        i64 v3 = AT(S, i + 3);
+        uint64_t u = delta, d0 = v0 - u, d1 = v1 - u, d2 = v2 - u, d3 = v3 - u;
+        if (((v0 | v1 | v2 | v3) & (tag | INT64_MIN)) ||
+            min_u(min_u(d0, d1), min_u(d2, d3)) < span)
+            break;
+        uint64_t f = min_u(min_u(d0 - span, d1 - span),
+                           min_u(d2 - span, d3 - span));
+        if ((i64)f >= 0 && (*dnext < 0 || far + (i64)f < *dnext))
+            *dnext = far + (i64)f;
+        *n_def += (v0 >= far) + (v1 >= far) + (v2 >= far) + (v3 >= far);
+        i += 4;
+    }
+    return i;
+}
+
 /* Up from p, below hi: untagged words. */
 INLINE i64 skip_untagged_up(char *S, i64 S_s, i64 p, i64 hi, i64 tag)
 {
@@ -247,7 +201,154 @@ INLINE i64 skip_above(char *S, i64 S_s, i64 r, i64 l, i64 pivot, i64 vmask)
     return r;
 }
 
-/* practice, taking the deferred-key skip path when skip is set. */
+/* Up from i, below hi: words off their own slot, where word i is settled
+ * when it holds key delta + (i - lo). */
+INLINE i64 skip_unsettled(char *S, i64 S_s, i64 i, i64 hi, i64 lo, i64 delta)
+{
+    uint64_t at = (uint64_t)delta - (uint64_t)lo;
+#define OFF(k) ((uint64_t)AT(S, i + k) != at + (uint64_t)(i + k))
+    while (i + 4 <= hi && (OFF(0) & OFF(1) & OFF(2) & OFF(3)))
+        i += 4;
+#undef OFF
+    return i;
+}
+
+/* Scan f(..., skip, out) with skip a constant in each branch, so that a
+ * pass without the skip paths runs a copy of the scan that has none. */
+#define SCAN(f, skip, out, ...) \
+    ((skip) ? f(__VA_ARGS__, 1, out) : f(__VA_ARGS__, 0, out))
+
+/* Pass loop f(S, S_s, ...) with S_s a constant 8 where it is 8, as it is
+ * for every contiguous array, so that each loop is compiled twice.  With
+ * the generic instance alone, improved_passes sorts of keys over 10n-100n
+ * took 11-16% longer, and assoc_seq, assoc_rec and cycle_distinct sorts
+ * over 30n-100n 11-19%. */
+#define BY_STRIDE(f, ...) \
+    (S_s == 8 ? f(S, 8, __VA_ARGS__) : f(S, S_s, __VA_ARGS__))
+
+/* implicit_practice, taking the deferred-key skip path when skip is set. */
+INLINE void implicit_practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
+                                int skip, i64 *out)
+{
+    i64 n = hi - lo, n_d = 0, dnext = -1, moves = 0, status = STATUS_OK;
+    i64 far = deferred_from(delta, n), n_far = 0; /* not reported */
+    i64 i = lo;
+    while (i < hi) {
+        i64 v = AT(S, i);
+        i64 d = v - delta;
+        if (d < 0 || d >= n) {
+            if (dnext < 0 || v < dnext)
+                dnext = v;
+            i++;
+            if (skip)
+                i = skip_deferred(S, S_s, i, hi, far, 0, &n_far, &dnext);
+        } else if (d == i - lo) {
+            n_d++;
+            i++;
+        } else {
+            if (moves > 2 * n) {
+                status = STATUS_CURSOR;
+                break;
+            }
+            i64 j = lo + d;
+            AT(S, i) = AT(S, j);
+            AT(S, j) = v;
+            moves += 2;
+            if (j < i)
+                n_d++;
+        }
+    }
+    out[0] = n_d;
+    out[1] = dnext;
+    out[2] = moves;
+    out[3] = status;
+}
+
+void implicit_practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 *out)
+{
+    implicit_practice_k(S, S_s, lo, hi, delta, 1, out);
+}
+
+/* collect_fixpoints, stepping over words off their own slot when skip is
+ * set. */
+INLINE void collect_fixpoints_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
+                                int skip, i64 *out)
+{
+    i64 wr = lo, moves = 0;
+    for (i64 i = lo; i < hi; i++) {
+        if (AT(S, i) - delta == i - lo) {
+            if (wr != i) {
+                i64 t = AT(S, wr);
+                AT(S, wr) = AT(S, i);
+                AT(S, i) = t;
+                moves += 2;
+            }
+            wr++;
+        } else if (skip) {
+            i = skip_unsettled(S, S_s, i + 1, hi, lo, delta) - 1;
+        }
+    }
+    out[0] = wr - lo;
+    out[1] = moves;
+}
+
+void collect_fixpoints(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 *out)
+{
+    collect_fixpoints_k(S, S_s, lo, hi, delta, 1, out);
+}
+
+/* Every pass of a cycle-leader sort in one call: the steps above, in a
+ * loop, with the checks of cycle_leader._implicit_step between them.
+ * Inlined into distinct_passes twice, once with S_s fixed at 8. */
+INLINE void distinct_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
+                          i64 *out)
+{
+    i64 passes = 0, moves = 0;
+    i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0;
+    i64 r[4];
+    int skip = 0;
+    while (head < hi) {
+        passes++;
+        i64 seg = hi - head;
+        SCAN(implicit_practice_k, skip, r, S, S_s, head, hi, delta);
+        i64 n_d = r[0], dnext = r[1];
+        if (r[3] != STATUS_OK) {
+            phase = PHASE_DUPLICATE;
+            status = r[3];
+            break;
+        }
+        skip = sparse(n_d, seg);
+        moves += r[2];
+        SCAN(collect_fixpoints_k, skip, r, S, S_s, head, hi, delta);
+        moves += r[1];
+        if (r[0] != n_d) {
+            phase = PHASE_PARTITION;
+            a = r[0];
+            b = n_d;
+            break;
+        }
+        head += n_d;
+        if (head != hi && (dnext < 0 || n_d == 0)) {
+            phase = PHASE_PREFIX;
+            a = head;
+            b = hi;
+            break;
+        }
+        delta = dnext;
+    }
+    loop_result(out, passes, moves, 0, head, phase, status, a, b, 0, 0);
+}
+
+void distinct_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 *out)
+{
+    BY_STRIDE(distinct_loop, head, hi, delta, out);
+}
+
+#define SKIP_OUTSIDE 2
+
+/* practice, taking a skip path when skip is set: over deferred keys, or,
+ * where skip is SKIP_OUTSIDE, over untagged keys on either side of the
+ * interval. */
 INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
                        i64 span, i64 tag, int skip, i64 *out)
 {
@@ -263,6 +364,9 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
         i64 d = v - delta;
         if (d < 0) {
             i++;
+            if (skip == SKIP_OUTSIDE)
+                i = skip_outside(S, S_s, i, hi, delta, far, tag, &n_def,
+                                 &dnext);
             continue;
         }
         if (d >= span) {
@@ -270,7 +374,10 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
             if (dnext < 0 || v < dnext)
                 dnext = v;
             i++;
-            if (skip)
+            if (skip == SKIP_OUTSIDE)
+                i = skip_outside(S, S_s, i, hi, delta, far, tag, &n_def,
+                                 &dnext);
+            else if (skip)
                 i = skip_deferred(S, S_s, i, hi, far, tag, &n_def, &dnext);
             continue;
         }
@@ -304,16 +411,21 @@ void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
     practice_k(S, S_s, lo, hi, delta, base, span, tag, 1, out);
 }
 
-void store_nodes(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 span,
-                 i64 pack_split, i64 tag, i64 eps_budget, i64 *out)
+/* store_nodes, taking the untagged-word skip path when skip is set. */
+INLINE void store_nodes_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
+                          i64 span, i64 pack_split, i64 tag, i64 eps_budget,
+                          int skip, i64 *out)
 {
     i64 thr = (i64)1 << pack_split;
     i64 vmask = tag - 1;
     i64 wr = lo, eps_used = 0, moves = 0, status = STATUS_OK;
     for (i64 i = lo; i < hi; i++) {
         i64 x = AT(S, i);
-        if (!(x & tag))
+        if (!(x & tag)) {
+            if (skip)
+                i = skip_untagged_up(S, S_s, i + 1, hi, tag) - 1;
             continue;
+        }
         i64 cnt = x & vmask;
         i64 fp = i - lo;
         if (cnt < thr) {
@@ -382,6 +494,13 @@ void store_nodes(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 span,
     out[1] = wr - lo;
     out[2] = moves;
     out[3] = status;
+}
+
+void store_nodes(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 span,
+                 i64 pack_split, i64 tag, i64 eps_budget, i64 *out)
+{
+    store_nodes_k(S, S_s, lo, hi, delta, span, pack_split, tag, eps_budget, 1,
+                  out);
 }
 
 /* partition_values, taking the skip path of its right-hand scan when
@@ -468,24 +587,21 @@ static void pass_budget(i64 seg, i64 w, i64 *eps, i64 *split)
 {
     i64 lg = seg > 2 ? 64 - __builtin_clzll((uint64_t)(seg - 1)) : 1;
     *split = w - 1 - lg;
-    *eps = 0;
-    if (2 * lg >= w) {
-        i64 thr = (i64)1 << *split;
-        i64 spread = (seg / 2 + thr - 1) / thr, demand = seg / (thr + 1);
-        *eps = spread > demand ? spread : demand;
-    }
+    *eps = 2 * lg >= w ? seg / (((i64)1 << *split) + 1) : 0;
 }
 
 /* kernels.practice_store: practice, then compact the nodes into memory.
- * out: n_d, n_c, dnext, eps, eps_used, split, stored, status, moves,
- * created. */
-static void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
-                           i64 w, i64 *out)
+ * Practice takes its skip path when skip is set, storage when practice
+ * left the pass sparse.  out: n_d, n_c, dnext, eps, eps_used, split,
+ * stored, status, moves, created. */
+INLINE void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
+                           i64 w, int skip, i64 *out)
 {
     i64 tag = (i64)1 << (w - 1), seg = hi - head, eps, split, p[6], st[4];
     pass_budget(seg, w, &eps, &split);
-    practice_k(S, S_s, head, hi, delta, eps, seg - eps, tag, 0, p);
-    store_nodes(S, S_s, head, hi, delta, seg - eps, split, tag, eps, st);
+    practice_k(S, S_s, head, hi, delta, eps, seg - eps, tag, skip, p);
+    SCAN(store_nodes_k, sparse(p[0] + p[1], seg), st, S, S_s, head, hi, delta,
+         seg - eps, split, tag, eps);
     i64 v[10] = {p[0], p[1], p[3], eps, st[0], split, st[1], st[3],
                  p[4] + st[2], p[5]};
     for (int k = 0; k < 10; k++)
@@ -493,19 +609,22 @@ static void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
 }
 
 /* Every pass of a sequential counting sort in one call, with the checks of
- * core._sequential_step between the phases. */
-void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 w,
-                       i64 *out)
+ * core._sequential_step between the phases.  Inlined into
+ * sequential_passes twice, once with S_s fixed at 8. */
+INLINE void sequential_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
+                            i64 w, i64 *out)
 {
     i64 tag = (i64)1 << (w - 1);
     i64 passes = 0, moves = 0, created = 0;
     i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0, c = 0, d = 0;
     i64 r[10];
+    int skip = 0;
     while (head < hi) {
         passes++;
-        practice_store(S, S_s, head, hi, delta, w, r);
+        SCAN(practice_store, skip, r, S, S_s, head, hi, delta, w);
         i64 n_d = r[0], n_c = r[1], dnext = r[2], eps = r[3], eps_used = r[4];
         i64 split = r[5];
+        skip = sparse(n_d + n_c, hi - head);
         moves += r[8];
         created += r[9];
         if (r[7] != STATUS_OK || r[6] != n_d + eps_used) {
@@ -519,7 +638,7 @@ void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 w,
         }
         i64 mem = head + n_d + eps_used;
         i64 pivot = delta + (hi - head - eps) - 1;
-        partition_values_k(S, S_s, mem, hi, pivot, tag, 0, r);
+        SCAN(partition_values_k, skip, r, S, S_s, mem, hi, pivot, tag);
         moves += r[1];
         if (r[0] != n_c - eps_used) {
             phase = PHASE_PARTITION;
@@ -549,19 +668,35 @@ void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 w,
     loop_result(out, passes, moves, created, head, phase, status, a, b, c, d);
 }
 
+void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 w,
+                       i64 *out)
+{
+    BY_STRIDE(sequential_loop, head, hi, delta, w, out);
+}
+
 /* The passes of a recursive counting sort in one call, with the checks of
  * core._stack_step, each writing its level (n_d, eps_used, delta, head)
- * to L until cap levels are written. */
-void stacked_passes(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
-                    i64 delta, i64 depth, i64 cap, i64 w, i64 *out)
+ * to L until cap levels are written.  Inlined into stacked_passes twice,
+ * once with S_s fixed at 8. */
+INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
+                         i64 delta, i64 depth, i64 cap, i64 w, i64 *out)
 {
     i64 passes = 0, moves = 0, created = 0;
     i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0, c = 0, d = 0;
     i64 r[10];
+    int skip = 0;
     while (head < hi && depth < cap) {
         passes++;
-        practice_store(S, S_s, head, hi, delta, w, r);
+        /* The companions a pass leaves stay in the segment, below the next
+         * interval, so practice steps over words on both sides of it; the
+         * other loops leave none there, and keep skip_deferred, which
+         * fails on most blocks here. */
+        if (skip)
+            practice_store(S, S_s, head, hi, delta, w, SKIP_OUTSIDE, r);
+        else
+            practice_store(S, S_s, head, hi, delta, w, 0, r);
         i64 n_d = r[0], dnext = r[2], eps_used = r[4];
+        skip = sparse(n_d + r[1], hi - head);
         moves += r[8];
         created += r[9];
         if (r[7] != STATUS_OK || r[6] != n_d + eps_used) {
@@ -592,6 +727,12 @@ void stacked_passes(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
                  a, b, c, d};
     for (int k = 0; k < 12; k++)
         out[k] = v[k];
+}
+
+void stacked_passes(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
+                    i64 delta, i64 depth, i64 cap, i64 w, i64 *out)
+{
+    BY_STRIDE(stacked_loop, L, L_s, head, hi, delta, depth, cap, w, out);
 }
 
 /* Retrieve the depth stacked memories newest first, as the traced unwind
@@ -795,11 +936,6 @@ void practice_super(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
     practice_super_k(S, S_s, lo, hi, delta, span_keys, wm1, tag, 1, out);
 }
 
-/* Scan f(..., skip, out) with skip a constant in each branch, so that a
- * pass without the skip paths runs a copy of the scan that has none. */
-#define SCAN(f, skip, out, ...) \
-    ((skip) ? f(__VA_ARGS__, 1, out) : f(__VA_ARGS__, 0, out))
-
 /* Every pass of both improved sorters in one call: the steps above, in a
  * loop, with the checks of the per-phase steps in improved.py between them.
  * Inlined into improved_passes twice, once with S_s fixed at 8. */
@@ -825,7 +961,10 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                  tag);
         }
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
-        skip = r[2] >= seg - seg / SKIP_SHARE;
+        /* Each word of the segment is settled or deferred, so this is
+         * sparse(n_d + n_c, seg); written so, distinct_improved sorts of
+         * keys over 10n-100n took 10-15% longer. */
+        skip = sparse(seg - r[2], seg);
         moves += r[4];
         created += r[5];
         if (r[6] >= 0) {
@@ -877,15 +1016,10 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     out[7] = b;
 }
 
-/* The loop with S_s a constant 8 for contiguous arrays: with the generic
- * instance alone, sorts of keys over 10n-100n took 11-16% longer. */
 void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 wm1,
                      i64 tag, i64 *out)
 {
-    if (S_s == 8)
-        improved_loop(S, 8, head, hi, delta, wm1, tag, out);
-    else
-        improved_loop(S, S_s, head, hi, delta, wm1, tag, out);
+    BY_STRIDE(improved_loop, head, hi, delta, wm1, tag, out);
 }
 
 void practice_rank(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,

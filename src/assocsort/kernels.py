@@ -387,8 +387,13 @@ def pass_budget(seg, w):
     split = w - 1 - lg
     if 2 * lg < w:
         return 0, split
-    thr = 1 << split
-    return max(-(-(seg // 2) // thr), seg // (thr + 1)), split
+    # An overfull node holds at least thr + 1 of the words (thr = 1 <<
+    # split), so at most q = seg // (thr + 1) are overfull at once.  The
+    # paper's other term, ceil((seg // 2) / thr), is never larger: it is 0
+    # for seg < 2, and otherwise seg > thr (2 * lg >= w), so q >= 1; then
+    # seg < (q + 1)(thr + 1) and (q - 1)(thr - 1) >= 0 give seg <= 2q*thr + 1,
+    # so seg // 2 <= q * thr.
+    return seg // ((1 << split) + 1), split
 
 
 def practice_store(S, head, hi, delta, w):

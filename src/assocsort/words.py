@@ -80,11 +80,13 @@ def epsilon(n: int, cfg: WordConfig) -> int:
 
     A node is overfull when its count reaches ``thr = 2**(w-1-ceil(log2
     n))``, i.e. its key occupies at least ``thr + 1`` segment words, so
-    at most ``n // (thr + 1)`` nodes can be overfull at once; ``eps``
-    covers that exactly (``ceil((n/2)/thr)`` alone falls short of it for
-    ``thr >= 2``, e.g. four keys of three occurrences each in a 12-word
-    segment at ``w = 6``).  :func:`assocsort.kernels.pass_budget` computes
-    it, in integers, for both this function and the pass loops.
+    at most ``n // (thr + 1)`` nodes can be overfull at once, and ``eps``
+    is exactly that.  The paper's other term, ``ceil((n // 2) / thr)``, is
+    never larger (:func:`assocsort.kernels.pass_budget` gives the proof),
+    and alone it falls short for ``thr >= 2``, e.g. four keys of three
+    occurrences each in a 12-word segment at ``w = 6``.
+    :func:`~assocsort.kernels.pass_budget` computes ``eps``, in integers,
+    for both this function and the pass loops.
     """
     if n < 1 or n > cfg.tag_mask:
         raise WordRangeError(f"segment length {n} not in [1, {cfg.tag_mask}]")

@@ -7,10 +7,10 @@
  *   <kernel> <sorts> <k> <k integer arguments> <n> <n words>
  *
  * Each case runs through views of byte stride 8, 16 and -8 (both
- * instances of improved_passes), which must give the same results and
- * words; where sorts is 1 and the loop reports no failure, it must leave
- * its segment sorted.  Prints the number of cases and of failures, and
- * exits 0 when there are none.
+ * instances of each loop but rank_passes), which must give the same
+ * results and words; where sorts is 1 and the loop reports no failure, it
+ * must leave its segment sorted (stacked_passes with its unwind).  Prints
+ * the number of cases and of failures, and exits 0 when there are none.
  *
  *   cc -O2 -g -fsanitize=address,undefined -fno-sanitize-recover \
  *      src/assocsort/kernels.c tests/skip_paths_driver.c -o driver
@@ -26,7 +26,10 @@ typedef int64_t i64;
 
 void practice(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void practice_super(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
+void implicit_practice(char *, i64, i64, i64, i64, i64 *);
+void collect_fixpoints(char *, i64, i64, i64, i64, i64 *);
 void store_records(char *, i64, i64, i64, i64, i64, i64 *);
+void store_nodes(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void partition_values(char *, i64, i64, i64, i64, i64, i64 *);
 void retrieve_node_scan(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void retrieve_super(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
@@ -42,13 +45,15 @@ void rank_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64 *);
 #define MAXN 64
 #define MAXA 8
 
-enum { PRACTICE, PRACTICE_SUPER, STORE, PARTITION, RETRIEVE, RETRIEVE_SUPER,
-       IMPROVED, DISTINCT, SEQUENTIAL, STACKED, RANK, KINDS };
+enum { PRACTICE, PRACTICE_SUPER, IMPLICIT, FIXPOINTS, STORE, STORE_NODES,
+       PARTITION, RETRIEVE, RETRIEVE_SUPER, IMPROVED, DISTINCT, SEQUENTIAL,
+       STACKED, RANK, KINDS };
 
 static const char *const names[KINDS] = {
-    "practice", "practice_super", "store_records", "partition_values",
-    "retrieve_node_scan", "retrieve_super", "improved_passes",
-    "distinct_passes", "sequential_passes", "stacked_passes", "rank_passes",
+    "practice", "practice_super", "implicit_practice", "collect_fixpoints",
+    "store_records", "store_nodes", "partition_values", "retrieve_node_scan",
+    "retrieve_super", "improved_passes", "distinct_passes",
+    "sequential_passes", "stacked_passes", "rank_passes",
 };
 
 static long failures;
@@ -105,8 +110,17 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
     case PRACTICE_SUPER:
         practice_super(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], out);
         break;
+    case IMPLICIT:
+        implicit_practice(s, stride, a[0], a[1], a[2], out);
+        break;
+    case FIXPOINTS:
+        collect_fixpoints(s, stride, a[0], a[1], a[2], out);
+        break;
     case STORE:
         store_records(s, stride, a[0], a[1], a[2], a[3], out);
+        break;
+    case STORE_NODES:
+        store_nodes(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6], out);
         break;
     case PARTITION:
         partition_values(s, stride, a[0], a[1], a[2], a[3], out);
@@ -144,7 +158,9 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
 }
 
 /* kind on words at every stride: the same results and words, and a sorted
- * segment where sorted is set and the loop reports no failure. */
+ * segment where sorted is set and the loop reports no failure (for
+ * stacked_passes: reaches the end of the segment, and its unwind
+ * reports no failure). */
 static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
 {
     static const i64 strides[] = {8, 16, -8};
@@ -164,7 +180,8 @@ static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
     }
     if (!sorted)
         return;
-    i64 phase = kind == STACKED ? first[6] : first[4];
+    i64 phase = kind != STACKED ? first[4]
+                                : first[6] || first[3] != a[1] || first[9];
     for (i64 i = 1; phase == 0 && i < n; i++)
         if (w0[i - 1] > w0[i]) {
             fprintf(stderr, "%s, n %lld: not sorted\n", names[kind],

@@ -142,6 +142,33 @@ def test_every_kernel_has_a_bounds_case():
     assert {name for name, _, _ in PAST_THE_END} == set(ckernels.SIGNATURES)
 
 
+@needs_c
+def test_c_loops_budget_passes_as_numpy():
+    """The C ``pass_budget`` gives the companion budget and pack split of
+    ``kernels.pass_budget``: ``sequential_passes`` and ``stacked_passes``
+    with ``unwind_levels``, which practice, store and retrieve by them,
+    agree with ``numpy`` on segments of ``2**k`` and ``2**k +- 1`` keys
+    of 4 values at every width up to 10."""
+    rng = np.random.default_rng(0xB0D)
+    for w in range(3, 11):
+        for k in range(1, w):
+            for n in {2**k - 1, 2**k, 2**k + 1} & set(range(2, 2 ** (w - 1) + 1)):
+                keys = rng.integers(0, 4, size=n, dtype=np.int64)
+                delta = int(keys.min())
+                got = {}
+                for backend_name in ("c", "numpy"):
+                    S, L = keys.copy(), np.zeros(4 * n, dtype=np.int64)
+                    with use_backend(backend_name):
+                        loops = active_loops()
+                        seq = loops.sequential_passes(S, 0, n, delta, w)
+                        words = S.tolist()
+                        S[:] = keys
+                        stacked = loops.stacked_passes(S, L, 0, n, delta, 0, n, w)
+                        unwind = loops.unwind_levels(S, L, 0, n, stacked[5], w)
+                    got[backend_name] = (seq, words, stacked, unwind, S.tolist(), L.tolist())
+                assert got["c"] == got["numpy"], (w, n)
+
+
 def _reactivate(K, lo, hi, n_sorted):
     """``reactivate`` on every backend, over ``K`` and a payload ramp:
     ``{backend: (result, keys, payload)}``."""

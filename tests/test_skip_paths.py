@@ -1,20 +1,26 @@
 """The skip paths of the ``c`` kernels give the ``numpy`` results.
 
-Where a scan of the improved pass would only step past word after word,
+Where a scan of a value-sort pass would only step past word after word,
 ``kernels.c`` steps over blocks of 4 such words: keys ``practice`` (and
-``practice_super``) defers, untagged words in ``store_records`` and in the
-tag scan of the retrievals, and value planes above the pivot in the
-right-hand scan of ``partition_values``.  The standalone kernels always
-take these paths; ``improved_passes`` turns them on per pass and is
-compiled once for a byte stride of 8 and once for any stride.
+``practice_super`` and ``implicit_practice``) defers, or in
+``stacked_passes`` leaves below the interval, untagged words in
+``store_records``, ``store_nodes`` and the tag scan of the retrievals,
+value planes above the pivot in the right-hand scan of
+``partition_values``, and words off their own slot in
+``collect_fixpoints``.  The standalone kernels always take these paths;
+``improved_passes``, ``sequential_passes``, ``stacked_passes`` and
+``distinct_passes`` turn them on per pass, and are each compiled once for
+a byte stride of 8 and once for any stride.
 
 Each scan is fed runs of 0-9 skippable words at every offset of segments
-of 1-12 words, through views of step 1, 2 and -1, and must leave the same
-result and words as on ``numpy``.  The words around a segment are
-skippable too, so a block that reads past the segment changes the result.
-A block read past the end of the array itself is out of reach of such
-comparisons: ``test_sanitized_driver`` runs the same shapes, with the
-kernels built under AddressSanitizer and UBSan, on exactly-sized buffers.
+of 1-12 words, and each loop sparse segments of 16-64 words, through views
+of step 1, 2 and -1, and must leave the same result and words as on
+``numpy``.  The words around a segment are chosen so that a block that
+reads past the segment changes the result where a result can show it.
+Other reads past the segment, and any past the end of the array, are out
+of reach of such comparisons: ``test_sanitized_driver`` runs the same
+cases, with the kernels built under AddressSanitizer and UBSan, on
+exactly-sized buffers.
 """
 
 import os
@@ -48,6 +54,25 @@ def _shapes():
                 yield n, start, run
 
 
+def _run(name, view, args):
+    """Kernel or pass loop ``name`` of the active backend on ``view``; a
+    ``stacked_passes`` call gets a zeroed level buffer of the view's step
+    and, when it stops with no failure at the end of its segment, is
+    followed by ``unwind_levels``, whose result and levels are appended."""
+    if name != "stacked_passes":
+        kernel = getattr(active_loops() if name in _LOOP_NAMES else active(), name)
+        return tuple(int(x) for x in kernel(view, *args))
+    loops = active_loops()
+    step = view.strides[0] // 8
+    levels = np.zeros(4 * len(view) * abs(step), dtype=np.int64)
+    L = levels[::step][: 4 * len(view)]
+    head, hi, _, _, _, w = args
+    got = tuple(int(x) for x in loops.stacked_passes(view, L, *args))
+    if got[6] == kernels.PHASE_OK and got[3] == hi:
+        got += tuple(int(x) for x in loops.unwind_levels(view, L, head, hi, got[5], w))
+    return got + tuple(levels.tolist())
+
+
 def _agree(name, words, args):
     """Kernel or pass loop ``name`` over ``words`` on ``c`` and ``numpy``,
     through a view of every step: the same result and words each time.
@@ -59,8 +84,7 @@ def _agree(name, words, args):
             view = buf[::step][: len(words)]
             view[:] = words
             with use_backend(backend):
-                kernel = getattr(active_loops() if name in _LOOP_NAMES else active(), name)
-                got[backend] = (tuple(int(x) for x in kernel(view, *args)), buf.tolist())
+                got[backend] = (_run(name, view, args), buf.tolist())
         assert got["c"] == got["numpy"], (name, step, words, args)
     return got["numpy"][0]
 
@@ -100,6 +124,25 @@ def _practice_super_cases():
         yield "practice_super", words, (PAD, PAD + n, DELTA, 7 * n, 7, T8)
 
 
+def _implicit_practice_cases():
+    """Keys past the interval in the run, the reversed interval elsewhere;
+    the padding is past the interval and below the run, so a block past
+    ``hi`` changes ``dnext``."""
+    for n, start, run in _shapes():
+        far = DELTA + n
+        words = _segment(n, start, run, lambda k: far + 1 + (5 * k + 3 * start) % 9,
+                         lambda k: DELTA + n - 1 - k, far)
+        yield "implicit_practice", words, (PAD, PAD + n, DELTA)
+
+
+def _fixpoint_cases():
+    """Words off their own slot in the run, on it or off it elsewhere."""
+    for n, start, run in _shapes():
+        words = _segment(n, start, run, lambda k: DELTA + k + 1 + k % 4,
+                         lambda k: DELTA + k + (k + run) % 2, DELTA + n)
+        yield "collect_fixpoints", words, (PAD, PAD + n, DELTA)
+
+
 def _tagged(n, start, run):
     """Untagged words in the run, tagged ones elsewhere, value planes 0 or
     1, untagged padding; and how many words are tagged."""
@@ -113,6 +156,18 @@ def _store_cases():
         words, tags = _tagged(n, start, run)
         for n_d in {max(tags - 1, 0), tags, tags + 1}:
             yield "store_records", words, (PAD, PAD + n, n_d, T8)
+
+
+def _store_nodes_cases():
+    """Untagged words in the run (idle keys of the 3-key interval, and
+    deferred keys), nodes of counts 0-3 elsewhere: at a pack split of 1,
+    counts 2 and 3 need a companion, which is one of the idle keys, within
+    a budget of none or of every word."""
+    for n, start, run in _shapes():
+        words = _segment(n, start, run, lambda k: DELTA + (k % 3 if k % 2 else 50 + k),
+                         lambda k: T8 | (k + start) % 4, 0)
+        for budget in (0, n):
+            yield "store_nodes", words, (PAD, PAD + n, DELTA, 3, 1, T8, budget)
 
 
 def _retrieval_cases():
@@ -170,6 +225,31 @@ def _sparse_pass_cases(n):
                 yield "improved_passes", words, (PAD, PAD + n, 1000, wm1, T63)
 
 
+def _sparse_loop_cases(n):
+    """The counting and cycle-leader loops on ``n`` keys, one key (two
+    copies of one, for the counting loops) per pass interval, so that a
+    pass over 16 words or more (32 for two copies) settles at most 1/16 of
+    them and takes the skip paths; in the orders of
+    :func:`_sparse_pass_cases`.  In ``stacked_passes`` every second copy
+    stays in the segment below the next interval.  The padding is the
+    first pass's interval end, so a block that reads it moves the next
+    pass's start."""
+    for order in (range(n), range(n - 1, -1, -1), [(7 * k) % n for k in range(n)]):
+        for twice in (False, True):
+            seg = [1000 + 2 * n * (r // 2 if twice else r) for r in order]
+            words = [0] * PAD + seg + [1000 + n] * PAD
+            yield "sequential_passes", words, (PAD, PAD + n, 1000, 63)
+            yield "stacked_passes", words, (PAD, PAD + n, 1000, 0, n, 63)
+            if not twice:
+                yield "distinct_passes", words, (PAD, PAD + n, 1000)
+
+
+def _sparse_cases():
+    for n in SPARSE:
+        yield from _sparse_pass_cases(n)
+        yield from _sparse_loop_cases(n)
+
+
 def test_practice_steps_over_deferred_keys():
     for case in _practice_cases():
         _agree(*case)
@@ -178,6 +258,23 @@ def test_practice_steps_over_deferred_keys():
 def test_practice_super_steps_over_deferred_keys():
     for case in _practice_super_cases():
         _agree(*case)
+
+
+def test_implicit_practice_steps_over_keys_past_the_interval():
+    for case in _implicit_practice_cases():
+        _agree(*case)
+
+
+def test_collect_fixpoints_steps_over_words_off_their_slot():
+    for case in _fixpoint_cases():
+        _agree(*case)
+
+
+def test_store_nodes_steps_over_untagged_words():
+    results = [_agree(*case) for case in _store_nodes_cases()]
+    assert {r[3] for r in results} == {kernels.STATUS_OK, kernels.STATUS_OVERFULL,
+                                       kernels.STATUS_NO_IDLE}
+    assert any(r[3] == kernels.STATUS_OK and r[0] for r in results)  # a companion stored
 
 
 def test_store_records_steps_over_untagged_words():
@@ -211,17 +308,41 @@ def test_improved_passes_on_sparse_segments(n):
         assert result[4] == kernels.PHASE_OK, result
 
 
+@pytest.mark.parametrize("n", SPARSE)
+def test_counting_and_cycle_leader_loops_on_sparse_segments(n):
+    """Each loop sorts its segment (``stacked_passes`` with its unwind)."""
+    for name, words, args in _sparse_loop_cases(n):
+        result = _agree(name, words, args)
+        if name == "stacked_passes":
+            assert (result[6], result[3], result[13]) == (kernels.PHASE_OK, args[1],
+                                                          kernels.PHASE_OK), result
+        else:
+            assert result[4] == kernels.PHASE_OK, (name, result)
+
+
+def test_every_loop_has_a_sparse_case():
+    """Every pass loop with skip paths meets sparse segments, here and in
+    the sanitized driver: all but ``rank_passes``, which has none, and
+    ``unwind_levels``, which runs after each ``stacked_passes`` case."""
+    loops = set(_LOOP_NAMES) - {"rank_passes", "unwind_levels"}
+    assert {name for name, _, _ in _sparse_cases()} == loops
+    driven = {line.split()[0] for line in _driver_input()}
+    assert loops <= driven
+
+
 @pytest.mark.parametrize("step", STEPS)
-@pytest.mark.parametrize("algo, ratio", [("assoc_improved", 30), ("assoc_improved", 100),
-                                         ("distinct_improved", 30), ("distinct_improved", 100),
-                                         ("distinct_improved", 3000)])
+@pytest.mark.parametrize("algo, ratio", [
+    *((algo, ratio) for algo in ("assoc_improved", "distinct_improved", "assoc_seq",
+                                 "assoc_rec", "cycle_distinct") for ratio in (30, 100)),
+    ("distinct_improved", 3000),
+])
 def test_c_matches_numpy_at_scale(algo, ratio, step):
     """n = 2000 keys over ``ratio * n``: sorted words and the four
     ``OpCounters`` fields agree.  At 3000n the bitmap passes defer enough
     for the skip paths."""
     n = 2000
     rng = np.random.default_rng([0x5C1, ratio])
-    if algo == "distinct_improved":
+    if algo in ("distinct_improved", "cycle_distinct"):
         keys = rng.choice(ratio * n, size=n, replace=False).astype(np.int64)
     else:
         keys = rng.integers(0, ratio * n, size=n, dtype=np.int64)
@@ -251,12 +372,12 @@ def _driver_input():
     def line(name, sorts, seg, args):
         lines.append(" ".join(map(str, [name, int(sorts), len(args), *args, len(seg), *seg])))
 
-    cases = [*_practice_cases(), *_practice_super_cases(), *_store_cases(),
-             *_retrieval_cases(), *_partition_cases(), *_pass_cases(),
-             *(case for n in SPARSE for case in _sparse_pass_cases(n))]
+    cases = [*_practice_cases(), *_practice_super_cases(), *_implicit_practice_cases(),
+             *_fixpoint_cases(), *_store_cases(), *_store_nodes_cases(),
+             *_retrieval_cases(), *_partition_cases(), *_pass_cases(), *_sparse_cases()]
     for name, words, (lo, hi, *rest) in cases:
         seg = words[lo:hi]
-        line(name, name == "improved_passes" and rest[0] == min(seg), seg, (0, hi - lo, *rest))
+        line(name, name in _LOOP_NAMES and rest[0] == min(seg), seg, (0, hi - lo, *rest))
     for _, words, (lo, hi, delta, wm1, tag) in _pass_cases():
         if wm1 == 0:
             seg, n = words[lo:hi], hi - lo
@@ -273,11 +394,11 @@ SANITIZE = ["-O2", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover"
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
 def test_sanitized_driver(tmp_path):
-    """``skip_paths_driver.c`` runs the boundary shapes through every
-    kernel with a skip path and every pass loop, on buffers of exactly the
-    words they may touch, with AddressSanitizer and UBSan on: a block read
-    one word past either end stops it.  It also checks that the stride-8
-    and generic instances agree."""
+    """``skip_paths_driver.c`` runs the boundary shapes and sparse
+    segments through every kernel with a skip path and every pass loop, on
+    buffers of exactly the words they may touch, with AddressSanitizer and
+    UBSan on: a block read one word past either end stops it.  It also
+    checks that the stride-8 and generic instances of the loops agree."""
     env = dict(os.environ, ASAN_OPTIONS="detect_leaks=0", UBSAN_OPTIONS="print_stacktrace=1")
     probe = tmp_path / "probe.c"
     probe.write_text("int main(void) { return 0; }\n")

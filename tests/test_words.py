@@ -154,6 +154,25 @@ class TestEpsilon:
         # once: ceil((n/2)/thr) = 16 alone would under-provision.
         assert epsilon(1024, WordConfig(16)) == 31
 
+    def test_only_the_overfull_term_counts(self):
+        """``pass_budget`` keeps only ``seg // (thr + 1)``: the paper's
+        ``ceil((seg // 2) / thr)`` is never larger (the proof is at
+        ``kernels.pass_budget``).  Checked against the two-term formula at
+        ``seg = 2**k`` and ``2**k +- 1`` for every ``k`` and every width up
+        to 63, up to the ``2**(w-1)`` words a pass loop takes."""
+        for w in range(2, 64):
+            for k in range(w):
+                for seg in (2**k - 1, 2**k, 2**k + 1):
+                    if not 1 <= seg <= 2 ** (w - 1):
+                        continue
+                    lg = max(1, (seg - 1).bit_length())
+                    split = w - 1 - lg
+                    eps = 0
+                    if 2 * lg >= w:
+                        thr = 2**split
+                        eps = max(-(-(seg // 2) // thr), seg // (thr + 1))
+                    assert pass_budget(seg, w) == (eps, split), (w, seg)
+
     def test_zero_when_positions_fit_twice(self):
         # 2 * pos_bits < w means a record can carry position + count for
         # every possible count, so no companions can ever be needed.
