@@ -10,14 +10,20 @@ nothing else.  All three write the same words and return the same values.
 
 The active backend is chosen, in order of precedence:
 
-1. :func:`set_backend` / :func:`use_backend`,
+1. :func:`set_backend` / :func:`use_backend`, which select it for the
+   current thread (more exactly, the current :mod:`contextvars` context,
+   so an asyncio task has its own too),
 2. the ``ASSOCSORT_BACKEND`` environment variable (``numba``, ``c`` or
    ``numpy``), read once at first use,
 3. the first of ``numba``, ``c`` and ``numpy`` that is :func:`available`.
+
+A thread that selects none runs the default of 2 and 3, whatever other
+threads select.
 """
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from types import FunctionType, SimpleNamespace
 
 from . import kernels as _kernels
@@ -41,7 +47,8 @@ _LOOP_NAMES = (
     "rank_passes",
 )
 # Plain functions the pass loops call besides the kernels.
-_HELPER_NAMES = ("pass_interval", "pass_budget", "practice_store")
+_HELPER_NAMES = ("pass_interval", "pass_budget", "practice_store", "dense_last",
+                 "practice_cursors")
 _KERNEL_NAMES = tuple(name for name in SIGNATURES if name not in _LOOP_NAMES)
 
 PLAIN = SimpleNamespace(
@@ -62,7 +69,8 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 _loaded = {"numpy": PLAIN}  # kernel namespaces built so far, by backend
 _loops = {"numpy": PLAIN_LOOPS}  # their pass-loop namespaces
 _missing = {}  # why a backend cannot run here, by backend
-_current = None
+_default = None  # the backend of a context that selected none, once resolved
+_selected = ContextVar("assocsort_backend", default=None)
 
 
 def _build(name: str) -> tuple:
@@ -117,28 +125,30 @@ def _resolve_default() -> str:
 
 
 def current_backend() -> str:
-    """Name of the backend that :func:`active` will hand out."""
-    global _current
-    if _current is None:
-        _current = _resolve_default()
-    return _current
+    """Name of the backend that :func:`active` will hand out here."""
+    global _default
+    name = _selected.get()
+    if name is None:
+        if _default is None:
+            _default = _resolve_default()
+        name = _default
+    return name
 
 
 def set_backend(name: str) -> None:
-    """Select the kernel backend for subsequent sorts."""
-    global _current
-    _current = _check(name, "backend ")
+    """Select the kernel backend for subsequent sorts in this context."""
+    _selected.set(_check(name, "backend "))
 
 
 @contextmanager
 def use_backend(name: str):
-    """Temporarily select a backend (restores the previous one on exit)."""
-    previous = current_backend()
-    set_backend(name)
+    """Select a backend in this context until the block exits, then
+    restore the selection before it."""
+    token = _selected.set(_check(name, "backend "))
     try:
         yield
     finally:
-        set_backend(previous)
+        _selected.reset(token)
 
 
 def active() -> SimpleNamespace:

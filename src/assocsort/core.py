@@ -168,22 +168,23 @@ def run_loop(
     counters: Optional[OpCounters],
     P: Optional[np.ndarray] = None,
     args: tuple = (),
+    top: bool = False,
 ) -> OpCounters:
     """Sort ``S`` (carrying ``P``) in place in one call of the pass loop
     named ``loop`` on ``backend.active_loops()``.
 
     The loop takes the arrays, the segment ``0, len(S)``, the minimum the
-    front door scanned and ``args``, and returns ``(passes, moves,
-    node_creations, head, phase, status, *numbers)``.  Its counters are
-    added to ``counters``; a failed check is raised by ``fail(phase,
-    status, *numbers)``.
+    front door scanned (and, if ``top``, the maximum) and ``args``, and
+    returns ``(passes, moves, node_creations, head, phase, status,
+    *numbers)``.  Its counters are added to ``counters``; a failed check
+    is raised by ``fail(phase, status, *numbers)``.
     """
     cfg, counters, bounds = start(S, cfg, counters, P)
     if bounds is None:
         return counters
     arrays = (S,) if P is None else (S, P)
     passes, moves, created, _, phase, status, *numbers = getattr(active_loops(), loop)(
-        *arrays, 0, len(S), bounds[0], *args
+        *arrays, 0, len(S), *bounds[: 1 + top], *args
     )
     counters.passes += passes
     counters.moves += moves

@@ -28,7 +28,13 @@ pass loop.  A traced sort runs each pass as the steps below, one kernel
 call per phase, so that it can hand the trace a snapshot after each.
 Both take the interval of ``kernels.pass_interval``, make the same
 checks in the same order, stop a pass that settles nothing, and raise
-the same error through :func:`_fail`.
+the same error through :func:`_fail`.  They differ in one place: the
+loop, which knows the keys' maximum from the front door, practices a
+*dense-last* pass (``kernels.dense_last``: one that defers nothing, over
+a segment too large for L1 whose keys span most of it) with 16
+interleaved cursors, so that the cache misses of their chases overlap.
+That order changes neither the counters nor the sorted words, only where
+idle words sit until retrieval rewrites them.
 """
 
 from typing import Optional
@@ -135,7 +141,8 @@ def _sort(step, bitmap, S, cfg, counters, trace):
         return run_passes(step, S, cfg, counters, trace)
     cfg = cfg or WordConfig()
     wm1 = cfg.w - 1 if bitmap else 0
-    return run_loop("improved_passes", _fail, S, cfg, counters, args=(wm1, cfg.tag_mask))
+    return run_loop("improved_passes", _fail, S, cfg, counters, args=(wm1, cfg.tag_mask),
+                    top=True)
 
 
 def sort_improved(

@@ -3,7 +3,7 @@
  * kernels.py is the specification.  Each function here takes the
  * arguments of the Python kernel of the same name and gives the same
  * results, the same words and the same STATUS_* and PHASE_* codes, so
- * both backends write the same words and report the same counters.  Two
+ * both backends write the same words and report the same counters.  Three
  * things exist only here, and change no result:
  * * Skip paths.  Where a scan of a value-sort pass loop would only step
  *   past word after word (keys practice defers or, in stacked_passes,
@@ -15,6 +15,11 @@
  * * Each of those four loops is compiled twice from one body: once with
  *   the byte stride fixed at 8, which every contiguous array has, and once
  *   for any stride.
+ * * Masks for branches.  In a dense-last pass of improved_passes (see
+ *   kernels.dense_last), where a third of the keys or more repeat, storage
+ *   and retrieval pick their writes by mask arithmetic, with a word written
+ *   back unchanged where the Python kernel leaves it, and the cursors of
+ *   practice_cursors do so for the slot they hash to.
  * Kernels never fail loudly; a broken invariant comes back as a negative
  * status for the driver to raise on.
  *
@@ -936,11 +941,218 @@ void practice_super(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
     practice_super_k(S, S_s, lo, hi, delta, span_keys, wm1, tag, 1, out);
 }
 
+/* The gate of kernels.dense_last.  improved_passes over one pass of keys
+ * drawn uniformly from m/n of the segment's span, or a permutation (perm),
+ * with the gate forced on, against off: median time ratios of 41 runs
+ * alternating the two (9 at 2^20), on a 2-vCPU Xeon with 48 KiB of L1d and
+ * 2 MiB of L2 per core.
+ *
+ *     words   m/n 1/2   5/8   3/4    1    perm
+ *     4096       1.95  1.47  1.12  0.90  0.85
+ *     8192       1.03  0.96  0.82  0.79  0.98
+ *     12288      1.01  0.87  0.87  0.85  0.86
+ *     16384      0.88  0.85  0.82  0.77  0.92
+ *     2^17       0.83  0.83  0.74  0.72  0.95
+ *     2^20       0.84  0.69  0.59  0.51  0.28
+ *
+ * The machine changes its own speed by up to ~1.7x, and repeats of a cell
+ * moved by up to 0.1 (permutations of 8192 words read 0.93-1.11).
+ * Hence a floor of 2^14 words, and keys that span 5/8 of the segment: a
+ * margin over 1/2, which read 0.96-1.08 at 2^17-2^20 in a build whose
+ * rounds always went through the list of live cursors. */
+#define CURSORS 16
+#define DENSE_FLOOR ((i64)1 << 14)
+
+INLINE int dense_last(i64 seg, i64 delta, i64 top)
+{
+    if (seg < DENSE_FLOOR || delta < 0 || delta > top)
+        return 0;
+    /* 0 <= delta <= top, so spread is exact, and 8 * spread < 8 * seg. */
+    uint64_t spread = (uint64_t)(top - delta);
+    return spread < (uint64_t)seg && 8 * spread >= 5 * (uint64_t)seg;
+}
+
+/* All ones where x is nonzero, else 0. */
+INLINE i64 mask_if(i64 x)
+{
+    return -(i64)(x != 0);
+}
+
+/* a where m is 0, b where m is all ones. */
+INLINE i64 pick(i64 m, i64 a, i64 b)
+{
+    return a ^ ((a ^ b) & m);
+}
+
+/* The counters of practice_cursors. */
+typedef struct {
+    i64 n_d, n_c, n_def, dnext;
+} tally;
+
+/* One step of cursor c of practice_cursors.  Each chase of displaced words
+ * is a chain of dependent loads; with one cursor each load waits for the
+ * one before, with CURSORS they overlap, as long as no mispredicted branch
+ * on a loaded slot discards the steps after it.  So a step branches on its
+ * own word only, and picks what it writes to its word and the slot by
+ * mask, a bumped node's key written back. */
+INLINE void cursor_step(char *S, i64 S_s, i64 lo, i64 seg, i64 delta, i64 tag,
+                        int sh, i64 *cur, int c, tally *n)
+{
+    i64 i = cur[c], v = AT(S, i), d = v - delta;
+    if (mask_if(v & tag) | (d >> 63)) {
+        cur[c] = i + 1;
+        return;
+    }
+    if (d >= seg) {
+        n->n_def++;
+        if (n->dnext < 0 || v < n->dnext)
+            n->dnext = v;
+        cur[c] = i + 1;
+        return;
+    }
+    i64 j = lo + d;
+    i64 t = AT(S, j);
+    i64 bump = mask_if(t & tag), make = ~bump;
+    AT(S, i) = pick(make, v, t);
+    AT(S, j) = pick(bump, tag, (i64)((uint64_t)t + 1));
+    n->n_d -= make;
+    n->n_c -= bump;
+    cur[c] = i + 1 + (make & -(i64)(j >= cur[(j - lo) >> sh]));
+}
+
+/* kernels.practice_cursors: practice of a whole segment as CURSORS
+ * interleaved cursors, one per block of 2^sh words. */
+INLINE void practice_cursors(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
+                             i64 tag, i64 *out)
+{
+    i64 seg = hi - lo, cur[CURSORS], end[CURSORS];
+    tally n = {0, 0, 0, -1};
+    int sh = 0, live[CURSORS], n_live = 0;
+    while (seg > ((i64)CURSORS << sh))
+        sh++;
+    for (int c = 0; c < CURSORS; c++) {
+        i64 a = lo + ((i64)c << sh), b = a + ((i64)1 << sh);
+        cur[c] = a < hi ? a : hi;
+        end[c] = b < hi ? b : hi;
+        if (cur[c] < end[c])
+            live[n_live++] = c;
+    }
+    while (n_live) {
+        /* A cursor moves at most one word a round, so none ends within
+         * the next `rounds` rounds but at its last step. */
+        i64 rounds = end[live[0]] - cur[live[0]];
+        for (int x = 1; x < n_live; x++)
+            if (end[live[x]] - cur[live[x]] < rounds)
+                rounds = end[live[x]] - cur[live[x]];
+        /* While every cursor is live, a round needs no list of them: with
+         * the list, dense sorts of 2^17 keys practiced ~8% slower. */
+        for (; rounds > 0; rounds--)
+            if (n_live == CURSORS)
+                for (int c = 0; c < CURSORS; c++)
+                    cursor_step(S, S_s, lo, seg, delta, tag, sh, cur, c, &n);
+            else
+                for (int x = 0; x < n_live; x++)
+                    cursor_step(S, S_s, lo, seg, delta, tag, sh, cur, live[x], &n);
+        int kept = 0;
+        for (int x = 0; x < n_live; x++)
+            if (cur[live[x]] < end[live[x]])
+                live[kept++] = live[x];
+        n_live = kept;
+    }
+    out[0] = n.n_d;
+    out[1] = n.n_c;
+    out[2] = n.n_def;
+    out[3] = n.dnext;
+    out[4] = n.n_d;
+    out[5] = n.n_d;
+}
+
+/* store_records_k without the skip path, for a dense-last pass, whose
+ * words are mostly nodes in no order a branch predicts: every word is
+ * written, back unchanged where store_records_k leaves it. */
+INLINE void store_records_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
+                                i64 tag, i64 *out)
+{
+    i64 vmask = tag - 1, k = lo, moves = 0;
+    /* store_records_k stops right after its n_d-th node, if n_d > 0. */
+    i64 stop = n_d > 0 ? lo + n_d : lo - 1;
+    for (i64 p = lo; p < hi && k != stop; p++) {
+        i64 a = AT(S, k), b = AT(S, p);
+        i64 node = mask_if(b & tag), swap = node & mask_if(p != k);
+        AT(S, k) = pick(swap, a, (a & tag) | (b & vmask));
+        AT(S, p) = pick(swap, b, (b & tag) | (a & vmask));
+        moves += swap & 2;
+        k -= node;
+    }
+    out[0] = k - lo;
+    out[1] = moves;
+    out[2] = k - lo != n_d ? STATUS_TAG_SCAN : STATUS_OK;
+}
+
+/* Words retrieve_dense writes by mask for a node of few keys. */
+#define WRITES 3
+
+/* retrieve_scan with wm1 == 0 and no skip path, for a dense-last pass,
+ * where gaps between nodes and counts are short and in no order a branch
+ * predicts.  The tag scan finds the highest tag of the next 4 words by
+ * mask; a node of at most WRITES keys whose writes cannot collide writes
+ * WRITES words, each its key or itself back.  Longer gaps and counts, and
+ * the ends of the segment, take retrieve_scan's loops. */
+INLINE void retrieve_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
+                           i64 delta, i64 tag, i64 *out)
+{
+    i64 vmask = tag - 1;
+    i64 o = lo + n_d + n_c - 1, p = hi - 1, moves = 0;
+    for (i64 k = n_d - 1; k >= 0; k--) {
+        i64 m = 0;
+        if (p - 3 >= lo)
+            m = (mask_if(AT(S, p) & tag) & 8) | (mask_if(AT(S, p - 1) & tag) & 4) |
+                (mask_if(AT(S, p - 2) & tag) & 2) | (mask_if(AT(S, p - 3) & tag) & 1);
+        if (m) {
+            p -= __builtin_clzll((uint64_t)m) - 60;
+        } else {
+            p = skip_untagged_down(S, S_s, p, lo, tag);
+            while (p >= lo && !(AT(S, p) & tag))
+                p--;
+            if (p < lo) {
+                out[0] = moves;
+                out[1] = STATUS_TAG_SCAN;
+                return;
+            }
+        }
+        i64 rec = AT(S, lo + k) & vmask;
+        AT(S, p) = AT(S, p) & vmask;
+        i64 key = delta + (p - lo);
+        if ((uint64_t)rec < WRITES && o - (WRITES - 1) >= lo + k) {
+            for (i64 t = 0; t < WRITES; t++) {
+                i64 y = AT(S, o - t);
+                AT(S, o - t) = pick(-(i64)(t <= rec), y, (y & tag) | key);
+            }
+            o -= rec + 1;
+            moves += rec + 1;
+        } else {
+            for (i64 c = 0; c <= rec; c++) {
+                if (o < lo + k) {
+                    out[0] = moves;
+                    out[1] = STATUS_COLLISION;
+                    return;
+                }
+                AT(S, o) = (AT(S, o) & tag) | key;
+                o--;
+                moves++;
+            }
+        }
+        p--;
+    }
+    out[0] = moves;
+    out[1] = o != lo - 1 ? STATUS_COLLISION : STATUS_OK;
+}
+
 /* Every pass of both improved sorters in one call: the steps above, in a
  * loop, with the checks of the per-phase steps in improved.py between them.
  * Inlined into improved_passes twice, once with S_s fixed at 8. */
 INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
-                          i64 wm1, i64 tag, i64 *out)
+                          i64 top, i64 wm1, i64 tag, i64 *out)
 {
     i64 passes = 0, moves = 0, created = 0;
     i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0;
@@ -950,8 +1162,11 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         passes++;
         /* The interval and pivot of kernels.pass_interval. */
         i64 seg = hi - head, span = seg, pivot = delta + seg - 1;
+        int dense = wm1 == 0 && dense_last(seg, delta, top);
         r[6] = -1;
-        if (wm1 == 0) {
+        if (dense) {
+            practice_cursors(S, S_s, head, hi, delta, tag, r);
+        } else if (wm1 == 0) {
             SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, tag);
         } else {
             if (__builtin_mul_overflow(wm1, seg, &span) || span > tag)
@@ -961,6 +1176,12 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                  tag);
         }
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
+        /* Masked storage and retrieval pay where a third of the keys or
+         * more repeat; where fewer do, the branches mostly go one way.  At
+         * 2^17 words their time against the branches' was 0.68 and 0.62
+         * with 37% of the keys repeats (uniform keys, m = n), 0.85 and
+         * 1.19 with 20%, 1.15 and 1.84 with 10%, 3.1 and 4.1 with none. */
+        int masked = dense && 2 * n_c >= n_d;
         /* Each word of the segment is settled or deferred, so this is
          * sparse(n_d + n_c, seg); written so, distinct_improved sorts of
          * keys over 10n-100n took 10-15% longer. */
@@ -972,7 +1193,10 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
             a = r[6];
             break;
         }
-        SCAN(store_records_k, skip, r, S, S_s, head, hi, n_d, tag);
+        if (masked)
+            store_records_dense(S, S_s, head, hi, n_d, tag, r);
+        else
+            SCAN(store_records_k, skip, r, S, S_s, head, hi, n_d, tag);
         moves += r[1];
         if (r[2] != STATUS_OK) {
             phase = PHASE_STORE;
@@ -989,7 +1213,11 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
             b = n_c;
             break;
         }
-        SCAN(retrieve_scan, skip, r, S, S_s, head, hi, n_d, n_c, delta, wm1, tag);
+        if (masked)
+            retrieve_dense(S, S_s, head, hi, n_d, n_c, delta, tag, r);
+        else
+            SCAN(retrieve_scan, skip, r, S, S_s, head, hi, n_d, n_c, delta, wm1,
+                 tag);
         moves += r[0];
         if (r[1] != STATUS_OK) {
             phase = PHASE_RETRIEVE;
@@ -1016,10 +1244,10 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     out[7] = b;
 }
 
-void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 wm1,
-                     i64 tag, i64 *out)
+void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 top,
+                     i64 wm1, i64 tag, i64 *out)
 {
-    BY_STRIDE(improved_loop, head, hi, delta, wm1, tag, out);
+    BY_STRIDE(improved_loop, head, hi, delta, top, wm1, tag, out);
 }
 
 void practice_rank(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,

@@ -713,15 +713,102 @@ def pass_interval(seg, delta, wm1, tag):
     return span, min(delta + span - 1, tag - 1)
 
 
-def improved_passes(S, head, hi, delta, wm1, tag):
+# A dense-last pass practices with this many cursors.
+CURSORS = 16
+# dense_last's floor, in segment words: twice to three times what L1 holds.
+DENSE_FLOOR = 1 << 14
+
+
+def dense_last(seg, delta, top):
+    """Whether a pass of single-key nodes over ``seg`` words from interval
+    start ``delta``, whose keys are at most ``top``, is *dense-last*, so
+    that ``improved_passes`` practices it with :func:`practice_cursors`:
+    the segment has at least ``DENSE_FLOOR`` words, the pass defers no key
+    (``top - delta < seg``), and the keys span at least 5/8 of the
+    segment.  The C loop's comment at ``DENSE_FLOOR`` holds the grid these
+    bounds come from.
+    """
+    return (seg >= DENSE_FLOOR and 0 <= delta <= top and top - delta < seg
+            and 8 * (top - delta) >= 5 * seg)
+
+
+def practice_cursors(S, lo, hi, delta, tag):
+    """:func:`practice` of a whole segment (``base`` 0, ``span = hi -
+    lo``) as ``CURSORS`` cursors, cursor ``c`` scanning the block of words
+    ``[lo + c * 2**sh, lo + (c + 1) * 2**sh)`` of the segment, for the
+    least ``sh`` whose blocks cover it.
+
+    Round after round, each cursor not yet at the end of its block takes
+    one step of :func:`practice`'s loop, in cursor order.  Where a step
+    makes a node at slot ``j``, the word it displaces was already counted
+    when ``j`` lies behind the cursor of ``j``'s block, and the cursor
+    then moves on; otherwise it examines that word next.  A step reads
+    its word anew, since another cursor may have made a node there.
+
+    Every word is counted once, as in :func:`practice`, so a segment that
+    holds only untagged keys in ``[delta, hi - lo + delta)`` ends with the
+    same nodes, counts and results, whatever the order; other words may
+    end elsewhere.  Returns :func:`practice`'s tuple.
+    """
+    seg = hi - lo
+    sh = 0
+    while seg > CURSORS << sh:
+        sh += 1
+    cur = [min(lo + (c << sh), hi) for c in range(CURSORS)]
+    end = [min(lo + ((c + 1) << sh), hi) for c in range(CURSORS)]
+    live = 0
+    for c in range(CURSORS):
+        if cur[c] < end[c]:
+            live += 1
+    n_d = 0
+    n_c = 0
+    n_def = 0
+    dnext = -1
+    while live:
+        for c in range(CURSORS):
+            i = cur[c]
+            if i == end[c]:
+                continue
+            v = S[i]
+            step = 1
+            d = v - delta
+            if v & tag or d < 0:
+                pass  # a node, or a word below the interval: stepped over
+            elif d >= seg:
+                n_def += 1
+                if dnext < 0 or v < dnext:
+                    dnext = v
+            else:
+                j = lo + d
+                t = S[j]
+                if t & tag:
+                    S[j] = t + 1
+                    n_c += 1
+                else:
+                    S[i] = t
+                    S[j] = tag
+                    n_d += 1
+                    if j >= cur[(j - lo) >> sh]:
+                        step = 0
+            cur[c] = i + step
+            if i + step == end[c]:
+                live -= 1
+    return n_d, n_c, n_def, dnext, n_d, n_d
+
+
+def improved_passes(S, head, hi, delta, top, wm1, tag):
     """Every pass of an improved sort of ``S[head:hi]``, from interval
-    start ``delta`` (the segment's minimum).
+    start ``delta`` (the segment's minimum), whose keys are at most
+    ``top`` (the segment's maximum).
 
     A pass is practice, ``store_records``, ``partition_values`` and
     retrieval, the steps ``_node_scan_step`` (``wm1 == 0``: a node counts
     one key) and ``_bitmap_step`` (a node is a bitmap of ``wm1`` keys) of
     :mod:`assocsort.improved` run one kernel call per phase; a change to
-    one pass is made to the other, and to the C loop.  The next pass
+    one pass is made to the other, and to the C loop.  The one exception:
+    a :func:`dense_last` pass practices with :func:`practice_cursors`
+    where the step calls :func:`practice`, which on keys in ``[delta,
+    top]`` leaves the same words and results.  The next pass
     starts at the smallest key this one deferred.  Returns ``(passes,
     moves, node_creations, head, phase, status, a, b)``: the counters so
     far, where the sorted prefix ends, and, when a check failed, the
@@ -740,7 +827,9 @@ def improved_passes(S, head, hi, delta, wm1, tag):
         passes += 1
         span, pivot = pass_interval(hi - head, delta, wm1, tag)
         dup = -1
-        if wm1 == 0:
+        if wm1 == 0 and dense_last(hi - head, delta, top):
+            n_d, n_c, _, dnext, mv, cr = practice_cursors(S, head, hi, delta, tag)
+        elif wm1 == 0:
             n_d, n_c, _, dnext, mv, cr = practice(S, head, hi, delta, 0, span, tag)
         else:
             n_d, n_c, _, dnext, mv, cr, dup = practice_super(

@@ -1,8 +1,8 @@
-/* Runs kernels of kernels.c on buffers malloc()ed to exactly the words
+/* Runs kernels of kernels.c on buffers calloc()ed to exactly the words
  * they may touch.  Built with -fsanitize=address,undefined, a read one
  * word past either end of a buffer stops it with a report.  The cases,
- * the block-boundary shapes of test_skip_paths.py, come from that test
- * on stdin, one a line:
+ * the block-boundary shapes, sparse segments and dense-last segments of
+ * test_skip_paths.py, come from that test on stdin, one a line:
  *
  *   <kernel> <sorts> <k> <k integer arguments> <n> <n words>
  *
@@ -33,7 +33,7 @@ void store_nodes(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void partition_values(char *, i64, i64, i64, i64, i64, i64 *);
 void retrieve_node_scan(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void retrieve_super(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
-void improved_passes(char *, i64, i64, i64, i64, i64, i64, i64 *);
+void improved_passes(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void distinct_passes(char *, i64, i64, i64, i64, i64 *);
 void sequential_passes(char *, i64, i64, i64, i64, i64, i64 *);
 void stacked_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64, i64,
@@ -42,7 +42,7 @@ void unwind_levels(char *, i64, char *, i64, i64, i64, i64, i64, i64 *);
 void rank_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64 *);
 
 #define NOUT 12
-#define MAXN 64
+#define MAXN (1 << 16)
 #define MAXA 8
 
 enum { PRACTICE, PRACTICE_SUPER, IMPLICIT, FIXPOINTS, STORE, STORE_NODES,
@@ -64,15 +64,21 @@ typedef struct {
     i64 stride;
 } view;
 
+static void *alloc(i64 bytes)
+{
+    void *p = calloc(bytes, 1);
+    if (!p) {
+        perror("calloc");
+        exit(2);
+    }
+    return p;
+}
+
 static view view_of(const i64 *words, i64 n, i64 stride)
 {
     i64 step = stride / 8, span = (n - 1) * (step < 0 ? -step : step) + 1;
     view v;
-    v.buf = malloc(span * 8);
-    if (!v.buf) {
-        perror("malloc");
-        exit(2);
-    }
+    v.buf = alloc(span * 8);
     memset(v.buf, 0xA5, span * 8);
     v.base = step < 0 ? v.buf + (span - 1) * 8 : v.buf;
     v.stride = stride;
@@ -96,7 +102,7 @@ static void read_back(view v, i64 n, i64 *words)
 static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
                 i64 *out)
 {
-    i64 P[MAXN], L[4 * MAXN] = {0};
+    i64 *P = alloc(n * 8), *L = alloc(4 * n * 8);
     for (i64 i = 0; i < n; i++)
         P[i] = i;
     view S = view_of(words, n, stride), Pv = view_of(P, n, stride);
@@ -133,7 +139,7 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
                        out);
         break;
     case IMPROVED:
-        improved_passes(s, stride, a[0], a[1], a[2], a[3], a[4], out);
+        improved_passes(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], out);
         break;
     case DISTINCT:
         distinct_passes(s, stride, a[0], a[1], a[2], out);
@@ -155,6 +161,8 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
     read_back(S, n, words);
     read_back(Pv, n, P);
     read_back(Lv, 4 * n, L);
+    free(P);
+    free(L);
 }
 
 /* kind on words at every stride: the same results and words, and a sorted
@@ -164,9 +172,9 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
 static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
 {
     static const i64 strides[] = {8, 16, -8};
-    i64 first[NOUT], w0[MAXN];
+    i64 first[NOUT], *w0 = alloc(n * 8), *w = alloc(n * 8);
     for (int s = 0; s < 3; s++) {
-        i64 out[NOUT], w[MAXN];
+        i64 out[NOUT];
         memcpy(w, words, n * 8);
         run(kind, w, n, a, strides[s], out);
         if (s == 0) {
@@ -178,8 +186,11 @@ static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
             failures++;
         }
     }
-    if (!sorted)
+    free(w);
+    if (!sorted) {
+        free(w0);
         return;
+    }
     i64 phase = kind != STACKED ? first[4]
                                 : first[6] || first[3] != a[1] || first[9];
     for (i64 i = 1; phase == 0 && i < n; i++)
@@ -189,6 +200,7 @@ static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
             failures++;
             break;
         }
+    free(w0);
 }
 
 /* The number of the kernel called name; KINDS when there is none. */
@@ -204,7 +216,7 @@ int main(void)
 {
     char name[32];
     int sorts;
-    i64 k, n, a[MAXA], w[MAXN];
+    i64 k, n, a[MAXA], *w = alloc(MAXN * 8);
     long cases = 0;
     while (scanf("%31s %d %" SCNd64, name, &sorts, &k) == 3) {
         int kind = kind_of(name), ok = kind < KINDS && k >= 0 && k <= MAXA;
@@ -220,6 +232,7 @@ int main(void)
         check(kind, w, n, a, sorts);
         cases++;
     }
+    free(w);
     printf("%ld cases, %ld failures\n", cases, failures);
     return failures != 0;
 }

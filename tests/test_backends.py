@@ -1,8 +1,11 @@
 """The kernel backends must be indistinguishable except for speed."""
 
+import contextlib
+import contextvars
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -55,6 +58,41 @@ def test_use_backend_restores():
     before = current_backend()
     with use_backend("numpy"):
         assert current_backend() == "numpy"
+    assert current_backend() == before
+
+
+def test_threads_select_their_own_backend():
+    """Two threads hold different backends at once, each sorting with its
+    own; a thread that selects none gets the default, and the selection
+    of this thread is untouched."""
+    before = current_backend()
+    default = contextvars.Context().run(current_backend)  # of a context that chose none
+    others = [b for b in BACKENDS if b != before and available(b)]
+    if not others:
+        pytest.skip("one backend can run here")
+    other = others[-1]
+    barrier = threading.Barrier(3, timeout=60)
+    seen = {}
+
+    def work(name):
+        try:
+            with use_backend(name) if name else contextlib.nullcontext():
+                barrier.wait()  # every thread has made its selection
+                S = np.arange(300, dtype=np.int64)[::-1].copy()
+                assocsort.sort(S)
+                seen[name] = (current_backend(), bool(np.all(S[:-1] <= S[1:])))
+                barrier.wait()  # no thread leaves its block before the others look
+        except threading.BrokenBarrierError:
+            seen[name] = "barrier broken"
+
+    with use_backend(other):
+        threads = [threading.Thread(target=work, args=(name,)) for name in (before, other, None)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert current_backend() == other
+    assert seen == {before: (before, True), other: (other, True), None: (default, True)}
     assert current_backend() == before
 
 

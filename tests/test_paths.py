@@ -95,6 +95,24 @@ def test_traced_and_untraced_agree(backend, sorter):
     assert (deepest > core.LEVELS) == (sorter == "assoc_rec")
 
 
+@pytest.mark.parametrize("ratio", [1 / 8, 1 / 2, 1, "permutation"])
+def test_traced_and_untraced_agree_above_the_dense_floor(backend, ratio):
+    """Sorts of segments larger than ``kernels.DENSE_FLOOR``: the untraced
+    loop practices a dense-last pass with interleaved cursors, the traced
+    path with ``practice``; keys and counters still agree."""
+    n = kernels.DENSE_FLOOR + 3
+    rng = np.random.default_rng([0xDE5, n])
+    if ratio == "permutation":
+        keys = rng.permutation(n) + 40
+    else:
+        keys = rng.integers(0, int(ratio * n), size=n) + 40
+    quiet = lambda phase, passes, snapshot: None
+    for w in (32, 63):
+        untraced = _outcome("assoc_improved", w, keys, None)
+        assert _outcome("assoc_improved", w, keys, quiet) == untraced
+        assert untraced[0] == sorted(keys.tolist()) and untraced[2][0] == 1
+
+
 # A corrupted segment for each failed check, as
 # (keys, wm1, tag, delta, expected phase, expected status).  Words with
 # the tag bit set were never made nodes by this pass.
@@ -126,7 +144,8 @@ def _everywhere(loop, arrays, args):
 
 def _passes_everywhere(keys, wm1, tag, delta):
     """``improved_passes`` on every backend: ``{backend: (result, words)}``."""
-    got = _everywhere("improved_passes", [keys], (0, len(keys), delta, wm1, tag))
+    top = int(max(keys))
+    got = _everywhere("improved_passes", [keys], (0, len(keys), delta, top, wm1, tag))
     return {name: (result, words[0]) for name, (result, words) in got.items()}
 
 
@@ -199,6 +218,39 @@ def test_failed_check_messages(phase, status, a, b, error, message):
         _fail(phase, status, a, b)
 
 
+def _count_overflow():
+    """A dense-last pass of ``1.25 * DENSE_FLOOR`` words whose tag is
+    ``DENSE_FLOOR``: key 3 occurs ``tag + 1`` times, so its node's count
+    carries into the tag bit and storage finds one node too few."""
+    tag = kernels.DENSE_FLOOR
+    n = tag + tag // 4
+    keys = np.arange(n) * 7919 % tag
+    keys[np.arange(tag + 1) * n // (tag + 1)] = 3
+    return [keys.tolist()], (0, n, int(keys.min()), int(keys.max()), 0, tag)
+
+
+def _stray_takes_a_count():
+    """A dense-last pass whose last word is a stray tagged word: practice
+    bumps it for the key of its slot, storage never reaches it, so the
+    records hold one count too few and retrieval ends off the front."""
+    n, tag = kernels.DENSE_FLOOR, 1 << 40
+    keys = np.arange(n) * 7919 % n
+    keys[1::2] = keys[::2]  # keys in pairs, so half of them repeat
+    keys[:2] = 0, n - 1
+    keys[-1] = tag | 2 * n
+    return [keys.tolist()], (0, n, int(keys[:-1].min()), int(keys[:-1].max()), 0, tag)
+
+
+# Dense-last passes (see kernels.dense_last) that fail, with the masked
+# storage and retrieval of the C loop.  A pass of single-key nodes cannot
+# fail retrieval's tag scan: nothing clears a tag between a storage that
+# found n_d of them and the scan.
+DENSE_CORRUPT = [
+    ("improved_passes", *_count_overflow(), kernels.PHASE_STORE, kernels.STATUS_TAG_SCAN),
+    ("improved_passes", *_stray_takes_a_count(), kernels.PHASE_RETRIEVE,
+     kernels.STATUS_COLLISION),
+]
+
 # Where each loop's result holds ``(phase, status)``.
 PHASE_AT = {"stacked_passes": 6, "unwind_levels": 1}
 L8 = [0] * 8  # an empty buffer of two levels
@@ -244,6 +296,7 @@ LOOP_CORRUPT = [
     ("rank_passes", [[2, 0], [0, 1]], (0, 2, 1, 16), kernels.PHASE_RESTORE,
      kernels.STATUS_BAD_PREFIX),
     ("rank_passes", [[6], [0]], (0, 1, 5, 32), kernels.PHASE_PREFIX, 0),
+    *DENSE_CORRUPT,
 ]
 
 
@@ -269,7 +322,11 @@ def test_every_loop_failure_has_a_case():
         *(("rank_passes", phase) for phase in (
             kernels.PHASE_ACCUMULATE, kernels.PHASE_TICKET, kernels.PHASE_REACTIVATE,
             kernels.PHASE_RESTORE, kernels.PHASE_PREFIX)),
+        ("improved_passes", kernels.PHASE_STORE),
+        ("improved_passes", kernels.PHASE_RETRIEVE),
     }
+    for _, (words,), (head, hi, delta, top, _, _), _, _ in DENSE_CORRUPT:
+        assert kernels.dense_last(hi - head, delta, top)
 
 
 def _random_case(rng, loop):

@@ -13,9 +13,11 @@ value planes above the pivot in the right-hand scan of
 a byte stride of 8 and once for any stride.
 
 Each scan is fed runs of 0-9 skippable words at every offset of segments
-of 1-12 words, and each loop sparse segments of 16-64 words, through views
-of step 1, 2 and -1, and must leave the same result and words as on
-``numpy``.  The words around a segment are chosen so that a block that
+of 1-12 words, each loop sparse segments of 16-64 words, and
+``improved_passes`` dense-last segments, whose practice runs as
+interleaved cursors and whose storage and retrieval run by mask in C,
+through views of step 1, 2 and -1, and must leave the same result and
+words as on ``numpy``.  The words around a segment are chosen so that a block that
 reads past the segment changes the result where a result can show it.
 Other reads past the segment, and any past the end of the array, are out
 of reach of such comparisons: ``test_sanitized_driver`` runs the same
@@ -34,6 +36,8 @@ import assocsort
 from assocsort import ckernels, kernels
 from assocsort.backend import _LOOP_NAMES, active, active_loops, available, use_backend
 from assocsort.counters import OpCounters
+
+from .test_paths import DENSE_CORRUPT
 
 pytestmark = pytest.mark.skipif(not available("c"), reason="c backend unavailable")
 
@@ -204,7 +208,7 @@ def _pass_cases():
                    for k in range(n)]
             words = [0] * PAD + seg + [far] * PAD
             for delta in (min(seg), 0):
-                yield "improved_passes", words, (PAD, PAD + n, delta, wm1, T8)
+                yield "improved_passes", words, (PAD, PAD + n, delta, max(seg), wm1, T8)
 
 
 SPARSE = (16, 17, 18, 19, 20, 23, 31, 32, 33, 40, 64)
@@ -222,7 +226,7 @@ def _sparse_pass_cases(n):
                 # Padding at the first pass's interval end: a block that
                 # reads it moves the next pass's start.
                 words = [0] * PAD + seg + [1000 + n * max(wm1, 1)] * PAD
-                yield "improved_passes", words, (PAD, PAD + n, 1000, wm1, T63)
+                yield "improved_passes", words, (PAD, PAD + n, 1000, max(seg), wm1, T63)
 
 
 def _sparse_loop_cases(n):
@@ -242,6 +246,61 @@ def _sparse_loop_cases(n):
             yield "stacked_passes", words, (PAD, PAD + n, 1000, 0, n, 63)
             if not twice:
                 yield "distinct_passes", words, (PAD, PAD + n, 1000)
+
+
+F = kernels.DENSE_FLOOR
+
+
+def _dense_case(seg, delta, top, tag=T63):
+    """``improved_passes`` of single-key nodes on ``seg`` between padding
+    that holds key ``delta``, so that a cursor that strays past the
+    segment changes the counts."""
+    words = [delta] * PAD + [int(v) for v in seg] + [delta] * PAD
+    return "improved_passes", words, (PAD, PAD + len(seg), delta, top, 0, tag)
+
+
+def _past_top():
+    """A dense-last pass told a ``top`` below a tenth of its keys, which lie
+    past the interval: it defers them, and where the cursors leave them
+    decides the moves of the partition."""
+    seg = np.random.default_rng(0xD5F).integers(0, F, size=F)
+    seg[np.arange(0, F, 10)] += F
+    return _dense_case(seg, int(seg.min()), F - 1)
+
+
+def _dense_cases():
+    """Dense-last passes (see ``kernels.dense_last``), which the C loop runs
+    with interleaved cursors and masked storage and retrieval: keys over
+    the segment as the benchmark's dense sort draws them, at lengths whose
+    16 blocks are all full or not (``F + 1`` words fill 9, the last with
+    one word), at the least spread the gate takes and one key less, and a
+    permutation; then corrupted ones: stray tags, keys below ``delta`` (in
+    one case all of them, with strays), a ``top`` below a tenth of the
+    keys, past them, below ``delta`` or at either end of int64, and the
+    failing passes of ``test_paths.DENSE_CORRUPT``."""
+    rng = np.random.default_rng(0xD5E)
+    for n in (F, F + 1, 3 * F // 2 + 5):
+        seg = rng.integers(0, n, size=n) + 7
+        yield _dense_case(seg, int(seg.min()), int(seg.max()))
+    for spread in (5 * F // 8, 5 * F // 8 - 1):
+        seg = rng.integers(0, spread + 1, size=F)
+        seg[:2] = 0, spread
+        yield _dense_case(seg, 0, spread)
+    yield _dense_case(rng.permutation(F), 0, F - 1)
+    seg = rng.integers(0, F, size=F)
+    lo, hi = int(seg.min()), int(seg.max())
+    stray = seg.copy()
+    stray[rng.integers(0, F, size=5)] |= T63
+    yield _dense_case(stray, lo, hi)
+    yield _dense_case(seg, lo + 1, hi)  # the copies of the minimum are below delta
+    below = seg.copy()
+    below[::100] |= T63
+    yield _dense_case(below, F, F + 3 * F // 4)  # no node: storage finds only strays
+    yield _past_top()
+    for top in (lo + F - 1, hi + F, lo - 1, -(1 << 63), (1 << 63) - 1):
+        yield _dense_case(seg, lo, top)
+    for loop, (words,), args, _, _ in DENSE_CORRUPT:
+        yield loop, words, args
 
 
 def _sparse_cases():
@@ -320,6 +379,46 @@ def test_counting_and_cycle_leader_loops_on_sparse_segments(n):
             assert result[4] == kernels.PHASE_OK, (name, result)
 
 
+def test_improved_passes_on_dense_last_segments():
+    """The interleaved practice and the masked storage and retrieval give
+    the ``numpy`` loop's words and results, passes that fail included."""
+    phases = {_agree(*case)[4:6] for case in _dense_cases()}
+    assert phases == {(kernels.PHASE_OK, 0), (kernels.PHASE_PARTITION, 0),
+                      (kernels.PHASE_STORE, kernels.STATUS_TAG_SCAN),
+                      (kernels.PHASE_RETRIEVE, kernels.STATUS_COLLISION)}
+
+
+def _sequential(monkeypatch):
+    """Make the ``numpy`` loop practice dense-last passes with ``practice``."""
+    monkeypatch.setattr(kernels, "practice_cursors", lambda S, lo, hi, delta, tag:
+                        kernels.practice(S, lo, hi, delta, 0, hi - lo, tag))
+
+
+def test_dense_last_passes_take_the_cursors(monkeypatch):
+    """Guard: the loops practice dense-last passes with cursors.  On keys
+    in ``[delta, top]`` that order leaves what ``practice`` leaves; on keys
+    past the interval it does not, and the ``c`` loop leaves what the
+    cursors of the ``numpy`` loop leave.  The failing passes reach the
+    masked storage and retrieval, which the C loop takes where a third of
+    the keys or more repeat."""
+    clean = next(_dense_cases())
+    got = {}
+    for name, words, args in (clean, _past_top()):
+        assert kernels.dense_last(args[1] - args[0], args[2], args[3])
+        for backend in ("c", "numpy"):
+            with use_backend(backend):
+                got[backend] = _run(name, np.array(words, dtype=np.int64), args)
+        with monkeypatch.context() as patch, use_backend("numpy"):
+            patch.setattr(kernels, "practice_cursors", lambda S, lo, hi, delta, tag:
+                          kernels.practice(S, lo, hi, delta, 0, hi - lo, tag))
+            sequential = _run(name, np.array(words, dtype=np.int64), args)
+        assert got["c"] == got["numpy"]
+        assert (got["numpy"] == sequential) == (args == clean[2])
+    for _, (words,), (lo, hi, delta, _, _, tag), _, _ in DENSE_CORRUPT:
+        n_d, n_c = kernels.practice_cursors(np.array(words), lo, hi, delta, tag)[:2]
+        assert 2 * n_c >= n_d
+
+
 def test_every_loop_has_a_sparse_case():
     """Every pass loop with skip paths meets sparse segments, here and in
     the sanitized driver: all but ``rank_passes``, which has none, and
@@ -374,11 +473,12 @@ def _driver_input():
 
     cases = [*_practice_cases(), *_practice_super_cases(), *_implicit_practice_cases(),
              *_fixpoint_cases(), *_store_cases(), *_store_nodes_cases(),
-             *_retrieval_cases(), *_partition_cases(), *_pass_cases(), *_sparse_cases()]
+             *_retrieval_cases(), *_partition_cases(), *_pass_cases(), *_sparse_cases(),
+             *_dense_cases()]
     for name, words, (lo, hi, *rest) in cases:
         seg = words[lo:hi]
         line(name, name in _LOOP_NAMES and rest[0] == min(seg), seg, (0, hi - lo, *rest))
-    for _, words, (lo, hi, delta, wm1, tag) in _pass_cases():
+    for _, words, (lo, hi, delta, _, wm1, tag) in _pass_cases():
         if wm1 == 0:
             seg, n = words[lo:hi], hi - lo
             sorts = delta == min(seg)
