@@ -5,9 +5,8 @@ keys plus the width of their range, using no allocation proportional to
 the input: the array's own words are turned into temporary *nodes* that
 count key occurrences, then expanded back into sorted keys.
 
-Hot loops run compiled: with numba when it is installed, else as C built
-by the system compiler and loaded through cffi.  Set
-``ASSOCSORT_BACKEND`` to ``numba``, ``c`` or ``numpy`` (or call
+Hot loops run as C built by the system compiler and loaded through cffi.
+Set ``ASSOCSORT_BACKEND`` to ``c`` or ``numpy`` (or call
 :func:`set_backend`) to choose; ``numpy`` runs the identical loops as
 plain Python over numpy arrays.
 

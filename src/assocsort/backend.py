@@ -1,21 +1,23 @@
-"""Kernel backend selection: numba-compiled, C-compiled or plain-Python loops.
+"""Kernel backend selection: C-compiled or plain-Python loops.
 
 Every hot loop lives in :mod:`assocsort.kernels` as an ordinary Python
-function over numpy arrays.  The ``numba`` backend compiles those
-functions with ``@njit``; the ``c`` backend calls their C twins in
+function over numpy arrays.  The ``c`` backend calls their C twins in
 ``kernels.c``, built by the system compiler and loaded through cffi (see
 :mod:`assocsort.ckernels`); the ``numpy`` backend runs them
 as-is (scalar loops over ``int64`` arrays), which is slow but needs
-nothing else.  All three write the same words and return the same values.
+nothing else.  Both write the same words and return the same values.
+
+A traced sort runs the Python pass loops on either backend, over that
+backend's kernels, so that it sees each phase (see :func:`traced_loops`).
 
 The active backend is chosen, in order of precedence:
 
 1. :func:`set_backend` / :func:`use_backend`, which select it for the
    current thread (more exactly, the current :mod:`contextvars` context,
    so an asyncio task has its own too),
-2. the ``ASSOCSORT_BACKEND`` environment variable (``numba``, ``c`` or
-   ``numpy``), read once at first use,
-3. the first of ``numba``, ``c`` and ``numpy`` that is :func:`available`.
+2. the ``ASSOCSORT_BACKEND`` environment variable (``c`` or ``numpy``),
+   read once at first use,
+3. the first of ``c`` and ``numpy`` that is :func:`available`.
 
 A thread that selects none runs the default of 2 and 3, whatever other
 threads select.
@@ -27,11 +29,11 @@ from contextvars import ContextVar
 from types import FunctionType, SimpleNamespace
 
 from . import kernels as _kernels
-from .ckernels import SIGNATURES, BuildError, guarded
+from .ckernels import SIGNATURES, BuildError
 from .ckernels import load as _load_c
 
 ENV_VAR = "ASSOCSORT_BACKEND"
-BACKENDS = ("numba", "c", "numpy")
+BACKENDS = ("c", "numpy")
 
 # Pass loops are compiled with the kernels but kept off their namespace:
 # a loop runs a driver's passes and calls the kernels directly, so it is
@@ -47,8 +49,7 @@ _LOOP_NAMES = (
     "rank_passes",
 )
 # Plain functions the pass loops call besides the kernels.
-_HELPER_NAMES = ("pass_interval", "pass_budget", "practice_store", "dense_last",
-                 "practice_cursors")
+_HELPER_NAMES = ("pass_interval", "pass_budget", "practice_store", "dense_last")
 _KERNEL_NAMES = tuple(name for name in SIGNATURES if name not in _LOOP_NAMES)
 
 PLAIN = SimpleNamespace(
@@ -58,14 +59,6 @@ PLAIN_LOOPS = SimpleNamespace(
     **{name: getattr(_kernels, name) for name in _LOOP_NAMES}
 )
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    HAS_NUMBA = False
-
 _loaded = {"numpy": PLAIN}  # kernel namespaces built so far, by backend
 _loops = {"numpy": PLAIN_LOOPS}  # their pass-loop namespaces
 _missing = {}  # why a backend cannot run here, by backend
@@ -73,23 +66,9 @@ _default = None  # the backend of a context that selected none, once resolved
 _selected = ContextVar("assocsort_backend", default=None)
 
 
-def _build(name: str) -> tuple:
-    """``(kernels, loops)`` of backend ``name``, as two namespaces."""
-    if name == "c":
-        every = vars(_load_c())
-    elif not HAS_NUMBA:
-        raise BuildError("numba is not importable")
-    else:
-        jit = numba.njit(cache=True, nogil=True)
-        jitted = {k: jit(getattr(_kernels, k)) for k in _KERNEL_NAMES}
-        # A helper or pass loop calls kernels by their global names: compile
-        # it against the compiled kernels, not the plain functions of
-        # kernels.py.  Helpers come first, since practice_store calls
-        # pass_budget and the loops call both.
-        for k in _HELPER_NAMES + _LOOP_NAMES:
-            fn = getattr(_kernels, k)
-            jitted[k] = jit(FunctionType(fn.__code__, {**vars(_kernels), **jitted}, k))
-        every = {k: guarded(k, jitted[k]) for k in SIGNATURES}
+def _build_c() -> tuple:
+    """``(kernels, loops)`` of the ``c`` backend, as two namespaces."""
+    every = vars(_load_c())
     return (SimpleNamespace(**{k: every[k] for k in _KERNEL_NAMES}),
             SimpleNamespace(**{k: every[k] for k in _LOOP_NAMES}))
 
@@ -100,9 +79,9 @@ def available(name: str) -> bool:
     The first ask builds its kernels (``c`` compiles on a cache miss); the
     answer, and the reason for a no, are kept for the process.
     """
-    if name in BACKENDS and name not in _loaded and name not in _missing:
+    if name == "c" and name not in _loaded and name not in _missing:
         try:
-            _loaded[name], _loops[name] = _build(name)
+            _loaded[name], _loops[name] = _build_c()
         except BuildError as exc:
             _missing[name] = str(exc)
     return name in _loaded
@@ -161,14 +140,31 @@ def active_loops() -> SimpleNamespace:
     return _loops[current_backend()]
 
 
+def traced_loops(emit) -> SimpleNamespace:
+    """The Python pass loops of :mod:`assocsort.kernels`, calling the
+    kernels of :func:`active` and ``emit(phase, passes)`` after each
+    phase's check, as they stand at this call.
+
+    Each loop and helper is a new function over the code of its twin in
+    ``kernels.py``, with a scope of its own: so a wrapper placed on
+    :func:`active` is seen, each call gets its own ``emit``, and
+    ``kernels.emit`` itself stays the no-op the untraced loops call.
+    """
+    scope = {**vars(_kernels), **vars(active()), "emit": emit}
+    for name in _HELPER_NAMES + _LOOP_NAMES:
+        scope[name] = FunctionType(getattr(_kernels, name).__code__, scope, name)
+    return SimpleNamespace(**{name: scope[name] for name in _LOOP_NAMES})
+
+
 def warmup() -> str:
     """Touch every kernel and pass loop of the active backend once: a
-    16-word sort of each kind, untraced and traced (a sort runs its passes
-    in one loop call only when untraced, and through the per-phase kernels
-    when traced), then the adapter's and the radix baseline's kernels.
+    16-word sort of each kind, untraced and traced (an untraced sort runs
+    the backend's pass loops, a traced one the Python loops over its
+    kernels), then the kernels no 16-word sort reaches: the dense-last
+    practice, the adapter's and the radix baseline's.
 
-    Useful before timing, so that numba compilation or a first C build
-    never lands inside a measured region.  The inputs are fixed arrays
+    Useful before timing, so that a first C build never lands inside a
+    measured region.  The inputs are fixed arrays
     (no random generator, whose import alone costs more than the rest).
     Returns the active backend name.
     """
@@ -189,6 +185,7 @@ def warmup() -> str:
     k = active()
     src = ramp[::-1].copy()
     dst = np.empty_like(src)
+    k.practice_cursors(ramp.copy(), 0, 16, 0, cfg.tag_mask)
     k.radix_pass(src, dst, 16, 0)
     k.partition_msb(src, 0, 16, 8)
     k.add_const(src, 0, 16, 0)

@@ -2,8 +2,7 @@
 
 Rows time only the sort call (``time.perf_counter_ns``); generation and
 verification happen outside the measured region, and kernels are warmed
-before the first trial so neither numba compilation nor a first C
-build is ever measured.
+before the first trial so a first C build is never measured.
 
 Instance data is reproducible across runs and machines: every instance
 derives its stream from ``numpy.random.SeedSequence((seed, n, m, trial))``

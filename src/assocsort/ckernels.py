@@ -75,6 +75,7 @@ SIGNATURES = {
     "store_records": (1, 3, _SCAN),
     "retrieve_node_scan": (1, 2, _SCAN + " and 0 <= n_c and lo + n_d + n_c <= size"),
     "practice_super": (1, 7, _SCAN + " and 0 < wm1 and lo - (-span_keys // wm1) <= size"),
+    "practice_cursors": (1, 6, _SCAN),
     "retrieve_super": (1, 2, _SCAN + " and 0 <= n_c and lo + n_d + n_c <= size"),
     "improved_passes": (1, 8, "0 <= head and hi <= size and 0 <= wm1"),
     "distinct_passes": (1, 10, "0 <= head and hi <= size"),
@@ -275,37 +276,18 @@ def load() -> SimpleNamespace:
     return _bind(ffi, _lib, os.path.join(directory, name))
 
 
-def _guard(name, arrays, bounds):
-    """Source of a function header for kernel ``name`` and the lines that
-    hand the call to the Python kernel ``py_<name>`` unless ``bounds``
-    hold."""
+def _wrapper(name, arrays, results, bounds):
+    """Source of the Python function that calls C kernel ``name``.
+
+    It takes the Python kernel's arguments and returns its tuple; each
+    array becomes an address and a byte stride.  Unless ``bounds`` hold,
+    it hands the call to the Python kernel ``py_<name>`` instead.
+    """
     params = _params(name)
     lines = [f"def {name}({', '.join(params)}):", f"    size = len({params[0]})"]
     for a in params[1:arrays]:
         lines.append(f"    if len({a}) < size: size = len({a})")
     lines += [f"    if not ({bounds}):", f"        return py_{name}({', '.join(params)})"]
-    return lines
-
-
-def guarded(name, fn):
-    """``fn``, a compiled kernel ``name``, behind the bounds check of the
-    C kernels: a call outside them runs the Python kernel instead."""
-    arrays, _, bounds = SIGNATURES[name]
-    scope = {"fn": fn, "py_" + name: getattr(_kernels, name)}
-    lines = _guard(name, arrays, bounds)
-    lines.append(f"    return fn({', '.join(_params(name))})")
-    exec("\n".join(lines), scope)
-    return scope[name]
-
-
-def _wrapper(name, arrays, results, bounds):
-    """Source of the Python function that calls C kernel ``name``.
-
-    It takes the Python kernel's arguments and returns its tuple; each
-    array becomes an address and a byte stride.
-    """
-    params = _params(name)
-    lines = _guard(name, arrays, bounds)
     cargs = []
     for a in params[:arrays]:
         lines += [

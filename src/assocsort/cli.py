@@ -6,8 +6,8 @@ run
     Time algorithms over a grid of sizes, range ratios and
     distributions; optionally verify, write CSV, dump phase traces.
 backends
-    Run one grid on every kernel backend that can run here (numba, C,
-    plain Python) and print the median tables one after another.
+    Run one grid on every kernel backend that can run here (C, plain
+    Python) and print the median tables one after another.
 """
 
 import argparse
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--backend", choices=BACKENDS,
-        help="kernel backend (default: the first of numba, c, numpy that runs)",
+        help="kernel backend (default: the first of c, numpy that runs)",
     )
     run_p.set_defaults(func=_cmd_run)
 

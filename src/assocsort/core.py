@@ -1,18 +1,16 @@
 """The input front door, the pass loop, and the counting variant.
 
 Every sorter enters through :func:`check_words`, which refuses malformed
-input before any word is written and scans the keys' minimum once.  An
-untraced sort then makes one call of its compiled *pass loop*
-(:func:`run_loop`), which runs every pass.  A traced sort runs
-:func:`run_passes` instead, which calls the variant's *pass step*, one
-kernel call per phase, on the unsorted segment ``S[head:]`` until
-nothing is left, so that it can hand the trace a snapshot after each
-phase.  A step returns how many words its pass settled and the smallest
-key it deferred; the next pass starts there, so no pass rescans for a
-minimum.  A loop and its step make the same checks in the same order and
-raise the same error through the driver's ``_fail``.
+input before any word is written and scans the keys' minimum once.  It
+then makes one call of its *pass loop* (:func:`run_loop`), which runs
+every pass on the unsorted segment ``S[head:]`` until nothing is left.
+Each pass starts at the smallest key its predecessor deferred, so no
+pass rescans for a minimum.  A failed check is raised through the
+driver's ``_fail``.  An untraced sort runs the loop of its backend; a
+traced one runs the Python loop over the backend's kernels, which hands
+the trace a snapshot after each phase (see :func:`loops`).
 
-The counting variant's sequential step turns the front of the unsorted
+The counting variant's sequential pass turns the front of the unsorted
 segment into *short-term memory* — a compact run of node words, each
 remembering a distinct key (by former position) and its occurrence
 count — then expands that memory back into sorted keys:
@@ -32,12 +30,11 @@ The recursive driver instead stacks the memories of successive passes
 and unwinds them back-to-front, which needs no partitioning.
 """
 
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .backend import active, active_loops
+from .backend import active, active_loops, traced_loops
 from .counters import OpCounters
 from .errors import CorruptStateError, InputError, WordRangeError
 from .kernels import (
@@ -47,7 +44,7 @@ from .kernels import (
     PHASE_STORE,
     PHASE_UNWIND,
 )
-from .words import WordConfig, epsilon
+from .words import WordConfig
 
 # Levels the recursive driver's level buffer holds at first, and adds each
 # time the stacked passes fill it.
@@ -117,47 +114,14 @@ def start(
     return cfg, counters, check_words(S, cfg, P)
 
 
-def _quiet(phase: str) -> None:
-    pass
-
-
-def run_passes(
-    step: Callable[..., tuple],
-    S: np.ndarray,
-    cfg: Optional[WordConfig],
-    counters: Optional[OpCounters],
-    trace: Optional[TraceFn],
-    P: Optional[np.ndarray] = None,
-) -> OpCounters:
-    """Sort ``S`` (carrying ``P``) in place, one ``step`` per pass.
-
-    ``step(S, P, head, delta, cfg, counters, emit)`` sorts one pass of
-    the segment ``S[head:]`` at interval start ``delta`` and returns
-    ``(words_advanced, delta_next)``; ``delta_next`` is the smallest key
-    it deferred, or -1 when it deferred nothing.  Pass 1 starts at the
-    minimum the front door scanned, each later pass where its predecessor
-    left off.  A pass that leaves words unsorted but deferred nothing, or
-    settled nothing, raises :func:`stalled`.  ``step`` reports each
-    finished phase through ``emit(phase)``, which hands ``trace`` a
-    snapshot.
-    """
-    cfg, counters, bounds = start(S, cfg, counters, P)
-    if bounds is None:
-        return counters
-    emit = _quiet
-    if trace is not None:
-        emit = lambda phase: trace(phase, counters.passes, S.copy())
-    n = len(S)
-    head = 0
-    delta = bounds[0]
-    while head < n:
-        counters.passes += 1
-        advanced, dnext = step(S, P, head, delta, cfg, counters, emit)
-        head += advanced
-        if head != n and (dnext < 0 or advanced == 0):
-            raise stalled(head, n)
-        delta = int(dnext)
-    return counters
+def loops(S: np.ndarray, trace: Optional[TraceFn], passes: int = 0):
+    """The pass loops a sort of ``S`` runs: the active backend's, or for a
+    traced sort the Python loops over its kernels, whose every phase
+    calls ``trace(phase, passes + p, snapshot of S)`` for the loop's pass
+    ``p`` (see ``backend.traced_loops``)."""
+    if trace is None:
+        return active_loops()
+    return traced_loops(lambda phase, p: trace(phase, passes + p, S.copy()))
 
 
 def run_loop(
@@ -169,9 +133,10 @@ def run_loop(
     P: Optional[np.ndarray] = None,
     args: tuple = (),
     top: bool = False,
+    trace: Optional[TraceFn] = None,
 ) -> OpCounters:
     """Sort ``S`` (carrying ``P``) in place in one call of the pass loop
-    named ``loop`` on ``backend.active_loops()``.
+    named ``loop`` of :func:`loops`.
 
     The loop takes the arrays, the segment ``0, len(S)``, the minimum the
     front door scanned (and, if ``top``, the maximum) and ``args``, and
@@ -183,9 +148,9 @@ def run_loop(
     if bounds is None:
         return counters
     arrays = (S,) if P is None else (S, P)
-    passes, moves, created, _, phase, status, *numbers = getattr(active_loops(), loop)(
-        *arrays, 0, len(S), *bounds[: 1 + top], *args
-    )
+    passes, moves, created, _, phase, status, *numbers = getattr(
+        loops(S, trace, counters.passes), loop
+    )(*arrays, 0, len(S), *bounds[: 1 + top], *args)
     counters.passes += passes
     counters.moves += moves
     counters.node_creations += created
@@ -221,73 +186,6 @@ def _fail(phase, status, a=0, b=0, c=0, d=0):
     raise stalled(a, b)  # PHASE_PREFIX
 
 
-def _practice_store(S, head, delta, cfg, counters):
-    """Practice ``S[head:]`` at ``delta`` and compact its nodes into memory.
-
-    Returns ``(n_distinct, n_companion, eps, eps_used, pack_split,
-    delta_next)``; the memory is ``n_distinct + eps_used`` words long.
-    """
-    k = active()
-    n = len(S)
-    seg = n - head
-    eps = epsilon(seg, cfg)
-    split = cfg.pack_split(seg)
-    n_d, n_c, _, dnext, moves, created = k.practice(
-        S, head, n, delta, eps, seg - eps, cfg.tag_mask
-    )
-    counters.moves += moves
-    counters.node_creations += created
-    eps_used, stored, moves, status = k.store_nodes(
-        S, head, n, delta, seg - eps, split, cfg.tag_mask, eps
-    )
-    counters.moves += moves
-    if status != 0 or stored != n_d + eps_used:
-        _fail(PHASE_STORE, status, stored, n_d, eps_used, eps)
-    return n_d, n_c, eps, eps_used, split, dnext
-
-
-def _sequential_step(S, P, head, delta, cfg, counters, emit):
-    """One practice/store/partition/retrieve cycle over ``S[head:]``."""
-    k = active()
-    n = len(S)
-    n_d, n_c, eps, eps_used, split, dnext = _practice_store(
-        S, head, delta, cfg, counters
-    )
-    emit("practice")
-    mem = head + n_d + eps_used
-    pivot = delta + (n - head - eps) - 1
-    n_low, moves = k.partition_values(S, mem, n, pivot, cfg.tag_mask)
-    counters.moves += moves
-    if n_low != n_c - eps_used:
-        _fail(PHASE_PARTITION, 0, n_low, n_c - eps_used)
-    emit("partition")
-    written, moves, status = k.retrieve_packed(
-        S, head, mem, head + n_d + n_c, delta, eps, split, cfg.tag_mask
-    )
-    counters.moves += moves
-    if status != 0 or written != n_d + n_c:
-        _fail(PHASE_RETRIEVE, status, written, n_d + n_c)
-    emit("retrieve")
-    return n_d + n_c, dnext
-
-
-def _stack_step(stack, S, P, head, delta, cfg, counters, emit):
-    """Practice and store one pass, leaving its memory for the unwind.
-
-    The pass's control state, four ints, goes on ``stack``.  The next
-    pass starts right after the memory; the last pass owns the rest of
-    the segment, which the unwind overwrites.
-    """
-    n_d, _, _, eps_used, _, dnext = _practice_store(S, head, delta, cfg, counters)
-    emit("practice")
-    stack.append((n_d, eps_used, delta, head))
-    if len(stack) > counters.max_depth:
-        counters.max_depth = len(stack)
-    if dnext < 0:
-        return len(S) - head, dnext
-    return n_d + eps_used, dnext
-
-
 def sort_associative(
     S: np.ndarray,
     cfg: Optional[WordConfig] = None,
@@ -295,10 +193,9 @@ def sort_associative(
     trace: Optional[TraceFn] = None,
 ) -> OpCounters:
     """Sort ``S`` in place, one practice/store/retrieve cycle per pass."""
-    if trace is not None:
-        return run_passes(_sequential_step, S, cfg, counters, trace)
     cfg = cfg or WordConfig()
-    return run_loop("sequential_passes", _fail, S, cfg, counters, args=(cfg.w,))
+    return run_loop("sequential_passes", _fail, S, cfg, counters, args=(cfg.w,),
+                    trace=trace)
 
 
 def sort_associative_recursive(
@@ -313,22 +210,21 @@ def sort_associative_recursive(
     the tail; no partitioning happens.  The unwind retrieves memories
     newest-first, writing sorted keys right-to-left from the array end,
     which is guaranteed not to overtake the unread memories.  Control
-    state is four words per level: a Python list when traced, else an
-    ``int64`` level buffer that starts at ``LEVELS`` levels and grows by
-    as many whenever ``stacked_passes`` fills it.
+    state is four words per level, in an ``int64`` level buffer that
+    starts at ``LEVELS`` levels and grows by as many whenever
+    ``stacked_passes`` fills it.  A trace sees the unwind's retrievals
+    numbered by level, from 1 at the bottom.
     """
-    if trace is not None:
-        return _traced_recursive(S, cfg, counters, trace)
     cfg, counters, bounds = start(S, cfg, counters)
     if bounds is None:
         return counters
-    loops = active_loops()
     n = len(S)
     L = np.empty(4 * LEVELS, dtype=np.int64)
     head, delta, depth = 0, bounds[0], 0
     while True:
         passes, moves, created, head, delta, depth, phase, status, *numbers = (
-            loops.stacked_passes(S, L, head, n, delta, depth, len(L) // 4, cfg.w)
+            loops(S, trace, counters.passes).stacked_passes(
+                S, L, head, n, delta, depth, len(L) // 4, cfg.w)
         )
         counters.passes += passes
         counters.moves += moves
@@ -341,33 +237,8 @@ def sort_associative_recursive(
         # In place (a realloc), so the old and the grown buffer are never
         # held at once; nothing else refers to ``L``.
         L.resize(len(L) + 4 * LEVELS, refcheck=False)
-    moves, phase, status, a = loops.unwind_levels(S, L, 0, n, depth, cfg.w)
+    moves, phase, status, a = loops(S, trace).unwind_levels(S, L, 0, n, depth, cfg.w)
     counters.moves += moves
     if phase != PHASE_OK:
         _fail(phase, status, a)
-    return counters
-
-
-def _traced_recursive(S, cfg, counters, trace):
-    """:func:`sort_associative_recursive` one kernel call per phase and
-    per unwound level, each handing ``trace`` a snapshot."""
-    cfg = cfg or WordConfig()
-    stack = []
-    counters = run_passes(partial(_stack_step, stack), S, cfg, counters, trace)
-    k = active()
-    write_end = len(S)
-    for level in range(len(stack), 0, -1):
-        n_d, eps_used, delta, h = stack.pop()
-        seg = len(S) - h
-        written, moves, status = k.retrieve_packed(
-            S, h, h + n_d + eps_used, write_end, delta, epsilon(seg, cfg),
-            cfg.pack_split(seg), cfg.tag_mask,
-        )
-        counters.moves += moves
-        if status != 0:
-            _fail(PHASE_UNWIND, status)
-        write_end -= written
-        trace("retrieve", level, S.copy())
-    if write_end != 0:
-        _fail(PHASE_UNWIND, 0, write_end)
     return counters

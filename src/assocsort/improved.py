@@ -23,35 +23,25 @@ The distinct-keys sibling packs ``w - 1`` keys into each node as a
 bitmap, shrinking memory a further ``w - 1``-fold; duplicate keys are
 detected (the bit is already set) and rejected.
 
-An untraced sort runs every pass in one call of the ``improved_passes``
-pass loop.  A traced sort runs each pass as the steps below, one kernel
-call per phase, so that it can hand the trace a snapshot after each.
-Both take the interval of ``kernels.pass_interval``, make the same
-checks in the same order, stop a pass that settles nothing, and raise
-the same error through :func:`_fail`.  They differ in one place: the
-loop, which knows the keys' maximum from the front door, practices a
-*dense-last* pass (``kernels.dense_last``: one that defers nothing, over
-a segment too large for L1 whose keys span most of it) with 16
-interleaved cursors, so that the cache misses of their chases overlap.
-That order changes neither the counters nor the sorted words, only where
-idle words sit until retrieval rewrites them.
+A sort runs every pass in one call of the ``improved_passes`` pass loop
+(through ``core.run_loop``, which runs the Python loop when traced) and
+raises a failed check through :func:`_fail`.  The loop, which knows the
+keys' maximum from the front door, practices a *dense-last* pass
+(``kernels.dense_last``: one that defers nothing, over a segment too
+large for L1 whose keys span most of it) with 16 interleaved cursors, so
+that the cache misses of their chases overlap.  That order changes
+neither the counters nor the sorted words, only where idle words sit
+until retrieval rewrites them.
 """
 
 from typing import Optional
 
 import numpy as np
 
-from .backend import active
-from .core import TraceFn, run_loop, run_passes, stalled
+from .core import TraceFn, run_loop, stalled
 from .counters import OpCounters
 from .errors import CorruptStateError, DuplicateKeyError
-from .kernels import (
-    PHASE_DUPLICATE,
-    PHASE_PARTITION,
-    PHASE_RETRIEVE,
-    PHASE_STORE,
-    pass_interval,
-)
+from .kernels import PHASE_DUPLICATE, PHASE_PARTITION, PHASE_RETRIEVE, PHASE_STORE
 from .words import WordConfig
 
 
@@ -70,79 +60,13 @@ def _fail(phase, status, a, b):
     raise stalled(a, b)  # PHASE_PREFIX
 
 
-def _park_and_partition(S, head, n_d, n_c, pivot, cfg, counters, emit):
-    """Park the k-th node's record in the value plane of ``S[head + k]``,
-    then gather the idle value planes (``<= pivot``) right behind them."""
-    k = active()
-    n = len(S)
-    stored, moves, status = k.store_records(S, head, n, n_d, cfg.tag_mask)
-    counters.moves += moves
-    if status != 0:
-        _fail(PHASE_STORE, status, stored, n_d)
-    emit("store")
-    n_low, moves = k.partition_values(S, head + n_d, n, pivot, cfg.tag_mask)
-    counters.moves += moves
-    if n_low != n_c:
-        _fail(PHASE_PARTITION, 0, n_low, n_c)
-    emit("partition")
-
-
-def _node_scan_step(S, P, head, delta, cfg, counters, emit):
-    """One pass over ``S[head:]`` whose interval spans the whole segment
-    (the pass ``kernels.improved_passes`` runs with ``wm1 == 0``)."""
-    k = active()
-    n = len(S)
-    span, pivot = pass_interval(n - head, delta, 0, cfg.tag_mask)
-    n_d, n_c, _, dnext, moves, created = k.practice(
-        S, head, n, delta, 0, span, cfg.tag_mask
-    )
-    counters.moves += moves
-    counters.node_creations += created
-    emit("practice")
-    _park_and_partition(S, head, n_d, n_c, pivot, cfg, counters, emit)
-    moves, status = k.retrieve_node_scan(S, head, n, n_d, n_c, delta, cfg.tag_mask)
-    counters.moves += moves
-    if status != 0:
-        _fail(PHASE_RETRIEVE, status, 0, 0)
-    emit("retrieve")
-    return n_d + n_c, dnext
-
-
-def _bitmap_step(S, P, head, delta, cfg, counters, emit):
-    """One pass over ``S[head:]`` recording ``w - 1`` keys per node (the
-    pass ``kernels.improved_passes`` runs with ``wm1 > 0``)."""
-    k = active()
-    n = len(S)
-    wm1 = cfg.w - 1
-    span, pivot = pass_interval(n - head, delta, wm1, cfg.tag_mask)
-    n_d, n_c, _, dnext, moves, created, dup = k.practice_super(
-        S, head, n, delta, span, wm1, cfg.tag_mask
-    )
-    counters.moves += moves
-    counters.node_creations += created
-    if dup >= 0:
-        _fail(PHASE_DUPLICATE, 0, dup, 0)
-    emit("practice")
-    _park_and_partition(S, head, n_d, n_c, pivot, cfg, counters, emit)
-    moves, status = k.retrieve_super(
-        S, head, n, n_d, n_c, delta, wm1, cfg.tag_mask
-    )
-    counters.moves += moves
-    if status != 0:
-        _fail(PHASE_RETRIEVE, status, wm1, 0)
-    emit("retrieve")
-    return n_d + n_c, dnext
-
-
-def _sort(step, bitmap, S, cfg, counters, trace):
-    """Sort ``S`` with ``step`` per pass when traced, else in one
-    ``improved_passes`` call (bitmap nodes of ``w - 1`` keys if ``bitmap``)."""
-    if trace is not None:
-        return run_passes(step, S, cfg, counters, trace)
+def _sort(bitmap, S, cfg, counters, trace):
+    """Sort ``S`` in one ``improved_passes`` call (bitmap nodes of
+    ``w - 1`` keys if ``bitmap``)."""
     cfg = cfg or WordConfig()
     wm1 = cfg.w - 1 if bitmap else 0
     return run_loop("improved_passes", _fail, S, cfg, counters, args=(wm1, cfg.tag_mask),
-                    top=True)
+                    top=True, trace=trace)
 
 
 def sort_improved(
@@ -152,7 +76,7 @@ def sort_improved(
     trace: Optional[TraceFn] = None,
 ) -> OpCounters:
     """Sort ``S`` in place; a single pass whenever ``max - min < n``."""
-    return _sort(_node_scan_step, False, S, cfg, counters, trace)
+    return _sort(False, S, cfg, counters, trace)
 
 
 def sort_distinct_improved(
@@ -167,4 +91,4 @@ def sort_distinct_improved(
     ``(w - 1) * n`` of the minimum.  Raises
     :class:`~assocsort.errors.DuplicateKeyError` on a repeated key.
     """
-    return _sort(_bitmap_step, True, S, cfg, counters, trace)
+    return _sort(True, S, cfg, counters, trace)

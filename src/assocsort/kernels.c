@@ -303,7 +303,7 @@ void collect_fixpoints(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 *out)
 }
 
 /* Every pass of a cycle-leader sort in one call: the steps above, in a
- * loop, with the checks of cycle_leader._implicit_step between them.
+ * loop, with the checks of kernels.distinct_passes between them.
  * Inlined into distinct_passes twice, once with S_s fixed at 8. */
 INLINE void distinct_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                           i64 *out)
@@ -614,7 +614,7 @@ INLINE void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
 }
 
 /* Every pass of a sequential counting sort in one call, with the checks of
- * core._sequential_step between the phases.  Inlined into
+ * kernels.sequential_passes between the phases.  Inlined into
  * sequential_passes twice, once with S_s fixed at 8. */
 INLINE void sequential_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                             i64 w, i64 *out)
@@ -680,7 +680,7 @@ void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 w,
 }
 
 /* The passes of a recursive counting sort in one call, with the checks of
- * core._stack_step, each writing its level (n_d, eps_used, delta, head)
+ * kernels.stacked_passes, each writing its level (n_d, eps_used, delta, head)
  * to L until cap levels are written.  Inlined into stacked_passes twice,
  * once with S_s fixed at 8. */
 INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
@@ -1022,8 +1022,8 @@ INLINE void cursor_step(char *S, i64 S_s, i64 lo, i64 seg, i64 delta, i64 tag,
 
 /* kernels.practice_cursors: practice of a whole segment as CURSORS
  * interleaved cursors, one per block of 2^sh words. */
-INLINE void practice_cursors(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
-                             i64 tag, i64 *out)
+INLINE void practice_cursors_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
+                               i64 tag, i64 *out)
 {
     i64 seg = hi - lo, cur[CURSORS], end[CURSORS];
     tally n = {0, 0, 0, -1};
@@ -1065,6 +1065,12 @@ INLINE void practice_cursors(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
     out[3] = n.dnext;
     out[4] = n.n_d;
     out[5] = n.n_d;
+}
+
+void practice_cursors(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 tag,
+                      i64 *out)
+{
+    BY_STRIDE(practice_cursors_k, lo, hi, delta, tag, out);
 }
 
 /* store_records_k without the skip path, for a dense-last pass, whose
@@ -1149,7 +1155,7 @@ INLINE void retrieve_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
 }
 
 /* Every pass of both improved sorters in one call: the steps above, in a
- * loop, with the checks of the per-phase steps in improved.py between them.
+ * loop, with the checks of kernels.improved_passes between them.
  * Inlined into improved_passes twice, once with S_s fixed at 8. */
 INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                           i64 top, i64 wm1, i64 tag, i64 *out)
@@ -1165,7 +1171,7 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         int dense = wm1 == 0 && dense_last(seg, delta, top);
         r[6] = -1;
         if (dense) {
-            practice_cursors(S, S_s, head, hi, delta, tag, r);
+            practice_cursors_k(S, S_s, head, hi, delta, tag, r);
         } else if (wm1 == 0) {
             SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, tag);
         } else {
@@ -1466,7 +1472,7 @@ void restore_keys(char *K, i64 K_s, i64 lo, i64 hi_sorted, i64 delta, i64 tag,
 }
 
 /* Every pass of a rank sort in one call, with the checks of
- * ranksort._rank_step between the phases. */
+ * kernels.rank_passes between the phases. */
 void rank_passes(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
                  i64 delta, i64 tag, i64 *out)
 {

@@ -1,12 +1,18 @@
 """Hot loops shared by every sorting variant.
 
 Each function is a straight-line scalar loop over an ``int64`` array with
-explicit ``lo``/``hi`` bounds, so callers never materialise views.  The
-:mod:`assocsort.backend` module compiles these with numba when that
-backend is active; ``kernels.c`` has their C twins for the ``c``
-backend; the same functions run unmodified under plain CPython as the
-numpy fallback path.  All paths produce identical arrays and counter
-values.
+explicit ``lo``/``hi`` bounds, so callers never materialise views.
+``kernels.c`` has their C twins for the ``c`` backend; the functions here
+run as they are on the ``numpy`` backend.  Both produce identical arrays
+and counter values.
+
+The *pass loops* (``improved_passes``, ``sequential_passes``,
+``stacked_passes``, ``unwind_levels``, ``distinct_passes`` and
+``rank_passes``) run every pass of a sort in one call.  After each
+phase's check they call :func:`emit`, a no-op here; a traced sort runs
+these loops over its backend's kernels with an ``emit`` of its own (see
+``backend.traced_loops``), while an untraced sort on ``c`` runs the C
+loops, which call nothing.
 
 Conventions
 -----------
@@ -70,6 +76,12 @@ PHASE_TICKET = 8
 PHASE_REACTIVATE = 9
 # Rank key restoration failed.
 PHASE_RESTORE = 10
+
+
+def emit(phase, passes):
+    """Called by every pass loop after each phase's check passed, with the
+    phase's name and the number of the pass (in :func:`unwind_levels`, of
+    the level); does nothing."""
 
 
 def min_max(S, lo, hi):
@@ -148,10 +160,9 @@ def distinct_passes(S, head, hi, delta):
     """Every pass of a cycle-leader sort of distinct keys ``S[head:hi]``,
     from interval start ``delta`` (the segment's minimum).
 
-    A pass is :func:`implicit_practice` then :func:`collect_fixpoints`,
-    the step ``_implicit_step`` of :mod:`assocsort.cycle_leader` runs one
-    kernel call per phase; a change to one is made to the other, and to
-    the C loop.  Returns ``(passes, moves, node_creations, head, phase,
+    A pass is :func:`implicit_practice` ("practice") then
+    :func:`collect_fixpoints` ("partition"); a change to it is made to the
+    C loop too.  Returns ``(passes, moves, node_creations, head, phase,
     status, a, b, c, d)`` (no pass creates a node): ``PHASE_DUPLICATE``
     with practice's ``status``, whose moves are not counted;
     ``PHASE_PARTITION`` when ``a`` keys settled where practice reported
@@ -165,10 +176,12 @@ def distinct_passes(S, head, hi, delta):
         if status != STATUS_OK:
             return passes, moves, 0, head, PHASE_DUPLICATE, status, 0, 0, 0, 0
         moves += mv
+        emit("practice", passes)
         count, mv = collect_fixpoints(S, head, hi, delta)
         moves += mv
         if count != n_d:
             return passes, moves, 0, head, PHASE_PARTITION, 0, count, n_d, 0, 0
+        emit("partition", passes)
         head += n_d
         if head != hi and (dnext < 0 or n_d == 0):
             return passes, moves, 0, head, PHASE_PREFIX, 0, head, hi, 0, 0
@@ -398,8 +411,7 @@ def pass_budget(seg, w):
 
 def practice_store(S, head, hi, delta, w):
     """Practice ``S[head:hi]`` at ``delta`` and compact its nodes into
-    memory: the first half of a sequential or stacked pass, as
-    ``core._practice_store`` runs it one kernel call per phase.
+    memory: the first half of a sequential or stacked pass.
 
     Returns ``(n_distinct, n_companion, delta_next, eps, eps_used,
     pack_split, stored, status, moves, created)``; the memory is
@@ -422,10 +434,9 @@ def sequential_passes(S, head, hi, delta, w):
     """Every pass of a sequential counting sort of ``S[head:hi]`` at word
     width ``w``, from interval start ``delta`` (the segment's minimum).
 
-    A pass is :func:`practice_store`, :func:`partition_values` and
-    :func:`retrieve_packed`, the step ``_sequential_step`` of
-    :mod:`assocsort.core` runs one kernel call per phase; a change to one
-    is made to the other, and to the C loop.  Returns ``(passes, moves,
+    A pass is :func:`practice_store` ("practice"), :func:`partition_values`
+    ("partition") and :func:`retrieve_packed` ("retrieve"); a change to it
+    is made to the C loop too.  Returns ``(passes, moves,
     node_creations, head, phase, status, a, b, c, d)``: ``PHASE_STORE``
     when storage kept ``a`` memory words for ``b`` nodes and ``c``
     companions of budget ``d``; ``PHASE_PARTITION`` when ``a`` idle words
@@ -447,6 +458,7 @@ def sequential_passes(S, head, hi, delta, w):
         if status != STATUS_OK or stored != n_d + eps_used:
             return (passes, moves, created, head, PHASE_STORE, status,
                     stored, n_d, eps_used, eps)
+        emit("practice", passes)
         mem = head + n_d + eps_used
         pivot = delta + (hi - head - eps) - 1
         n_low, mv = partition_values(S, mem, hi, pivot, tag)
@@ -454,6 +466,7 @@ def sequential_passes(S, head, hi, delta, w):
         if n_low != n_c - eps_used:
             return (passes, moves, created, head, PHASE_PARTITION, 0,
                     n_low, n_c - eps_used, 0, 0)
+        emit("partition", passes)
         written, mv, status = retrieve_packed(
             S, head, mem, head + n_d + n_c, delta, eps, split, tag
         )
@@ -461,6 +474,7 @@ def sequential_passes(S, head, hi, delta, w):
         if status != STATUS_OK or written != n_d + n_c:
             return (passes, moves, created, head, PHASE_RETRIEVE, status,
                     written, n_d + n_c, 0, 0)
+        emit("retrieve", passes)
         head += n_d + n_c
         if head != hi and (dnext < 0 or n_d + n_c == 0):
             return passes, moves, created, head, PHASE_PREFIX, 0, head, hi, 0, 0
@@ -472,9 +486,8 @@ def stacked_passes(S, L, head, hi, delta, depth, cap, w):
     """The passes of a recursive counting sort of ``S[head:hi]``, each
     leaving its memory in place for :func:`unwind_levels`.
 
-    A pass is :func:`practice_store`, the step ``_stack_step`` of
-    :mod:`assocsort.core` runs one kernel call per phase; a change to one
-    is made to the other, and to the C loop.  Each pass writes its level
+    A pass is :func:`practice_store` ("practice"); a change to it is made
+    to the C loop too.  Each pass writes its level
     ``(n_distinct, eps_used, delta, head)`` to ``L[4 * depth:]``, a
     buffer of ``cap`` levels, ``depth`` of them already written.  The
     next pass starts right after the memory; the last owns the rest of
@@ -499,6 +512,7 @@ def stacked_passes(S, L, head, hi, delta, depth, cap, w):
         if status != STATUS_OK or stored != n_d + eps_used:
             return (passes, moves, created, head, delta, depth, PHASE_STORE,
                     status, stored, n_d, eps_used, eps)
+        emit("practice", passes)
         L[4 * depth] = n_d
         L[4 * depth + 1] = eps_used
         L[4 * depth + 2] = delta
@@ -519,9 +533,9 @@ def unwind_levels(S, L, lo, hi, depth, w):
     ``S[lo:hi]``, newest first, writing sorted keys right-to-left from
     ``hi``; the writes never overtake an unread memory.
 
-    The unwind of :func:`assocsort.core.sort_associative_recursive`'s
-    traced path, one kernel call per level; a change to one is made to
-    the other, and to the C loop.  A level naming memory outside
+    Each level's retrieval is a "retrieve" of pass ``level + 1``, the
+    level's number counted from 1 at the bottom; a change to it is made
+    to the C loop too.  A level naming memory outside
     ``[lo, write_end)``, or a key outside the word, fails
     ``STATUS_BAD_SLOT`` before its retrieval runs.  Returns ``(moves,
     phase, status, a)``: ``PHASE_UNWIND`` with a level's ``status``, or
@@ -547,6 +561,7 @@ def unwind_levels(S, L, lo, hi, depth, w):
         if status != STATUS_OK:
             return moves, PHASE_UNWIND, status, 0
         write_end -= written
+        emit("retrieve", level + 1)
     if write_end != lo:
         return moves, PHASE_UNWIND, STATUS_OK, write_end - lo
     return moves, PHASE_OK, STATUS_OK, 0
@@ -801,14 +816,12 @@ def improved_passes(S, head, hi, delta, top, wm1, tag):
     start ``delta`` (the segment's minimum), whose keys are at most
     ``top`` (the segment's maximum).
 
-    A pass is practice, ``store_records``, ``partition_values`` and
-    retrieval, the steps ``_node_scan_step`` (``wm1 == 0``: a node counts
-    one key) and ``_bitmap_step`` (a node is a bitmap of ``wm1`` keys) of
-    :mod:`assocsort.improved` run one kernel call per phase; a change to
-    one pass is made to the other, and to the C loop.  The one exception:
-    a :func:`dense_last` pass practices with :func:`practice_cursors`
-    where the step calls :func:`practice`, which on keys in ``[delta,
-    top]`` leaves the same words and results.  The next pass
+    A pass is practice ("practice"), ``store_records`` ("store"),
+    ``partition_values`` ("partition") and retrieval ("retrieve"); with
+    ``wm1 == 0`` a node counts one key, else it is a bitmap of ``wm1``
+    keys.  A change to it is made to the C loop too.  Practice is
+    :func:`practice_cursors` in a :func:`dense_last` pass, which on keys
+    in ``[delta, top]`` leaves what :func:`practice` leaves.  The next pass
     starts at the smallest key this one deferred.  Returns ``(passes,
     moves, node_creations, head, phase, status, a, b)``: the counters so
     far, where the sorted prefix ends, and, when a check failed, the
@@ -817,7 +830,7 @@ def improved_passes(S, head, hi, delta, top, wm1, tag):
     ``a`` tagged words for ``b`` records; ``PHASE_PARTITION`` ``a`` idle
     words where ``b`` were expected; ``PHASE_RETRIEVE`` its ``status``,
     with ``a = wm1``.  A pass that settles no word fails ``PHASE_PREFIX``
-    (the prefix stopped at ``a`` of ``b``), as in ``core.run_passes``, so
+    (the prefix stopped at ``a`` of ``b``), as every pass loop does, so
     the loop ends within ``hi - head`` passes whatever the arguments.
     """
     passes = 0
@@ -839,14 +852,17 @@ def improved_passes(S, head, hi, delta, top, wm1, tag):
         created += cr
         if dup >= 0:
             return passes, moves, created, head, PHASE_DUPLICATE, 0, dup, 0
+        emit("practice", passes)
         stored, mv, status = store_records(S, head, hi, n_d, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_STORE, status, stored, n_d
+        emit("store", passes)
         n_low, mv = partition_values(S, head + n_d, hi, pivot, tag)
         moves += mv
         if n_low != n_c:
             return passes, moves, created, head, PHASE_PARTITION, 0, n_low, n_c
+        emit("partition", passes)
         if wm1 == 0:
             mv, status = retrieve_node_scan(S, head, hi, n_d, n_c, delta, tag)
         else:
@@ -854,6 +870,7 @@ def improved_passes(S, head, hi, delta, top, wm1, tag):
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_RETRIEVE, status, wm1, 0
+        emit("retrieve", passes)
         head += n_d + n_c
         if head != hi and (dnext < 0 or n_d + n_c == 0):
             return passes, moves, created, head, PHASE_PREFIX, 0, head, hi
@@ -1079,11 +1096,10 @@ def rank_passes(K, P, head, hi, delta, tag):
     """Every pass of a rank sort of ``K[head:hi]``, carrying ``P``, from
     interval start ``delta`` (the segment's minimum).
 
-    A pass is :func:`practice_rank`, :func:`accumulate_records`,
-    :func:`repractice_idle`, :func:`reactivate` and :func:`restore_keys`,
-    the step ``_rank_step`` of :mod:`assocsort.ranksort` runs one kernel
-    call per phase; a change to one is made to the other, and to the C
-    loop.  Returns ``(passes, moves, node_creations, head, phase, status,
+    A pass is :func:`practice_rank` ("practice"), :func:`accumulate_records`
+    ("accumulate"), :func:`repractice_idle` ("repractice"),
+    :func:`reactivate` ("reactivate") and :func:`restore_keys`
+    ("restore"); a change to it is made to the C loop too.  Returns ``(passes, moves, node_creations, head, phase, status,
     a, b, c, d)``: ``PHASE_ACCUMULATE`` when accumulation saw ``a`` nodes
     and ``b`` elements where practice reported ``c`` and ``d``;
     ``PHASE_TICKET`` when ticketing made ``a`` of ``b`` tickets;
@@ -1099,22 +1115,27 @@ def rank_passes(K, P, head, hi, delta, tag):
         n_d, n_c, _, dnext, mv, cr = practice_rank(K, P, head, hi, delta, seg, tag)
         moves += mv
         created += cr
+        emit("practice", passes)
         n_nodes, total = accumulate_records(K, head, hi, tag)
         if n_nodes != n_d or total != n_d + n_c:
             return (passes, moves, created, head, PHASE_ACCUMULATE, 0,
                     n_nodes, total, n_d, n_d + n_c)
+        emit("accumulate", passes)
         n_tickets, status = repractice_idle(K, head, hi, delta, seg, tag)
         if status != STATUS_OK or n_tickets != n_c:
             return (passes, moves, created, head, PHASE_TICKET, status,
                     n_tickets, n_c, 0, 0)
+        emit("repractice", passes)
         mv, status = reactivate(K, P, head, hi, n_d + n_c, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_REACTIVATE, status, 0, 0, 0, 0
+        emit("reactivate", passes)
         mv, status = restore_keys(K, head, head + n_d + n_c, delta, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_RESTORE, status, 0, 0, 0, 0
+        emit("restore", passes)
         head += n_d + n_c
         if head != hi and (dnext < 0 or n_d + n_c == 0):
             return passes, moves, created, head, PHASE_PREFIX, 0, head, hi, 0, 0

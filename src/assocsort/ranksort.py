@@ -18,19 +18,16 @@ array alone.  Each pass:
 5. ``restore_keys`` — the sorted prefix is rewritten as keys:
    ``delta + record`` at each node, repeated over its run.
 
-An untraced sort runs every pass in one call of the ``rank_passes`` pass
-loop.  A traced sort runs each pass as :func:`_rank_step`, one kernel
-call per phase, so that it can hand the trace a snapshot after each.
-Both make the same checks in the same order and raise the same error
-through :func:`_fail`.
+A sort runs every pass in one call of the ``rank_passes`` pass loop
+(through ``core.run_loop``, which runs the Python loop when traced) and
+raises a failed check through :func:`_fail`.
 """
 
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .backend import active
-from .core import TraceFn, run_loop, run_passes, stalled
+from .core import TraceFn, run_loop, stalled
 from .counters import OpCounters
 from .errors import CorruptStateError
 from .kernels import PHASE_ACCUMULATE, PHASE_REACTIVATE, PHASE_RESTORE, PHASE_TICKET
@@ -53,40 +50,6 @@ def _fail(phase, status, a=0, b=0, c=0, d=0):
     raise stalled(a, b)  # PHASE_PREFIX
 
 
-def _rank_step(K, P, head, delta, cfg, counters, emit):
-    """One practice/accumulate/repractice/reactivate/restore pass over
-    ``K[head:]``, carrying ``P`` along."""
-    k = active()
-    n = len(K)
-    seg = n - head
-    tag = cfg.tag_mask
-    n_d, n_c, _, dnext, moves, created = k.practice_rank(
-        K, P, head, n, delta, seg, tag
-    )
-    counters.moves += moves
-    counters.node_creations += created
-    emit("practice")
-    n_nodes, total = k.accumulate_records(K, head, n, tag)
-    if n_nodes != n_d or total != n_d + n_c:
-        _fail(PHASE_ACCUMULATE, 0, n_nodes, total, n_d, n_d + n_c)
-    emit("accumulate")
-    n_tickets, status = k.repractice_idle(K, head, n, delta, seg, tag)
-    if status != 0 or n_tickets != n_c:
-        _fail(PHASE_TICKET, status, n_tickets, n_c)
-    emit("repractice")
-    moves, status = k.reactivate(K, P, head, n, n_d + n_c, tag)
-    counters.moves += moves
-    if status != 0:
-        _fail(PHASE_REACTIVATE, status)
-    emit("reactivate")
-    moves, status = k.restore_keys(K, head, head + n_d + n_c, delta, tag)
-    counters.moves += moves
-    if status != 0:
-        _fail(PHASE_RESTORE, status)
-    emit("restore")
-    return n_d + n_c, dnext
-
-
 def sort_by_key(
     K: np.ndarray,
     P: np.ndarray,
@@ -100,10 +63,8 @@ def sort_by_key(
     shares no memory with ``K``.  The sort is not stable: equal keys keep
     their payloads but may exchange relative order.
     """
-    if trace is not None:
-        return run_passes(_rank_step, K, cfg, counters, trace, P)
     cfg = cfg or WordConfig()
-    return run_loop("rank_passes", _fail, K, cfg, counters, P, (cfg.tag_mask,))
+    return run_loop("rank_passes", _fail, K, cfg, counters, P, (cfg.tag_mask,), trace=trace)
 
 
 def argsort_keys(

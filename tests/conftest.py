@@ -24,10 +24,9 @@ def arr(*values):
 
 @pytest.fixture(autouse=True, scope="session")
 def _warm_kernels():
-    # Build and touch the default backend's kernels once up front (numba
-    # compiles, a first C build fills the cache) so individual test
-    # timings and the allocation accounting in the acceptance tests stay
-    # clean.
+    # Build and touch the default backend's kernels once up front (a
+    # first C build fills the cache) so individual test timings and the
+    # allocation accounting in the acceptance tests stay clean.
     if current_backend() != "numpy":
         from assocsort.backend import warmup
 

@@ -1,8 +1,9 @@
 /* Runs kernels of kernels.c on buffers calloc()ed to exactly the words
  * they may touch.  Built with -fsanitize=address,undefined, a read one
  * word past either end of a buffer stops it with a report.  The cases,
- * the block-boundary shapes, sparse segments and dense-last segments of
- * test_skip_paths.py, come from that test on stdin, one a line:
+ * the block-boundary shapes, sparse segments and dense-last segments
+ * (for improved_passes and practice_cursors) of test_skip_paths.py, come
+ * from that test on stdin, one a line:
  *
  *   <kernel> <sorts> <k> <k integer arguments> <n> <n words>
  *
@@ -26,6 +27,7 @@ typedef int64_t i64;
 
 void practice(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void practice_super(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
+void practice_cursors(char *, i64, i64, i64, i64, i64, i64 *);
 void implicit_practice(char *, i64, i64, i64, i64, i64 *);
 void collect_fixpoints(char *, i64, i64, i64, i64, i64 *);
 void store_records(char *, i64, i64, i64, i64, i64, i64 *);
@@ -45,15 +47,15 @@ void rank_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64 *);
 #define MAXN (1 << 16)
 #define MAXA 8
 
-enum { PRACTICE, PRACTICE_SUPER, IMPLICIT, FIXPOINTS, STORE, STORE_NODES,
-       PARTITION, RETRIEVE, RETRIEVE_SUPER, IMPROVED, DISTINCT, SEQUENTIAL,
-       STACKED, RANK, KINDS };
+enum { PRACTICE, PRACTICE_SUPER, PRACTICE_CURSORS, IMPLICIT, FIXPOINTS, STORE,
+       STORE_NODES, PARTITION, RETRIEVE, RETRIEVE_SUPER, IMPROVED, DISTINCT,
+       SEQUENTIAL, STACKED, RANK, KINDS };
 
 static const char *const names[KINDS] = {
-    "practice", "practice_super", "implicit_practice", "collect_fixpoints",
-    "store_records", "store_nodes", "partition_values", "retrieve_node_scan",
-    "retrieve_super", "improved_passes", "distinct_passes",
-    "sequential_passes", "stacked_passes", "rank_passes",
+    "practice", "practice_super", "practice_cursors", "implicit_practice",
+    "collect_fixpoints", "store_records", "store_nodes", "partition_values",
+    "retrieve_node_scan", "retrieve_super", "improved_passes",
+    "distinct_passes", "sequential_passes", "stacked_passes", "rank_passes",
 };
 
 static long failures;
@@ -115,6 +117,9 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
         break;
     case PRACTICE_SUPER:
         practice_super(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], out);
+        break;
+    case PRACTICE_CURSORS:
+        practice_cursors(s, stride, a[0], a[1], a[2], a[3], out);
         break;
     case IMPLICIT:
         implicit_practice(s, stride, a[0], a[1], a[2], out);

@@ -8,8 +8,8 @@ Criterion 3 asserts a pass bound the implementation does not meet (see
 its docstring for the analysis) and is expected to fail.
 
 The timing criteria (5 and 10) run on the fastest backend that can run
-here -- numba, then the C kernels, then the plain kernels -- and print
-which one they timed.  The backend is pinned explicitly rather
+here -- the C kernels, else the plain kernels -- and print which one
+they timed.  The backend is pinned explicitly rather
 than read from the process-global default, which other tests (e.g. the
 CLI's ``--backend`` flag) may leave changed.
 """
@@ -36,7 +36,7 @@ from assocsort.backend import (
 from assocsort.bench import GENERATORS, gen_distinct, gen_uniform
 from assocsort.cli import main as cli_main
 from assocsort import kernels
-from assocsort.core import run_loop, run_passes, sort_associative, sort_associative_recursive
+from assocsort.core import run_loop, sort_associative, sort_associative_recursive
 from assocsort.counters import OpCounters
 from assocsort.cycle_leader import sort_distinct_keys
 from assocsort.improved import sort_distinct_improved, sort_improved
@@ -248,7 +248,6 @@ def test_criterion_06_constant_auxiliary_space():
     its pass count.
     """
     drivers = [
-        run_passes,
         run_loop,
         sort_associative,
         sort_associative_recursive,

@@ -97,7 +97,7 @@ def test_threads_select_their_own_backend():
 
 
 def test_default_is_first_available():
-    """numba, then c, then numpy: the first that can run here."""
+    """c, then numpy: the first that can run here."""
     code = "from assocsort.backend import current_backend; print(current_backend())"
     proc = _run_child(None, code)
     assert proc.returncode == 0, proc.stderr

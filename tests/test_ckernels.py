@@ -105,6 +105,7 @@ PAST_THE_END = [
     # every word or below the minimum (test_skip_paths runs such maxima on
     # segments long enough for the interleaved practice).
     ("improved_passes", (0, 8, 0, (1 << 63) - 1, 0, T8), (0, 8, 0, -(1 << 63), 0, T8)),
+    ("practice_cursors", (0, 9, 0, T8), (0, 8, 0, T8)),
 ]
 
 

@@ -1,26 +1,29 @@
 """The traced and untraced paths of every sorter agree.
 
-An untraced sort runs all its passes in one pass-loop call
-(``improved_passes``, ``sequential_passes``, ``stacked_passes`` and
-``unwind_levels``, ``distinct_passes`` or ``rank_passes``); a traced one
-calls a kernel per phase, so that the trace sees each phase.  Both must
-leave the same keys and payload, the same four ``OpCounters`` fields,
-and, when they fail, the same exception with the same message.
+Every sort runs all its passes in one pass-loop call (``improved_passes``,
+``sequential_passes``, ``stacked_passes`` and ``unwind_levels``,
+``distinct_passes`` or ``rank_passes``): an untraced one the backend's
+loop, a traced one the Python loop over the backend's kernels, which
+hands the trace a snapshot after each phase.  Both must leave the same
+keys and payload, the same four ``OpCounters`` fields, and, when they
+fail, the same exception with the same message.
 
-Every pass loop is also fed corrupted segments directly: every backend
-must stop at the same failed check with the same numbers and words, and
-each driver's ``_fail`` turns that check into the pinned message.
+Every pass loop is also fed corrupted segments directly: every backend,
+and the traced loops on each, must stop at the same failed check with the
+same numbers and words, and each driver's ``_fail`` turns that check
+into the pinned message.
 """
 
+import functools
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
-from assocsort import core, cycle_leader, improved, kernels, ranksort
+from assocsort import core, cycle_leader, kernels, ranksort
 from assocsort.adapter import ALGORITHMS
-from assocsort.backend import BACKENDS, active_loops, available, use_backend
-from assocsort.core import run_passes
+from assocsort.backend import BACKENDS, active_loops, available, traced_loops, use_backend
 from assocsort.counters import OpCounters
 from assocsort.errors import CorruptStateError, DuplicateKeyError
 from assocsort.improved import _fail
@@ -95,22 +98,45 @@ def test_traced_and_untraced_agree(backend, sorter):
     assert (deepest > core.LEVELS) == (sorter == "assoc_rec")
 
 
-@pytest.mark.parametrize("ratio", [1 / 8, 1 / 2, 1, "permutation"])
-def test_traced_and_untraced_agree_above_the_dense_floor(backend, ratio):
-    """Sorts of segments larger than ``kernels.DENSE_FLOOR``: the untraced
-    loop practices a dense-last pass with interleaved cursors, the traced
-    path with ``practice``; keys and counters still agree."""
+def _dense_keys(ratio):
+    """Keys of a segment larger than ``kernels.DENSE_FLOOR``, over
+    ``ratio`` times its length, or a permutation."""
     n = kernels.DENSE_FLOOR + 3
     rng = np.random.default_rng([0xDE5, n])
     if ratio == "permutation":
-        keys = rng.permutation(n) + 40
-    else:
-        keys = rng.integers(0, int(ratio * n), size=n) + 40
+        return rng.permutation(n) + 40
+    return rng.integers(0, int(ratio * n), size=n) + 40
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_trace(name, ratio, w):
+    """Digest of every ``(phase, pass, snapshot)`` of a traced
+    ``assoc_improved`` sort of ``_dense_keys(ratio)`` on backend ``name``."""
+    h = hashlib.sha256()
+
+    def trace(phase, passes, snapshot):
+        h.update(f"{phase} {passes}".encode())
+        h.update(snapshot.tobytes())
+
+    with use_backend(name):
+        _outcome("assoc_improved", w, _dense_keys(ratio), trace)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("ratio", [1 / 8, 1 / 2, 1, "permutation"])
+def test_traced_and_untraced_agree_above_the_dense_floor(backend, ratio):
+    """Sorts of segments larger than ``kernels.DENSE_FLOOR``, whose pass is
+    dense-last: the untraced loop and the traced Python loop both practice
+    it with interleaved cursors (the traced one with the backend's
+    ``practice_cursors`` kernel).  Keys and counters agree, and the traced
+    snapshots are the same on every backend."""
+    keys = _dense_keys(ratio)
     quiet = lambda phase, passes, snapshot: None
     for w in (32, 63):
         untraced = _outcome("assoc_improved", w, keys, None)
         assert _outcome("assoc_improved", w, keys, quiet) == untraced
         assert untraced[0] == sorted(keys.tolist()) and untraced[2][0] == 1
+        assert len({_dense_trace(name, ratio, w) for name in RUNNABLE}) == 1
 
 
 # A corrupted segment for each failed check, as
@@ -175,20 +201,12 @@ def test_random_corrupt_segments_agree(rng):
 
 
 def test_a_pass_that_settles_nothing_stops_both_paths():
-    """``run_passes`` (the traced path) and ``improved_passes`` stop a
-    pass that settles no word but defers a key with the same error."""
+    """``improved_passes`` stops a pass that settles no word but defers a
+    key, on every backend, and traced (its ``CORRUPT`` case in
+    :func:`test_traced_loops_stop_where_the_loops_stop`), with the error
+    of every driver's stalled prefix."""
     S = np.array([3, 1, 2], dtype=np.int64)
-    heads = []
-
-    def idle(S, P, head, delta, cfg, counters, emit):
-        heads.append(head)
-        assert len(heads) == 1, "run_passes went on after a pass settled nothing"
-        return 0, delta
-
-    quiet = lambda phase, passes, snapshot: None
     message = "^sorted prefix stopped at 0 of 3$"
-    with pytest.raises(CorruptStateError, match=message):
-        run_passes(idle, S, WordConfig(8), None, quiet)
     # An empty interval (``tag = 0``) settles nothing in the loop.
     got = _passes_everywhere(S.tolist(), 3, 0, 1)
     assert len(set(got.values())) == 1, got
@@ -327,6 +345,70 @@ def test_every_loop_failure_has_a_case():
     }
     for _, (words,), (head, hi, delta, top, _, _), _, _ in DENSE_CORRUPT:
         assert kernels.dense_last(hi - head, delta, top)
+
+
+# The phases each pass loop hands the hook, in order.
+PHASES = {
+    "improved_passes": ("practice", "store", "partition", "retrieve"),
+    "sequential_passes": ("practice", "partition", "retrieve"),
+    "stacked_passes": ("practice",),
+    "distinct_passes": ("practice", "partition"),
+    "rank_passes": ("practice", "accumulate", "repractice", "reactivate", "restore"),
+}
+# The phase whose check each failure is; storage is a part of "practice"
+# in the loops that have no "store".
+CHECKED_IN = {
+    kernels.PHASE_DUPLICATE: "practice",
+    kernels.PHASE_STORE: "store",
+    kernels.PHASE_PARTITION: "partition",
+    kernels.PHASE_RETRIEVE: "retrieve",
+    kernels.PHASE_ACCUMULATE: "accumulate",
+    kernels.PHASE_TICKET: "repractice",
+    kernels.PHASE_REACTIVATE: "reactivate",
+    kernels.PHASE_RESTORE: "restore",
+}
+
+
+def _hook_calls(loop, args, result):
+    """The ``(phase, pass)`` calls a traced ``loop`` makes before it
+    returns ``result``: every phase of each pass it ran, but none from the
+    failed check on."""
+    if loop == "unwind_levels":
+        # Each case unwinds one level, which a failed status stops.
+        assert args[2] == 1
+        return [] if result[2] else [("retrieve", 1)]
+    names = PHASES[loop]
+    at = PHASE_AT.get(loop, 4)
+    calls = [(name, p) for p in range(1, result[0] + 1) for name in names]
+    if result[at] in CHECKED_IN:
+        failed = CHECKED_IN[result[at]]
+        calls = calls[: len(calls) - len(names) + names.index(
+            failed if failed in names else "practice")]
+    return calls
+
+
+TRACED_CASES = [
+    ("improved_passes", [keys], (0, len(keys), delta, max(keys), wm1, tag), phase, status)
+    for keys, wm1, tag, delta, phase, status in CORRUPT
+] + LOOP_CORRUPT
+
+
+@pytest.mark.parametrize("loop, arrays, args, phase, status", TRACED_CASES)
+def test_traced_loops_stop_where_the_loops_stop(backend, loop, arrays, args, phase, status):
+    """The Python loops a traced sort runs, over the kernels of each
+    backend, return the tuple and leave the words of the backend's loops,
+    and hand the hook no phase from the failed check on."""
+    untraced = [np.array(a, dtype=np.int64) for a in arrays]
+    expect = tuple(int(x) for x in getattr(active_loops(), loop)(*untraced, *args))
+    traced = [np.array(a, dtype=np.int64) for a in arrays]
+    calls = []
+    hooked = traced_loops(lambda name, p: calls.append((name, int(p))))
+    got = tuple(int(x) for x in getattr(hooked, loop)(*traced, *args))
+    assert got == expect
+    assert [w.tolist() for w in traced] == [w.tolist() for w in untraced]
+    at = PHASE_AT.get(loop, 4)
+    assert got[at : at + 2] == (phase, status)
+    assert calls == _hook_calls(loop, args, got)
 
 
 def _random_case(rng, loop):

@@ -14,9 +14,9 @@ a byte stride of 8 and once for any stride.
 
 Each scan is fed runs of 0-9 skippable words at every offset of segments
 of 1-12 words, each loop sparse segments of 16-64 words, and
-``improved_passes`` dense-last segments, whose practice runs as
-interleaved cursors and whose storage and retrieval run by mask in C,
-through views of step 1, 2 and -1, and must leave the same result and
+``improved_passes`` and ``practice_cursors`` dense-last segments, whose
+practice runs as interleaved cursors and whose storage and retrieval run
+by mask in C, through views of step 1, 2 and -1, and must leave the same result and
 words as on ``numpy``.  The words around a segment are chosen so that a block that
 reads past the segment changes the result where a result can show it.
 Other reads past the segment, and any past the end of the array, are out
@@ -303,6 +303,12 @@ def _dense_cases():
         yield loop, words, args
 
 
+def _cursor_cases():
+    """``practice_cursors`` on the segments of :func:`_dense_cases`."""
+    for _, words, (lo, hi, delta, _, _, tag) in _dense_cases():
+        yield "practice_cursors", words, (lo, hi, delta, tag)
+
+
 def _sparse_cases():
     for n in SPARSE:
         yield from _sparse_pass_cases(n)
@@ -386,6 +392,13 @@ def test_improved_passes_on_dense_last_segments():
     assert phases == {(kernels.PHASE_OK, 0), (kernels.PHASE_PARTITION, 0),
                       (kernels.PHASE_STORE, kernels.STATUS_TAG_SCAN),
                       (kernels.PHASE_RETRIEVE, kernels.STATUS_COLLISION)}
+
+
+def test_practice_cursors_on_dense_last_segments():
+    """The exported C cursors, which a traced sort calls, give the
+    ``numpy`` cursors' words and results."""
+    for case in _cursor_cases():
+        _agree(*case)
 
 
 def _sequential(monkeypatch):
@@ -474,7 +487,7 @@ def _driver_input():
     cases = [*_practice_cases(), *_practice_super_cases(), *_implicit_practice_cases(),
              *_fixpoint_cases(), *_store_cases(), *_store_nodes_cases(),
              *_retrieval_cases(), *_partition_cases(), *_pass_cases(), *_sparse_cases(),
-             *_dense_cases()]
+             *_dense_cases(), *_cursor_cases()]
     for name, words, (lo, hi, *rest) in cases:
         seg = words[lo:hi]
         line(name, name in _LOOP_NAMES and rest[0] == min(seg), seg, (0, hi - lo, *rest))
