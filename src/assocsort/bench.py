@@ -13,7 +13,7 @@ sort the same words.
 import time
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 import numpy as np
 

@@ -68,15 +68,14 @@ SIGNATURES = {
     "min_max": (1, 2, "0 <= lo < size and hi <= size"),
     "implicit_practice": (1, 4, _SCAN),
     "collect_fixpoints": (1, 2, _SCAN),
-    "practice": (1, 6, _SCAN + " and 0 <= base and lo + base + span <= size"),
+    "practice": (1, 7, _SCAN + " and 0 <= base and 0 <= wm1"
+                 " and lo + base - (-span // max(wm1, 1)) <= size"),
     "store_nodes": (1, 4, _SCAN),
     "partition_values": (1, 2, _SCAN),
     "retrieve_packed": (1, 3, "0 <= lo and mem_hi <= size and write_end <= size"),
     "store_records": (1, 3, _SCAN),
-    "retrieve_node_scan": (1, 2, _SCAN + " and 0 <= n_c and lo + n_d + n_c <= size"),
-    "practice_super": (1, 7, _SCAN + " and 0 < wm1 and lo - (-span_keys // wm1) <= size"),
-    "practice_cursors": (1, 6, _SCAN),
-    "retrieve_super": (1, 2, _SCAN + " and 0 <= n_c and lo + n_d + n_c <= size"),
+    "retrieve_scan": (1, 2, _SCAN + " and 0 <= n_c and lo + n_d + n_c <= size"),
+    "practice_cursors": (1, 7, _SCAN),
     "improved_passes": (1, 8, "0 <= head and hi <= size and 0 <= wm1"),
     "distinct_passes": (1, 10, "0 <= head and hi <= size"),
     "sequential_passes": (1, 10, "0 <= head and hi <= size" + _WIDTH.format("head")),

@@ -9,9 +9,9 @@ positions are never packed together:
   marking its position — which is the key it stands for.
 * the tail is partitioned on value planes only, gathering idle words
   directly behind the record park;
-* ``retrieve_node_scan`` walks tag bits right-to-left, pairs the k-th
+* ``retrieve_scan`` walks tag bits right-to-left, pairs the k-th
   node from the right with the record at index k, clears the tag and
-  writes the node's key (masked, preserving remaining tags) over the
+  writes the node's keys (masked, preserving remaining tags) over the
   output run.
 
 Because everything after practicing happens in the value planes while
@@ -21,7 +21,9 @@ array with ``max - min < n`` does.
 
 The distinct-keys sibling packs ``w - 1`` keys into each node as a
 bitmap, shrinking memory a further ``w - 1``-fold; duplicate keys are
-detected (the bit is already set) and rejected.
+detected (the bit is already set) and rejected.  It runs the same
+kernels: ``practice`` and ``retrieve_scan`` take the node form as
+``wm1``, 0 for a count and ``w - 1`` for a bitmap.
 
 A sort runs every pass in one call of the ``improved_passes`` pass loop
 (through ``core.run_loop``, which runs the Python loop when traced) and

@@ -3,7 +3,10 @@
  * kernels.py is the specification.  Each function here takes the
  * arguments of the Python kernel of the same name and gives the same
  * results, the same words and the same STATUS_* and PHASE_* codes, so
- * both backends write the same words and report the same counters.  Three
+ * both backends write the same words and report the same counters.  A
+ * kernel with a skip path is an inline <name>_k, which the pass loops call,
+ * and an exported <name> that calls it; practice_k and retrieve_scan_k
+ * serve count nodes (wm1 == 0) and bitmap nodes of wm1 keys alike.  Three
  * things exist only here, and change no result:
  * * Skip paths.  Where a scan of a value-sort pass loop would only step
  *   past word after word (keys practice defers or, in stacked_passes,
@@ -351,14 +354,15 @@ void distinct_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 *out)
 
 #define SKIP_OUTSIDE 2
 
-/* practice, taking a skip path when skip is set: over deferred keys, or,
- * where skip is SKIP_OUTSIDE, over untagged keys on either side of the
- * interval. */
+/* practice, of count nodes (wm1 == 0) or bitmap nodes, taking a skip path
+ * when skip is set: over deferred keys, or, where skip is SKIP_OUTSIDE,
+ * over untagged keys on either side of the interval.  Every count-form
+ * call passes wm1 as a literal 0, so that its loop has no bitmap code. */
 INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
-                       i64 span, i64 tag, int skip, i64 *out)
+                       i64 span, i64 wm1, i64 tag, int skip, i64 *out)
 {
     i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
-    i64 far = deferred_from(delta, span);
+    i64 dup = -1, far = deferred_from(delta, span);
     i64 i = lo;
     while (i < hi) {
         i64 v = AT(S, i);
@@ -386,15 +390,23 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
                 i = skip_deferred(S, S_s, i, hi, far, tag, &n_def, &dnext);
             continue;
         }
-        i64 j = lo + base + d;
+        i64 j = lo + base + d, b = 0;
+        if (wm1 != 0) {
+            j = lo + base + d / wm1;
+            b = (i64)1 << (d % wm1);
+        }
         i64 t = AT(S, j);
         if (t & tag) {
-            AT(S, j) = t + 1;
+            if (t & b) {
+                dup = v;
+                break;
+            }
+            AT(S, j) = wm1 ? t | b : t + 1;
             n_c++;
             i++;
         } else {
             AT(S, i) = t;
-            AT(S, j) = tag;
+            AT(S, j) = tag | b;
             moves++;
             created++;
             n_d++;
@@ -408,12 +420,13 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
     out[3] = dnext;
     out[4] = moves;
     out[5] = created;
+    out[6] = dup;
 }
 
 void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
-              i64 tag, i64 *out)
+              i64 wm1, i64 tag, i64 *out)
 {
-    practice_k(S, S_s, lo, hi, delta, base, span, tag, 1, out);
+    practice_k(S, S_s, lo, hi, delta, base, span, wm1, tag, 1, out);
 }
 
 /* store_nodes, taking the untagged-word skip path when skip is set. */
@@ -602,9 +615,9 @@ static void pass_budget(i64 seg, i64 w, i64 *eps, i64 *split)
 INLINE void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                            i64 w, int skip, i64 *out)
 {
-    i64 tag = (i64)1 << (w - 1), seg = hi - head, eps, split, p[6], st[4];
+    i64 tag = (i64)1 << (w - 1), seg = hi - head, eps, split, p[7], st[4];
     pass_budget(seg, w, &eps, &split);
-    practice_k(S, S_s, head, hi, delta, eps, seg - eps, tag, skip, p);
+    practice_k(S, S_s, head, hi, delta, eps, seg - eps, 0, tag, skip, p);
     SCAN(store_nodes_k, sparse(p[0] + p[1], seg), st, S, S_s, head, hi, delta,
          seg - eps, split, tag, eps);
     i64 v[10] = {p[0], p[1], p[3], eps, st[0], split, st[1], st[3],
@@ -812,11 +825,11 @@ void store_records(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 tag, i64 *out)
     store_records_k(S, S_s, lo, hi, n_d, tag, 1, out);
 }
 
-/* Shared by retrieve_node_scan (wm1 == 0: a record is a count) and
- * retrieve_super (a record is a bitmap of wm1 keys); the tag scan takes
- * the untagged-word skip path when skip is set. */
-INLINE void retrieve_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
-                          i64 delta, i64 wm1, i64 tag, int skip, i64 *out)
+/* retrieve_scan, of count records (wm1 == 0) or bitmaps of wm1 keys; the
+ * tag scan takes the untagged-word skip path when skip is set. */
+INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
+                            i64 n_c, i64 delta, i64 wm1, i64 tag, int skip,
+                            i64 *out)
 {
     i64 vmask = tag - 1;
     i64 o = lo + n_d + n_c - 1, p = hi - 1, moves = 0;
@@ -865,80 +878,10 @@ INLINE void retrieve_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
     out[1] = o != lo - 1 ? STATUS_COLLISION : STATUS_OK;
 }
 
-void retrieve_node_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
-                        i64 delta, i64 tag, i64 *out)
+void retrieve_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
+                   i64 delta, i64 wm1, i64 tag, i64 *out)
 {
-    retrieve_scan(S, S_s, lo, hi, n_d, n_c, delta, 0, tag, 1, out);
-}
-
-void retrieve_super(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
-                    i64 delta, i64 wm1, i64 tag, i64 *out)
-{
-    retrieve_scan(S, S_s, lo, hi, n_d, n_c, delta, wm1, tag, 1, out);
-}
-
-/* practice_super, taking the deferred-key skip path when skip is set. */
-INLINE void practice_super_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
-                             i64 span_keys, i64 wm1, i64 tag, int skip,
-                             i64 *out)
-{
-    i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
-    i64 dup = -1, far = deferred_from(delta, span_keys);
-    i64 i = lo;
-    while (i < hi) {
-        i64 v = AT(S, i);
-        if (v & tag) {
-            i++;
-            continue;
-        }
-        i64 d = v - delta;
-        if (d < 0) {
-            i++;
-            continue;
-        }
-        if (d >= span_keys) {
-            n_def++;
-            if (dnext < 0 || v < dnext)
-                dnext = v;
-            i++;
-            if (skip)
-                i = skip_deferred(S, S_s, i, hi, far, tag, &n_def, &dnext);
-            continue;
-        }
-        i64 j = lo + d / wm1;
-        i64 b = (i64)1 << (d % wm1);
-        i64 t = AT(S, j);
-        if (t & tag) {
-            if (t & b) {
-                dup = v;
-                break;
-            }
-            AT(S, j) = t | b;
-            n_c++;
-            i++;
-        } else {
-            AT(S, i) = t;
-            AT(S, j) = tag | b;
-            moves++;
-            created++;
-            n_d++;
-            if (j < i)
-                i++;
-        }
-    }
-    out[0] = n_d;
-    out[1] = n_c;
-    out[2] = n_def;
-    out[3] = dnext;
-    out[4] = moves;
-    out[5] = created;
-    out[6] = dup;
-}
-
-void practice_super(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
-                    i64 span_keys, i64 wm1, i64 tag, i64 *out)
-{
-    practice_super_k(S, S_s, lo, hi, delta, span_keys, wm1, tag, 1, out);
+    retrieve_scan_k(S, S_s, lo, hi, n_d, n_c, delta, wm1, tag, 1, out);
 }
 
 /* The gate of kernels.dense_last.  improved_passes over one pass of keys
@@ -1065,6 +1008,7 @@ INLINE void practice_cursors_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
     out[3] = n.dnext;
     out[4] = n.n_d;
     out[5] = n.n_d;
+    out[6] = -1;
 }
 
 void practice_cursors(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 tag,
@@ -1098,12 +1042,12 @@ INLINE void store_records_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
 /* Words retrieve_dense writes by mask for a node of few keys. */
 #define WRITES 3
 
-/* retrieve_scan with wm1 == 0 and no skip path, for a dense-last pass,
+/* retrieve_scan_k with wm1 == 0 and no skip path, for a dense-last pass,
  * where gaps between nodes and counts are short and in no order a branch
  * predicts.  The tag scan finds the highest tag of the next 4 words by
  * mask; a node of at most WRITES keys whose writes cannot collide writes
  * WRITES words, each its key or itself back.  Longer gaps and counts, and
- * the ends of the segment, take retrieve_scan's loops. */
+ * the ends of the segment, take retrieve_scan_k's loops. */
 INLINE void retrieve_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
                            i64 delta, i64 tag, i64 *out)
 {
@@ -1169,17 +1113,15 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         /* The interval and pivot of kernels.pass_interval. */
         i64 seg = hi - head, span = seg, pivot = delta + seg - 1;
         int dense = wm1 == 0 && dense_last(seg, delta, top);
-        r[6] = -1;
         if (dense) {
             practice_cursors_k(S, S_s, head, hi, delta, tag, r);
         } else if (wm1 == 0) {
-            SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, tag);
+            SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, 0, tag);
         } else {
             if (__builtin_mul_overflow(wm1, seg, &span) || span > tag)
                 span = tag;
             pivot = delta + span - 1 < tag - 1 ? delta + span - 1 : tag - 1;
-            SCAN(practice_super_k, skip, r, S, S_s, head, hi, delta, span, wm1,
-                 tag);
+            SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, wm1, tag);
         }
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
         /* Masked storage and retrieval pay where a third of the keys or
@@ -1222,8 +1164,8 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         if (masked)
             retrieve_dense(S, S_s, head, hi, n_d, n_c, delta, tag, r);
         else
-            SCAN(retrieve_scan, skip, r, S, S_s, head, hi, n_d, n_c, delta, wm1,
-                 tag);
+            SCAN(retrieve_scan_k, skip, r, S, S_s, head, hi, n_d, n_c, delta,
+                 wm1, tag);
         moves += r[0];
         if (r[1] != STATUS_OK) {
             phase = PHASE_RETRIEVE;

@@ -26,6 +26,8 @@ Conventions
   record updates in place do not count.
 """
 
+from itertools import repeat
+
 import numpy as np
 
 STATUS_OK = 0
@@ -189,17 +191,23 @@ def distinct_passes(S, head, hi, delta):
     return passes, moves, 0, head, PHASE_OK, STATUS_OK, 0, 0, 0, 0
 
 
-def practice(S, lo, hi, delta, base, span, tag):
-    """One counting practice pass over ``S[lo:hi]``.
+def practice(S, lo, hi, delta, base, span, wm1, tag):
+    """One practice pass over ``S[lo:hi]``.
 
-    Keys in [delta, delta + span) hash to slot ``lo + base + key - delta``.
-    The first occurrence turns its slot into a node (displacing the slot's
-    word to the scan position); repeats bump the node's record.  Words at
-    or above the interval are deferred; words below ``delta`` are idle
-    leftovers of an enclosing pass and are skipped.
+    Keys in [delta, delta + span) hash to nodes from slot ``lo + base``.
+    With ``wm1 == 0`` a node counts one key: key ``delta + d`` owns slot
+    ``lo + base + d``, and repeats bump the node's record.  Otherwise a
+    node is a bitmap of ``wm1`` keys: key ``delta + d`` is bit ``d % wm1``
+    of slot ``lo + base + d // wm1``, and a repeated key stops the pass.
+    The first key of a slot turns it into a node, displacing the slot's
+    word to the scan position.  Words at or above the interval are
+    deferred; words below ``delta`` are idle leftovers of an enclosing
+    pass and are skipped.
 
     Returns ``(n_distinct, n_companion, n_deferred, delta_next, moves,
-    created)`` with ``delta_next = -1`` when nothing was deferred.
+    created, dup)``: ``n_companion`` counts keys folded into an existing
+    node, ``delta_next = -1`` when nothing was deferred, and ``dup`` is
+    the repeated key, or -1.
     """
     n_d = 0
     n_c = 0
@@ -223,15 +231,22 @@ def practice(S, lo, hi, delta, base, span, tag):
                 dnext = v
             i += 1
             continue
-        j = lo + base + d
+        if wm1 == 0:
+            j = lo + base + d
+            b = 0
+        else:
+            j = lo + base + d // wm1
+            b = 1 << (d % wm1)
         t = S[j]
         if t & tag:
-            S[j] = t + 1
+            if t & b:
+                return n_d, n_c, n_def, dnext, moves, created, v
+            S[j] = t | b if wm1 else t + 1
             n_c += 1
             i += 1
         else:
             S[i] = t
-            S[j] = tag
+            S[j] = tag | b
             moves += 1
             created += 1
             n_d += 1
@@ -239,7 +254,7 @@ def practice(S, lo, hi, delta, base, span, tag):
             # already-scanned prefix, where it was counted before.
             if j < i:
                 i += 1
-    return n_d, n_c, n_def, dnext, moves, created
+    return n_d, n_c, n_def, dnext, moves, created, -1
 
 
 def store_nodes(S, lo, hi, delta, span, pack_split, tag, eps_budget):
@@ -421,8 +436,8 @@ def practice_store(S, head, hi, delta, w):
     tag = 1 << (w - 1)
     seg = hi - head
     eps, split = pass_budget(seg, w)
-    n_d, n_c, _, dnext, moves, created = practice(
-        S, head, hi, delta, eps, seg - eps, tag
+    n_d, n_c, _, dnext, moves, created, _ = practice(
+        S, head, hi, delta, eps, seg - eps, 0, tag
     )
     eps_used, stored, mv, status = store_nodes(
         S, head, hi, delta, seg - eps, split, tag, eps
@@ -594,98 +609,17 @@ def store_records(S, lo, hi, n_d, tag):
     return k - lo, moves, STATUS_OK
 
 
-def retrieve_node_scan(S, lo, hi, n_d, n_c, delta, tag):
+def retrieve_scan(S, lo, hi, n_d, n_c, delta, wm1, tag):
     """Emit sorted keys from node positions, records parked at the front.
 
     Nodes are located by scanning tag bits right-to-left; the k-th node
-    from the right pairs with the record in the value plane of
-    ``S[lo + k]``.  Each node's tag is cleared before its key is written
-    ``count + 1`` times, the writes masked so surviving tags are
-    preserved.  Returns ``(moves, status)``.
-    """
-    vmask = tag - 1
-    o = lo + n_d + n_c - 1
-    p = hi - 1
-    moves = 0
-    for k in range(n_d - 1, -1, -1):
-        while p >= lo and not S[p] & tag:
-            p -= 1
-        if p < lo:
-            return moves, STATUS_TAG_SCAN
-        cnt = S[lo + k] & vmask
-        key = delta + (p - lo)
-        S[p] = S[p] & vmask
-        for _ in range(cnt + 1):
-            if o < lo + k:
-                return moves, STATUS_COLLISION
-            S[o] = (S[o] & tag) | key
-            o -= 1
-            moves += 1
-        p -= 1
-    if o != lo - 1:
-        return moves, STATUS_COLLISION
-    return moves, STATUS_OK
-
-
-def practice_super(S, lo, hi, delta, span_keys, wm1, tag):
-    """Practice pass recording ``wm1`` distinct keys per node as bits.
-
-    Key ``delta + d`` maps to bit ``d % wm1`` of the node at slot
-    ``lo + d // wm1``.  A repeated key is reported, not recorded.
-    Returns ``(n_distinct, n_companion, n_deferred, delta_next, moves,
-    created, dup_key)`` with ``dup_key = -1`` when all keys were unique;
-    ``n_companion`` counts keys folded into an existing node.
-    """
-    n_d = 0
-    n_c = 0
-    n_def = 0
-    dnext = -1
-    moves = 0
-    created = 0
-    i = lo
-    while i < hi:
-        v = S[i]
-        if v & tag:
-            i += 1
-            continue
-        d = v - delta
-        if d < 0:
-            i += 1
-            continue
-        if d >= span_keys:
-            n_def += 1
-            if dnext < 0 or v < dnext:
-                dnext = v
-            i += 1
-            continue
-        j = lo + d // wm1
-        b = 1 << (d % wm1)
-        t = S[j]
-        if t & tag:
-            if t & b:
-                return n_d, n_c, n_def, dnext, moves, created, v
-            S[j] = t | b
-            n_c += 1
-            i += 1
-        else:
-            S[i] = t
-            S[j] = tag | b
-            moves += 1
-            created += 1
-            n_d += 1
-            if j < i:
-                i += 1
-    return n_d, n_c, n_def, dnext, moves, created, -1
-
-
-def retrieve_super(S, lo, hi, n_d, n_c, delta, wm1, tag):
-    """Emit sorted keys from bitmap nodes, records parked at the front.
-
-    Like :func:`retrieve_node_scan`, but each record is a bitmap: bit
-    ``t`` of the k-th node from the right stands for key
-    ``delta + (p - lo) * wm1 + t``.  Bits are emitted high-to-low so the
-    right-to-left writes produce ascending keys.  Returns
-    ``(moves, status)``.
+    from the right, at ``p``, pairs with the record in the value plane of
+    ``S[lo + k]``.  With ``wm1 == 0`` the record is a count, and the node's
+    key ``delta + (p - lo)`` is written ``count + 1`` times; otherwise it
+    is a bitmap whose bit ``t`` stands for key ``delta + (p - lo) * wm1 +
+    t``, emitted high to low so that the right-to-left writes ascend.
+    Each node's tag is cleared before its keys are written, the writes
+    masked so surviving tags are preserved.  Returns ``(moves, status)``.
     """
     vmask = tag - 1
     o = lo + n_d + n_c - 1
@@ -697,15 +631,18 @@ def retrieve_super(S, lo, hi, n_d, n_c, delta, wm1, tag):
         if p < lo:
             return moves, STATUS_TAG_SCAN
         rec = S[lo + k] & vmask
-        key0 = delta + (p - lo) * wm1
         S[p] = S[p] & vmask
-        for t in range(wm1 - 1, -1, -1):
-            if rec & (1 << t):
-                if o < lo + k:
-                    return moves, STATUS_COLLISION
-                S[o] = (S[o] & tag) | (key0 + t)
-                o -= 1
-                moves += 1
+        if wm1 == 0:
+            keys = repeat(delta + (p - lo), rec + 1)
+        else:
+            key0 = delta + (p - lo) * wm1
+            keys = (key0 + t for t in range(wm1 - 1, -1, -1) if rec >> t & 1)
+        for key in keys:
+            if o < lo + k:
+                return moves, STATUS_COLLISION
+            S[o] = (S[o] & tag) | key
+            o -= 1
+            moves += 1
         p -= 1
     if o != lo - 1:
         return moves, STATUS_COLLISION
@@ -749,9 +686,9 @@ def dense_last(seg, delta, top):
 
 def practice_cursors(S, lo, hi, delta, tag):
     """:func:`practice` of a whole segment (``base`` 0, ``span = hi -
-    lo``) as ``CURSORS`` cursors, cursor ``c`` scanning the block of words
-    ``[lo + c * 2**sh, lo + (c + 1) * 2**sh)`` of the segment, for the
-    least ``sh`` whose blocks cover it.
+    lo``, ``wm1`` 0) as ``CURSORS`` cursors, cursor ``c`` scanning the
+    block of words ``[lo + c * 2**sh, lo + (c + 1) * 2**sh)`` of the
+    segment, for the least ``sh`` whose blocks cover it.
 
     Round after round, each cursor not yet at the end of its block takes
     one step of :func:`practice`'s loop, in cursor order.  Where a step
@@ -763,7 +700,7 @@ def practice_cursors(S, lo, hi, delta, tag):
     Every word is counted once, as in :func:`practice`, so a segment that
     holds only untagged keys in ``[delta, hi - lo + delta)`` ends with the
     same nodes, counts and results, whatever the order; other words may
-    end elsewhere.  Returns :func:`practice`'s tuple.
+    end elsewhere.  Returns :func:`practice`'s tuple, ``dup`` -1.
     """
     seg = hi - lo
     sh = 0
@@ -808,7 +745,7 @@ def practice_cursors(S, lo, hi, delta, tag):
             cur[c] = i + step
             if i + step == end[c]:
                 live -= 1
-    return n_d, n_c, n_def, dnext, n_d, n_d
+    return n_d, n_c, n_def, dnext, n_d, n_d, -1
 
 
 def improved_passes(S, head, hi, delta, top, wm1, tag):
@@ -839,14 +776,11 @@ def improved_passes(S, head, hi, delta, top, wm1, tag):
     while head < hi:
         passes += 1
         span, pivot = pass_interval(hi - head, delta, wm1, tag)
-        dup = -1
         if wm1 == 0 and dense_last(hi - head, delta, top):
-            n_d, n_c, _, dnext, mv, cr = practice_cursors(S, head, hi, delta, tag)
-        elif wm1 == 0:
-            n_d, n_c, _, dnext, mv, cr = practice(S, head, hi, delta, 0, span, tag)
+            n_d, n_c, _, dnext, mv, cr, dup = practice_cursors(S, head, hi, delta, tag)
         else:
-            n_d, n_c, _, dnext, mv, cr, dup = practice_super(
-                S, head, hi, delta, span, wm1, tag
+            n_d, n_c, _, dnext, mv, cr, dup = practice(
+                S, head, hi, delta, 0, span, wm1, tag
             )
         moves += mv
         created += cr
@@ -863,10 +797,7 @@ def improved_passes(S, head, hi, delta, top, wm1, tag):
         if n_low != n_c:
             return passes, moves, created, head, PHASE_PARTITION, 0, n_low, n_c
         emit("partition", passes)
-        if wm1 == 0:
-            mv, status = retrieve_node_scan(S, head, hi, n_d, n_c, delta, tag)
-        else:
-            mv, status = retrieve_super(S, head, hi, n_d, n_c, delta, wm1, tag)
+        mv, status = retrieve_scan(S, head, hi, n_d, n_c, delta, wm1, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_RETRIEVE, status, wm1, 0
@@ -881,10 +812,10 @@ def improved_passes(S, head, hi, delta, top, wm1, tag):
 def practice_rank(K, P, lo, hi, delta, span, tag):
     """Counting practice over parallel key/payload arrays.
 
-    Same protocol as :func:`practice` with ``base = 0``, except elements
-    move as (key, payload) pairs: the payload of a key consumed into a
-    node stays at the node's slot.  Returns the same tuple as
-    :func:`practice`.
+    Same protocol as :func:`practice` with ``base = 0`` and ``wm1 = 0``,
+    except elements move as (key, payload) pairs: the payload of a key
+    consumed into a node stays at the node's slot.  Returns the first six
+    results of :func:`practice`.
     """
     n_d = 0
     n_c = 0

@@ -1,9 +1,12 @@
-/* Runs kernels of kernels.c on buffers calloc()ed to exactly the words
- * they may touch.  Built with -fsanitize=address,undefined, a read one
- * word past either end of a buffer stops it with a report.  The cases,
- * the block-boundary shapes, sparse segments and dense-last segments
- * (for improved_passes and practice_cursors) of test_skip_paths.py, come
- * from that test on stdin, one a line:
+/* Runs kernels of kernels.c on buffers sized to exactly the words they
+ * may touch.  Built with -fsanitize=address,undefined, a read one word
+ * past either end of a buffer stops it with a report.  Built with -DGUARD
+ * instead, each buffer is mapped flush against a PROT_NONE page, and such
+ * a read stops it with SIGSEGV: each case then runs twice, once with the
+ * page after the buffer's last byte and once before its first.  The
+ * cases, the block-boundary shapes, sparse segments and dense-last
+ * segments (for improved_passes and practice_cursors) of
+ * test_skip_paths.py, come from that test on stdin, one a line:
  *
  *   <kernel> <sorts> <k> <k integer arguments> <n> <n words>
  *
@@ -15,6 +18,7 @@
  *
  *   cc -O2 -g -fsanitize=address,undefined -fno-sanitize-recover \
  *      src/assocsort/kernels.c tests/skip_paths_driver.c -o driver
+ *   cc -O2 -DGUARD src/assocsort/kernels.c tests/skip_paths_driver.c -o driver
  */
 
 #include <inttypes.h>
@@ -22,19 +26,21 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef GUARD
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 typedef int64_t i64;
 
-void practice(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
-void practice_super(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
+void practice(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void practice_cursors(char *, i64, i64, i64, i64, i64, i64 *);
 void implicit_practice(char *, i64, i64, i64, i64, i64 *);
 void collect_fixpoints(char *, i64, i64, i64, i64, i64 *);
 void store_records(char *, i64, i64, i64, i64, i64, i64 *);
 void store_nodes(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void partition_values(char *, i64, i64, i64, i64, i64, i64 *);
-void retrieve_node_scan(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
-void retrieve_super(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
+void retrieve_scan(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void improved_passes(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void distinct_passes(char *, i64, i64, i64, i64, i64 *);
 void sequential_passes(char *, i64, i64, i64, i64, i64, i64 *);
@@ -47,23 +53,35 @@ void rank_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64 *);
 #define MAXN (1 << 16)
 #define MAXA 8
 
-enum { PRACTICE, PRACTICE_SUPER, PRACTICE_CURSORS, IMPLICIT, FIXPOINTS, STORE,
-       STORE_NODES, PARTITION, RETRIEVE, RETRIEVE_SUPER, IMPROVED, DISTINCT,
-       SEQUENTIAL, STACKED, RANK, KINDS };
+enum { PRACTICE, PRACTICE_CURSORS, IMPLICIT, FIXPOINTS, STORE, STORE_NODES,
+       PARTITION, RETRIEVE, IMPROVED, DISTINCT, SEQUENTIAL, STACKED, RANK,
+       KINDS };
 
 static const char *const names[KINDS] = {
-    "practice", "practice_super", "practice_cursors", "implicit_practice",
-    "collect_fixpoints", "store_records", "store_nodes", "partition_values",
-    "retrieve_node_scan", "retrieve_super", "improved_passes",
-    "distinct_passes", "sequential_passes", "stacked_passes", "rank_passes",
+    "practice", "practice_cursors", "implicit_practice", "collect_fixpoints",
+    "store_records", "store_nodes", "partition_values", "retrieve_scan",
+    "improved_passes", "distinct_passes", "sequential_passes",
+    "stacked_passes", "rank_passes",
 };
 
 static long failures;
 
-/* One strided view of n words in a buffer of exactly the bytes it spans. */
+#ifdef GUARD
+#define SIDES 2
+/* Whether buffers have their PROT_NONE page before the first byte, rather
+ * than after the last. */
+static int guard_before;
+#else
+#define SIDES 1
+#endif
+
+/* One strided view of n words in a buffer of exactly the bytes it spans;
+ * with GUARD, map is the mapping of map_len bytes that holds the buffer
+ * and its guard page. */
 typedef struct {
-    char *buf, *base;
+    char *buf, *base, *map;
     i64 stride;
+    size_t map_len;
 } view;
 
 static void *alloc(i64 bytes)
@@ -76,11 +94,31 @@ static void *alloc(i64 bytes)
     return p;
 }
 
+/* v's buffer of bytes bytes. */
+static char *buffer(view *v, i64 bytes)
+{
+#ifdef GUARD
+    size_t page = sysconf(_SC_PAGESIZE), data = (bytes + page - 1) / page * page;
+    v->map_len = data + page;
+    v->map = mmap(NULL, v->map_len, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (v->map == MAP_FAILED ||
+        mprotect(guard_before ? v->map : v->map + data, page, PROT_NONE)) {
+        perror("mmap");
+        exit(2);
+    }
+    return guard_before ? v->map + page : v->map + data - bytes;
+#else
+    (void)v;
+    return alloc(bytes);
+#endif
+}
+
 static view view_of(const i64 *words, i64 n, i64 stride)
 {
     i64 step = stride / 8, span = (n - 1) * (step < 0 ? -step : step) + 1;
     view v;
-    v.buf = alloc(span * 8);
+    v.buf = buffer(&v, span * 8);
     memset(v.buf, 0xA5, span * 8);
     v.base = step < 0 ? v.buf + (span - 1) * 8 : v.buf;
     v.stride = stride;
@@ -93,7 +131,11 @@ static void read_back(view v, i64 n, i64 *words)
 {
     for (i64 i = 0; i < n; i++)
         memcpy(&words[i], v.base + i * v.stride, 8);
+#ifdef GUARD
+    munmap(v.map, v.map_len);
+#else
     free(v.buf);
+#endif
 }
 
 /* Kernel kind with integer arguments a on words (and, for the loops
@@ -113,10 +155,7 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
     memset(out, 0, NOUT * sizeof *out);
     switch (kind) {
     case PRACTICE:
-        practice(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], out);
-        break;
-    case PRACTICE_SUPER:
-        practice_super(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], out);
+        practice(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6], out);
         break;
     case PRACTICE_CURSORS:
         practice_cursors(s, stride, a[0], a[1], a[2], a[3], out);
@@ -137,11 +176,7 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
         partition_values(s, stride, a[0], a[1], a[2], a[3], out);
         break;
     case RETRIEVE:
-        retrieve_node_scan(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], out);
-        break;
-    case RETRIEVE_SUPER:
-        retrieve_super(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6],
-                       out);
+        retrieve_scan(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6], out);
         break;
     case IMPROVED:
         improved_passes(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], out);
@@ -170,24 +205,27 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
     free(L);
 }
 
-/* kind on words at every stride: the same results and words, and a sorted
- * segment where sorted is set and the loop reports no failure (for
- * stacked_passes: reaches the end of the segment, and its unwind
- * reports no failure). */
+/* kind on words at every stride (and each side of the guard pages): the
+ * same results and words, and a sorted segment where sorted is set and the
+ * loop reports no failure (for stacked_passes: reaches the end of the
+ * segment, and its unwind reports no failure). */
 static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
 {
     static const i64 strides[] = {8, 16, -8};
     i64 first[NOUT], *w0 = alloc(n * 8), *w = alloc(n * 8);
-    for (int s = 0; s < 3; s++) {
-        i64 out[NOUT];
+    for (int r = 0; r < 3 * SIDES; r++) {
+        i64 out[NOUT], stride = strides[r % 3];
+#ifdef GUARD
+        guard_before = r / 3;
+#endif
         memcpy(w, words, n * 8);
-        run(kind, w, n, a, strides[s], out);
-        if (s == 0) {
+        run(kind, w, n, a, stride, out);
+        if (r == 0) {
             memcpy(first, out, sizeof first);
             memcpy(w0, w, n * 8);
         } else if (memcmp(first, out, sizeof first) || memcmp(w0, w, n * 8)) {
-            fprintf(stderr, "%s, n %lld: stride %lld differs from 8\n",
-                    names[kind], (long long)n, (long long)strides[s]);
+            fprintf(stderr, "%s, n %lld: run %d (stride %lld) differs from 8\n",
+                    names[kind], (long long)n, r, (long long)stride);
             failures++;
         }
     }

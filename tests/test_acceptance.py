@@ -25,7 +25,6 @@ import assocsort
 from assocsort.adapter import ALGORITHMS
 from assocsort.backend import (
     BACKENDS,
-    PLAIN,
     _HELPER_NAMES,
     _KERNEL_NAMES,
     _LOOP_NAMES,

@@ -17,7 +17,6 @@ from assocsort.bench import (
     gen_uniform,
     lsd_radix_baseline,
     make_trace_writer,
-    npsort_baseline,
     run_bench,
     summarize,
     verify,

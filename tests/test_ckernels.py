@@ -73,16 +73,16 @@ PAST_THE_END = [
     ("min_max", (-1, 4), (0, 4)),
     ("implicit_practice", (0, 9, 0), (0, 8, 0)),
     ("collect_fixpoints", (-1, 8, 0), (0, 8, 0)),
-    ("practice", (0, 8, 0, 1, 8, T8), (0, 8, 0, 0, 8, T8)),
-    ("practice", (0, 8, 0, -1, 8, T8), (0, 8, 0, 0, 8, T8)),
+    ("practice", (0, 8, 0, 1, 8, 0, T8), (0, 8, 0, 0, 8, 0, T8)),
+    ("practice", (0, 8, 0, -1, 8, 0, T8), (0, 8, 0, 0, 8, 0, T8)),
     ("store_nodes", (0, 9, 0, 8, 3, T8, 0), (0, 8, 0, 8, 3, T8, 0)),
     ("partition_values", (0, 9, 3, T8), (0, 8, 3, T8)),
     ("retrieve_packed", (0, 4, 9, 0, 0, 3, T8), (0, 4, 8, 0, 0, 3, T8)),
     ("retrieve_packed", (0, 9, 8, 0, 0, 3, T8), (0, 8, 8, 0, 0, 3, T8)),
     ("store_records", (0, 9, 0, T8), (0, 8, 0, T8)),
-    ("retrieve_node_scan", (0, 8, 5, 4, 0, T8), (0, 8, 4, 4, 0, T8)),
-    ("retrieve_super", (2, 8, 6, 1, 0, 7, T8), (2, 8, 5, 1, 0, 7, T8)),
-    ("practice_super", (0, 8, 0, 57, 7, T8), (0, 8, 0, 56, 7, T8)),
+    ("retrieve_scan", (0, 8, 5, 4, 0, 0, T8), (0, 8, 4, 4, 0, 0, T8)),
+    ("retrieve_scan", (2, 8, 6, 1, 0, 7, T8), (2, 8, 5, 1, 0, 7, T8)),
+    ("practice", (0, 8, 0, 0, 57, 7, T8), (0, 8, 0, 0, 56, 7, T8)),
     ("improved_passes", (0, 9, 0, 7, 0, T8), (0, 8, 0, 7, 0, T8)),
     ("improved_passes", (0, 8, 0, 7, -1, T8), (0, 8, 0, 7, 7, T8)),
     ("practice_rank", (0, 8, 0, 9, T8), (0, 8, 0, 8, T8)),
@@ -106,6 +106,8 @@ PAST_THE_END = [
     # segments long enough for the interleaved practice).
     ("improved_passes", (0, 8, 0, (1 << 63) - 1, 0, T8), (0, 8, 0, -(1 << 63), 0, T8)),
     ("practice_cursors", (0, 9, 0, T8), (0, 8, 0, T8)),
+    # A negative wm1 hashes keys below lo.
+    ("practice", (0, 8, 0, 0, 8, -1, T8), (0, 8, 0, 0, 8, 1, T8)),
 ]
 
 

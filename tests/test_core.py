@@ -48,8 +48,8 @@ class TestPracticePhase:
             delta = int(vals.min())
             eps = epsilon(n, CFG32)
             S = vals.copy()
-            n_d, n_c, n_def, dnext, _, created = active().practice(
-                S, 0, n, delta, eps, n - eps, CFG32.tag_mask
+            n_d, n_c, n_def, dnext, _, created, _ = active().practice(
+                S, 0, n, delta, eps, n - eps, 0, CFG32.tag_mask
             )
             e_d, e_c, e_def, e_next = practice_oracle(vals.tolist(), delta, n - eps)
             assert (n_d, n_c, n_def) == (e_d, e_c, e_def)
@@ -65,7 +65,7 @@ class TestPracticePhase:
             split = CFG16.pack_split(n)
             S = vals.copy()
             k = active()
-            n_d, *_ = k.practice(S, 0, n, delta, eps, n - eps, tag)
+            n_d, *_ = k.practice(S, 0, n, delta, eps, n - eps, 0, tag)
             eps_used, stored, _, status = k.store_nodes(
                 S, 0, n, delta, n - eps, split, tag, eps
             )
@@ -84,7 +84,7 @@ class TestPracticePhase:
             vals = rng.integers(0, n - eps, size=n).astype(np.int64) + 50
             S = vals.copy()
             k = active()
-            n_d, n_c, n_def, *_ = k.practice(S, 0, n, 50, eps, n - eps, tag)
+            n_d, n_c, n_def, *_ = k.practice(S, 0, n, 50, eps, n - eps, 0, tag)
             assert n_def == 0
             eps_used, *_ = k.store_nodes(S, 0, n, 50, n - eps, split, tag, eps)
             written, _, status = k.retrieve_packed(

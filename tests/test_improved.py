@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assocsort.counters import OpCounters
 from assocsort.errors import DuplicateKeyError, WordRangeError
 from assocsort.improved import sort_distinct_improved, sort_improved
 

@@ -22,9 +22,9 @@ class TestPracticeCounting:
     def test_canonical_four_word_trace(self, backend):
         k = active()
         S = arr(2, 0, 2, 1)
-        n_d, n_c, n_def, dnext, moves, created = k.practice(S, 0, 4, 0, 0, 4, TAG8)
+        n_d, n_c, n_def, dnext, moves, created, dup = k.practice(S, 0, 4, 0, 0, 4, 0, TAG8)
         assert (n_d, n_c, n_def) == (3, 1, 0)
-        assert dnext == -1
+        assert dnext == dup == -1
         assert created == 3
         # nodes for keys 0,1,2 at their slots; records 0,0,1; the second
         # copy of key 2 is left in place as an idle word
@@ -38,7 +38,7 @@ class TestPracticeCounting:
             delta = int(vals.min())
             span = max(1, n // 2)
             S = vals.copy()
-            n_d, n_c, n_def, dnext, _, _ = k.practice(S, 0, n, delta, 0, span, TAG8)
+            n_d, n_c, n_def, dnext, *_ = k.practice(S, 0, n, delta, 0, span, 0, TAG8)
             e_d, e_c, e_def, e_next = practice_oracle(vals.tolist(), delta, span)
             assert (n_d, n_c, n_def) == (e_d, e_c, e_def)
             assert (None if dnext < 0 else int(dnext)) == e_next
@@ -47,7 +47,7 @@ class TestPracticeCounting:
         # leftovers of an enclosing pass (value < delta) must be ignored
         k = active()
         S = arr(3, 50, 51, 3, 50)
-        n_d, n_c, n_def, dnext, _, _ = k.practice(S, 0, 5, 50, 0, 3, TAG8)
+        n_d, n_c, n_def, dnext, *_ = k.practice(S, 0, 5, 50, 0, 3, 0, TAG8)
         assert (n_d, n_c, n_def) == (2, 1, 0)
         assert dnext == -1
         assert sorted(int(v) for v in S if not v & TAG8) == [3, 3, 50]
@@ -57,7 +57,7 @@ class TestStorePacked:
     def test_all_counts_pack(self, backend):
         k = active()
         S = arr(2, 0, 2, 1)
-        k.practice(S, 0, 4, 0, 0, 4, TAG8)
+        k.practice(S, 0, 4, 0, 0, 4, 0, TAG8)
         split = W8.pack_split(4)  # 5: positions need 2 bits, 7 - 2 = 5
         eps_used, stored, _, status = k.store_nodes(S, 0, 4, 0, 4, split, TAG8, 0)
         assert status == 0
@@ -75,7 +75,7 @@ class TestStorePacked:
         S = arr(0, 0, 0, 1)
         eps = epsilon(4, cfg)
         assert eps == 1
-        n_d, n_c, n_def, _, _, _ = k.practice(S, 0, 4, 0, eps, 4 - eps, tag)
+        n_d, n_c, n_def, *_ = k.practice(S, 0, 4, 0, eps, 4 - eps, 0, tag)
         assert (n_d, n_c, n_def) == (2, 2, 0)
         split = cfg.pack_split(4)  # 1
         eps_used, stored, _, status = k.store_nodes(S, 0, 4, 0, 3, split, tag, eps)
@@ -87,7 +87,7 @@ class TestStorePacked:
     def test_retrieve_round_trip(self, backend):
         k = active()
         S = arr(2, 0, 2, 1)
-        k.practice(S, 0, 4, 0, 0, 4, TAG8)
+        k.practice(S, 0, 4, 0, 0, 4, 0, TAG8)
         split = W8.pack_split(4)
         k.store_nodes(S, 0, 4, 0, 4, split, TAG8, 0)
         k.partition_values(S, 3, 4, 3, TAG8)
@@ -101,7 +101,7 @@ class TestStorePacked:
         k = active()
         S = arr(0, 0, 0, 1)
         eps = epsilon(4, cfg)
-        k.practice(S, 0, 4, 0, eps, 4 - eps, tag)
+        k.practice(S, 0, 4, 0, eps, 4 - eps, 0, tag)
         split = cfg.pack_split(4)
         k.store_nodes(S, 0, 4, 0, 3, split, tag, eps)
         k.partition_values(S, 3, 4, 2, tag)
@@ -152,9 +152,7 @@ class TestSuperHashKernels:
         tag = cfg.tag_mask
         k = active()
         S = arr(10, 3, 0)
-        n_d, n_c, n_def, dnext, _, created, dup = k.practice_super(
-            S, 0, 3, 0, 24, 8, tag
-        )
+        n_d, n_c, n_def, dnext, _, created, dup = k.practice(S, 0, 3, 0, 0, 24, 8, tag)
         assert dup == -1
         assert (n_d, n_c, n_def) == (2, 1, 0)
         nodes = {i: int(v) & cfg.value_mask for i, v in enumerate(S) if v & tag}
@@ -164,7 +162,7 @@ class TestSuperHashKernels:
         cfg = WordConfig(9)
         k = active()
         S = arr(7, 3, 7)
-        *_, dup = k.practice_super(S, 0, 3, 0, 24, 8, cfg.tag_mask)
+        *_, dup = k.practice(S, 0, 3, 0, 0, 24, 8, cfg.tag_mask)
         assert dup == 7
 
     def test_bitmap_round_trip(self, backend):
@@ -172,12 +170,12 @@ class TestSuperHashKernels:
         tag = cfg.tag_mask
         k = active()
         S = arr(10, 3, 0)
-        n_d, n_c, *_ , dup = k.practice_super(S, 0, 3, 0, 24, 8, tag)
+        n_d, n_c, *_, dup = k.practice(S, 0, 3, 0, 0, 24, 8, tag)
         assert dup == -1
         stored, _, status = k.store_records(S, 0, 3, n_d, tag)
         assert status == 0 and stored == n_d
         k.partition_values(S, n_d, 3, 23, tag)
-        _, status = k.retrieve_super(S, 0, 3, n_d, n_c, 0, 8, tag)
+        _, status = k.retrieve_scan(S, 0, 3, n_d, n_c, 0, 8, tag)
         assert status == 0
         assert S.tolist() == [0, 3, 10]
 
@@ -271,20 +269,22 @@ class TestValuePlanePartition:
 
 def test_backends_agree_word_for_word(rng):
     """Same inputs through every kernel set that runs here must leave
-    identical arrays and identical summaries."""
+    identical arrays and identical summaries: ``practice`` of count nodes,
+    and of bitmap nodes of 7 keys on keys that repeat in every second
+    trial."""
     from assocsort.backend import BACKENDS, available
 
     names = [name for name in BACKENDS if available(name)]
     for trial in range(25):
         n = int(rng.integers(1, 80))
         vals = rng.integers(0, 120, size=n).astype(np.int64)
-        delta = int(vals.min())
         span = max(1, (n - int(rng.integers(0, 3))))
-        results = []
-        for name in names:
-            with use_backend(name):
-                k = active()
-                S = vals.copy()
-                out = k.practice(S, 0, n, delta, 0, span, TAG8)
-                results.append((tuple(int(x) for x in out), S.tolist()))
-        assert all(r == results[-1] for r in results), names
+        keys = rng.choice(120, size=n, replace=trial % 2 == 1).astype(np.int64)
+        for words, interval, wm1 in ((vals, span, 0), (keys, 7 * n, 7)):
+            results = []
+            for name in names:
+                with use_backend(name):
+                    S = words.copy()
+                    out = active().practice(S, 0, n, int(words.min()), 0, interval, wm1, TAG8)
+                    results.append((tuple(int(x) for x in out), S.tolist()))
+            assert all(r == results[-1] for r in results), (names, wm1)

@@ -1,10 +1,10 @@
 """The skip paths of the ``c`` kernels give the ``numpy`` results.
 
 Where a scan of a value-sort pass would only step past word after word,
-``kernels.c`` steps over blocks of 4 such words: keys ``practice`` (and
-``practice_super`` and ``implicit_practice``) defers, or in
+``kernels.c`` steps over blocks of 4 such words: keys ``practice`` (of
+count or bitmap nodes) and ``implicit_practice`` defer, or in
 ``stacked_passes`` leaves below the interval, untagged words in
-``store_records``, ``store_nodes`` and the tag scan of the retrievals,
+``store_records``, ``store_nodes`` and the tag scan of ``retrieve_scan``,
 value planes above the pivot in the right-hand scan of
 ``partition_values``, and words off their own slot in
 ``collect_fixpoints``.  The standalone kernels always take these paths;
@@ -22,7 +22,8 @@ reads past the segment changes the result where a result can show it.
 Other reads past the segment, and any past the end of the array, are out
 of reach of such comparisons: ``test_sanitized_driver`` runs the same
 cases, with the kernels built under AddressSanitizer and UBSan, on
-exactly-sized buffers.
+exactly-sized buffers, and ``test_guarded_driver`` on buffers mapped flush
+against an inaccessible page, which needs no sanitizer runtime.
 """
 
 import os
@@ -117,15 +118,17 @@ def _practice_cases():
 
             words = _segment(n, start, run, lambda k: far + 1 + (5 * k + 3 * start) % 9,
                              other, far)
-            yield "practice", words, (PAD, PAD + n, DELTA, base, span, T8)
+            yield "practice", words, (PAD, PAD + n, DELTA, base, span, 0, T8)
 
 
-def _practice_super_cases():
+def _bitmap_practice_cases():
+    """``practice`` of bitmap nodes of 7 keys: deferred keys in the run,
+    keys of the interval elsewhere."""
     for n, start, run in _shapes():
         far = DELTA + 7 * n
         words = _segment(n, start, run, lambda k: far + 1 + (5 * k) % 9,
                          lambda k: DELTA + (5 * k) % (7 * n), far)
-        yield "practice_super", words, (PAD, PAD + n, DELTA, 7 * n, 7, T8)
+        yield "practice", words, (PAD, PAD + n, DELTA, 0, 7 * n, 7, T8)
 
 
 def _implicit_practice_cases():
@@ -184,8 +187,8 @@ def _retrieval_cases():
             if n_d + n_c > n:
                 continue
             args = (PAD, PAD + n, n_d, n_c, DELTA)
-            yield "retrieve_node_scan", words, args + (T8,)
-            yield "retrieve_super", words, args + (7, T8)
+            for wm1 in (0, 7):
+                yield "retrieve_scan", words, args + (wm1, T8)
 
 
 def _partition_cases():
@@ -321,7 +324,7 @@ def test_practice_steps_over_deferred_keys():
 
 
 def test_practice_super_steps_over_deferred_keys():
-    for case in _practice_super_cases():
+    for case in _bitmap_practice_cases():
         _agree(*case)
 
 
@@ -351,7 +354,8 @@ def test_retrieval_tag_scans_step_over_untagged_words():
     statuses = set()
     for name, words, args in _retrieval_cases():
         status = _agree(name, words, args)[1]
-        if name == "retrieve_node_scan":
+        *_, wm1, _ = args
+        if wm1 == 0:
             statuses.add(status)
     assert statuses == {kernels.STATUS_OK, kernels.STATUS_TAG_SCAN}
 
@@ -401,12 +405,6 @@ def test_practice_cursors_on_dense_last_segments():
         _agree(*case)
 
 
-def _sequential(monkeypatch):
-    """Make the ``numpy`` loop practice dense-last passes with ``practice``."""
-    monkeypatch.setattr(kernels, "practice_cursors", lambda S, lo, hi, delta, tag:
-                        kernels.practice(S, lo, hi, delta, 0, hi - lo, tag))
-
-
 def test_dense_last_passes_take_the_cursors(monkeypatch):
     """Guard: the loops practice dense-last passes with cursors.  On keys
     in ``[delta, top]`` that order leaves what ``practice`` leaves; on keys
@@ -423,7 +421,7 @@ def test_dense_last_passes_take_the_cursors(monkeypatch):
                 got[backend] = _run(name, np.array(words, dtype=np.int64), args)
         with monkeypatch.context() as patch, use_backend("numpy"):
             patch.setattr(kernels, "practice_cursors", lambda S, lo, hi, delta, tag:
-                          kernels.practice(S, lo, hi, delta, 0, hi - lo, tag))
+                          kernels.practice(S, lo, hi, delta, 0, hi - lo, 0, tag))
             sequential = _run(name, np.array(words, dtype=np.int64), args)
         assert got["c"] == got["numpy"]
         assert (got["numpy"] == sequential) == (args == clean[2])
@@ -484,7 +482,7 @@ def _driver_input():
     def line(name, sorts, seg, args):
         lines.append(" ".join(map(str, [name, int(sorts), len(args), *args, len(seg), *seg])))
 
-    cases = [*_practice_cases(), *_practice_super_cases(), *_implicit_practice_cases(),
+    cases = [*_practice_cases(), *_bitmap_practice_cases(), *_implicit_practice_cases(),
              *_fixpoint_cases(), *_store_cases(), *_store_nodes_cases(),
              *_retrieval_cases(), *_partition_cases(), *_pass_cases(), *_sparse_cases(),
              *_dense_cases(), *_cursor_cases()]
@@ -519,12 +517,27 @@ def test_sanitized_driver(tmp_path):
                            capture_output=True, text=True, timeout=120)
     if built.returncode != 0 or subprocess.run([str(tmp_path / "probe")], env=env).returncode:
         pytest.skip("cc has no sanitizer runtimes")
+    _drive(tmp_path, SANITIZE, env)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_guarded_driver(tmp_path):
+    """``skip_paths_driver.c`` built with ``-DGUARD`` runs the same cases
+    on buffers that end, and then on buffers that start, at a page it may
+    not touch: a block read one word past either end stops it with
+    SIGSEGV, where ``cc`` has no sanitizer runtimes too."""
+    _drive(tmp_path, ["-O2", "-DGUARD"])
+
+
+def _drive(tmp_path, flags, env=None):
+    """Build ``skip_paths_driver.c`` with ``flags`` and run it on
+    :func:`_driver_input`: it must report every case and no failure."""
     driver = tmp_path / "driver"
-    built = subprocess.run(["cc", *SANITIZE, "-o", str(driver), ckernels.SOURCE, DRIVER],
+    built = subprocess.run(["cc", *flags, "-o", str(driver), ckernels.SOURCE, DRIVER],
                            capture_output=True, text=True, timeout=300)
     assert built.returncode == 0, built.stderr
     lines = _driver_input()
     proc = subprocess.run([str(driver)], input="\n".join(lines) + "\n", env=env,
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-4000:])
     assert proc.stdout == f"{len(lines)} cases, 0 failures\n", proc.stdout

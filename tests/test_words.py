@@ -70,15 +70,16 @@ class TestWordConfig:
 
 
 class TestLinearHash:
-    """The counting hash, inline in the ``practice`` kernel: key ``k`` of
-    the interval ``[delta, delta + span)`` owns slot ``base + k - delta``."""
+    """The counting hash, inline in the ``practice`` kernel with ``wm1 =
+    0``: key ``k`` of the interval ``[delta, delta + span)`` owns slot
+    ``base + k - delta``."""
 
     def test_hash_and_unhash(self):
         cfg = WordConfig(16)
         S = np.full(53, 500, dtype=np.int64)  # deferred filler
         S[:3] = (149, 100, 120)
-        n_d, _, n_def, dnext, _, _ = active().practice(
-            S, 0, 53, 100, 3, 50, cfg.tag_mask
+        n_d, _, n_def, dnext, *_ = active().practice(
+            S, 0, 53, 100, 3, 50, 0, cfg.tag_mask
         )
         assert (n_d, n_def, dnext) == (3, 50, 500)
         slots = [j for j in range(53) if S[j] & cfg.tag_mask]
@@ -90,32 +91,32 @@ class TestLinearHash:
         # deferred to a later pass; neither becomes a node
         cfg = WordConfig(16)
         S = arr(99, 150, 100)
-        n_d, n_c, n_def, dnext, _, _ = active().practice(
-            S, 0, 3, 100, 0, 50, cfg.tag_mask
+        n_d, n_c, n_def, dnext, *_ = active().practice(
+            S, 0, 3, 100, 0, 50, 0, cfg.tag_mask
         )
         assert (n_d, n_c, n_def, dnext) == (1, 0, 1, 150)
         assert S.tolist() == [cfg.tag_mask, 150, 99]
 
 
 class TestSuperHash:
-    """The bitmap hash, inline in the ``practice_super`` kernel: key
-    ``delta + d`` is bit ``d % (w - 1)`` of the node at slot
-    ``d // (w - 1)``."""
+    """The bitmap hash, inline in the ``practice`` kernel with ``wm1 = w -
+    1``: key ``delta + d`` is bit ``d % (w - 1)`` of the node at slot
+    ``base + d // (w - 1)``."""
 
     def test_example(self):
         # key 19 above the interval start with 8 usable record bits:
         # slot 2, bit 3.
         cfg = WordConfig(9)
         S = arr(19, 40, 50)
-        n_d, _, n_def, *_ = active().practice_super(S, 0, 3, 0, 24, 8, cfg.tag_mask)
+        n_d, _, n_def, *_ = active().practice(S, 0, 3, 0, 0, 24, 8, cfg.tag_mask)
         assert (n_d, n_def) == (1, 2)
         assert int(S[2]) == cfg.tag_mask | (1 << 3)
 
     def test_below_interval_rejected(self):
         cfg = WordConfig(9)
         S = arr(5, 10)
-        n_d, n_c, n_def, *_, dup = active().practice_super(
-            S, 0, 2, 10, 16, 8, cfg.tag_mask
+        n_d, n_c, n_def, *_, dup = active().practice(
+            S, 0, 2, 10, 0, 16, 8, cfg.tag_mask
         )
         assert (n_d, n_c, n_def, dup) == (1, 0, 0, -1)
         assert S.tolist() == [cfg.tag_mask | 1, 5]
@@ -132,7 +133,7 @@ class TestSuperHash:
         )
         S = np.array(offsets, dtype=np.int64) + delta
         k = active()
-        n_d, n_c, _, _, _, _, dup = k.practice_super(S, 0, n, delta, wm1 * n, wm1, tag)
+        n_d, n_c, _, _, _, _, dup = k.practice(S, 0, n, delta, 0, wm1 * n, wm1, tag)
         assert dup == -1
         for off in offsets:
             j, bit = super_hash_oracle(delta + off, delta, w)
@@ -140,7 +141,7 @@ class TestSuperHash:
             assert S[j] & tag and S[j] & (1 << bit)
         k.store_records(S, 0, n, n_d, tag)
         k.partition_values(S, n_d, n, delta + wm1 * n - 1, tag)
-        _, status = k.retrieve_super(S, 0, n, n_d, n_c, delta, wm1, tag)
+        _, status = k.retrieve_scan(S, 0, n, n_d, n_c, delta, wm1, tag)
         assert status == 0
         assert S.tolist() == sorted(delta + off for off in offsets)
 
