@@ -45,7 +45,6 @@ _LOOP_NAMES = (
     "distinct_passes",
     "sequential_passes",
     "stacked_passes",
-    "unwind_levels",
     "rank_passes",
 )
 # Plain functions the pass loops call besides the kernels.

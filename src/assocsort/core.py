@@ -20,14 +20,16 @@ count — then expands that memory back into sorted keys:
 2. store: compact nodes to the front.  A count too large to share a
    record with its position takes a second memory word (a *companion*),
    paid for by destroying one idle word — the interval was narrowed by
-   ``epsilon`` up front precisely so enough idles exist.
+   ``eps`` (``kernels.pass_budget``) up front precisely so enough idles
+   exist.
 3. partition: gather the surviving idle words right after the memory so
    the deferred keys end up in the final tail.
 4. retrieve: walk the memory right-to-left and write each key
    ``count + 1`` times, filling the segment front exactly.
 
 The recursive driver instead stacks the memories of successive passes
-and unwinds them back-to-front, which needs no partitioning.
+and, in the same loop, unwinds them back-to-front, which needs no
+partitioning.
 """
 
 from typing import Callable, Optional
@@ -168,8 +170,7 @@ def stalled(head: int, n: int) -> CorruptStateError:
 def _fail(phase, status, a=0, b=0, c=0, d=0):
     """Raise the error of the failed check ``phase`` of a sequential or
     stacked pass or of the unwind, with the numbers that
-    ``sequential_passes``, ``stacked_passes`` and ``unwind_levels``
-    report for it."""
+    ``sequential_passes`` and ``stacked_passes`` report for it."""
     if phase == PHASE_STORE:
         raise CorruptStateError(
             f"storage kept {a} memory words for {b} nodes and "
@@ -207,24 +208,25 @@ def sort_associative_recursive(
     """Sort ``S`` in place, stacking pass memories and unwinding once.
 
     Each pass leaves its short-term memory in place and descends into
-    the tail; no partitioning happens.  The unwind retrieves memories
-    newest-first, writing sorted keys right-to-left from the array end,
-    which is guaranteed not to overtake the unread memories.  Control
-    state is four words per level, in an ``int64`` level buffer that
-    starts at ``LEVELS`` levels and grows by as many whenever
-    ``stacked_passes`` fills it.  A trace sees the unwind's retrievals
-    numbered by level, from 1 at the bottom.
+    the tail; no partitioning happens.  Once the tail is empty, the same
+    ``stacked_passes`` call retrieves the memories newest-first, writing
+    sorted keys right-to-left from the array end, which is guaranteed not
+    to overtake the unread memories.  Control state is two words per
+    level, its ``(head, delta)``, in an ``int64`` level buffer that starts
+    at ``LEVELS`` levels and grows by as many whenever ``stacked_passes``
+    fills it first.  A trace sees a level's practice and its retrieval
+    numbered alike, by the pass that practiced it.
     """
     cfg, counters, bounds = start(S, cfg, counters)
     if bounds is None:
         return counters
     n = len(S)
-    L = np.empty(4 * LEVELS, dtype=np.int64)
+    L = np.empty(2 * LEVELS, dtype=np.int64)
     head, delta, depth = 0, bounds[0], 0
+    stacked_passes = loops(S, trace, counters.passes).stacked_passes
     while True:
         passes, moves, created, head, delta, depth, phase, status, *numbers = (
-            loops(S, trace, counters.passes).stacked_passes(
-                S, L, head, n, delta, depth, len(L) // 4, cfg.w)
+            stacked_passes(S, L, head, n, delta, depth, len(L) // 2, cfg.w)
         )
         counters.passes += passes
         counters.moves += moves
@@ -233,12 +235,7 @@ def sort_associative_recursive(
         if phase != PHASE_OK:
             _fail(phase, status, *numbers)
         if head == n:
-            break
+            return counters
         # In place (a realloc), so the old and the grown buffer are never
         # held at once; nothing else refers to ``L``.
-        L.resize(len(L) + 4 * LEVELS, refcheck=False)
-    moves, phase, status, a = loops(S, trace).unwind_levels(S, L, 0, n, depth, cfg.w)
-    counters.moves += moves
-    if phase != PHASE_OK:
-        _fail(phase, status, a)
-    return counters
+        L.resize(len(L) + 2 * LEVELS, refcheck=False)

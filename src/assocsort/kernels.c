@@ -599,8 +599,7 @@ void retrieve_packed(char *S, i64 S_s, i64 lo, i64 mem_hi, i64 write_end,
 }
 
 /* kernels.pass_budget: the companion budget eps and the pack split of a
- * counting pass over seg words, as words.epsilon and
- * WordConfig.pack_split give them; lg = ceil(log2 seg), at least 1. */
+ * counting pass over seg words; lg = ceil(log2 seg), at least 1. */
 static void pass_budget(i64 seg, i64 w, i64 *eps, i64 *split)
 {
     i64 lg = seg > 2 ? 64 - __builtin_clzll((uint64_t)(seg - 1)) : 1;
@@ -692,14 +691,17 @@ void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 w,
     BY_STRIDE(sequential_loop, head, hi, delta, w, out);
 }
 
-/* The passes of a recursive counting sort in one call, with the checks of
- * kernels.stacked_passes, each writing its level (n_d, eps_used, delta, head)
- * to L until cap levels are written.  Inlined into stacked_passes twice,
- * once with S_s fixed at 8. */
+/* Every pass of a recursive counting sort in one call, with the checks of
+ * kernels.stacked_passes, each pushing its level (head, delta) to L until
+ * cap levels are written; once head reaches hi, the unwind of every level,
+ * newest first.  Level k's memory ends where level k + 1 starts, the
+ * newest's at end, where this call's last pass left it.  Inlined into
+ * stacked_passes twice, once with S_s fixed at 8. */
 INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
                          i64 delta, i64 depth, i64 cap, i64 w, i64 *out)
 {
-    i64 passes = 0, moves = 0, created = 0;
+    i64 tag = (i64)1 << (w - 1);
+    i64 passes = 0, moves = 0, created = 0, end = hi;
     i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0, c = 0, d = 0;
     i64 r[10];
     int skip = 0;
@@ -726,20 +728,45 @@ INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
             d = r[3];
             break;
         }
-        AT(L, 4 * depth) = n_d;
-        AT(L, 4 * depth + 1) = eps_used;
-        AT(L, 4 * depth + 2) = delta;
-        AT(L, 4 * depth + 3) = head;
+        AT(L, 2 * depth) = head;
+        AT(L, 2 * depth + 1) = delta;
         depth++;
-        i64 advanced = dnext < 0 ? hi - head : n_d + eps_used;
-        head += advanced;
-        if (head != hi && (dnext < 0 || advanced == 0)) {
+        end = head + n_d + eps_used;
+        if (dnext >= 0 && end == head) {
             phase = PHASE_PREFIX;
             a = head;
             b = hi;
             break;
         }
+        head = dnext < 0 ? hi : end;
         delta = dnext;
+    }
+    i64 write_end = hi;
+    for (i64 level = depth - 1; phase == PHASE_OK && head >= hi && level >= 0;
+         level--) {
+        i64 h = AT(L, 2 * level), key = AT(L, 2 * level + 1), eps, split;
+        /* A level whose memory lies outside [0, write_end), whose segment
+         * is wider than the word or whose key lies outside it. */
+        if (h < 0 || h > end || end > write_end || hi - h > tag || key < 0 ||
+            key >= tag) {
+            phase = PHASE_UNWIND;
+            status = STATUS_BAD_SLOT;
+            break;
+        }
+        pass_budget(hi - h, w, &eps, &split);
+        retrieve_packed(S, S_s, h, end, write_end, key, eps, split, tag, r);
+        moves += r[1];
+        if (r[2] != STATUS_OK) {
+            phase = PHASE_UNWIND;
+            status = r[2];
+            break;
+        }
+        write_end -= r[0];
+        end = h;
+    }
+    if (phase == PHASE_OK && head >= hi && depth > 0 && write_end != AT(L, 0)) {
+        phase = PHASE_UNWIND;
+        a = write_end - AT(L, 0);
     }
     i64 v[12] = {passes, moves, created, head, delta, depth, phase, status,
                  a, b, c, d};
@@ -751,46 +778,6 @@ void stacked_passes(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
                     i64 delta, i64 depth, i64 cap, i64 w, i64 *out)
 {
     BY_STRIDE(stacked_loop, L, L_s, head, hi, delta, depth, cap, w, out);
-}
-
-/* Retrieve the depth stacked memories newest first, as the traced unwind
- * of core.sort_associative_recursive does one level per call. */
-void unwind_levels(char *S, i64 S_s, char *L, i64 L_s, i64 lo, i64 hi,
-                   i64 depth, i64 w, i64 *out)
-{
-    i64 tag = (i64)1 << (w - 1);
-    i64 moves = 0, phase = PHASE_OK, status = STATUS_OK, a = 0, write_end = hi;
-    i64 r[3];
-    for (i64 level = depth - 1; level >= 0; level--) {
-        i64 n_d = AT(L, 4 * level), eps_used = AT(L, 4 * level + 1);
-        i64 delta = AT(L, 4 * level + 2), h = AT(L, 4 * level + 3);
-        if (h < lo || h > write_end || n_d < 0 || eps_used < 0 ||
-            n_d > write_end - h || eps_used > write_end - h - n_d ||
-            delta < 0 || delta >= tag) {
-            phase = PHASE_UNWIND;
-            status = STATUS_BAD_SLOT;
-            break;
-        }
-        i64 eps, split;
-        pass_budget(hi - h, w, &eps, &split);
-        retrieve_packed(S, S_s, h, h + n_d + eps_used, write_end, delta, eps,
-                        split, tag, r);
-        moves += r[1];
-        if (r[2] != STATUS_OK) {
-            phase = PHASE_UNWIND;
-            status = r[2];
-            break;
-        }
-        write_end -= r[0];
-    }
-    if (phase == PHASE_OK && write_end != lo) {
-        phase = PHASE_UNWIND;
-        a = write_end - lo;
-    }
-    out[0] = moves;
-    out[1] = phase;
-    out[2] = status;
-    out[3] = a;
 }
 
 /* store_records, taking the untagged-word skip path when skip is set. */

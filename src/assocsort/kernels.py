@@ -6,10 +6,10 @@ explicit ``lo``/``hi`` bounds, so callers never materialise views.
 run as they are on the ``numpy`` backend.  Both produce identical arrays
 and counter values.
 
-The *pass loops* (``improved_passes``, ``sequential_passes``,
-``stacked_passes``, ``unwind_levels``, ``distinct_passes`` and
-``rank_passes``) run every pass of a sort in one call.  After each
-phase's check they call :func:`emit`, a no-op here; a traced sort runs
+The five *pass loops* (``improved_passes``, ``sequential_passes``,
+``stacked_passes``, ``distinct_passes`` and ``rank_passes``) run every
+pass of a sort in one call.  After each phase's check they call
+:func:`emit`, a no-op here; a traced sort runs
 these loops over its backend's kernels with an ``emit`` of its own (see
 ``backend.traced_loops``), while an untraced sort on ``c`` runs the C
 loops, which call nothing.
@@ -50,7 +50,8 @@ STATUS_BAD_PREFIX = -6
 STATUS_CURSOR = -7
 # A ticket or node record names a slot outside the segment, or more words
 # were placed than the segment has slots (two words claim one slot); or a
-# stacked level names memory outside the unwritten part of its segment.
+# stacked level names memory outside the unwritten part of its segment, or
+# a segment or key wider than the word.
 STATUS_BAD_SLOT = -8
 
 # Which check of a pass loop failed; 0 when none did.  A loop stops at the
@@ -82,8 +83,8 @@ PHASE_RESTORE = 10
 
 def emit(phase, passes):
     """Called by every pass loop after each phase's check passed, with the
-    phase's name and the number of the pass (in :func:`unwind_levels`, of
-    the level); does nothing."""
+    phase's name and the number of the pass (in :func:`stacked_passes`,
+    of the level, which is the pass that practiced it); does nothing."""
 
 
 def min_max(S, lo, hi):
@@ -406,8 +407,15 @@ def retrieve_packed(S, lo, mem_hi, write_end, delta, base, pack_split, tag):
 
 def pass_budget(seg, w):
     """``(eps, pack_split)`` of a counting pass over ``seg`` words at word
-    width ``w``: ``words.epsilon`` and ``WordConfig.pack_split`` in
-    integers, which the C loops compute the same way.
+    width ``w``, in integers, as the C loops compute them.
+
+    A record packs a former position, of ``lg = ceil(log2 seg)`` bits (at
+    least 1), with a count below ``1 << pack_split``, ``pack_split = w -
+    1 - lg``.  A node whose count reaches that is overfull and takes a
+    companion word, paid for by one idle word; so where ``2 * lg >= w``
+    the pass narrows its interval by ``eps`` and hashes it ``eps`` slots
+    into the segment, and ``eps`` is the most nodes that can be overfull
+    at once.
     """
     lg = 1  # bits that address a position in the segment
     while (1 << lg) < seg:
@@ -498,25 +506,39 @@ def sequential_passes(S, head, hi, delta, w):
 
 
 def stacked_passes(S, L, head, hi, delta, depth, cap, w):
-    """The passes of a recursive counting sort of ``S[head:hi]``, each
-    leaving its memory in place for :func:`unwind_levels`.
+    """Every pass of a recursive counting sort of ``S[head:hi]``, each
+    leaving its memory in place, then the unwind of those memories.
 
     A pass is :func:`practice_store` ("practice"); a change to it is made
-    to the C loop too.  Each pass writes its level
-    ``(n_distinct, eps_used, delta, head)`` to ``L[4 * depth:]``, a
-    buffer of ``cap`` levels, ``depth`` of them already written.  The
-    next pass starts right after the memory; the last owns the rest of
-    the segment.  When ``depth`` reaches ``cap`` before ``head`` reaches
-    ``hi`` the loop returns, and the caller resumes it from the
-    ``head``, ``delta`` and ``depth`` it reports on a larger buffer.
+    to the C loop too.  Each pass pushes its level ``(head, delta)`` to
+    ``L[2 * depth:]``, a buffer of ``cap`` levels, ``depth`` of them
+    already written.  The next pass starts right after the memory; the
+    last owns the rest of the segment.  When ``depth`` reaches ``cap``
+    before ``head`` reaches ``hi`` the loop returns, and the caller
+    resumes it from the ``head``, ``delta`` and ``depth`` it reports on a
+    larger buffer.  A pass and the retrieval of its level hand
+    :func:`emit` the level's number, counted from 1 at the bottom.
+
+    Once ``head`` reaches ``hi`` the same call retrieves every level,
+    newest first ("retrieve"), writing sorted keys right-to-left from
+    ``hi``; the writes never overtake an unread memory.  Level ``k``'s
+    memory ends where level ``k + 1`` starts, and the newest's where this
+    call's last pass left it (at ``hi`` if it ran none).  A level whose
+    memory lies outside ``[0, write_end)``, whose segment is wider than
+    the word or whose key lies outside it fails ``STATUS_BAD_SLOT``
+    before its retrieval runs.
 
     Returns ``(passes, moves, node_creations, head, delta, depth, phase,
-    status, a, b, c, d)``, the failures numbered as in
-    :func:`sequential_passes`; a failed pass writes no level.
+    status, a, b, c, d)``, the failures of a pass numbered as in
+    :func:`sequential_passes` (a failed pass writes no level), and
+    ``PHASE_UNWIND`` with a level's ``status``, or with status 0 when
+    ``a`` words below the oldest level were left unwritten.
     """
+    tag = 1 << (w - 1)
     passes = 0
     moves = 0
     created = 0
+    end = hi
     while head < hi and depth < cap:
         passes += 1
         n_d, _, dnext, eps, eps_used, _, stored, status, mv, cr = practice_store(
@@ -527,59 +549,40 @@ def stacked_passes(S, L, head, hi, delta, depth, cap, w):
         if status != STATUS_OK or stored != n_d + eps_used:
             return (passes, moves, created, head, delta, depth, PHASE_STORE,
                     status, stored, n_d, eps_used, eps)
-        emit("practice", passes)
-        L[4 * depth] = n_d
-        L[4 * depth + 1] = eps_used
-        L[4 * depth + 2] = delta
-        L[4 * depth + 3] = head
+        L[2 * depth] = head
+        L[2 * depth + 1] = delta
         depth += 1
-        advanced = hi - head if dnext < 0 else n_d + eps_used
-        head += advanced
-        if head != hi and (dnext < 0 or advanced == 0):
+        emit("practice", depth)
+        end = head + n_d + eps_used
+        if dnext >= 0 and end == head:
             return (passes, moves, created, head, delta, depth, PHASE_PREFIX, 0,
                     head, hi, 0, 0)
+        head = hi if dnext < 0 else end
         delta = dnext
-    return (passes, moves, created, head, delta, depth, PHASE_OK, STATUS_OK,
-            0, 0, 0, 0)
-
-
-def unwind_levels(S, L, lo, hi, depth, w):
-    """Retrieve the ``depth`` memories :func:`stacked_passes` left in
-    ``S[lo:hi]``, newest first, writing sorted keys right-to-left from
-    ``hi``; the writes never overtake an unread memory.
-
-    Each level's retrieval is a "retrieve" of pass ``level + 1``, the
-    level's number counted from 1 at the bottom; a change to it is made
-    to the C loop too.  A level naming memory outside
-    ``[lo, write_end)``, or a key outside the word, fails
-    ``STATUS_BAD_SLOT`` before its retrieval runs.  Returns ``(moves,
-    phase, status, a)``: ``PHASE_UNWIND`` with a level's ``status``, or
-    with status 0 when ``a`` words at the front were left unwritten.
-    """
-    tag = 1 << (w - 1)
-    moves = 0
+    if head < hi:
+        return (passes, moves, created, head, delta, depth, PHASE_OK, STATUS_OK,
+                0, 0, 0, 0)
     write_end = hi
     for level in range(depth - 1, -1, -1):
-        n_d = L[4 * level]
-        eps_used = L[4 * level + 1]
-        delta = L[4 * level + 2]
-        h = L[4 * level + 3]
-        if (h < lo or h > write_end or n_d < 0 or eps_used < 0
-                or n_d > write_end - h or eps_used > write_end - h - n_d
-                or delta < 0 or delta >= tag):
-            return moves, PHASE_UNWIND, STATUS_BAD_SLOT, 0
+        h = L[2 * level]
+        key = L[2 * level + 1]
+        if not (0 <= h <= end <= write_end and hi - h <= tag and 0 <= key < tag):
+            return (passes, moves, created, head, delta, depth, PHASE_UNWIND,
+                    STATUS_BAD_SLOT, 0, 0, 0, 0)
         eps, split = pass_budget(hi - h, w)
-        written, mv, status = retrieve_packed(
-            S, h, h + n_d + eps_used, write_end, delta, eps, split, tag
-        )
+        written, mv, status = retrieve_packed(S, h, end, write_end, key, eps, split, tag)
         moves += mv
         if status != STATUS_OK:
-            return moves, PHASE_UNWIND, status, 0
+            return (passes, moves, created, head, delta, depth, PHASE_UNWIND,
+                    status, 0, 0, 0, 0)
         write_end -= written
         emit("retrieve", level + 1)
-    if write_end != lo:
-        return moves, PHASE_UNWIND, STATUS_OK, write_end - lo
-    return moves, PHASE_OK, STATUS_OK, 0
+        end = h
+    if depth and write_end != L[0]:
+        return (passes, moves, created, head, delta, depth, PHASE_UNWIND, 0,
+                write_end - L[0], 0, 0, 0)
+    return (passes, moves, created, head, delta, depth, PHASE_OK, STATUS_OK,
+            0, 0, 0, 0)
 
 
 def store_records(S, lo, hi, n_d, tag):

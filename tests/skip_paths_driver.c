@@ -13,7 +13,8 @@
  * Each case runs through views of byte stride 8, 16 and -8 (both
  * instances of each loop but rank_passes), which must give the same
  * results and words; where sorts is 1 and the loop reports no failure, it
- * must leave its segment sorted (stacked_passes with its unwind).  Prints
+ * must leave its segment sorted (stacked_passes through its unwind, which
+ * the same call runs once its passes reach the end).  Prints
  * the number of cases and of failures, and exits 0 when there are none.
  *
  *   cc -O2 -g -fsanitize=address,undefined -fno-sanitize-recover \
@@ -46,7 +47,6 @@ void distinct_passes(char *, i64, i64, i64, i64, i64 *);
 void sequential_passes(char *, i64, i64, i64, i64, i64, i64 *);
 void stacked_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64, i64,
                     i64 *);
-void unwind_levels(char *, i64, char *, i64, i64, i64, i64, i64, i64 *);
 void rank_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64 *);
 
 #define NOUT 12
@@ -139,18 +139,17 @@ static void read_back(view v, i64 n, i64 *words)
 }
 
 /* Kernel kind with integer arguments a on words (and, for the loops
- * that take one, a zeroed level array of 4n words or a payload ramp)
+ * that take one, a zeroed level array of 2n words or a payload ramp)
  * through views of byte stride; out gets its results, words what it
- * left.  stacked_passes is followed by unwind_levels when it stops with
- * no failure at the end of its segment. */
+ * left. */
 static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
                 i64 *out)
 {
-    i64 *P = alloc(n * 8), *L = alloc(4 * n * 8);
+    i64 *P = alloc(n * 8), *L = alloc(2 * n * 8);
     for (i64 i = 0; i < n; i++)
         P[i] = i;
     view S = view_of(words, n, stride), Pv = view_of(P, n, stride);
-    view Lv = view_of(L, 4 * n, stride);
+    view Lv = view_of(L, 2 * n, stride);
     char *s = S.base;
     memset(out, 0, NOUT * sizeof *out);
     switch (kind) {
@@ -190,9 +189,6 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
     case STACKED:
         stacked_passes(s, stride, Lv.base, stride, a[0], a[1], a[2], a[3],
                        a[4], a[5], out);
-        if (out[6] == 0 && out[3] == a[1])
-            unwind_levels(s, stride, Lv.base, stride, a[0], a[1], out[5], a[5],
-                          out + 8);
         break;
     case RANK:
         rank_passes(s, stride, Pv.base, stride, a[0], a[1], a[2], a[3], out);
@@ -200,15 +196,15 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
     }
     read_back(S, n, words);
     read_back(Pv, n, P);
-    read_back(Lv, 4 * n, L);
+    read_back(Lv, 2 * n, L);
     free(P);
     free(L);
 }
 
 /* kind on words at every stride (and each side of the guard pages): the
  * same results and words, and a sorted segment where sorted is set and the
- * loop reports no failure (for stacked_passes: reaches the end of the
- * segment, and its unwind reports no failure). */
+ * loop reports no failure (for stacked_passes: also reaches the end of the
+ * segment, so that it unwinds). */
 static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
 {
     static const i64 strides[] = {8, 16, -8};
@@ -234,8 +230,7 @@ static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
         free(w0);
         return;
     }
-    i64 phase = kind != STACKED ? first[4]
-                                : first[6] || first[3] != a[1] || first[9];
+    i64 phase = kind != STACKED ? first[4] : first[6] || first[3] != a[1];
     for (i64 i = 1; phase == 0 && i < n; i++)
         if (w0[i - 1] > w0[i]) {
             fprintf(stderr, "%s, n %lld: not sorted\n", names[kind],

@@ -45,6 +45,20 @@ def test_status_codes_match():
         assert in_c and in_c == in_py
 
 
+def test_exports_match():
+    """``kernels.c`` exports a function for each kernel of ``SIGNATURES``
+    and no other, so that a kernel or loop deleted in Python cannot stay
+    exported from C, and gives ``CURSORS`` and ``DENSE_FLOOR`` the values
+    of ``kernels.py``."""
+    text = open(ckernels.SOURCE, encoding="utf-8").read()
+    exported = re.findall(r"^(?:void|i64) (\w+)\(", text, re.MULTILINE)
+    assert sorted(exported) == sorted(ckernels.SIGNATURES)
+    cursors = re.search(r"^#define CURSORS (\d+)$", text, re.MULTILINE)
+    floor = re.search(r"^#define DENSE_FLOOR \(\(i64\)1 << (\d+)\)$", text, re.MULTILINE)
+    assert int(cursors[1]) == kernels.CURSORS
+    assert 1 << int(floor[1]) == kernels.DENSE_FLOOR
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
 def test_source_compiles_without_warnings(tmp_path):
     """A full build with the backend's flags: the optimizer's warnings
@@ -96,10 +110,12 @@ PAST_THE_END = [
     ("distinct_passes", (0, 9, 0), (0, 8, 0)),
     ("sequential_passes", (0, 9, 0, 8), (0, 8, 0, 8)),
     ("stacked_passes", (0, 9, 0, 0, 2, 8), (0, 8, 0, 0, 2, 8)),
-    # A level buffer of 8 words holds 2 levels, not 3.
-    ("stacked_passes", (0, 8, 0, 2, 3, 8), (0, 8, 0, 1, 2, 8)),
-    ("unwind_levels", (0, 9, 1, 8), (0, 8, 1, 8)),
-    ("unwind_levels", (0, 8, 3, 8), (0, 8, 2, 8)),
+    # A level buffer of 8 words holds 4 levels, not 5.
+    ("stacked_passes", (0, 8, 0, 4, 5, 8), (0, 8, 0, 3, 4, 8)),
+    # Entered at ``hi``, the loop only unwinds: past ``S``, and past ``L``
+    # where ``depth`` exceeds ``cap``.
+    ("stacked_passes", (9, 9, 0, 1, 1, 8), (8, 8, 0, 1, 1, 8)),
+    ("stacked_passes", (8, 8, 0, 5, 4, 8), (8, 8, 0, 4, 4, 8)),
     ("rank_passes", (0, 9, 0, T8), (0, 8, 0, T8)),
     # No maximum takes a pass's words outside its segment, not one past
     # every word or below the minimum (test_skip_paths runs such maxima on
@@ -108,6 +124,10 @@ PAST_THE_END = [
     ("practice_cursors", (0, 9, 0, T8), (0, 8, 0, T8)),
     # A negative wm1 hashes keys below lo.
     ("practice", (0, 8, 0, 0, 8, -1, T8), (0, 8, 0, 0, 8, 1, T8)),
+    # A bitmap node of 64 keys or more shifts by 64 bits or more.
+    ("practice", (0, 8, 0, 0, 8, 64, T8), (0, 8, 0, 0, 8, 63, T8)),
+    ("retrieve_scan", (0, 8, 4, 4, 0, 64, T8), (0, 8, 4, 4, 0, 63, T8)),
+    ("improved_passes", (0, 8, 0, 7, 64, T8), (0, 8, 0, 7, 63, T8)),
 ]
 
 
@@ -145,6 +165,19 @@ def test_c_kernels_check_their_bounds(name, bad, good):
         assert not isinstance(_call(name, good, [8] * arrays)[0], str)
 
 
+@needs_c
+def test_wide_bitmap_nodes_run_the_python_kernel():
+    """A bitmap node of more than 63 keys would make the C kernel shift by
+    64 bits or more: such a call runs the Python kernel on ``c`` too."""
+    outcomes = set()
+    for backend_name in ("c", "numpy"):
+        S = np.array([0, 63, 64, 69], dtype=np.int64)
+        with use_backend(backend_name):
+            got = active().practice(S, 0, 4, 0, 0, 280, 70, 1 << 62)
+        outcomes.add((tuple(int(x) for x in got), tuple(S.tolist())))
+    assert len(outcomes) == 1, outcomes
+
+
 def test_every_kernel_has_a_bounds_case():
     assert {name for name, _, _ in PAST_THE_END} == set(ckernels.SIGNATURES)
 
@@ -152,10 +185,10 @@ def test_every_kernel_has_a_bounds_case():
 @needs_c
 def test_c_loops_budget_passes_as_numpy():
     """The C ``pass_budget`` gives the companion budget and pack split of
-    ``kernels.pass_budget``: ``sequential_passes`` and ``stacked_passes``
-    with ``unwind_levels``, which practice, store and retrieve by them,
-    agree with ``numpy`` on segments of ``2**k`` and ``2**k +- 1`` keys
-    of 4 values at every width up to 10."""
+    ``kernels.pass_budget``: ``sequential_passes`` and ``stacked_passes``,
+    which practice, store and retrieve by them, agree with ``numpy`` on
+    segments of ``2**k`` and ``2**k +- 1`` keys of 4 values at every
+    width up to 10."""
     rng = np.random.default_rng(0xB0D)
     for w in range(3, 11):
         for k in range(1, w):
@@ -164,15 +197,14 @@ def test_c_loops_budget_passes_as_numpy():
                 delta = int(keys.min())
                 got = {}
                 for backend_name in ("c", "numpy"):
-                    S, L = keys.copy(), np.zeros(4 * n, dtype=np.int64)
+                    S, L = keys.copy(), np.zeros(2 * n, dtype=np.int64)
                     with use_backend(backend_name):
                         loops = active_loops()
                         seq = loops.sequential_passes(S, 0, n, delta, w)
                         words = S.tolist()
                         S[:] = keys
                         stacked = loops.stacked_passes(S, L, 0, n, delta, 0, n, w)
-                        unwind = loops.unwind_levels(S, L, 0, n, stacked[5], w)
-                    got[backend_name] = (seq, words, stacked, unwind, S.tolist(), L.tolist())
+                    got[backend_name] = (seq, words, stacked, S.tolist(), L.tolist())
                 assert got["c"] == got["numpy"], (w, n)
 
 

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from assocsort.backend import active
 from assocsort.core import check_words, sort_associative, sort_associative_recursive
+from assocsort.counters import OpCounters
 from assocsort.errors import WordRangeError
-from assocsort.words import WordConfig, epsilon
+from assocsort.kernels import pass_budget
+from assocsort.words import WordConfig
 
 from .conftest import arr
 from .oracles import decode_memory, practice_oracle, reference_sort, sorted_runs
@@ -46,7 +48,7 @@ class TestPracticePhase:
         for vals in _random_inputs(rng, 40):
             n = len(vals)
             delta = int(vals.min())
-            eps = epsilon(n, CFG32)
+            eps, _ = pass_budget(n, CFG32.w)
             S = vals.copy()
             n_d, n_c, n_def, dnext, _, created, _ = active().practice(
                 S, 0, n, delta, eps, n - eps, 0, CFG32.tag_mask
@@ -61,8 +63,7 @@ class TestPracticePhase:
         for vals in _random_inputs(rng, 40):
             n = len(vals)
             delta = int(vals.min())
-            eps = epsilon(n, CFG16)
-            split = CFG16.pack_split(n)
+            eps, split = pass_budget(n, CFG16.w)
             S = vals.copy()
             k = active()
             n_d, *_ = k.practice(S, 0, n, delta, eps, n - eps, 0, tag)
@@ -79,8 +80,7 @@ class TestPracticePhase:
         tag = CFG32.tag_mask
         for _ in range(25):
             n = int(rng.integers(2, 300))
-            eps = epsilon(n, CFG32)
-            split = CFG32.pack_split(n)
+            eps, split = pass_budget(n, CFG32.w)
             vals = rng.integers(0, n - eps, size=n).astype(np.int64) + 50
             S = vals.copy()
             k = active()
@@ -121,7 +121,7 @@ class TestFullSort:
 
     def test_single_pass_when_range_fits(self, backend, driver, rng):
         n = 256
-        eps = epsilon(n, CFG32)
+        eps, _ = pass_budget(n, CFG32.w)
         vals = rng.integers(0, n - eps, size=n).astype(np.int64)
         S = vals.copy()
         c = driver(S, CFG32)
@@ -201,6 +201,9 @@ class TestRecursiveDriver:
         assert c.max_depth == n
 
     def test_trace_unwind(self, backend, rng):
+        """Every practice, then every retrieval, numbered by the pass that
+        practiced the level: in reverse, also on counters that already
+        hold passes."""
         vals = (np.arange(20, dtype=np.int64) * 20)[rng.permutation(20)]
         seen = []
         sort_associative_recursive(vals, CFG32, trace=lambda ph, p, a: seen.append(ph))
@@ -208,6 +211,16 @@ class TestRecursiveDriver:
         assert set(seen[:k]) == {"practice"}
         assert set(seen[k:]) == {"retrieve"}
         assert seen.count("practice") == seen.count("retrieve")
+
+        vals = arr(1, 50, 3, 100, 7, 200, 9, 150, 2, 400)
+        c = OpCounters(passes=5)
+        seen = []
+        sort_associative_recursive(vals, CFG16, c, trace=lambda ph, p, a: seen.append((ph, p)))
+        assert vals.tolist() == [1, 2, 3, 7, 9, 50, 100, 150, 200, 400]
+        practiced = [p for ph, p in seen if ph == "practice"]
+        assert practiced == list(range(6, c.passes + 1)) and c.passes > 6
+        assert seen == [("practice", p) for p in practiced] + [
+            ("retrieve", p) for p in reversed(practiced)]
 
     def test_depth_tracked_vs_passes(self, backend, rng):
         vals = rng.integers(0, 50_000, size=400).astype(np.int64)

@@ -9,7 +9,8 @@ breaks, the protocol changed, not just an implementation detail.
 import numpy as np
 
 from assocsort.backend import active, use_backend
-from assocsort.words import WordConfig, epsilon
+from assocsort.kernels import pass_budget
+from assocsort.words import WordConfig
 
 from .conftest import arr
 from .oracles import decode_memory, practice_oracle
@@ -58,7 +59,7 @@ class TestStorePacked:
         k = active()
         S = arr(2, 0, 2, 1)
         k.practice(S, 0, 4, 0, 0, 4, 0, TAG8)
-        split = W8.pack_split(4)  # 5: positions need 2 bits, 7 - 2 = 5
+        _, split = pass_budget(4, 8)  # 5: positions need 2 bits, 7 - 2 = 5
         eps_used, stored, _, status = k.store_nodes(S, 0, 4, 0, 4, split, TAG8, 0)
         assert status == 0
         assert (eps_used, stored) == (0, 3)
@@ -68,16 +69,15 @@ class TestStorePacked:
 
     def test_companion_path_w4(self, backend):
         # w=4: threshold 2, so key 0 (count 2) needs a companion, paid
-        # for by one of its own idle words; epsilon(4) = 1 covers it.
+        # for by one of its own idle words; an eps of 1 covers it.
         cfg = WordConfig(4)
         tag = cfg.tag_mask
         k = active()
         S = arr(0, 0, 0, 1)
-        eps = epsilon(4, cfg)
-        assert eps == 1
+        eps, split = pass_budget(4, cfg.w)
+        assert (eps, split) == (1, 1)
         n_d, n_c, n_def, *_ = k.practice(S, 0, 4, 0, eps, 4 - eps, 0, tag)
         assert (n_d, n_c, n_def) == (2, 2, 0)
-        split = cfg.pack_split(4)  # 1
         eps_used, stored, _, status = k.store_nodes(S, 0, 4, 0, 3, split, tag, eps)
         assert status == 0
         assert (eps_used, stored) == (1, 3)
@@ -88,7 +88,7 @@ class TestStorePacked:
         k = active()
         S = arr(2, 0, 2, 1)
         k.practice(S, 0, 4, 0, 0, 4, 0, TAG8)
-        split = W8.pack_split(4)
+        _, split = pass_budget(4, 8)
         k.store_nodes(S, 0, 4, 0, 4, split, TAG8, 0)
         k.partition_values(S, 3, 4, 3, TAG8)
         written, _, status = k.retrieve_packed(S, 0, 3, 4, 0, 0, split, TAG8)
@@ -100,9 +100,8 @@ class TestStorePacked:
         tag = cfg.tag_mask
         k = active()
         S = arr(0, 0, 0, 1)
-        eps = epsilon(4, cfg)
+        eps, split = pass_budget(4, cfg.w)
         k.practice(S, 0, 4, 0, eps, 4 - eps, 0, tag)
-        split = cfg.pack_split(4)
         k.store_nodes(S, 0, 4, 0, 3, split, tag, eps)
         k.partition_values(S, 3, 4, 2, tag)
         written, _, status = k.retrieve_packed(S, 0, 3, 4, 0, eps, split, tag)

@@ -1,12 +1,13 @@
 """The traced and untraced paths of every sorter agree.
 
 Every sort runs all its passes in one pass-loop call (``improved_passes``,
-``sequential_passes``, ``stacked_passes`` and ``unwind_levels``,
-``distinct_passes`` or ``rank_passes``): an untraced one the backend's
-loop, a traced one the Python loop over the backend's kernels, which
-hands the trace a snapshot after each phase.  Both must leave the same
-keys and payload, the same four ``OpCounters`` fields, and, when they
-fail, the same exception with the same message.
+``sequential_passes``, ``stacked_passes``, ``distinct_passes`` or
+``rank_passes``; ``stacked_passes`` also unwinds the memories its passes
+stacked, and is called again only to resume on a larger level buffer):
+an untraced one the backend's loop, a traced one the Python loop over
+the backend's kernels, which hands the trace a snapshot after each phase.
+Both must leave the same keys and payload, the same four ``OpCounters``
+fields, and, when they fail, the same exception with the same message.
 
 Every pass loop is also fed corrupted segments directly: every backend,
 and the traced loops on each, must stop at the same failed check with the
@@ -156,14 +157,25 @@ CORRUPT = [
 RUNNABLE = [name for name in BACKENDS if available(name)]
 
 
+def _loop(loops, loop):
+    """Pass loop ``loop`` of the namespace ``loops``.  ``unwind_levels``
+    names the unwind alone: ``stacked_passes`` entered with its sorted
+    prefix at the segment's end, called as ``(S, L, hi, depth, w)``, runs
+    no pass and retrieves the ``depth`` levels of ``L``."""
+    if loop == "unwind_levels":
+        return lambda S, L, hi, depth, w: loops.stacked_passes(
+            S, L, hi, hi, 0, depth, depth, w)
+    return getattr(loops, loop)
+
+
 def _everywhere(loop, arrays, args):
-    """Pass loop ``loop`` on every backend, over fresh copies of
-    ``arrays``: ``{backend: (result, words of each array)}``."""
+    """Pass loop ``loop`` (see :func:`_loop`) on every backend, over fresh
+    copies of ``arrays``: ``{backend: (result, words of each array)}``."""
     got = {}
     for name in RUNNABLE:
         words = [np.array(a, dtype=np.int64) for a in arrays]
         with use_backend(name):
-            result = getattr(active_loops(), loop)(*words, *args)
+            result = _loop(active_loops(), loop)(*words, *args)
         got[name] = (tuple(int(x) for x in result), tuple(tuple(w.tolist()) for w in words))
     return got
 
@@ -270,8 +282,8 @@ DENSE_CORRUPT = [
 ]
 
 # Where each loop's result holds ``(phase, status)``.
-PHASE_AT = {"stacked_passes": 6, "unwind_levels": 1}
-L8 = [0] * 8  # an empty buffer of two levels
+PHASE_AT = {"stacked_passes": 6, "unwind_levels": 6}
+L4 = [0] * 4  # an empty buffer of two levels
 # A corrupted segment for each reachable failed check of the other loops,
 # as (loop, arrays, arguments after them, expected phase, expected status).
 # ``distinct_passes`` cannot fail ``PHASE_PARTITION``: a word at its own
@@ -288,22 +300,23 @@ LOOP_CORRUPT = [
     ("sequential_passes", [[2]], (0, 1, 3, 8), kernels.PHASE_PARTITION, 0),
     ("sequential_passes", [[1, -1]], (0, 2, 0, 4), kernels.PHASE_RETRIEVE, 0),
     ("sequential_passes", [[6]], (0, 1, 5, 6), kernels.PHASE_PREFIX, 0),
-    ("stacked_passes", [[22], L8], (0, 1, 5, 0, 2, 5), kernels.PHASE_STORE, 0),
-    ("stacked_passes", [[25], L8], (0, 1, 9, 0, 2, 5), kernels.PHASE_STORE,
+    ("stacked_passes", [[22], L4], (0, 1, 5, 0, 2, 5), kernels.PHASE_STORE, 0),
+    ("stacked_passes", [[25], L4], (0, 1, 9, 0, 2, 5), kernels.PHASE_STORE,
      kernels.STATUS_OVERFULL),
-    ("stacked_passes", [[6], L8], (0, 1, 5, 0, 2, 6), kernels.PHASE_PREFIX, 0),
-    # Levels ``(n_distinct, eps_used, delta, head)``: a memory past the
-    # segment, a key past the word, a companion with no node, a count
-    # that overruns the memory, and a memory that writes no key.
-    ("unwind_levels", [[4], [2, 0, 6, 0]], (0, 1, 1, 5), kernels.PHASE_UNWIND,
+    ("stacked_passes", [[6], L4], (0, 1, 5, 0, 2, 6), kernels.PHASE_PREFIX, 0),
+    # One level ``(head, delta)``, whose memory ends at ``hi``: a memory
+    # past the segment, a key past the word, a companion with no node, a
+    # count that overruns the memory, and an overfull node's pair that
+    # writes one key for its two words.
+    ("unwind_levels", [[4], [2, 6]], (1, 1, 5), kernels.PHASE_UNWIND,
      kernels.STATUS_BAD_SLOT),
-    ("unwind_levels", [[5], [1, 0, 16, 0]], (0, 1, 1, 5), kernels.PHASE_UNWIND,
+    ("unwind_levels", [[5], [0, 16]], (1, 1, 5), kernels.PHASE_UNWIND,
      kernels.STATUS_BAD_SLOT),
-    ("unwind_levels", [[0], [0, 1, 5, 0]], (0, 1, 1, 5), kernels.PHASE_UNWIND,
+    ("unwind_levels", [[0], [0, 5]], (1, 1, 5), kernels.PHASE_UNWIND,
      kernels.STATUS_NO_IDLE),
-    ("unwind_levels", [[21], [1, 0, 1, 0]], (0, 1, 1, 5), kernels.PHASE_UNWIND,
+    ("unwind_levels", [[21], [0, 1]], (1, 1, 5), kernels.PHASE_UNWIND,
      kernels.STATUS_COLLISION),
-    ("unwind_levels", [[9], [0, 0, 8, 0]], (0, 1, 1, 5), kernels.PHASE_UNWIND, 0),
+    ("unwind_levels", [[16, 0], [0, 8]], (2, 1, 5), kernels.PHASE_UNWIND, 0),
     ("rank_passes", [[22], [0]], (0, 1, 5, 16), kernels.PHASE_ACCUMULATE, 0),
     ("rank_passes", [[6, 7, 4, 5, 7, 1, 2, 7, 2], list(range(9))], (0, 9, 1, 8),
      kernels.PHASE_TICKET, kernels.STATUS_BAD_HASH),
@@ -315,6 +328,9 @@ LOOP_CORRUPT = [
      kernels.STATUS_BAD_PREFIX),
     ("rank_passes", [[6], [0]], (0, 1, 5, 32), kernels.PHASE_PREFIX, 0),
     *DENSE_CORRUPT,
+    # A level whose segment is wider than the word has no pass budget.
+    ("unwind_levels", [[0] * 17, [0, 5]], (17, 1, 5), kernels.PHASE_UNWIND,
+     kernels.STATUS_BAD_SLOT),
 ]
 
 
@@ -375,8 +391,8 @@ def _hook_calls(loop, args, result):
     failed check on."""
     if loop == "unwind_levels":
         # Each case unwinds one level, which a failed status stops.
-        assert args[2] == 1
-        return [] if result[2] else [("retrieve", 1)]
+        assert args[1] == 1
+        return [] if result[7] else [("retrieve", 1)]
     names = PHASES[loop]
     at = PHASE_AT.get(loop, 4)
     calls = [(name, p) for p in range(1, result[0] + 1) for name in names]
@@ -399,11 +415,11 @@ def test_traced_loops_stop_where_the_loops_stop(backend, loop, arrays, args, pha
     backend, return the tuple and leave the words of the backend's loops,
     and hand the hook no phase from the failed check on."""
     untraced = [np.array(a, dtype=np.int64) for a in arrays]
-    expect = tuple(int(x) for x in getattr(active_loops(), loop)(*untraced, *args))
+    expect = tuple(int(x) for x in _loop(active_loops(), loop)(*untraced, *args))
     traced = [np.array(a, dtype=np.int64) for a in arrays]
     calls = []
     hooked = traced_loops(lambda name, p: calls.append((name, int(p))))
-    got = tuple(int(x) for x in getattr(hooked, loop)(*traced, *args))
+    got = tuple(int(x) for x in _loop(hooked, loop)(*traced, *args))
     assert got == expect
     assert [w.tolist() for w in traced] == [w.tolist() for w in untraced]
     at = PHASE_AT.get(loop, 4)
@@ -425,13 +441,13 @@ def _random_case(rng, loop):
     if loop == "sequential_passes":
         return [S], (0, n, delta, w)
     if loop == "stacked_passes":
-        return [S, [0] * 8], (0, n, delta, 0, 2, w)
+        return [S, [0] * 4], (0, n, delta, 0, 2, w)
     if loop == "unwind_levels":
+        S &= tag | 3  # small records, so that some overfull pairs count 0
         depth = int(rng.integers(1, 3))
-        levels = [[int(rng.integers(0, 3)), int(rng.integers(0, 2)),
-                   int(rng.integers(0, tag + 1)), int(rng.integers(0, n))]
+        levels = [[int(rng.integers(0, n + 1)), int(rng.integers(0, tag + 1))]
                   for _ in range(depth)]
-        return [S, sum(levels, [])], (0, n, depth, w)
+        return [S, sum(levels, [])], (n, depth, w)
     return [S, np.arange(n)], (0, n, delta, tag)
 
 
@@ -447,8 +463,10 @@ K = kernels
                            (K.PHASE_PARTITION, 0), (K.PHASE_PREFIX, 0)}),
     ("stacked_passes", {(K.PHASE_OK, 0), (K.PHASE_STORE, 0),
                         (K.PHASE_STORE, K.STATUS_OVERFULL),
-                        (K.PHASE_STORE, K.STATUS_NO_IDLE), (K.PHASE_PREFIX, 0)}),
-    ("unwind_levels", {(K.PHASE_UNWIND, 0), (K.PHASE_UNWIND, K.STATUS_NO_IDLE),
+                        (K.PHASE_STORE, K.STATUS_NO_IDLE), (K.PHASE_PREFIX, 0),
+                        (K.PHASE_UNWIND, 0), (K.PHASE_UNWIND, K.STATUS_BAD_SLOT)}),
+    ("unwind_levels", {(K.PHASE_OK, 0), (K.PHASE_UNWIND, 0),
+                       (K.PHASE_UNWIND, K.STATUS_NO_IDLE),
                        (K.PHASE_UNWIND, K.STATUS_COLLISION),
                        (K.PHASE_UNWIND, K.STATUS_BAD_SLOT)}),
     ("rank_passes", {(K.PHASE_OK, 0), (K.PHASE_ACCUMULATE, 0), (K.PHASE_PREFIX, 0)}),
@@ -471,20 +489,21 @@ def test_stacked_passes_resume_where_they_stopped():
     levels and counters as one large enough from the start, on every
     backend."""
     keys = [8, 6, 2, 40, 33, 6, 17, 2, 25, 9, 51, 8]
-    whole = _everywhere("stacked_passes", [keys, [0] * 64], (0, 12, 2, 0, 16, 8))
+    whole = _everywhere("stacked_passes", [keys, [0] * 32], (0, 12, 2, 0, 16, 8))
     assert len(set(whole.values())) == 1, whole
     result, (words, levels) = whole["numpy"]
     depth = result[5]
     assert result[3] == 12 and result[6] == kernels.PHASE_OK and depth > 2
+    assert list(words) == sorted(keys)
     for name in RUNNABLE:
         S = np.array(keys, dtype=np.int64)
-        L = np.zeros(4, dtype=np.int64)
+        L = np.zeros(2, dtype=np.int64)
         head, delta, depth, totals = 0, 2, 0, [0, 0, 0]
         with use_backend(name):
             while head < 12:
-                if 4 * depth == len(L):
-                    L = np.concatenate([L, np.zeros(4, dtype=np.int64)])
-                r = active_loops().stacked_passes(S, L, head, 12, delta, depth, len(L) // 4, 8)
+                if 2 * depth == len(L):
+                    L = np.concatenate([L, np.zeros(2, dtype=np.int64)])
+                r = active_loops().stacked_passes(S, L, head, 12, delta, depth, len(L) // 2, 8)
                 assert r[6] == kernels.PHASE_OK
                 totals = [t + int(x) for t, x in zip(totals, r[:3])]
                 head, delta, depth = int(r[3]), int(r[4]), int(r[5])

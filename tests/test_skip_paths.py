@@ -61,20 +61,15 @@ def _shapes():
 
 def _run(name, view, args):
     """Kernel or pass loop ``name`` of the active backend on ``view``; a
-    ``stacked_passes`` call gets a zeroed level buffer of the view's step
-    and, when it stops with no failure at the end of its segment, is
-    followed by ``unwind_levels``, whose result and levels are appended."""
+    ``stacked_passes`` call gets a zeroed level buffer of the view's step,
+    whose levels are appended to its result."""
     if name != "stacked_passes":
         kernel = getattr(active_loops() if name in _LOOP_NAMES else active(), name)
         return tuple(int(x) for x in kernel(view, *args))
-    loops = active_loops()
     step = view.strides[0] // 8
-    levels = np.zeros(4 * len(view) * abs(step), dtype=np.int64)
-    L = levels[::step][: 4 * len(view)]
-    head, hi, _, _, _, w = args
-    got = tuple(int(x) for x in loops.stacked_passes(view, L, *args))
-    if got[6] == kernels.PHASE_OK and got[3] == hi:
-        got += tuple(int(x) for x in loops.unwind_levels(view, L, head, hi, got[5], w))
+    levels = np.zeros(2 * len(view) * abs(step), dtype=np.int64)
+    L = levels[::step][: 2 * len(view)]
+    got = tuple(int(x) for x in active_loops().stacked_passes(view, L, *args))
     return got + tuple(levels.tolist())
 
 
@@ -379,12 +374,12 @@ def test_improved_passes_on_sparse_segments(n):
 
 @pytest.mark.parametrize("n", SPARSE)
 def test_counting_and_cycle_leader_loops_on_sparse_segments(n):
-    """Each loop sorts its segment (``stacked_passes`` with its unwind)."""
+    """Each loop sorts its segment (``stacked_passes`` through its
+    unwind)."""
     for name, words, args in _sparse_loop_cases(n):
         result = _agree(name, words, args)
         if name == "stacked_passes":
-            assert (result[6], result[3], result[13]) == (kernels.PHASE_OK, args[1],
-                                                          kernels.PHASE_OK), result
+            assert (result[6], result[3]) == (kernels.PHASE_OK, args[1]), result
         else:
             assert result[4] == kernels.PHASE_OK, (name, result)
 
@@ -432,9 +427,8 @@ def test_dense_last_passes_take_the_cursors(monkeypatch):
 
 def test_every_loop_has_a_sparse_case():
     """Every pass loop with skip paths meets sparse segments, here and in
-    the sanitized driver: all but ``rank_passes``, which has none, and
-    ``unwind_levels``, which runs after each ``stacked_passes`` case."""
-    loops = set(_LOOP_NAMES) - {"rank_passes", "unwind_levels"}
+    the sanitized driver: all but ``rank_passes``, which has none."""
+    loops = set(_LOOP_NAMES) - {"rank_passes"}
     assert {name for name, _, _ in _sparse_cases()} == loops
     driven = {line.split()[0] for line in _driver_input()}
     assert loops <= driven

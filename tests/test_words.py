@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assocsort.backend import active
+from assocsort.core import check_words
 from assocsort.errors import WordRangeError
 from assocsort.kernels import pass_budget
-from assocsort.words import WordConfig, epsilon
+from assocsort.words import WordConfig
 
 from .conftest import arr
 from .oracles import epsilon_demand, super_hash_oracle
@@ -32,24 +33,20 @@ class TestWordConfig:
             WordConfig(w)
 
     def test_pos_bits(self):
-        cfg = WordConfig(16)
-        assert cfg.pos_bits(1) == 1
-        assert cfg.pos_bits(2) == 1
-        assert cfg.pos_bits(3) == 2
-        assert cfg.pos_bits(1024) == 10
-        assert cfg.pos_bits(1025) == 11
+        """The bits of a position in a segment of ``n`` words, ``w - 1``
+        less the pack split ``pass_budget`` gives."""
+        for n, bits in ((1, 1), (2, 1), (3, 2), (1024, 10), (1025, 11)):
+            assert 15 - pass_budget(n, 16)[1] == bits, n
 
     def test_pack_split(self):
-        cfg = WordConfig(16)
         # 15 record bits, 10 of them for a position in a 1024-segment
-        assert cfg.pack_split(1024) == 5
+        assert pass_budget(1024, 16)[1] == 5
 
     def test_exact_at_every_power_of_two(self):
-        """``pos_bits``, ``pack_split``, ``epsilon`` and the loops'
-        ``pass_budget`` at n = 2**k and 2**k +- 1 for every k up to 61 that
-        the width allows, against an integer oracle; ``ceil(log2(n))`` in
-        floating point gives 49 for 2**49 + 1."""
-        assert WordConfig().pos_bits(2**49 + 1) == 50
+        """The loops' ``pass_budget`` at n = 2**k and 2**k +- 1 for every k
+        up to 61 that the width allows, against an integer oracle;
+        ``ceil(log2(n))`` in floating point gives 49 for 2**49 + 1."""
+        assert pass_budget(2**49 + 1, 63)[1] == 62 - 50
         for w in range(4, 64):
             cfg = WordConfig(w)
             for k in range(62):
@@ -63,9 +60,6 @@ class TestWordConfig:
                     eps = 0
                     if 2 * lg >= w:
                         eps = max(Fraction(n // 2, 2**split).__ceil__(), n // (2**split + 1))
-                    assert cfg.pos_bits(n) == lg, (w, n)
-                    assert cfg.pack_split(n) == split, (w, n)
-                    assert epsilon(n, cfg) == eps, (w, n)
                     assert pass_budget(n, w) == (eps, split), (w, n)
 
 
@@ -147,13 +141,15 @@ class TestSuperHash:
 
 
 class TestEpsilon:
+    """The companion budget ``eps`` that ``pass_budget`` gives a pass."""
+
     def test_frozen_values(self):
-        assert epsilon(8, WordConfig(8)) == 0
-        assert epsilon(16, WordConfig(8)) == 1
+        assert pass_budget(8, 8)[0] == 0
+        assert pass_budget(16, 8)[0] == 1
         # 1024 words at w=16 pack counts below 2**5 = 32 next to the
         # position, so up to 1024 // 33 = 31 nodes can be overfull at
         # once: ceil((n/2)/thr) = 16 alone would under-provision.
-        assert epsilon(1024, WordConfig(16)) == 31
+        assert pass_budget(1024, 16)[0] == 31
 
     def test_only_the_overfull_term_counts(self):
         """``pass_budget`` keeps only ``seg // (thr + 1)``: the paper's
@@ -175,27 +171,32 @@ class TestEpsilon:
                     assert pass_budget(seg, w) == (eps, split), (w, seg)
 
     def test_zero_when_positions_fit_twice(self):
-        # 2 * pos_bits < w means a record can carry position + count for
+        # 2 * ceil(log2 n) < w means a record can carry position + count for
         # every possible count, so no companions can ever be needed.
-        assert epsilon(1000, WordConfig(63)) == 0
-        assert epsilon(2**20, WordConfig(63)) == 0
+        assert pass_budget(1000, 63)[0] == 0
+        assert pass_budget(2**20, 63)[0] == 0
 
     def test_bounds(self):
+        """A segment of up to ``2**(w-1)`` words leaves a pack split of at
+        least 0 bits, and a longer one has no budget; the front door
+        refuses an array that long before any pass."""
+        assert pass_budget(128, 8)[1] == 0
+        with pytest.raises(ValueError):
+            pass_budget(129, 8)
+        check_words(np.zeros(128, dtype=np.int64), WordConfig(8))
         with pytest.raises(WordRangeError):
-            epsilon(0, WordConfig(8))
-        with pytest.raises(WordRangeError):
-            epsilon(129, WordConfig(8))  # > 2**7 slots
+            check_words(np.zeros(129, dtype=np.int64), WordConfig(8))  # > 2**7 slots
 
     @settings(max_examples=300)
     @given(st.integers(min_value=4, max_value=63), st.data())
     def test_covers_worst_case_demand_and_keeps_half_span(self, w, data):
         cfg = WordConfig(w)
         n = data.draw(st.integers(min_value=1, max_value=min(cfg.tag_mask, 10**6)))
-        eps = epsilon(n, cfg)
+        eps, split = pass_budget(n, w)
         # enough idles for every possible companion…
         assert eps >= epsilon_demand(n, w)
         if eps == 0:
-            assert 2 * cfg.pos_bits(n) < cfg.w
+            assert 2 * (w - 1 - split) < w
         # …but never more than half the segment
         assert eps <= -(-n // 2)
         assert n - eps >= n // 2
