@@ -45,6 +45,7 @@ from .kernels import (
     PHASE_RETRIEVE,
     PHASE_STORE,
     PHASE_UNWIND,
+    STATUS_BAD_SLOT,
 )
 from .words import WordConfig
 
@@ -181,6 +182,11 @@ def _fail(phase, status, a=0, b=0, c=0, d=0):
     if phase == PHASE_RETRIEVE:
         raise CorruptStateError(f"retrieval wrote {a} of {b} keys (status {status})")
     if phase == PHASE_UNWIND:
+        if status == STATUS_BAD_SLOT:
+            raise CorruptStateError(
+                f"unwind level {a} is out of bounds (status {status}); "
+                "its retrieval did not run"
+            )
         if status:
             raise CorruptStateError(f"unwind retrieval failed (status {status})")
         raise CorruptStateError(f"unwind left {a} words unwritten at the front")

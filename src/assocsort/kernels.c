@@ -6,7 +6,7 @@
  * both backends write the same words and report the same counters.  A
  * kernel with a skip path is an inline <name>_k, which the pass loops call,
  * and an exported <name> that calls it; practice_k and retrieve_scan_k
- * serve count nodes (wm1 == 0) and bitmap nodes of wm1 keys alike.  Three
+ * serve count nodes (wm1 == 0) and bitmap nodes of wm1 keys alike.  Four
  * things exist only here, and change no result:
  * * Skip paths.  Where a scan of a value-sort pass loop would only step
  *   past word after word (keys practice defers or, in stacked_passes,
@@ -23,6 +23,9 @@
  *   and retrieval pick their writes by mask arithmetic, with a word written
  *   back unchanged where the Python kernel leaves it, and the cursors of
  *   practice_cursors do so for the slot they hash to.
+ * * A walk over set bits.  Bitmap retrieval visits only the bits a record
+ *   holds, not all wm1 of them, and writes a node's keys lowest first (see
+ *   retrieve_scan_k).
  * Kernels never fail loudly; a broken invariant comes back as a negative
  * status for the driver to raise on.
  *
@@ -163,21 +166,40 @@ INLINE uint64_t min_u(uint64_t a, uint64_t b)
 INLINE i64 skip_outside(char *S, i64 S_s, i64 i, i64 hi, i64 delta, i64 far,
                         i64 tag, i64 *n_def, i64 *dnext)
 {
-    uint64_t span = (uint64_t)far - (uint64_t)delta;
-    while (far >= 0 && i + 4 <= hi) {
+    if (far < 0)
+        return i;
+    /* A skipped block has every v - delta at or past span, so its least
+     * v - far is its least v - delta less span.  The least over all
+     * blocks, and the count, are folded in once, on return, not in each
+     * block, whose dnext branch mispredicts where below-interval and
+     * deferred keys mix.  stacked_passes of keys from a pool of n/2
+     * (scripts/paired_grid.py, 41 rounds in five runs and 201 in a
+     * sixth), time with a fold in each block of its four v - far over
+     * time with this:
+     *
+     *     n      m/n 1         3          10         30         100
+     *     5000   0.96-1.00  0.98-1.00  1.00-1.03  1.13-1.21  1.34-1.37
+     *     10^5   0.97-1.01  0.97-1.01  0.98-1.04  1.13-1.21  1.32-1.37
+     *
+     * The same test with a fold in each block took 1.02-1.16 times as
+     * long as this from 3n to 100n. */
+    uint64_t span = (uint64_t)far - (uint64_t)delta, least = UINT64_MAX;
+    i64 deferred = 0;
+    while (i + 4 <= hi) {
         i64 v0 = AT(S, i), v1 = AT(S, i + 1), v2 = AT(S, i + 2);
         i64 v3 = AT(S, i + 3);
         uint64_t u = delta, d0 = v0 - u, d1 = v1 - u, d2 = v2 - u, d3 = v3 - u;
-        if (((v0 | v1 | v2 | v3) & (tag | INT64_MIN)) ||
-            min_u(min_u(d0, d1), min_u(d2, d3)) < span)
+        uint64_t m = min_u(min_u(d0, d1), min_u(d2, d3));
+        if (((v0 | v1 | v2 | v3) & (tag | INT64_MIN)) || m < span)
             break;
-        uint64_t f = min_u(min_u(d0 - span, d1 - span),
-                           min_u(d2 - span, d3 - span));
-        if ((i64)f >= 0 && (*dnext < 0 || far + (i64)f < *dnext))
-            *dnext = far + (i64)f;
-        *n_def += (v0 >= far) + (v1 >= far) + (v2 >= far) + (v3 >= far);
+        least = min_u(least, m);
+        deferred += (v0 >= far) + (v1 >= far) + (v2 >= far) + (v3 >= far);
         i += 4;
     }
+    i64 f = (i64)(least - span);
+    if (f >= 0 && (*dnext < 0 || far + f < *dnext))
+        *dnext = far + f;
+    *n_def += deferred;
     return i;
 }
 
@@ -746,11 +768,13 @@ INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
          level--) {
         i64 h = AT(L, 2 * level), key = AT(L, 2 * level + 1), eps, split;
         /* A level whose memory lies outside [0, write_end), whose segment
-         * is wider than the word or whose key lies outside it. */
+         * is wider than the word or whose key lies outside it, reported by
+         * its number from 1, as a trace numbers it. */
         if (h < 0 || h > end || end > write_end || hi - h > tag || key < 0 ||
             key >= tag) {
             phase = PHASE_UNWIND;
             status = STATUS_BAD_SLOT;
+            a = level + 1;
             break;
         }
         pass_budget(hi - h, w, &eps, &split);
@@ -812,6 +836,15 @@ void store_records(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 tag, i64 *out)
     store_records_k(S, S_s, lo, hi, n_d, tag, 1, out);
 }
 
+/* The set bits of x, without a call. */
+INLINE i64 bit_count(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555u;
+    x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+    return (i64)((x * 0x0101010101010101u) >> 56);
+}
+
 /* retrieve_scan, of count records (wm1 == 0) or bitmaps of wm1 keys; the
  * tag scan takes the untagged-word skip path when skip is set. */
 INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
@@ -845,18 +878,40 @@ INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
                 moves++;
             }
         } else {
-            i64 key0 = delta + (p - lo) * wm1;
-            for (i64 t = wm1 - 1; t >= 0; t--) {
-                if (rec & ((i64)1 << t)) {
-                    if (o < lo + k) {
-                        out[0] = moves;
-                        out[1] = STATUS_COLLISION;
-                        return;
-                    }
-                    AT(S, o) = (AT(S, o) & tag) | (key0 + t);
-                    o--;
-                    moves++;
-                }
+            /* The set bits below wm1 alone, lowest first, up from
+             * o - count + 1, each step clearing the lowest bit.  Where the
+             * node has fewer than count slots left above lo + k, its lowest
+             * bits are dropped first, so the words written and the moves
+             * counted are those of kernels.retrieve_scan, which writes
+             * highest first, down from o, until the collision stops it.
+             * improved_passes of distinct keys (scripts/paired_grid.py, 41
+             * rounds in three runs and 201 in a fourth), time with a test of
+             * all wm1 bits over time with this walk:
+             *
+             *     n      m/n 1         3          10         30         100
+             *     5000   0.98-1.06  1.86-2.09  2.53-2.71  2.57-2.74  1.86-2.04
+             *     10^5   0.97-0.98  2.29-2.38  2.29-2.36  2.26-2.40  1.82-1.95
+             *
+             * Highest first, one bit search per key, read 0.87-0.88 at
+             * m = n, where every bit is set: each search waits on the last.
+             * This walk with the count from a call (the default target has
+             * no popcnt) took 1.11-1.16 times as long as with bit_count at
+             * n and 3n. */
+            i64 key0 = delta + (p - lo) * wm1, avail = o - (lo + k) + 1;
+            uint64_t bits = (uint64_t)rec & (((uint64_t)1 << wm1) - 1);
+            i64 count = bit_count(bits), status = STATUS_OK;
+            for (; count > avail && bits; count--) {
+                bits &= bits - 1;
+                status = STATUS_COLLISION;
+            }
+            for (i64 q = o - count + 1; bits; q++, bits &= bits - 1)
+                AT(S, q) = (AT(S, q) & tag) | (key0 + __builtin_ctzll(bits));
+            o -= count;
+            moves += count;
+            if (status) {
+                out[0] = moves;
+                out[1] = status;
+                return;
             }
         }
         p--;

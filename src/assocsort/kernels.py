@@ -526,7 +526,7 @@ def stacked_passes(S, L, head, hi, delta, depth, cap, w):
     call's last pass left it (at ``hi`` if it ran none).  A level whose
     memory lies outside ``[0, write_end)``, whose segment is wider than
     the word or whose key lies outside it fails ``STATUS_BAD_SLOT``
-    before its retrieval runs.
+    before its retrieval runs, with its number in ``a``.
 
     Returns ``(passes, moves, node_creations, head, delta, depth, phase,
     status, a, b, c, d)``, the failures of a pass numbered as in
@@ -568,7 +568,7 @@ def stacked_passes(S, L, head, hi, delta, depth, cap, w):
         key = L[2 * level + 1]
         if not (0 <= h <= end <= write_end and hi - h <= tag and 0 <= key < tag):
             return (passes, moves, created, head, delta, depth, PHASE_UNWIND,
-                    STATUS_BAD_SLOT, 0, 0, 0, 0)
+                    STATUS_BAD_SLOT, level + 1, 0, 0, 0)
         eps, split = pass_budget(hi - h, w)
         written, mv, status = retrieve_packed(S, h, end, write_end, key, eps, split, tag)
         moves += mv

@@ -4,9 +4,11 @@
  * instead, each buffer is mapped flush against a PROT_NONE page, and such
  * a read stops it with SIGSEGV: each case then runs twice, once with the
  * page after the buffer's last byte and once before its first.  The
- * cases, the block-boundary shapes, sparse segments and dense-last
- * segments (for improved_passes and practice_cursors) of
- * test_skip_paths.py, come from that test on stdin, one a line:
+ * cases, the block-boundary shapes, bitmap retrieval records, sparse
+ * segments, stacked_passes segments whose second pass skips outside its
+ * interval, and dense-last segments (for improved_passes and
+ * practice_cursors) of test_skip_paths.py, come from that test on stdin,
+ * one a line:
  *
  *   <kernel> <sorts> <k> <k integer arguments> <n> <n words>
  *

@@ -512,6 +512,21 @@ def test_stacked_passes_resume_where_they_stopped():
         assert tuple(L.tolist()) == levels[: len(L)]
 
 
+@pytest.mark.parametrize("levels, level", [([9, 0, 1, 0], 1), ([0, 0, 9, 0], 2)])
+def test_unwind_names_the_level_it_refuses(levels, level):
+    """A level whose memory lies past the segment stops the unwind with its
+    number from 1 in ``a``, on every backend (in the first case after the
+    newer level's retrieval ran), and its error says that level's retrieval
+    did not run."""
+    got = _everywhere("unwind_levels", [[4, 16], levels], (2, 2, 5))
+    assert len(set(got.values())) == 1, got
+    result = got["numpy"][0]
+    assert result[6:9] == (kernels.PHASE_UNWIND, kernels.STATUS_BAD_SLOT, level)
+    message = f"^unwind level {level} is out of bounds \\(status -8\\); its retrieval did not run$"
+    with pytest.raises(CorruptStateError, match=message):
+        core._fail(*result[6:])
+
+
 @pytest.mark.parametrize(
     "fail, phase, status, numbers, error, message",
     [
@@ -521,8 +536,8 @@ def test_stacked_passes_resume_where_they_stopped():
          "2 idle words after storage, expected 1"),
         (core._fail, kernels.PHASE_RETRIEVE, -3, (0, 4), CorruptStateError,
          "retrieval wrote 0 of 4 keys (status -3)"),
-        (core._fail, kernels.PHASE_UNWIND, -8, (0,), CorruptStateError,
-         "unwind retrieval failed (status -8)"),
+        (core._fail, kernels.PHASE_UNWIND, -8, (2,), CorruptStateError,
+         "unwind level 2 is out of bounds (status -8); its retrieval did not run"),
         (core._fail, kernels.PHASE_UNWIND, 0, (2,), CorruptStateError,
          "unwind left 2 words unwritten at the front"),
         (core._fail, kernels.PHASE_PREFIX, 0, (3, 5), CorruptStateError,
@@ -543,6 +558,8 @@ def test_stacked_passes_resume_where_they_stopped():
          "key restoration failed (status -6)"),
         (ranksort._fail, kernels.PHASE_PREFIX, 0, (4, 9), CorruptStateError,
          "sorted prefix stopped at 4 of 9"),
+        (core._fail, kernels.PHASE_UNWIND, -3, (0,), CorruptStateError,
+         "unwind retrieval failed (status -3)"),
     ],
 )
 def test_driver_failure_messages(fail, phase, status, numbers, error, message):

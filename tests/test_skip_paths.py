@@ -13,11 +13,14 @@ value planes above the pivot in the right-hand scan of
 a byte stride of 8 and once for any stride.
 
 Each scan is fed runs of 0-9 skippable words at every offset of segments
-of 1-12 words, each loop sparse segments of 16-64 words, and
+of 1-12 words, each loop sparse segments of 16-64 words,
 ``improved_passes`` and ``practice_cursors`` dense-last segments, whose
 practice runs as interleaved cursors and whose storage and retrieval run
-by mask in C, through views of step 1, 2 and -1, and must leave the same result and
-words as on ``numpy``.  The words around a segment are chosen so that a block that
+by mask in C, bitmap retrieval records of chosen bits, which C walks bit
+by set bit, and ``stacked_passes`` segments whose second pass steps over
+blocks that mix keys below its interval with keys it defers, through
+views of step 1, 2 and -1, and must leave the same result and words as
+on ``numpy``.  The words around a segment are chosen so that a block that
 reads past the segment changes the result where a result can show it.
 Other reads past the segment, and any past the end of the array, are out
 of reach of such comparisons: ``test_sanitized_driver`` runs the same
@@ -184,6 +187,82 @@ def _retrieval_cases():
             args = (PAD, PAD + n, n_d, n_c, DELTA)
             for wm1 in (0, 7):
                 yield "retrieve_scan", words, args + (wm1, T8)
+
+
+def _bitmap_records(wm1, tag):
+    """Records of bitmap nodes of ``wm1`` keys under ``tag``: a single bit
+    at 0 or at the top (``wm1 - 1`` where the word holds it), every bit,
+    alternating bits, and, where the word holds bits at or above ``wm1``,
+    those bits with one below, which a retrieval must ignore."""
+    fits = min(wm1, tag.bit_length() - 1)
+    every = (1 << fits) - 1
+    records = [1, 1 << (fits - 1), every, every & 0x5555555555555555,
+               every & 0xAAAAAAAAAAAAAAAA]
+    above = (tag - 1) & ~((1 << wm1) - 1)
+    if above:
+        records += [above | 1, above | 1 << (wm1 - 1)]
+    return records
+
+
+def _bitmap_retrieval_cases():
+    """``retrieve_scan`` of bitmap nodes: each record of
+    :func:`_bitmap_records` alone and all of them in one segment, with
+    their nodes on every second word from the end.  ``n_c`` fits the keys
+    exactly, or falls short by 1 or 3, so that a collision stops the walk
+    in the middle of a node (of every bit, when the records stand alone)."""
+    for wm1, tag in ((7, T8), (5, T8), (62, T63), (63, T63)):
+        records = _bitmap_records(wm1, tag)
+        for recs in [[r] for r in records] + [records]:
+            keys = sum(bin(r & ((1 << wm1) - 1)).count("1") for r in recs)
+            n_d, n = len(recs), max(keys, 2 * len(recs)) + 1
+            seg = [recs[k] if k < n_d else k % 3 for k in range(n)]
+            for k in range(n_d):
+                seg[n - 1 - 2 * k] |= tag
+            for short in (0, 1, 3):
+                if keys - n_d - short >= 0:
+                    args = (PAD, PAD + n, n_d, keys - n_d - short, DELTA, wm1, tag)
+                    yield "retrieve_scan", [0] * PAD + seg + [0] * PAD, args
+
+
+def _outside_cases():
+    """``stacked_passes`` over 160 words whose first pass, from key ``D``
+    at word 0, makes one node and counts at most 9 copies of ``D``: it
+    settles at most 1/16 of the segment, so the second pass, from the
+    least key past ``D``'s interval, ``LO`` (the last word), practices
+    with ``skip_outside``.  Its 4-word blocks mix the copies of ``D``,
+    below its interval, with keys it defers, at or past ``FAR``: the least
+    deferred key in each lane and in a later block, blocks of copies of
+    ``D`` alone in a pass that defers nothing (its ``dnext`` stays unset),
+    keys at ``FAR`` and at ``FAR - 1``, a word tagged by a node the same
+    pass made, and negative words.  The words after the blocks are keys
+    it defers (or, where it must defer none, keys of its interval); the
+    padding after the segment is ``FAR``, so a block that read it would
+    move the next pass's start."""
+    n, D, LO = 160, 1000, 2000
+    FAR = LO + n - 1  # the second pass's segment, n - 1 words, reserves none
+
+    def case(entry, blocks, rest=3100):
+        words = [D, entry] + [w for block in blocks for w in block]
+        words += [rest + k for k in range(n - 1 - len(words))] + [LO]
+        assert len(words) == n and words.count(D) <= n // 16
+        return "stacked_passes", [0] * PAD + words + [FAR] * PAD, (PAD, PAD + n, D, 0, n, 63)
+
+    for lane in range(4):
+        block = [D, 3001, D, 3002]
+        block[lane] = 2500
+        yield case(3000, [block, [3003, D, 3004, D]])
+    yield case(3000, [[D, 3001, D, 3002], [3003, 2500, D, 3004], [D, 3005, 3006, 3007]])
+    yield case(D, [[D] * 4, [D] * 4], rest=LO + 1)
+    yield case(D, [[D, D, D, D], [D, 3001, D, D]])
+    yield case(3000, [[D, FAR, D, FAR - 1], [FAR, D, 3001, D], [3002, FAR, FAR + 1, D]])
+    yield case(FAR, [[D, FAR, FAR, D], [FAR + 1, D, FAR, 3001]])
+    # Key LO + 7 makes its node at word 8, inside the second block, and
+    # brings word 8's deferred key to word 1.
+    yield case(LO + 7, [[D, 3001, D, 3002], [3003, 3004, 3005, 3006], [D, 3007, D, 3008]])
+    # Negative words with the tag bit clear, which every pass passes over
+    # as below its interval.
+    neg = -(1 << 63) + 10**6
+    yield case(3000, [[D, neg, 3001, D], [3002, 3003, neg + 1, 3004], [D, 3005, 3006, neg]])
 
 
 def _partition_cases():
@@ -355,6 +434,21 @@ def test_retrieval_tag_scans_step_over_untagged_words():
     assert statuses == {kernels.STATUS_OK, kernels.STATUS_TAG_SCAN}
 
 
+def test_bitmap_retrieval_writes_the_set_bits_below_wm1():
+    statuses = {_agree(*case)[1] for case in _bitmap_retrieval_cases()}
+    assert statuses == {kernels.STATUS_OK, kernels.STATUS_COLLISION}
+
+
+def test_stacked_practice_steps_over_keys_outside_the_interval():
+    """Each segment reaches the second pass (a level per pass), and all but
+    the one with negative words are sorted through the unwind."""
+    for name, words, args in _outside_cases():
+        result = _agree(name, words, args)
+        assert result[5] >= 2, result
+        if min(words) >= 0:
+            assert (result[6], result[3]) == (kernels.PHASE_OK, args[1]), result
+
+
 def test_partition_steps_over_value_planes_above_the_pivot():
     for case in _partition_cases():
         _agree(*case)
@@ -478,7 +572,8 @@ def _driver_input():
 
     cases = [*_practice_cases(), *_bitmap_practice_cases(), *_implicit_practice_cases(),
              *_fixpoint_cases(), *_store_cases(), *_store_nodes_cases(),
-             *_retrieval_cases(), *_partition_cases(), *_pass_cases(), *_sparse_cases(),
+             *_retrieval_cases(), *_bitmap_retrieval_cases(), *_partition_cases(),
+             *_pass_cases(), *_outside_cases(), *_sparse_cases(),
              *_dense_cases(), *_cursor_cases()]
     for name, words, (lo, hi, *rest) in cases:
         seg = words[lo:hi]
