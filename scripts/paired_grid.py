@@ -1,7 +1,8 @@
 """Paired grid: two builds of ``kernels.c`` timed against each other in one
 process, one pass-loop call at a time.
 
-Both sources are compiled with the ``c`` backend's flags and bound through
+Both sources are compiled with the ``c`` backend's flags (or each with its
+own, ``--base-flags`` and ``--new-flags``) and bound through
 ``ckernels._bind``.  In each cell (sorter, n, m/n) every round makes the
 same number of calls of each build's pass loop on fresh copies of one
 input, alternating which build goes first call by call, and checks that
@@ -10,12 +11,19 @@ time per call of each build, their ratio (base / new, above 1 when the new
 build is faster), the base's spread between quartiles over its median, and
 the ratio of the base median to the new build's quartiles.
 
-    git show 1734ce6:src/assocsort/kernels.c > /tmp/base.c
-    PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c
+    git show 46a0063:src/assocsort/kernels.c > /tmp/base.c
+    PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c \
+        --base-flags="-O2 -shared -fPIC" \
+        --sorters assoc_improved,assoc_seq,assoc_rec,cycle_distinct
 
-Inputs: ``distinct_improved`` gets n distinct keys drawn from [0, m);
-``assoc_rec`` gets n keys drawn from a pool of n/2 distinct keys in
-[0, m), as the benchmark's ``paper-variants`` draws them.
+Inputs: ``distinct_improved`` and ``cycle_distinct`` get n distinct keys
+drawn from [0, m); ``assoc_seq`` and ``assoc_rec`` get n keys drawn from
+a pool of n/2 distinct keys in [0, m), as the benchmark's
+``paper-variants`` draws them; ``assoc_improved`` and ``sort_by_key`` (the
+rank loop, carrying a payload ramp) get n keys drawn uniformly from
+[0, m), as ``sparse-sort`` and ``rank-pairs`` draw them.  Each sorter's
+call is its pass loop as its driver makes it, with the default word of
+63 bits.
 """
 
 import argparse
@@ -30,29 +38,45 @@ import numpy as np
 from assocsort import ckernels
 
 
-def bind(source, directory, name):
-    """The kernels of ``source``, compiled into ``directory``."""
+TAG = 1 << 62
+DISTINCT = ("distinct_improved", "cycle_distinct")
+POOLED = ("assoc_seq", "assoc_rec")
+
+
+def bind(source, flags, directory, name):
+    """The kernels of ``source``, compiled with ``flags`` into ``directory``."""
     so = os.path.join(directory, name + ".so")
-    subprocess.run(["cc", *ckernels.FLAGS, "-o", so, source], check=True)
+    subprocess.run(["cc", *flags, "-o", so, source], check=True)
     ffi = cffi.FFI()
     ffi.cdef(ckernels.CDEF)
     return ckernels._bind(ffi, ffi.dlopen(so), os.path.join(directory, name))
 
 
 def keys_for(sorter, n, ratio, seed):
-    rng = np.random.default_rng([seed, n, ratio])
-    if sorter == "distinct_improved":
-        return rng.choice(ratio * n, size=n, replace=False).astype(np.int64)
-    pool = rng.choice(ratio * n, size=max(n // 2, 1), replace=False)
-    return pool[rng.integers(0, len(pool), size=n)].astype(np.int64)
+    m = max(int(ratio * n), 1)
+    rng = np.random.default_rng([seed, n, m])
+    if sorter in DISTINCT:
+        return rng.choice(m, size=n, replace=False).astype(np.int64)
+    if sorter in POOLED:
+        pool = rng.choice(m, size=max(n // 2, 1), replace=False)
+        return pool[rng.integers(0, len(pool), size=n)].astype(np.int64)
+    return rng.integers(0, m, size=n, dtype=np.int64)
 
 
 def run(ns, sorter, S):
     """One call of ``sorter``'s pass loop on ``S``, as its driver makes it."""
-    if sorter == "distinct_improved":
-        return ns.improved_passes(S, 0, len(S), int(S.min()), int(S.max()), 62, 1 << 62)
-    L = np.zeros(2 * len(S) + 2, dtype=np.int64)
-    return ns.stacked_passes(S, L, 0, len(S), int(S.min()), 0, len(S) + 1, 63)
+    n, lo = len(S), int(S.min())
+    if sorter in ("assoc_improved", "distinct_improved"):
+        wm1 = 62 if sorter == "distinct_improved" else 0
+        return ns.improved_passes(S, 0, n, lo, int(S.max()), wm1, TAG)
+    if sorter == "assoc_seq":
+        return ns.sequential_passes(S, 0, n, lo, 63)
+    if sorter == "cycle_distinct":
+        return ns.distinct_passes(S, 0, n, lo)
+    if sorter == "sort_by_key":
+        return ns.rank_passes(S, np.arange(n, dtype=np.int64), 0, n, lo, TAG)
+    L = np.zeros(2 * n + 2, dtype=np.int64)
+    return ns.stacked_passes(S, L, 0, n, lo, 0, n + 1, 63)
 
 
 def cell(A, B, sorter, n, ratio, rounds, seed):
@@ -85,17 +109,21 @@ def main():
     parser.add_argument("--ratios", default="1,3,10,30,100")
     parser.add_argument("--sorters", default="distinct_improved,assoc_rec")
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--base-flags", default=" ".join(ckernels.FLAGS),
+                        help="compile flags of the base (default: the backend's)")
+    parser.add_argument("--new-flags", default=" ".join(ckernels.FLAGS),
+                        help="compile flags of the new build (default: the backend's)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as directory:
-        A = bind(args.base, directory, "base")
-        B = bind(args.new, directory, "new")
+        A = bind(args.base, args.base_flags.split(), directory, "base")
+        B = bind(args.new, args.new_flags.split(), directory, "new")
         for sorter in args.sorters.split(","):
             for n in map(int, args.sizes.split(",")):
-                for ratio in map(int, args.ratios.split(",")):
+                for ratio in map(float, args.ratios.split(",")):
                     ta, tb = cell(A, B, sorter, n, ratio, args.rounds, args.seed)
                     qa = np.percentile(ta, [25, 50, 75])
                     qb = np.percentile(tb, [25, 50, 75])
-                    print(f"{sorter:17s} n={n:<6d} m/n={ratio:<3d} "
+                    print(f"{sorter:17s} n={n:<6d} m/n={ratio:<4g} "
                           f"base {qa[1] / 1e3:9.1f} us  new {qb[1] / 1e3:9.1f} us  "
                           f"ratio {qa[1] / qb[1]:.3f}  base IQR {(qa[2] - qa[0]) / qa[1]:.3f}  "
                           f"[{qa[1] / qb[2]:.3f}, {qa[1] / qb[0]:.3f}]", flush=True)

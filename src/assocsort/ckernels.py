@@ -2,7 +2,8 @@
 called through cffi.
 
 The first process to ask for it compiles ``kernels.c`` with
-``cc -O2 -shared -fPIC`` into a per-user cache and writes a cffi
+``cc -O2 -shared -fPIC`` (and ``-mavx2`` on an x86-64 CPU that has AVX2,
+see :data:`ISA_FLAGS`) into a per-user cache and writes a cffi
 out-of-line ABI module beside the library.  Every later process only runs
 that small module and ``dlopen``\\ s the library.  Both files are named by a
 CRC-32 of the source, the declarations, the flags, the machine and the
@@ -44,7 +45,32 @@ from types import SimpleNamespace
 from . import kernels as _kernels
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
-FLAGS = ("-O2", "-shared", "-fPIC")
+
+
+def _isa_flags() -> tuple:
+    """``("-mavx2",)`` on an x86-64 host whose CPU lists AVX2, else ``()``.
+
+    It reads ``/proc/cpuinfo`` and starts no process, so a cache hit stays
+    cheap.  The flags are part of ``FLAGS`` and so of every build's name:
+    a cache shared with a CPU without AVX2 never hands that CPU this build.
+    """
+    if not hasattr(os, "uname") or os.uname().machine != "x86_64":
+        return ()
+    try:
+        with open("/proc/cpuinfo", "rb") as fh:
+            info = fh.read()
+    except OSError:
+        return ()
+    for line in info.splitlines():
+        if line.startswith(b"flags"):
+            return ("-mavx2",) if b"avx2" in line.split() else ()
+    return ()
+
+
+# The flags of the skip paths' vector instructions on this CPU (see the
+# comment on them in kernels.c); the code is the same without them.
+ISA_FLAGS = _isa_flags()
+FLAGS = ("-O2", "-shared", "-fPIC", *ISA_FLAGS)
 # Every file of a build is named ``PREFIX`` + 8 hex digits + a suffix.
 PREFIX = "_kernels_"
 # Builds a new build leaves in its directory, itself included, the most

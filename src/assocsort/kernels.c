@@ -6,18 +6,22 @@
  * both backends write the same words and report the same counters.  A
  * kernel with a skip path is an inline <name>_k, which the pass loops call,
  * and an exported <name> that calls it; practice_k and retrieve_scan_k
- * serve count nodes (wm1 == 0) and bitmap nodes of wm1 keys alike.  Four
+ * serve count nodes (wm1 == 0) and bitmap nodes of wm1 keys alike.  Five
  * things exist only here, and change no result:
  * * Skip paths.  Where a scan of a value-sort pass loop would only step
  *   past word after word (keys practice defers or, in stacked_passes,
  *   leaves below the interval, untagged words, value planes above the
  *   pivot, words off their own slot), it steps over blocks of 4 such words
- *   at a time.  The standalone kernels always take them; improved_passes,
+ *   at a time and returns the exact word the scan must stop at.  The
+ *   standalone kernels always take them; improved_passes,
  *   sequential_passes, stacked_passes and distinct_passes turn them on per
  *   pass (see SKIP_SHARE), so dense segments keep the plain loop.
- * * Each of those four loops is compiled twice from one body: once with
- *   the byte stride fixed at 8, which every contiguous array has, and once
- *   for any stride.
+ * * Vector lane masks.  A skip path tests the 4 words of a block as one
+ *   vector and finds its stop word from the mask of the lanes that fail
+ *   (see lanes()).
+ * * Each pass loop is compiled twice from one body: once with the byte
+ *   stride fixed at 8, which every contiguous array has, and once for any
+ *   stride.
  * * Masks for branches.  In a dense-last pass of improved_passes (see
  *   kernels.dense_last), where a third of the keys or more repeat, storage
  *   and retrieval pick their writes by mask arithmetic, with a word written
@@ -116,30 +120,99 @@ void min_max(char *S, i64 S_s, i64 lo, i64 hi, i64 *out)
 }
 
 /* The skip paths.  Each steps over whole blocks of 4 words that its scan
- * would only step past, one word at a time, and returns the first word
- * of the first block that holds any other word (or does not fit between
- * the bounds); the scalar loop goes on from there. */
+ * would only step past, one word at a time, and returns the exact first
+ * word its scan must look at: the first such word of a block that holds
+ * one, or where fewer than 4 words are left between the bounds.  The words
+ * it steps over are folded in as the scan would fold them, so the scan
+ * goes on from there with the same counts.
+ *
+ * A block is one vector of 4 lanes, and each test of its words one lane
+ * mask, which lanes() turns into 4 bits, lane 0 lowest; ctz or clz of the
+ * bits is the lane to stop at.  Only lanes() is spelled for the ISA:
+ * vmovmskpd where the build targets AVX2 (ckernels adds -mavx2 on a CPU
+ * that has it), a test of each lane's sign bit elsewhere.  No vector is
+ * passed to or returned from a function, whose ABI would change with the
+ * ISA.  The index of the next block never waits on a mask: with the stop
+ * lane added to it in every block (4 where none stops), each block's load
+ * waited on the last block's mask, and sorts of keys over 30n-100n took
+ * 1.4-3.5 times as long as with paths that returned the first word of the
+ * failing block.  Against those paths, time per call of each pass loop
+ * over time with these, on keys over 30n and 100n, n = 5000 and 10^5
+ * (scripts/paired_grid.py, two runs of 21 rounds; from m = n to 10n the
+ * ratios read 0.94-1.16):
+ *
+ *     assoc_improved 1.26-1.38  assoc_seq 1.22-1.31  assoc_rec 1.13-1.27
+ *     cycle_distinct 1.32-1.42
+ */
+typedef i64 v4 __attribute__((vector_size(32)));
+typedef uint64_t u4 __attribute__((vector_size(32)));
+
+#define SPLAT(x) ((v4){(x), (x), (x), (x)})
+#define LANE ((v4){0, 1, 2, 3})
+
+#ifdef __AVX2__
+#include <immintrin.h>
+#define lanes(m) _mm256_movemask_pd((__m256d)(m))
+#else
+#define lanes(m)                                                        \
+    ((int)((uint64_t)(m)[0] >> 63 | (uint64_t)(m)[1] >> 63 << 1 |      \
+           (uint64_t)(m)[2] >> 63 << 2 | (uint64_t)(m)[3] >> 63 << 3))
+#endif
+
+/* Words i to i + 3 of S into lanes 0 to 3 of *v. */
+INLINE void load4(v4 *v, char *S, i64 S_s, i64 i)
+{
+    if (S_s == 8)
+        __builtin_memcpy(v, S + i * 8, sizeof *v);
+    else
+        *v = (v4){AT(S, i), AT(S, i + 1), AT(S, i + 2), AT(S, i + 3)};
+}
+
+/* Lane by lane, *least becomes x where *take is set and x is less. */
+INLINE void fold_least(v4 *least, const v4 *x, const v4 *take)
+{
+    v4 less = *take & (*x < *least);
+    *least = (*x & less) | (*least & ~less);
+}
+
+/* The least lane of *x. */
+INLINE i64 least_lane(const v4 *x)
+{
+    i64 a = (*x)[0] < (*x)[1] ? (*x)[0] : (*x)[1];
+    i64 b = (*x)[2] < (*x)[3] ? (*x)[2] : (*x)[3];
+    return a < b ? a : b;
+}
 
 /* Up from i: untagged keys at or past far = delta + max(span, 0), which
  * practice defers, counted into *n_def and folded into *dnext.  The
  * caller passes far < 0 where delta < 0 or far overflows, and then no
- * block is skipped; otherwise a skipped key is at least far >= 0, so the
- * scalar fold over a block is its minimum. */
+ * word is skipped.  The least key is kept in a vector and folded in once,
+ * on return, as in skip_outside. */
 INLINE i64 skip_deferred(char *S, i64 S_s, i64 i, i64 hi, i64 far, i64 tag,
                          i64 *n_def, i64 *dnext)
 {
-    while (far >= 0 && i + 4 <= hi) {
-        i64 v0 = AT(S, i), v1 = AT(S, i + 1), v2 = AT(S, i + 2);
-        i64 v3 = AT(S, i + 3);
-        i64 m01 = v0 < v1 ? v0 : v1, m23 = v2 < v3 ? v2 : v3;
-        i64 m = m01 < m23 ? m01 : m23;
-        if (m < far || ((v0 | v1 | v2 | v3) & tag))
+    if (far < 0)
+        return i;
+    i64 from = i;
+    v4 least = SPLAT(INT64_MAX), v;
+    while (i + 4 <= hi) {
+        load4(&v, S, S_s, i);
+        v4 stop = (v < SPLAT(far)) | ((v & SPLAT(tag)) != 0);
+        int m = lanes(stop);
+        if (m) {
+            v4 take = LANE < SPLAT(__builtin_ctz(m));
+            fold_least(&least, &v, &take);
+            i += __builtin_ctz(m);
             break;
-        if (*dnext < 0 || m < *dnext)
-            *dnext = m;
-        *n_def += 4;
+        }
+        v4 all = SPLAT(-1);
+        fold_least(&least, &v, &all);
         i += 4;
     }
+    i64 f = least_lane(&least);
+    if (i > from && (*dnext < 0 || f < *dnext))
+        *dnext = f;
+    *n_def += i - from;
     return i;
 }
 
@@ -152,82 +225,102 @@ INLINE i64 deferred_from(i64 delta, i64 span)
     return far;
 }
 
-INLINE uint64_t min_u(uint64_t a, uint64_t b)
-{
-    return a < b ? a : b;
-}
-
 /* Up from i: untagged keys outside [delta, far), which practice passes
  * below the interval or defers; the deferred ones (at or past far) are
- * counted into *n_def and folded into *dnext.  No block is skipped where
- * far < 0, as in skip_deferred, nor one that holds a negative word.  So
- * every skipped key is in [0, 2^63): v - far mod 2^64 is below 2^63 just
- * for the deferred ones, and its least value is the least deferred key's. */
+ * counted into *n_def and folded into *dnext.  No word is skipped where
+ * far < 0, as in skip_deferred, nor a negative one, so that 0 <= delta <=
+ * far orders every skipped key against the interval. */
 INLINE i64 skip_outside(char *S, i64 S_s, i64 i, i64 hi, i64 delta, i64 far,
                         i64 tag, i64 *n_def, i64 *dnext)
 {
     if (far < 0)
         return i;
-    /* A skipped block has every v - delta at or past span, so its least
-     * v - far is its least v - delta less span.  The least over all
-     * blocks, and the count, are folded in once, on return, not in each
-     * block, whose dnext branch mispredicts where below-interval and
-     * deferred keys mix.  stacked_passes of keys from a pool of n/2
-     * (scripts/paired_grid.py, 41 rounds in five runs and 201 in a
-     * sixth), time with a fold in each block of its four v - far over
-     * time with this:
+    /* The least deferred key and the count are folded in once, on return,
+     * not in each block, whose dnext branch mispredicts where
+     * below-interval and deferred keys mix.  stacked_passes of keys from a
+     * pool of n/2 (scripts/paired_grid.py, 41 rounds in five runs and 201
+     * in a sixth), time with a fold in each block of its four v - far over
+     * time with a fold on return, both returning the first word of the
+     * failing block:
      *
      *     n      m/n 1         3          10         30         100
      *     5000   0.96-1.00  0.98-1.00  1.00-1.03  1.13-1.21  1.34-1.37
      *     10^5   0.97-1.01  0.97-1.01  0.98-1.04  1.13-1.21  1.32-1.37
-     *
-     * The same test with a fold in each block took 1.02-1.16 times as
-     * long as this from 3n to 100n. */
-    uint64_t span = (uint64_t)far - (uint64_t)delta, least = UINT64_MAX;
-    i64 deferred = 0;
+     */
+    v4 least = SPLAT(INT64_MAX), count = SPLAT(0), v;
     while (i + 4 <= hi) {
-        i64 v0 = AT(S, i), v1 = AT(S, i + 1), v2 = AT(S, i + 2);
-        i64 v3 = AT(S, i + 3);
-        uint64_t u = delta, d0 = v0 - u, d1 = v1 - u, d2 = v2 - u, d3 = v3 - u;
-        uint64_t m = min_u(min_u(d0, d1), min_u(d2, d3));
-        if (((v0 | v1 | v2 | v3) & (tag | INT64_MIN)) || m < span)
+        load4(&v, S, S_s, i);
+        v4 deferred = v >= SPLAT(far);
+        v4 stop = ((v & SPLAT(tag | INT64_MIN)) != 0) |
+                  ((v >= SPLAT(delta)) & ~deferred);
+        int m = lanes(stop);
+        if (m) {
+            deferred &= LANE < SPLAT(__builtin_ctz(m));
+            fold_least(&least, &v, &deferred);
+            count -= deferred;
+            i += __builtin_ctz(m);
             break;
-        least = min_u(least, m);
-        deferred += (v0 >= far) + (v1 >= far) + (v2 >= far) + (v3 >= far);
+        }
+        fold_least(&least, &v, &deferred);
+        count -= deferred;
         i += 4;
     }
-    i64 f = (i64)(least - span);
-    if (f >= 0 && (*dnext < 0 || far + f < *dnext))
-        *dnext = far + f;
-    *n_def += deferred;
+    i64 n = count[0] + count[1] + count[2] + count[3], f = least_lane(&least);
+    if (n && (*dnext < 0 || f < *dnext))
+        *dnext = f;
+    *n_def += n;
     return i;
 }
 
 /* Up from p, below hi: untagged words. */
 INLINE i64 skip_untagged_up(char *S, i64 S_s, i64 p, i64 hi, i64 tag)
 {
-    while (p + 4 <= hi &&
-           !((AT(S, p) | AT(S, p + 1) | AT(S, p + 2) | AT(S, p + 3)) & tag))
+    v4 v;
+    while (p + 4 <= hi) {
+        load4(&v, S, S_s, p);
+        v4 stop = (v & SPLAT(tag)) != 0;
+        int m = lanes(stop);
+        if (m)
+            return p + __builtin_ctz(m);
         p += 4;
+    }
     return p;
+}
+
+/* The word of the highest lane set in the 4 bits m, m != 0, of the block
+ * that starts at word i. */
+INLINE i64 highest(i64 i, int m)
+{
+    return i + 31 - __builtin_clz((unsigned)m);
 }
 
 /* Down from p, not below lo: untagged words. */
 INLINE i64 skip_untagged_down(char *S, i64 S_s, i64 p, i64 lo, i64 tag)
 {
-    while (p - 3 >= lo &&
-           !((AT(S, p) | AT(S, p - 1) | AT(S, p - 2) | AT(S, p - 3)) & tag))
+    v4 v;
+    while (p - 3 >= lo) {
+        load4(&v, S, S_s, p - 3);
+        v4 stop = (v & SPLAT(tag)) != 0;
+        int m = lanes(stop);
+        if (m)
+            return highest(p - 3, m);
         p -= 4;
+    }
     return p;
 }
 
 /* Down from r, not below l: value planes above pivot. */
 INLINE i64 skip_above(char *S, i64 S_s, i64 r, i64 l, i64 pivot, i64 vmask)
 {
-    while (r - 3 >= l &&
-           (((AT(S, r) & vmask) > pivot) & ((AT(S, r - 1) & vmask) > pivot) &
-            ((AT(S, r - 2) & vmask) > pivot) & ((AT(S, r - 3) & vmask) > pivot)))
+    v4 v;
+    while (r - 3 >= l) {
+        load4(&v, S, S_s, r - 3);
+        v4 stop = (v & SPLAT(vmask)) <= SPLAT(pivot);
+        int m = lanes(stop);
+        if (m)
+            return highest(r - 3, m);
         r -= 4;
+    }
     return r;
 }
 
@@ -235,11 +328,18 @@ INLINE i64 skip_above(char *S, i64 S_s, i64 r, i64 l, i64 pivot, i64 vmask)
  * when it holds key delta + (i - lo). */
 INLINE i64 skip_unsettled(char *S, i64 S_s, i64 i, i64 hi, i64 lo, i64 delta)
 {
-    uint64_t at = (uint64_t)delta - (uint64_t)lo;
-#define OFF(k) ((uint64_t)AT(S, i + k) != at + (uint64_t)(i + k))
-    while (i + 4 <= hi && (OFF(0) & OFF(1) & OFF(2) & OFF(3)))
+    uint64_t at = (uint64_t)delta - (uint64_t)lo + (uint64_t)i;
+    u4 settled = (u4){at, at + 1, at + 2, at + 3};
+    v4 v;
+    while (i + 4 <= hi) {
+        load4(&v, S, S_s, i);
+        v4 stop = (u4)v == settled;
+        int m = lanes(stop);
+        if (m)
+            return i + __builtin_ctz(m);
         i += 4;
-#undef OFF
+        settled += 4;
+    }
     return i;
 }
 
@@ -1084,33 +1184,25 @@ INLINE void store_records_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
 /* Words retrieve_dense writes by mask for a node of few keys. */
 #define WRITES 3
 
-/* retrieve_scan_k with wm1 == 0 and no skip path, for a dense-last pass,
- * where gaps between nodes and counts are short and in no order a branch
- * predicts.  The tag scan finds the highest tag of the next 4 words by
- * mask; a node of at most WRITES keys whose writes cannot collide writes
- * WRITES words, each its key or itself back.  Longer gaps and counts, and
- * the ends of the segment, take retrieve_scan_k's loops. */
+/* retrieve_scan_k with wm1 == 0, for a dense-last pass, where gaps between
+ * nodes and counts are short and in no order a branch predicts.  The tag
+ * scan always takes its skip path, which finds the highest tag of the next
+ * 4 words from one lane mask; a node of at most WRITES keys whose writes
+ * cannot collide writes WRITES words, each its key or itself back.  Longer
+ * counts, and the ends of the segment, take retrieve_scan_k's loops. */
 INLINE void retrieve_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
                            i64 delta, i64 tag, i64 *out)
 {
     i64 vmask = tag - 1;
     i64 o = lo + n_d + n_c - 1, p = hi - 1, moves = 0;
     for (i64 k = n_d - 1; k >= 0; k--) {
-        i64 m = 0;
-        if (p - 3 >= lo)
-            m = (mask_if(AT(S, p) & tag) & 8) | (mask_if(AT(S, p - 1) & tag) & 4) |
-                (mask_if(AT(S, p - 2) & tag) & 2) | (mask_if(AT(S, p - 3) & tag) & 1);
-        if (m) {
-            p -= __builtin_clzll((uint64_t)m) - 60;
-        } else {
-            p = skip_untagged_down(S, S_s, p, lo, tag);
-            while (p >= lo && !(AT(S, p) & tag))
-                p--;
-            if (p < lo) {
-                out[0] = moves;
-                out[1] = STATUS_TAG_SCAN;
-                return;
-            }
+        p = skip_untagged_down(S, S_s, p, lo, tag);
+        while (p >= lo && !(AT(S, p) & tag))
+            p--;
+        if (p < lo) {
+            out[0] = moves;
+            out[1] = STATUS_TAG_SCAN;
+            return;
         }
         i64 rec = AT(S, lo + k) & vmask;
         AT(S, p) = AT(S, p) & vmask;
@@ -1240,8 +1332,10 @@ void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 top,
     BY_STRIDE(improved_loop, head, hi, delta, top, wm1, tag, out);
 }
 
-void practice_rank(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
-                   i64 delta, i64 span, i64 tag, i64 *out)
+/* The kernels of the rank pass, each an inline <name>_k that rank_loop
+ * calls and an exported <name> that calls it. */
+INLINE void practice_rank_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo,
+                            i64 hi, i64 delta, i64 span, i64 tag, i64 *out)
 {
     i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
     i64 i = lo;
@@ -1290,7 +1384,14 @@ void practice_rank(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
     out[5] = created;
 }
 
-void accumulate_records(char *K, i64 K_s, i64 lo, i64 hi, i64 tag, i64 *out)
+void practice_rank(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
+                   i64 delta, i64 span, i64 tag, i64 *out)
+{
+    practice_rank_k(K, K_s, P, P_s, lo, hi, delta, span, tag, out);
+}
+
+INLINE void accumulate_records_k(char *K, i64 K_s, i64 lo, i64 hi, i64 tag,
+                                 i64 *out)
 {
     i64 vmask = tag - 1;
     i64 n_nodes = 0, total = 0;
@@ -1306,8 +1407,13 @@ void accumulate_records(char *K, i64 K_s, i64 lo, i64 hi, i64 tag, i64 *out)
     out[1] = total;
 }
 
-void repractice_idle(char *K, i64 K_s, i64 lo, i64 hi, i64 delta, i64 span,
-                     i64 tag, i64 *out)
+void accumulate_records(char *K, i64 K_s, i64 lo, i64 hi, i64 tag, i64 *out)
+{
+    accumulate_records_k(K, K_s, lo, hi, tag, out);
+}
+
+INLINE void repractice_idle_k(char *K, i64 K_s, i64 lo, i64 hi, i64 delta,
+                              i64 span, i64 tag, i64 *out)
 {
     i64 vmask = tag - 1;
     i64 made = 0, status = STATUS_OK;
@@ -1332,8 +1438,14 @@ void repractice_idle(char *K, i64 K_s, i64 lo, i64 hi, i64 delta, i64 span,
     out[1] = status;
 }
 
-void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
-                i64 n_sorted, i64 tag, i64 *out)
+void repractice_idle(char *K, i64 K_s, i64 lo, i64 hi, i64 delta, i64 span,
+                     i64 tag, i64 *out)
+{
+    repractice_idle_k(K, K_s, lo, hi, delta, span, tag, out);
+}
+
+INLINE void reactivate_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
+                         i64 n_sorted, i64 tag, i64 *out)
 {
     i64 vmask = tag - 1, n = hi - lo;
     i64 moves = 0, status = STATUS_OK;
@@ -1435,19 +1547,27 @@ void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
     out[1] = status;
 }
 
-void restore_keys(char *K, i64 K_s, i64 lo, i64 hi_sorted, i64 delta, i64 tag,
-                  i64 *out)
+void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
+                i64 n_sorted, i64 tag, i64 *out)
+{
+    reactivate_k(K, K_s, P, P_s, lo, hi, n_sorted, tag, out);
+}
+
+/* The key is carried by mask: nodes and the untagged words of their runs
+ * alternate in no order a branch predicts.  Only an untagged word before
+ * any node, which a valid prefix never holds, takes the branch. */
+INLINE void restore_keys_k(char *K, i64 K_s, i64 lo, i64 hi_sorted, i64 delta,
+                           i64 tag, i64 *out)
 {
     i64 vmask = tag - 1;
     i64 key = -1, moves = 0, status = STATUS_OK;
     for (i64 q = lo; q < hi_sorted; q++) {
-        i64 x = AT(K, q);
-        if (x & tag) {
-            key = delta + (x & vmask);
-        } else if (key < 0) {
+        i64 x = AT(K, q), node = mask_if(x & tag);
+        if (key < 0 && !node) {
             status = STATUS_BAD_PREFIX;
             break;
         }
+        key = pick(node, key, delta + (x & vmask));
         AT(K, q) = key;
         moves++;
     }
@@ -1455,10 +1575,17 @@ void restore_keys(char *K, i64 K_s, i64 lo, i64 hi_sorted, i64 delta, i64 tag,
     out[1] = status;
 }
 
+void restore_keys(char *K, i64 K_s, i64 lo, i64 hi_sorted, i64 delta, i64 tag,
+                  i64 *out)
+{
+    restore_keys_k(K, K_s, lo, hi_sorted, delta, tag, out);
+}
+
 /* Every pass of a rank sort in one call, with the checks of
- * kernels.rank_passes between the phases. */
-void rank_passes(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
-                 i64 delta, i64 tag, i64 *out)
+ * kernels.rank_passes between the phases.  Inlined into rank_passes
+ * twice, once with both strides fixed at 8. */
+INLINE void rank_loop(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
+                      i64 delta, i64 tag, i64 *out)
 {
     i64 passes = 0, moves = 0, created = 0;
     i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0, c = 0, d = 0;
@@ -1466,11 +1593,11 @@ void rank_passes(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
     while (head < hi) {
         passes++;
         i64 seg = hi - head;
-        practice_rank(K, K_s, P, P_s, head, hi, delta, seg, tag, r);
+        practice_rank_k(K, K_s, P, P_s, head, hi, delta, seg, tag, r);
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
         moves += r[4];
         created += r[5];
-        accumulate_records(K, K_s, head, hi, tag, r);
+        accumulate_records_k(K, K_s, head, hi, tag, r);
         if (r[0] != n_d || r[1] != n_d + n_c) {
             phase = PHASE_ACCUMULATE;
             a = r[0];
@@ -1479,7 +1606,7 @@ void rank_passes(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
             d = n_d + n_c;
             break;
         }
-        repractice_idle(K, K_s, head, hi, delta, seg, tag, r);
+        repractice_idle_k(K, K_s, head, hi, delta, seg, tag, r);
         if (r[1] != STATUS_OK || r[0] != n_c) {
             phase = PHASE_TICKET;
             status = r[1];
@@ -1487,14 +1614,14 @@ void rank_passes(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
             b = n_c;
             break;
         }
-        reactivate(K, K_s, P, P_s, head, hi, n_d + n_c, tag, r);
+        reactivate_k(K, K_s, P, P_s, head, hi, n_d + n_c, tag, r);
         moves += r[0];
         if (r[1] != STATUS_OK) {
             phase = PHASE_REACTIVATE;
             status = r[1];
             break;
         }
-        restore_keys(K, K_s, head, head + n_d + n_c, delta, tag, r);
+        restore_keys_k(K, K_s, head, head + n_d + n_c, delta, tag, r);
         moves += r[0];
         if (r[1] != STATUS_OK) {
             phase = PHASE_RESTORE;
@@ -1511,6 +1638,15 @@ void rank_passes(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
         delta = dnext;
     }
     loop_result(out, passes, moves, created, head, phase, status, a, b, c, d);
+}
+
+void rank_passes(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
+                 i64 delta, i64 tag, i64 *out)
+{
+    if (K_s == 8 && P_s == 8)
+        rank_loop(K, 8, P, 8, head, hi, delta, tag, out);
+    else
+        rank_loop(K, K_s, P, P_s, head, hi, delta, tag, out);
 }
 
 void partition_msb(char *S, i64 S_s, i64 lo, i64 hi, i64 bit, i64 *out)

@@ -6,22 +6,27 @@
  * page after the buffer's last byte and once before its first.  The
  * cases, the block-boundary shapes, bitmap retrieval records, sparse
  * segments, stacked_passes segments whose second pass skips outside its
- * interval, and dense-last segments (for improved_passes and
- * practice_cursors) of test_skip_paths.py, come from that test on stdin,
- * one a line:
+ * interval, dense-last segments (for improved_passes and
+ * practice_cursors) and the stop words of every skip path in every lane
+ * of test_skip_paths.py, come from that test on stdin, one a line:
  *
  *   <kernel> <sorts> <k> <k integer arguments> <n> <n words>
  *
  * Each case runs through views of byte stride 8, 16 and -8 (both
- * instances of each loop but rank_passes), which must give the same
+ * instances of each loop), which must give the same
  * results and words; where sorts is 1 and the loop reports no failure, it
  * must leave its segment sorted (stacked_passes through its unwind, which
  * the same call runs once its passes reach the end).  Prints
- * the number of cases and of failures, and exits 0 when there are none.
+ * the number of cases and of failures, and a digest of every case's
+ * results and words, so that builds for two ISAs can be compared; exits 0
+ * when there are no failures.
  *
  *   cc -O2 -g -fsanitize=address,undefined -fno-sanitize-recover \
  *      src/assocsort/kernels.c tests/skip_paths_driver.c -o driver
  *   cc -O2 -DGUARD src/assocsort/kernels.c tests/skip_paths_driver.c -o driver
+ *
+ * Each with -mavx2 as well, where the CPU has AVX2, for the other
+ * spelling of the skip paths' lane masks.
  */
 
 #include <inttypes.h>
@@ -67,6 +72,15 @@ static const char *const names[KINDS] = {
 };
 
 static long failures;
+/* FNV-1a over the results and words of every case's first run. */
+static uint64_t digest = 14695981039346656037u;
+
+static void digest_words(const i64 *w, i64 n)
+{
+    const unsigned char *b = (const unsigned char *)w;
+    for (i64 k = 0; k < n * 8; k++)
+        digest = (digest ^ b[k]) * 1099511628211u;
+}
 
 #ifdef GUARD
 #define SIDES 2
@@ -221,6 +235,8 @@ static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
         if (r == 0) {
             memcpy(first, out, sizeof first);
             memcpy(w0, w, n * 8);
+            digest_words(first, NOUT);
+            digest_words(w0, n);
         } else if (memcmp(first, out, sizeof first) || memcmp(w0, w, n * 8)) {
             fprintf(stderr, "%s, n %lld: run %d (stride %lld) differs from 8\n",
                     names[kind], (long long)n, r, (long long)stride);
@@ -273,6 +289,7 @@ int main(void)
         cases++;
     }
     free(w);
-    printf("%ld cases, %ld failures\n", cases, failures);
+    printf("%ld cases, %ld failures, digest %016" PRIx64 "\n", cases, failures,
+           digest);
     return failures != 0;
 }

@@ -63,13 +63,35 @@ def test_exports_match():
 def test_source_compiles_without_warnings(tmp_path):
     """A full build with the backend's flags: the optimizer's warnings
     (``-Wmaybe-uninitialized``, ``-Warray-bounds``) run only when code is
-    generated, not under ``-fsyntax-only``."""
-    proc = subprocess.run(
-        ["cc", *ckernels.FLAGS, "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "kernels.so"), ckernels.SOURCE],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    generated, not under ``-fsyntax-only``.  Where those flags hold ISA
+    flags, a build without them too: without AVX, a 32-byte vector passed
+    to or returned from a function warns ``-Wpsabi``."""
+    base = tuple(f for f in ckernels.FLAGS if f not in ckernels.ISA_FLAGS)
+    for flags in dict.fromkeys([ckernels.FLAGS, base]):
+        proc = subprocess.run(
+            ["cc", *flags, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "kernels.so"), ckernels.SOURCE],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
+
+
+def test_isa_flags_follow_the_cpu_and_name_the_build(monkeypatch):
+    """``-mavx2`` is among the build flags exactly on an x86-64 host whose
+    ``/proc/cpuinfo`` lists AVX2, and the flags are part of every build's
+    name: a cache shared with a CPU without AVX2 never hands it this
+    build.  (That a cache hit starts no process is checked by
+    ``test_second_process_loads_from_cache_without_compiler``.)"""
+    avx2 = False
+    if os.uname().machine == "x86_64" and os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            avx2 = any(line.startswith("flags") and "avx2" in line.split() for line in fh)
+    assert ckernels.ISA_FLAGS == (("-mavx2",) if avx2 else ())
+    assert ckernels.FLAGS == ("-O2", "-shared", "-fPIC", *ckernels.ISA_FLAGS)
+    name = ckernels._module_name(b"kernels", "1.0")
+    other = tuple(f for f in ckernels.FLAGS if f != "-mavx2") + (() if avx2 else ("-mavx2",))
+    monkeypatch.setattr(ckernels, "FLAGS", other)
+    assert ckernels._module_name(b"kernels", "1.0") != name
 
 
 def test_index_past_view_is_refused(backend):

@@ -12,8 +12,11 @@ value planes above the pivot in the right-hand scan of
 ``distinct_passes`` turn them on per pass, and are each compiled once for
 a byte stride of 8 and once for any stride.
 
-Each scan is fed runs of 0-9 skippable words at every offset of segments
-of 1-12 words, each loop sparse segments of 16-64 words,
+Each skip path returns the exact first word its scan must look at.  Each
+scan is fed runs of 0-9 skippable words at every offset of segments of
+1-12 words, and stop words in every lane of a block after 0, 1 and 5
+blocks it steps over (:func:`_stop_cases`), each loop sparse segments of
+16-64 words,
 ``improved_passes`` and ``practice_cursors`` dense-last segments, whose
 practice runs as interleaved cursors and whose storage and retrieval run
 by mask in C, bitmap retrieval records of chosen bits, which C walks bit
@@ -26,7 +29,8 @@ Other reads past the segment, and any past the end of the array, are out
 of reach of such comparisons: ``test_sanitized_driver`` runs the same
 cases, with the kernels built under AddressSanitizer and UBSan, on
 exactly-sized buffers, and ``test_guarded_driver`` on buffers mapped flush
-against an inaccessible page, which needs no sanitizer runtime.
+against an inaccessible page, which needs no sanitizer runtime; each
+builds the kernels with and without the ISA flags of ``ckernels``.
 """
 
 import os
@@ -263,6 +267,147 @@ def _outside_cases():
     # as below its interval.
     neg = -(1 << 63) + 10**6
     yield case(3000, [[D, neg, 3001, D], [3002, 3003, neg + 1, 3004], [D, 3005, 3006, neg]])
+
+
+# (before, lane, tail): a skip path meets ``before`` blocks of 4 words it
+# steps over, then a block whose first word to stop at is in lane
+# ``lane``, and the segment ends ``tail`` words past that block.
+STOP_RUNS = [(before, lane, tail) for before in (0, 1, 5) for lane in range(4)
+             for tail in range(1, 5)]
+
+
+def _scan(before, lane, tail, clean, stop, mark=None, at=0):
+    """Words in the order a skip path reads them: ``clean(j)`` for each word
+    ``j`` it steps over, and ``stop`` in lane ``lane`` of block ``before``;
+    ``mark``, if given, replaces the word ``at`` words from the stop word."""
+    k = 4 * before + lane
+    words = [clean(j) for j in range(k)] + [stop]
+    words += [clean(j) for j in range(k + 1, 4 * before + 4 + tail)]
+    if mark is not None:
+        words[k + at] = mark
+    return words
+
+
+def _marks(lane, word):
+    """``(mark, at)`` for :func:`_scan`: none, and ``word`` just before and
+    just after the stop word where its block has such a lane."""
+    yield None, 0
+    if lane > 0:
+        yield word, -1
+    if lane < 3:
+        yield word, 1
+
+
+def _practice_stop_cases():
+    """``practice`` of count and bitmap nodes and ``implicit_practice``
+    from a deferred key over deferred keys, to a key of the interval (its
+    first but one or its last), one below it, a negative word with the tag
+    bit clear or set, or a node; the least deferred key lies just before
+    or just after the stop word in its block.  The padding is deferred and
+    smaller still."""
+    for before, lane, tail in STOP_RUNS:
+        n = 4 * before + 5 + tail
+        for wm1 in (0, 7, None):
+            span = max(wm1 or 0, 1) * n
+            far = DELTA + span
+
+            def clean(j):
+                return far + 2 + (5 * j) % 9
+
+            stops = [DELTA + 1, far - 1, DELTA - 1, -200]
+            if wm1 is None:
+                args = ("implicit_practice", (PAD, PAD + n, DELTA))
+            else:
+                stops += [-3, T8 | 1]
+                args = ("practice", (PAD, PAD + n, DELTA, 0, span, wm1, T8))
+            for stop in stops:
+                for mark, at in _marks(lane, far + 1):
+                    seg = [far + 4] + _scan(before, lane, tail, clean, stop, mark, at)
+                    yield args[0], [far] * PAD + seg + [far] * PAD, args[1]
+
+
+def _fixpoint_stop_cases():
+    """``collect_fixpoints`` from a word off its slot over words off theirs
+    (keys, negative words and tagged words in turn) to a word on its slot."""
+    def clean(j):
+        return (DELTA + j + 2, -3, T8 | 5)[j % 3]
+
+    for before, lane, tail in STOP_RUNS:
+        n = 4 * before + 5 + tail
+        seg = [DELTA + 1] + _scan(before, lane, tail, clean, DELTA + 1 + 4 * before + lane)
+        yield "collect_fixpoints", [DELTA + n] * PAD + seg + [DELTA + n] * PAD, (PAD, PAD + n, DELTA)
+
+
+def _untagged_stop_cases():
+    """The untagged-word scans, up in ``store_records`` and ``store_nodes``
+    and down in ``retrieve_scan``, over untagged words (small keys and
+    negative words with the tag bit clear) to a node or a negative word
+    with the tag bit set.  The padding is tagged."""
+    def clean(j):
+        return (j % 2, DELTA + j % 3, -200)[j % 3]
+
+    for before, lane, tail in STOP_RUNS:
+        n = 4 * before + 5 + tail
+        for stop in (T8 | 1, T8 | 3, -3):
+            up = [0] + _scan(before, lane, tail, clean, stop)
+            words = [T8 | 1] * PAD + up + [T8 | 1] * PAD
+            for n_d in (1, 2):
+                yield "store_records", words, (PAD, PAD + n, n_d, T8)
+            for budget in (0, n):
+                yield "store_nodes", words, (PAD, PAD + n, DELTA, 3, 1, T8, budget)
+            down = _scan(before, lane, tail, clean, stop)[::-1]
+            down = [T8 | 1] * PAD + [1] + down + [T8 | 1] * PAD
+            for n_c in (0, 1):
+                for wm1 in (0, 7):
+                    yield "retrieve_scan", down, (PAD, PAD + n, 1, n_c, DELTA, wm1, T8)
+
+
+def _partition_stop_cases():
+    """The right-hand scan of ``partition_values`` down from below its
+    first word over value planes above the pivot (of keys, nodes and a
+    negative word) to one at or below it (of a key, a node or a negative
+    word); the left-hand scan stops at once."""
+    pivot = 50
+
+    def clean(j):
+        return (51 + j % 5, T8 | 52, -3)[j % 3]
+
+    for before, lane, tail in STOP_RUNS:
+        n = 4 * before + 6 + tail
+        for stop in (30, T8 | pivot, -118):
+            seg = [60] + _scan(before, lane, tail, clean, stop)[::-1] + [60]
+            yield "partition_values", [pivot + 1] * PAD + seg + [pivot + 1] * PAD, (
+                PAD, PAD + n, pivot, T8)
+
+
+def _outside_stop_cases():
+    """``stacked_passes`` segments of :func:`_outside_cases` whose second
+    pass steps over blocks of copies of the first key and deferred keys to
+    a key of its interval (its fourth or its last), a negative word, or a
+    node the same pass made (from the key at word 1, whose slot is the stop
+    word); the least deferred key lies just before or just after the stop
+    word in its block."""
+    n, D, LO = 160, 1000, 2000
+    FAR = LO + n - 1
+    for before, lane, _ in STOP_RUNS[::4]:
+        def clean(j):
+            return D if j < 4 * before and j % 4 == j // 4 % 4 else 3001 + j
+
+        node = LO + 1 + 4 * before + lane
+        for entry, stop in ((3000, LO + 3), (3000, FAR - 1), (3000, -(1 << 63) + 10**6),
+                            (node, 3500)):
+            for mark, at in _marks(lane, 2500):
+                words = [D, entry] + _scan(before, lane, 0, clean, stop, mark, at)
+                words += [3100 + k for k in range(n - 1 - len(words))] + [LO]
+                yield "stacked_passes", [0] * PAD + words + [FAR] * PAD, (PAD, PAD + n, D, 0, n, 63)
+
+
+def _stop_cases():
+    yield from _practice_stop_cases()
+    yield from _fixpoint_stop_cases()
+    yield from _untagged_stop_cases()
+    yield from _partition_stop_cases()
+    yield from _outside_stop_cases()
 
 
 def _partition_cases():
@@ -519,6 +664,21 @@ def test_dense_last_passes_take_the_cursors(monkeypatch):
         assert 2 * n_c >= n_d
 
 
+def test_skip_paths_stop_at_the_exact_word():
+    """Each skip path returns the first word its scan must look at, in any
+    lane of the block that holds it, with the words before it folded in:
+    the ``c`` kernels and loops give the ``numpy`` results and words."""
+    kinds = set()
+    for name, words, args in _stop_cases():
+        result = _agree(name, words, args)
+        if name == "stacked_passes":
+            assert result[5] >= 2, result  # the second pass ran
+        kinds.add(name)
+    assert kinds == {"practice", "implicit_practice", "collect_fixpoints",
+                          "store_records", "store_nodes", "retrieve_scan",
+                          "partition_values", "stacked_passes"}
+
+
 def test_every_loop_has_a_sparse_case():
     """Every pass loop with skip paths meets sparse segments, here and in
     the sanitized driver: all but ``rank_passes``, which has none."""
@@ -574,7 +734,7 @@ def _driver_input():
              *_fixpoint_cases(), *_store_cases(), *_store_nodes_cases(),
              *_retrieval_cases(), *_bitmap_retrieval_cases(), *_partition_cases(),
              *_pass_cases(), *_outside_cases(), *_sparse_cases(),
-             *_dense_cases(), *_cursor_cases()]
+             *_dense_cases(), *_cursor_cases(), *_stop_cases()]
     for name, words, (lo, hi, *rest) in cases:
         seg = words[lo:hi]
         line(name, name in _LOOP_NAMES and rest[0] == min(seg), seg, (0, hi - lo, *rest))
@@ -620,13 +780,22 @@ def test_guarded_driver(tmp_path):
 
 def _drive(tmp_path, flags, env=None):
     """Build ``skip_paths_driver.c`` with ``flags`` and run it on
-    :func:`_driver_input`: it must report every case and no failure."""
-    driver = tmp_path / "driver"
-    built = subprocess.run(["cc", *flags, "-o", str(driver), ckernels.SOURCE, DRIVER],
-                           capture_output=True, text=True, timeout=300)
-    assert built.returncode == 0, built.stderr
+    :func:`_driver_input`: it must report every case and no failure.  It
+    is built with the library's ISA flags (``ckernels.ISA_FLAGS``) and,
+    where there are any, without them too, so that both spellings of the
+    skip paths' lane masks run; both must report the same digest of every
+    case's results and words."""
     lines = _driver_input()
-    proc = subprocess.run([str(driver)], input="\n".join(lines) + "\n", env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, (proc.returncode, proc.stderr[-4000:])
-    assert proc.stdout == f"{len(lines)} cases, 0 failures\n", proc.stdout
+    digests = set()
+    for isa in dict.fromkeys([ckernels.ISA_FLAGS, ()]):
+        driver = tmp_path / f"driver{len(isa)}"
+        built = subprocess.run(["cc", *flags, *isa, "-o", str(driver), ckernels.SOURCE, DRIVER],
+                               capture_output=True, text=True, timeout=300)
+        assert built.returncode == 0, (isa, built.stderr)
+        proc = subprocess.run([str(driver)], input="\n".join(lines) + "\n", env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (isa, proc.returncode, proc.stderr[-4000:])
+        report, _, digest = proc.stdout.rstrip("\n").rpartition(", digest ")
+        assert report == f"{len(lines)} cases, 0 failures", (isa, proc.stdout)
+        digests.add(digest)
+    assert len(digests) == 1, digests
