@@ -2,14 +2,19 @@
 process, one pass-loop call at a time.
 
 Both sources are compiled with the ``c`` backend's flags (or each with its
-own, ``--base-flags`` and ``--new-flags``) and bound through
-``ckernels._bind``.  In each cell (sorter, n, m/n) every round makes the
-same number of calls of each build's pass loop on fresh copies of one
-input, alternating which build goes first call by call, and checks that
-both leave the same words and results.  It prints, per cell, the median
-time per call of each build, their ratio (base / new, above 1 when the new
-build is faster), the base's spread between quartiles over its median, and
-the ratio of the base median to the new build's quartiles.
+own, ``--base-flags`` and ``--new-flags``), and each build's pass loops
+are declared as its own source defines them, so that a source whose loops
+take other arguments binds too.  In each cell (sorter, n, m/n) every round
+makes the same number of calls of each build's pass loop on fresh copies
+of one input, alternating which build goes first call by call, and checks
+that both leave the same words and results.  With ``--sorted-only`` it
+checks instead that each build leaves the input sorted (``np.sort`` of
+it) and reports no failed check, for a change that moves words or
+counters; it then prints each build's passes too.  It prints, per cell,
+the median time per call of each build, their ratio (base / new, above 1
+when the new build is faster), the base's spread between quartiles over
+its median, and the ratio of the base median to the new build's
+quartiles.
 
     git show 46a0063:src/assocsort/kernels.c > /tmp/base.c
     PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c \
@@ -28,6 +33,7 @@ call is its pass loop as its driver makes it, with the default word of
 
 import argparse
 import os
+import re
 import subprocess
 import tempfile
 import time
@@ -43,13 +49,42 @@ DISTINCT = ("distinct_improved", "cycle_distinct")
 POOLED = ("assoc_seq", "assoc_rec")
 
 
+# The pass loops, by name: where each reports its phase.
+LOOPS = {"improved_passes": 4, "sequential_passes": 4, "stacked_passes": 6,
+         "distinct_passes": 4, "rank_passes": 4}
+
+
 def bind(source, flags, directory, name):
-    """The kernels of ``source``, compiled with ``flags`` into ``directory``."""
+    """The pass loops of ``source``, compiled with ``flags`` into
+    ``directory`` and declared as ``source`` defines them: a dict of
+    functions that take the arrays and integers of the loop and return its
+    results, and, under ``"params"``, how many parameters each C loop takes."""
     so = os.path.join(directory, name + ".so")
     subprocess.run(["cc", *flags, "-o", so, source], check=True)
+    with open(source) as fh:
+        text = fh.read()
     ffi = cffi.FFI()
-    ffi.cdef(ckernels.CDEF)
-    return ckernels._bind(ffi, ffi.dlopen(so), os.path.join(directory, name))
+    ffi.cdef("typedef int64_t i64;")
+    params = {}
+    for loop, args in re.findall(r"^void (\w+)\(([^)]*)\)\s*\{", text, re.M):
+        if loop in LOOPS:
+            ffi.cdef(f"void {loop}({args});")
+            params[loop] = args.count(",") + 1
+    lib = ffi.dlopen(so)
+
+    def caller(loop):
+        fn, results = getattr(lib, loop), ckernels.SIGNATURES[loop][1]
+
+        def call(*args):
+            out = ffi.new(f"int64_t[{results}]")
+            cargs = []
+            for a in args:
+                cargs += [ffi.from_buffer("char[]", a), 8] if isinstance(a, np.ndarray) else [a]
+            fn(*cargs, out)
+            return tuple(out)
+        return call
+
+    return {"params": params, **{loop: caller(loop) for loop in params}}
 
 
 def keys_for(sorter, n, ratio, seed):
@@ -63,25 +98,39 @@ def keys_for(sorter, n, ratio, seed):
     return rng.integers(0, m, size=n, dtype=np.int64)
 
 
+def loop_of(sorter):
+    """The pass loop ``sorter``'s driver calls."""
+    return {"assoc_improved": "improved_passes", "distinct_improved": "improved_passes",
+            "assoc_seq": "sequential_passes", "cycle_distinct": "distinct_passes",
+            "sort_by_key": "rank_passes", "assoc_rec": "stacked_passes"}[sorter]
+
+
 def run(ns, sorter, S):
     """One call of ``sorter``'s pass loop on ``S``, as its driver makes it."""
     n, lo = len(S), int(S.min())
+    loop = ns[loop_of(sorter)]
     if sorter in ("assoc_improved", "distinct_improved"):
-        wm1 = 62 if sorter == "distinct_improved" else 0
-        return ns.improved_passes(S, 0, n, lo, int(S.max()), wm1, TAG)
+        distinct = sorter == "distinct_improved"
+        # The node form (F, b), or in a source that predates it, wm1.
+        form = ((62, 1) if distinct else (1, 62)) if ns["params"]["improved_passes"] == 10 \
+            else (62 if distinct else 0,)
+        return loop(S, 0, n, lo, int(S.max()), *form, TAG)
     if sorter == "assoc_seq":
-        return ns.sequential_passes(S, 0, n, lo, 63)
+        return loop(S, 0, n, lo, 63)
     if sorter == "cycle_distinct":
-        return ns.distinct_passes(S, 0, n, lo)
+        return loop(S, 0, n, lo)
     if sorter == "sort_by_key":
-        return ns.rank_passes(S, np.arange(n, dtype=np.int64), 0, n, lo, TAG)
+        return loop(S, np.arange(n, dtype=np.int64), 0, n, lo, TAG)
     L = np.zeros(2 * n + 2, dtype=np.int64)
-    return ns.stacked_passes(S, L, 0, n, lo, 0, n + 1, 63)
+    return loop(S, L, 0, n, lo, 0, n + 1, 63)
 
 
-def cell(A, B, sorter, n, ratio, rounds, seed):
-    """Mean time per call of ``A`` and of ``B`` in each round."""
+def cell(A, B, sorter, n, ratio, rounds, seed, sorted_only=False):
+    """Mean time per call of ``A`` and of ``B`` in each round, and the
+    passes of each build's last call."""
     keys = keys_for(sorter, n, ratio, seed)
+    expect = np.sort(keys).tobytes()
+    at = LOOPS[loop_of(sorter)]
     calls = max(1, 200_000 // n)
     times = {id(A): [], id(B): []}
     for r in range(rounds):
@@ -94,10 +143,14 @@ def cell(A, B, sorter, n, ratio, rounds, seed):
                 result = run(ns, sorter, S)
                 total[id(ns)] += time.perf_counter_ns() - t0
                 left[id(ns)] = (tuple(result), S.tobytes())
-            assert left[id(A)] == left[id(B)], (sorter, n, ratio)
+            if sorted_only:
+                for result, words in left.values():
+                    assert result[at] == 0 and words == expect, (sorter, n, ratio, result)
+            else:
+                assert left[id(A)] == left[id(B)], (sorter, n, ratio)
         for k in total:
             times[k].append(total[k] / calls)
-    return times[id(A)], times[id(B)]
+    return times[id(A)], times[id(B)], left[id(A)][0][0], left[id(B)][0][0]
 
 
 def main():
@@ -113,6 +166,9 @@ def main():
                         help="compile flags of the base (default: the backend's)")
     parser.add_argument("--new-flags", default=" ".join(ckernels.FLAGS),
                         help="compile flags of the new build (default: the backend's)")
+    parser.add_argument("--sorted-only", action="store_true",
+                        help="check that each build sorts, not that both leave the "
+                             "same words and results, and print each build's passes")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as directory:
         A = bind(args.base, args.base_flags.split(), directory, "base")
@@ -120,13 +176,15 @@ def main():
         for sorter in args.sorters.split(","):
             for n in map(int, args.sizes.split(",")):
                 for ratio in map(float, args.ratios.split(",")):
-                    ta, tb = cell(A, B, sorter, n, ratio, args.rounds, args.seed)
+                    ta, tb, pa, pb = cell(A, B, sorter, n, ratio, args.rounds, args.seed,
+                                          args.sorted_only)
                     qa = np.percentile(ta, [25, 50, 75])
                     qb = np.percentile(tb, [25, 50, 75])
+                    passes = f"  passes {pa} / {pb}" if args.sorted_only else ""
                     print(f"{sorter:17s} n={n:<6d} m/n={ratio:<4g} "
                           f"base {qa[1] / 1e3:9.1f} us  new {qb[1] / 1e3:9.1f} us  "
                           f"ratio {qa[1] / qb[1]:.3f}  base IQR {(qa[2] - qa[0]) / qa[1]:.3f}  "
-                          f"[{qa[1] / qb[2]:.3f}, {qa[1] / qb[0]:.3f}]", flush=True)
+                          f"[{qa[1] / qb[2]:.3f}, {qa[1] / qb[0]:.3f}]{passes}", flush=True)
 
 
 if __name__ == "__main__":

@@ -85,9 +85,12 @@ KEEP_BUILDS = 4
 # trailing ``int64_t *out``.  Bounds is the condition, over those integers
 # and ``size`` (the length of the shortest array) or an array's own
 # ``len``, under which every word the kernel may touch lies inside its
-# arrays and every shift it makes stays inside a word (a bitmap node of
-# ``wm1`` keys shifts by up to ``wm1 - 1`` bits), so the C kernel may run.
+# arrays and every shift it makes stays inside a word, so the C kernel may
+# run.
 _SCAN = "0 <= lo and hi <= size"
+# A node of the form ``(F, b)`` shifts a field of ``b`` bits by up to
+# ``(F - 1) * b`` bits.
+_FORM = " and 1 <= F and 1 <= b and F * b <= 63"
 # A loop that takes the word width ``w`` packs positions of segments up to
 # ``1 << (w - 1)`` words, so every shift it makes stays inside a word.
 _WIDTH = " and 2 <= w <= 63 and hi - {} <= 1 << (w - 1)"
@@ -95,16 +98,14 @@ SIGNATURES = {
     "min_max": (1, 2, "0 <= lo < size and hi <= size"),
     "implicit_practice": (1, 4, _SCAN),
     "collect_fixpoints": (1, 2, _SCAN),
-    "practice": (1, 7, _SCAN + " and 0 <= base and 0 <= wm1 <= 63"
-                 " and lo + base - (-span // max(wm1, 1)) <= size"),
+    "practice": (1, 7, _SCAN + _FORM + " and 0 <= base and lo + base - (-span // F) <= size"),
     "store_nodes": (1, 4, _SCAN),
     "partition_values": (1, 2, _SCAN),
     "retrieve_packed": (1, 3, "0 <= lo and mem_hi <= size and write_end <= size"),
     "store_records": (1, 3, _SCAN),
-    "retrieve_scan": (1, 2, _SCAN + " and 0 <= n_c and lo + n_d + n_c <= size"
-                      " and 0 <= wm1 <= 63"),
+    "retrieve_scan": (1, 2, _SCAN + _FORM + " and 0 <= n_c and lo + n_d + n_c <= size"),
     "practice_cursors": (1, 7, _SCAN),
-    "improved_passes": (1, 8, "0 <= head and hi <= size and 0 <= wm1 <= 63"),
+    "improved_passes": (1, 8, "0 <= head and hi <= size" + _FORM),
     "distinct_passes": (1, 10, "0 <= head and hi <= size"),
     "sequential_passes": (1, 10, "0 <= head and hi <= size" + _WIDTH.format("head")),
     "stacked_passes": (2, 12, "0 <= head and hi <= len(S) and 0 <= depth <= cap"

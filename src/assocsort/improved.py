@@ -17,13 +17,19 @@ positions are never packed together:
 Because everything after practicing happens in the value planes while
 tags pin the nodes, a segment whose keys all lie within ``segment
 length`` of the minimum sorts in exactly one pass — in particular any
-array with ``max - min < n`` does.
+array with ``max - min < n`` does.  A pass whose keys reach further packs
+its nodes instead (``kernels.pass_interval``): ``F = (w - 1) // b``
+counters of ``b = seg.bit_length()`` bits a node, each counting one key's
+occurrences, so that its interval covers ``F`` keys per segment word; so
+any array whose keys fit within ``F * n`` of the minimum sorts in one pass
+too.
 
 The distinct-keys sibling packs ``w - 1`` keys into each node as a
 bitmap, shrinking memory a further ``w - 1``-fold; duplicate keys are
 detected (the bit is already set) and rejected.  It runs the same
-kernels: ``practice`` and ``retrieve_scan`` take the node form as
-``wm1``, 0 for a count and ``w - 1`` for a bitmap.
+kernels: ``practice`` and ``retrieve_scan`` take the node form ``(F,
+b)``, ``(1, w - 1)`` for a count, ``(w - 1, 1)`` for a bitmap and ``F``
+fields of ``b`` bits for packed counters.
 
 A sort runs every pass in one call of the ``improved_passes`` pass loop
 (through ``core.run_loop``, which runs the Python loop when traced) and
@@ -47,6 +53,13 @@ from .kernels import PHASE_DUPLICATE, PHASE_PARTITION, PHASE_RETRIEVE, PHASE_STO
 from .words import WordConfig
 
 
+def _form(F, b):
+    """The name of the node form ``(F, b)`` (see ``kernels.practice``)."""
+    if F == 1:
+        return "count"
+    return "bitmap" if b == 1 else f"packed {F}x{b}"
+
+
 def _fail(phase, status, a, b):
     """Raise the error of the failed check ``phase`` of a pass, with the
     numbers ``a`` and ``b`` that ``improved_passes`` reports for it."""
@@ -57,18 +70,17 @@ def _fail(phase, status, a, b):
     if phase == PHASE_PARTITION:
         raise CorruptStateError(f"{a} idle words in the tail, expected {b}")
     if phase == PHASE_RETRIEVE:
-        kind = "bitmap" if a else "node-scan"
-        raise CorruptStateError(f"{kind} retrieval failed (status {status})")
+        raise CorruptStateError(f"{_form(a, b)} retrieval failed (F={a}, b={b}, status {status})")
     raise stalled(a, b)  # PHASE_PREFIX
 
 
 def _sort(bitmap, S, cfg, counters, trace):
-    """Sort ``S`` in one ``improved_passes`` call (bitmap nodes of
-    ``w - 1`` keys if ``bitmap``)."""
+    """Sort ``S`` in one ``improved_passes`` call, of bitmap nodes of
+    ``w - 1`` keys if ``bitmap``, else of count nodes (packed per pass)."""
     cfg = cfg or WordConfig()
-    wm1 = cfg.w - 1 if bitmap else 0
-    return run_loop("improved_passes", _fail, S, cfg, counters, args=(wm1, cfg.tag_mask),
-                    top=True, trace=trace)
+    form = (cfg.w - 1, 1) if bitmap else (1, cfg.w - 1)
+    return run_loop("improved_passes", _fail, S, cfg, counters,
+                    args=(*form, cfg.tag_mask), top=True, trace=trace)
 
 
 def sort_improved(
@@ -77,7 +89,8 @@ def sort_improved(
     counters: Optional[OpCounters] = None,
     trace: Optional[TraceFn] = None,
 ) -> OpCounters:
-    """Sort ``S`` in place; a single pass whenever ``max - min < n``."""
+    """Sort ``S`` in place; a single pass whenever ``max - min < n``, and
+    whenever the keys fit ``F * n`` (see :mod:`assocsort.improved`)."""
     return _sort(False, S, cfg, counters, trace)
 
 

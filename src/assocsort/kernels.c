@@ -6,8 +6,11 @@
  * both backends write the same words and report the same counters.  A
  * kernel with a skip path is an inline <name>_k, which the pass loops call,
  * and an exported <name> that calls it; practice_k and retrieve_scan_k
- * serve count nodes (wm1 == 0) and bitmap nodes of wm1 keys alike.  Five
- * things exist only here, and change no result:
+ * serve every node form (F, b) of kernels.practice alike: count nodes
+ * (F == 1), bitmaps of F keys (b == 1) and F packed counters of b bits.
+ * improved_passes packs the count nodes of a pass whose keys a count pass
+ * would defer (see kernels.pass_interval).  Five things exist only here,
+ * and change no result:
  * * Skip paths.  Where a scan of a value-sort pass loop would only step
  *   past word after word (keys practice defers or, in stacked_passes,
  *   leaves below the interval, untagged words, value planes above the
@@ -28,7 +31,8 @@
  *   back unchanged where the Python kernel leaves it, and the cursors of
  *   practice_cursors do so for the slot they hash to.
  * * A walk over set bits.  Bitmap retrieval visits only the bits a record
- *   holds, not all wm1 of them, and writes a node's keys lowest first (see
+ *   holds, not all F of them, and writes a node's keys lowest first, and
+ *   packed retrieval only the fields that hold a count (see
  *   retrieve_scan_k).
  * Kernels never fail loudly; a broken invariant comes back as a negative
  * status for the driver to raise on.
@@ -476,12 +480,13 @@ void distinct_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 *out)
 
 #define SKIP_OUTSIDE 2
 
-/* practice, of count nodes (wm1 == 0) or bitmap nodes, taking a skip path
- * when skip is set: over deferred keys, or, where skip is SKIP_OUTSIDE,
- * over untagged keys on either side of the interval.  Every count-form
- * call passes wm1 as a literal 0, so that its loop has no bitmap code. */
+/* practice, of nodes of the form (F, b): count nodes (F == 1), bitmaps
+ * (b == 1) or packed counters, taking a skip path when skip is set: over
+ * deferred keys, or, where skip is SKIP_OUTSIDE, over untagged keys on
+ * either side of the interval.  Every count-form call passes F as a literal
+ * 1, so that its loop has no field code.  A field shift is below F * b. */
 INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
-                       i64 span, i64 wm1, i64 tag, int skip, i64 *out)
+                       i64 span, i64 F, i64 b, i64 tag, int skip, i64 *out)
 {
     i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
     i64 dup = -1, far = deferred_from(delta, span);
@@ -512,23 +517,19 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
                 i = skip_deferred(S, S_s, i, hi, far, tag, &n_def, &dnext);
             continue;
         }
-        i64 j = lo + base + d, b = 0;
-        if (wm1 != 0) {
-            j = lo + base + d / wm1;
-            b = (i64)1 << (d % wm1);
-        }
+        i64 j = lo + base + d / F, one = (i64)1 << (d % F * b);
         i64 t = AT(S, j);
         if (t & tag) {
-            if (t & b) {
+            if (F != 1 && b == 1 && (t & one)) {
                 dup = v;
                 break;
             }
-            AT(S, j) = wm1 ? t | b : t + 1;
+            AT(S, j) = (i64)((uint64_t)t + (uint64_t)one);
             n_c++;
             i++;
         } else {
             AT(S, i) = t;
-            AT(S, j) = tag | b;
+            AT(S, j) = tag | (F != 1 ? one : 0);
             moves++;
             created++;
             n_d++;
@@ -546,9 +547,9 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
 }
 
 void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
-              i64 wm1, i64 tag, i64 *out)
+              i64 F, i64 b, i64 tag, i64 *out)
 {
-    practice_k(S, S_s, lo, hi, delta, base, span, wm1, tag, 1, out);
+    practice_k(S, S_s, lo, hi, delta, base, span, F, b, tag, 1, out);
 }
 
 /* store_nodes, taking the untagged-word skip path when skip is set. */
@@ -738,7 +739,7 @@ INLINE void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
 {
     i64 tag = (i64)1 << (w - 1), seg = hi - head, eps, split, p[7], st[4];
     pass_budget(seg, w, &eps, &split);
-    practice_k(S, S_s, head, hi, delta, eps, seg - eps, 0, tag, skip, p);
+    practice_k(S, S_s, head, hi, delta, eps, seg - eps, 1, w - 1, tag, skip, p);
     SCAN(store_nodes_k, sparse(p[0] + p[1], seg), st, S, S_s, head, hi, delta,
          seg - eps, split, tag, eps);
     i64 v[10] = {p[0], p[1], p[3], eps, st[0], split, st[1], st[3],
@@ -945,10 +946,11 @@ INLINE i64 bit_count(uint64_t x)
     return (i64)((x * 0x0101010101010101u) >> 56);
 }
 
-/* retrieve_scan, of count records (wm1 == 0) or bitmaps of wm1 keys; the
- * tag scan takes the untagged-word skip path when skip is set. */
+/* retrieve_scan, of records of the form (F, b): counts (F == 1), bitmaps
+ * of F keys (b == 1) or F packed counters of b bits; the tag scan takes the
+ * untagged-word skip path when skip is set. */
 INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
-                            i64 n_c, i64 delta, i64 wm1, i64 tag, int skip,
+                            i64 n_c, i64 delta, i64 F, i64 b, i64 tag, int skip,
                             i64 *out)
 {
     i64 vmask = tag - 1;
@@ -965,7 +967,7 @@ INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
         }
         i64 rec = AT(S, lo + k) & vmask;
         AT(S, p) = AT(S, p) & vmask;
-        if (wm1 == 0) {
+        if (F == 1) {
             i64 key = delta + (p - lo);
             for (i64 c = 0; c <= rec; c++) {
                 if (o < lo + k) {
@@ -977,8 +979,8 @@ INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
                 o--;
                 moves++;
             }
-        } else {
-            /* The set bits below wm1 alone, lowest first, up from
+        } else if (b == 1) {
+            /* The set bits below F alone, lowest first, up from
              * o - count + 1, each step clearing the lowest bit.  Where the
              * node has fewer than count slots left above lo + k, its lowest
              * bits are dropped first, so the words written and the moves
@@ -986,7 +988,7 @@ INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
              * highest first, down from o, until the collision stops it.
              * improved_passes of distinct keys (scripts/paired_grid.py, 41
              * rounds in three runs and 201 in a fourth), time with a test of
-             * all wm1 bits over time with this walk:
+             * all F bits over time with this walk:
              *
              *     n      m/n 1         3          10         30         100
              *     5000   0.98-1.06  1.86-2.09  2.53-2.71  2.57-2.74  1.86-2.04
@@ -997,8 +999,8 @@ INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
              * This walk with the count from a call (the default target has
              * no popcnt) took 1.11-1.16 times as long as with bit_count at
              * n and 3n. */
-            i64 key0 = delta + (p - lo) * wm1, avail = o - (lo + k) + 1;
-            uint64_t bits = (uint64_t)rec & (((uint64_t)1 << wm1) - 1);
+            i64 key0 = delta + (p - lo) * F, avail = o - (lo + k) + 1;
+            uint64_t bits = (uint64_t)rec & (((uint64_t)1 << F) - 1);
             i64 count = bit_count(bits), status = STATUS_OK;
             for (; count > avail && bits; count--) {
                 bits &= bits - 1;
@@ -1013,6 +1015,27 @@ INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
                 out[1] = status;
                 return;
             }
+        } else {
+            /* The F fields of b bits, highest first, empty ones skipped:
+             * the highest set bit names the next field that holds a count,
+             * whose key is written that many times down from o. */
+            i64 key0 = delta + (p - lo) * F;
+            uint64_t rest = (uint64_t)rec & (((uint64_t)1 << (F * b)) - 1);
+            while (rest) {
+                i64 f = (63 - __builtin_clzll(rest)) / b;
+                uint64_t c = rest >> (f * b);
+                rest &= ((uint64_t)1 << (f * b)) - 1;
+                for (; c; c--) {
+                    if (o < lo + k) {
+                        out[0] = moves;
+                        out[1] = STATUS_COLLISION;
+                        return;
+                    }
+                    AT(S, o) = (AT(S, o) & tag) | (key0 + f);
+                    o--;
+                    moves++;
+                }
+            }
         }
         p--;
     }
@@ -1021,9 +1044,9 @@ INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
 }
 
 void retrieve_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
-                   i64 delta, i64 wm1, i64 tag, i64 *out)
+                   i64 delta, i64 F, i64 b, i64 tag, i64 *out)
 {
-    retrieve_scan_k(S, S_s, lo, hi, n_d, n_c, delta, wm1, tag, 1, out);
+    retrieve_scan_k(S, S_s, lo, hi, n_d, n_c, delta, F, b, tag, 1, out);
 }
 
 /* The gate of kernels.dense_last.  improved_passes over one pass of keys
@@ -1184,7 +1207,7 @@ INLINE void store_records_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
 /* Words retrieve_dense writes by mask for a node of few keys. */
 #define WRITES 3
 
-/* retrieve_scan_k with wm1 == 0, for a dense-last pass, where gaps between
+/* retrieve_scan_k with F == 1, for a dense-last pass, where gaps between
  * nodes and counts are short and in no order a branch predicts.  The tag
  * scan always takes its skip path, which finds the highest tag of the next
  * 4 words from one lane mask; a node of at most WRITES keys whose writes
@@ -1236,26 +1259,38 @@ INLINE void retrieve_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
  * loop, with the checks of kernels.improved_passes between them.
  * Inlined into improved_passes twice, once with S_s fixed at 8. */
 INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
-                          i64 top, i64 wm1, i64 tag, i64 *out)
+                          i64 top, i64 F, i64 b, i64 tag, i64 *out)
 {
     i64 passes = 0, moves = 0, created = 0;
-    i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0;
+    i64 phase = PHASE_OK, status = STATUS_OK, x = 0, y = 0;
     i64 r[7];
     int skip = 0;
     while (head < hi) {
         passes++;
-        /* The interval and pivot of kernels.pass_interval. */
-        i64 seg = hi - head, span = seg, pivot = delta + seg - 1;
-        int dense = wm1 == 0 && dense_last(seg, delta, top);
+        /* The node form, interval and pivot of kernels.pass_interval. */
+        i64 seg = hi - head, fields = F, bits = b, span = seg;
+        i64 pivot = delta + seg - 1, len = 64 - __builtin_clzll(seg);
+        if (F == 1 && top >= delta &&
+            (uint64_t)top - (uint64_t)delta >= (uint64_t)seg && b / len >= 2) {
+            fields = b / len;
+            bits = len;
+        }
+        int dense = fields == 1 && dense_last(seg, delta, top);
         if (dense) {
             practice_cursors_k(S, S_s, head, hi, delta, tag, r);
-        } else if (wm1 == 0) {
-            SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, 0, tag);
+        } else if (fields == 1) {
+            SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, 1, 1, tag);
         } else {
-            if (__builtin_mul_overflow(wm1, seg, &span) || span > tag)
+            if (__builtin_mul_overflow(fields, seg, &span) || span > tag)
                 span = tag;
             pivot = delta + span - 1 < tag - 1 ? delta + span - 1 : tag - 1;
-            SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, wm1, tag);
+            /* One instance per node form, as for retrieval below. */
+            if (bits == 1)
+                SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, fields,
+                     1, tag);
+            else
+                SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, fields,
+                     bits, tag);
         }
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
         /* Masked storage and retrieval pay where a third of the keys or
@@ -1272,7 +1307,7 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         created += r[5];
         if (r[6] >= 0) {
             phase = PHASE_DUPLICATE;
-            a = r[6];
+            x = r[6];
             break;
         }
         if (masked)
@@ -1283,35 +1318,45 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         if (r[2] != STATUS_OK) {
             phase = PHASE_STORE;
             status = r[2];
-            a = r[0];
-            b = n_d;
+            x = r[0];
+            y = n_d;
             break;
         }
         SCAN(partition_values_k, skip, r, S, S_s, head + n_d, hi, pivot, tag);
         moves += r[1];
         if (r[0] != n_c) {
             phase = PHASE_PARTITION;
-            a = r[0];
-            b = n_c;
+            x = r[0];
+            y = n_c;
             break;
         }
+        /* One instance of retrieve_scan_k per node form: with the packed
+         * walk in the instance that bitmaps take, distinct_improved sorts
+         * took 2-7% longer. */
         if (masked)
             retrieve_dense(S, S_s, head, hi, n_d, n_c, delta, tag, r);
+        else if (fields == 1)
+            SCAN(retrieve_scan_k, skip, r, S, S_s, head, hi, n_d, n_c, delta,
+                 1, 1, tag);
+        else if (bits == 1)
+            SCAN(retrieve_scan_k, skip, r, S, S_s, head, hi, n_d, n_c, delta,
+                 fields, 1, tag);
         else
             SCAN(retrieve_scan_k, skip, r, S, S_s, head, hi, n_d, n_c, delta,
-                 wm1, tag);
+                 fields, bits, tag);
         moves += r[0];
         if (r[1] != STATUS_OK) {
             phase = PHASE_RETRIEVE;
             status = r[1];
-            a = wm1;
+            x = fields;
+            y = bits;
             break;
         }
         head += n_d + n_c;
         if (head != hi && (dnext < 0 || n_d + n_c == 0)) {
             phase = PHASE_PREFIX;
-            a = head;
-            b = hi;
+            x = head;
+            y = hi;
             break;
         }
         delta = dnext;
@@ -1322,14 +1367,14 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     out[3] = head;
     out[4] = phase;
     out[5] = status;
-    out[6] = a;
-    out[7] = b;
+    out[6] = x;
+    out[7] = y;
 }
 
 void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 top,
-                     i64 wm1, i64 tag, i64 *out)
+                     i64 F, i64 b, i64 tag, i64 *out)
 {
-    BY_STRIDE(improved_loop, head, hi, delta, top, wm1, tag, out);
+    BY_STRIDE(improved_loop, head, hi, delta, top, F, b, tag, out);
 }
 
 /* The kernels of the rank pass, each an inline <name>_k that rank_loop

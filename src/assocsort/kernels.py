@@ -192,24 +192,26 @@ def distinct_passes(S, head, hi, delta):
     return passes, moves, 0, head, PHASE_OK, STATUS_OK, 0, 0, 0, 0
 
 
-def practice(S, lo, hi, delta, base, span, wm1, tag):
+def practice(S, lo, hi, delta, base, span, F, b, tag):
     """One practice pass over ``S[lo:hi]``.
 
-    Keys in [delta, delta + span) hash to nodes from slot ``lo + base``.
-    With ``wm1 == 0`` a node counts one key: key ``delta + d`` owns slot
-    ``lo + base + d``, and repeats bump the node's record.  Otherwise a
-    node is a bitmap of ``wm1`` keys: key ``delta + d`` is bit ``d % wm1``
-    of slot ``lo + base + d // wm1``, and a repeated key stops the pass.
-    The first key of a slot turns it into a node, displacing the slot's
-    word to the scan position.  Words at or above the interval are
-    deferred; words below ``delta`` are idle leftovers of an enclosing
-    pass and are skipped.
+    Keys in [delta, delta + span) hash to nodes of the form ``(F, b)``
+    from slot ``lo + base``: key ``delta + d`` is field ``d % F``, of
+    ``b`` bits, of slot ``lo + base + d // F``.  With ``F == 1`` a node
+    counts one key, and repeats bump its record (a *count*).  With ``b ==
+    1`` (and ``F != 1``) a node is a *bitmap* of ``F`` keys, and a repeated
+    key stops the pass.  Otherwise a node is *packed*: each field counts
+    its key's occurrences.  The first key of a slot turns it into a node,
+    displacing the slot's word to the scan position.  Words at or above
+    the interval are deferred; words below ``delta`` are idle leftovers of
+    an enclosing pass and are skipped.
 
     Returns ``(n_distinct, n_companion, n_deferred, delta_next, moves,
     created, dup)``: ``n_companion`` counts keys folded into an existing
     node, ``delta_next = -1`` when nothing was deferred, and ``dup`` is
     the repeated key, or -1.
     """
+    bitmap = F != 1 and b == 1
     n_d = 0
     n_c = 0
     n_def = 0
@@ -232,22 +234,18 @@ def practice(S, lo, hi, delta, base, span, wm1, tag):
                 dnext = v
             i += 1
             continue
-        if wm1 == 0:
-            j = lo + base + d
-            b = 0
-        else:
-            j = lo + base + d // wm1
-            b = 1 << (d % wm1)
+        j = lo + base + d // F
+        one = 1 << (d % F * b)
         t = S[j]
         if t & tag:
-            if t & b:
+            if bitmap and t & one:
                 return n_d, n_c, n_def, dnext, moves, created, v
-            S[j] = t | b if wm1 else t + 1
+            S[j] = t + one
             n_c += 1
             i += 1
         else:
             S[i] = t
-            S[j] = tag | b
+            S[j] = tag | one if F != 1 else tag
             moves += 1
             created += 1
             n_d += 1
@@ -445,7 +443,7 @@ def practice_store(S, head, hi, delta, w):
     seg = hi - head
     eps, split = pass_budget(seg, w)
     n_d, n_c, _, dnext, moves, created, _ = practice(
-        S, head, hi, delta, eps, seg - eps, 0, tag
+        S, head, hi, delta, eps, seg - eps, 1, w - 1, tag
     )
     eps_used, stored, mv, status = store_nodes(
         S, head, hi, delta, seg - eps, split, tag, eps
@@ -612,17 +610,18 @@ def store_records(S, lo, hi, n_d, tag):
     return k - lo, moves, STATUS_OK
 
 
-def retrieve_scan(S, lo, hi, n_d, n_c, delta, wm1, tag):
+def retrieve_scan(S, lo, hi, n_d, n_c, delta, F, b, tag):
     """Emit sorted keys from node positions, records parked at the front.
 
     Nodes are located by scanning tag bits right-to-left; the k-th node
     from the right, at ``p``, pairs with the record in the value plane of
-    ``S[lo + k]``.  With ``wm1 == 0`` the record is a count, and the node's
-    key ``delta + (p - lo)`` is written ``count + 1`` times; otherwise it
-    is a bitmap whose bit ``t`` stands for key ``delta + (p - lo) * wm1 +
-    t``, emitted high to low so that the right-to-left writes ascend.
-    Each node's tag is cleared before its keys are written, the writes
-    masked so surviving tags are preserved.  Returns ``(moves, status)``.
+    ``S[lo + k]``.  A record of the form ``(F, b)`` (see :func:`practice`)
+    is a count with ``F == 1``, and the node's key ``delta + (p - lo)`` is
+    written ``count + 1`` times; otherwise field ``f`` (``b`` bits) holds
+    how many times key ``delta + (p - lo) * F + f`` is written, fields high
+    to low so that the right-to-left writes ascend.  Each node's tag is
+    cleared before its keys are written, the writes masked so surviving
+    tags are preserved.  Returns ``(moves, status)``.
     """
     vmask = tag - 1
     o = lo + n_d + n_c - 1
@@ -635,11 +634,13 @@ def retrieve_scan(S, lo, hi, n_d, n_c, delta, wm1, tag):
             return moves, STATUS_TAG_SCAN
         rec = S[lo + k] & vmask
         S[p] = S[p] & vmask
-        if wm1 == 0:
+        if F == 1:
             keys = repeat(delta + (p - lo), rec + 1)
         else:
-            key0 = delta + (p - lo) * wm1
-            keys = (key0 + t for t in range(wm1 - 1, -1, -1) if rec >> t & 1)
+            key0 = delta + (p - lo) * F
+            field = (1 << b) - 1
+            keys = (key0 + f for f in range(F - 1, -1, -1)
+                    for _ in range(rec >> (f * b) & field))
         for key in keys:
             if o < lo + k:
                 return moves, STATUS_COLLISION
@@ -652,20 +653,26 @@ def retrieve_scan(S, lo, hi, n_d, n_c, delta, wm1, tag):
     return moves, STATUS_OK
 
 
-def pass_interval(seg, delta, wm1, tag):
-    """``(span, pivot)`` of an improved pass over ``seg`` words from key
-    ``delta``: the interval spans ``span`` keys, and ``partition_values``
-    gathers the words ``<= pivot``.
+def pass_interval(seg, delta, top, F, b, tag):
+    """``(F, b, span, pivot)`` of an improved pass over ``seg`` words from
+    key ``delta`` whose keys are at most ``top``, for a sort of nodes of
+    the form ``(F, b)`` (see :func:`practice`): the pass's node form, the
+    ``span`` keys its interval covers, and the ``pivot`` at or below which
+    ``partition_values`` gathers words.
 
-    With ``wm1 == 0`` a node counts one key and the interval spans the
-    segment; otherwise a node is a bitmap of ``wm1`` keys and the interval
-    covers ``wm1`` keys per segment word, clamped to the ``tag`` node
-    slots of the word model.  The C loop computes the same.
+    A sort of count nodes packs a pass whose keys a count pass would defer
+    (``top - delta >= seg``) into ``b // bits >= 2`` fields of ``bits =
+    seg.bit_length()`` bits, which no count can overflow.  A count pass
+    spans the segment; other nodes cover ``F`` keys a segment word,
+    clamped to the ``tag`` node slots.  The C loop computes the same.
     """
-    if wm1 == 0:
-        return seg, delta + seg - 1
-    span = min(wm1 * seg, tag)
-    return span, min(delta + span - 1, tag - 1)
+    bits = int(seg).bit_length()
+    if F == 1 and top - delta >= seg and b // bits >= 2:
+        F, b = b // bits, bits
+    if F == 1:
+        return F, b, seg, delta + seg - 1
+    span = min(F * seg, tag)
+    return F, b, span, min(delta + span - 1, tag - 1)
 
 
 # A dense-last pass practices with this many cursors.
@@ -689,7 +696,7 @@ def dense_last(seg, delta, top):
 
 def practice_cursors(S, lo, hi, delta, tag):
     """:func:`practice` of a whole segment (``base`` 0, ``span = hi -
-    lo``, ``wm1`` 0) as ``CURSORS`` cursors, cursor ``c`` scanning the
+    lo``, count nodes) as ``CURSORS`` cursors, cursor ``c`` scanning the
     block of words ``[lo + c * 2**sh, lo + (c + 1) * 2**sh)`` of the
     segment, for the least ``sh`` whose blocks cover it.
 
@@ -751,15 +758,15 @@ def practice_cursors(S, lo, hi, delta, tag):
     return n_d, n_c, n_def, dnext, n_d, n_d, -1
 
 
-def improved_passes(S, head, hi, delta, top, wm1, tag):
+def improved_passes(S, head, hi, delta, top, F, b, tag):
     """Every pass of an improved sort of ``S[head:hi]``, from interval
     start ``delta`` (the segment's minimum), whose keys are at most
     ``top`` (the segment's maximum).
 
     A pass is practice ("practice"), ``store_records`` ("store"),
-    ``partition_values`` ("partition") and retrieval ("retrieve"); with
-    ``wm1 == 0`` a node counts one key, else it is a bitmap of ``wm1``
-    keys.  A change to it is made to the C loop too.  Practice is
+    ``partition_values`` ("partition") and retrieval ("retrieve"), over
+    nodes of the form :func:`pass_interval` gives the pass for the sort's
+    ``(F, b)``.  A change to it is made to the C loop too.  Practice is
     :func:`practice_cursors` in a :func:`dense_last` pass, which on keys
     in ``[delta, top]`` leaves what :func:`practice` leaves.  The next pass
     starts at the smallest key this one deferred.  Returns ``(passes,
@@ -769,7 +776,7 @@ def improved_passes(S, head, hi, delta, top, wm1, tag):
     stops there): ``PHASE_DUPLICATE`` the key ``a``; ``PHASE_STORE``
     ``a`` tagged words for ``b`` records; ``PHASE_PARTITION`` ``a`` idle
     words where ``b`` were expected; ``PHASE_RETRIEVE`` its ``status``,
-    with ``a = wm1``.  A pass that settles no word fails ``PHASE_PREFIX``
+    with the pass's node form in ``a, b``.  A pass that settles no word fails ``PHASE_PREFIX``
     (the prefix stopped at ``a`` of ``b``), as every pass loop does, so
     the loop ends within ``hi - head`` passes whatever the arguments.
     """
@@ -778,12 +785,12 @@ def improved_passes(S, head, hi, delta, top, wm1, tag):
     created = 0
     while head < hi:
         passes += 1
-        span, pivot = pass_interval(hi - head, delta, wm1, tag)
-        if wm1 == 0 and dense_last(hi - head, delta, top):
+        fields, bits, span, pivot = pass_interval(hi - head, delta, top, F, b, tag)
+        if fields == 1 and dense_last(hi - head, delta, top):
             n_d, n_c, _, dnext, mv, cr, dup = practice_cursors(S, head, hi, delta, tag)
         else:
             n_d, n_c, _, dnext, mv, cr, dup = practice(
-                S, head, hi, delta, 0, span, wm1, tag
+                S, head, hi, delta, 0, span, fields, bits, tag
             )
         moves += mv
         created += cr
@@ -800,10 +807,10 @@ def improved_passes(S, head, hi, delta, top, wm1, tag):
         if n_low != n_c:
             return passes, moves, created, head, PHASE_PARTITION, 0, n_low, n_c
         emit("partition", passes)
-        mv, status = retrieve_scan(S, head, hi, n_d, n_c, delta, wm1, tag)
+        mv, status = retrieve_scan(S, head, hi, n_d, n_c, delta, fields, bits, tag)
         moves += mv
         if status != STATUS_OK:
-            return passes, moves, created, head, PHASE_RETRIEVE, status, wm1, 0
+            return passes, moves, created, head, PHASE_RETRIEVE, status, fields, bits
         emit("retrieve", passes)
         head += n_d + n_c
         if head != hi and (dnext < 0 or n_d + n_c == 0):
@@ -815,7 +822,7 @@ def improved_passes(S, head, hi, delta, top, wm1, tag):
 def practice_rank(K, P, lo, hi, delta, span, tag):
     """Counting practice over parallel key/payload arrays.
 
-    Same protocol as :func:`practice` with ``base = 0`` and ``wm1 = 0``,
+    Same protocol as :func:`practice` with ``base = 0`` and ``F = 1``,
     except elements move as (key, payload) pairs: the payload of a key
     consumed into a node stays at the node's slot.  Returns the first six
     results of :func:`practice`.

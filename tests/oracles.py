@@ -5,6 +5,7 @@ python lists, brute-force searches) so it shares no code — and no bugs —
 with the package under test.
 """
 
+from bisect import bisect_left
 from collections import Counter
 
 import numpy as np
@@ -62,6 +63,28 @@ def epsilon_demand(n, w):
     lg = 1 if n <= 1 else (n - 1).bit_length()
     split = w - 1 - lg
     return n // ((1 << split) + 1)
+
+
+def improved_pass_count(keys, w):
+    """Passes ``assoc_improved`` takes on ``keys`` at word width ``w``.
+
+    Each pass starts at the least remaining key ``delta`` and settles every
+    remaining key of its interval.  Over ``seg`` remaining keys the
+    interval spans ``seg`` keys, unless some key lies ``seg`` or more past
+    ``delta`` and ``F = (w - 1) // b``, for ``b = seg.bit_length()``, is at
+    least 2: then it spans ``min(F * seg, 2**(w - 1))`` keys.
+    """
+    rest = sorted(int(k) for k in keys)
+    passes = 0
+    while rest:
+        passes += 1
+        seg, delta = len(rest), rest[0]
+        span = seg
+        F = (w - 1) // seg.bit_length()
+        if rest[-1] - delta >= seg and F >= 2:
+            span = min(F * seg, 1 << (w - 1))
+        rest = rest[bisect_left(rest, delta + span):]
+    return passes
 
 
 def super_hash_oracle(key, delta, w):

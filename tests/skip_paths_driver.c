@@ -41,15 +41,16 @@
 
 typedef int64_t i64;
 
-void practice(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
+void practice(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void practice_cursors(char *, i64, i64, i64, i64, i64, i64 *);
 void implicit_practice(char *, i64, i64, i64, i64, i64 *);
 void collect_fixpoints(char *, i64, i64, i64, i64, i64 *);
 void store_records(char *, i64, i64, i64, i64, i64, i64 *);
 void store_nodes(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void partition_values(char *, i64, i64, i64, i64, i64, i64 *);
-void retrieve_scan(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
-void improved_passes(char *, i64, i64, i64, i64, i64, i64, i64, i64 *);
+void retrieve_scan(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64,
+                   i64 *);
+void improved_passes(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void distinct_passes(char *, i64, i64, i64, i64, i64 *);
 void sequential_passes(char *, i64, i64, i64, i64, i64, i64 *);
 void stacked_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64, i64,
@@ -170,7 +171,8 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
     memset(out, 0, NOUT * sizeof *out);
     switch (kind) {
     case PRACTICE:
-        practice(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6], out);
+        practice(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7],
+                 out);
         break;
     case PRACTICE_CURSORS:
         practice_cursors(s, stride, a[0], a[1], a[2], a[3], out);
@@ -191,10 +193,12 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
         partition_values(s, stride, a[0], a[1], a[2], a[3], out);
         break;
     case RETRIEVE:
-        retrieve_scan(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6], out);
+        retrieve_scan(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6],
+                      a[7], out);
         break;
     case IMPROVED:
-        improved_passes(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], out);
+        improved_passes(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6],
+                        out);
         break;
     case DISTINCT:
         distinct_passes(s, stride, a[0], a[1], a[2], out);

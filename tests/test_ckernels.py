@@ -109,18 +109,18 @@ PAST_THE_END = [
     ("min_max", (-1, 4), (0, 4)),
     ("implicit_practice", (0, 9, 0), (0, 8, 0)),
     ("collect_fixpoints", (-1, 8, 0), (0, 8, 0)),
-    ("practice", (0, 8, 0, 1, 8, 0, T8), (0, 8, 0, 0, 8, 0, T8)),
-    ("practice", (0, 8, 0, -1, 8, 0, T8), (0, 8, 0, 0, 8, 0, T8)),
+    ("practice", (0, 8, 0, 1, 8, 1, 7, T8), (0, 8, 0, 0, 8, 1, 7, T8)),
+    ("practice", (0, 8, 0, -1, 8, 1, 7, T8), (0, 8, 0, 0, 8, 1, 7, T8)),
     ("store_nodes", (0, 9, 0, 8, 3, T8, 0), (0, 8, 0, 8, 3, T8, 0)),
     ("partition_values", (0, 9, 3, T8), (0, 8, 3, T8)),
     ("retrieve_packed", (0, 4, 9, 0, 0, 3, T8), (0, 4, 8, 0, 0, 3, T8)),
     ("retrieve_packed", (0, 9, 8, 0, 0, 3, T8), (0, 8, 8, 0, 0, 3, T8)),
     ("store_records", (0, 9, 0, T8), (0, 8, 0, T8)),
-    ("retrieve_scan", (0, 8, 5, 4, 0, 0, T8), (0, 8, 4, 4, 0, 0, T8)),
-    ("retrieve_scan", (2, 8, 6, 1, 0, 7, T8), (2, 8, 5, 1, 0, 7, T8)),
-    ("practice", (0, 8, 0, 0, 57, 7, T8), (0, 8, 0, 0, 56, 7, T8)),
-    ("improved_passes", (0, 9, 0, 7, 0, T8), (0, 8, 0, 7, 0, T8)),
-    ("improved_passes", (0, 8, 0, 7, -1, T8), (0, 8, 0, 7, 7, T8)),
+    ("retrieve_scan", (0, 8, 5, 4, 0, 1, 7, T8), (0, 8, 4, 4, 0, 1, 7, T8)),
+    ("retrieve_scan", (2, 8, 6, 1, 0, 7, 1, T8), (2, 8, 5, 1, 0, 7, 1, T8)),
+    ("practice", (0, 8, 0, 0, 57, 7, 1, T8), (0, 8, 0, 0, 56, 7, 1, T8)),
+    ("improved_passes", (0, 9, 0, 7, 1, 7, T8), (0, 8, 0, 7, 1, 7, T8)),
+    ("improved_passes", (0, 8, 0, 7, -1, 1, T8), (0, 8, 0, 7, 7, 1, T8)),
     ("practice_rank", (0, 8, 0, 9, T8), (0, 8, 0, 8, T8)),
     ("accumulate_records", (0, 9, T8), (0, 8, T8)),
     ("repractice_idle", (1, 8, 0, 8, T8), (0, 8, 0, 8, T8)),
@@ -142,14 +142,24 @@ PAST_THE_END = [
     # No maximum takes a pass's words outside its segment, not one past
     # every word or below the minimum (test_skip_paths runs such maxima on
     # segments long enough for the interleaved practice).
-    ("improved_passes", (0, 8, 0, (1 << 63) - 1, 0, T8), (0, 8, 0, -(1 << 63), 0, T8)),
+    ("improved_passes", (0, 8, 0, (1 << 63) - 1, 1, 7, T8),
+     (0, 8, 0, -(1 << 63), 1, 7, T8)),
     ("practice_cursors", (0, 9, 0, T8), (0, 8, 0, T8)),
-    # A negative wm1 hashes keys below lo.
-    ("practice", (0, 8, 0, 0, 8, -1, T8), (0, 8, 0, 0, 8, 1, T8)),
+    # A negative F hashes keys below lo.
+    ("practice", (0, 8, 0, 0, 8, -1, 1, T8), (0, 8, 0, 0, 8, 1, 7, T8)),
     # A bitmap node of 64 keys or more shifts by 64 bits or more.
-    ("practice", (0, 8, 0, 0, 8, 64, T8), (0, 8, 0, 0, 8, 63, T8)),
-    ("retrieve_scan", (0, 8, 4, 4, 0, 64, T8), (0, 8, 4, 4, 0, 63, T8)),
-    ("improved_passes", (0, 8, 0, 7, 64, T8), (0, 8, 0, 7, 63, T8)),
+    ("practice", (0, 8, 0, 0, 8, 64, 1, T8), (0, 8, 0, 0, 8, 63, 1, T8)),
+    ("retrieve_scan", (0, 8, 4, 4, 0, 64, 1, T8), (0, 8, 4, 4, 0, 63, 1, T8)),
+    ("improved_passes", (0, 8, 0, 7, 64, 1, T8), (0, 8, 0, 7, 63, 1, T8)),
+    # Fields of a packed node that reach bit 64 or more, or have no bits,
+    # and a span whose slots, F keys to a word, pass the array.
+    ("practice", (0, 8, 0, 0, 8, 2, 32, T8), (0, 8, 0, 0, 8, 2, 31, T8)),
+    ("practice", (0, 8, 0, 0, 8, 2, 0, T8), (0, 8, 0, 0, 8, 2, 1, T8)),
+    ("practice", (0, 8, 0, 0, 25, 3, 2, T8), (0, 8, 0, 0, 24, 3, 2, T8)),
+    ("retrieve_scan", (0, 8, 4, 4, 0, 2, 32, T8), (0, 8, 4, 4, 0, 2, 31, T8)),
+    ("retrieve_scan", (0, 8, 4, 4, 0, 3, 0, T8), (0, 8, 4, 4, 0, 3, 2, T8)),
+    ("improved_passes", (0, 8, 0, 7, 1, 64, T8), (0, 8, 0, 7, 1, 63, T8)),
+    ("improved_passes", (0, 8, 0, 7, 4, 16, T8), (0, 8, 0, 7, 3, 21, T8)),
 ]
 
 
@@ -195,7 +205,7 @@ def test_wide_bitmap_nodes_run_the_python_kernel():
     for backend_name in ("c", "numpy"):
         S = np.array([0, 63, 64, 69], dtype=np.int64)
         with use_backend(backend_name):
-            got = active().practice(S, 0, 4, 0, 0, 280, 70, 1 << 62)
+            got = active().practice(S, 0, 4, 0, 0, 280, 70, 1, 1 << 62)
         outcomes.add((tuple(int(x) for x in got), tuple(S.tolist())))
     assert len(outcomes) == 1, outcomes
 

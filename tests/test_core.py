@@ -51,7 +51,7 @@ class TestPracticePhase:
             eps, _ = pass_budget(n, CFG32.w)
             S = vals.copy()
             n_d, n_c, n_def, dnext, _, created, _ = active().practice(
-                S, 0, n, delta, eps, n - eps, 0, CFG32.tag_mask
+                S, 0, n, delta, eps, n - eps, 1, CFG32.w - 1, CFG32.tag_mask
             )
             e_d, e_c, e_def, e_next = practice_oracle(vals.tolist(), delta, n - eps)
             assert (n_d, n_c, n_def) == (e_d, e_c, e_def)
@@ -66,7 +66,7 @@ class TestPracticePhase:
             eps, split = pass_budget(n, CFG16.w)
             S = vals.copy()
             k = active()
-            n_d, *_ = k.practice(S, 0, n, delta, eps, n - eps, 0, tag)
+            n_d, *_ = k.practice(S, 0, n, delta, eps, n - eps, 1, CFG16.w - 1, tag)
             eps_used, stored, _, status = k.store_nodes(
                 S, 0, n, delta, n - eps, split, tag, eps
             )
@@ -84,7 +84,7 @@ class TestPracticePhase:
             vals = rng.integers(0, n - eps, size=n).astype(np.int64) + 50
             S = vals.copy()
             k = active()
-            n_d, n_c, n_def, *_ = k.practice(S, 0, n, 50, eps, n - eps, 0, tag)
+            n_d, n_c, n_def, *_ = k.practice(S, 0, n, 50, eps, n - eps, 1, CFG32.w - 1, tag)
             assert n_def == 0
             eps_used, *_ = k.store_nodes(S, 0, n, 50, n - eps, split, tag, eps)
             written, _, status = k.retrieve_packed(

@@ -11,7 +11,7 @@ from assocsort.improved import sort_distinct_improved, sort_improved
 from assocsort.words import WordConfig
 
 from .conftest import arr
-from .oracles import reference_sort
+from .oracles import improved_pass_count, reference_sort
 
 CFG8 = WordConfig(8)
 CFG16 = WordConfig(16)
@@ -67,15 +67,46 @@ class TestSortImproved:
             assert S.tolist() == sorted(data)
 
     def test_spread_pass_envelope(self, backend):
-        # uniform keys over 20n: measured 114-125 passes at n = 10**4;
-        # each pass consumes one n-sized interval plus whatever the
-        # shrinking live segment reaches
+        # uniform keys over 20n at n = 10**4: each pass consumes the
+        # interval of its packed nodes, F counters of seg.bit_length()
+        # bits a word, so exactly the oracle's passes
         r = np.random.default_rng(5)
         S = r.integers(0, 20 * 10_000, size=10_000).astype(np.int64)
         expect = reference_sort(S)
+        passes = improved_pass_count(S, CFG32.w)
         c = sort_improved(S, CFG32)
         assert np.array_equal(S, expect)
-        assert 100 <= c.passes <= 140
+        assert c.passes == passes
+
+    def test_sparse_sort_shape_passes(self, backend):
+        # the benchmark's sparse sort: 5000 keys over 100n at w = 63
+        r = np.random.default_rng(16)
+        S = r.integers(0, 100 * 5000, size=5000).astype(np.int64)
+        expect = reference_sort(S)
+        passes = improved_pass_count(S, 63)
+        c = sort_improved(S)
+        assert np.array_equal(S, expect)
+        assert c.passes == passes
+
+    def test_keys_over_3n_sort_in_one_pass(self, backend):
+        # 5000 keys over 3n: the first pass packs 62 // 13 = 4 counters of
+        # 13 bits a word, an interval of 4n keys
+        r = np.random.default_rng(17)
+        S = r.integers(0, 3 * 5000, size=5000).astype(np.int64)
+        expect = reference_sort(S)
+        c = sort_improved(S)
+        assert np.array_equal(S, expect)
+        assert c.passes == improved_pass_count(expect, 63) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.lists(st.integers(min_value=0, max_value=2**15 - 1), max_size=300))
+    def test_property_packed_passes_match_the_oracle(self, data):
+        # at w = 16 a pass over up to 300 words packs 15 // b counters of
+        # b = seg.bit_length() bits where it packs at all
+        S = np.array(data, dtype=np.int64)
+        c = sort_improved(S, CFG16)
+        assert S.tolist() == sorted(data)
+        assert c.passes == improved_pass_count(data, 16)
 
     def test_trace_cycle(self, backend, rng):
         vals = rng.integers(0, 2_000, size=50).astype(np.int64)

@@ -23,7 +23,7 @@ class TestPracticeCounting:
     def test_canonical_four_word_trace(self, backend):
         k = active()
         S = arr(2, 0, 2, 1)
-        n_d, n_c, n_def, dnext, moves, created, dup = k.practice(S, 0, 4, 0, 0, 4, 0, TAG8)
+        n_d, n_c, n_def, dnext, moves, created, dup = k.practice(S, 0, 4, 0, 0, 4, 1, 7, TAG8)
         assert (n_d, n_c, n_def) == (3, 1, 0)
         assert dnext == dup == -1
         assert created == 3
@@ -39,7 +39,7 @@ class TestPracticeCounting:
             delta = int(vals.min())
             span = max(1, n // 2)
             S = vals.copy()
-            n_d, n_c, n_def, dnext, *_ = k.practice(S, 0, n, delta, 0, span, 0, TAG8)
+            n_d, n_c, n_def, dnext, *_ = k.practice(S, 0, n, delta, 0, span, 1, 7, TAG8)
             e_d, e_c, e_def, e_next = practice_oracle(vals.tolist(), delta, span)
             assert (n_d, n_c, n_def) == (e_d, e_c, e_def)
             assert (None if dnext < 0 else int(dnext)) == e_next
@@ -48,7 +48,7 @@ class TestPracticeCounting:
         # leftovers of an enclosing pass (value < delta) must be ignored
         k = active()
         S = arr(3, 50, 51, 3, 50)
-        n_d, n_c, n_def, dnext, *_ = k.practice(S, 0, 5, 50, 0, 3, 0, TAG8)
+        n_d, n_c, n_def, dnext, *_ = k.practice(S, 0, 5, 50, 0, 3, 1, 7, TAG8)
         assert (n_d, n_c, n_def) == (2, 1, 0)
         assert dnext == -1
         assert sorted(int(v) for v in S if not v & TAG8) == [3, 3, 50]
@@ -58,7 +58,7 @@ class TestStorePacked:
     def test_all_counts_pack(self, backend):
         k = active()
         S = arr(2, 0, 2, 1)
-        k.practice(S, 0, 4, 0, 0, 4, 0, TAG8)
+        k.practice(S, 0, 4, 0, 0, 4, 1, 7, TAG8)
         _, split = pass_budget(4, 8)  # 5: positions need 2 bits, 7 - 2 = 5
         eps_used, stored, _, status = k.store_nodes(S, 0, 4, 0, 4, split, TAG8, 0)
         assert status == 0
@@ -76,7 +76,7 @@ class TestStorePacked:
         S = arr(0, 0, 0, 1)
         eps, split = pass_budget(4, cfg.w)
         assert (eps, split) == (1, 1)
-        n_d, n_c, n_def, *_ = k.practice(S, 0, 4, 0, eps, 4 - eps, 0, tag)
+        n_d, n_c, n_def, *_ = k.practice(S, 0, 4, 0, eps, 4 - eps, 1, 3, tag)
         assert (n_d, n_c, n_def) == (2, 2, 0)
         eps_used, stored, _, status = k.store_nodes(S, 0, 4, 0, 3, split, tag, eps)
         assert status == 0
@@ -87,7 +87,7 @@ class TestStorePacked:
     def test_retrieve_round_trip(self, backend):
         k = active()
         S = arr(2, 0, 2, 1)
-        k.practice(S, 0, 4, 0, 0, 4, 0, TAG8)
+        k.practice(S, 0, 4, 0, 0, 4, 1, 7, TAG8)
         _, split = pass_budget(4, 8)
         k.store_nodes(S, 0, 4, 0, 4, split, TAG8, 0)
         k.partition_values(S, 3, 4, 3, TAG8)
@@ -101,7 +101,7 @@ class TestStorePacked:
         k = active()
         S = arr(0, 0, 0, 1)
         eps, split = pass_budget(4, cfg.w)
-        k.practice(S, 0, 4, 0, eps, 4 - eps, 0, tag)
+        k.practice(S, 0, 4, 0, eps, 4 - eps, 1, 3, tag)
         k.store_nodes(S, 0, 4, 0, 3, split, tag, eps)
         k.partition_values(S, 3, 4, 2, tag)
         written, _, status = k.retrieve_packed(S, 0, 3, 4, 0, eps, split, tag)
@@ -143,6 +143,24 @@ class TestImplicitPractice:
         assert status != 0
 
 
+class TestPackedKernels:
+    def test_packed_trace_w16(self, backend):
+        # three counters of 5 bits a node at w = 16: key d is field d % 3
+        # of slot d // 3, whose count each occurrence bumps
+        tag = WordConfig(16).tag_mask
+        k = active()
+        S = arr(7, 2, 7, 4, 2, 7)
+        n_d, n_c, n_def, dnext, moves, created, dup = k.practice(S, 0, 6, 0, 0, 18, 3, 5, tag)
+        assert (n_d, n_c, n_def, dnext, moves, created, dup) == (3, 3, 0, -1, 3, 3, -1)
+        assert S.tolist() == [tag | 2 << 10, tag | 1 << 5, tag | 3 << 5, 7, 2, 7]
+        stored, _, status = k.store_records(S, 0, 6, n_d, tag)
+        assert (stored, status) == (3, 0)
+        assert k.partition_values(S, n_d, 6, 17, tag)[0] == n_c
+        moves, status = k.retrieve_scan(S, 0, 6, n_d, n_c, 0, 3, 5, tag)
+        assert (moves, status) == (6, 0)
+        assert S.tolist() == [2, 2, 4, 7, 7, 7]
+
+
 class TestSuperHashKernels:
     def test_bitmap_trace_w9(self, backend):
         # keys {0, 3, 10} at w=9: node 0 records bits {0, 3}, node 1
@@ -151,7 +169,7 @@ class TestSuperHashKernels:
         tag = cfg.tag_mask
         k = active()
         S = arr(10, 3, 0)
-        n_d, n_c, n_def, dnext, _, created, dup = k.practice(S, 0, 3, 0, 0, 24, 8, tag)
+        n_d, n_c, n_def, dnext, _, created, dup = k.practice(S, 0, 3, 0, 0, 24, 8, 1, tag)
         assert dup == -1
         assert (n_d, n_c, n_def) == (2, 1, 0)
         nodes = {i: int(v) & cfg.value_mask for i, v in enumerate(S) if v & tag}
@@ -161,7 +179,7 @@ class TestSuperHashKernels:
         cfg = WordConfig(9)
         k = active()
         S = arr(7, 3, 7)
-        *_, dup = k.practice(S, 0, 3, 0, 0, 24, 8, cfg.tag_mask)
+        *_, dup = k.practice(S, 0, 3, 0, 0, 24, 8, 1, cfg.tag_mask)
         assert dup == 7
 
     def test_bitmap_round_trip(self, backend):
@@ -169,12 +187,12 @@ class TestSuperHashKernels:
         tag = cfg.tag_mask
         k = active()
         S = arr(10, 3, 0)
-        n_d, n_c, *_, dup = k.practice(S, 0, 3, 0, 0, 24, 8, tag)
+        n_d, n_c, *_, dup = k.practice(S, 0, 3, 0, 0, 24, 8, 1, tag)
         assert dup == -1
         stored, _, status = k.store_records(S, 0, 3, n_d, tag)
         assert status == 0 and stored == n_d
         k.partition_values(S, n_d, 3, 23, tag)
-        _, status = k.retrieve_scan(S, 0, 3, n_d, n_c, 0, 8, tag)
+        _, status = k.retrieve_scan(S, 0, 3, n_d, n_c, 0, 8, 1, tag)
         assert status == 0
         assert S.tolist() == [0, 3, 10]
 
@@ -279,11 +297,11 @@ def test_backends_agree_word_for_word(rng):
         vals = rng.integers(0, 120, size=n).astype(np.int64)
         span = max(1, (n - int(rng.integers(0, 3))))
         keys = rng.choice(120, size=n, replace=trial % 2 == 1).astype(np.int64)
-        for words, interval, wm1 in ((vals, span, 0), (keys, 7 * n, 7)):
+        for words, interval, form in ((vals, span, (1, 7)), (keys, 7 * n, (7, 1))):
             results = []
             for name in names:
                 with use_backend(name):
                     S = words.copy()
-                    out = active().practice(S, 0, n, int(words.min()), 0, interval, wm1, TAG8)
+                    out = active().practice(S, 0, n, int(words.min()), 0, interval, *form, TAG8)
                     results.append((tuple(int(x) for x in out), S.tolist()))
-            assert all(r == results[-1] for r in results), (names, wm1)
+            assert all(r == results[-1] for r in results), (names, form)

@@ -22,7 +22,7 @@ import re
 import numpy as np
 import pytest
 
-from assocsort import core, cycle_leader, kernels, ranksort
+from assocsort import core, cycle_leader, improved, kernels, ranksort
 from assocsort.adapter import ALGORITHMS
 from assocsort.backend import BACKENDS, active_loops, available, traced_loops, use_backend
 from assocsort.counters import OpCounters
@@ -140,9 +140,10 @@ def test_traced_and_untraced_agree_above_the_dense_floor(backend, ratio):
         assert len({_dense_trace(name, ratio, w) for name in RUNNABLE}) == 1
 
 
-# A corrupted segment for each failed check, as
-# (keys, wm1, tag, delta, expected phase, expected status).  Words with
-# the tag bit set were never made nodes by this pass.
+# A corrupted segment for each failed check, as (keys, keys of a bitmap
+# node or 0 for count nodes, tag, delta, expected phase, expected status);
+# see _form.  Words with the tag bit set were never made nodes by this
+# pass.
 CORRUPT = [
     ([22, 5, 14, 20, 3, 27, 9], 4, 16, 3, kernels.PHASE_DUPLICATE, 0),
     ([128, 50, 109, 198, 4, 225], 7, 128, 4, kernels.PHASE_STORE, kernels.STATUS_TAG_SCAN),
@@ -180,16 +181,29 @@ def _everywhere(loop, arrays, args):
     return got
 
 
-def _passes_everywhere(keys, wm1, tag, delta):
-    """``improved_passes`` on every backend: ``{backend: (result, words)}``."""
-    top = int(max(keys))
-    got = _everywhere("improved_passes", [keys], (0, len(keys), delta, top, wm1, tag))
+def _form(bitmap, tag):
+    """The node form ``(F, b)`` of bitmaps of ``bitmap`` keys, or where
+    that is 0 of count nodes of the word's ``w - 1`` bits under ``tag``."""
+    return (bitmap, 1) if bitmap else (1, tag.bit_length() - 1)
+
+
+def _top(keys, tag):
+    """The largest key of ``keys``, whose words with the ``tag`` bit set are
+    no keys: the maximum the front door would give a pass loop."""
+    return int(max((k for k in keys if not k & tag), default=max(keys)))
+
+
+def _passes_everywhere(keys, form, tag, delta):
+    """``improved_passes`` of nodes of the form ``(F, b)`` on every backend:
+    ``{backend: (result, words)}``."""
+    top = _top(keys, tag)
+    got = _everywhere("improved_passes", [keys], (0, len(keys), delta, top, *form, tag))
     return {name: (result, words[0]) for name, (result, words) in got.items()}
 
 
-@pytest.mark.parametrize("keys, wm1, tag, delta, phase, status", CORRUPT)
-def test_corrupt_segment_fails_alike(keys, wm1, tag, delta, phase, status):
-    got = _passes_everywhere(keys, wm1, tag, delta)
+@pytest.mark.parametrize("keys, bitmap, tag, delta, phase, status", CORRUPT)
+def test_corrupt_segment_fails_alike(keys, bitmap, tag, delta, phase, status):
+    got = _passes_everywhere(keys, _form(bitmap, tag), tag, delta)
     assert len(set(got.values())) == 1, got
     result = got["numpy"][0]
     assert result[4:6] == (phase, status)
@@ -202,9 +216,9 @@ def test_random_corrupt_segments_agree(rng):
         tag = 1 << (w - 1)
         S = rng.integers(0, tag, size=int(rng.integers(1, 9)))
         S[rng.random(len(S)) < 0.3] |= tag
-        wm1 = int(rng.choice([0, w - 1]))
-        got = _passes_everywhere(S.tolist(), wm1, tag, int((S & (tag - 1)).min()))
-        assert len(set(got.values())) == 1, (S.tolist(), wm1, got)
+        form = _form(int(rng.choice([0, w - 1])), tag)
+        got = _passes_everywhere(S.tolist(), form, tag, int((S & (tag - 1)).min()))
+        assert len(set(got.values())) == 1, (S.tolist(), form, got)
         phases.add(got["numpy"][0][4])
     assert phases == {
         kernels.PHASE_OK, kernels.PHASE_DUPLICATE, kernels.PHASE_STORE,
@@ -220,7 +234,7 @@ def test_a_pass_that_settles_nothing_stops_both_paths():
     S = np.array([3, 1, 2], dtype=np.int64)
     message = "^sorted prefix stopped at 0 of 3$"
     # An empty interval (``tag = 0``) settles nothing in the loop.
-    got = _passes_everywhere(S.tolist(), 3, 0, 1)
+    got = _passes_everywhere(S.tolist(), (3, 1), 0, 1)
     assert len(set(got.values())) == 1, got
     _, _, _, _, phase, status, a, b = got["numpy"][0]
     with pytest.raises(CorruptStateError, match=message):
@@ -235,10 +249,10 @@ def test_a_pass_that_settles_nothing_stops_both_paths():
          "found 3 tagged words while parking 4 records"),
         (kernels.PHASE_PARTITION, 0, 2, 1, CorruptStateError,
          "2 idle words in the tail, expected 1"),
-        (kernels.PHASE_RETRIEVE, -3, 0, 0, CorruptStateError,
-         "node-scan retrieval failed (status -3)"),
-        (kernels.PHASE_RETRIEVE, -3, 7, 0, CorruptStateError,
-         "bitmap retrieval failed (status -3)"),
+        (kernels.PHASE_RETRIEVE, -3, 1, 62, CorruptStateError,
+         "count retrieval failed (F=1, b=62, status -3)"),
+        (kernels.PHASE_RETRIEVE, -3, 62, 1, CorruptStateError,
+         "bitmap retrieval failed (F=62, b=1, status -3)"),
         (kernels.PHASE_PREFIX, 0, 3, 5, CorruptStateError, "sorted prefix stopped at 3 of 5"),
     ],
 )
@@ -256,7 +270,7 @@ def _count_overflow():
     n = tag + tag // 4
     keys = np.arange(n) * 7919 % tag
     keys[np.arange(tag + 1) * n // (tag + 1)] = 3
-    return [keys.tolist()], (0, n, int(keys.min()), int(keys.max()), 0, tag)
+    return [keys.tolist()], (0, n, int(keys.min()), int(keys.max()), *_form(0, tag), tag)
 
 
 def _stray_takes_a_count():
@@ -268,7 +282,8 @@ def _stray_takes_a_count():
     keys[1::2] = keys[::2]  # keys in pairs, so half of them repeat
     keys[:2] = 0, n - 1
     keys[-1] = tag | 2 * n
-    return [keys.tolist()], (0, n, int(keys[:-1].min()), int(keys[:-1].max()), 0, tag)
+    return [keys.tolist()], (0, n, int(keys[:-1].min()), int(keys[:-1].max()),
+                             *_form(0, tag), tag)
 
 
 # Dense-last passes (see kernels.dense_last) that fail, with the masked
@@ -359,7 +374,7 @@ def test_every_loop_failure_has_a_case():
         ("improved_passes", kernels.PHASE_STORE),
         ("improved_passes", kernels.PHASE_RETRIEVE),
     }
-    for _, (words,), (head, hi, delta, top, _, _), _, _ in DENSE_CORRUPT:
+    for _, (words,), (head, hi, delta, top, _, _, _), _, _ in DENSE_CORRUPT:
         assert kernels.dense_last(hi - head, delta, top)
 
 
@@ -404,8 +419,9 @@ def _hook_calls(loop, args, result):
 
 
 TRACED_CASES = [
-    ("improved_passes", [keys], (0, len(keys), delta, max(keys), wm1, tag), phase, status)
-    for keys, wm1, tag, delta, phase, status in CORRUPT
+    ("improved_passes", [keys], (0, len(keys), delta, _top(keys, tag), *_form(bitmap, tag),
+                                 tag), phase, status)
+    for keys, bitmap, tag, delta, phase, status in CORRUPT
 ] + LOOP_CORRUPT
 
 
@@ -560,6 +576,8 @@ def test_unwind_names_the_level_it_refuses(levels, level):
          "sorted prefix stopped at 4 of 9"),
         (core._fail, kernels.PHASE_UNWIND, -3, (0,), CorruptStateError,
          "unwind retrieval failed (status -3)"),
+        (improved._fail, kernels.PHASE_RETRIEVE, -3, (4, 13), CorruptStateError,
+         "packed 4x13 retrieval failed (F=4, b=13, status -3)"),
     ],
 )
 def test_driver_failure_messages(fail, phase, status, numbers, error, message):

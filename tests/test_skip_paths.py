@@ -54,6 +54,9 @@ PAD = 5  # words on each side of a segment
 T8 = 1 << 7  # the tag of 8-bit words
 T63 = 1 << 62
 DELTA = 20
+# Node forms (F, b) of 8-bit words: count nodes, bitmaps of 7 keys, and 3
+# packed counters of 2 bits.
+FORMS = ((1, 7), (7, 1), (3, 2))
 DRIVER = os.path.join(os.path.dirname(__file__), "skip_paths_driver.c")
 
 
@@ -120,7 +123,7 @@ def _practice_cases():
 
             words = _segment(n, start, run, lambda k: far + 1 + (5 * k + 3 * start) % 9,
                              other, far)
-            yield "practice", words, (PAD, PAD + n, DELTA, base, span, 0, T8)
+            yield "practice", words, (PAD, PAD + n, DELTA, base, span, 1, 7, T8)
 
 
 def _bitmap_practice_cases():
@@ -130,7 +133,7 @@ def _bitmap_practice_cases():
         far = DELTA + 7 * n
         words = _segment(n, start, run, lambda k: far + 1 + (5 * k) % 9,
                          lambda k: DELTA + (5 * k) % (7 * n), far)
-        yield "practice", words, (PAD, PAD + n, DELTA, 0, 7 * n, 7, T8)
+        yield "practice", words, (PAD, PAD + n, DELTA, 0, 7 * n, 7, 1, T8)
 
 
 def _implicit_practice_cases():
@@ -189,43 +192,110 @@ def _retrieval_cases():
             if n_d + n_c > n:
                 continue
             args = (PAD, PAD + n, n_d, n_c, DELTA)
-            for wm1 in (0, 7):
-                yield "retrieve_scan", words, args + (wm1, T8)
+            for form in FORMS:
+                yield "retrieve_scan", words, args + (*form, T8)
 
 
-def _bitmap_records(wm1, tag):
-    """Records of bitmap nodes of ``wm1`` keys under ``tag``: a single bit
-    at 0 or at the top (``wm1 - 1`` where the word holds it), every bit,
-    alternating bits, and, where the word holds bits at or above ``wm1``,
+def _bitmap_records(F, tag):
+    """Records of bitmap nodes of ``F`` keys under ``tag``: a single bit
+    at 0 or at the top (``F - 1`` where the word holds it), every bit,
+    alternating bits, and, where the word holds bits at or above ``F``,
     those bits with one below, which a retrieval must ignore."""
-    fits = min(wm1, tag.bit_length() - 1)
+    fits = min(F, tag.bit_length() - 1)
     every = (1 << fits) - 1
     records = [1, 1 << (fits - 1), every, every & 0x5555555555555555,
                every & 0xAAAAAAAAAAAAAAAA]
-    above = (tag - 1) & ~((1 << wm1) - 1)
+    above = (tag - 1) & ~((1 << F) - 1)
     if above:
-        records += [above | 1, above | 1 << (wm1 - 1)]
+        records += [above | 1, above | 1 << (F - 1)]
     return records
 
 
+def _record_cases(records, count, form, tag):
+    """``retrieve_scan`` of nodes of the form ``form`` holding each of
+    ``records`` alone and all of them in one segment, with their nodes on
+    every second word from the end; ``count(r)`` is the number of keys
+    record ``r`` holds.  ``n_c`` fits the keys exactly, or falls short by
+    1 or 3, so that a collision stops the walk in the middle of a node."""
+    for recs in [[r] for r in records] + [records]:
+        keys = sum(count(r) for r in recs)
+        n_d, n = len(recs), max(keys, 2 * len(recs)) + 1
+        seg = [recs[k] if k < n_d else k % 3 for k in range(n)]
+        for k in range(n_d):
+            seg[n - 1 - 2 * k] |= tag
+        for short in (0, 1, 3):
+            if keys - n_d - short >= 0:
+                args = (PAD, PAD + n, n_d, keys - n_d - short, DELTA, *form, tag)
+                yield "retrieve_scan", [0] * PAD + seg + [0] * PAD, args
+
+
 def _bitmap_retrieval_cases():
-    """``retrieve_scan`` of bitmap nodes: each record of
-    :func:`_bitmap_records` alone and all of them in one segment, with
-    their nodes on every second word from the end.  ``n_c`` fits the keys
-    exactly, or falls short by 1 or 3, so that a collision stops the walk
-    in the middle of a node (of every bit, when the records stand alone)."""
-    for wm1, tag in ((7, T8), (5, T8), (62, T63), (63, T63)):
-        records = _bitmap_records(wm1, tag)
-        for recs in [[r] for r in records] + [records]:
-            keys = sum(bin(r & ((1 << wm1) - 1)).count("1") for r in recs)
-            n_d, n = len(recs), max(keys, 2 * len(recs)) + 1
-            seg = [recs[k] if k < n_d else k % 3 for k in range(n)]
-            for k in range(n_d):
-                seg[n - 1 - 2 * k] |= tag
-            for short in (0, 1, 3):
-                if keys - n_d - short >= 0:
-                    args = (PAD, PAD + n, n_d, keys - n_d - short, DELTA, wm1, tag)
-                    yield "retrieve_scan", [0] * PAD + seg + [0] * PAD, args
+    """``retrieve_scan`` of bitmap nodes holding the records of
+    :func:`_bitmap_records` (see :func:`_record_cases`), so that a collision
+    stops the walk in the middle of a node (of every bit, when the records
+    stand alone)."""
+    for F, tag in ((7, T8), (5, T8), (62, T63), (63, T63)):
+        bits = lambda r: bin(r & ((1 << F) - 1)).count("1")
+        yield from _record_cases(_bitmap_records(F, tag), bits, (F, 1), tag)
+
+
+def _packed_records(F, b, tag):
+    """Records of ``F`` packed counters of ``b`` bits under ``tag``: one key
+    in the lowest field or in the highest, a field at its full count (the
+    segment length that gives ``b``), one key in every field, and, where
+    the word holds bits above the fields, those bits with one key, which a
+    retrieval must ignore."""
+    full = (1 << b) - 1
+    top = (F - 1) * b
+    every = sum(1 << (f * b) for f in range(F))
+    records = [1, 1 << top, full, full << top, every]
+    above = (tag - 1) & ~((1 << (F * b)) - 1)
+    if above:
+        records.append(above | 1 << top)
+    return records
+
+
+# Packed node forms (F, b) and their tags: fields of 8-bit words, fields
+# that fill 62 bits, and 21 fields of 3 bits, the top one past the 62 bits
+# of a record.
+PACKED = ((3, 2, T8), (2, 3, T8), (4, 13, T63), (12, 5, T63), (31, 2, T63), (21, 3, T63))
+
+
+def _packed_cases():
+    """Packed nodes: ``retrieve_scan`` of the records of
+    :func:`_packed_records` (see :func:`_record_cases`), so that a
+    collision stops the walk in the middle of a node and of a field;
+    ``practice`` of segments of keys at the lowest and highest field of the
+    first and last slot, every word one key (a field at its full count,
+    the segment length), and deferred keys in a run; and ``practice`` of 62
+    bits of fields of ``seg.bit_length()`` bits, the form ``improved_passes``
+    gives such a pass, from a deferred key over deferred keys to a stop word
+    in each lane."""
+    for F, b, tag in PACKED:
+        fields = lambda r: sum(r >> (f * b) & ((1 << b) - 1) for f in range(F))
+        yield from _record_cases(_packed_records(F, b, tag), fields, (F, b), tag)
+    for n, start, run in _shapes():
+        b = n.bit_length()
+        F = 62 // b
+        far = DELTA + F * n
+        ends = (0, F - 1, F * (n - 1), F * n - 1)
+        for other in (lambda k: DELTA + ends[k % 4], lambda k: DELTA + F - 1):
+            words = _segment(n, start, run, lambda k: far + 1 + (5 * k) % 9, other, far)
+            yield "practice", words, (PAD, PAD + n, DELTA, 0, F * n, F, b, T63)
+    for before, lane, tail in STOP_RUNS:
+        n = 4 * before + 5 + tail
+        b = n.bit_length()
+        F = 62 // b
+        far = DELTA + F * n
+
+        def clean(j):
+            return far + 2 + (5 * j) % 9
+
+        for stop in (DELTA + 1, far - 1, DELTA - 1, -200, -3, T63 | 1):
+            for mark, at in _marks(lane, far + 1):
+                seg = [far + 4] + _scan(before, lane, tail, clean, stop, mark, at)
+                yield "practice", [far] * PAD + seg + [far] * PAD, (
+                    PAD, PAD + n, DELTA, 0, F * n, F, b, T63)
 
 
 def _outside_cases():
@@ -307,19 +377,19 @@ def _practice_stop_cases():
     smaller still."""
     for before, lane, tail in STOP_RUNS:
         n = 4 * before + 5 + tail
-        for wm1 in (0, 7, None):
-            span = max(wm1 or 0, 1) * n
+        for form in (*FORMS, None):
+            span = (form or (1,))[0] * n
             far = DELTA + span
 
             def clean(j):
                 return far + 2 + (5 * j) % 9
 
             stops = [DELTA + 1, far - 1, DELTA - 1, -200]
-            if wm1 is None:
+            if form is None:
                 args = ("implicit_practice", (PAD, PAD + n, DELTA))
             else:
                 stops += [-3, T8 | 1]
-                args = ("practice", (PAD, PAD + n, DELTA, 0, span, wm1, T8))
+                args = ("practice", (PAD, PAD + n, DELTA, 0, span, *form, T8))
             for stop in stops:
                 for mark, at in _marks(lane, far + 1):
                     seg = [far + 4] + _scan(before, lane, tail, clean, stop, mark, at)
@@ -358,8 +428,8 @@ def _untagged_stop_cases():
             down = _scan(before, lane, tail, clean, stop)[::-1]
             down = [T8 | 1] * PAD + [1] + down + [T8 | 1] * PAD
             for n_c in (0, 1):
-                for wm1 in (0, 7):
-                    yield "retrieve_scan", down, (PAD, PAD + n, 1, n_c, DELTA, wm1, T8)
+                for form in FORMS:
+                    yield "retrieve_scan", down, (PAD, PAD + n, 1, n_c, DELTA, *form, T8)
 
 
 def _partition_stop_cases():
@@ -419,18 +489,18 @@ def _partition_cases():
 
 
 def _pass_cases():
-    """The run holds keys past the first pass's interval, the other words
-    keys inside it.  From the segment's minimum the loop sorts it; from
-    key 0 every key is deferred, so the first pass takes the skip paths
-    and stops the loop."""
+    """The run holds keys past the first pass's interval (of 7 keys a word
+    at most, in every node form), the other words keys inside it.  From the
+    segment's minimum the loop sorts it; from key 0 every key is deferred,
+    so the first pass takes the skip paths and stops the loop."""
     for n, start, run in _shapes():
-        for wm1 in (0, 7):
-            far = DELTA + max(wm1, 1) * n
+        for form in FORMS:
+            far = DELTA + 7 * n
             seg = [far + 1 + (5 * k) % 9 if start <= k < start + run else DELTA + (3 * k) % n
                    for k in range(n)]
             words = [0] * PAD + seg + [far] * PAD
             for delta in (min(seg), 0):
-                yield "improved_passes", words, (PAD, PAD + n, delta, max(seg), wm1, T8)
+                yield "improved_passes", words, (PAD, PAD + n, delta, max(seg), *form, T8)
 
 
 SPARSE = (16, 17, 18, 19, 20, 23, 31, 32, 33, 40, 64)
@@ -439,16 +509,19 @@ SPARSE = (16, 17, 18, 19, 20, 23, 31, 32, 33, 40, 64)
 def _sparse_pass_cases(n):
     """One key per pass interval (two for ``twice``), so each pass defers
     at least 15/16 of a segment of 16 words or more and the loop takes the
-    skip paths; in three orders, so that runs end at different offsets."""
-    for wm1 in (0, 62):
-        gap = 2 * n * max(wm1, 1)
+    skip paths; in three orders, so that runs end at different offsets.
+    Count nodes of 62 bits pack every pass, of 3 bits only a pass over one
+    word; no pass interval spans 62 keys a word or more."""
+    for F, b in ((1, 3), (1, 62), (62, 1)):
+        gap = 2 * n * (1 if b == 3 else 62)
         for order in (range(n), range(n - 1, -1, -1), [(7 * k) % n for k in range(n)]):
-            for twice in (False, True)[: 2 - bool(wm1)]:
+            for twice in (False, True)[: 1 + (F == 1)]:
                 seg = [1000 + gap * (r // 2 if twice else r) for r in order]
                 # Padding at the first pass's interval end: a block that
                 # reads it moves the next pass's start.
-                words = [0] * PAD + seg + [1000 + n * max(wm1, 1)] * PAD
-                yield "improved_passes", words, (PAD, PAD + n, 1000, max(seg), wm1, T63)
+                span = kernels.pass_interval(n, 1000, max(seg), F, b, T63)[2]
+                words = [0] * PAD + seg + [1000 + span] * PAD
+                yield "improved_passes", words, (PAD, PAD + n, 1000, max(seg), F, b, T63)
 
 
 def _sparse_loop_cases(n):
@@ -478,7 +551,8 @@ def _dense_case(seg, delta, top, tag=T63):
     that holds key ``delta``, so that a cursor that strays past the
     segment changes the counts."""
     words = [delta] * PAD + [int(v) for v in seg] + [delta] * PAD
-    return "improved_passes", words, (PAD, PAD + len(seg), delta, top, 0, tag)
+    return "improved_passes", words, (PAD, PAD + len(seg), delta, top, 1,
+                                      tag.bit_length() - 1, tag)
 
 
 def _past_top():
@@ -527,7 +601,7 @@ def _dense_cases():
 
 def _cursor_cases():
     """``practice_cursors`` on the segments of :func:`_dense_cases`."""
-    for _, words, (lo, hi, delta, _, _, tag) in _dense_cases():
+    for _, words, (lo, hi, delta, _, _, _, tag) in _dense_cases():
         yield "practice_cursors", words, (lo, hi, delta, tag)
 
 
@@ -573,14 +647,27 @@ def test_retrieval_tag_scans_step_over_untagged_words():
     statuses = set()
     for name, words, args in _retrieval_cases():
         status = _agree(name, words, args)[1]
-        *_, wm1, _ = args
-        if wm1 == 0:
+        *_, F, _, _ = args
+        if F == 1:
             statuses.add(status)
     assert statuses == {kernels.STATUS_OK, kernels.STATUS_TAG_SCAN}
 
 
 def test_bitmap_retrieval_writes_the_set_bits_below_wm1():
     statuses = {_agree(*case)[1] for case in _bitmap_retrieval_cases()}
+    assert statuses == {kernels.STATUS_OK, kernels.STATUS_COLLISION}
+
+
+def test_packed_nodes_practice_and_retrieve_as_numpy():
+    """Packed retrieval writes each field's key its count of times, highest
+    field first, and stops at a collision mid-node; packed practice counts
+    fields up to the segment length and steps over deferred keys to the
+    exact stop word."""
+    statuses = set()
+    for name, words, args in _packed_cases():
+        result = _agree(name, words, args)
+        if name == "retrieve_scan":
+            statuses.add(result[1])
     assert statuses == {kernels.STATUS_OK, kernels.STATUS_COLLISION}
 
 
@@ -655,11 +742,11 @@ def test_dense_last_passes_take_the_cursors(monkeypatch):
                 got[backend] = _run(name, np.array(words, dtype=np.int64), args)
         with monkeypatch.context() as patch, use_backend("numpy"):
             patch.setattr(kernels, "practice_cursors", lambda S, lo, hi, delta, tag:
-                          kernels.practice(S, lo, hi, delta, 0, hi - lo, 0, tag))
+                          kernels.practice(S, lo, hi, delta, 0, hi - lo, 1, 1, tag))
             sequential = _run(name, np.array(words, dtype=np.int64), args)
         assert got["c"] == got["numpy"]
         assert (got["numpy"] == sequential) == (args == clean[2])
-    for _, (words,), (lo, hi, delta, _, _, tag), _, _ in DENSE_CORRUPT:
+    for _, (words,), (lo, hi, delta, _, _, _, tag), _, _ in DENSE_CORRUPT:
         n_d, n_c = kernels.practice_cursors(np.array(words), lo, hi, delta, tag)[:2]
         assert 2 * n_c >= n_d
 
@@ -732,14 +819,15 @@ def _driver_input():
 
     cases = [*_practice_cases(), *_bitmap_practice_cases(), *_implicit_practice_cases(),
              *_fixpoint_cases(), *_store_cases(), *_store_nodes_cases(),
-             *_retrieval_cases(), *_bitmap_retrieval_cases(), *_partition_cases(),
+             *_retrieval_cases(), *_bitmap_retrieval_cases(), *_packed_cases(),
+             *_partition_cases(),
              *_pass_cases(), *_outside_cases(), *_sparse_cases(),
              *_dense_cases(), *_cursor_cases(), *_stop_cases()]
     for name, words, (lo, hi, *rest) in cases:
         seg = words[lo:hi]
         line(name, name in _LOOP_NAMES and rest[0] == min(seg), seg, (0, hi - lo, *rest))
-    for _, words, (lo, hi, delta, _, wm1, tag) in _pass_cases():
-        if wm1 == 0:
+    for _, words, (lo, hi, delta, _, F, _, tag) in _pass_cases():
+        if F == 1:
             seg, n = words[lo:hi], hi - lo
             sorts = delta == min(seg)
             line("distinct_passes", False, seg, (0, n, delta))

@@ -64,8 +64,8 @@ class TestWordConfig:
 
 
 class TestLinearHash:
-    """The counting hash, inline in the ``practice`` kernel with ``wm1 =
-    0``: key ``k`` of the interval ``[delta, delta + span)`` owns slot
+    """The counting hash, inline in the ``practice`` kernel with ``F =
+    1``: key ``k`` of the interval ``[delta, delta + span)`` owns slot
     ``base + k - delta``."""
 
     def test_hash_and_unhash(self):
@@ -73,7 +73,7 @@ class TestLinearHash:
         S = np.full(53, 500, dtype=np.int64)  # deferred filler
         S[:3] = (149, 100, 120)
         n_d, _, n_def, dnext, *_ = active().practice(
-            S, 0, 53, 100, 3, 50, 0, cfg.tag_mask
+            S, 0, 53, 100, 3, 50, 1, cfg.w - 1, cfg.tag_mask
         )
         assert (n_d, n_def, dnext) == (3, 50, 500)
         slots = [j for j in range(53) if S[j] & cfg.tag_mask]
@@ -86,23 +86,23 @@ class TestLinearHash:
         cfg = WordConfig(16)
         S = arr(99, 150, 100)
         n_d, n_c, n_def, dnext, *_ = active().practice(
-            S, 0, 3, 100, 0, 50, 0, cfg.tag_mask
+            S, 0, 3, 100, 0, 50, 1, cfg.w - 1, cfg.tag_mask
         )
         assert (n_d, n_c, n_def, dnext) == (1, 0, 1, 150)
         assert S.tolist() == [cfg.tag_mask, 150, 99]
 
 
 class TestSuperHash:
-    """The bitmap hash, inline in the ``practice`` kernel with ``wm1 = w -
-    1``: key ``delta + d`` is bit ``d % (w - 1)`` of the node at slot
-    ``base + d // (w - 1)``."""
+    """The bitmap hash, inline in the ``practice`` kernel with ``F = w -
+    1`` and ``b = 1``: key ``delta + d`` is bit ``d % (w - 1)`` of the node
+    at slot ``base + d // (w - 1)``."""
 
     def test_example(self):
         # key 19 above the interval start with 8 usable record bits:
         # slot 2, bit 3.
         cfg = WordConfig(9)
         S = arr(19, 40, 50)
-        n_d, _, n_def, *_ = active().practice(S, 0, 3, 0, 0, 24, 8, cfg.tag_mask)
+        n_d, _, n_def, *_ = active().practice(S, 0, 3, 0, 0, 24, 8, 1, cfg.tag_mask)
         assert (n_d, n_def) == (1, 2)
         assert int(S[2]) == cfg.tag_mask | (1 << 3)
 
@@ -110,7 +110,7 @@ class TestSuperHash:
         cfg = WordConfig(9)
         S = arr(5, 10)
         n_d, n_c, n_def, *_, dup = active().practice(
-            S, 0, 2, 10, 0, 16, 8, cfg.tag_mask
+            S, 0, 2, 10, 0, 16, 8, 1, cfg.tag_mask
         )
         assert (n_d, n_c, n_def, dup) == (1, 0, 0, -1)
         assert S.tolist() == [cfg.tag_mask | 1, 5]
@@ -127,7 +127,7 @@ class TestSuperHash:
         )
         S = np.array(offsets, dtype=np.int64) + delta
         k = active()
-        n_d, n_c, _, _, _, _, dup = k.practice(S, 0, n, delta, 0, wm1 * n, wm1, tag)
+        n_d, n_c, _, _, _, _, dup = k.practice(S, 0, n, delta, 0, wm1 * n, wm1, 1, tag)
         assert dup == -1
         for off in offsets:
             j, bit = super_hash_oracle(delta + off, delta, w)
@@ -135,7 +135,7 @@ class TestSuperHash:
             assert S[j] & tag and S[j] & (1 << bit)
         k.store_records(S, 0, n, n_d, tag)
         k.partition_values(S, n_d, n, delta + wm1 * n - 1, tag)
-        _, status = k.retrieve_scan(S, 0, n, n_d, n_c, delta, wm1, tag)
+        _, status = k.retrieve_scan(S, 0, n, n_d, n_c, delta, wm1, 1, tag)
         assert status == 0
         assert S.tolist() == sorted(delta + off for off in offsets)
 
