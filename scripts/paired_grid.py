@@ -14,12 +14,23 @@ counters; it then prints each build's passes too.  It prints, per cell,
 the median time per call of each build, their ratio (base / new, above 1
 when the new build is faster), the base's spread between quartiles over
 its median, and the ratio of the base median to the new build's
-quartiles.
+quartiles.  With ``--json PATH`` it also writes every cell (quartiles of
+each build's time per call, the ratio, the base IQR, each build's passes
+under ``--sorted-only``) and each build's source, flags and git revision
+to ``PATH``.
 
     git show 46a0063:src/assocsort/kernels.c > /tmp/base.c
     PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c \
         --base-flags="-O2 -shared -fPIC" \
         --sorters assoc_improved,assoc_seq,assoc_rec,cycle_distinct
+
+The grid committed as ``BENCH_paired_grid.json`` (the counting sorters
+against the source before their passes packed):
+
+    git show 3272a8b:src/assocsort/kernels.c > /tmp/base.c
+    PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c \
+        --sorters assoc_seq,assoc_rec --sizes 5000,100000 --ratios 1,3,10,30,100 \
+        --sorted-only --json BENCH_paired_grid.json
 
 Inputs: ``distinct_improved`` and ``cycle_distinct`` get n distinct keys
 drawn from [0, m); ``assoc_seq`` and ``assoc_rec`` get n keys drawn from
@@ -32,7 +43,9 @@ call is its pass loop as its driver makes it, with the default word of
 """
 
 import argparse
+import json
 import os
+import platform
 import re
 import subprocess
 import tempfile
@@ -115,14 +128,21 @@ def run(ns, sorter, S):
         form = ((62, 1) if distinct else (1, 62)) if ns["params"]["improved_passes"] == 10 \
             else (62 if distinct else 0,)
         return loop(S, 0, n, lo, int(S.max()), *form, TAG)
+    if sorter in POOLED:
+        # The keys' maximum, which the counting loops take after their
+        # minimum; a source from before they took it has one parameter
+        # fewer, and its call still pays for the scan.
+        top = [int(S.max())]
+        if ns["params"][loop_of(sorter)] in (7, 11):
+            top = []
     if sorter == "assoc_seq":
-        return loop(S, 0, n, lo, 63)
+        return loop(S, 0, n, lo, *top, 63)
     if sorter == "cycle_distinct":
         return loop(S, 0, n, lo)
     if sorter == "sort_by_key":
         return loop(S, np.arange(n, dtype=np.int64), 0, n, lo, TAG)
     L = np.zeros(2 * n + 2, dtype=np.int64)
-    return loop(S, L, 0, n, lo, 0, n + 1, 63)
+    return loop(S, L, 0, n, lo, *top, 0, n + 1, 63)
 
 
 def cell(A, B, sorter, n, ratio, rounds, seed, sorted_only=False):
@@ -153,6 +173,40 @@ def cell(A, B, sorter, n, ratio, rounds, seed, sorted_only=False):
     return times[id(A)], times[id(B)], left[id(A)][0][0], left[id(B)][0][0]
 
 
+def revision(source):
+    """The git revision of the checkout that holds ``source`` where
+    ``source`` is tracked there and unmodified, else ``None``."""
+    directory = os.path.dirname(os.path.abspath(source))
+
+    def git(*args):
+        proc = subprocess.run(["git", "-C", directory, *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    tracked = git("ls-files", "--error-unmatch", os.path.abspath(source))
+    if not tracked or git("status", "--porcelain", "--", os.path.abspath(source)):
+        return None
+    return git("rev-parse", "--short", "HEAD")
+
+
+def build_info(source, flags):
+    """What names a build: its source file, its blob id (which ``git log
+    --find-object`` finds in the history, where the source is not a
+    tracked file), flags and git revision."""
+    proc = subprocess.run(["git", "hash-object", source], capture_output=True, text=True)
+    return {"source": os.path.basename(source), "blob": proc.stdout.strip() or None,
+            "flags": flags, "rev": revision(source)}
+
+
+def cpu_model():
+    """The CPU's model name, from ``/proc/cpuinfo`` where there is one."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((line.split(":", 1)[1].strip() for line in fh
+                         if line.startswith("model name")), None)
+    except OSError:
+        return None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base")
@@ -169,7 +223,10 @@ def main():
     parser.add_argument("--sorted-only", action="store_true",
                         help="check that each build sorts, not that both leave the "
                              "same words and results, and print each build's passes")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the cells and both builds to PATH")
     args = parser.parse_args()
+    cells = []
     with tempfile.TemporaryDirectory() as directory:
         A = bind(args.base, args.base_flags.split(), directory, "base")
         B = bind(args.new, args.new_flags.split(), directory, "new")
@@ -185,6 +242,27 @@ def main():
                           f"base {qa[1] / 1e3:9.1f} us  new {qb[1] / 1e3:9.1f} us  "
                           f"ratio {qa[1] / qb[1]:.3f}  base IQR {(qa[2] - qa[0]) / qa[1]:.3f}  "
                           f"[{qa[1] / qb[2]:.3f}, {qa[1] / qb[0]:.3f}]{passes}", flush=True)
+                    cells.append({
+                        "sorter": sorter, "n": n, "ratio": ratio,
+                        "base_us": [round(q / 1e3, 2) for q in qa],
+                        "new_us": [round(q / 1e3, 2) for q in qb],
+                        "base_over_new": round(qa[1] / qb[1], 4),
+                        "base_iqr": round((qa[2] - qa[0]) / qa[1], 4),
+                        **({"base_passes": int(pa), "new_passes": int(pb)}
+                           if args.sorted_only else {}),
+                    })
+    if args.json:
+        doc = {
+            "rounds": args.rounds, "seed": args.seed, "sorted_only": args.sorted_only,
+            "base": build_info(args.base, args.base_flags),
+            "new": build_info(args.new, args.new_flags),
+            "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),
+                        "platform": platform.platform()},
+            "cells": cells,
+        }
+        with open(args.json, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

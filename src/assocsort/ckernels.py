@@ -101,7 +101,7 @@ SIGNATURES = {
     "practice": (1, 7, _SCAN + _FORM + " and 0 <= base and lo + base - (-span // F) <= size"),
     "store_nodes": (1, 4, _SCAN),
     "partition_values": (1, 2, _SCAN),
-    "retrieve_packed": (1, 3, "0 <= lo and mem_hi <= size and write_end <= size"),
+    "retrieve_packed": (1, 3, "0 <= lo and mem_hi <= size and write_end <= size" + _FORM),
     "store_records": (1, 3, _SCAN),
     "retrieve_scan": (1, 2, _SCAN + _FORM + " and 0 <= n_c and lo + n_d + n_c <= size"),
     "practice_cursors": (1, 7, _SCAN),

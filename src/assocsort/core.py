@@ -27,6 +27,13 @@ count — then expands that memory back into sorted keys:
 4. retrieve: walk the memory right-to-left and write each key
    ``count + 1`` times, filling the segment front exactly.
 
+A pass whose keys reach past such an interval (``top - delta >= seg``)
+*packs* its nodes where the record has room (``kernels.pass_interval``):
+a node holds the occurrences of ``F`` consecutive keys in fields of
+``seg.bit_length()`` bits, so the interval covers ``F`` keys per segment
+word.  No field can overflow, so a packed pass reserves no ``eps`` and
+makes no companions: companions occur only in count passes.
+
 The recursive driver instead stacks the memories of successive passes
 and, in the same loop, unwinds them back-to-front, which needs no
 partitioning.
@@ -202,7 +209,7 @@ def sort_associative(
     """Sort ``S`` in place, one practice/store/retrieve cycle per pass."""
     cfg = cfg or WordConfig()
     return run_loop("sequential_passes", _fail, S, cfg, counters, args=(cfg.w,),
-                    trace=trace)
+                    top=True, trace=trace)
 
 
 def sort_associative_recursive(
@@ -218,7 +225,9 @@ def sort_associative_recursive(
     ``stacked_passes`` call retrieves the memories newest-first, writing
     sorted keys right-to-left from the array end, which is guaranteed not
     to overtake the unread memories.  Control state is two words per
-    level, its ``(head, delta)``, in an ``int64`` level buffer that starts
+    level, its ``(head, delta)``, from which the unwind derives the level's
+    budget and node form again, with the keys' maximum, in an ``int64``
+    level buffer that starts
     at ``LEVELS`` levels and grows by as many whenever ``stacked_passes``
     fills it first.  A trace sees a level's practice and its retrieval
     numbered alike, by the pass that practiced it.
@@ -232,7 +241,7 @@ def sort_associative_recursive(
     stacked_passes = loops(S, trace, counters.passes).stacked_passes
     while True:
         passes, moves, created, head, delta, depth, phase, status, *numbers = (
-            stacked_passes(S, L, head, n, delta, depth, len(L) // 2, cfg.w)
+            stacked_passes(S, L, head, n, delta, bounds[1], depth, len(L) // 2, cfg.w)
         )
         counters.passes += passes
         counters.moves += moves

@@ -7,10 +7,12 @@
  * kernel with a skip path is an inline <name>_k, which the pass loops call,
  * and an exported <name> that calls it; practice_k and retrieve_scan_k
  * serve every node form (F, b) of kernels.practice alike: count nodes
- * (F == 1), bitmaps of F keys (b == 1) and F packed counters of b bits.
- * improved_passes packs the count nodes of a pass whose keys a count pass
- * would defer (see kernels.pass_interval).  Five things exist only here,
- * and change no result:
+ * (F == 1), bitmaps of F keys (b == 1) and F packed counters of b bits,
+ * and retrieve_packed_k the count and packed memories of the counting
+ * sorters.  improved_passes, sequential_passes and stacked_passes pack the
+ * count nodes of a pass whose keys a count pass would defer, by the one
+ * rule of pass_interval.  Five things exist only here, and change no
+ * result:
  * * Skip paths.  Where a scan of a value-sort pass loop would only step
  *   past word after word (keys practice defers or, in stacked_passes,
  *   leaves below the interval, untagged words, value planes above the
@@ -18,7 +20,9 @@
  *   at a time and returns the exact word the scan must stop at.  The
  *   standalone kernels always take them; improved_passes,
  *   sequential_passes, stacked_passes and distinct_passes turn them on per
- *   pass (see SKIP_SHARE), so dense segments keep the plain loop.
+ *   pass (see SKIP_SHARE), so dense segments keep the plain loop, but for
+ *   stacked_passes' practice, which takes them in every pass after its
+ *   first.
  * * Vector lane masks.  A skip path tests the 4 words of a block as one
  *   vector and finds its stop word from the mask of the lanes that fail
  *   (see lanes()).
@@ -85,7 +89,8 @@ typedef int64_t word __attribute__((aligned(1)));
 /* A pass loop takes the skip paths in a pass that settled at most
  * 1/SKIP_SHARE of its segment's words (nodes and companions; placed keys
  * in distinct_passes): the scans after practice take them in that pass,
- * and the next pass's practice takes them too.  Below that share runs are
+ * and the next pass's practice takes them too (stacked_passes' takes them
+ * after any pass, see there).  Below that share runs are
  * short and a failed block costs more than the blocks save: with the skip
  * paths in every pass of improved_passes, sorts of keys over 3n-10n took
  * 8-13% longer, and with this gate as long as without them. */
@@ -680,18 +685,47 @@ void partition_values(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot, i64 tag,
     partition_values_k(S, S_s, lo, hi, pivot, tag, 1, out);
 }
 
-void retrieve_packed(char *S, i64 S_s, i64 lo, i64 mem_hi, i64 write_end,
-                     i64 delta, i64 base, i64 pack_split, i64 tag, i64 *out)
+/* The keys of the packed fields rest, of b bits each, from key key0:
+ * highest field first, empty ones skipped (the highest set bit names the
+ * next field that holds a count), key key0 + f written as many times as
+ * field f counts, down from *o, each write keeping the bits keep of the
+ * word it overwrites.  Returns 0, having written down to stop, where the
+ * writes would pass below stop, else 1. */
+INLINE int write_fields(char *S, i64 S_s, uint64_t rest, i64 b, i64 key0,
+                        i64 *o, i64 stop, i64 keep, i64 *moves)
 {
-    i64 vmask = tag - 1;
-    i64 cmask = ((i64)1 << pack_split) - 1;
+    while (rest) {
+        i64 f = (63 - __builtin_clzll(rest)) / b;
+        uint64_t c = rest >> (f * b);
+        rest &= ((uint64_t)1 << (f * b)) - 1;
+        for (; c; c--) {
+            if (*o < stop)
+                return 0;
+            AT(S, *o) = (AT(S, *o) & keep) | (key0 + f);
+            (*o)--;
+            (*moves)++;
+        }
+    }
+    return 1;
+}
+
+/* retrieve_packed, of records of the form (F, b): counts (F == 1), whose
+ * key is written count + 1 times, or F packed counters of b bits, which
+ * write_fields walks.  retrieve_form passes a count form's F as a literal
+ * 1, so that its loop has no field code. */
+INLINE void retrieve_packed_k(char *S, i64 S_s, i64 lo, i64 mem_hi,
+                              i64 write_end, i64 delta, i64 base, i64 F, i64 b,
+                              i64 tag, i64 *out)
+{
+    i64 vmask = tag - 1, split = F * b;
+    i64 cmask = (i64)(((uint64_t)1 << split) - 1);
     i64 r = mem_hi - 1, o = write_end - 1, moves = 0;
     out[0] = 0;
     while (r >= lo) {
         i64 x = AT(S, r), fp, cnt;
         if (x & tag) {
             i64 rec = x & vmask;
-            fp = rec >> pack_split;
+            fp = rec >> split;
             cnt = rec & cmask;
         } else {
             fp = x;
@@ -703,22 +737,50 @@ void retrieve_packed(char *S, i64 S_s, i64 lo, i64 mem_hi, i64 write_end,
             }
             cnt = AT(S, r) & vmask;
         }
-        i64 key = delta + (fp - base);
-        for (i64 c = 0; c <= cnt; c++) {
-            if (o < r) {
-                out[1] = moves;
-                out[2] = STATUS_COLLISION;
-                return;
+        if (F == 1) {
+            i64 key = delta + (fp - base);
+            for (i64 c = 0; c <= cnt; c++) {
+                if (o < r) {
+                    out[1] = moves;
+                    out[2] = STATUS_COLLISION;
+                    return;
+                }
+                AT(S, o) = key;
+                o--;
+                moves++;
             }
-            AT(S, o) = key;
-            o--;
-            moves++;
+        } else if (!write_fields(S, S_s, (uint64_t)cnt, b,
+                                 delta + (fp - base) * F, &o, r, 0, &moves)) {
+            out[1] = moves;
+            out[2] = STATUS_COLLISION;
+            return;
         }
         r--;
     }
     out[0] = (write_end - 1) - o;
     out[1] = moves;
     out[2] = STATUS_OK;
+}
+
+void retrieve_packed(char *S, i64 S_s, i64 lo, i64 mem_hi, i64 write_end,
+                     i64 delta, i64 base, i64 F, i64 b, i64 tag, i64 *out)
+{
+    retrieve_packed_k(S, S_s, lo, mem_hi, write_end, delta, base, F, b, tag,
+                      out);
+}
+
+/* retrieve_packed_k with one instance per node form, as the loops call
+ * it. */
+INLINE void retrieve_form(char *S, i64 S_s, i64 lo, i64 mem_hi,
+                          i64 write_end, i64 delta, i64 base, i64 F, i64 b,
+                          i64 tag, i64 *out)
+{
+    if (F == 1)
+        retrieve_packed_k(S, S_s, lo, mem_hi, write_end, delta, base, 1, b,
+                          tag, out);
+    else
+        retrieve_packed_k(S, S_s, lo, mem_hi, write_end, delta, base, F, b,
+                          tag, out);
 }
 
 /* kernels.pass_budget: the companion budget eps and the pack split of a
@@ -730,21 +792,57 @@ static void pass_budget(i64 seg, i64 w, i64 *eps, i64 *split)
     *eps = 2 * lg >= w ? seg / (((i64)1 << *split) + 1) : 0;
 }
 
-/* kernels.practice_store: practice, then compact the nodes into memory.
- * Practice takes its skip path when skip is set, storage when practice
- * left the pass sparse.  out: n_d, n_c, dnext, eps, eps_used, split,
- * stored, status, moves, created. */
-INLINE void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
-                           i64 w, int skip, i64 *out)
+/* kernels.pass_interval, the one packing rule of the three count sorters:
+ * iv gets the node form F, b, the span and the pivot of a pass over seg
+ * words from key delta whose keys are at most top, for a sort of nodes of
+ * the form (F, b).  A count pass whose keys reach seg or more past delta
+ * packs b / len >= 2 fields of len = bit length of seg bits. */
+INLINE void pass_interval(i64 seg, i64 delta, i64 top, i64 F, i64 b, i64 tag,
+                          i64 *iv)
 {
-    i64 tag = (i64)1 << (w - 1), seg = hi - head, eps, split, p[7], st[4];
+    i64 len = 64 - __builtin_clzll((uint64_t)seg | 1), span = seg;
+    if (F == 1 && seg > 0 && top >= delta &&
+        (uint64_t)top - (uint64_t)delta >= (uint64_t)seg && b / len >= 2) {
+        F = b / len;
+        b = len;
+    }
+    iv[0] = F;
+    iv[1] = b;
+    iv[2] = seg;
+    iv[3] = delta + seg - 1;
+    if (F == 1)
+        return;
+    if (__builtin_mul_overflow(F, seg, &span) || span > tag)
+        span = tag;
+    iv[2] = span;
+    iv[3] = delta + span - 1 < tag - 1 ? delta + span - 1 : tag - 1;
+}
+
+/* kernels.practice_store: practice, then compact the nodes into memory,
+ * in the node form of pass_interval over the seg - eps words the budget
+ * leaves the interval.  A packed pass (F >= 2) has eps 0, so no field can
+ * overflow and storage packs tag | fp << F * b | fields, making no
+ * companion; a count pass is practiced with F a literal 1.  Practice takes
+ * its skip path when skip is set, storage when practice left the pass
+ * sparse.  out: n_d, n_c, dnext, eps, eps_used, F, b, pivot, stored,
+ * status, moves, created. */
+INLINE void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
+                           i64 top, i64 w, int skip, i64 *out)
+{
+    i64 tag = (i64)1 << (w - 1), seg = hi - head, eps, split, iv[4], p[7];
+    i64 st[4];
     pass_budget(seg, w, &eps, &split);
-    practice_k(S, S_s, head, hi, delta, eps, seg - eps, 1, w - 1, tag, skip, p);
+    pass_interval(seg - eps, delta, top, 1, split, tag, iv);
+    if (iv[0] == 1)
+        practice_k(S, S_s, head, hi, delta, eps, iv[2], 1, 1, tag, skip, p);
+    else
+        practice_k(S, S_s, head, hi, delta, eps, iv[2], iv[0], iv[1], tag,
+                   skip, p);
     SCAN(store_nodes_k, sparse(p[0] + p[1], seg), st, S, S_s, head, hi, delta,
-         seg - eps, split, tag, eps);
-    i64 v[10] = {p[0], p[1], p[3], eps, st[0], split, st[1], st[3],
-                 p[4] + st[2], p[5]};
-    for (int k = 0; k < 10; k++)
+         iv[2], iv[0] * iv[1], tag, eps);
+    i64 v[12] = {p[0], p[1], p[3], eps, st[0], iv[0], iv[1], iv[3], st[1],
+                 st[3], p[4] + st[2], p[5]};
+    for (int k = 0; k < 12; k++)
         out[k] = v[k];
 }
 
@@ -752,32 +850,31 @@ INLINE void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
  * kernels.sequential_passes between the phases.  Inlined into
  * sequential_passes twice, once with S_s fixed at 8. */
 INLINE void sequential_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
-                            i64 w, i64 *out)
+                            i64 top, i64 w, i64 *out)
 {
     i64 tag = (i64)1 << (w - 1);
     i64 passes = 0, moves = 0, created = 0;
     i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0, c = 0, d = 0;
-    i64 r[10];
+    i64 r[12];
     int skip = 0;
     while (head < hi) {
         passes++;
-        SCAN(practice_store, skip, r, S, S_s, head, hi, delta, w);
+        SCAN(practice_store, skip, r, S, S_s, head, hi, delta, top, w);
         i64 n_d = r[0], n_c = r[1], dnext = r[2], eps = r[3], eps_used = r[4];
-        i64 split = r[5];
+        i64 fields = r[5], bits = r[6], pivot = r[7];
         skip = sparse(n_d + n_c, hi - head);
-        moves += r[8];
-        created += r[9];
-        if (r[7] != STATUS_OK || r[6] != n_d + eps_used) {
+        moves += r[10];
+        created += r[11];
+        if (r[9] != STATUS_OK || r[8] != n_d + eps_used) {
             phase = PHASE_STORE;
-            status = r[7];
-            a = r[6];
+            status = r[9];
+            a = r[8];
             b = n_d;
             c = eps_used;
             d = eps;
             break;
         }
         i64 mem = head + n_d + eps_used;
-        i64 pivot = delta + (hi - head - eps) - 1;
         SCAN(partition_values_k, skip, r, S, S_s, mem, hi, pivot, tag);
         moves += r[1];
         if (r[0] != n_c - eps_used) {
@@ -786,8 +883,8 @@ INLINE void sequential_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
             b = n_c - eps_used;
             break;
         }
-        retrieve_packed(S, S_s, head, mem, head + n_d + n_c, delta, eps, split,
-                        tag, r);
+        retrieve_form(S, S_s, head, mem, head + n_d + n_c, delta, eps, fields,
+                      bits, tag, r);
         moves += r[1];
         if (r[2] != STATUS_OK || r[0] != n_d + n_c) {
             phase = PHASE_RETRIEVE;
@@ -808,10 +905,10 @@ INLINE void sequential_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     loop_result(out, passes, moves, created, head, phase, status, a, b, c, d);
 }
 
-void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 w,
-                       i64 *out)
+void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 top,
+                       i64 w, i64 *out)
 {
-    BY_STRIDE(sequential_loop, head, hi, delta, w, out);
+    BY_STRIDE(sequential_loop, head, hi, delta, top, w, out);
 }
 
 /* Every pass of a recursive counting sort in one call, with the checks of
@@ -821,31 +918,37 @@ void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 w,
  * newest's at end, where this call's last pass left it.  Inlined into
  * stacked_passes twice, once with S_s fixed at 8. */
 INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
-                         i64 delta, i64 depth, i64 cap, i64 w, i64 *out)
+                         i64 delta, i64 top, i64 depth, i64 cap, i64 w,
+                         i64 *out)
 {
     i64 tag = (i64)1 << (w - 1);
     i64 passes = 0, moves = 0, created = 0, end = hi;
     i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0, c = 0, d = 0;
-    i64 r[10];
-    int skip = 0;
+    i64 r[12];
     while (head < hi && depth < cap) {
         passes++;
         /* The companions a pass leaves stay in the segment, below the next
          * interval, so practice steps over words on both sides of it; the
          * other loops leave none there, and keep skip_deferred, which
-         * fails on most blocks here. */
-        if (skip)
-            practice_store(S, S_s, head, hi, delta, w, SKIP_OUTSIDE, r);
+         * fails on most blocks here.  So every pass after the first takes
+         * the skip paths, whatever share of its segment the pass before
+         * settled: with the gate of the other loops, packed passes that
+         * settle just over 1/16 of theirs ran the plain loop, and sorts of
+         * keys over 30n took 1.07-1.33x as long as with count nodes
+         * (scripts/paired_grid.py at n = 5000 and 10^5).  From 1.5n to
+         * 100n, count nodes at w = 32 and packed ones at w = 63, time with
+         * the gate over time without read 0.99-1.40. */
+        if (depth)
+            practice_store(S, S_s, head, hi, delta, top, w, SKIP_OUTSIDE, r);
         else
-            practice_store(S, S_s, head, hi, delta, w, 0, r);
+            practice_store(S, S_s, head, hi, delta, top, w, 0, r);
         i64 n_d = r[0], dnext = r[2], eps_used = r[4];
-        skip = sparse(n_d + r[1], hi - head);
-        moves += r[8];
-        created += r[9];
-        if (r[7] != STATUS_OK || r[6] != n_d + eps_used) {
+        moves += r[10];
+        created += r[11];
+        if (r[9] != STATUS_OK || r[8] != n_d + eps_used) {
             phase = PHASE_STORE;
-            status = r[7];
-            a = r[6];
+            status = r[9];
+            a = r[8];
             b = n_d;
             c = eps_used;
             d = r[3];
@@ -868,6 +971,7 @@ INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
     for (i64 level = depth - 1; phase == PHASE_OK && head >= hi && level >= 0;
          level--) {
         i64 h = AT(L, 2 * level), key = AT(L, 2 * level + 1), eps, split;
+        i64 iv[4];
         /* A level whose memory lies outside [0, write_end), whose segment
          * is wider than the word or whose key lies outside it, reported by
          * its number from 1, as a trace numbers it. */
@@ -878,8 +982,12 @@ INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
             a = level + 1;
             break;
         }
+        /* The level's budget and node form, those of its pass, from its
+         * segment, its key and top: a level stays two words. */
         pass_budget(hi - h, w, &eps, &split);
-        retrieve_packed(S, S_s, h, end, write_end, key, eps, split, tag, r);
+        pass_interval(hi - h - eps, key, top, 1, split, tag, iv);
+        retrieve_form(S, S_s, h, end, write_end, key, eps, iv[0], iv[1], tag,
+                      r);
         moves += r[1];
         if (r[2] != STATUS_OK) {
             phase = PHASE_UNWIND;
@@ -900,9 +1008,9 @@ INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
 }
 
 void stacked_passes(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
-                    i64 delta, i64 depth, i64 cap, i64 w, i64 *out)
+                    i64 delta, i64 top, i64 depth, i64 cap, i64 w, i64 *out)
 {
-    BY_STRIDE(stacked_loop, L, L_s, head, hi, delta, depth, cap, w, out);
+    BY_STRIDE(stacked_loop, L, L_s, head, hi, delta, top, depth, cap, w, out);
 }
 
 /* store_records, taking the untagged-word skip path when skip is set. */
@@ -1016,25 +1124,12 @@ INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
                 return;
             }
         } else {
-            /* The F fields of b bits, highest first, empty ones skipped:
-             * the highest set bit names the next field that holds a count,
-             * whose key is written that many times down from o. */
-            i64 key0 = delta + (p - lo) * F;
             uint64_t rest = (uint64_t)rec & (((uint64_t)1 << (F * b)) - 1);
-            while (rest) {
-                i64 f = (63 - __builtin_clzll(rest)) / b;
-                uint64_t c = rest >> (f * b);
-                rest &= ((uint64_t)1 << (f * b)) - 1;
-                for (; c; c--) {
-                    if (o < lo + k) {
-                        out[0] = moves;
-                        out[1] = STATUS_COLLISION;
-                        return;
-                    }
-                    AT(S, o) = (AT(S, o) & tag) | (key0 + f);
-                    o--;
-                    moves++;
-                }
+            if (!write_fields(S, S_s, rest, b, delta + (p - lo) * F, &o, lo + k,
+                              tag, &moves)) {
+                out[0] = moves;
+                out[1] = STATUS_COLLISION;
+                return;
             }
         }
         p--;
@@ -1267,23 +1362,15 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     int skip = 0;
     while (head < hi) {
         passes++;
-        /* The node form, interval and pivot of kernels.pass_interval. */
-        i64 seg = hi - head, fields = F, bits = b, span = seg;
-        i64 pivot = delta + seg - 1, len = 64 - __builtin_clzll(seg);
-        if (F == 1 && top >= delta &&
-            (uint64_t)top - (uint64_t)delta >= (uint64_t)seg && b / len >= 2) {
-            fields = b / len;
-            bits = len;
-        }
+        i64 seg = hi - head, iv[4];
+        pass_interval(seg, delta, top, F, b, tag, iv);
+        i64 fields = iv[0], bits = iv[1], span = iv[2], pivot = iv[3];
         int dense = fields == 1 && dense_last(seg, delta, top);
         if (dense) {
             practice_cursors_k(S, S_s, head, hi, delta, tag, r);
         } else if (fields == 1) {
             SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, 1, 1, tag);
         } else {
-            if (__builtin_mul_overflow(fields, seg, &span) || span > tag)
-                span = tag;
-            pivot = delta + span - 1 < tag - 1 ? delta + span - 1 : tag - 1;
             /* One instance per node form, as for retrieval below. */
             if (bits == 1)
                 SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, fields,

@@ -364,16 +364,20 @@ def partition_values(S, lo, hi, pivot, tag):
     return l - lo, moves
 
 
-def retrieve_packed(S, lo, mem_hi, write_end, delta, base, pack_split, tag):
+def retrieve_packed(S, lo, mem_hi, write_end, delta, base, F, b, tag):
     """Expand short-term memory ``S[lo:mem_hi]`` into sorted keys.
 
-    Memory is read right-to-left: a tagged word packs position and count;
-    an untagged word is an overfull node's position and the tagged word
-    before it holds the count.  Keys are written right-to-left ending at
-    ``write_end - 1``.  Returns ``(written, moves, status)``.
+    Memory is read right-to-left: a tagged word packs a position ``fp``
+    above a record of the form ``(F, b)`` (see :func:`practice`) in its
+    low ``F * b`` bits; an untagged word is an overfull node's position and
+    the tagged word before it holds the record.  A record writes the keys
+    :func:`record_keys` gives it from key ``delta + (fp - base) * F``,
+    right-to-left ending at ``write_end - 1``.  Returns ``(written, moves,
+    status)``.
     """
     vmask = tag - 1
-    cmask = (1 << pack_split) - 1
+    split = F * b
+    cmask = (1 << split) - 1
     r = mem_hi - 1
     o = write_end - 1
     moves = 0
@@ -381,7 +385,7 @@ def retrieve_packed(S, lo, mem_hi, write_end, delta, base, pack_split, tag):
         x = S[r]
         if x & tag:
             rec = x & vmask
-            fp = rec >> pack_split
+            fp = rec >> split
             cnt = rec & cmask
         else:
             fp = x
@@ -392,8 +396,7 @@ def retrieve_packed(S, lo, mem_hi, write_end, delta, base, pack_split, tag):
             if not y & tag:
                 return 0, moves, STATUS_NO_IDLE
             cnt = y & vmask
-        key = delta + (fp - base)
-        for _ in range(cnt + 1):
+        for key in record_keys(cnt, delta + (fp - base) * F, F, b):
             if o < r:
                 return 0, moves, STATUS_COLLISION
             S[o] = key
@@ -401,6 +404,18 @@ def retrieve_packed(S, lo, mem_hi, write_end, delta, base, pack_split, tag):
             moves += 1
         r -= 1
     return (write_end - 1) - o, moves, STATUS_OK
+
+
+def record_keys(rec, key0, F, b):
+    """The keys a record of the form ``(F, b)`` (see :func:`practice`) of
+    slot ``key0`` stands for, in the order the right-to-left writes take
+    them: a count (``F == 1``) key ``key0`` ``rec + 1`` times; otherwise
+    key ``key0 + f`` as many times as field ``f`` (``b`` bits) counts,
+    fields high to low, so that the writes ascend."""
+    if F == 1:
+        return repeat(key0, rec + 1)
+    field = (1 << b) - 1
+    return (key0 + f for f in range(F - 1, -1, -1) for _ in range(rec >> (f * b) & field))
 
 
 def pass_budget(seg, w):
@@ -430,40 +445,49 @@ def pass_budget(seg, w):
     return seg // ((1 << split) + 1), split
 
 
-def practice_store(S, head, hi, delta, w):
+def practice_store(S, head, hi, delta, top, w):
     """Practice ``S[head:hi]`` at ``delta`` and compact its nodes into
-    memory: the first half of a sequential or stacked pass.
+    memory: the first half of a sequential or stacked pass whose keys are
+    at most ``top``.
 
-    Returns ``(n_distinct, n_companion, delta_next, eps, eps_used,
-    pack_split, stored, status, moves, created)``; the memory is
+    The pass's node form ``(F, b)``, interval and pivot are those
+    :func:`pass_interval` gives count nodes of ``pack_split`` bits over
+    the ``seg - eps`` words :func:`pass_budget` leaves the interval: a
+    pass whose keys a count pass would defer packs its nodes, with ``eps``
+    0, so no field overflows and storage packs ``tag | fp << F * b |
+    fields``.  Returns ``(n_distinct, n_companion, delta_next, eps,
+    eps_used, F, b, pivot, stored, status, moves, created)``; the memory is
     ``stored`` words long, which is ``n_distinct + eps_used`` when
     ``status`` is 0 and storage kept every node.
     """
     tag = 1 << (w - 1)
     seg = hi - head
     eps, split = pass_budget(seg, w)
+    F, b, span, pivot = pass_interval(seg - eps, delta, top, 1, split, tag)
     n_d, n_c, _, dnext, moves, created, _ = practice(
-        S, head, hi, delta, eps, seg - eps, 1, w - 1, tag
+        S, head, hi, delta, eps, span, F, b, tag
     )
     eps_used, stored, mv, status = store_nodes(
-        S, head, hi, delta, seg - eps, split, tag, eps
+        S, head, hi, delta, span, F * b, tag, eps
     )
-    return n_d, n_c, dnext, eps, eps_used, split, stored, status, moves + mv, created
+    return (n_d, n_c, dnext, eps, eps_used, F, b, pivot, stored, status,
+            moves + mv, created)
 
 
-def sequential_passes(S, head, hi, delta, w):
+def sequential_passes(S, head, hi, delta, top, w):
     """Every pass of a sequential counting sort of ``S[head:hi]`` at word
-    width ``w``, from interval start ``delta`` (the segment's minimum).
+    width ``w``, from interval start ``delta`` (the segment's minimum),
+    whose keys are at most ``top`` (the segment's maximum).
 
     A pass is :func:`practice_store` ("practice"), :func:`partition_values`
-    ("partition") and :func:`retrieve_packed` ("retrieve"); a change to it
-    is made to the C loop too.  Returns ``(passes, moves,
-    node_creations, head, phase, status, a, b, c, d)``: ``PHASE_STORE``
-    when storage kept ``a`` memory words for ``b`` nodes and ``c``
-    companions of budget ``d``; ``PHASE_PARTITION`` when ``a`` idle words
-    were gathered where ``b`` were expected; ``PHASE_RETRIEVE`` when
-    retrieval wrote ``a`` of ``b`` keys; ``PHASE_PREFIX`` as in
-    :func:`improved_passes`.
+    at the pass's pivot ("partition") and :func:`retrieve_packed` of its
+    node form ("retrieve"); a change to it is made to the C loop too.
+    Returns ``(passes, moves, node_creations, head, phase, status, a, b, c,
+    d)``: ``PHASE_STORE`` when storage kept ``a`` memory words for ``b``
+    nodes and ``c`` companions of budget ``d``; ``PHASE_PARTITION`` when
+    ``a`` idle words were gathered where ``b`` were expected;
+    ``PHASE_RETRIEVE`` when retrieval wrote ``a`` of ``b`` keys;
+    ``PHASE_PREFIX`` as in :func:`improved_passes`.
     """
     tag = 1 << (w - 1)
     passes = 0
@@ -471,8 +495,8 @@ def sequential_passes(S, head, hi, delta, w):
     created = 0
     while head < hi:
         passes += 1
-        n_d, n_c, dnext, eps, eps_used, split, stored, status, mv, cr = (
-            practice_store(S, head, hi, delta, w)
+        n_d, n_c, dnext, eps, eps_used, F, b, pivot, stored, status, mv, cr = (
+            practice_store(S, head, hi, delta, top, w)
         )
         moves += mv
         created += cr
@@ -481,7 +505,6 @@ def sequential_passes(S, head, hi, delta, w):
                     stored, n_d, eps_used, eps)
         emit("practice", passes)
         mem = head + n_d + eps_used
-        pivot = delta + (hi - head - eps) - 1
         n_low, mv = partition_values(S, mem, hi, pivot, tag)
         moves += mv
         if n_low != n_c - eps_used:
@@ -489,7 +512,7 @@ def sequential_passes(S, head, hi, delta, w):
                     n_low, n_c - eps_used, 0, 0)
         emit("partition", passes)
         written, mv, status = retrieve_packed(
-            S, head, mem, head + n_d + n_c, delta, eps, split, tag
+            S, head, mem, head + n_d + n_c, delta, eps, F, b, tag
         )
         moves += mv
         if status != STATUS_OK or written != n_d + n_c:
@@ -503,9 +526,10 @@ def sequential_passes(S, head, hi, delta, w):
     return passes, moves, created, head, PHASE_OK, STATUS_OK, 0, 0, 0, 0
 
 
-def stacked_passes(S, L, head, hi, delta, depth, cap, w):
-    """Every pass of a recursive counting sort of ``S[head:hi]``, each
-    leaving its memory in place, then the unwind of those memories.
+def stacked_passes(S, L, head, hi, delta, top, depth, cap, w):
+    """Every pass of a recursive counting sort of ``S[head:hi]``, whose
+    keys are at most ``top``, each leaving its memory in place, then the
+    unwind of those memories.
 
     A pass is :func:`practice_store` ("practice"); a change to it is made
     to the C loop too.  Each pass pushes its level ``(head, delta)`` to
@@ -521,10 +545,13 @@ def stacked_passes(S, L, head, hi, delta, depth, cap, w):
     newest first ("retrieve"), writing sorted keys right-to-left from
     ``hi``; the writes never overtake an unread memory.  Level ``k``'s
     memory ends where level ``k + 1`` starts, and the newest's where this
-    call's last pass left it (at ``hi`` if it ran none).  A level whose
-    memory lies outside ``[0, write_end)``, whose segment is wider than
-    the word or whose key lies outside it fails ``STATUS_BAD_SLOT``
-    before its retrieval runs, with its number in ``a``.
+    call's last pass left it (at ``hi`` if it ran none).  Each level's
+    budget and node form are those its pass had, derived again from its
+    segment ``hi - head``, its ``delta`` and ``top``, so a level stays two
+    words.  A level whose memory lies outside ``[0, write_end)``, whose
+    segment is wider than the word or whose key lies outside it fails
+    ``STATUS_BAD_SLOT`` before its retrieval runs, with its number in
+    ``a``.
 
     Returns ``(passes, moves, node_creations, head, delta, depth, phase,
     status, a, b, c, d)``, the failures of a pass numbered as in
@@ -539,8 +566,8 @@ def stacked_passes(S, L, head, hi, delta, depth, cap, w):
     end = hi
     while head < hi and depth < cap:
         passes += 1
-        n_d, _, dnext, eps, eps_used, _, stored, status, mv, cr = practice_store(
-            S, head, hi, delta, w
+        n_d, _, dnext, eps, eps_used, _, _, _, stored, status, mv, cr = (
+            practice_store(S, head, hi, delta, top, w)
         )
         moves += mv
         created += cr
@@ -568,7 +595,8 @@ def stacked_passes(S, L, head, hi, delta, depth, cap, w):
             return (passes, moves, created, head, delta, depth, PHASE_UNWIND,
                     STATUS_BAD_SLOT, level + 1, 0, 0, 0)
         eps, split = pass_budget(hi - h, w)
-        written, mv, status = retrieve_packed(S, h, end, write_end, key, eps, split, tag)
+        F, b, _, _ = pass_interval(hi - h - eps, key, top, 1, split, tag)
+        written, mv, status = retrieve_packed(S, h, end, write_end, key, eps, F, b, tag)
         moves += mv
         if status != STATUS_OK:
             return (passes, moves, created, head, delta, depth, PHASE_UNWIND,
@@ -615,13 +643,10 @@ def retrieve_scan(S, lo, hi, n_d, n_c, delta, F, b, tag):
 
     Nodes are located by scanning tag bits right-to-left; the k-th node
     from the right, at ``p``, pairs with the record in the value plane of
-    ``S[lo + k]``.  A record of the form ``(F, b)`` (see :func:`practice`)
-    is a count with ``F == 1``, and the node's key ``delta + (p - lo)`` is
-    written ``count + 1`` times; otherwise field ``f`` (``b`` bits) holds
-    how many times key ``delta + (p - lo) * F + f`` is written, fields high
-    to low so that the right-to-left writes ascend.  Each node's tag is
-    cleared before its keys are written, the writes masked so surviving
-    tags are preserved.  Returns ``(moves, status)``.
+    ``S[lo + k]``, whose keys :func:`record_keys` gives from key ``delta +
+    (p - lo) * F``.  Each node's tag is cleared before its keys are
+    written, the writes masked so surviving tags are preserved.  Returns
+    ``(moves, status)``.
     """
     vmask = tag - 1
     o = lo + n_d + n_c - 1
@@ -634,14 +659,7 @@ def retrieve_scan(S, lo, hi, n_d, n_c, delta, F, b, tag):
             return moves, STATUS_TAG_SCAN
         rec = S[lo + k] & vmask
         S[p] = S[p] & vmask
-        if F == 1:
-            keys = repeat(delta + (p - lo), rec + 1)
-        else:
-            key0 = delta + (p - lo) * F
-            field = (1 << b) - 1
-            keys = (key0 + f for f in range(F - 1, -1, -1)
-                    for _ in range(rec >> (f * b) & field))
-        for key in keys:
+        for key in record_keys(rec, delta + (p - lo) * F, F, b):
             if o < lo + k:
                 return moves, STATUS_COLLISION
             S[o] = (S[o] & tag) | key
@@ -654,20 +672,23 @@ def retrieve_scan(S, lo, hi, n_d, n_c, delta, F, b, tag):
 
 
 def pass_interval(seg, delta, top, F, b, tag):
-    """``(F, b, span, pivot)`` of an improved pass over ``seg`` words from
-    key ``delta`` whose keys are at most ``top``, for a sort of nodes of
-    the form ``(F, b)`` (see :func:`practice`): the pass's node form, the
+    """``(F, b, span, pivot)`` of a pass over ``seg`` words from key
+    ``delta`` whose keys are at most ``top``, for a sort of nodes of the
+    form ``(F, b)`` (see :func:`practice`): the pass's node form, the
     ``span`` keys its interval covers, and the ``pivot`` at or below which
-    ``partition_values`` gathers words.
+    ``partition_values`` gathers words.  The one packing rule of the three
+    count sorters: :func:`improved_passes` asks it with ``(1, w - 1)``,
+    :func:`practice_store` with ``(1, pack_split)``.
 
     A sort of count nodes packs a pass whose keys a count pass would defer
-    (``top - delta >= seg``) into ``b // bits >= 2`` fields of ``bits =
-    seg.bit_length()`` bits, which no count can overflow.  A count pass
-    spans the segment; other nodes cover ``F`` keys a segment word,
-    clamped to the ``tag`` node slots.  The C loop computes the same.
+    (``top - delta >= seg``, over at least one word) into ``b // bits >=
+    2`` fields of ``bits = seg.bit_length()`` bits, which no count can
+    overflow.  A count pass spans the segment; other nodes cover ``F`` keys
+    a segment word, clamped to the ``tag`` node slots.  The C loops compute
+    the same.
     """
     bits = int(seg).bit_length()
-    if F == 1 and top - delta >= seg and b // bits >= 2:
+    if F == 1 and top - delta >= seg > 0 and b // bits >= 2:
         F, b = b // bits, bits
     if F == 1:
         return F, b, seg, delta + seg - 1

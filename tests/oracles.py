@@ -32,8 +32,14 @@ def sorted_runs(values, delta, span):
     return sorted(counts.items())
 
 
-def decode_memory(S, lo, n_distinct, eps_used, delta, base, pack_split, tag):
-    """Decode packed short-term memory into sorted (key, count) pairs."""
+def decode_memory(S, lo, n_distinct, eps_used, delta, base, F, b, tag):
+    """Decode short-term memory of records of the form ``(F, b)`` into
+    sorted ``(key, count)`` pairs, ``count`` one less than the key's
+    occurrences.  A count record (``F == 1``) sits in the low ``b`` bits
+    below its position, or, for an overfull node, in the node word before
+    its position word; a packed record holds ``F`` fields of ``b`` bits,
+    field ``f`` the occurrences of key ``delta + (former - base) * F + f``.
+    """
     out = []
     r = lo
     end = lo + n_distinct + eps_used
@@ -46,10 +52,16 @@ def decode_memory(S, lo, n_distinct, eps_used, delta, base, pack_split, tag):
             former = int(S[r + 1])
             r += 2
         else:
-            former = rec >> pack_split
-            count = rec & ((1 << pack_split) - 1)
+            former = rec >> (F * b)
+            count = rec & ((1 << (F * b)) - 1)
             r += 1
-        out.append((delta + former - base, count))
+        if F == 1:
+            out.append((delta + former - base, count))
+            continue
+        for f in range(F):
+            occurrences = (count >> (f * b)) & ((1 << b) - 1)
+            if occurrences:
+                out.append((delta + (former - base) * F + f, occurrences - 1))
     return sorted(out)
 
 
@@ -85,6 +97,54 @@ def improved_pass_count(keys, w):
             span = min(F * seg, 1 << (w - 1))
         rest = rest[bisect_left(rest, delta + span):]
     return passes
+
+
+def counting_passes(keys, w, stacked):
+    """The passes ``assoc_seq`` (``stacked`` false) or ``assoc_rec`` (true)
+    make on ``keys`` at word width ``w``, each as ``(eps, F, reaches)``.
+
+    Each pass starts at the least remaining key ``delta`` over ``seg``
+    words.  With ``lg = ceil(log2 seg)`` (at least 1) bits of position and
+    ``split = w - 1 - lg`` bits of count, it reserves ``eps = seg //
+    (2**split + 1)`` words where ``2 * lg >= w`` (else none), and its
+    interval spans ``seg - eps`` keys, unless some key lies that far or
+    more past ``delta`` (the pass ``reaches``) and ``F = split // b``, for
+    ``b`` the bit length of ``seg - eps``, is at least 2: then it spans
+    ``min(F * (seg - eps), 2**(w - 1))`` keys, ``F`` to a node (else ``F``
+    is 1).  It settles every remaining key of its interval.  A sequential
+    pass leaves the keys it deferred as the next segment; a stacked one
+    leaves all but its memory, one word per node and one more per count
+    node holding ``2**split`` repeats or more.
+    """
+    rest = sorted(int(k) for k in keys)
+    top = rest[-1] if rest else 0
+    seg = len(rest)
+    passes = []
+    while rest:
+        delta = rest[0]
+        lg = max(1, (seg - 1).bit_length())
+        split = w - 1 - lg
+        eps = seg // ((1 << split) + 1) if 2 * lg >= w else 0
+        span, F = seg - eps, 1
+        reaches = top - delta >= span
+        if reaches and split // span.bit_length() >= 2:
+            F = split // span.bit_length()
+            span = min(F * span, 1 << (w - 1))
+        passes.append((eps, F, reaches))
+        settled = [k for k in rest if k < delta + span]
+        rest = rest[len(settled):]
+        if not stacked:
+            seg = len(rest)
+            continue
+        nodes = Counter((k - delta) // F for k in settled)
+        overfull = sum(F == 1 and c - 1 >= 1 << split for c in nodes.values())
+        seg -= len(nodes) + overfull
+    return passes
+
+
+def counting_pass_count(keys, w, stacked):
+    """How many passes :func:`counting_passes` makes."""
+    return len(counting_passes(keys, w, stacked))
 
 
 def super_hash_oracle(key, delta, w):

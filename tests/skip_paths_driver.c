@@ -52,9 +52,9 @@ void retrieve_scan(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64,
                    i64 *);
 void improved_passes(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
 void distinct_passes(char *, i64, i64, i64, i64, i64 *);
-void sequential_passes(char *, i64, i64, i64, i64, i64, i64 *);
+void sequential_passes(char *, i64, i64, i64, i64, i64, i64, i64 *);
 void stacked_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64, i64,
-                    i64 *);
+                    i64, i64 *);
 void rank_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64 *);
 
 #define NOUT 12
@@ -204,11 +204,11 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
         distinct_passes(s, stride, a[0], a[1], a[2], out);
         break;
     case SEQUENTIAL:
-        sequential_passes(s, stride, a[0], a[1], a[2], a[3], out);
+        sequential_passes(s, stride, a[0], a[1], a[2], a[3], a[4], out);
         break;
     case STACKED:
         stacked_passes(s, stride, Lv.base, stride, a[0], a[1], a[2], a[3],
-                       a[4], a[5], out);
+                       a[4], a[5], a[6], out);
         break;
     case RANK:
         rank_passes(s, stride, Pv.base, stride, a[0], a[1], a[2], a[3], out);

@@ -285,9 +285,10 @@ def test_criterion_06_constant_auxiliary_space():
         assert abs(big - small) <= 1024, (fn.__name__, small, big)
 
     def stride_peak(n):
-        """Peak of an untraced recursive sort of ``n`` keys ``n`` apart,
-        which stacks ``n`` levels."""
-        vals = (np.arange(n, dtype=np.int64) * n)
+        """Peak of an untraced recursive sort of ``n`` keys ``8n`` apart,
+        which stacks ``n`` levels: at w = 32 and these ``n``, no pass
+        interval, packed ones included, spans ``8n`` keys."""
+        vals = (np.arange(n, dtype=np.int64) * (8 * n))
         vals = vals[np.random.default_rng(SEED).permutation(n)]
         c = OpCounters()
         tracemalloc.start()

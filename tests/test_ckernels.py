@@ -5,6 +5,7 @@ The build and fallback tests each run fresh interpreters against an empty
 cache directory, so they pay for one compile each.
 """
 
+import itertools
 import marshal
 import os
 import re
@@ -113,8 +114,8 @@ PAST_THE_END = [
     ("practice", (0, 8, 0, -1, 8, 1, 7, T8), (0, 8, 0, 0, 8, 1, 7, T8)),
     ("store_nodes", (0, 9, 0, 8, 3, T8, 0), (0, 8, 0, 8, 3, T8, 0)),
     ("partition_values", (0, 9, 3, T8), (0, 8, 3, T8)),
-    ("retrieve_packed", (0, 4, 9, 0, 0, 3, T8), (0, 4, 8, 0, 0, 3, T8)),
-    ("retrieve_packed", (0, 9, 8, 0, 0, 3, T8), (0, 8, 8, 0, 0, 3, T8)),
+    ("retrieve_packed", (0, 4, 9, 0, 0, 1, 3, T8), (0, 4, 8, 0, 0, 1, 3, T8)),
+    ("retrieve_packed", (0, 9, 8, 0, 0, 1, 3, T8), (0, 8, 8, 0, 0, 1, 3, T8)),
     ("store_records", (0, 9, 0, T8), (0, 8, 0, T8)),
     ("retrieve_scan", (0, 8, 5, 4, 0, 1, 7, T8), (0, 8, 4, 4, 0, 1, 7, T8)),
     ("retrieve_scan", (2, 8, 6, 1, 0, 7, 1, T8), (2, 8, 5, 1, 0, 7, 1, T8)),
@@ -130,14 +131,14 @@ PAST_THE_END = [
     ("add_const", (0, 9, 1), (0, 8, 1)),
     ("radix_pass", (9, 0), (8, 0)),
     ("distinct_passes", (0, 9, 0), (0, 8, 0)),
-    ("sequential_passes", (0, 9, 0, 8), (0, 8, 0, 8)),
-    ("stacked_passes", (0, 9, 0, 0, 2, 8), (0, 8, 0, 0, 2, 8)),
+    ("sequential_passes", (0, 9, 0, 0, 8), (0, 8, 0, 0, 8)),
+    ("stacked_passes", (0, 9, 0, 0, 0, 2, 8), (0, 8, 0, 0, 0, 2, 8)),
     # A level buffer of 8 words holds 4 levels, not 5.
-    ("stacked_passes", (0, 8, 0, 4, 5, 8), (0, 8, 0, 3, 4, 8)),
+    ("stacked_passes", (0, 8, 0, 0, 4, 5, 8), (0, 8, 0, 0, 3, 4, 8)),
     # Entered at ``hi``, the loop only unwinds: past ``S``, and past ``L``
     # where ``depth`` exceeds ``cap``.
-    ("stacked_passes", (9, 9, 0, 1, 1, 8), (8, 8, 0, 1, 1, 8)),
-    ("stacked_passes", (8, 8, 0, 5, 4, 8), (8, 8, 0, 4, 4, 8)),
+    ("stacked_passes", (9, 9, 0, 0, 1, 1, 8), (8, 8, 0, 0, 1, 1, 8)),
+    ("stacked_passes", (8, 8, 0, 0, 5, 4, 8), (8, 8, 0, 0, 4, 4, 8)),
     ("rank_passes", (0, 9, 0, T8), (0, 8, 0, T8)),
     # No maximum takes a pass's words outside its segment, not one past
     # every word or below the minimum (test_skip_paths runs such maxima on
@@ -160,6 +161,14 @@ PAST_THE_END = [
     ("retrieve_scan", (0, 8, 4, 4, 0, 3, 0, T8), (0, 8, 4, 4, 0, 3, 2, T8)),
     ("improved_passes", (0, 8, 0, 7, 1, 64, T8), (0, 8, 0, 7, 1, 63, T8)),
     ("improved_passes", (0, 8, 0, 7, 4, 16, T8), (0, 8, 0, 7, 3, 21, T8)),
+    # A packed memory: writes past the array, fields that reach bit 64 or
+    # more or have no bits, and the counting loops, whose every pass packs
+    # where ``top`` lies far past the keys, past the array.
+    ("retrieve_packed", (0, 4, 9, 0, 0, 3, 2, T8), (0, 4, 8, 0, 0, 3, 2, T8)),
+    ("retrieve_packed", (0, 4, 8, 0, 0, 2, 32, T8), (0, 4, 8, 0, 0, 2, 31, T8)),
+    ("retrieve_packed", (0, 4, 8, 0, 0, 3, 0, T8), (0, 4, 8, 0, 0, 3, 2, T8)),
+    ("sequential_passes", (0, 9, 0, 100, 8), (0, 8, 0, 100, 8)),
+    ("stacked_passes", (0, 9, 0, 100, 0, 8, 8), (0, 8, 0, 100, 0, 8, 8)),
 ]
 
 
@@ -216,26 +225,31 @@ def test_every_kernel_has_a_bounds_case():
 
 @needs_c
 def test_c_loops_budget_passes_as_numpy():
-    """The C ``pass_budget`` gives the companion budget and pack split of
-    ``kernels.pass_budget``: ``sequential_passes`` and ``stacked_passes``,
+    """The C ``pass_budget`` and ``pass_interval`` give the companion
+    budget, pack split and node form of ``kernels.pass_budget`` and
+    ``kernels.pass_interval``: ``sequential_passes`` and ``stacked_passes``,
     which practice, store and retrieve by them, agree with ``numpy`` on
-    segments of ``2**k`` and ``2**k +- 1`` keys of 4 values at every
-    width up to 10."""
+    segments of ``2**k`` and ``2**k +- 1`` keys of 4 values, and of keys
+    over 4 times as many values as keys (whose passes pack where the word
+    has room), at every width up to 10."""
     rng = np.random.default_rng(0xB0D)
     for w in range(3, 11):
         for k in range(1, w):
-            for n in {2**k - 1, 2**k, 2**k + 1} & set(range(2, 2 ** (w - 1) + 1)):
-                keys = rng.integers(0, 4, size=n, dtype=np.int64)
-                delta = int(keys.min())
+            for n, m in itertools.product(
+                    sorted({2**k - 1, 2**k, 2**k + 1} & set(range(2, 2 ** (w - 1) + 1))),
+                    (4, None)):
+                m = min(m or 4 * n, 2 ** (w - 1))
+                keys = rng.integers(0, m, size=n, dtype=np.int64)
+                delta, top = int(keys.min()), int(keys.max())
                 got = {}
                 for backend_name in ("c", "numpy"):
                     S, L = keys.copy(), np.zeros(2 * n, dtype=np.int64)
                     with use_backend(backend_name):
                         loops = active_loops()
-                        seq = loops.sequential_passes(S, 0, n, delta, w)
+                        seq = loops.sequential_passes(S, 0, n, delta, top, w)
                         words = S.tolist()
                         S[:] = keys
-                        stacked = loops.stacked_passes(S, L, 0, n, delta, 0, n, w)
+                        stacked = loops.stacked_passes(S, L, 0, n, delta, top, 0, n, w)
                     got[backend_name] = (seq, words, stacked, S.tolist(), L.tolist())
                 assert got["c"] == got["numpy"], (w, n)
 

@@ -13,7 +13,14 @@ from assocsort.kernels import pass_budget
 from assocsort.words import WordConfig
 
 from .conftest import arr
-from .oracles import decode_memory, practice_oracle, reference_sort, sorted_runs
+from .oracles import (
+    counting_pass_count,
+    counting_passes,
+    decode_memory,
+    practice_oracle,
+    reference_sort,
+    sorted_runs,
+)
 
 CFG8 = WordConfig(8)
 CFG16 = WordConfig(16)
@@ -21,6 +28,8 @@ CFG32 = WordConfig(32)
 
 DRIVERS = [sort_associative, sort_associative_recursive]
 DRIVER_IDS = ["sequential", "recursive"]
+# Each driver, and whether it stacks its memories.
+DRIVERS_STACKED = list(zip(DRIVERS, (False, True)))
 
 
 def _random_inputs(rng, count=60):
@@ -71,7 +80,7 @@ class TestPracticePhase:
                 S, 0, n, delta, n - eps, split, tag, eps
             )
             assert status == 0 and stored == n_d + eps_used
-            got = decode_memory(S, 0, n_d, eps_used, delta, eps, split, tag)
+            got = decode_memory(S, 0, n_d, eps_used, delta, eps, 1, split, tag)
             expect = [(key, cnt - 1) for key, cnt in sorted_runs(vals.tolist(), delta, n - eps)]
             assert got == expect
 
@@ -88,7 +97,7 @@ class TestPracticePhase:
             assert n_def == 0
             eps_used, *_ = k.store_nodes(S, 0, n, 50, n - eps, split, tag, eps)
             written, _, status = k.retrieve_packed(
-                S, 0, n_d + eps_used, n_d + n_c, 50, eps, split, tag
+                S, 0, n_d + eps_used, n_d + n_c, 50, eps, 1, split, tag
             )
             assert status == 0 and written == n
             assert np.array_equal(S, reference_sort(vals))
@@ -120,13 +129,16 @@ class TestFullSort:
             assert S.tolist() == sorted(data)
 
     def test_single_pass_when_range_fits(self, backend, driver, rng):
-        n = 256
-        eps, _ = pass_budget(n, CFG32.w)
-        vals = rng.integers(0, n - eps, size=n).astype(np.int64)
-        S = vals.copy()
-        c = driver(S, CFG32)
-        assert c.passes == 1
-        assert np.array_equal(S, reference_sort(vals))
+        # keys below n - eps fit one count pass, also where eps > 0: at
+        # w = 8 over 100 words (7 bits of position, none of count, eps 50)
+        # and at w = 16 over 300 (eps 4)
+        for w, n in ((32, 256), (8, 100), (16, 300)):
+            eps, _ = pass_budget(n, w)
+            vals = rng.integers(0, n - eps, size=n).astype(np.int64)
+            S = vals.copy()
+            c = driver(S, WordConfig(w))
+            assert c.passes == 1
+            assert np.array_equal(S, reference_sort(vals))
 
     def test_companion_pressure(self, backend, driver):
         # every key repeated just past the packed-count threshold, the
@@ -186,6 +198,47 @@ class TestSequentialDriver:
         c = sort_associative(vals, CFG32)
         assert np.all(vals[:-1] <= vals[1:])
         assert c.passes > 1
+
+
+class TestPassCount:
+    """Both counting drivers make exactly the passes of the
+    :func:`~tests.oracles.counting_passes` model: a pass whose keys reach
+    past its count interval packs where the word has room."""
+
+    @pytest.mark.parametrize("w", [8, 16, 32, 63])
+    def test_passes_match_the_oracle(self, backend, rng, w):
+        """Keys over 1/2 to 1000 times as many values as keys, at each
+        width: among the passes are packed ones and count ones, and, at
+        w = 8 and 16, count passes that reserve ``eps`` words and count
+        passes whose keys reach past the interval but whose word has no
+        room for two fields."""
+        cfg = WordConfig(w)
+        forms = set()
+        for _ in range(30):
+            n = int(rng.integers(1, min(400, cfg.tag_mask) + 1))
+            m = min(max(1, int(n * rng.choice([0.5, 3, 30, 1000]))), cfg.max_key + 1)
+            vals = rng.integers(0, m, size=n) + rng.integers(0, cfg.max_key + 2 - m)
+            for driver, stacked in DRIVERS_STACKED:
+                S = vals.astype(np.int64)
+                c = driver(S, cfg)
+                assert np.array_equal(S, reference_sort(vals))
+                passes = counting_passes(vals, w, stacked)
+                assert c.passes == len(passes), (n, m, stacked)
+                forms |= {("packed" if F > 1 else "eps" if eps else
+                           "reaches" if reaches else "count") for eps, F, reaches in passes}
+        assert forms >= {"packed", "count"} | ({"eps", "reaches"} if w <= 16 else set())
+
+    def test_paper_variants_shape(self, backend):
+        """The benchmark's paper-variants keys: 5000 keys drawn from 2500
+        values over 100n, at w = 63, where almost every pass packs."""
+        r = np.random.default_rng(17)
+        pool = r.choice(100 * 5000, size=2500, replace=False)
+        vals = pool[r.integers(0, 2500, size=5000)].astype(np.int64)
+        for driver, stacked in DRIVERS_STACKED:
+            S = vals.copy()
+            c = driver(S)
+            assert np.array_equal(S, reference_sort(vals))
+            assert c.passes == counting_pass_count(vals, 63, stacked)
 
 
 class TestRecursiveDriver:

@@ -9,7 +9,7 @@ breaks, the protocol changed, not just an implementation detail.
 import numpy as np
 
 from assocsort.backend import active, use_backend
-from assocsort.kernels import pass_budget
+from assocsort.kernels import pass_budget, pass_interval
 from assocsort.words import WordConfig
 
 from .conftest import arr
@@ -63,7 +63,7 @@ class TestStorePacked:
         eps_used, stored, _, status = k.store_nodes(S, 0, 4, 0, 4, split, TAG8, 0)
         assert status == 0
         assert (eps_used, stored) == (0, 3)
-        assert decode_memory(S, 0, 3, 0, 0, 0, split, TAG8) == [(0, 0), (1, 0), (2, 1)]
+        assert decode_memory(S, 0, 3, 0, 0, 0, 1, split, TAG8) == [(0, 0), (1, 0), (2, 1)]
         # the idle word survived beyond the memory
         assert int(S[3]) == 2
 
@@ -82,7 +82,7 @@ class TestStorePacked:
         assert status == 0
         assert (eps_used, stored) == (1, 3)
         assert S.tolist()[:3] == [tag | 2, 1, tag | (2 << split)]
-        assert decode_memory(S, 0, 2, 1, 0, eps, split, tag) == [(0, 2), (1, 0)]
+        assert decode_memory(S, 0, 2, 1, 0, eps, 1, split, tag) == [(0, 2), (1, 0)]
 
     def test_retrieve_round_trip(self, backend):
         k = active()
@@ -91,7 +91,7 @@ class TestStorePacked:
         _, split = pass_budget(4, 8)
         k.store_nodes(S, 0, 4, 0, 4, split, TAG8, 0)
         k.partition_values(S, 3, 4, 3, TAG8)
-        written, _, status = k.retrieve_packed(S, 0, 3, 4, 0, 0, split, TAG8)
+        written, _, status = k.retrieve_packed(S, 0, 3, 4, 0, 0, 1, split, TAG8)
         assert status == 0 and written == 4
         assert S.tolist() == [0, 1, 2, 2]
 
@@ -104,9 +104,33 @@ class TestStorePacked:
         k.practice(S, 0, 4, 0, eps, 4 - eps, 1, 3, tag)
         k.store_nodes(S, 0, 4, 0, 3, split, tag, eps)
         k.partition_values(S, 3, 4, 2, tag)
-        written, _, status = k.retrieve_packed(S, 0, 3, 4, 0, eps, split, tag)
+        written, _, status = k.retrieve_packed(S, 0, 3, 4, 0, eps, 1, split, tag)
         assert status == 0 and written == 4
         assert S.tolist() == [0, 0, 0, 1]
+
+    def test_packed_round_trip_w16(self, backend):
+        """A counting pass whose keys reach past its 4 words packs them
+        (w = 16: 13 bits beside a 2-bit position hold 4 fields of 3 bits),
+        so its interval spans 16 keys: key 5 is field 1 of slot 1, counted
+        twice, key 13 field 1 of slot 3.  Storage packs ``tag | fp << 12 |
+        fields``, and retrieval writes each field's key that many times,
+        highest field first."""
+        tag = 1 << 15
+        k = active()
+        S = arr(13, 5, 0, 5)
+        eps, split = pass_budget(4, 16)
+        F, b, span, pivot = pass_interval(4 - eps, 0, 13, 1, split, tag)
+        assert (eps, split, F, b, span, pivot) == (0, 13, 4, 3, 16, 15)
+        n_d, n_c, n_def, *_ = k.practice(S, 0, 4, 0, eps, span, F, b, tag)
+        assert (n_d, n_c, n_def) == (3, 1, 0)
+        eps_used, stored, _, status = k.store_nodes(S, 0, 4, 0, span, F * b, tag, eps)
+        assert (eps_used, stored, status) == (0, 3, 0)
+        assert S.tolist()[:3] == [tag | 1, tag | 1 << 12 | 2 << 3, tag | 3 << 12 | 1 << 3]
+        assert decode_memory(S, 0, 3, 0, 0, 0, F, b, tag) == [(0, 0), (5, 1), (13, 0)]
+        assert k.partition_values(S, 3, 4, pivot, tag)[0] == 1
+        written, _, status = k.retrieve_packed(S, 0, 3, 4, 0, 0, F, b, tag)
+        assert (written, status) == (4, 0)
+        assert S.tolist() == [0, 5, 5, 13]
 
 
 class TestImplicitPractice:

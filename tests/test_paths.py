@@ -161,11 +161,12 @@ RUNNABLE = [name for name in BACKENDS if available(name)]
 def _loop(loops, loop):
     """Pass loop ``loop`` of the namespace ``loops``.  ``unwind_levels``
     names the unwind alone: ``stacked_passes`` entered with its sorted
-    prefix at the segment's end, called as ``(S, L, hi, depth, w)``, runs
-    no pass and retrieves the ``depth`` levels of ``L``."""
+    prefix at the segment's end, called as ``(S, L, hi, top, depth, w)``,
+    runs no pass and retrieves the ``depth`` levels of ``L``, each in the
+    node form its segment, key and ``top`` give it."""
     if loop == "unwind_levels":
-        return lambda S, L, hi, depth, w: loops.stacked_passes(
-            S, L, hi, hi, 0, depth, depth, w)
+        return lambda S, L, hi, top, depth, w: loops.stacked_passes(
+            S, L, hi, hi, 0, top, depth, depth, w)
     return getattr(loops, loop)
 
 
@@ -303,35 +304,40 @@ L4 = [0] * 4  # an empty buffer of two levels
 # as (loop, arrays, arguments after them, expected phase, expected status).
 # ``distinct_passes`` cannot fail ``PHASE_PARTITION``: a word at its own
 # slot moves only for a second copy of its key, which practice stops on.
+# The counting loops' cases up to the dense ones take ``top`` equal to
+# ``delta`` (the unwind's 0), so that every pass keeps count nodes; those
+# after them pack.
 LOOP_CORRUPT = [
     ("distinct_passes", [[2, 2]], (0, 2, 1), kernels.PHASE_DUPLICATE, kernels.STATUS_CURSOR),
     ("distinct_passes", [[6]], (0, 1, 5), kernels.PHASE_PREFIX, 0),
     # A tagged word that practice never made a node, and its count.
-    ("sequential_passes", [[22]], (0, 1, 5, 5), kernels.PHASE_STORE, 0),
-    ("sequential_passes", [[25]], (0, 1, 9, 5), kernels.PHASE_STORE, kernels.STATUS_OVERFULL),
-    ("sequential_passes", [[9, 6, 1, 20, 6]], (0, 5, 0, 5), kernels.PHASE_STORE,
+    ("sequential_passes", [[22]], (0, 1, 5, 5, 5), kernels.PHASE_STORE, 0),
+    ("sequential_passes", [[25]], (0, 1, 9, 9, 5), kernels.PHASE_STORE,
+     kernels.STATUS_OVERFULL),
+    ("sequential_passes", [[9, 6, 1, 20, 6]], (0, 5, 0, 0, 5), kernels.PHASE_STORE,
      kernels.STATUS_NO_IDLE),
     # A word below the interval is idle but was never practiced.
-    ("sequential_passes", [[2]], (0, 1, 3, 8), kernels.PHASE_PARTITION, 0),
-    ("sequential_passes", [[1, -1]], (0, 2, 0, 4), kernels.PHASE_RETRIEVE, 0),
-    ("sequential_passes", [[6]], (0, 1, 5, 6), kernels.PHASE_PREFIX, 0),
-    ("stacked_passes", [[22], L4], (0, 1, 5, 0, 2, 5), kernels.PHASE_STORE, 0),
-    ("stacked_passes", [[25], L4], (0, 1, 9, 0, 2, 5), kernels.PHASE_STORE,
+    ("sequential_passes", [[2]], (0, 1, 3, 3, 8), kernels.PHASE_PARTITION, 0),
+    ("sequential_passes", [[1, -1]], (0, 2, 0, 0, 4), kernels.PHASE_RETRIEVE, 0),
+    # Told a maximum below its one key, the pass defers it.
+    ("sequential_passes", [[6]], (0, 1, 5, 5, 6), kernels.PHASE_PREFIX, 0),
+    ("stacked_passes", [[22], L4], (0, 1, 5, 5, 0, 2, 5), kernels.PHASE_STORE, 0),
+    ("stacked_passes", [[25], L4], (0, 1, 9, 9, 0, 2, 5), kernels.PHASE_STORE,
      kernels.STATUS_OVERFULL),
-    ("stacked_passes", [[6], L4], (0, 1, 5, 0, 2, 6), kernels.PHASE_PREFIX, 0),
+    ("stacked_passes", [[6], L4], (0, 1, 5, 5, 0, 2, 6), kernels.PHASE_PREFIX, 0),
     # One level ``(head, delta)``, whose memory ends at ``hi``: a memory
     # past the segment, a key past the word, a companion with no node, a
     # count that overruns the memory, and an overfull node's pair that
     # writes one key for its two words.
-    ("unwind_levels", [[4], [2, 6]], (1, 1, 5), kernels.PHASE_UNWIND,
+    ("unwind_levels", [[4], [2, 6]], (1, 0, 1, 5), kernels.PHASE_UNWIND,
      kernels.STATUS_BAD_SLOT),
-    ("unwind_levels", [[5], [0, 16]], (1, 1, 5), kernels.PHASE_UNWIND,
+    ("unwind_levels", [[5], [0, 16]], (1, 0, 1, 5), kernels.PHASE_UNWIND,
      kernels.STATUS_BAD_SLOT),
-    ("unwind_levels", [[0], [0, 5]], (1, 1, 5), kernels.PHASE_UNWIND,
+    ("unwind_levels", [[0], [0, 5]], (1, 0, 1, 5), kernels.PHASE_UNWIND,
      kernels.STATUS_NO_IDLE),
-    ("unwind_levels", [[21], [0, 1]], (1, 1, 5), kernels.PHASE_UNWIND,
+    ("unwind_levels", [[21], [0, 1]], (1, 0, 1, 5), kernels.PHASE_UNWIND,
      kernels.STATUS_COLLISION),
-    ("unwind_levels", [[16, 0], [0, 8]], (2, 1, 5), kernels.PHASE_UNWIND, 0),
+    ("unwind_levels", [[16, 0], [0, 8]], (2, 0, 1, 5), kernels.PHASE_UNWIND, 0),
     ("rank_passes", [[22], [0]], (0, 1, 5, 16), kernels.PHASE_ACCUMULATE, 0),
     ("rank_passes", [[6, 7, 4, 5, 7, 1, 2, 7, 2], list(range(9))], (0, 9, 1, 8),
      kernels.PHASE_TICKET, kernels.STATUS_BAD_HASH),
@@ -344,8 +350,16 @@ LOOP_CORRUPT = [
     ("rank_passes", [[6], [0]], (0, 1, 5, 32), kernels.PHASE_PREFIX, 0),
     *DENSE_CORRUPT,
     # A level whose segment is wider than the word has no pass budget.
-    ("unwind_levels", [[0] * 17, [0, 5]], (17, 1, 5), kernels.PHASE_UNWIND,
+    ("unwind_levels", [[0] * 17, [0, 5]], (17, 0, 1, 5), kernels.PHASE_UNWIND,
      kernels.STATUS_BAD_SLOT),
+    # Packed passes: a tagged word that practice never made a node; a
+    # stacked pass whose segment holds a key past the word's keys, which
+    # no level can hold; a packed level of one word (6 one-bit fields)
+    # whose fields hold two keys.
+    ("sequential_passes", [[22]], (0, 1, 5, 22, 5), kernels.PHASE_STORE, 0),
+    ("stacked_passes", [[22], L4], (0, 1, 5, 22, 0, 2, 5), kernels.PHASE_STORE, 0),
+    ("unwind_levels", [[128 | 3], [0, 0]], (1, 5, 1, 8), kernels.PHASE_UNWIND,
+     kernels.STATUS_COLLISION),
 ]
 
 
@@ -406,7 +420,7 @@ def _hook_calls(loop, args, result):
     failed check on."""
     if loop == "unwind_levels":
         # Each case unwinds one level, which a failed status stops.
-        assert args[1] == 1
+        assert args[2] == 1
         return [] if result[7] else [("retrieve", 1)]
     names = PHASES[loop]
     at = PHASE_AT.get(loop, 4)
@@ -454,16 +468,18 @@ def _random_case(rng, loop):
     delta = int((S & (tag - 1)).min()) + int(rng.integers(-1, 2))
     if loop == "distinct_passes":
         return [S], (0, n, delta)
+    # The keys' maximum, or one that keeps every pass's count nodes.
+    top = (int((S & (tag - 1)).max()), delta)[int(rng.integers(2))]
     if loop == "sequential_passes":
-        return [S], (0, n, delta, w)
+        return [S], (0, n, delta, top, w)
     if loop == "stacked_passes":
-        return [S, [0] * 4], (0, n, delta, 0, 2, w)
+        return [S, [0] * 4], (0, n, delta, top, 0, 2, w)
     if loop == "unwind_levels":
         S &= tag | 3  # small records, so that some overfull pairs count 0
         depth = int(rng.integers(1, 3))
         levels = [[int(rng.integers(0, n + 1)), int(rng.integers(0, tag + 1))]
                   for _ in range(depth)]
-        return [S, sum(levels, [])], (n, depth, w)
+        return [S, sum(levels, [])], (n, top, depth, w)
     return [S, np.arange(n)], (0, n, delta, tag)
 
 
@@ -505,7 +521,7 @@ def test_stacked_passes_resume_where_they_stopped():
     levels and counters as one large enough from the start, on every
     backend."""
     keys = [8, 6, 2, 40, 33, 6, 17, 2, 25, 9, 51, 8]
-    whole = _everywhere("stacked_passes", [keys, [0] * 32], (0, 12, 2, 0, 16, 8))
+    whole = _everywhere("stacked_passes", [keys, [0] * 32], (0, 12, 2, 51, 0, 16, 8))
     assert len(set(whole.values())) == 1, whole
     result, (words, levels) = whole["numpy"]
     depth = result[5]
@@ -519,7 +535,8 @@ def test_stacked_passes_resume_where_they_stopped():
             while head < 12:
                 if 2 * depth == len(L):
                     L = np.concatenate([L, np.zeros(2, dtype=np.int64)])
-                r = active_loops().stacked_passes(S, L, head, 12, delta, depth, len(L) // 2, 8)
+                r = active_loops().stacked_passes(S, L, head, 12, delta, 51, depth,
+                                                  len(L) // 2, 8)
                 assert r[6] == kernels.PHASE_OK
                 totals = [t + int(x) for t, x in zip(totals, r[:3])]
                 head, delta, depth = int(r[3]), int(r[4]), int(r[5])
@@ -534,7 +551,7 @@ def test_unwind_names_the_level_it_refuses(levels, level):
     number from 1 in ``a``, on every backend (in the first case after the
     newer level's retrieval ran), and its error says that level's retrieval
     did not run."""
-    got = _everywhere("unwind_levels", [[4, 16], levels], (2, 2, 5))
+    got = _everywhere("unwind_levels", [[4, 16], levels], (2, 0, 2, 5))
     assert len(set(got.values())) == 1, got
     result = got["numpy"][0]
     assert result[6:9] == (kernels.PHASE_UNWIND, kernels.STATUS_BAD_SLOT, level)

@@ -311,7 +311,10 @@ def _outside_cases():
     pass made, and negative words.  The words after the blocks are keys
     it defers (or, where it must defer none, keys of its interval); the
     padding after the segment is ``FAR``, so a block that read it would
-    move the next pass's start."""
+    move the next pass's start.  Each segment runs twice: told ``top``
+    ``D``, so that every pass keeps count nodes over the intervals above,
+    and told its largest key, so that the passes pack and step over
+    blocks outside their wider intervals."""
     n, D, LO = 160, 1000, 2000
     FAR = LO + n - 1  # the second pass's segment, n - 1 words, reserves none
 
@@ -319,24 +322,26 @@ def _outside_cases():
         words = [D, entry] + [w for block in blocks for w in block]
         words += [rest + k for k in range(n - 1 - len(words))] + [LO]
         assert len(words) == n and words.count(D) <= n // 16
-        return "stacked_passes", [0] * PAD + words + [FAR] * PAD, (PAD, PAD + n, D, 0, n, 63)
+        for top in (D, max(words)):
+            yield "stacked_passes", [0] * PAD + words + [FAR] * PAD, (
+                PAD, PAD + n, D, top, 0, n, 63)
 
     for lane in range(4):
         block = [D, 3001, D, 3002]
         block[lane] = 2500
-        yield case(3000, [block, [3003, D, 3004, D]])
-    yield case(3000, [[D, 3001, D, 3002], [3003, 2500, D, 3004], [D, 3005, 3006, 3007]])
-    yield case(D, [[D] * 4, [D] * 4], rest=LO + 1)
-    yield case(D, [[D, D, D, D], [D, 3001, D, D]])
-    yield case(3000, [[D, FAR, D, FAR - 1], [FAR, D, 3001, D], [3002, FAR, FAR + 1, D]])
-    yield case(FAR, [[D, FAR, FAR, D], [FAR + 1, D, FAR, 3001]])
+        yield from case(3000, [block, [3003, D, 3004, D]])
+    yield from case(3000, [[D, 3001, D, 3002], [3003, 2500, D, 3004], [D, 3005, 3006, 3007]])
+    yield from case(D, [[D] * 4, [D] * 4], rest=LO + 1)
+    yield from case(D, [[D, D, D, D], [D, 3001, D, D]])
+    yield from case(3000, [[D, FAR, D, FAR - 1], [FAR, D, 3001, D], [3002, FAR, FAR + 1, D]])
+    yield from case(FAR, [[D, FAR, FAR, D], [FAR + 1, D, FAR, 3001]])
     # Key LO + 7 makes its node at word 8, inside the second block, and
     # brings word 8's deferred key to word 1.
-    yield case(LO + 7, [[D, 3001, D, 3002], [3003, 3004, 3005, 3006], [D, 3007, D, 3008]])
+    yield from case(LO + 7, [[D, 3001, D, 3002], [3003, 3004, 3005, 3006], [D, 3007, D, 3008]])
     # Negative words with the tag bit clear, which every pass passes over
     # as below its interval.
     neg = -(1 << 63) + 10**6
-    yield case(3000, [[D, neg, 3001, D], [3002, 3003, neg + 1, 3004], [D, 3005, 3006, neg]])
+    yield from case(3000, [[D, neg, 3001, D], [3002, 3003, neg + 1, 3004], [D, 3005, 3006, neg]])
 
 
 # (before, lane, tail): a skip path meets ``before`` blocks of 4 words it
@@ -456,7 +461,8 @@ def _outside_stop_cases():
     a key of its interval (its fourth or its last), a negative word, or a
     node the same pass made (from the key at word 1, whose slot is the stop
     word); the least deferred key lies just before or just after the stop
-    word in its block."""
+    word in its block.  Told ``top`` ``D``, every pass keeps count nodes,
+    so that the intervals are those above."""
     n, D, LO = 160, 1000, 2000
     FAR = LO + n - 1
     for before, lane, _ in STOP_RUNS[::4]:
@@ -469,7 +475,8 @@ def _outside_stop_cases():
             for mark, at in _marks(lane, 2500):
                 words = [D, entry] + _scan(before, lane, 0, clean, stop, mark, at)
                 words += [3100 + k for k in range(n - 1 - len(words))] + [LO]
-                yield "stacked_passes", [0] * PAD + words + [FAR] * PAD, (PAD, PAD + n, D, 0, n, 63)
+                yield "stacked_passes", [0] * PAD + words + [FAR] * PAD, (
+                    PAD, PAD + n, D, D, 0, n, 63)
 
 
 def _stop_cases():
@@ -530,17 +537,25 @@ def _sparse_loop_cases(n):
     pass over 16 words or more (32 for two copies) settles at most 1/16 of
     them and takes the skip paths; in the orders of
     :func:`_sparse_pass_cases`.  In ``stacked_passes`` every second copy
-    stays in the segment below the next interval.  The padding is the
+    stays in the segment below the next interval.  The counting loops run
+    keys ``2n`` apart told ``top`` 1000, so that every pass keeps count
+    nodes, and keys ``124n`` apart told their largest key, which pack every
+    pass, at most 61 keys a word, so that an interval still holds one key
+    (or its two copies).  The padding is the
     first pass's interval end, so a block that reads it moves the next
     pass's start."""
+    eps, split = kernels.pass_budget(n, 63)
     for order in (range(n), range(n - 1, -1, -1), [(7 * k) % n for k in range(n)]):
         for twice in (False, True):
-            seg = [1000 + 2 * n * (r // 2 if twice else r) for r in order]
-            words = [0] * PAD + seg + [1000 + n] * PAD
-            yield "sequential_passes", words, (PAD, PAD + n, 1000, 63)
-            yield "stacked_passes", words, (PAD, PAD + n, 1000, 0, n, 63)
-            if not twice:
-                yield "distinct_passes", words, (PAD, PAD + n, 1000)
+            for gap in (2 * n, 124 * n):
+                seg = [1000 + gap * (r // 2 if twice else r) for r in order]
+                top = 1000 if gap == 2 * n else max(seg)
+                span = kernels.pass_interval(n - eps, 1000, top, 1, split, T63)[2]
+                words = [0] * PAD + seg + [1000 + span] * PAD
+                yield "sequential_passes", words, (PAD, PAD + n, 1000, top, 63)
+                yield "stacked_passes", words, (PAD, PAD + n, 1000, top, 0, n, 63)
+                if not twice and gap == 2 * n:
+                    yield "distinct_passes", words, (PAD, PAD + n, 1000)
 
 
 F = kernels.DENSE_FLOOR
@@ -826,13 +841,13 @@ def _driver_input():
     for name, words, (lo, hi, *rest) in cases:
         seg = words[lo:hi]
         line(name, name in _LOOP_NAMES and rest[0] == min(seg), seg, (0, hi - lo, *rest))
-    for _, words, (lo, hi, delta, _, F, _, tag) in _pass_cases():
+    for _, words, (lo, hi, delta, top, F, _, tag) in _pass_cases():
         if F == 1:
             seg, n = words[lo:hi], hi - lo
             sorts = delta == min(seg)
             line("distinct_passes", False, seg, (0, n, delta))
-            line("sequential_passes", sorts, seg, (0, n, delta, 8))
-            line("stacked_passes", False, seg, (0, n, delta, 0, n, 8))
+            line("sequential_passes", sorts, seg, (0, n, delta, top, 8))
+            line("stacked_passes", False, seg, (0, n, delta, top, 0, n, 8))
             line("rank_passes", sorts, seg, (0, n, delta, tag))
     return lines
 
