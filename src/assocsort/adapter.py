@@ -8,7 +8,9 @@ that allocates linear scratch).
 
 :func:`sort_full_universe` extends any registry sorter from keys in
 ``[0, 2**(w-1))`` to the full ``w``-bit universe by partitioning on the
-top bit and shifting the upper half down while it is sorted.
+top bit and shifting the upper half down while it is sorted.  It enters
+through the same front door as every sorter, so it takes at most
+``2**(w-1)`` keys and refuses invalid input before any word is written.
 """
 
 from typing import Optional
@@ -16,10 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .backend import active
-from .core import TraceFn, check_array, sort_associative, sort_associative_recursive
+from .core import TraceFn, check_words, sort_associative, sort_associative_recursive
 from .counters import OpCounters
 from .cycle_leader import sort_distinct_keys
-from .errors import WordRangeError
 from .improved import sort_distinct_improved, sort_improved
 from .ranksort import sort_by_key
 from .words import WordConfig
@@ -63,32 +64,25 @@ def sort_full_universe(
 ) -> OpCounters:
     """Sort keys spanning all ``w`` bits with a ``w - 1``-bit sorter.
 
-    Partitions on the top bit (full-word swaps — the input has no tags
-    yet), sorts the low half directly, then shifts the high half down by
-    ``2**(w-1)``, sorts it, and shifts it back.  Input is refused as by
-    :func:`~assocsort.core.check_words`, before any word is written.
+    Partitions on the top bit (``partition_values`` with tag 0, so its
+    value plane is the whole word: the input has no tags yet), sorts the
+    low half directly, then shifts the high half down by ``2**(w-1)``,
+    sorts it, and shifts it back.  Input is refused as by
+    :func:`~assocsort.core.check_words`, keys in ``[0, 2**w - 1]``, before
+    any word is written.
     """
     cfg = cfg or WordConfig()
     counters = counters if counters is not None else OpCounters()
     sorter = resolve_algorithm(algo)
-    check_array(S)
-    n = len(S)
-    if n == 0:
+    if check_words(S, cfg, max_key=2 * cfg.tag_mask - 1) is None:
         return counters
-    k = active()
-    mn, mx = k.min_max(S, 0, n)
-    limit = 2 ** cfg.w - 1
-    if mn < 0 or mx > limit:
-        raise WordRangeError(
-            f"keys must lie in [0, {limit}], saw [{int(mn)}, {int(mx)}]"
-        )
-    n_low, moves = k.partition_msb(S, 0, n, cfg.tag_mask)
-    counters.moves += int(moves)
-    n_low = int(n_low)
-    if n_low:
-        sorter(S[:n_low], cfg=cfg, counters=counters, trace=trace)
-    if n_low < n:
-        counters.moves += int(k.add_const(S, n_low, n, -cfg.tag_mask))
-        sorter(S[n_low:], cfg=cfg, counters=counters, trace=trace)
-        counters.moves += int(k.add_const(S, n_low, n, cfg.tag_mask))
+    n_low, moves = active().partition_values(S, 0, len(S), cfg.value_mask, 0)
+    counters.moves += moves
+    low, high = S[:n_low], S[n_low:]
+    sorter(low, cfg=cfg, counters=counters, trace=trace)
+    high -= cfg.tag_mask
+    counters.moves += len(high)
+    sorter(high, cfg=cfg, counters=counters, trace=trace)
+    high += cfg.tag_mask
+    counters.moves += len(high)
     return counters

@@ -160,7 +160,8 @@ def warmup() -> str:
     16-word sort of each kind, untraced and traced (an untraced sort runs
     the backend's pass loops, a traced one the Python loops over its
     kernels), then the kernels no 16-word sort reaches: the dense-last
-    practice, the adapter's and the radix baseline's.
+    practice and the radix baseline's.  ``sort_full_universe`` calls only
+    ``partition_values``, which the traced sorts reach.
 
     Useful before timing, so that a first C build never lands inside a
     measured region.  The inputs are fixed arrays
@@ -186,6 +187,4 @@ def warmup() -> str:
     dst = np.empty_like(src)
     k.practice_cursors(ramp.copy(), 0, 16, 0, cfg.tag_mask)
     k.radix_pass(src, dst, 16, 0)
-    k.partition_msb(src, 0, 16, 8)
-    k.add_const(src, 0, 16, 0)
     return current_backend()

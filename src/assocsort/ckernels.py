@@ -116,8 +116,6 @@ SIGNATURES = {
     "repractice_idle": (1, 2, _SCAN + " and lo + span <= size"),
     "reactivate": (2, 2, _SCAN),
     "restore_keys": (1, 2, "0 <= lo and hi_sorted <= size"),
-    "partition_msb": (1, 2, _SCAN),
-    "add_const": (1, 0, _SCAN),
     "radix_pass": (2, 0, "n <= size"),
 }
 

@@ -78,15 +78,19 @@ def check_array(S, what: str = "keys") -> None:
 
 
 def check_words(
-    S: np.ndarray, cfg: WordConfig, P: Optional[np.ndarray] = None
+    S: np.ndarray,
+    cfg: WordConfig,
+    P: Optional[np.ndarray] = None,
+    max_key: Optional[int] = None,
 ) -> Optional[tuple]:
     """The front door of every sorter: validate before any word is written.
 
     Refuses with :class:`~assocsort.errors.InputError` anything but a
     writable 1-D ``int64`` array, and for a payload ``P`` one of the same
     kind and length that shares no memory with the keys.  Then checks the
-    array length and the key range against the word model
-    (:class:`~assocsort.errors.WordRangeError`).  Returns the keys'
+    array length against the word model's node slots and the keys against
+    ``[0, max_key]`` (``cfg.max_key`` unless given), with
+    :class:`~assocsort.errors.WordRangeError`.  Returns the keys'
     ``(min, max)``, or ``None`` when ``S`` is empty.
     """
     check_array(S)
@@ -103,11 +107,11 @@ def check_words(
         )
     if n == 0:
         return None
+    if max_key is None:
+        max_key = cfg.max_key
     mn, mx = active().min_max(S, 0, n)
-    if mn < 0 or mx > cfg.max_key:
-        raise WordRangeError(
-            f"keys must lie in [0, {cfg.max_key}], saw [{mn}, {mx}]"
-        )
+    if mn < 0 or mx > max_key:
+        raise WordRangeError(f"keys must lie in [0, {max_key}], saw [{mn}, {mx}]")
     return int(mn), int(mx)
 
 

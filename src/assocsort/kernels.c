@@ -1781,35 +1781,6 @@ void rank_passes(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
         rank_loop(K, K_s, P, P_s, head, hi, delta, tag, out);
 }
 
-void partition_msb(char *S, i64 S_s, i64 lo, i64 hi, i64 bit, i64 *out)
-{
-    i64 l = lo, r = hi - 1, moves = 0;
-    while (l <= r) {
-        if (!(AT(S, l) & bit)) {
-            l++;
-        } else if (AT(S, r) & bit) {
-            r--;
-        } else {
-            i64 t = AT(S, l);
-            AT(S, l) = AT(S, r);
-            AT(S, r) = t;
-            moves += 2;
-            l++;
-            r--;
-        }
-    }
-    out[0] = l - lo;
-    out[1] = moves;
-}
-
-i64 add_const(char *S, i64 S_s, i64 lo, i64 hi, i64 c)
-{
-    /* Wraps like numpy's int64 addition instead of overflowing. */
-    for (i64 i = lo; i < hi; i++)
-        AT(S, i) = (i64)((uint64_t)AT(S, i) + (uint64_t)c);
-    return hi - lo;
-}
-
 i64 radix_pass(char *src, i64 src_s, char *dst, i64 dst_s, i64 n, i64 shift)
 {
     i64 counts[256] = {0};

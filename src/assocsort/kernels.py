@@ -1105,33 +1105,6 @@ def rank_passes(K, P, head, hi, delta, tag):
     return passes, moves, created, head, PHASE_OK, STATUS_OK, 0, 0, 0, 0
 
 
-def partition_msb(S, lo, hi, bit):
-    """Full-word two-finger partition on one bit (clear bit first)."""
-    l = lo
-    r = hi - 1
-    moves = 0
-    while l <= r:
-        if not S[l] & bit:
-            l += 1
-        elif S[r] & bit:
-            r -= 1
-        else:
-            t = S[l]
-            S[l] = S[r]
-            S[r] = t
-            moves += 2
-            l += 1
-            r -= 1
-    return l - lo, moves
-
-
-def add_const(S, lo, hi, c):
-    """Add ``c`` to every word of ``S[lo:hi]``; returns words written."""
-    for i in range(lo, hi):
-        S[i] += c
-    return hi - lo
-
-
 def radix_pass(src, dst, n, shift):
     """One stable 8-bit counting pass of an LSD radix sort."""
     counts = np.zeros(256, dtype=np.int64)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import TraceFn, run_loop, stalled
 from .counters import OpCounters
-from .errors import CorruptStateError
+from .errors import CorruptStateError, InputError
 from .kernels import PHASE_ACCUMULATE, PHASE_REACTIVATE, PHASE_RESTORE, PHASE_TICKET
 from .words import WordConfig
 
@@ -76,8 +76,18 @@ def argsort_keys(
 
     Returns ``(sorted_keys, perm)`` with
     ``sorted_keys[i] == keys[perm[i]]``; ``keys`` itself is untouched.
+    Keys whose ``int64`` copy would not be exact are refused with
+    :class:`~assocsort.errors.InputError`: any dtype but a signed or
+    unsigned integer one (floats, which the copy would truncate, bools,
+    objects), and unsigned keys past the ``int64`` range, which it would
+    wrap.
     """
-    K = np.array(keys, dtype=np.int64, copy=True)
+    A = np.asarray(keys)
+    if A.size and A.dtype.kind not in "iu":
+        raise InputError(f"keys must be integers, got dtype {A.dtype}")
+    K = A.astype(np.int64)
+    if not np.array_equal(K, A):
+        raise InputError("keys must fit int64")
     P = np.arange(len(K), dtype=np.int64)
     sort_by_key(K, P, cfg=cfg, counters=counters)
     return K, P

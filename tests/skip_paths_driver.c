@@ -21,9 +21,18 @@
  * results and words, so that builds for two ISAs can be compared; exits 0
  * when there are no failures.
  *
+ * The kernels' declarations are not copied here: both files are built
+ * with -include of a header holding ckernels.CDEF, the declarations cffi
+ * loads the library with, so a definition in kernels.c that drifts from
+ * its Python twin fails to compile with "conflicting types":
+ *
+ *   (echo '#include <stdint.h>'; PYTHONPATH=src python3 -c \
+ *       'from assocsort.ckernels import CDEF; print(CDEF)') > kernels.h
  *   cc -O2 -g -fsanitize=address,undefined -fno-sanitize-recover \
- *      src/assocsort/kernels.c tests/skip_paths_driver.c -o driver
- *   cc -O2 -DGUARD src/assocsort/kernels.c tests/skip_paths_driver.c -o driver
+ *      -include kernels.h src/assocsort/kernels.c tests/skip_paths_driver.c \
+ *      -o driver
+ *   cc -O2 -DGUARD -include kernels.h src/assocsort/kernels.c \
+ *      tests/skip_paths_driver.c -o driver
  *
  * Each with -mavx2 as well, where the CPU has AVX2, for the other
  * spelling of the skip paths' lane masks.
@@ -40,22 +49,6 @@
 #endif
 
 typedef int64_t i64;
-
-void practice(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
-void practice_cursors(char *, i64, i64, i64, i64, i64, i64 *);
-void implicit_practice(char *, i64, i64, i64, i64, i64 *);
-void collect_fixpoints(char *, i64, i64, i64, i64, i64 *);
-void store_records(char *, i64, i64, i64, i64, i64, i64 *);
-void store_nodes(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
-void partition_values(char *, i64, i64, i64, i64, i64, i64 *);
-void retrieve_scan(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64,
-                   i64 *);
-void improved_passes(char *, i64, i64, i64, i64, i64, i64, i64, i64, i64 *);
-void distinct_passes(char *, i64, i64, i64, i64, i64 *);
-void sequential_passes(char *, i64, i64, i64, i64, i64, i64, i64 *);
-void stacked_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64, i64,
-                    i64, i64 *);
-void rank_passes(char *, i64, char *, i64, i64, i64, i64, i64, i64 *);
 
 #define NOUT 12
 #define MAXN (1 << 16)

@@ -127,8 +127,10 @@ PAST_THE_END = [
     ("repractice_idle", (1, 8, 0, 8, T8), (0, 8, 0, 8, T8)),
     ("reactivate", (0, 9, 0, T8), (0, 8, 0, T8)),
     ("restore_keys", (0, 9, 0, T8), (0, 8, 0, T8)),
-    ("partition_msb", (0, 9, 4), (0, 8, 4)),
-    ("add_const", (0, 9, 1), (0, 8, 1)),
+    # Tag 0: the value plane is the whole word, as ``sort_full_universe``
+    # partitions on the top bit.
+    ("partition_values", (0, 9, T8 - 1, 0), (0, 8, T8 - 1, 0)),
+    ("partition_values", (-1, 8, 3, 0), (0, 8, 3, 0)),
     ("radix_pass", (9, 0), (8, 0)),
     ("distinct_passes", (0, 9, 0), (0, 8, 0)),
     ("sequential_passes", (0, 9, 0, 0, 8), (0, 8, 0, 0, 8)),

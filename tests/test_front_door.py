@@ -3,14 +3,16 @@
 Keys (and a payload) must be writable 1-D ``int64`` numpy arrays, and a
 payload must share no memory with its keys.  Anything else is refused
 with :class:`~assocsort.errors.InputError` before a single word is
-written, the same way by every entry point.
+written, the same way by every entry point.  So is an array longer than
+the ``2**(w-1)`` node slots of the word model, with
+:class:`~assocsort.errors.WordRangeError`.
 """
 
 import numpy as np
 import pytest
 
 from assocsort.adapter import ALGORITHMS, sort_full_universe
-from assocsort.errors import InputError
+from assocsort.errors import InputError, WordRangeError
 from assocsort.ranksort import sort_by_key
 from assocsort.words import WordConfig
 
@@ -56,6 +58,19 @@ def test_malformed_keys_refused_untouched(name, kind):
     before = _snapshot(S)
     with pytest.raises(InputError):
         SORTERS[name](S, cfg=CFG8)
+    assert _snapshot(S) == before
+
+
+@pytest.mark.parametrize("name", sorted(SORTERS))
+def test_over_long_array_refused_untouched(name):
+    """``2**(w-1) + 1`` keys at w = 4, four below ``2**(w-1)`` and five at or
+    above it, so that each half of a top-bit partition would fit."""
+    cfg = WordConfig(4)
+    S = np.array([5 * i % 16 for i in range(cfg.tag_mask + 1)], dtype=np.int64)
+    before = _snapshot(S)
+    with pytest.raises(WordRangeError) as exc:
+        SORTERS[name](S, cfg=cfg)
+    assert "node slots" in str(exc.value)
     assert _snapshot(S) == before
 
 

@@ -157,5 +157,6 @@ def test_full_universe(data):
     near = data.draw(st.booleans())
     lo = max(0, top - 4 * n) if near else 0
     keys = data.draw(st.lists(st.integers(lo, top), min_size=n, max_size=n))
+    stride = data.draw(st.sampled_from([1, 2, -1]))
     run = lambda K, P, c: sort_full_universe(K, algo, cfg=cfg, counters=c)
-    _assert_same(run, keys)
+    _assert_same(run, keys, stride=stride)

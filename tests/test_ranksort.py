@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assocsort.errors import WordRangeError
+from assocsort.errors import InputError, WordRangeError
 from assocsort.ranksort import argsort_keys, sort_by_key
 from assocsort.words import WordConfig
 
@@ -103,3 +103,15 @@ class TestArgsortKeys:
         assert np.array_equal(out, reference_sort(keys))
         assert np.array_equal(keys[perm], out)
         assert sorted(perm.tolist()) == list(range(len(keys)))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[1.7, 0.2, 3.9], np.array([3.0, 1.0, 2.0]), [True, False], [1, 2**70],
+         np.array([1, 2**63 + 5], dtype=np.uint64)],
+        ids=["floats", "integral float64", "bools", "past int64", "uint64 past int64"],
+    )
+    def test_inexact_keys_refused(self, keys):
+        """An ``int64`` copy of these would truncate, reinterpret or not
+        exist, breaking ``sorted_keys[i] == keys[perm[i]]``."""
+        with pytest.raises(InputError):
+            argsort_keys(keys, CFG32)

@@ -6,7 +6,8 @@ count or bitmap nodes) and ``implicit_practice`` defer, or in
 ``stacked_passes`` leaves below the interval, untagged words in
 ``store_records``, ``store_nodes`` and the tag scan of ``retrieve_scan``,
 value planes above the pivot in the right-hand scan of
-``partition_values``, and words off their own slot in
+``partition_values`` (with tag 0, whole words, as ``sort_full_universe``
+partitions), and words off their own slot in
 ``collect_fixpoints``.  The standalone kernels always take these paths;
 ``improved_passes``, ``sequential_passes``, ``stacked_passes`` and
 ``distinct_passes`` turn them on per pass, and are each compiled once for
@@ -453,6 +454,11 @@ def _partition_stop_cases():
             seg = [60] + _scan(before, lane, tail, clean, stop)[::-1] + [60]
             yield "partition_values", [pivot + 1] * PAD + seg + [pivot + 1] * PAD, (
                 PAD, PAD + n, pivot, T8)
+        # Tag 0, as ``sort_full_universe`` partitions on the top bit: whole
+        # words with it set, to one at or below the pivot or a negative word.
+        for stop in (30, T8 - 1, -118):
+            seg = [2 * T8 - 1] + _scan(before, lane, tail, _top_half, stop)[::-1] + [T8]
+            yield "partition_values", [T8] * PAD + seg + [T8] * PAD, (PAD, PAD + n, T8 - 1, 0)
 
 
 def _outside_stop_cases():
@@ -487,12 +493,23 @@ def _stop_cases():
     yield from _outside_stop_cases()
 
 
+def _top_half(k):
+    """An 8-bit word with its top bit set, a key of the upper half of a
+    ``sort_full_universe`` partition."""
+    return T8 + (37 * k) % T8
+
+
 def _partition_cases():
+    """Value planes above the pivot in the run, of keys and of nodes; and
+    with tag 0 (pivot ``T8 - 1``), whole words with the top bit set in the
+    run, keys below it elsewhere."""
     pivot = 50
     for n, start, run in _shapes():
         words = _segment(n, start, run, lambda k: (51 + k % 5) | (T8 * (k % 2)),
                          lambda k: (30 + k % 10) | (T8 * (k % 2)), pivot + 1)
         yield "partition_values", words, (PAD, PAD + n, pivot, T8)
+        words = _segment(n, start, run, _top_half, lambda k: (5 * k + start) % T8, T8)
+        yield "partition_values", words, (PAD, PAD + n, T8 - 1, 0)
 
 
 def _pass_cases():
@@ -631,7 +648,7 @@ def test_practice_steps_over_deferred_keys():
         _agree(*case)
 
 
-def test_practice_super_steps_over_deferred_keys():
+def test_bitmap_practice_steps_over_deferred_keys():
     for case in _bitmap_practice_cases():
         _agree(*case)
 
@@ -883,16 +900,21 @@ def test_guarded_driver(tmp_path):
 
 def _drive(tmp_path, flags, env=None):
     """Build ``skip_paths_driver.c`` with ``flags`` and run it on
-    :func:`_driver_input`: it must report every case and no failure.  It
-    is built with the library's ISA flags (``ckernels.ISA_FLAGS``) and,
-    where there are any, without them too, so that both spellings of the
-    skip paths' lane masks run; both must report the same digest of every
-    case's results and words."""
+    :func:`_driver_input`: it must report every case and no failure.  Both
+    it and ``kernels.c`` are built with ``-include`` of a header holding
+    ``ckernels.CDEF``, so that a C definition that drifts from its Python
+    twin fails the build.  It is built with the library's ISA flags
+    (``ckernels.ISA_FLAGS``) and, where there are any, without them too,
+    so that both spellings of the skip paths' lane masks run; both must
+    report the same digest of every case's results and words."""
     lines = _driver_input()
+    header = tmp_path / "kernels.h"
+    header.write_text(f"#include <stdint.h>\n{ckernels.CDEF}\n")
     digests = set()
     for isa in dict.fromkeys([ckernels.ISA_FLAGS, ()]):
         driver = tmp_path / f"driver{len(isa)}"
-        built = subprocess.run(["cc", *flags, *isa, "-o", str(driver), ckernels.SOURCE, DRIVER],
+        built = subprocess.run(["cc", *flags, *isa, "-include", str(header), "-o", str(driver),
+                                ckernels.SOURCE, DRIVER],
                                capture_output=True, text=True, timeout=300)
         assert built.returncode == 0, (isa, built.stderr)
         proc = subprocess.run([str(driver)], input="\n".join(lines) + "\n", env=env,
