@@ -6,7 +6,7 @@ own, ``--base-flags`` and ``--new-flags``), and each build's pass loops
 are declared as its own source defines them, so that a source whose loops
 take other arguments binds too.  In each cell (sorter, n, m/n) every round
 makes the same number of calls of each build's pass loop on fresh copies
-of one input, alternating which build goes first call by call, and checks
+of an input the round draws, alternating which build goes first call by call, and checks
 that both leave the same words and results.  With ``--sorted-only`` it
 checks instead that each build leaves the input sorted (``np.sort`` of
 it) and reports no failed check, for a change that moves words or
@@ -24,6 +24,17 @@ to ``PATH``.
         --base-flags="-O2 -shared -fPIC" \
         --sorters assoc_improved,assoc_seq,assoc_rec,cycle_distinct
 
+``--grid SORTERS/SIZES/RATIOS``, repeatable, runs grids of their own in
+place of ``--sorters``, ``--sizes`` and ``--ratios``.  The grid committed
+as ``BENCH_dense_grid.json`` (dense passes of packed nodes against the
+source before them):
+
+    git show aa04d9c:src/assocsort/kernels.c > /tmp/base.c
+    PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c \
+        --grid assoc_improved/16384,131072,1048576/0.25,0.5,1,perm \
+        --grid assoc_improved,assoc_seq,assoc_rec/5000/1,3,10,30,100 \
+        --sorted-only --rounds 201 --json BENCH_dense_grid.json
+
 The grid committed as ``BENCH_paired_grid.json`` (the counting sorters
 against the source before their passes packed):
 
@@ -32,14 +43,28 @@ against the source before their passes packed):
         --sorters assoc_seq,assoc_rec --sizes 5000,100000 --ratios 1,3,10,30,100 \
         --sorted-only --json BENCH_paired_grid.json
 
+A round makes ``max(1, 200000 // n)`` calls of each build; an input drawn
+for each round, not one for the cell, keeps a cell at large n, one call a
+build per round, from resting on the layout of one input
+(``BENCH_paired_grid.json`` was made with one input per cell).  The packed
+rows of the cursor gate's table at ``DENSE_FLOOR`` in ``kernels.c`` were
+made so, ``never.c`` and ``force.c`` being ``kernels.c`` with
+``dense_last`` edited to refuse, or to take regardless of spread, every
+pass of packed nodes:
+
+    PYTHONPATH=src python scripts/paired_grid.py never.c force.c --sorted-only \
+        --grid assoc_improved/16384,32768,65536,131072,262144,524288,1048576/0.5,0.625,0.75,1,perm \
+        --rounds 301
+
 Inputs: ``distinct_improved`` and ``cycle_distinct`` get n distinct keys
 drawn from [0, m); ``assoc_seq`` and ``assoc_rec`` get n keys drawn from
 a pool of n/2 distinct keys in [0, m), as the benchmark's
 ``paper-variants`` draws them; ``assoc_improved`` and ``sort_by_key`` (the
 rank loop, carrying a payload ramp) get n keys drawn uniformly from
-[0, m), as ``sparse-sort`` and ``rank-pairs`` draw them.  Each sorter's
-call is its pass loop as its driver makes it, with the default word of
-63 bits.
+[0, m), as ``sparse-sort`` and ``rank-pairs`` draw them.  An m/n of
+``perm`` gives every sorter a permutation of [0, n).  Each sorter's call
+is its pass loop as its driver makes it, with the default word of 63
+bits.
 """
 
 import argparse
@@ -60,6 +85,7 @@ from assocsort import ckernels
 TAG = 1 << 62
 DISTINCT = ("distinct_improved", "cycle_distinct")
 POOLED = ("assoc_seq", "assoc_rec")
+PERM = "perm"  # the m/n of a permutation
 
 
 # The pass loops, by name: where each reports its phase.
@@ -100,9 +126,13 @@ def bind(source, flags, directory, name):
     return {"params": params, **{loop: caller(loop) for loop in params}}
 
 
-def keys_for(sorter, n, ratio, seed):
+def keys_for(sorter, n, ratio, seed, r):
+    """The input of round ``r`` of a cell: see the module's docstring;
+    ``ratio`` "perm" is a permutation of [0, n) for every sorter."""
+    if ratio == PERM:
+        return np.random.default_rng([seed, n, 0, r]).permutation(n).astype(np.int64)
     m = max(int(ratio * n), 1)
-    rng = np.random.default_rng([seed, n, m])
+    rng = np.random.default_rng([seed, n, m, r])
     if sorter in DISTINCT:
         return rng.choice(m, size=n, replace=False).astype(np.int64)
     if sorter in POOLED:
@@ -148,12 +178,12 @@ def run(ns, sorter, S):
 def cell(A, B, sorter, n, ratio, rounds, seed, sorted_only=False):
     """Mean time per call of ``A`` and of ``B`` in each round, and the
     passes of each build's last call."""
-    keys = keys_for(sorter, n, ratio, seed)
-    expect = np.sort(keys).tobytes()
     at = LOOPS[loop_of(sorter)]
     calls = max(1, 200_000 // n)
     times = {id(A): [], id(B): []}
     for r in range(rounds):
+        keys = keys_for(sorter, n, ratio, seed, r)
+        expect = np.sort(keys).tobytes()
         total = {id(A): 0, id(B): 0}
         for c in range(calls):
             left = {}
@@ -215,6 +245,9 @@ def main():
     parser.add_argument("--sizes", default="5000,100000")
     parser.add_argument("--ratios", default="1,3,10,30,100")
     parser.add_argument("--sorters", default="distinct_improved,assoc_rec")
+    parser.add_argument("--grid", action="append", metavar="SORTERS/SIZES/RATIOS",
+                        help="a grid of its own, as --sorters, --sizes and --ratios "
+                             "joined by '/'; repeatable, in place of those three")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--base-flags", default=" ".join(ckernels.FLAGS),
                         help="compile flags of the base (default: the backend's)")
@@ -230,27 +263,31 @@ def main():
     with tempfile.TemporaryDirectory() as directory:
         A = bind(args.base, args.base_flags.split(), directory, "base")
         B = bind(args.new, args.new_flags.split(), directory, "new")
-        for sorter in args.sorters.split(","):
-            for n in map(int, args.sizes.split(",")):
-                for ratio in map(float, args.ratios.split(",")):
-                    ta, tb, pa, pb = cell(A, B, sorter, n, ratio, args.rounds, args.seed,
-                                          args.sorted_only)
-                    qa = np.percentile(ta, [25, 50, 75])
-                    qb = np.percentile(tb, [25, 50, 75])
-                    passes = f"  passes {pa} / {pb}" if args.sorted_only else ""
-                    print(f"{sorter:17s} n={n:<6d} m/n={ratio:<4g} "
-                          f"base {qa[1] / 1e3:9.1f} us  new {qb[1] / 1e3:9.1f} us  "
-                          f"ratio {qa[1] / qb[1]:.3f}  base IQR {(qa[2] - qa[0]) / qa[1]:.3f}  "
-                          f"[{qa[1] / qb[2]:.3f}, {qa[1] / qb[0]:.3f}]{passes}", flush=True)
-                    cells.append({
-                        "sorter": sorter, "n": n, "ratio": ratio,
-                        "base_us": [round(q / 1e3, 2) for q in qa],
-                        "new_us": [round(q / 1e3, 2) for q in qb],
-                        "base_over_new": round(qa[1] / qb[1], 4),
-                        "base_iqr": round((qa[2] - qa[0]) / qa[1], 4),
-                        **({"base_passes": int(pa), "new_passes": int(pb)}
-                           if args.sorted_only else {}),
-                    })
+        grids = [g.split("/") for g in args.grid or ["/".join((args.sorters, args.sizes,
+                                                                args.ratios))]]
+        for sorter, n, ratio in ((sorter, int(n), r if r == PERM else float(r))
+                                 for sorters, sizes, ratios in grids
+                                 for sorter in sorters.split(",")
+                                 for n in sizes.split(",")
+                                 for r in ratios.split(",")):
+            ta, tb, pa, pb = cell(A, B, sorter, n, ratio, args.rounds, args.seed,
+                                  args.sorted_only)
+            qa = np.percentile(ta, [25, 50, 75])
+            qb = np.percentile(tb, [25, 50, 75])
+            passes = f"  passes {pa} / {pb}" if args.sorted_only else ""
+            print(f"{sorter:17s} n={n:<7d} m/n={ratio:<4} "
+                  f"base {qa[1] / 1e3:9.1f} us  new {qb[1] / 1e3:9.1f} us  "
+                  f"ratio {qa[1] / qb[1]:.3f}  base IQR {(qa[2] - qa[0]) / qa[1]:.3f}  "
+                  f"[{qa[1] / qb[2]:.3f}, {qa[1] / qb[0]:.3f}]{passes}", flush=True)
+            cells.append({
+                "sorter": sorter, "n": n, "ratio": ratio,
+                "base_us": [round(q / 1e3, 2) for q in qa],
+                "new_us": [round(q / 1e3, 2) for q in qb],
+                "base_over_new": round(qa[1] / qb[1], 4),
+                "base_iqr": round((qa[2] - qa[0]) / qa[1], 4),
+                **({"base_passes": int(pa), "new_passes": int(pb)}
+                   if args.sorted_only else {}),
+            })
     if args.json:
         doc = {
             "rounds": args.rounds, "seed": args.seed, "sorted_only": args.sorted_only,

@@ -21,6 +21,7 @@ from .backend import active
 from .core import TraceFn, check_words, sort_associative, sort_associative_recursive
 from .counters import OpCounters
 from .cycle_leader import sort_distinct_keys
+from .errors import DuplicateKeyError
 from .improved import sort_distinct_improved, sort_improved
 from .ranksort import sort_by_key
 from .words import WordConfig
@@ -69,7 +70,8 @@ def sort_full_universe(
     low half directly, then shifts the high half down by ``2**(w-1)``,
     sorts it, and shifts it back.  Input is refused as by
     :func:`~assocsort.core.check_words`, keys in ``[0, 2**w - 1]``, before
-    any word is written.
+    any word is written.  A repeated key of the upper half is reported as
+    the input held it.
     """
     cfg = cfg or WordConfig()
     counters = counters if counters is not None else OpCounters()
@@ -82,7 +84,13 @@ def sort_full_universe(
     sorter(low, cfg=cfg, counters=counters, trace=trace)
     high -= cfg.tag_mask
     counters.moves += len(high)
-    sorter(high, cfg=cfg, counters=counters, trace=trace)
+    try:
+        sorter(high, cfg=cfg, counters=counters, trace=trace)
+    except DuplicateKeyError as exc:
+        if exc.key is None:
+            raise
+        key = exc.key + cfg.tag_mask
+        raise DuplicateKeyError(f"key {key} occurs more than once", key=key) from None
     high += cfg.tag_mask
     counters.moves += len(high)
     return counters

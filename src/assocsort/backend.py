@@ -185,6 +185,6 @@ def warmup() -> str:
     k = active()
     src = ramp[::-1].copy()
     dst = np.empty_like(src)
-    k.practice_cursors(ramp.copy(), 0, 16, 0, cfg.tag_mask)
+    k.practice_cursors(ramp.copy(), 0, 16, 0, 16, 1, cfg.w - 1, cfg.tag_mask)
     k.radix_pass(src, dst, 16, 0)
     return current_backend()

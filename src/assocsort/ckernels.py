@@ -104,7 +104,7 @@ SIGNATURES = {
     "retrieve_packed": (1, 3, "0 <= lo and mem_hi <= size and write_end <= size" + _FORM),
     "store_records": (1, 3, _SCAN),
     "retrieve_scan": (1, 2, _SCAN + _FORM + " and 0 <= n_c and lo + n_d + n_c <= size"),
-    "practice_cursors": (1, 7, _SCAN),
+    "practice_cursors": (1, 7, _SCAN + _FORM + " and 0 <= span <= F * (hi - lo)"),
     "improved_passes": (1, 8, "0 <= head and hi <= size" + _FORM),
     "distinct_passes": (1, 10, "0 <= head and hi <= size"),
     "sequential_passes": (1, 10, "0 <= head and hi <= size" + _WIDTH.format("head")),

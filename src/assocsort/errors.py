@@ -21,7 +21,15 @@ class InputError(AssocSortError, ValueError):
 
 
 class DuplicateKeyError(AssocSortError):
-    """A distinct-keys variant observed the same key twice."""
+    """A distinct-keys variant observed the same key twice.
+
+    ``key`` is that key as the input held it, or ``None`` where the sorter
+    cannot name it.  The array's content is unspecified after this error.
+    """
+
+    def __init__(self, message: str, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class CorruptStateError(AssocSortError):

@@ -17,12 +17,14 @@ positions are never packed together:
 Because everything after practicing happens in the value planes while
 tags pin the nodes, a segment whose keys all lie within ``segment
 length`` of the minimum sorts in exactly one pass — in particular any
-array with ``max - min < n`` does.  A pass whose keys reach further packs
-its nodes instead (``kernels.pass_interval``): ``F = (w - 1) // b``
+array with ``max - min < n`` does.  Every pass packs its nodes where two
+fields fit a record (``kernels.pass_interval``): ``F = (w - 1) // b``
 counters of ``b = seg.bit_length()`` bits a node, each counting one key's
 occurrences, so that its interval covers ``F`` keys per segment word; so
 any array whose keys fit within ``F * n`` of the minimum sorts in one pass
-too.
+too.  The dense pass packs as well: its nodes then fill only the first
+``1/F`` of the segment, which shortens the chase of practice and leaves
+the rest of the segment idle.
 
 The distinct-keys sibling packs ``w - 1`` keys into each node as a
 bitmap, shrinking memory a further ``w - 1``-fold; duplicate keys are
@@ -35,11 +37,11 @@ A sort runs every pass in one call of the ``improved_passes`` pass loop
 (through ``core.run_loop``, which runs the Python loop when traced) and
 raises a failed check through :func:`_fail`.  The loop, which knows the
 keys' maximum from the front door, practices a *dense-last* pass
-(``kernels.dense_last``: one that defers nothing, over a segment too
-large for L1 whose keys span most of it) with 16 interleaved cursors, so
-that the cache misses of their chases overlap.  That order changes
-neither the counters nor the sorted words, only where idle words sit
-until retrieval rewrites them.
+(``kernels.dense_last``: one of count or packed nodes that defers
+nothing, over a segment too large for L1 whose keys span most of it) with
+16 interleaved cursors, so that the cache misses of their chases overlap.
+That order changes neither the counters nor the sorted words, only where
+idle words sit until retrieval rewrites them.
 """
 
 from typing import Optional
@@ -64,7 +66,7 @@ def _fail(phase, status, a, b):
     """Raise the error of the failed check ``phase`` of a pass, with the
     numbers ``a`` and ``b`` that ``improved_passes`` reports for it."""
     if phase == PHASE_DUPLICATE:
-        raise DuplicateKeyError(f"key {int(a)} occurs more than once")
+        raise DuplicateKeyError(f"key {int(a)} occurs more than once", key=int(a))
     if phase == PHASE_STORE:
         raise CorruptStateError(f"found {a} tagged words while parking {b} records")
     if phase == PHASE_PARTITION:

@@ -9,31 +9,38 @@
  * serve every node form (F, b) of kernels.practice alike: count nodes
  * (F == 1), bitmaps of F keys (b == 1) and F packed counters of b bits,
  * and retrieve_packed_k the count and packed memories of the counting
- * sorters.  improved_passes, sequential_passes and stacked_passes pack the
- * count nodes of a pass whose keys a count pass would defer, by the one
- * rule of pass_interval.  Five things exist only here, and change no
- * result:
+ * sorters.  improved_passes packs the count nodes of every pass where two
+ * fields fit, sequential_passes and stacked_passes those of a pass whose
+ * keys a count pass would defer, by the one rule of pass_interval.  Five
+ * things exist only here, and change no result:
  * * Skip paths.  Where a scan of a value-sort pass loop would only step
  *   past word after word (keys practice defers or, in stacked_passes,
  *   leaves below the interval, untagged words, value planes above the
- *   pivot, words off their own slot), it steps over blocks of 4 such words
- *   at a time and returns the exact word the scan must stop at.  The
- *   standalone kernels always take them; improved_passes,
- *   sequential_passes, stacked_passes and distinct_passes turn them on per
- *   pass (see SKIP_SHARE), so dense segments keep the plain loop, but for
- *   stacked_passes' practice, which takes them in every pass after its
- *   first.
+ *   pivot or at or below it, words off their own slot), it steps over
+ *   blocks of 4 such words at a time and returns the exact word the scan
+ *   must stop at.  The standalone kernels always take them;
+ *   improved_passes, sequential_passes, stacked_passes and distinct_passes
+ *   turn them on per pass (see SKIP_SHARE), so dense segments keep the
+ *   plain loop, but for stacked_passes' practice, which takes them in every
+ *   pass after its first, and the tag scan of retrieve_dense and the
+ *   left-hand scan of partition_values in a pass of improved_passes that
+ *   defers no key, whose tail is all idle words.
  * * Vector lane masks.  A skip path tests the 4 words of a block as one
  *   vector and finds its stop word from the mask of the lanes that fail
  *   (see lanes()).
  * * Each pass loop is compiled twice from one body: once with the byte
  *   stride fixed at 8, which every contiguous array has, and once for any
  *   stride.
- * * Masks for branches.  In a dense-last pass of improved_passes (see
- *   kernels.dense_last), where a third of the keys or more repeat, storage
- *   and retrieval pick their writes by mask arithmetic, with a word written
- *   back unchanged where the Python kernel leaves it, and the cursors of
- *   practice_cursors do so for the slot they hash to.
+ * * Masks for branches.  In a pass of improved_passes that defers no key,
+ *   retrieval writes a packed node's keys by mask at node level: it sums
+ *   the node's fields and picks the key of each word of a window of 8 by
+ *   comparing the word's place against the running sums (see
+ *   retrieve_dense).  In a dense-last pass of count nodes (see
+ *   kernels.dense_last) where a third of the keys or more repeat,
+ *   storage and retrieval pick their writes by mask likewise.  A word
+ *   outside the node's run, or one storage does not move, is written back
+ *   unchanged, where the Python kernel leaves it.  The cursors of practice_cursors pick what they write to the slot
+ *   they hash to by mask too.
  * * A walk over set bits.  Bitmap retrieval visits only the bits a record
  *   holds, not all F of them, and writes a node's keys lowest first, and
  *   packed retrieval only the fields that hold a count (see
@@ -177,6 +184,16 @@ INLINE void load4(v4 *v, char *S, i64 S_s, i64 i)
         *v = (v4){AT(S, i), AT(S, i + 1), AT(S, i + 2), AT(S, i + 3)};
 }
 
+/* Lanes 0 to 3 of *v into words i to i + 3 of S. */
+INLINE void store4(char *S, i64 S_s, i64 i, const v4 *v)
+{
+    if (S_s == 8)
+        __builtin_memcpy(S + i * 8, v, sizeof *v);
+    else
+        for (int l = 0; l < 4; l++)
+            AT(S, i + l) = (*v)[l];
+}
+
 /* Lane by lane, *least becomes x where *take is set and x is less. */
 INLINE void fold_least(v4 *least, const v4 *x, const v4 *take)
 {
@@ -279,6 +296,21 @@ INLINE i64 skip_outside(char *S, i64 S_s, i64 i, i64 hi, i64 delta, i64 far,
         *dnext = f;
     *n_def += n;
     return i;
+}
+
+/* Up from l, not past r: value planes at or below pivot. */
+INLINE i64 skip_at_most(char *S, i64 S_s, i64 l, i64 r, i64 pivot, i64 vmask)
+{
+    v4 v;
+    while (l + 3 <= r) {
+        load4(&v, S, S_s, l);
+        v4 stop = (v & SPLAT(vmask)) > SPLAT(pivot);
+        int m = lanes(stop);
+        if (m)
+            return l + __builtin_ctz(m);
+        l += 4;
+    }
+    return l;
 }
 
 /* Up from p, below hi: untagged words. */
@@ -484,6 +516,10 @@ void distinct_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 *out)
 }
 
 #define SKIP_OUTSIDE 2
+/* The skip paths of partition_values_k: its right-hand scan, which SCAN's
+ * skip of 1 turns on, and its left-hand one. */
+#define SKIP_HIGH 1
+#define SKIP_LOW 2
 
 /* practice, of nodes of the form (F, b): count nodes (F == 1), bitmaps
  * (b == 1) or packed counters, taking a skip path when skip is set: over
@@ -649,8 +685,8 @@ void store_nodes(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 span,
                   out);
 }
 
-/* partition_values, taking the skip path of its right-hand scan when
- * skip is set. */
+/* partition_values, taking the skip path of its right-hand scan where
+ * skip has bit SKIP_HIGH, of its left-hand one where it has SKIP_LOW. */
 INLINE void partition_values_k(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot,
                                i64 tag, int skip, i64 *out)
 {
@@ -660,12 +696,14 @@ INLINE void partition_values_k(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot,
         i64 a = AT(S, l) & vmask;
         if (a <= pivot) {
             l++;
+            if (skip & SKIP_LOW)
+                l = skip_at_most(S, S_s, l, r, pivot, vmask);
             continue;
         }
         i64 b = AT(S, r) & vmask;
         if (b > pivot) {
             r--;
-            if (skip)
+            if (skip & SKIP_HIGH)
                 r = skip_above(S, S_s, r, l, pivot, vmask);
             continue;
         }
@@ -682,7 +720,7 @@ INLINE void partition_values_k(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot,
 void partition_values(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot, i64 tag,
                       i64 *out)
 {
-    partition_values_k(S, S_s, lo, hi, pivot, tag, 1, out);
+    partition_values_k(S, S_s, lo, hi, pivot, tag, SKIP_HIGH | SKIP_LOW, out);
 }
 
 /* The keys of the packed fields rest, of b bits each, from key key0:
@@ -795,14 +833,17 @@ static void pass_budget(i64 seg, i64 w, i64 *eps, i64 *split)
 /* kernels.pass_interval, the one packing rule of the three count sorters:
  * iv gets the node form F, b, the span and the pivot of a pass over seg
  * words from key delta whose keys are at most top, for a sort of nodes of
- * the form (F, b).  A count pass whose keys reach seg or more past delta
- * packs b / len >= 2 fields of len = bit length of seg bits. */
+ * the form (F, b).  A count pass packs b / len >= 2 fields of len = bit
+ * length of seg bits: every such pass where its records fill the value
+ * plane (1 << b == tag, the improved sorters), else only one whose keys
+ * reach seg or more past delta. */
 INLINE void pass_interval(i64 seg, i64 delta, i64 top, i64 F, i64 b, i64 tag,
                           i64 *iv)
 {
     i64 len = 64 - __builtin_clzll((uint64_t)seg | 1), span = seg;
-    if (F == 1 && seg > 0 && top >= delta &&
-        (uint64_t)top - (uint64_t)delta >= (uint64_t)seg && b / len >= 2) {
+    if (F == 1 && seg > 0 && b / len >= 2 &&
+        ((uint64_t)1 << b == (uint64_t)tag ||
+         (top >= delta && (uint64_t)top - (uint64_t)delta >= (uint64_t)seg))) {
         F = b / len;
         b = len;
     }
@@ -1162,17 +1203,45 @@ void retrieve_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
  * moved by up to 0.1 (permutations of 8192 words read 0.93-1.11).
  * Hence a floor of 2^14 words, and keys that span 5/8 of the segment: a
  * margin over 1/2, which read 0.96-1.08 at 2^17-2^20 in a build whose
- * rounds always went through the list of live cursors. */
+ * rounds always went through the list of live cursors.
+ *
+ * Those were count nodes.  Packed nodes (F = 4 at 2^14 words, 3 at 2^15
+ * to 2^19, 2 at 2^20, w = 63), whose slots fill only the first 1/F of the
+ * segment, make the chase of one cursor shorter, and the cursors pay only
+ * where keys span most of the segment (time with the cursors taken
+ * regardless of spread over refused, both with the node-masked retrieval;
+ * scripts/paired_grid.py, 301 rounds, an input drawn for each round):
+ *
+ *     words   m/n 1/2   5/8   3/4    1    perm
+ *     2^14       1.16  1.07  0.99  0.90  0.90
+ *     2^15       0.98  1.00  0.91  0.90  0.91
+ *     2^16       1.07  0.96  0.95  0.90  0.90
+ *     2^17       1.14  0.88  0.98  0.92  0.82
+ *     2^18       0.97  0.88  0.97  0.93  0.90
+ *     2^19       1.10  1.08  0.97  0.82  0.87
+ *     2^20       1.14  1.00  0.92  0.83  0.78
+ *
+ * Hence packed nodes keep the floor, with keys that span 3/4 of the
+ * segment.  On the benchmark's dense-sort (2^17 keys below n), refusing
+ * them the cursors raised op_cal_p50 from 0.261 to 0.295 cal (6 pairs of
+ * 25-s runs, each won by the cursors). */
 #define CURSORS 16
 #define DENSE_FLOOR ((i64)1 << 14)
 
-INLINE int dense_last(i64 seg, i64 delta, i64 top)
+/* Whether a pass over seg words from delta whose keys are at most top
+ * defers no key. */
+INLINE int defers_none(i64 seg, i64 delta, i64 top)
 {
-    if (seg < DENSE_FLOOR || delta < 0 || delta > top)
+    return delta >= 0 && delta <= top && (uint64_t)(top - delta) < (uint64_t)seg;
+}
+
+INLINE int dense_last(i64 seg, i64 delta, i64 top, i64 F)
+{
+    if (seg < DENSE_FLOOR || !defers_none(seg, delta, top))
         return 0;
-    /* 0 <= delta <= top, so spread is exact, and 8 * spread < 8 * seg. */
+    /* With defers_none, spread is exact, and 8 * spread < 8 * seg. */
     uint64_t spread = (uint64_t)(top - delta);
-    return spread < (uint64_t)seg && 8 * spread >= 5 * (uint64_t)seg;
+    return 8 * spread >= (F == 1 ? 5 : 6) * (uint64_t)seg;
 }
 
 /* All ones where x is nonzero, else 0. */
@@ -1192,41 +1261,44 @@ typedef struct {
     i64 n_d, n_c, n_def, dnext;
 } tally;
 
-/* One step of cursor c of practice_cursors.  Each chase of displaced words
- * is a chain of dependent loads; with one cursor each load waits for the
- * one before, with CURSORS they overlap, as long as no mispredicted branch
- * on a loaded slot discards the steps after it.  So a step branches on its
- * own word only, and picks what it writes to its word and the slot by
- * mask, a bumped node's key written back. */
-INLINE void cursor_step(char *S, i64 S_s, i64 lo, i64 seg, i64 delta, i64 tag,
-                        int sh, i64 *cur, int c, tally *n)
+/* One step of cursor c of practice_cursors, of nodes of the form (F, b).
+ * Each chase of displaced words is a chain of dependent loads; with one
+ * cursor each load waits for the one before, with CURSORS they overlap, as
+ * long as no mispredicted branch on a loaded slot discards the steps after
+ * it.  So a step branches on its own word only, and picks what it writes
+ * to its word and the slot by mask, a bumped node's key written back. */
+INLINE void cursor_step(char *S, i64 S_s, i64 lo, i64 span, i64 delta, i64 F,
+                        i64 b, i64 tag, int sh, i64 *cur, int c, tally *n)
 {
     i64 i = cur[c], v = AT(S, i), d = v - delta;
     if (mask_if(v & tag) | (d >> 63)) {
         cur[c] = i + 1;
         return;
     }
-    if (d >= seg) {
+    if (d >= span) {
         n->n_def++;
         if (n->dnext < 0 || v < n->dnext)
             n->dnext = v;
         cur[c] = i + 1;
         return;
     }
-    i64 j = lo + d;
+    i64 q = (i64)((uint64_t)d / (uint64_t)F), j = lo + q;
+    i64 one = (i64)1 << ((d - q * F) * b);
     i64 t = AT(S, j);
     i64 bump = mask_if(t & tag), make = ~bump;
     AT(S, i) = pick(make, v, t);
-    AT(S, j) = pick(bump, tag, (i64)((uint64_t)t + 1));
+    AT(S, j) = pick(bump, tag | (F != 1 ? one : 0),
+                    (i64)((uint64_t)t + (uint64_t)one));
     n->n_d -= make;
     n->n_c -= bump;
     cur[c] = i + 1 + (make & -(i64)(j >= cur[(j - lo) >> sh]));
 }
 
-/* kernels.practice_cursors: practice of a whole segment as CURSORS
- * interleaved cursors, one per block of 2^sh words. */
+/* kernels.practice_cursors: practice of a whole segment, of count or
+ * packed nodes, as CURSORS interleaved cursors, one per block of 2^sh
+ * words. */
 INLINE void practice_cursors_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
-                               i64 tag, i64 *out)
+                               i64 span, i64 F, i64 b, i64 tag, i64 *out)
 {
     i64 seg = hi - lo, cur[CURSORS], end[CURSORS];
     tally n = {0, 0, 0, -1};
@@ -1234,9 +1306,9 @@ INLINE void practice_cursors_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
     while (seg > ((i64)CURSORS << sh))
         sh++;
     for (int c = 0; c < CURSORS; c++) {
-        i64 a = lo + ((i64)c << sh), b = a + ((i64)1 << sh);
+        i64 a = lo + ((i64)c << sh), e = a + ((i64)1 << sh);
         cur[c] = a < hi ? a : hi;
-        end[c] = b < hi ? b : hi;
+        end[c] = e < hi ? e : hi;
         if (cur[c] < end[c])
             live[n_live++] = c;
     }
@@ -1252,10 +1324,12 @@ INLINE void practice_cursors_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
         for (; rounds > 0; rounds--)
             if (n_live == CURSORS)
                 for (int c = 0; c < CURSORS; c++)
-                    cursor_step(S, S_s, lo, seg, delta, tag, sh, cur, c, &n);
+                    cursor_step(S, S_s, lo, span, delta, F, b, tag, sh, cur, c,
+                                &n);
             else
                 for (int x = 0; x < n_live; x++)
-                    cursor_step(S, S_s, lo, seg, delta, tag, sh, cur, live[x], &n);
+                    cursor_step(S, S_s, lo, span, delta, F, b, tag, sh, cur,
+                                live[x], &n);
         int kept = 0;
         for (int x = 0; x < n_live; x++)
             if (cur[live[x]] < end[live[x]])
@@ -1271,10 +1345,10 @@ INLINE void practice_cursors_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
     out[6] = -1;
 }
 
-void practice_cursors(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 tag,
-                      i64 *out)
+void practice_cursors(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 span,
+                      i64 F, i64 b, i64 tag, i64 *out)
 {
-    BY_STRIDE(practice_cursors_k, lo, hi, delta, tag, out);
+    BY_STRIDE(practice_cursors_k, lo, hi, delta, span, F, b, tag, out);
 }
 
 /* store_records_k without the skip path, for a dense-last pass, whose
@@ -1299,19 +1373,29 @@ INLINE void store_records_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
     out[2] = k - lo != n_d ? STATUS_TAG_SCAN : STATUS_OK;
 }
 
-/* Words retrieve_dense writes by mask for a node of few keys. */
-#define WRITES 3
+/* Words retrieve_dense writes by mask for a node of F fields: one block
+ * of 4 for a count, two for packed nodes, whose mean key count is at most
+ * 1.6 F in a dense-last pass. */
+#define WINDOW(F) ((F) == 1 ? 4 : 8)
 
-/* retrieve_scan_k with F == 1, for a dense-last pass, where gaps between
- * nodes and counts are short and in no order a branch predicts.  The tag
- * scan always takes its skip path, which finds the highest tag of the next
- * 4 words from one lane mask; a node of at most WRITES keys whose writes
- * cannot collide writes WRITES words, each its key or itself back.  Longer
- * counts, and the ends of the segment, take retrieve_scan_k's loops. */
+/* retrieve_scan_k of count nodes or of packed nodes of at most 4 fields,
+ * for a pass that defers no key, where gaps between nodes and counts are
+ * short and in no order a branch predicts.  The tag scan always takes its
+ * skip path, which finds the highest tag of the next 4 words from one lane
+ * mask.  A node whose keys fit WINDOW(F) words and cannot collide writes
+ * WINDOW(F) words by mask, each its key or itself back: the key of a word
+ * is key0 plus the number of running sums of the node's fields, lowest
+ * field first, that lie at or below the word's place in the node's run.
+ * Larger nodes, and the ends of the segment, write field by field, every
+ * field in turn: most hold a count, and the next is known without waiting
+ * on the last, as write_fields' search for it waits.  A straight write
+ * for a node of one key a field, as a permutation leaves them all, took
+ * 0.89-0.95 of this time on permutations of 2^14-2^20 keys, but 1.01-1.02
+ * on keys below n or n/2 (dense-sort's), so there is none. */
 INLINE void retrieve_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
-                           i64 delta, i64 tag, i64 *out)
+                           i64 delta, i64 F, i64 b, i64 tag, i64 *out)
 {
-    i64 vmask = tag - 1;
+    i64 vmask = tag - 1, field = (i64)(((uint64_t)1 << b) - 1);
     i64 o = lo + n_d + n_c - 1, p = hi - 1, moves = 0;
     for (i64 k = n_d - 1; k >= 0; k--) {
         p = skip_untagged_down(S, S_s, p, lo, tag);
@@ -1322,32 +1406,77 @@ INLINE void retrieve_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
             out[1] = STATUS_TAG_SCAN;
             return;
         }
-        i64 rec = AT(S, lo + k) & vmask;
+        i64 rec = AT(S, lo + k) & vmask, key0 = delta + (p - lo) * F;
         AT(S, p) = AT(S, p) & vmask;
-        i64 key = delta + (p - lo);
-        if ((uint64_t)rec < WRITES && o - (WRITES - 1) >= lo + k) {
-            for (i64 t = 0; t < WRITES; t++) {
-                i64 y = AT(S, o - t);
-                AT(S, o - t) = pick(-(i64)(t <= rec), y, (y & tag) | key);
+        p--;
+        i64 sum[4], total = rec + 1;
+        if (F != 1) {
+            total = 0;
+            for (i64 f = 0; f < F; f++)
+                sum[f] = total += rec >> (f * b) & field;
+        }
+        if ((uint64_t)total <= WINDOW(F) && o - (WINDOW(F) - 1) >= lo + k) {
+            for (i64 h = 0; h < WINDOW(F); h += 4) {
+                v4 y, u = SPLAT(total - 4 - h) + LANE, key = SPLAT(key0);
+                load4(&y, S, S_s, o - h - 3);
+                for (i64 f = 0; f + 1 < F; f++)
+                    key -= u >= SPLAT(sum[f]);
+                v4 w = u >= SPLAT(0), x = (y & SPLAT(tag)) | key;
+                y = (x & w) | (y & ~w);
+                store4(S, S_s, o - h - 3, &y);
             }
-            o -= rec + 1;
-            moves += rec + 1;
-        } else {
-            for (i64 c = 0; c <= rec; c++) {
+            o -= total;
+            moves += total;
+            continue;
+        }
+        for (i64 f = F - 1; f >= 0; f--) {
+            for (i64 c = F == 1 ? rec + 1 : rec >> (f * b) & field; c; c--) {
                 if (o < lo + k) {
                     out[0] = moves;
                     out[1] = STATUS_COLLISION;
                     return;
                 }
-                AT(S, o) = (AT(S, o) & tag) | key;
+                AT(S, o) = (AT(S, o) & tag) | (key0 + f);
                 o--;
                 moves++;
             }
         }
-        p--;
     }
     out[0] = moves;
     out[1] = o != lo - 1 ? STATUS_COLLISION : STATUS_OK;
+}
+
+/* practice_cursors_k of packed nodes, one instance per form: a dense-last
+ * segment has 2^14 words or more, whose fields at w <= 63 have 15 bits or
+ * more, so F is 2, 3 or 4.  improved_loop calls the count instance itself:
+ * with it in this switch, dense sorts of count nodes (w = 32) took ~4%
+ * longer at 2^17 words. */
+INLINE void packed_cursors(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
+                           i64 span, i64 F, i64 b, i64 tag, i64 *out)
+{
+#define CURSORS_OF(f) practice_cursors_k(S, S_s, lo, hi, delta, span, f, b, tag, out)
+    switch (F) {
+    case 2: CURSORS_OF(2); break;
+    case 3: CURSORS_OF(3); break;
+    default: CURSORS_OF(4);
+    }
+#undef CURSORS_OF
+}
+
+/* retrieve_dense, one instance per form: count nodes, or packed nodes of
+ * at most 4 fields (see masked in improved_loop). */
+INLINE void retrieve_dense_form(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
+                                i64 n_c, i64 delta, i64 F, i64 b, i64 tag,
+                                i64 *out)
+{
+#define RETRIEVE_OF(f) retrieve_dense(S, S_s, lo, hi, n_d, n_c, delta, f, b, tag, out)
+    switch (F) {
+    case 1: RETRIEVE_OF(1); break;
+    case 2: RETRIEVE_OF(2); break;
+    case 3: RETRIEVE_OF(3); break;
+    default: RETRIEVE_OF(4);
+    }
+#undef RETRIEVE_OF
 }
 
 /* Every pass of both improved sorters in one call: the steps above, in a
@@ -1365,9 +1494,11 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         i64 seg = hi - head, iv[4];
         pass_interval(seg, delta, top, F, b, tag, iv);
         i64 fields = iv[0], bits = iv[1], span = iv[2], pivot = iv[3];
-        int dense = fields == 1 && dense_last(seg, delta, top);
-        if (dense) {
-            practice_cursors_k(S, S_s, head, hi, delta, tag, r);
+        int dense = (fields == 1 || bits != 1) && dense_last(seg, delta, top, fields);
+        if (dense && fields == 1) {
+            practice_cursors_k(S, S_s, head, hi, delta, span, 1, 1, tag, r);
+        } else if (dense) {
+            packed_cursors(S, S_s, head, hi, delta, span, fields, bits, tag, r);
         } else if (fields == 1) {
             SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, 1, 1, tag);
         } else {
@@ -1380,12 +1511,34 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                      bits, tag);
         }
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
-        /* Masked storage and retrieval pay where a third of the keys or
-         * more repeat; where fewer do, the branches mostly go one way.  At
-         * 2^17 words their time against the branches' was 0.68 and 0.62
-         * with 37% of the keys repeats (uniform keys, m = n), 0.85 and
-         * 1.19 with 20%, 1.15 and 1.84 with 10%, 3.1 and 4.1 with none. */
-        int masked = dense && 2 * n_c >= n_d;
+        /* Masked storage and retrieval of count nodes pay in a dense-last
+         * pass where a third of the keys or more repeat; where fewer do,
+         * the branches mostly go one way.  At 2^17 words their time against
+         * the branches' was 0.68 and 0.62 with 37% of the keys repeats
+         * (uniform keys, m = n), 0.85 and 1.19 with 20%, 1.15 and 1.84 with
+         * 10%, 3.1 and 4.1 with none.  For packed nodes 2 n_c >= n_d counts
+         * keys of neighbouring fields as repeats, and no signal is needed:
+         * the keys of a node vary in number, and node-level masked
+         * retrieval (of at most 4 fields, see retrieve_dense) won in every
+         * pass that defers nothing.  Masked storage lost for packed nodes,
+         * which fill the first 1/F of the segment almost without a gap, so
+         * that the branches of storage go one way.  Time
+         * masked over branchy, after the pass's own practice, keys drawn
+         * from m/n of the segment's span or a permutation (F = 4, 3, 2 at
+         * w = 63; medians of 41 runs alternating the two, 9 at 2^20):
+         *
+         *     storage      m/n 1/4   1/2   3/4    1    perm
+         *     2^14            2.08  1.48  1.73  1.64  1.87
+         *     2^17            1.94  1.82  1.68  1.49  2.24
+         *     2^20            1.80  1.69  1.36  1.06  2.07
+         *     retrieval
+         *     2^14            0.84  0.58  0.38  0.38  0.50
+         *     2^17            0.80  0.40  0.34  0.38  0.53
+         *     2^20            0.63  0.32  0.35  0.39  0.70
+         */
+        int masked = fields == 1 ? dense && 2 * n_c >= n_d
+                                 : bits != 1 && fields <= 4 &&
+                                       defers_none(seg, delta, top);
         /* Each word of the segment is settled or deferred, so this is
          * sparse(n_d + n_c, seg); written so, distinct_improved sorts of
          * keys over 10n-100n took 10-15% longer. */
@@ -1397,7 +1550,7 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
             x = r[6];
             break;
         }
-        if (masked)
+        if (masked && fields == 1)
             store_records_dense(S, S_s, head, hi, n_d, tag, r);
         else
             SCAN(store_records_k, skip, r, S, S_s, head, hi, n_d, tag);
@@ -1409,7 +1562,12 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
             y = n_d;
             break;
         }
-        SCAN(partition_values_k, skip, r, S, S_s, head + n_d, hi, pivot, tag);
+        /* A pass that defers nothing leaves only idle words in the tail,
+         * all at or below the pivot, which the left-hand scan walks. */
+        if (defers_none(seg, delta, top))
+            partition_values_k(S, S_s, head + n_d, hi, pivot, tag, SKIP_LOW, r);
+        else
+            SCAN(partition_values_k, skip, r, S, S_s, head + n_d, hi, pivot, tag);
         moves += r[1];
         if (r[0] != n_c) {
             phase = PHASE_PARTITION;
@@ -1421,7 +1579,8 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
          * walk in the instance that bitmaps take, distinct_improved sorts
          * took 2-7% longer. */
         if (masked)
-            retrieve_dense(S, S_s, head, hi, n_d, n_c, delta, tag, r);
+            retrieve_dense_form(S, S_s, head, hi, n_d, n_c, delta, fields, bits,
+                                tag, r);
         else if (fields == 1)
             SCAN(retrieve_scan_k, skip, r, S, S_s, head, hi, n_d, n_c, delta,
                  1, 1, tag);

@@ -680,15 +680,19 @@ def pass_interval(seg, delta, top, F, b, tag):
     count sorters: :func:`improved_passes` asks it with ``(1, w - 1)``,
     :func:`practice_store` with ``(1, pack_split)``.
 
-    A sort of count nodes packs a pass whose keys a count pass would defer
-    (``top - delta >= seg``, over at least one word) into ``b // bits >=
-    2`` fields of ``bits = seg.bit_length()`` bits, which no count can
-    overflow.  A count pass spans the segment; other nodes cover ``F`` keys
-    a segment word, clamped to the ``tag`` node slots.  The C loops compute
-    the same.
+    A sort of count nodes packs a pass into ``b // bits >= 2`` fields of
+    ``bits = seg.bit_length()`` bits, which no count can overflow.  Records
+    of the whole value plane (``b = w - 1``: the improved sorters, whose
+    records park in words of their own) pack every such pass, the dense
+    one too.  Records that share their word with a former position
+    (``b = pack_split``: the counting sorters) pack only a pass whose keys
+    a count pass would defer (``top - delta >= seg``): packing their dense
+    passes made their loops 1.15-1.43 times slower on permutations.  A
+    count pass spans the segment; other nodes cover ``F`` keys a segment
+    word, clamped to the ``tag`` node slots.  The C loops compute the same.
     """
     bits = int(seg).bit_length()
-    if F == 1 and top - delta >= seg > 0 and b // bits >= 2:
+    if F == 1 and seg > 0 and b // bits >= 2 and (1 << b == tag or top - delta >= seg):
         F, b = b // bits, bits
     if F == 1:
         return F, b, seg, delta + seg - 1
@@ -702,24 +706,26 @@ CURSORS = 16
 DENSE_FLOOR = 1 << 14
 
 
-def dense_last(seg, delta, top):
-    """Whether a pass of single-key nodes over ``seg`` words from interval
-    start ``delta``, whose keys are at most ``top``, is *dense-last*, so
-    that ``improved_passes`` practices it with :func:`practice_cursors`:
-    the segment has at least ``DENSE_FLOOR`` words, the pass defers no key
-    (``top - delta < seg``), and the keys span at least 5/8 of the
-    segment.  The C loop's comment at ``DENSE_FLOOR`` holds the grid these
-    bounds come from.
+def dense_last(seg, delta, top, F):
+    """Whether a pass of count (``F == 1``) or packed nodes of ``F`` fields
+    over ``seg`` words from interval start ``delta``, whose keys are at
+    most ``top``, is *dense-last*, so that ``improved_passes`` practices it
+    with :func:`practice_cursors`: the segment has at least
+    ``DENSE_FLOOR`` words, the pass defers no key (``top - delta < seg``),
+    and the keys span at least 5/8 of the segment for count nodes, 3/4 for
+    packed ones.  The C loop's comment at ``DENSE_FLOOR`` holds the grids
+    these bounds come from.
     """
     return (seg >= DENSE_FLOOR and 0 <= delta <= top and top - delta < seg
-            and 8 * (top - delta) >= 5 * seg)
+            and 8 * (top - delta) >= (5 if F == 1 else 6) * seg)
 
 
-def practice_cursors(S, lo, hi, delta, tag):
-    """:func:`practice` of a whole segment (``base`` 0, ``span = hi -
-    lo``, count nodes) as ``CURSORS`` cursors, cursor ``c`` scanning the
-    block of words ``[lo + c * 2**sh, lo + (c + 1) * 2**sh)`` of the
-    segment, for the least ``sh`` whose blocks cover it.
+def practice_cursors(S, lo, hi, delta, span, F, b, tag):
+    """:func:`practice` of a whole segment (``base`` 0) of count or packed
+    nodes of the form ``(F, b)`` as ``CURSORS`` cursors, cursor ``c``
+    scanning the block of words ``[lo + c * 2**sh, lo + (c + 1) * 2**sh)``
+    of the segment, for the least ``sh`` whose blocks cover it.  ``span``
+    is at most ``F * (hi - lo)``, so that every slot lies in a block.
 
     Round after round, each cursor not yet at the end of its block takes
     one step of :func:`practice`'s loop, in cursor order.  Where a step
@@ -729,9 +735,10 @@ def practice_cursors(S, lo, hi, delta, tag):
     its word anew, since another cursor may have made a node there.
 
     Every word is counted once, as in :func:`practice`, so a segment that
-    holds only untagged keys in ``[delta, hi - lo + delta)`` ends with the
+    holds only untagged keys in ``[delta, delta + span)`` ends with the
     same nodes, counts and results, whatever the order; other words may
-    end elsewhere.  Returns :func:`practice`'s tuple, ``dup`` -1.
+    end elsewhere.  Returns :func:`practice`'s tuple, ``dup`` -1: a bitmap
+    form is never practiced so.
     """
     seg = hi - lo
     sh = 0
@@ -757,19 +764,20 @@ def practice_cursors(S, lo, hi, delta, tag):
             d = v - delta
             if v & tag or d < 0:
                 pass  # a node, or a word below the interval: stepped over
-            elif d >= seg:
+            elif d >= span:
                 n_def += 1
                 if dnext < 0 or v < dnext:
                     dnext = v
             else:
-                j = lo + d
+                j = lo + d // F
+                one = 1 << (d % F * b)
                 t = S[j]
                 if t & tag:
-                    S[j] = t + 1
+                    S[j] = t + one
                     n_c += 1
                 else:
                     S[i] = t
-                    S[j] = tag
+                    S[j] = tag | one if F != 1 else tag
                     n_d += 1
                     if j >= cur[(j - lo) >> sh]:
                         step = 0
@@ -788,11 +796,12 @@ def improved_passes(S, head, hi, delta, top, F, b, tag):
     ``partition_values`` ("partition") and retrieval ("retrieve"), over
     nodes of the form :func:`pass_interval` gives the pass for the sort's
     ``(F, b)``.  A change to it is made to the C loop too.  Practice is
-    :func:`practice_cursors` in a :func:`dense_last` pass, which on keys
-    in ``[delta, top]`` leaves what :func:`practice` leaves.  The next pass
-    starts at the smallest key this one deferred.  Returns ``(passes,
-    moves, node_creations, head, phase, status, a, b)``: the counters so
-    far, where the sorted prefix ends, and, when a check failed, the
+    :func:`practice_cursors` in a :func:`dense_last` pass of count or packed
+    nodes, which on keys in ``[delta, top]`` leaves what :func:`practice`
+    leaves.  The next pass starts at the smallest key this one deferred.
+    Returns ``(passes, moves, node_creations, head, phase, status, a,
+    b)``: the counters so far, where the sorted prefix ends, and, when a
+    check failed, the
     ``PHASE_*`` that names it with its numbers ``a`` and ``b`` (the pass
     stops there): ``PHASE_DUPLICATE`` the key ``a``; ``PHASE_STORE``
     ``a`` tagged words for ``b`` records; ``PHASE_PARTITION`` ``a`` idle
@@ -807,8 +816,10 @@ def improved_passes(S, head, hi, delta, top, F, b, tag):
     while head < hi:
         passes += 1
         fields, bits, span, pivot = pass_interval(hi - head, delta, top, F, b, tag)
-        if fields == 1 and dense_last(hi - head, delta, top):
-            n_d, n_c, _, dnext, mv, cr, dup = practice_cursors(S, head, hi, delta, tag)
+        if (fields == 1 or bits != 1) and dense_last(hi - head, delta, top, fields):
+            n_d, n_c, _, dnext, mv, cr, dup = practice_cursors(
+                S, head, hi, delta, span, fields, bits, tag
+            )
         else:
             n_d, n_c, _, dnext, mv, cr, dup = practice(
                 S, head, hi, delta, 0, span, fields, bits, tag

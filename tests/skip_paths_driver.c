@@ -168,7 +168,8 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
                  out);
         break;
     case PRACTICE_CURSORS:
-        practice_cursors(s, stride, a[0], a[1], a[2], a[3], out);
+        practice_cursors(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6],
+                         out);
         break;
     case IMPLICIT:
         implicit_practice(s, stride, a[0], a[1], a[2], out);

@@ -10,7 +10,7 @@ from assocsort.adapter import (
     resolve_algorithm,
     sort_full_universe,
 )
-from assocsort.errors import WordRangeError
+from assocsort.errors import DuplicateKeyError, WordRangeError
 from assocsort.words import WordConfig
 
 from .conftest import arr
@@ -86,6 +86,19 @@ class TestFullUniverse:
         S = vals.copy()
         sort_full_universe(S, algo="distinct_improved", cfg=WordConfig(16))
         assert np.array_equal(S, reference_sort(vals))
+
+    @pytest.mark.parametrize("keys, key", [([200, 3, 130, 200, 7], 200), ([3, 130, 3], 3)])
+    def test_repeated_key_is_named_as_the_input_held_it(self, backend, keys, key):
+        """The upper half is sorted shifted down by ``2**(w - 1)``; its
+        repeated key is reported with the shift added back."""
+        with pytest.raises(DuplicateKeyError, match=f"^key {key} occurs more than once$") as exc:
+            sort_full_universe(arr(*keys), algo="distinct_improved", cfg=CFG8)
+        assert exc.value.key == key
+
+    def test_cycle_leader_cannot_name_its_repeated_key(self, backend):
+        with pytest.raises(DuplicateKeyError) as exc:
+            sort_full_universe(arr(200, 3, 130, 200, 7), algo="cycle_distinct", cfg=CFG8)
+        assert exc.value.key is None
 
     def test_all_words_in_one_half(self, backend, rng):
         lo = rng.integers(0, 128, size=60).astype(np.int64)

@@ -147,7 +147,7 @@ PAST_THE_END = [
     # segments long enough for the interleaved practice).
     ("improved_passes", (0, 8, 0, (1 << 63) - 1, 1, 7, T8),
      (0, 8, 0, -(1 << 63), 1, 7, T8)),
-    ("practice_cursors", (0, 9, 0, T8), (0, 8, 0, T8)),
+    ("practice_cursors", (0, 9, 0, 9, 1, 7, T8), (0, 8, 0, 8, 1, 7, T8)),
     # A negative F hashes keys below lo.
     ("practice", (0, 8, 0, 0, 8, -1, 1, T8), (0, 8, 0, 0, 8, 1, 7, T8)),
     # A bitmap node of 64 keys or more shifts by 64 bits or more.
@@ -171,6 +171,11 @@ PAST_THE_END = [
     ("retrieve_packed", (0, 4, 8, 0, 0, 3, 0, T8), (0, 4, 8, 0, 0, 3, 2, T8)),
     ("sequential_passes", (0, 9, 0, 100, 8), (0, 8, 0, 100, 8)),
     ("stacked_passes", (0, 9, 0, 100, 0, 8, 8), (0, 8, 0, 100, 0, 8, 8)),
+    # Cursors over a span whose slots, F keys to a word, pass the segment's
+    # blocks; over fields that reach bit 64 or more, or have no bits.
+    ("practice_cursors", (0, 8, 0, 25, 3, 2, T8), (0, 8, 0, 24, 3, 2, T8)),
+    ("practice_cursors", (0, 8, 0, 8, 2, 32, T8), (0, 8, 0, 8, 2, 31, T8)),
+    ("practice_cursors", (0, 8, 0, 8, 3, 0, T8), (0, 8, 0, 8, 3, 2, T8)),
 ]
 
 

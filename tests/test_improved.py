@@ -27,6 +27,18 @@ class TestSortImproved:
             assert c.passes == 1
             assert np.array_equal(S, reference_sort(vals))
 
+    @pytest.mark.parametrize("n", [1 << 14, 1 << 17])
+    def test_dense_inputs_sort_in_one_pass(self, backend, n):
+        """Keys over a quarter, a half and all of ``n``, and a
+        permutation: one pass, of packed nodes at w = 63 (dense-last from
+        spans of 3/4), sorts them exactly."""
+        rng = np.random.default_rng([0xDE, n])
+        for keys in (*(rng.integers(0, int(r * n), size=n) for r in (0.25, 0.5, 1)),
+                     rng.permutation(n)):
+            S = keys.astype(np.int64) + 11
+            assert sort_improved(S).passes == 1
+            assert np.array_equal(S, np.sort(keys) + 11)
+
     def test_retrieval_write_must_respect_surviving_tags(self, backend):
         # three sparse keys and a block of deferred duplicates: the run
         # of the largest in-interval key is written across positions
@@ -157,7 +169,7 @@ class TestSortDistinctImproved:
     def test_duplicate_raises_with_key(self, backend):
         with pytest.raises(DuplicateKeyError) as exc:
             sort_distinct_improved(arr(4, 9, 4), CFG16)
-        assert "4" in str(exc.value)
+        assert "4" in str(exc.value) and exc.value.key == 4
 
     def test_duplicate_in_later_pass(self, backend):
         S = np.concatenate([np.arange(40, dtype=np.int64) * 37, [999, 999]])

@@ -7,6 +7,7 @@ breaks, the protocol changed, not just an implementation detail.
 """
 
 import numpy as np
+import pytest
 
 from assocsort.backend import active, use_backend
 from assocsort.kernels import pass_budget, pass_interval
@@ -131,6 +132,23 @@ class TestStorePacked:
         written, _, status = k.retrieve_packed(S, 0, 3, 4, 0, 0, F, b, tag)
         assert (written, status) == (4, 0)
         assert S.tolist() == [0, 5, 5, 13]
+
+
+    @pytest.mark.parametrize("seg, w", [(5000, 63), (1 << 17, 63), (100, 24)])
+    def test_dense_passes_pack_for_the_improved_sorters_only(self, seg, w):
+        """A pass whose keys stay below ``seg`` past ``delta`` packs where
+        its records fill the value plane (``b = w - 1``, the improved
+        sorters), but keeps count nodes where they share the word with a
+        position (``b = pack_split``, the counting sorters); a pass whose
+        keys reach past the interval packs for both."""
+        tag = 1 << (w - 1)
+        bits = seg.bit_length()
+        eps, split = pass_budget(seg, w)
+        for top in (7, 7 + seg - 1):
+            assert pass_interval(seg, 7, top, 1, w - 1, tag)[:2] == ((w - 1) // bits, bits)
+            assert pass_interval(seg - eps, 7, top, 1, split, tag) == (
+                1, split, seg - eps, 7 + seg - eps - 1)
+        assert pass_interval(seg - eps, 7, 7 + seg, 1, split, tag)[:2] == (split // bits, bits)
 
 
 class TestImplicitPractice:

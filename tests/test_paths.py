@@ -149,7 +149,9 @@ CORRUPT = [
     ([128, 50, 109, 198, 4, 225], 7, 128, 4, kernels.PHASE_STORE, kernels.STATUS_TAG_SCAN),
     ([12, 6, 7, 15, 28], 4, 16, 6, kernels.PHASE_PARTITION, 0),
     ([5, 1, 7, 2, 25], 0, 16, 1, kernels.PHASE_RETRIEVE, kernels.STATUS_COLLISION),
-    ([5, 26, 24], 0, 16, 5, kernels.PHASE_PREFIX, 0),
+    # Four words, so that the pass keeps count nodes (two fields of the
+    # 4-bit records would need a segment of at most 3 words).
+    ([5, 26, 26, 27], 0, 16, 5, kernels.PHASE_PREFIX, 0),
     # An empty interval settles nothing: the loop stops instead of
     # starting every later pass at the same key.
     ([3, 1, 2], -1, 16, 1, kernels.PHASE_PREFIX, 0),
@@ -274,26 +276,33 @@ def _count_overflow():
     return [keys.tolist()], (0, n, int(keys.min()), int(keys.max()), *_form(0, tag), tag)
 
 
-def _stray_takes_a_count():
-    """A dense-last pass whose last word is a stray tagged word: practice
-    bumps it for the key of its slot, storage never reaches it, so the
-    records hold one count too few and retrieval ends off the front."""
-    n, tag = kernels.DENSE_FLOOR, 1 << 40
+def _stray_takes_a_count(tag):
+    """A dense-last pass whose last slot holds a stray tagged word:
+    practice bumps it for the keys of that slot, storage never reaches it,
+    so the records hold too few counts and retrieval ends off the front.
+    Under ``tag`` 2**20 the pass keeps count nodes (its 20-bit records hold
+    one 15-bit field); under 2**40 it packs two fields a node, the last
+    slot that of the keys from ``n - 2``."""
+    n = kernels.DENSE_FLOOR
     keys = np.arange(n) * 7919 % n
     keys[1::2] = keys[::2]  # keys in pairs, so half of them repeat
     keys[:2] = 0, n - 1
-    keys[-1] = tag | 2 * n
-    return [keys.tolist()], (0, n, int(keys[:-1].min()), int(keys[:-1].max()),
-                             *_form(0, tag), tag)
+    F = kernels.pass_interval(n, 0, n - 1, *_form(0, tag), tag)[0]
+    last = (n - 1) // F
+    delta, top = int(keys.min()), int(keys.max())
+    keys[last] = tag | 2 * n
+    return [keys.tolist()], (0, n, delta, top, *_form(0, tag), tag)
 
 
 # Dense-last passes (see kernels.dense_last) that fail, with the masked
-# storage and retrieval of the C loop.  A pass of single-key nodes cannot
-# fail retrieval's tag scan: nothing clears a tag between a storage that
-# found n_d of them and the scan.
+# retrieval of the C loop.  Such a pass cannot fail retrieval's tag scan:
+# nothing clears a tag between a storage that found n_d of them and the
+# scan.
 DENSE_CORRUPT = [
     ("improved_passes", *_count_overflow(), kernels.PHASE_STORE, kernels.STATUS_TAG_SCAN),
-    ("improved_passes", *_stray_takes_a_count(), kernels.PHASE_RETRIEVE,
+    ("improved_passes", *_stray_takes_a_count(1 << 20), kernels.PHASE_RETRIEVE,
+     kernels.STATUS_COLLISION),
+    ("improved_passes", *_stray_takes_a_count(1 << 40), kernels.PHASE_RETRIEVE,
      kernels.STATUS_COLLISION),
 ]
 
@@ -348,7 +357,7 @@ LOOP_CORRUPT = [
     ("rank_passes", [[2, 0], [0, 1]], (0, 2, 1, 16), kernels.PHASE_RESTORE,
      kernels.STATUS_BAD_PREFIX),
     ("rank_passes", [[6], [0]], (0, 1, 5, 32), kernels.PHASE_PREFIX, 0),
-    *DENSE_CORRUPT,
+    *DENSE_CORRUPT[:2],
     # A level whose segment is wider than the word has no pass budget.
     ("unwind_levels", [[0] * 17, [0, 5]], (17, 0, 1, 5), kernels.PHASE_UNWIND,
      kernels.STATUS_BAD_SLOT),
@@ -360,6 +369,8 @@ LOOP_CORRUPT = [
     ("stacked_passes", [[22], L4], (0, 1, 5, 22, 0, 2, 5), kernels.PHASE_STORE, 0),
     ("unwind_levels", [[128 | 3], [0, 0]], (1, 5, 1, 8), kernels.PHASE_UNWIND,
      kernels.STATUS_COLLISION),
+    # The dense-last pass of packed nodes, after the cases above.
+    DENSE_CORRUPT[2],
 ]
 
 
@@ -388,8 +399,9 @@ def test_every_loop_failure_has_a_case():
         ("improved_passes", kernels.PHASE_STORE),
         ("improved_passes", kernels.PHASE_RETRIEVE),
     }
-    for _, (words,), (head, hi, delta, top, _, _, _), _, _ in DENSE_CORRUPT:
-        assert kernels.dense_last(hi - head, delta, top)
+    for _, (words,), (head, hi, delta, top, F, b, tag), _, _ in DENSE_CORRUPT:
+        fields = kernels.pass_interval(hi - head, delta, top, F, b, tag)[0]
+        assert kernels.dense_last(hi - head, delta, top, fields)
 
 
 # The phases each pass loop hands the hook, in order.

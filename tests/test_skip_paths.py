@@ -7,7 +7,8 @@ count or bitmap nodes) and ``implicit_practice`` defer, or in
 ``store_records``, ``store_nodes`` and the tag scan of ``retrieve_scan``,
 value planes above the pivot in the right-hand scan of
 ``partition_values`` (with tag 0, whole words, as ``sort_full_universe``
-partitions), and words off their own slot in
+partitions) and at or below it in its left-hand one, and words off their
+own slot in
 ``collect_fixpoints``.  The standalone kernels always take these paths;
 ``improved_passes``, ``sequential_passes``, ``stacked_passes`` and
 ``distinct_passes`` turn them on per pass, and are each compiled once for
@@ -17,11 +18,11 @@ Each skip path returns the exact first word its scan must look at.  Each
 scan is fed runs of 0-9 skippable words at every offset of segments of
 1-12 words, and stop words in every lane of a block after 0, 1 and 5
 blocks it steps over (:func:`_stop_cases`), each loop sparse segments of
-16-64 words,
-``improved_passes`` and ``practice_cursors`` dense-last segments, whose
-practice runs as interleaved cursors and whose storage and retrieval run
-by mask in C, bitmap retrieval records of chosen bits, which C walks bit
-by set bit, and ``stacked_passes`` segments whose second pass steps over
+16-64 words, ``improved_passes`` and ``practice_cursors`` dense-last
+segments, whose practice runs as interleaved cursors and whose retrieval
+(and, for count nodes, storage) runs by mask in C, ``practice_cursors``
+in every node form a dense-last pass takes, bitmap retrieval records of
+chosen bits, which C walks bit by set bit, and ``stacked_passes`` segments whose second pass steps over
 blocks that mix keys below its interval with keys it defers, through
 views of step 1, 2 and -1, and must leave the same result and words as
 on ``numpy``.  The words around a segment are chosen so that a block that
@@ -442,11 +443,23 @@ def _partition_stop_cases():
     """The right-hand scan of ``partition_values`` down from below its
     first word over value planes above the pivot (of keys, nodes and a
     negative word) to one at or below it (of a key, a node or a negative
-    word); the left-hand scan stops at once."""
+    word), the left-hand scan stopping at once; and the left-hand scan up
+    over value planes at or below the pivot to one above it, the padding at
+    or below it too."""
     pivot = 50
 
     def clean(j):
         return (51 + j % 5, T8 | 52, -3)[j % 3]
+
+    def low(j):
+        return (30 + j % 5, T8 | 20, -T8 | 7)[j % 3]
+
+    for before, lane, tail in STOP_RUNS:
+        n = 4 * before + 4 + tail
+        for stop in (51, T8 | 52, -3):
+            seg = _scan(before, lane, tail, low, stop)
+            yield "partition_values", [pivot] * PAD + seg + [pivot] * PAD, (
+                PAD, PAD + n, pivot, T8)
 
     for before, lane, tail in STOP_RUNS:
         n = 4 * before + 6 + tail
@@ -576,6 +589,9 @@ def _sparse_loop_cases(n):
 
 
 F = kernels.DENSE_FLOOR
+# A tag under which a segment of F to 2F words keeps count nodes: its
+# 20-bit records hold one field of 15 or 16 bits.
+COUNT_TAG = 1 << 20
 
 
 def _dense_case(seg, delta, top, tag=T63):
@@ -589,31 +605,36 @@ def _dense_case(seg, delta, top, tag=T63):
 
 def _past_top():
     """A dense-last pass told a ``top`` below a tenth of its keys, which lie
-    past the interval: it defers them, and where the cursors leave them
-    decides the moves of the partition."""
+    past the interval (of 4 keys a word, its nodes packed): it defers them,
+    and where the cursors leave them decides the moves of the partition."""
     seg = np.random.default_rng(0xD5F).integers(0, F, size=F)
-    seg[np.arange(0, F, 10)] += F
+    seg[np.arange(0, F, 10)] += 4 * F
     return _dense_case(seg, int(seg.min()), F - 1)
 
 
 def _dense_cases():
     """Dense-last passes (see ``kernels.dense_last``), which the C loop runs
-    with interleaved cursors and masked storage and retrieval: keys over
-    the segment as the benchmark's dense sort draws them, at lengths whose
-    16 blocks are all full or not (``F + 1`` words fill 9, the last with
-    one word), at the least spread the gate takes and one key less, and a
-    permutation; then corrupted ones: stray tags, keys below ``delta`` (in
-    one case all of them, with strays), a ``top`` below a tenth of the
-    keys, past them, below ``delta`` or at either end of int64, and the
-    failing passes of ``test_paths.DENSE_CORRUPT``."""
+    with interleaved cursors and masked retrieval (and, for count nodes,
+    masked storage): keys over the segment as the benchmark's dense sort
+    draws them, in packed nodes at lengths whose 16 blocks are all full or
+    not (``F + 1`` words fill 9, the last with one word) and in count
+    nodes, at the least spread the gate takes for each and one key less,
+    and a permutation; then corrupted ones: stray tags, keys below
+    ``delta`` (in one case all of them, with strays), a ``top`` below a
+    tenth of the keys, past them, below ``delta`` or at either end of
+    int64, and the failing passes of ``test_paths.DENSE_CORRUPT``."""
     rng = np.random.default_rng(0xD5E)
     for n in (F, F + 1, 3 * F // 2 + 5):
         seg = rng.integers(0, n, size=n) + 7
         yield _dense_case(seg, int(seg.min()), int(seg.max()))
-    for spread in (5 * F // 8, 5 * F // 8 - 1):
-        seg = rng.integers(0, spread + 1, size=F)
-        seg[:2] = 0, spread
-        yield _dense_case(seg, 0, spread)
+    seg = rng.integers(0, F, size=F) + 7
+    yield _dense_case(seg, int(seg.min()), int(seg.max()), COUNT_TAG)
+    # Packed nodes take the cursors from a spread of 3/4, count nodes from 5/8.
+    for eighths, tag in ((6, T63), (5, COUNT_TAG)):
+        for spread in (eighths * F // 8, eighths * F // 8 - 1):
+            seg = rng.integers(0, spread + 1, size=F)
+            seg[:2] = 0, spread
+            yield _dense_case(seg, 0, spread, tag)
     yield _dense_case(rng.permutation(F), 0, F - 1)
     seg = rng.integers(0, F, size=F)
     lo, hi = int(seg.min()), int(seg.max())
@@ -632,9 +653,33 @@ def _dense_cases():
 
 
 def _cursor_cases():
-    """``practice_cursors`` on the segments of :func:`_dense_cases`."""
-    for _, words, (lo, hi, delta, _, _, _, tag) in _dense_cases():
-        yield "practice_cursors", words, (lo, hi, delta, tag)
+    """``practice_cursors`` on the segments of :func:`_dense_cases`, in the
+    node form of each pass."""
+    for _, words, (lo, hi, delta, top, F, b, tag) in _dense_cases():
+        fields, bits, span, _ = kernels.pass_interval(hi - lo, delta, top, F, b, tag)
+        yield "practice_cursors", words, (lo, hi, delta, span, fields, bits, tag)
+
+
+# Node forms of practice_cursors: count nodes at w = 16, and the packed
+# forms improved_passes gives segments of 2^14, 2^15 and 2^20 words at
+# w = 63.
+CURSOR_FORMS = ((1, 15, 1 << 15), (4, 15, T63), (3, 20, T63), (2, 31, T63))
+
+
+def _cursor_form_cases():
+    """``practice_cursors`` of every node form of :data:`CURSOR_FORMS` on
+    segments of 17 to 300 words whose keys lie in their interval: drawn
+    from all of it, from its lower half, and distinct.  The padding holds
+    key ``DELTA``, so that a cursor that strays past the segment changes
+    the counts."""
+    rng = np.random.default_rng(0xC0F)
+    for F, b, tag in CURSOR_FORMS:
+        for n in (17, 64, 300):
+            span = F * n
+            for keys in (rng.integers(0, span, size=n), rng.integers(0, span // 2, size=n),
+                         rng.permutation(span)[:n]):
+                words = [DELTA] * PAD + [DELTA + int(k) for k in keys] + [DELTA] * PAD
+                yield "practice_cursors", words, (PAD, PAD + n, DELTA, span, F, b, tag)
 
 
 def _sparse_cases():
@@ -743,8 +788,8 @@ def test_counting_and_cycle_leader_loops_on_sparse_segments(n):
 
 
 def test_improved_passes_on_dense_last_segments():
-    """The interleaved practice and the masked storage and retrieval give
-    the ``numpy`` loop's words and results, passes that fail included."""
+    """The interleaved practice and the masked retrieval give the
+    ``numpy`` loop's words and results, passes that fail included."""
     phases = {_agree(*case)[4:6] for case in _dense_cases()}
     assert phases == {(kernels.PHASE_OK, 0), (kernels.PHASE_PARTITION, 0),
                       (kernels.PHASE_STORE, kernels.STATUS_TAG_SCAN),
@@ -758,29 +803,49 @@ def test_practice_cursors_on_dense_last_segments():
         _agree(*case)
 
 
+def test_cursors_practice_every_dense_form_as_practice():
+    """``practice_cursors`` in each node form a dense-last pass can take
+    gives the same results and words on ``c`` and ``numpy``, through views
+    of every step, and the nodes, counts and results of ``practice``: only
+    the idle words may sit elsewhere."""
+    for name, words, (lo, hi, delta, span, F, b, tag) in _cursor_form_cases():
+        got = _agree(name, words, (lo, hi, delta, span, F, b, tag))
+        cursors, plain = np.array(words), np.array(words)
+        kernels.practice_cursors(cursors, lo, hi, delta, span, F, b, tag)
+        want = kernels.practice(plain, lo, hi, delta, 0, span, F, b, tag)
+        assert got == tuple(int(x) for x in want), (F, b, hi - lo)
+        for A in (cursors, plain):
+            A[~(A & tag).astype(bool)] = -1  # idle words: where they sit may differ
+        assert cursors.tolist() == plain.tolist()
+
+
 def test_dense_last_passes_take_the_cursors(monkeypatch):
     """Guard: the loops practice dense-last passes with cursors.  On keys
     in ``[delta, top]`` that order leaves what ``practice`` leaves; on keys
     past the interval it does not, and the ``c`` loop leaves what the
     cursors of the ``numpy`` loop leave.  The failing passes reach the
-    masked storage and retrieval, which the C loop takes where a third of
-    the keys or more repeat."""
+    masked retrieval, which the C loop takes for packed nodes, and for
+    count nodes where a third of the keys or more repeat."""
     clean = next(_dense_cases())
     got = {}
     for name, words, args in (clean, _past_top()):
-        assert kernels.dense_last(args[1] - args[0], args[2], args[3])
+        lo, hi, delta, top, F, b, tag = args
+        assert kernels.dense_last(hi - lo, delta, top,
+                                  kernels.pass_interval(hi - lo, delta, top, F, b, tag)[0])
         for backend in ("c", "numpy"):
             with use_backend(backend):
                 got[backend] = _run(name, np.array(words, dtype=np.int64), args)
         with monkeypatch.context() as patch, use_backend("numpy"):
-            patch.setattr(kernels, "practice_cursors", lambda S, lo, hi, delta, tag:
-                          kernels.practice(S, lo, hi, delta, 0, hi - lo, 1, 1, tag))
+            patch.setattr(kernels, "practice_cursors", lambda S, lo, hi, delta, span, F, b, tag:
+                          kernels.practice(S, lo, hi, delta, 0, span, F, b, tag))
             sequential = _run(name, np.array(words, dtype=np.int64), args)
         assert got["c"] == got["numpy"]
         assert (got["numpy"] == sequential) == (args == clean[2])
-    for _, (words,), (lo, hi, delta, _, _, _, tag), _, _ in DENSE_CORRUPT:
-        n_d, n_c = kernels.practice_cursors(np.array(words), lo, hi, delta, tag)[:2]
-        assert 2 * n_c >= n_d
+    for _, (words,), (lo, hi, delta, top, F, b, tag), _, _ in DENSE_CORRUPT:
+        fields, bits, span, _ = kernels.pass_interval(hi - lo, delta, top, F, b, tag)
+        n_d, n_c = kernels.practice_cursors(np.array(words), lo, hi, delta, span, fields,
+                                            bits, tag)[:2]
+        assert fields != 1 or 2 * n_c >= n_d
 
 
 def test_skip_paths_stop_at_the_exact_word():
@@ -854,7 +919,7 @@ def _driver_input():
              *_retrieval_cases(), *_bitmap_retrieval_cases(), *_packed_cases(),
              *_partition_cases(),
              *_pass_cases(), *_outside_cases(), *_sparse_cases(),
-             *_dense_cases(), *_cursor_cases(), *_stop_cases()]
+             *_dense_cases(), *_cursor_cases(), *_cursor_form_cases(), *_stop_cases()]
     for name, words, (lo, hi, *rest) in cases:
         seg = words[lo:hi]
         line(name, name in _LOOP_NAMES and rest[0] == min(seg), seg, (0, hi - lo, *rest))
