@@ -7,7 +7,9 @@ are declared as its own source defines them, so that a source whose loops
 take other arguments binds too.  In each cell (sorter, n, m/n) every round
 makes the same number of calls of each build's pass loop on fresh copies
 of an input the round draws, alternating which build goes first call by call, and checks
-that both leave the same words and results.  With ``--sorted-only`` it
+that both leave the same words and results.  The keys' minimum and
+maximum, which the drivers' front door scans for before the loop, are
+taken once a round, outside the timed calls.  With ``--sorted-only`` it
 checks instead that each build leaves the input sorted (``np.sort`` of
 it) and reports no failed check, for a change that moves words or
 counters; it then prints each build's passes too.  It prints, per cell,
@@ -148,21 +150,23 @@ def loop_of(sorter):
             "sort_by_key": "rank_passes", "assoc_rec": "stacked_passes"}[sorter]
 
 
-def run(ns, sorter, S):
-    """One call of ``sorter``'s pass loop on ``S``, as its driver makes it."""
-    n, lo = len(S), int(S.min())
+def run(ns, sorter, S, lo, hi):
+    """One call of ``sorter``'s pass loop on ``S``, as its driver makes it,
+    with the keys' minimum ``lo`` and maximum ``hi``, which the driver's
+    front door scans for before the loop."""
+    n = len(S)
     loop = ns[loop_of(sorter)]
     if sorter in ("assoc_improved", "distinct_improved"):
         distinct = sorter == "distinct_improved"
         # The node form (F, b), or in a source that predates it, wm1.
         form = ((62, 1) if distinct else (1, 62)) if ns["params"]["improved_passes"] == 10 \
             else (62 if distinct else 0,)
-        return loop(S, 0, n, lo, int(S.max()), *form, TAG)
+        return loop(S, 0, n, lo, hi, *form, TAG)
     if sorter in POOLED:
         # The keys' maximum, which the counting loops take after their
         # minimum; a source from before they took it has one parameter
-        # fewer, and its call still pays for the scan.
-        top = [int(S.max())]
+        # fewer.
+        top = [hi]
         if ns["params"][loop_of(sorter)] in (7, 11):
             top = []
     if sorter == "assoc_seq":
@@ -183,21 +187,24 @@ def cell(A, B, sorter, n, ratio, rounds, seed, sorted_only=False):
     times = {id(A): [], id(B): []}
     for r in range(rounds):
         keys = keys_for(sorter, n, ratio, seed, r)
-        expect = np.sort(keys).tobytes()
+        lo, hi = int(keys.min()), int(keys.max())
+        expect = np.sort(keys)
         total = {id(A): 0, id(B): 0}
         for c in range(calls):
             left = {}
             for ns in (A, B) if (r + c) % 2 == 0 else (B, A):
                 S = keys.copy()
                 t0 = time.perf_counter_ns()
-                result = run(ns, sorter, S)
+                result = run(ns, sorter, S, lo, hi)
                 total[id(ns)] += time.perf_counter_ns() - t0
-                left[id(ns)] = (tuple(result), S.tobytes())
+                left[id(ns)] = (tuple(result), S)
             if sorted_only:
                 for result, words in left.values():
-                    assert result[at] == 0 and words == expect, (sorter, n, ratio, result)
+                    assert result[at] == 0 and np.array_equal(words, expect), (
+                        sorter, n, ratio, result)
             else:
-                assert left[id(A)] == left[id(B)], (sorter, n, ratio)
+                (ra, wa), (rb, wb) = left[id(A)], left[id(B)]
+                assert ra == rb and np.array_equal(wa, wb), (sorter, n, ratio)
         for k in total:
             times[k].append(total[k] / calls)
     return times[id(A)], times[id(B)], left[id(A)][0][0], left[id(B)][0][0]

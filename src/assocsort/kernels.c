@@ -18,13 +18,12 @@
  *   leaves below the interval, untagged words, value planes above the
  *   pivot or at or below it, words off their own slot), it steps over
  *   blocks of 4 such words at a time and returns the exact word the scan
- *   must stop at.  The standalone kernels always take them;
- *   improved_passes, sequential_passes, stacked_passes and distinct_passes
- *   turn them on per pass (see SKIP_SHARE), so dense segments keep the
- *   plain loop, but for stacked_passes' practice, which takes them in every
- *   pass after its first, and the tag scan of retrieve_dense and the
- *   left-hand scan of partition_values in a pass of improved_passes that
- *   defers no key, whose tail is all idle words.
+ *   must stop at.  The standalone kernels and the pass loops take them in
+ *   every pass, each scan compiled once per loop instance, but for
+ *   distinct_passes, which turns them on per pass (see distinct_loop).  A
+ *   pass of improved_passes that defers no key walks its idle tail with the
+ *   left-hand scan of partition_values, every other pass with the
+ *   right-hand one.
  * * Vector lane masks.  A skip path tests the 4 words of a block as one
  *   vector and finds its stop word from the mask of the lanes that fail
  *   (see lanes()).
@@ -92,23 +91,6 @@ typedef int64_t word __attribute__((aligned(1)));
 /* Inlined into every caller, so that the stride-8 instance of a pass loop
  * sees its constant stride in every access. */
 #define INLINE static inline __attribute__((always_inline))
-
-/* A pass loop takes the skip paths in a pass that settled at most
- * 1/SKIP_SHARE of its segment's words (nodes and companions; placed keys
- * in distinct_passes): the scans after practice take them in that pass,
- * and the next pass's practice takes them too (stacked_passes' takes them
- * after any pass, see there).  Below that share runs are
- * short and a failed block costs more than the blocks save: with the skip
- * paths in every pass of improved_passes, sorts of keys over 3n-10n took
- * 8-13% longer, and with this gate as long as without them. */
-#define SKIP_SHARE 16
-
-/* The gate: whether a pass over seg words takes the skip paths, given how
- * many of them it settled. */
-INLINE int sparse(i64 settled, i64 seg)
-{
-    return settled <= seg / SKIP_SHARE;
-}
 
 /* The ten results of a pass loop: the counters, where the sorted prefix
  * ends, and the failed check with its status and numbers. */
@@ -384,11 +366,6 @@ INLINE i64 skip_unsettled(char *S, i64 S_s, i64 i, i64 hi, i64 lo, i64 delta)
     return i;
 }
 
-/* Scan f(..., skip, out) with skip a constant in each branch, so that a
- * pass without the skip paths runs a copy of the scan that has none. */
-#define SCAN(f, skip, out, ...) \
-    ((skip) ? f(__VA_ARGS__, 1, out) : f(__VA_ARGS__, 0, out))
-
 /* Pass loop f(S, S_s, ...) with S_s a constant 8 where it is 8, as it is
  * for every contiguous array, so that each loop is compiled twice.  With
  * the generic instance alone, improved_passes sorts of keys over 10n-100n
@@ -470,7 +447,17 @@ void collect_fixpoints(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 *out)
 
 /* Every pass of a cycle-leader sort in one call: the steps above, in a
  * loop, with the checks of kernels.distinct_passes between them.
- * Inlined into distinct_passes twice, once with S_s fixed at 8. */
+ * Inlined into distinct_passes twice, once with S_s fixed at 8.
+ *
+ * Unlike the other loops, this one takes the skip paths only in a pass
+ * after one that placed at most 1/16 of its segment (the collection of
+ * that same pass takes them too), and runs each scan in a copy with them
+ * and one without.  Below that share runs are short and a failed block
+ * costs more than the blocks save, and at m = n, where collection never
+ * skips, the copy with the skip path still runs slower.  With the skip
+ * paths in every pass, cycle_distinct sorts at n = 5000 and 10^5
+ * (scripts/paired_grid.py, 41 rounds) took 1.12-1.16 times as long at
+ * m = n, at 10n and on permutations, 0.94 at 3n, and as long at 30n-100n. */
 INLINE void distinct_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                           i64 *out)
 {
@@ -481,16 +468,22 @@ INLINE void distinct_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     while (head < hi) {
         passes++;
         i64 seg = hi - head;
-        SCAN(implicit_practice_k, skip, r, S, S_s, head, hi, delta);
+        if (skip)
+            implicit_practice_k(S, S_s, head, hi, delta, 1, r);
+        else
+            implicit_practice_k(S, S_s, head, hi, delta, 0, r);
         i64 n_d = r[0], dnext = r[1];
         if (r[3] != STATUS_OK) {
             phase = PHASE_DUPLICATE;
             status = r[3];
             break;
         }
-        skip = sparse(n_d, seg);
+        skip = n_d <= seg / 16;
         moves += r[2];
-        SCAN(collect_fixpoints_k, skip, r, S, S_s, head, hi, delta);
+        if (skip)
+            collect_fixpoints_k(S, S_s, head, hi, delta, 1, r);
+        else
+            collect_fixpoints_k(S, S_s, head, hi, delta, 0, r);
         moves += r[1];
         if (r[0] != n_d) {
             phase = PHASE_PARTITION;
@@ -515,19 +508,18 @@ void distinct_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 *out)
     BY_STRIDE(distinct_loop, head, hi, delta, out);
 }
 
-#define SKIP_OUTSIDE 2
-/* The skip paths of partition_values_k: its right-hand scan, which SCAN's
- * skip of 1 turns on, and its left-hand one. */
+/* The skip paths of partition_values_k: its right-hand scan and its
+ * left-hand one. */
 #define SKIP_HIGH 1
 #define SKIP_LOW 2
 
 /* practice, of nodes of the form (F, b): count nodes (F == 1), bitmaps
- * (b == 1) or packed counters, taking a skip path when skip is set: over
- * deferred keys, or, where skip is SKIP_OUTSIDE, over untagged keys on
- * either side of the interval.  Every count-form call passes F as a literal
- * 1, so that its loop has no field code.  A field shift is below F * b. */
+ * (b == 1) or packed counters, taking a skip path over deferred keys, or,
+ * where outside is set, over untagged keys on either side of the interval.
+ * Every count-form call passes F as a literal 1, so that its loop has no
+ * field code.  A field shift is below F * b. */
 INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
-                       i64 span, i64 F, i64 b, i64 tag, int skip, i64 *out)
+                       i64 span, i64 F, i64 b, i64 tag, int outside, i64 *out)
 {
     i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
     i64 dup = -1, far = deferred_from(delta, span);
@@ -541,7 +533,7 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
         i64 d = v - delta;
         if (d < 0) {
             i++;
-            if (skip == SKIP_OUTSIDE)
+            if (outside)
                 i = skip_outside(S, S_s, i, hi, delta, far, tag, &n_def,
                                  &dnext);
             continue;
@@ -551,10 +543,10 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
             if (dnext < 0 || v < dnext)
                 dnext = v;
             i++;
-            if (skip == SKIP_OUTSIDE)
+            if (outside)
                 i = skip_outside(S, S_s, i, hi, delta, far, tag, &n_def,
                                  &dnext);
-            else if (skip)
+            else
                 i = skip_deferred(S, S_s, i, hi, far, tag, &n_def, &dnext);
             continue;
         }
@@ -590,13 +582,13 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
 void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
               i64 F, i64 b, i64 tag, i64 *out)
 {
-    practice_k(S, S_s, lo, hi, delta, base, span, F, b, tag, 1, out);
+    practice_k(S, S_s, lo, hi, delta, base, span, F, b, tag, 0, out);
 }
 
-/* store_nodes, taking the untagged-word skip path when skip is set. */
+/* store_nodes, taking the untagged-word skip path. */
 INLINE void store_nodes_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
                           i64 span, i64 pack_split, i64 tag, i64 eps_budget,
-                          int skip, i64 *out)
+                          i64 *out)
 {
     i64 thr = (i64)1 << pack_split;
     i64 vmask = tag - 1;
@@ -604,8 +596,7 @@ INLINE void store_nodes_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
     for (i64 i = lo; i < hi; i++) {
         i64 x = AT(S, i);
         if (!(x & tag)) {
-            if (skip)
-                i = skip_untagged_up(S, S_s, i + 1, hi, tag) - 1;
+            i = skip_untagged_up(S, S_s, i + 1, hi, tag) - 1;
             continue;
         }
         i64 cnt = x & vmask;
@@ -681,7 +672,7 @@ INLINE void store_nodes_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
 void store_nodes(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 span,
                  i64 pack_split, i64 tag, i64 eps_budget, i64 *out)
 {
-    store_nodes_k(S, S_s, lo, hi, delta, span, pack_split, tag, eps_budget, 1,
+    store_nodes_k(S, S_s, lo, hi, delta, span, pack_split, tag, eps_budget,
                   out);
 }
 
@@ -863,24 +854,23 @@ INLINE void pass_interval(i64 seg, i64 delta, i64 top, i64 F, i64 b, i64 tag,
  * in the node form of pass_interval over the seg - eps words the budget
  * leaves the interval.  A packed pass (F >= 2) has eps 0, so no field can
  * overflow and storage packs tag | fp << F * b | fields, making no
- * companion; a count pass is practiced with F a literal 1.  Practice takes
- * its skip path when skip is set, storage when practice left the pass
- * sparse.  out: n_d, n_c, dnext, eps, eps_used, F, b, pivot, stored,
- * status, moves, created. */
+ * companion; a count pass is practiced with F a literal 1.  Practice steps
+ * over keys on either side of the interval where outside is set, else
+ * over deferred keys.  out: n_d, n_c, dnext, eps, eps_used, F, b, pivot,
+ * stored, status, moves, created. */
 INLINE void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
-                           i64 top, i64 w, int skip, i64 *out)
+                           i64 top, i64 w, int outside, i64 *out)
 {
     i64 tag = (i64)1 << (w - 1), seg = hi - head, eps, split, iv[4], p[7];
     i64 st[4];
     pass_budget(seg, w, &eps, &split);
     pass_interval(seg - eps, delta, top, 1, split, tag, iv);
     if (iv[0] == 1)
-        practice_k(S, S_s, head, hi, delta, eps, iv[2], 1, 1, tag, skip, p);
+        practice_k(S, S_s, head, hi, delta, eps, iv[2], 1, 1, tag, outside, p);
     else
         practice_k(S, S_s, head, hi, delta, eps, iv[2], iv[0], iv[1], tag,
-                   skip, p);
-    SCAN(store_nodes_k, sparse(p[0] + p[1], seg), st, S, S_s, head, hi, delta,
-         iv[2], iv[0] * iv[1], tag, eps);
+                   outside, p);
+    store_nodes_k(S, S_s, head, hi, delta, iv[2], iv[0] * iv[1], tag, eps, st);
     i64 v[12] = {p[0], p[1], p[3], eps, st[0], iv[0], iv[1], iv[3], st[1],
                  st[3], p[4] + st[2], p[5]};
     for (int k = 0; k < 12; k++)
@@ -897,13 +887,11 @@ INLINE void sequential_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     i64 passes = 0, moves = 0, created = 0;
     i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0, c = 0, d = 0;
     i64 r[12];
-    int skip = 0;
     while (head < hi) {
         passes++;
-        SCAN(practice_store, skip, r, S, S_s, head, hi, delta, top, w);
+        practice_store(S, S_s, head, hi, delta, top, w, 0, r);
         i64 n_d = r[0], n_c = r[1], dnext = r[2], eps = r[3], eps_used = r[4];
         i64 fields = r[5], bits = r[6], pivot = r[7];
-        skip = sparse(n_d + n_c, hi - head);
         moves += r[10];
         created += r[11];
         if (r[9] != STATUS_OK || r[8] != n_d + eps_used) {
@@ -916,7 +904,7 @@ INLINE void sequential_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
             break;
         }
         i64 mem = head + n_d + eps_used;
-        SCAN(partition_values_k, skip, r, S, S_s, mem, hi, pivot, tag);
+        partition_values_k(S, S_s, mem, hi, pivot, tag, SKIP_HIGH, r);
         moves += r[1];
         if (r[0] != n_c - eps_used) {
             phase = PHASE_PARTITION;
@@ -971,18 +959,9 @@ INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
         /* The companions a pass leaves stay in the segment, below the next
          * interval, so practice steps over words on both sides of it; the
          * other loops leave none there, and keep skip_deferred, which
-         * fails on most blocks here.  So every pass after the first takes
-         * the skip paths, whatever share of its segment the pass before
-         * settled: with the gate of the other loops, packed passes that
-         * settle just over 1/16 of theirs ran the plain loop, and sorts of
-         * keys over 30n took 1.07-1.33x as long as with count nodes
-         * (scripts/paired_grid.py at n = 5000 and 10^5).  From 1.5n to
-         * 100n, count nodes at w = 32 and packed ones at w = 63, time with
-         * the gate over time without read 0.99-1.40. */
-        if (depth)
-            practice_store(S, S_s, head, hi, delta, top, w, SKIP_OUTSIDE, r);
-        else
-            practice_store(S, S_s, head, hi, delta, top, w, 0, r);
+         * fails on most blocks here.  The first pass has nothing below its
+         * interval. */
+        practice_store(S, S_s, head, hi, delta, top, w, depth > 0, r);
         i64 n_d = r[0], dnext = r[2], eps_used = r[4];
         moves += r[10];
         created += r[11];
@@ -1054,16 +1033,15 @@ void stacked_passes(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
     BY_STRIDE(stacked_loop, L, L_s, head, hi, delta, top, depth, cap, w, out);
 }
 
-/* store_records, taking the untagged-word skip path when skip is set. */
+/* store_records, taking the untagged-word skip path. */
 INLINE void store_records_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 tag,
-                            int skip, i64 *out)
+                            i64 *out)
 {
     i64 vmask = tag - 1;
     i64 k = lo, moves = 0;
     for (i64 p = lo; p < hi; p++) {
         if (!(AT(S, p) & tag)) {
-            if (skip)
-                p = skip_untagged_up(S, S_s, p + 1, hi, tag) - 1;
+            p = skip_untagged_up(S, S_s, p + 1, hi, tag) - 1;
             continue;
         }
         if (p != k) {
@@ -1083,7 +1061,7 @@ INLINE void store_records_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 tag,
 
 void store_records(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 tag, i64 *out)
 {
-    store_records_k(S, S_s, lo, hi, n_d, tag, 1, out);
+    store_records_k(S, S_s, lo, hi, n_d, tag, out);
 }
 
 /* The set bits of x, without a call. */
@@ -1097,16 +1075,15 @@ INLINE i64 bit_count(uint64_t x)
 
 /* retrieve_scan, of records of the form (F, b): counts (F == 1), bitmaps
  * of F keys (b == 1) or F packed counters of b bits; the tag scan takes the
- * untagged-word skip path when skip is set. */
+ * untagged-word skip path. */
 INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
-                            i64 n_c, i64 delta, i64 F, i64 b, i64 tag, int skip,
+                            i64 n_c, i64 delta, i64 F, i64 b, i64 tag,
                             i64 *out)
 {
     i64 vmask = tag - 1;
     i64 o = lo + n_d + n_c - 1, p = hi - 1, moves = 0;
     for (i64 k = n_d - 1; k >= 0; k--) {
-        if (skip)
-            p = skip_untagged_down(S, S_s, p, lo, tag);
+        p = skip_untagged_down(S, S_s, p, lo, tag);
         while (p >= lo && !(AT(S, p) & tag))
             p--;
         if (p < lo) {
@@ -1182,7 +1159,7 @@ INLINE void retrieve_scan_k(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
 void retrieve_scan(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d, i64 n_c,
                    i64 delta, i64 F, i64 b, i64 tag, i64 *out)
 {
-    retrieve_scan_k(S, S_s, lo, hi, n_d, n_c, delta, F, b, tag, 1, out);
+    retrieve_scan_k(S, S_s, lo, hi, n_d, n_c, delta, F, b, tag, out);
 }
 
 /* The gate of kernels.dense_last.  improved_passes over one pass of keys
@@ -1380,10 +1357,10 @@ INLINE void store_records_dense(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
 
 /* retrieve_scan_k of count nodes or of packed nodes of at most 4 fields,
  * for a pass that defers no key, where gaps between nodes and counts are
- * short and in no order a branch predicts.  The tag scan always takes its
- * skip path, which finds the highest tag of the next 4 words from one lane
- * mask.  A node whose keys fit WINDOW(F) words and cannot collide writes
- * WINDOW(F) words by mask, each its key or itself back: the key of a word
+ * short and in no order a branch predicts.  The tag scan's skip path
+ * finds the highest tag of the next 4 words from one lane mask.  A node
+ * whose keys fit WINDOW(F) words and cannot collide writes WINDOW(F)
+ * words by mask, each its key or itself back: the key of a word
  * is key0 plus the number of running sums of the node's fields, lowest
  * field first, that lie at or below the word's place in the node's run.
  * Larger nodes, and the ends of the segment, write field by field, every
@@ -1488,7 +1465,6 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     i64 passes = 0, moves = 0, created = 0;
     i64 phase = PHASE_OK, status = STATUS_OK, x = 0, y = 0;
     i64 r[7];
-    int skip = 0;
     while (head < hi) {
         passes++;
         i64 seg = hi - head, iv[4];
@@ -1500,15 +1476,13 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         } else if (dense) {
             packed_cursors(S, S_s, head, hi, delta, span, fields, bits, tag, r);
         } else if (fields == 1) {
-            SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, 1, 1, tag);
-        } else {
+            practice_k(S, S_s, head, hi, delta, 0, span, 1, 1, tag, 0, r);
+        } else if (bits == 1) {
             /* One instance per node form, as for retrieval below. */
-            if (bits == 1)
-                SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, fields,
-                     1, tag);
-            else
-                SCAN(practice_k, skip, r, S, S_s, head, hi, delta, 0, span, fields,
-                     bits, tag);
+            practice_k(S, S_s, head, hi, delta, 0, span, fields, 1, tag, 0, r);
+        } else {
+            practice_k(S, S_s, head, hi, delta, 0, span, fields, bits, tag, 0,
+                       r);
         }
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
         /* Masked storage and retrieval of count nodes pay in a dense-last
@@ -1539,10 +1513,6 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         int masked = fields == 1 ? dense && 2 * n_c >= n_d
                                  : bits != 1 && fields <= 4 &&
                                        defers_none(seg, delta, top);
-        /* Each word of the segment is settled or deferred, so this is
-         * sparse(n_d + n_c, seg); written so, distinct_improved sorts of
-         * keys over 10n-100n took 10-15% longer. */
-        skip = sparse(seg - r[2], seg);
         moves += r[4];
         created += r[5];
         if (r[6] >= 0) {
@@ -1553,7 +1523,7 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         if (masked && fields == 1)
             store_records_dense(S, S_s, head, hi, n_d, tag, r);
         else
-            SCAN(store_records_k, skip, r, S, S_s, head, hi, n_d, tag);
+            store_records_k(S, S_s, head, hi, n_d, tag, r);
         moves += r[1];
         if (r[2] != STATUS_OK) {
             phase = PHASE_STORE;
@@ -1567,7 +1537,7 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         if (defers_none(seg, delta, top))
             partition_values_k(S, S_s, head + n_d, hi, pivot, tag, SKIP_LOW, r);
         else
-            SCAN(partition_values_k, skip, r, S, S_s, head + n_d, hi, pivot, tag);
+            partition_values_k(S, S_s, head + n_d, hi, pivot, tag, SKIP_HIGH, r);
         moves += r[1];
         if (r[0] != n_c) {
             phase = PHASE_PARTITION;
@@ -1582,14 +1552,12 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
             retrieve_dense_form(S, S_s, head, hi, n_d, n_c, delta, fields, bits,
                                 tag, r);
         else if (fields == 1)
-            SCAN(retrieve_scan_k, skip, r, S, S_s, head, hi, n_d, n_c, delta,
-                 1, 1, tag);
+            retrieve_scan_k(S, S_s, head, hi, n_d, n_c, delta, 1, 1, tag, r);
         else if (bits == 1)
-            SCAN(retrieve_scan_k, skip, r, S, S_s, head, hi, n_d, n_c, delta,
-                 fields, 1, tag);
+            retrieve_scan_k(S, S_s, head, hi, n_d, n_c, delta, fields, 1, tag, r);
         else
-            SCAN(retrieve_scan_k, skip, r, S, S_s, head, hi, n_d, n_c, delta,
-                 fields, bits, tag);
+            retrieve_scan_k(S, S_s, head, hi, n_d, n_c, delta, fields, bits, tag,
+                            r);
         moves += r[0];
         if (r[1] != STATUS_OK) {
             phase = PHASE_RETRIEVE;

@@ -6,7 +6,8 @@
  * page after the buffer's last byte and once before its first.  The
  * cases, the block-boundary shapes, bitmap retrieval records, sparse
  * segments, stacked_passes segments whose second pass skips outside its
- * interval, dense-last segments (for improved_passes and
+ * interval, passes that settle most of their segment and defer a few
+ * keys, dense-last segments (for improved_passes and
  * practice_cursors) and the stop words of every skip path in every lane
  * of test_skip_paths.py, come from that test on stdin, one a line:
  *

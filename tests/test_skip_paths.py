@@ -9,16 +9,19 @@ value planes above the pivot in the right-hand scan of
 ``partition_values`` (with tag 0, whole words, as ``sort_full_universe``
 partitions) and at or below it in its left-hand one, and words off their
 own slot in
-``collect_fixpoints``.  The standalone kernels always take these paths;
-``improved_passes``, ``sequential_passes``, ``stacked_passes`` and
-``distinct_passes`` turn them on per pass, and are each compiled once for
-a byte stride of 8 and once for any stride.
+``collect_fixpoints``.  The standalone kernels and the pass loops take
+these paths in every pass, but for ``distinct_passes``, which turns them
+on per pass; each loop is compiled once for a byte stride of 8 and once
+for any stride.
 
 Each skip path returns the exact first word its scan must look at.  Each
 scan is fed runs of 0-9 skippable words at every offset of segments of
 1-12 words, and stop words in every lane of a block after 0, 1 and 5
 blocks it steps over (:func:`_stop_cases`), each loop sparse segments of
-16-64 words, ``improved_passes`` and ``practice_cursors`` dense-last
+16-64 words, ``improved_passes``, ``sequential_passes`` and
+``stacked_passes`` passes that settle most of their segment and defer a
+few keys (:func:`_settling_cases`), ``improved_passes`` and
+``practice_cursors`` dense-last
 segments, whose practice runs as interleaved cursors and whose retrieval
 (and, for count nodes, storage) runs by mask in C, ``practice_cursors``
 in every node form a dense-last pass takes, bitmap retrieval records of
@@ -302,13 +305,13 @@ def _packed_cases():
 
 def _outside_cases():
     """``stacked_passes`` over 160 words whose first pass, from key ``D``
-    at word 0, makes one node and counts at most 9 copies of ``D``: it
-    settles at most 1/16 of the segment, so the second pass, from the
-    least key past ``D``'s interval, ``LO`` (the last word), practices
-    with ``skip_outside``.  Its 4-word blocks mix the copies of ``D``,
-    below its interval, with keys it defers, at or past ``FAR``: the least
-    deferred key in each lane and in a later block, blocks of copies of
-    ``D`` alone in a pass that defers nothing (its ``dnext`` stays unset),
+    at word 0, makes one node and counts the copies of ``D``, which stay
+    in the segment; the second pass, from the least key past ``D``'s
+    interval, ``LO`` (the last word), practices with ``skip_outside``, as
+    every pass after the first does.  Its 4-word blocks mix the copies of
+    ``D``, below its interval, with keys it defers, at or past ``FAR``: the
+    least deferred key in each lane and in a later block, blocks of copies
+    of ``D`` alone in a pass that defers nothing (its ``dnext`` stays unset),
     keys at ``FAR`` and at ``FAR - 1``, a word tagged by a node the same
     pass made, and negative words.  The words after the blocks are keys
     it defers (or, where it must defer none, keys of its interval); the
@@ -323,7 +326,7 @@ def _outside_cases():
     def case(entry, blocks, rest=3100):
         words = [D, entry] + [w for block in blocks for w in block]
         words += [rest + k for k in range(n - 1 - len(words))] + [LO]
-        assert len(words) == n and words.count(D) <= n // 16
+        assert len(words) == n
         for top in (D, max(words)):
             yield "stacked_passes", [0] * PAD + words + [FAR] * PAD, (
                 PAD, PAD + n, D, top, 0, n, 63)
@@ -545,8 +548,9 @@ SPARSE = (16, 17, 18, 19, 20, 23, 31, 32, 33, 40, 64)
 
 def _sparse_pass_cases(n):
     """One key per pass interval (two for ``twice``), so each pass defers
-    at least 15/16 of a segment of 16 words or more and the loop takes the
-    skip paths; in three orders, so that runs end at different offsets.
+    at least 15/16 of a segment of 16 words or more and the skip paths
+    step over long runs; in three orders, so that runs end at different
+    offsets.
     Count nodes of 62 bits pack every pass, of 3 bits only a pass over one
     word; no pass interval spans 62 keys a word or more."""
     for F, b in ((1, 3), (1, 62), (62, 1)):
@@ -565,7 +569,8 @@ def _sparse_loop_cases(n):
     """The counting and cycle-leader loops on ``n`` keys, one key (two
     copies of one, for the counting loops) per pass interval, so that a
     pass over 16 words or more (32 for two copies) settles at most 1/16 of
-    them and takes the skip paths; in the orders of
+    them, its skip paths step over long runs, and ``distinct_passes``,
+    which takes them only after such a pass, takes them; in the orders of
     :func:`_sparse_pass_cases`.  In ``stacked_passes`` every second copy
     stays in the segment below the next interval.  The counting loops run
     keys ``2n`` apart told ``top`` 1000, so that every pass keeps count
@@ -586,6 +591,76 @@ def _sparse_loop_cases(n):
                 yield "stacked_passes", words, (PAD, PAD + n, 1000, top, 0, n, 63)
                 if not twice and gap == 2 * n:
                     yield "distinct_passes", words, (PAD, PAD + n, 1000)
+
+
+# m/n of the keys of :func:`_settling_cases`, and the node forms (F, b, tag)
+# of its improved_passes: count nodes of 12-bit words, which a segment of
+# 32-63 words keeps, and records of 62 bits, which every pass packs.
+SETTLING_RATIOS = (0.5, 1, 2, 3)
+SETTLING_FORMS = ((1, 11, 1 << 11), (1, 62, T63))
+
+
+def _first_interval(name, n, top, form):
+    """``(base, F, span)`` of the first pass of loop ``name`` over ``n``
+    words from ``DELTA``: ``improved_passes`` in the node form ``form``,
+    the counting loops at w = 63."""
+    if name == "improved_passes":
+        fields, _, span, _ = kernels.pass_interval(n, DELTA, top, *form)
+        return 0, fields, span
+    eps, split = kernels.pass_budget(n, 63)
+    fields, _, span, _ = kernels.pass_interval(n - eps, DELTA, top, 1, split, T63)
+    return eps, fields, span
+
+
+def _settling_cases(ratio):
+    """Passes that settle most of their segment and defer a few keys, which
+    take the skip paths as every pass does: ``improved_passes`` in each
+    form of :data:`SETTLING_FORMS`, and ``sequential_passes`` and
+    ``stacked_passes``, whose first pass steps over deferred keys, told
+    ``top`` ``DELTA``, which keeps count nodes, and told their largest
+    key, which packs.  Each segment holds 40 words.  From word 1 a run of
+    keys past the first pass's interval ends at a stop word in each lane of
+    a block after 0, 1 and 5 blocks, the least of them just before or just
+    after it where its block has such a lane.  The stop word is a key of
+    the interval whose slot lies inside the run or past the stop word, or
+    the node that word 0's key makes there before practice reaches it.  The
+    other words are keys drawn over ``ratio`` times the segment's length
+    from ``DELTA``, the last one ``DELTA``, so that each loop sorts.  After
+    practice the deferred keys are runs of untagged words that storage,
+    the right-hand scan of the partition and the tag scan of retrieval step
+    over.  The padding is the first pass's interval end, so a block that
+    reads it moves the next pass's start."""
+    n = 40
+    rng = np.random.default_rng([0x5E7, int(4 * ratio)])
+    # (loop, node form, whether it is told its largest key as top)
+    loops = [("improved_passes", form, True) for form in SETTLING_FORMS]
+    loops += [(name, None, largest) for name in ("sequential_passes", "stacked_passes")
+              for largest in (False, True)]
+    for before, lane, _ in STOP_RUNS[::4]:
+        p = 2 + 4 * before + lane  # the stop word: skip_deferred starts at word 2
+        rest = [DELTA + int(k) for k in rng.integers(0, int(ratio * n), size=n)]
+        for name, form, largest in loops:
+            # A largest key n or more past DELTA packs the counting loops.
+            base, F, span = _first_interval(name, n, DELTA + n if largest else DELTA, form)
+            far = DELTA + span
+
+            def clean(j):
+                return far + 2 + (5 * j) % 9
+
+            def slot(j):
+                """A key that practice makes a node at word ``j``."""
+                return DELTA + (j - base) * F
+
+            for first, stop in ((slot(base), slot(1)), (slot(base), slot(p + 3)),
+                                (slot(p), slot(base))):
+                for mark, at in _marks(lane, far + 1):
+                    seg = [first, far + 4] + _scan(before, lane, 0, clean, stop, mark, at)
+                    seg += rest[len(seg):n - 1] + [DELTA]
+                    top = max(seg) if largest else DELTA
+                    args = {"improved_passes": (top, *(form or ())),
+                            "sequential_passes": (top, 63),
+                            "stacked_passes": (top, 0, n, 63)}[name]
+                    yield name, [far] * PAD + seg + [far] * PAD, (PAD, PAD + n, DELTA, *args)
 
 
 F = kernels.DENSE_FLOOR
@@ -787,6 +862,19 @@ def test_counting_and_cycle_leader_loops_on_sparse_segments(n):
             assert result[4] == kernels.PHASE_OK, (name, result)
 
 
+@pytest.mark.parametrize("ratio", SETTLING_RATIOS)
+def test_settling_passes_take_the_skip_paths(ratio):
+    """Each loop sorts each segment (``stacked_passes`` through its
+    unwind), stepping over the deferred keys of passes that settle most of
+    their segment."""
+    for name, words, args in _settling_cases(ratio):
+        result = _agree(name, words, args)
+        if name == "stacked_passes":
+            assert (result[6], result[3]) == (kernels.PHASE_OK, args[1]), result
+        else:
+            assert result[4] == kernels.PHASE_OK, (name, result)
+
+
 def test_improved_passes_on_dense_last_segments():
     """The interleaved practice and the masked retrieval give the
     ``numpy`` loop's words and results, passes that fail included."""
@@ -880,8 +968,8 @@ def test_every_loop_has_a_sparse_case():
 ])
 def test_c_matches_numpy_at_scale(algo, ratio, step):
     """n = 2000 keys over ``ratio * n``: sorted words and the four
-    ``OpCounters`` fields agree.  At 3000n the bitmap passes defer enough
-    for the skip paths."""
+    ``OpCounters`` fields agree.  At 3000n the bitmap passes defer nearly
+    every key."""
     n = 2000
     rng = np.random.default_rng([0x5C1, ratio])
     if algo in ("distinct_improved", "cycle_distinct"):
@@ -919,7 +1007,8 @@ def _driver_input():
              *_retrieval_cases(), *_bitmap_retrieval_cases(), *_packed_cases(),
              *_partition_cases(),
              *_pass_cases(), *_outside_cases(), *_sparse_cases(),
-             *_dense_cases(), *_cursor_cases(), *_cursor_form_cases(), *_stop_cases()]
+             *_dense_cases(), *_cursor_cases(), *_cursor_form_cases(), *_stop_cases(),
+             *(case for ratio in SETTLING_RATIOS for case in _settling_cases(ratio))]
     for name, words, (lo, hi, *rest) in cases:
         seg = words[lo:hi]
         line(name, name in _LOOP_NAMES and rest[0] == min(seg), seg, (0, hi - lo, *rest))
