@@ -4,22 +4,23 @@ process, one pass-loop call at a time.
 Both sources are compiled with the ``c`` backend's flags (or each with its
 own, ``--base-flags`` and ``--new-flags``), and each build's pass loops
 are declared as its own source defines them, so that a source whose loops
-take other arguments binds too.  In each cell (sorter, n, m/n) every round
-makes the same number of calls of each build's pass loop on fresh copies
-of an input the round draws, alternating which build goes first call by call, and checks
-that both leave the same words and results.  The keys' minimum and
-maximum, which the drivers' front door scans for before the loop, are
-taken once a round, outside the timed calls.  With ``--sorted-only`` it
-checks instead that each build leaves the input sorted (``np.sort`` of
-it) and reports no failed check, for a change that moves words or
-counters; it then prints each build's passes too.  It prints, per cell,
-the median time per call of each build, their ratio (base / new, above 1
-when the new build is faster), the base's spread between quartiles over
-its median, and the ratio of the base median to the new build's
-quartiles.  With ``--json PATH`` it also writes every cell (quartiles of
-each build's time per call, the ratio, the base IQR, each build's passes
-under ``--sorted-only``) and each build's source, flags and git revision
-to ``PATH``.
+take other arguments binds too; a loop that takes a hook (``hook emit``)
+is handed ``NULL``, as an untraced sort hands it.  In each cell (sorter,
+n, m/n) every round makes the same number of calls of each build's pass
+loop on fresh copies of an input the round draws, alternating which build
+goes first call by call, and checks that both leave the same words and
+results.  The keys' minimum and maximum, which the drivers' front door
+scans for before the loop, are taken once a round, outside the timed
+calls.  With ``--sorted-only`` it checks instead that each build leaves
+the input sorted (``np.sort`` of it) and reports no failed check, for a
+change that moves words or counters; it then prints each build's passes
+too.  It prints, per cell, the median time per call of each build, their
+ratio (base / new, above 1 when the new build is faster), the base's
+spread between quartiles over its median, and the ratio of the base median
+to the new build's quartiles.  With ``--json PATH`` it also writes every
+cell (quartiles of each build's time per call, the ratio, the base IQR,
+each build's passes under ``--sorted-only``) and each build's source,
+flags and git revision to ``PATH``.
 
     git show 46a0063:src/assocsort/kernels.c > /tmp/base.c
     PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c \
@@ -99,29 +100,33 @@ def bind(source, flags, directory, name):
     """The pass loops of ``source``, compiled with ``flags`` into
     ``directory`` and declared as ``source`` defines them: a dict of
     functions that take the arrays and integers of the loop and return its
-    results, and, under ``"params"``, how many parameters each C loop takes."""
+    results, and, under ``"params"``, how many parameters each C loop takes
+    besides its hook."""
     so = os.path.join(directory, name + ".so")
     subprocess.run(["cc", *flags, "-o", so, source], check=True)
     with open(source) as fh:
         text = fh.read()
     ffi = cffi.FFI()
-    ffi.cdef("typedef int64_t i64;")
-    params = {}
+    ffi.cdef("typedef int64_t i64; typedef void (*hook)(int64_t, int64_t);")
+    params, hooked = {}, set()
     for loop, args in re.findall(r"^void (\w+)\(([^)]*)\)\s*\{", text, re.M):
         if loop in LOOPS:
             ffi.cdef(f"void {loop}({args});")
-            params[loop] = args.count(",") + 1
+            if re.search(r"\bhook\b", args):
+                hooked.add(loop)
+            params[loop] = args.count(",") + 1 - (loop in hooked)
     lib = ffi.dlopen(so)
 
     def caller(loop):
         fn, results = getattr(lib, loop), ckernels.SIGNATURES[loop][1]
+        emit = [ffi.NULL] if loop in hooked else []
 
         def call(*args):
             out = ffi.new(f"int64_t[{results}]")
             cargs = []
             for a in args:
                 cargs += [ffi.from_buffer("char[]", a), 8] if isinstance(a, np.ndarray) else [a]
-            fn(*cargs, out)
+            fn(*cargs, *emit, out)
             return tuple(out)
         return call
 

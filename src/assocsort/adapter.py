@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .backend import active
-from .core import TraceFn, check_words, sort_associative, sort_associative_recursive
+from .core import (TraceFn, check_array, check_words, sort_associative,
+                   sort_associative_recursive)
 from .counters import OpCounters
 from .cycle_leader import sort_distinct_keys
 from .errors import DuplicateKeyError
@@ -34,6 +35,7 @@ def perm_rank_words(
     trace: Optional[TraceFn] = None,
 ) -> OpCounters:
     """Value-only facade over the rank sorter (allocates an index payload)."""
+    check_array(S)
     payload = np.arange(len(S), dtype=np.int64)
     return sort_by_key(S, payload, cfg=cfg, counters=counters, trace=trace)
 

@@ -7,8 +7,9 @@ function over numpy arrays.  The ``c`` backend calls their C twins in
 as-is (scalar loops over ``int64`` arrays), which is slow but needs
 nothing else.  Both write the same words and return the same values.
 
-A traced sort runs the Python pass loops on either backend, over that
-backend's kernels, so that it sees each phase (see :func:`traced_loops`).
+A sort, traced or not, runs the pass loop of its backend (see
+:func:`active_loops`); a traced one passes the loop a hook that it calls
+after each phase.
 
 The active backend is chosen, in order of precedence:
 
@@ -26,7 +27,7 @@ threads select.
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from types import FunctionType, SimpleNamespace
+from types import SimpleNamespace
 
 from . import kernels as _kernels
 from .ckernels import SIGNATURES, BuildError
@@ -47,8 +48,6 @@ _LOOP_NAMES = (
     "stacked_passes",
     "rank_passes",
 )
-# Plain functions the pass loops call besides the kernels.
-_HELPER_NAMES = ("pass_interval", "pass_budget", "practice_store", "dense_last")
 _KERNEL_NAMES = tuple(name for name in SIGNATURES if name not in _LOOP_NAMES)
 
 PLAIN = SimpleNamespace(
@@ -139,29 +138,12 @@ def active_loops() -> SimpleNamespace:
     return _loops[current_backend()]
 
 
-def traced_loops(emit) -> SimpleNamespace:
-    """The Python pass loops of :mod:`assocsort.kernels`, calling the
-    kernels of :func:`active` and ``emit(phase, passes)`` after each
-    phase's check, as they stand at this call.
-
-    Each loop and helper is a new function over the code of its twin in
-    ``kernels.py``, with a scope of its own: so a wrapper placed on
-    :func:`active` is seen, each call gets its own ``emit``, and
-    ``kernels.emit`` itself stays the no-op the untraced loops call.
-    """
-    scope = {**vars(_kernels), **vars(active()), "emit": emit}
-    for name in _HELPER_NAMES + _LOOP_NAMES:
-        scope[name] = FunctionType(getattr(_kernels, name).__code__, scope, name)
-    return SimpleNamespace(**{name: scope[name] for name in _LOOP_NAMES})
-
-
 def warmup() -> str:
-    """Touch every kernel and pass loop of the active backend once: a
-    16-word sort of each kind, untraced and traced (an untraced sort runs
-    the backend's pass loops, a traced one the Python loops over its
-    kernels), then the kernels no 16-word sort reaches: the dense-last
-    practice and the radix baseline's.  ``sort_full_universe`` calls only
-    ``partition_values``, which the traced sorts reach.
+    """Touch every pass loop of the active backend, and every kernel that
+    sorts and baselines call through :func:`active`, once: a 16-word sort
+    of each kind, untraced and traced (which runs the loop's hook path),
+    a 16-word ``sort_full_universe`` (``min_max`` and
+    ``partition_values``) and the radix baseline's ``radix_pass``.
 
     Useful before timing, so that a first C build never lands inside a
     measured region.  The inputs are fixed arrays
@@ -170,7 +152,7 @@ def warmup() -> str:
     """
     import numpy as np
 
-    from .adapter import ALGORITHMS
+    from .adapter import ALGORITHMS, sort_full_universe
     from .words import WordConfig
 
     cfg = WordConfig(8)
@@ -182,9 +164,6 @@ def warmup() -> str:
         distinct = name in ("cycle_distinct", "distinct_improved")
         for trace in (None, quiet):
             sorter((shuffled if distinct else repeats).copy(), cfg=cfg, trace=trace)
-    k = active()
-    src = ramp[::-1].copy()
-    dst = np.empty_like(src)
-    k.practice_cursors(ramp.copy(), 0, 16, 0, 16, 1, cfg.w - 1, cfg.tag_mask)
-    k.radix_pass(src, dst, 16, 0)
+    sort_full_universe(shuffled * 16, cfg=cfg)
+    active().radix_pass(ramp[::-1].copy(), np.empty_like(ramp), 16, 0)
     return current_backend()

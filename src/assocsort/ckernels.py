@@ -23,7 +23,10 @@ one else.
 :func:`load` returns the kernels as a namespace whose members take the
 same arguments and return the same tuples as :mod:`assocsort.kernels`.  It
 raises :class:`BuildError`, naming the reason, when cffi, the compiler or a
-usable cache directory is missing or the compile fails.
+usable cache directory is missing or the compile fails.  A pass loop's
+``emit`` becomes ``NULL``, or a cffi callback of the hook; an exception
+the hook raises is kept, its later calls are ignored, and the exception is
+raised once the C loop returns.
 
 Each member checks the kernel's index arguments against the length of
 its arrays before any C runs.  When a word the kernel may touch lies
@@ -128,13 +131,15 @@ def _params(name):
 def _declaration(name, arrays, results):
     params = _params(name)
     args = [f"char *{a}, int64_t {a}_s" for a in params[:arrays]]
-    args += [f"int64_t {a}" for a in params[arrays:]]
+    args += [f"{'hook' if a == 'emit' else 'int64_t'} {a}" for a in params[arrays:]]
     if results:
         return f"void {name}({', '.join(args)}, int64_t *out);"
     return f"int64_t {name}({', '.join(args)});"
 
 
-CDEF = "\n".join(_declaration(name, *sig[:2]) for name, sig in SIGNATURES.items())
+# A pass loop's ``emit``: NULL, or the hook it calls after each phase.
+CDEF = "\n".join(["typedef void (*hook)(int64_t, int64_t);"] + [
+    _declaration(name, *sig[:2]) for name, sig in SIGNATURES.items()])
 
 # The file name the generated kernel wrappers are compiled under.
 WRAPPERS = "<assocsort c kernel wrappers>"
@@ -308,7 +313,8 @@ def _wrapper(name, arrays, results, bounds):
     it hands the call to the Python kernel ``py_<name>`` instead.
     """
     params = _params(name)
-    lines = [f"def {name}({', '.join(params)}):", f"    size = len({params[0]})"]
+    head = ", ".join("emit=None" if a == "emit" else a for a in params)
+    lines = [f"def {name}({head}):", f"    size = len({params[0]})"]
     for a in params[1:arrays]:
         lines.append(f"    if len({a}) < size: size = len({a})")
     lines += [f"    if not ({bounds}):", f"        return py_{name}({', '.join(params)})"]
@@ -326,9 +332,12 @@ def _wrapper(name, arrays, results, bounds):
     if not results:
         lines.append(f"    return c_{name}({', '.join(cargs)})")
         return "\n".join(lines)
+    if "emit" in params:
+        lines.append("    emit, raised = hook(emit)")
     lines += [
         f"    out = new('int64_t[{results}]')",
         f"    c_{name}({', '.join(cargs)}, out)",
+        *(["    if raised:", "        raise raised[0]"] if "emit" in params else []),
         f"    return {', '.join(f'out[{i}]' for i in range(results))}",
     ]
     return "\n".join(lines)
@@ -383,8 +392,22 @@ def _bind(ffi, lib, path: str) -> SimpleNamespace:
         """Address and byte stride of a 1-D view that exports no buffer."""
         return ffi.cast("char *", A.__array_interface__["data"][0]), A.strides[0]
 
+    def hook(emit):
+        """``(C hook, raised)`` of a pass loop's ``emit``: ``NULL`` for
+        ``None``, else a callback that calls ``emit`` until it raises, then
+        keeps the exception in the list ``raised`` and ignores later calls."""
+        if emit is None:
+            return ffi.NULL, ()
+        raised = []
+
+        def call(step, passes):
+            if not raised:
+                emit(step, passes)
+
+        return ffi.callback("hook", call, onerror=lambda _, exc, tb: raised.append(exc)), raised
+
     scope = {"__name__": __name__, "from_buffer": ffi.from_buffer,
-             "new": ffi.new, "strided": strided}
+             "new": ffi.new, "strided": strided, "hook": hook}
     for name in SIGNATURES:
         scope["c_" + name] = getattr(lib, name)
         scope["py_" + name] = getattr(_kernels, name)

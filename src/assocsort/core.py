@@ -6,9 +6,9 @@ then makes one call of its *pass loop* (:func:`run_loop`), which runs
 every pass on the unsorted segment ``S[head:]`` until nothing is left.
 Each pass starts at the smallest key its predecessor deferred, so no
 pass rescans for a minimum.  A failed check is raised through the
-driver's ``_fail``.  An untraced sort runs the loop of its backend; a
-traced one runs the Python loop over the backend's kernels, which hands
-the trace a snapshot after each phase (see :func:`loops`).
+driver's ``_fail``.  Traced or not, a sort runs the loop of its backend;
+a traced one hands it a hook that gives the trace a snapshot after each
+phase (see :func:`hook`).
 
 The counting variant's sequential pass turns the front of the unsorted
 segment into *short-term memory* — a compact run of node words, each
@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .backend import active, active_loops, traced_loops
+from .backend import active, active_loops
 from .counters import OpCounters
 from .errors import CorruptStateError, InputError, WordRangeError
 from .kernels import (
@@ -53,6 +53,7 @@ from .kernels import (
     PHASE_STORE,
     PHASE_UNWIND,
     STATUS_BAD_SLOT,
+    STEPS,
 )
 from .words import WordConfig
 
@@ -60,6 +61,9 @@ from .words import WordConfig
 # time the stacked passes fill it.
 LEVELS = 32
 
+# A sort's ``trace``: called with the phase, the pass and a copy of the
+# array after each phase.  If it raises, the sort raises that exception and
+# the array's content is unspecified.
 TraceFn = Callable[[str, int, np.ndarray], None]
 
 
@@ -128,14 +132,13 @@ def start(
     return cfg, counters, check_words(S, cfg, P)
 
 
-def loops(S: np.ndarray, trace: Optional[TraceFn], passes: int = 0):
-    """The pass loops a sort of ``S`` runs: the active backend's, or for a
-    traced sort the Python loops over its kernels, whose every phase
-    calls ``trace(phase, passes + p, snapshot of S)`` for the loop's pass
-    ``p`` (see ``backend.traced_loops``)."""
+def hook(S: np.ndarray, trace: Optional[TraceFn], passes: int = 0):
+    """The ``emit`` argument of a pass loop sorting ``S``: ``None``
+    untraced, else a hook that calls ``trace(phase, passes + p, copy of
+    S)`` after each phase of the loop's pass ``p``."""
     if trace is None:
-        return active_loops()
-    return traced_loops(lambda phase, p: trace(phase, passes + p, S.copy()))
+        return None
+    return lambda step, p: trace(STEPS[step], passes + p, S.copy())
 
 
 def run_loop(
@@ -149,22 +152,23 @@ def run_loop(
     top: bool = False,
     trace: Optional[TraceFn] = None,
 ) -> OpCounters:
-    """Sort ``S`` (carrying ``P``) in place in one call of the pass loop
-    named ``loop`` of :func:`loops`.
+    """Sort ``S`` (carrying ``P``) in place in one call of the active
+    backend's pass loop named ``loop``.
 
     The loop takes the arrays, the segment ``0, len(S)``, the minimum the
-    front door scanned (and, if ``top``, the maximum) and ``args``, and
-    returns ``(passes, moves, node_creations, head, phase, status,
-    *numbers)``.  Its counters are added to ``counters``; a failed check
-    is raised by ``fail(phase, status, *numbers)``.
+    front door scanned (and, if ``top``, the maximum), ``args`` and the
+    :func:`hook` of ``trace``, and returns ``(passes, moves,
+    node_creations, head, phase, status, *numbers)``.  Its counters are
+    added to ``counters``; a failed check is raised by ``fail(phase,
+    status, *numbers)``.
     """
     cfg, counters, bounds = start(S, cfg, counters, P)
     if bounds is None:
         return counters
     arrays = (S,) if P is None else (S, P)
-    passes, moves, created, _, phase, status, *numbers = getattr(
-        loops(S, trace, counters.passes), loop
-    )(*arrays, 0, len(S), *bounds[: 1 + top], *args)
+    passes, moves, created, _, phase, status, *numbers = getattr(active_loops(), loop)(
+        *arrays, 0, len(S), *bounds[: 1 + top], *args, hook(S, trace, counters.passes)
+    )
     counters.passes += passes
     counters.moves += moves
     counters.node_creations += created
@@ -242,10 +246,10 @@ def sort_associative_recursive(
     n = len(S)
     L = np.empty(2 * LEVELS, dtype=np.int64)
     head, delta, depth = 0, bounds[0], 0
-    stacked_passes = loops(S, trace, counters.passes).stacked_passes
+    stacked_passes, emit = active_loops().stacked_passes, hook(S, trace, counters.passes)
     while True:
         passes, moves, created, head, delta, depth, phase, status, *numbers = (
-            stacked_passes(S, L, head, n, delta, bounds[1], depth, len(L) // 2, cfg.w)
+            stacked_passes(S, L, head, n, delta, bounds[1], depth, len(L) // 2, cfg.w, emit)
         )
         counters.passes += passes
         counters.moves += moves

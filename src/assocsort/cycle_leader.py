@@ -8,7 +8,7 @@ front (already in ascending order) and the pass repeats on the rest with
 the interval advanced to the smallest deferred key.
 
 A sort runs every pass in one call of the ``distinct_passes`` pass loop
-(through ``core.run_loop``, which runs the Python loop when traced) and
+(through ``core.run_loop``, which hands it a traced sort's hook) and
 raises a failed check through :func:`_fail`.  Only a word at its own
 slot can be settled (deferred keys fail the slot test everywhere),
 so compacting the fixpoints to the front, in order, never misclassifies.

@@ -34,7 +34,7 @@ b)``, ``(1, w - 1)`` for a count, ``(w - 1, 1)`` for a bitmap and ``F``
 fields of ``b`` bits for packed counters.
 
 A sort runs every pass in one call of the ``improved_passes`` pass loop
-(through ``core.run_loop``, which runs the Python loop when traced) and
+(through ``core.run_loop``, which hands it a traced sort's hook) and
 raises a failed check through :func:`_fail`.  The loop, which knows the
 keys' maximum from the front door, practices a *dense-last* pass
 (``kernels.dense_last``: one of count or packed nodes that defers

@@ -8,11 +8,11 @@ and counter values.
 
 The five *pass loops* (``improved_passes``, ``sequential_passes``,
 ``stacked_passes``, ``distinct_passes`` and ``rank_passes``) run every
-pass of a sort in one call.  After each phase's check they call
-:func:`emit`, a no-op here; a traced sort runs
-these loops over its backend's kernels with an ``emit`` of its own (see
-``backend.traced_loops``), while an untraced sort on ``c`` runs the C
-loops, which call nothing.
+pass of a sort in one call.  Each takes a last argument ``emit``:
+``None`` for an untraced sort, or a hook that the loop calls as
+``emit(step, pass)`` after each phase's check passed, ``step`` indexing
+:data:`STEPS`.  The C loops take the same hook, so a traced sort runs the
+same program as an untraced one on either backend.
 
 Conventions
 -----------
@@ -81,10 +81,13 @@ PHASE_REACTIVATE = 9
 PHASE_RESTORE = 10
 
 
-def emit(phase, passes):
-    """Called by every pass loop after each phase's check passed, with the
-    phase's name and the number of the pass (in :func:`stacked_passes`,
-    of the level, which is the pass that practiced it); does nothing."""
+# A pass loop calls its hook as ``emit(step, pass)`` after the phase
+# ``STEPS[step]`` of pass ``pass`` (in :func:`stacked_passes`, of the level,
+# which is the pass that practiced it); ``kernels.c`` numbers them alike.
+STEPS = ("practice", "store", "partition", "retrieve", "accumulate", "repractice",
+         "reactivate", "restore")
+(STEP_PRACTICE, STEP_STORE, STEP_PARTITION, STEP_RETRIEVE, STEP_ACCUMULATE,
+ STEP_REPRACTICE, STEP_REACTIVATE, STEP_RESTORE) = range(len(STEPS))
 
 
 def min_max(S, lo, hi):
@@ -159,7 +162,7 @@ def collect_fixpoints(S, lo, hi, delta):
     return wr - lo, moves
 
 
-def distinct_passes(S, head, hi, delta):
+def distinct_passes(S, head, hi, delta, emit=None):
     """Every pass of a cycle-leader sort of distinct keys ``S[head:hi]``,
     from interval start ``delta`` (the segment's minimum).
 
@@ -179,12 +182,14 @@ def distinct_passes(S, head, hi, delta):
         if status != STATUS_OK:
             return passes, moves, 0, head, PHASE_DUPLICATE, status, 0, 0, 0, 0
         moves += mv
-        emit("practice", passes)
+        if emit is not None:
+            emit(STEP_PRACTICE, passes)
         count, mv = collect_fixpoints(S, head, hi, delta)
         moves += mv
         if count != n_d:
             return passes, moves, 0, head, PHASE_PARTITION, 0, count, n_d, 0, 0
-        emit("partition", passes)
+        if emit is not None:
+            emit(STEP_PARTITION, passes)
         head += n_d
         if head != hi and (dnext < 0 or n_d == 0):
             return passes, moves, 0, head, PHASE_PREFIX, 0, head, hi, 0, 0
@@ -474,7 +479,7 @@ def practice_store(S, head, hi, delta, top, w):
             moves + mv, created)
 
 
-def sequential_passes(S, head, hi, delta, top, w):
+def sequential_passes(S, head, hi, delta, top, w, emit=None):
     """Every pass of a sequential counting sort of ``S[head:hi]`` at word
     width ``w``, from interval start ``delta`` (the segment's minimum),
     whose keys are at most ``top`` (the segment's maximum).
@@ -503,14 +508,16 @@ def sequential_passes(S, head, hi, delta, top, w):
         if status != STATUS_OK or stored != n_d + eps_used:
             return (passes, moves, created, head, PHASE_STORE, status,
                     stored, n_d, eps_used, eps)
-        emit("practice", passes)
+        if emit is not None:
+            emit(STEP_PRACTICE, passes)
         mem = head + n_d + eps_used
         n_low, mv = partition_values(S, mem, hi, pivot, tag)
         moves += mv
         if n_low != n_c - eps_used:
             return (passes, moves, created, head, PHASE_PARTITION, 0,
                     n_low, n_c - eps_used, 0, 0)
-        emit("partition", passes)
+        if emit is not None:
+            emit(STEP_PARTITION, passes)
         written, mv, status = retrieve_packed(
             S, head, mem, head + n_d + n_c, delta, eps, F, b, tag
         )
@@ -518,7 +525,8 @@ def sequential_passes(S, head, hi, delta, top, w):
         if status != STATUS_OK or written != n_d + n_c:
             return (passes, moves, created, head, PHASE_RETRIEVE, status,
                     written, n_d + n_c, 0, 0)
-        emit("retrieve", passes)
+        if emit is not None:
+            emit(STEP_RETRIEVE, passes)
         head += n_d + n_c
         if head != hi and (dnext < 0 or n_d + n_c == 0):
             return passes, moves, created, head, PHASE_PREFIX, 0, head, hi, 0, 0
@@ -526,7 +534,7 @@ def sequential_passes(S, head, hi, delta, top, w):
     return passes, moves, created, head, PHASE_OK, STATUS_OK, 0, 0, 0, 0
 
 
-def stacked_passes(S, L, head, hi, delta, top, depth, cap, w):
+def stacked_passes(S, L, head, hi, delta, top, depth, cap, w, emit=None):
     """Every pass of a recursive counting sort of ``S[head:hi]``, whose
     keys are at most ``top``, each leaving its memory in place, then the
     unwind of those memories.
@@ -539,7 +547,7 @@ def stacked_passes(S, L, head, hi, delta, top, depth, cap, w):
     before ``head`` reaches ``hi`` the loop returns, and the caller
     resumes it from the ``head``, ``delta`` and ``depth`` it reports on a
     larger buffer.  A pass and the retrieval of its level hand
-    :func:`emit` the level's number, counted from 1 at the bottom.
+    ``emit`` the level's number, counted from 1 at the bottom.
 
     Once ``head`` reaches ``hi`` the same call retrieves every level,
     newest first ("retrieve"), writing sorted keys right-to-left from
@@ -577,7 +585,8 @@ def stacked_passes(S, L, head, hi, delta, top, depth, cap, w):
         L[2 * depth] = head
         L[2 * depth + 1] = delta
         depth += 1
-        emit("practice", depth)
+        if emit is not None:
+            emit(STEP_PRACTICE, depth)
         end = head + n_d + eps_used
         if dnext >= 0 and end == head:
             return (passes, moves, created, head, delta, depth, PHASE_PREFIX, 0,
@@ -602,7 +611,8 @@ def stacked_passes(S, L, head, hi, delta, top, depth, cap, w):
             return (passes, moves, created, head, delta, depth, PHASE_UNWIND,
                     status, 0, 0, 0, 0)
         write_end -= written
-        emit("retrieve", level + 1)
+        if emit is not None:
+            emit(STEP_RETRIEVE, level + 1)
         end = h
     if depth and write_end != L[0]:
         return (passes, moves, created, head, delta, depth, PHASE_UNWIND, 0,
@@ -787,7 +797,7 @@ def practice_cursors(S, lo, hi, delta, span, F, b, tag):
     return n_d, n_c, n_def, dnext, n_d, n_d, -1
 
 
-def improved_passes(S, head, hi, delta, top, F, b, tag):
+def improved_passes(S, head, hi, delta, top, F, b, tag, emit=None):
     """Every pass of an improved sort of ``S[head:hi]``, from interval
     start ``delta`` (the segment's minimum), whose keys are at most
     ``top`` (the segment's maximum).
@@ -828,22 +838,26 @@ def improved_passes(S, head, hi, delta, top, F, b, tag):
         created += cr
         if dup >= 0:
             return passes, moves, created, head, PHASE_DUPLICATE, 0, dup, 0
-        emit("practice", passes)
+        if emit is not None:
+            emit(STEP_PRACTICE, passes)
         stored, mv, status = store_records(S, head, hi, n_d, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_STORE, status, stored, n_d
-        emit("store", passes)
+        if emit is not None:
+            emit(STEP_STORE, passes)
         n_low, mv = partition_values(S, head + n_d, hi, pivot, tag)
         moves += mv
         if n_low != n_c:
             return passes, moves, created, head, PHASE_PARTITION, 0, n_low, n_c
-        emit("partition", passes)
+        if emit is not None:
+            emit(STEP_PARTITION, passes)
         mv, status = retrieve_scan(S, head, hi, n_d, n_c, delta, fields, bits, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_RETRIEVE, status, fields, bits
-        emit("retrieve", passes)
+        if emit is not None:
+            emit(STEP_RETRIEVE, passes)
         head += n_d + n_c
         if head != hi and (dnext < 0 or n_d + n_c == 0):
             return passes, moves, created, head, PHASE_PREFIX, 0, head, hi
@@ -1065,7 +1079,7 @@ def restore_keys(K, lo, hi_sorted, delta, tag):
     return moves, STATUS_OK
 
 
-def rank_passes(K, P, head, hi, delta, tag):
+def rank_passes(K, P, head, hi, delta, tag, emit=None):
     """Every pass of a rank sort of ``K[head:hi]``, carrying ``P``, from
     interval start ``delta`` (the segment's minimum).
 
@@ -1088,27 +1102,32 @@ def rank_passes(K, P, head, hi, delta, tag):
         n_d, n_c, _, dnext, mv, cr = practice_rank(K, P, head, hi, delta, seg, tag)
         moves += mv
         created += cr
-        emit("practice", passes)
+        if emit is not None:
+            emit(STEP_PRACTICE, passes)
         n_nodes, total = accumulate_records(K, head, hi, tag)
         if n_nodes != n_d or total != n_d + n_c:
             return (passes, moves, created, head, PHASE_ACCUMULATE, 0,
                     n_nodes, total, n_d, n_d + n_c)
-        emit("accumulate", passes)
+        if emit is not None:
+            emit(STEP_ACCUMULATE, passes)
         n_tickets, status = repractice_idle(K, head, hi, delta, seg, tag)
         if status != STATUS_OK or n_tickets != n_c:
             return (passes, moves, created, head, PHASE_TICKET, status,
                     n_tickets, n_c, 0, 0)
-        emit("repractice", passes)
+        if emit is not None:
+            emit(STEP_REPRACTICE, passes)
         mv, status = reactivate(K, P, head, hi, n_d + n_c, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_REACTIVATE, status, 0, 0, 0, 0
-        emit("reactivate", passes)
+        if emit is not None:
+            emit(STEP_REACTIVATE, passes)
         mv, status = restore_keys(K, head, head + n_d + n_c, delta, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_RESTORE, status, 0, 0, 0, 0
-        emit("restore", passes)
+        if emit is not None:
+            emit(STEP_RESTORE, passes)
         head += n_d + n_c
         if head != hi and (dnext < 0 or n_d + n_c == 0):
             return passes, moves, created, head, PHASE_PREFIX, 0, head, hi, 0, 0

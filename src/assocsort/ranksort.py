@@ -19,7 +19,7 @@ array alone.  Each pass:
    ``delta + record`` at each node, repeated over its run.
 
 A sort runs every pass in one call of the ``rank_passes`` pass loop
-(through ``core.run_loop``, which runs the Python loop when traced) and
+(through ``core.run_loop``, which hands it a traced sort's hook) and
 raises a failed check through :func:`_fail`.
 """
 
@@ -76,13 +76,15 @@ def argsort_keys(
 
     Returns ``(sorted_keys, perm)`` with
     ``sorted_keys[i] == keys[perm[i]]``; ``keys`` itself is untouched.
-    Keys whose ``int64`` copy would not be exact are refused with
-    :class:`~assocsort.errors.InputError`: any dtype but a signed or
-    unsigned integer one (floats, which the copy would truncate, bools,
-    objects), and unsigned keys past the ``int64`` range, which it would
-    wrap.
+    Refused with :class:`~assocsort.errors.InputError`: anything but a
+    1-D array, and keys whose ``int64`` copy would not be exact, that is
+    any dtype but a signed or unsigned integer one (floats, which the copy
+    would truncate, bools, objects) and unsigned keys past the ``int64``
+    range, which it would wrap.
     """
     A = np.asarray(keys)
+    if A.ndim != 1:
+        raise InputError(f"keys must be a 1-D array, got {A.ndim}-D")
     if A.size and A.dtype.kind not in "iu":
         raise InputError(f"keys must be integers, got dtype {A.dtype}")
     K = A.astype(np.int64)

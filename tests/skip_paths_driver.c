@@ -13,6 +13,12 @@
  *
  *   <kernel> <sorts> <k> <k integer arguments> <n> <n words>
  *
+ * A pass loop is handed NULL for its hook, but in a case whose kernel name
+ * is the loop's with a leading '+': there it gets a hook that counts its
+ * calls, and its last integer argument, not passed to the loop, is the
+ * number of calls the Python loop makes on the case, which every run must
+ * make too.
+ *
  * Each case runs through views of byte stride 8, 16 and -8 (both
  * instances of each loop), which must give the same
  * results and words; where sorts is 1 and the loop reports no failure, it
@@ -67,6 +73,15 @@ static const char *const names[KINDS] = {
 };
 
 static long failures;
+/* The calls of count_calls since the last run began, and how many had a
+ * step outside the 8 of kernels.STEPS or a pass below 1. */
+static i64 hook_calls, bad_calls;
+
+static void count_calls(int64_t step, int64_t pass)
+{
+    hook_calls++;
+    bad_calls += step < 0 || step > 7 || pass < 1;
+}
 /* FNV-1a over the results and words of every case's first run. */
 static uint64_t digest = 14695981039346656037u;
 
@@ -151,10 +166,10 @@ static void read_back(view v, i64 n, i64 *words)
 
 /* Kernel kind with integer arguments a on words (and, for the loops
  * that take one, a zeroed level array of 2n words or a payload ramp)
- * through views of byte stride; out gets its results, words what it
- * left. */
+ * through views of byte stride, a loop handed the hook emit; out gets its
+ * results, words what it left. */
 static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
-                i64 *out)
+                hook emit, i64 *out)
 {
     i64 *P = alloc(n * 8), *L = alloc(2 * n * 8);
     for (i64 i = 0; i < n; i++)
@@ -193,20 +208,21 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
         break;
     case IMPROVED:
         improved_passes(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6],
-                        out);
+                        emit, out);
         break;
     case DISTINCT:
-        distinct_passes(s, stride, a[0], a[1], a[2], out);
+        distinct_passes(s, stride, a[0], a[1], a[2], emit, out);
         break;
     case SEQUENTIAL:
-        sequential_passes(s, stride, a[0], a[1], a[2], a[3], a[4], out);
+        sequential_passes(s, stride, a[0], a[1], a[2], a[3], a[4], emit, out);
         break;
     case STACKED:
         stacked_passes(s, stride, Lv.base, stride, a[0], a[1], a[2], a[3],
-                       a[4], a[5], a[6], out);
+                       a[4], a[5], a[6], emit, out);
         break;
     case RANK:
-        rank_passes(s, stride, Pv.base, stride, a[0], a[1], a[2], a[3], out);
+        rank_passes(s, stride, Pv.base, stride, a[0], a[1], a[2], a[3], emit,
+                    out);
         break;
     }
     read_back(S, n, words);
@@ -219,8 +235,10 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
 /* kind on words at every stride (and each side of the guard pages): the
  * same results and words, and a sorted segment where sorted is set and the
  * loop reports no failure (for stacked_passes: also reaches the end of the
- * segment, so that it unwinds). */
-static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
+ * segment, so that it unwinds).  With calls at 0 or more, a loop handed
+ * count_calls, which each run must call that many times. */
+static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted,
+                  i64 calls)
 {
     static const i64 strides[] = {8, 16, -8};
     i64 first[NOUT], *w0 = alloc(n * 8), *w = alloc(n * 8);
@@ -230,7 +248,14 @@ static void check(int kind, const i64 *words, i64 n, const i64 *a, int sorted)
         guard_before = r / 3;
 #endif
         memcpy(w, words, n * 8);
-        run(kind, w, n, a, stride, out);
+        hook_calls = bad_calls = 0;
+        run(kind, w, n, a, stride, calls < 0 ? NULL : count_calls, out);
+        if (calls >= 0 && (hook_calls != calls || bad_calls)) {
+            fprintf(stderr, "%s, n %lld: run %d hooked %lld calls of %lld\n",
+                    names[kind], (long long)n, r, (long long)hook_calls,
+                    (long long)calls);
+            failures++;
+        }
         if (r == 0) {
             memcpy(first, out, sizeof first);
             memcpy(w0, w, n * 8);
@@ -274,7 +299,8 @@ int main(void)
     i64 k, n, a[MAXA], *w = alloc(MAXN * 8);
     long cases = 0;
     while (scanf("%31s %d %" SCNd64, name, &sorts, &k) == 3) {
-        int kind = kind_of(name), ok = kind < KINDS && k >= 0 && k <= MAXA;
+        int hooked = name[0] == '+', kind = kind_of(name + hooked);
+        int ok = kind < KINDS && k >= hooked && k <= MAXA;
         for (i64 i = 0; ok && i < k; i++)
             ok = scanf("%" SCNd64, &a[i]) == 1;
         ok = ok && scanf("%" SCNd64, &n) == 1 && n >= 1 && n <= MAXN;
@@ -284,7 +310,7 @@ int main(void)
             fprintf(stderr, "case %ld (%s): bad input\n", cases + 1, name);
             return 2;
         }
-        check(kind, w, n, a, sorts);
+        check(kind, w, n, a, sorts, hooked ? a[k - 1] : -1);
         cases++;
     }
     free(w);

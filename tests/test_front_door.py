@@ -11,9 +11,10 @@ the ``2**(w-1)`` node slots of the word model, with
 import numpy as np
 import pytest
 
+import assocsort
 from assocsort.adapter import ALGORITHMS, sort_full_universe
-from assocsort.errors import InputError, WordRangeError
-from assocsort.ranksort import sort_by_key
+from assocsort.errors import AssocSortError, InputError, WordRangeError
+from assocsort.ranksort import argsort_keys, sort_by_key
 from assocsort.words import WordConfig
 
 from .conftest import arr
@@ -94,3 +95,20 @@ def test_payload_aliasing_keys_refused(alias):
     assert "shares memory" in str(exc.value)
     assert K.tolist() == KEYS
 
+
+
+# Inputs with no length: every entry point refuses them with a typed error.
+UNSIZED = {"0-d": lambda: np.array(5, dtype=np.int64), "int": lambda: 5, "None": lambda: None}
+ENTRIES = {
+    **{f"sort/{name}": lambda x, name=name: assocsort.sort(x, name) for name in ALGORITHMS},
+    "sort_by_key": lambda x: sort_by_key(x, np.zeros(1, np.int64)),
+    "argsort_keys": argsort_keys,
+    "sort_full_universe": sort_full_universe,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNSIZED))
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_unsized_input_refused(entry, kind):
+    with pytest.raises(AssocSortError):
+        ENTRIES[entry](UNSIZED[kind]())

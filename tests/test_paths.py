@@ -4,13 +4,13 @@ Every sort runs all its passes in one pass-loop call (``improved_passes``,
 ``sequential_passes``, ``stacked_passes``, ``distinct_passes`` or
 ``rank_passes``; ``stacked_passes`` also unwinds the memories its passes
 stacked, and is called again only to resume on a larger level buffer):
-an untraced one the backend's loop, a traced one the Python loop over
-the backend's kernels, which hands the trace a snapshot after each phase.
-Both must leave the same keys and payload, the same four ``OpCounters``
-fields, and, when they fail, the same exception with the same message.
+the backend's loop, which a traced sort hands a hook that gives the trace
+a snapshot after each phase.  Traced and untraced sorts must leave the
+same keys and payload, the same four ``OpCounters`` fields, and, when
+they fail, the same exception with the same message.
 
 Every pass loop is also fed corrupted segments directly: every backend,
-and the traced loops on each, must stop at the same failed check with the
+with a hook and without, must stop at the same failed check with the
 same numbers and words, and each driver's ``_fail`` turns that check
 into the pinned message.
 """
@@ -24,7 +24,7 @@ import pytest
 
 from assocsort import core, cycle_leader, improved, kernels, ranksort
 from assocsort.adapter import ALGORITHMS
-from assocsort.backend import BACKENDS, active_loops, available, traced_loops, use_backend
+from assocsort.backend import BACKENDS, active, active_loops, available, use_backend
 from assocsort.counters import OpCounters
 from assocsort.errors import CorruptStateError, DuplicateKeyError
 from assocsort.improved import _fail
@@ -99,6 +99,58 @@ def test_traced_and_untraced_agree(backend, sorter):
     assert (deepest > core.LEVELS) == (sorter == "assoc_rec")
 
 
+class _Stop(Exception):
+    """What the trace of :func:`test_a_trace_that_raises_stops_the_sort`
+    raises."""
+
+
+@pytest.mark.parametrize("sorter", SORTERS)
+@pytest.mark.parametrize("at", [1, 3])
+def test_a_trace_that_raises_stops_the_sort(backend, sorter, at):
+    """A trace that raises at its ``at``-th call makes the sort raise that
+    exception, and no later phase reaches the trace."""
+    seen = []
+
+    def trace(phase, passes, snapshot):
+        seen.append((phase, passes))
+        if len(seen) == at:
+            raise _Stop(phase, passes)
+
+    keys = np.arange(40, dtype=np.int64) * 37 % 101  # distinct, over ~2.5n
+    with pytest.raises(_Stop) as exc:
+        _traced_sort(sorter, keys, trace)
+    assert len(seen) == at and exc.value.args == seen[-1]
+
+
+def _traced_sort(sorter, keys, trace):
+    """A traced sort of ``keys`` at w = 8 that lets what it raises out."""
+    S, cfg = keys.copy(), WordConfig(8)
+    if sorter == "sort_by_key":
+        return sort_by_key(S, np.arange(len(S), dtype=np.int64), cfg=cfg, trace=trace)
+    return ALGORITHMS[sorter](S, cfg=cfg, trace=trace)
+
+
+@pytest.mark.skipif(not available("c"), reason="c backend unavailable")
+@pytest.mark.parametrize("sorter", SORTERS)
+def test_traced_sorts_run_the_compiled_loop(sorter):
+    """On ``c``, a traced sort calls no kernel of ``backend.active()`` but
+    the front door's ``min_max``: its phases run in the C pass loop."""
+    calls = []
+    with use_backend("c"):
+        ns = active()
+        originals = dict(vars(ns))
+        try:
+            for name, fn in originals.items():
+                setattr(ns, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
+            phases = []
+            _traced_sort(sorter, np.arange(40, dtype=np.int64) * 37 % 101,
+                             lambda phase, passes, snapshot: phases.append(phase))
+        finally:
+            for name, fn in originals.items():
+                setattr(ns, name, fn)
+    assert phases and set(calls) == {"min_max"}
+
+
 def _dense_keys(ratio):
     """Keys of a segment larger than ``kernels.DENSE_FLOOR``, over
     ``ratio`` times its length, or a permutation."""
@@ -127,10 +179,9 @@ def _dense_trace(name, ratio, w):
 @pytest.mark.parametrize("ratio", [1 / 8, 1 / 2, 1, "permutation"])
 def test_traced_and_untraced_agree_above_the_dense_floor(backend, ratio):
     """Sorts of segments larger than ``kernels.DENSE_FLOOR``, whose pass is
-    dense-last: the untraced loop and the traced Python loop both practice
-    it with interleaved cursors (the traced one with the backend's
-    ``practice_cursors`` kernel).  Keys and counters agree, and the traced
-    snapshots are the same on every backend."""
+    dense-last, so that the loop practices it with interleaved cursors:
+    keys and counters agree traced and untraced, and the traced snapshots
+    are the same on every backend."""
     keys = _dense_keys(ratio)
     quiet = lambda phase, passes, snapshot: None
     for w in (32, 63):
@@ -167,8 +218,8 @@ def _loop(loops, loop):
     runs no pass and retrieves the ``depth`` levels of ``L``, each in the
     node form its segment, key and ``top`` give it."""
     if loop == "unwind_levels":
-        return lambda S, L, hi, top, depth, w: loops.stacked_passes(
-            S, L, hi, hi, 0, top, depth, depth, w)
+        return lambda S, L, hi, top, depth, w, emit=None: loops.stacked_passes(
+            S, L, hi, hi, 0, top, depth, depth, w, emit)
     return getattr(loops, loop)
 
 
@@ -453,15 +504,15 @@ TRACED_CASES = [
 
 @pytest.mark.parametrize("loop, arrays, args, phase, status", TRACED_CASES)
 def test_traced_loops_stop_where_the_loops_stop(backend, loop, arrays, args, phase, status):
-    """The Python loops a traced sort runs, over the kernels of each
-    backend, return the tuple and leave the words of the backend's loops,
-    and hand the hook no phase from the failed check on."""
+    """Each backend's loop, handed a recording hook, returns the tuple and
+    leaves the words it does without one, and hands the hook no phase from
+    the failed check on."""
     untraced = [np.array(a, dtype=np.int64) for a in arrays]
     expect = tuple(int(x) for x in _loop(active_loops(), loop)(*untraced, *args))
     traced = [np.array(a, dtype=np.int64) for a in arrays]
     calls = []
-    hooked = traced_loops(lambda name, p: calls.append((name, int(p))))
-    got = tuple(int(x) for x in _loop(hooked, loop)(*traced, *args))
+    hook = lambda step, p: calls.append((kernels.STEPS[step], int(p)))
+    got = tuple(int(x) for x in _loop(active_loops(), loop)(*traced, *args, hook))
     assert got == expect
     assert [w.tolist() for w in traced] == [w.tolist() for w in untraced]
     at = PHASE_AT.get(loop, 4)

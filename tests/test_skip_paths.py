@@ -996,11 +996,17 @@ def _driver_input():
     :func:`_pass_cases` (counting width 8); a line each, as
     ``skip_paths_driver.c`` reads them: kernel, whether the loop must
     sort, the integer arguments and the words, each list after its
-    length."""
+    length.  Then, for each pass loop, its first sorting case on which the
+    Python loop calls its hook 8 times or more once again, named
+    ``+<loop>``, which the driver runs with a hook that counts its calls,
+    with that count appended to its arguments."""
     lines = []
+    sorting = []  # (loop, words, arguments) of each line on which a loop must sort
 
     def line(name, sorts, seg, args):
         lines.append(" ".join(map(str, [name, int(sorts), len(args), *args, len(seg), *seg])))
+        if sorts and name in _LOOP_NAMES:
+            sorting.append((name, seg, args))
 
     cases = [*_practice_cases(), *_bitmap_practice_cases(), *_implicit_practice_cases(),
              *_fixpoint_cases(), *_store_cases(), *_store_nodes_cases(),
@@ -1020,7 +1026,22 @@ def _driver_input():
             line("sequential_passes", sorts, seg, (0, n, delta, top, 8))
             line("stacked_passes", False, seg, (0, n, delta, top, 0, n, 8))
             line("rank_passes", sorts, seg, (0, n, delta, tag))
+    for name in _LOOP_NAMES:
+        seg, args = next((seg, args) for loop, seg, args in sorting
+                         if loop == name and _emitted(name, seg, args) >= 8)
+        line("+" + name, True, seg, (*args, _emitted(name, seg, args)))
     return lines
+
+
+def _emitted(name, seg, args):
+    """The calls the Python pass loop ``name`` makes of its hook on ``seg``,
+    as ``skip_paths_driver.c`` runs it."""
+    calls = []
+    S = np.array(seg, dtype=np.int64)
+    aux = {"stacked_passes": [np.zeros(2 * len(S), np.int64)],
+           "rank_passes": [np.arange(len(S), dtype=np.int64)]}.get(name, [])
+    getattr(kernels, name)(S, *aux, *args, lambda step, p: calls.append(step))
+    return len(calls)
 
 
 SANITIZE = ["-O2", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover"]
