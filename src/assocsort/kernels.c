@@ -9,9 +9,12 @@
  * serve every node form (F, b) of kernels.practice alike: count nodes
  * (F == 1), bitmaps of F keys (b == 1) and F packed counters of b bits,
  * and retrieve_packed_k the count and packed memories of the counting
- * sorters.  improved_passes packs the count nodes of every pass where two
- * fields fit, sequential_passes and stacked_passes those of a pass whose
- * keys a count pass would defer, by the one rule of pass_interval.  Five
+ * sorters.  practice_k is also the rank pass's practice, carrying the
+ * payloads where it is handed them (kernels.practice's P), so there is
+ * one counting practice for keys and for (key, payload) pairs.
+ * improved_passes packs the count nodes of every pass where two fields
+ * fit, sequential_passes and stacked_passes those of a pass whose keys a
+ * count pass would defer, by the one rule of pass_interval.  Five
  * things exist only here, and change no result:
  * * Skip paths.  Where a scan of a value-sort pass loop would only step
  *   past word after word (keys practice defers or, in stacked_passes,
@@ -560,9 +563,17 @@ UNTRACED void distinct_untraced(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
  * (b == 1) or packed counters, taking a skip path over deferred keys, or,
  * where outside is set, over untagged keys on either side of the interval.
  * Every count-form call passes F as a literal 1, so that its loop has no
- * field code.  A field shift is below F * b. */
-INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
-                       i64 span, i64 F, i64 b, i64 tag, int outside, i64 *out)
+ * field code.  A field shift is below F * b.  P is NULL, or the payloads
+ * of a rank pass (kernels.practice's P): where a node is made, its slot's
+ * payload swaps with the scan position's, 3 moves in all.  A value call
+ * passes a literal NULL, so that its instance has no payload code.  A
+ * payload-carrying call takes no deferred-key skip path: with it, rank
+ * sorts of keys over 3n-10n took 1.02-1.11 times as long, though over
+ * 30n-100n 0.87-0.94 (scripts/paired_grid.py, two runs of 61 and 101
+ * rounds). */
+INLINE void practice_k(char *S, i64 S_s, char *P, i64 P_s, i64 lo, i64 hi,
+                       i64 delta, i64 base, i64 span, i64 F, i64 b, i64 tag,
+                       int outside, i64 *out)
 {
     i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
     i64 dup = -1, far = deferred_from(delta, span);
@@ -589,7 +600,7 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
             if (outside)
                 i = skip_outside(S, S_s, i, hi, delta, far, tag, &n_def,
                                  &dnext);
-            else
+            else if (!P)
                 i = skip_deferred(S, S_s, i, hi, far, tag, &n_def, &dnext);
             continue;
         }
@@ -607,6 +618,12 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
             AT(S, i) = t;
             AT(S, j) = tag | (F != 1 ? one : 0);
             moves++;
+            if (P) {
+                i64 p = AT(P, i);
+                AT(P, i) = AT(P, j);
+                AT(P, j) = p;
+                moves += 2;
+            }
             created++;
             n_d++;
             if (j < i)
@@ -625,7 +642,8 @@ INLINE void practice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
 void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
               i64 F, i64 b, i64 tag, i64 *out)
 {
-    practice_k(S, S_s, lo, hi, delta, base, span, F, b, tag, 0, out);
+    practice_k(S, S_s, NULL, 0, lo, hi, delta, base, span, F, b, tag, 0,
+               out);
 }
 
 /* store_nodes, taking the untagged-word skip path. */
@@ -909,10 +927,11 @@ INLINE void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     pass_budget(seg, w, &eps, &split);
     pass_interval(seg - eps, delta, top, 1, split, tag, iv);
     if (iv[0] == 1)
-        practice_k(S, S_s, head, hi, delta, eps, iv[2], 1, 1, tag, outside, p);
-    else
-        practice_k(S, S_s, head, hi, delta, eps, iv[2], iv[0], iv[1], tag,
+        practice_k(S, S_s, NULL, 0, head, hi, delta, eps, iv[2], 1, 1, tag,
                    outside, p);
+    else
+        practice_k(S, S_s, NULL, 0, head, hi, delta, eps, iv[2], iv[0], iv[1],
+                   tag, outside, p);
     store_nodes_k(S, S_s, head, hi, delta, iv[2], iv[0] * iv[1], tag, eps, st);
     i64 v[12] = {p[0], p[1], p[3], eps, st[0], iv[0], iv[1], iv[3], st[1],
                  st[3], p[4] + st[2], p[5]};
@@ -1529,13 +1548,15 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         } else if (dense) {
             packed_cursors(S, S_s, head, hi, delta, span, fields, bits, tag, r);
         } else if (fields == 1) {
-            practice_k(S, S_s, head, hi, delta, 0, span, 1, 1, tag, 0, r);
+            practice_k(S, S_s, NULL, 0, head, hi, delta, 0, span, 1, 1, tag, 0,
+                       r);
         } else if (bits == 1) {
             /* One instance per node form, as for retrieval below. */
-            practice_k(S, S_s, head, hi, delta, 0, span, fields, 1, tag, 0, r);
+            practice_k(S, S_s, NULL, 0, head, hi, delta, 0, span, fields, 1,
+                       tag, 0, r);
         } else {
-            practice_k(S, S_s, head, hi, delta, 0, span, fields, bits, tag, 0,
-                       r);
+            practice_k(S, S_s, NULL, 0, head, hi, delta, 0, span, fields, bits,
+                       tag, 0, r);
         }
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
         /* Masked storage and retrieval of count nodes pay in a dense-last
@@ -1648,62 +1669,18 @@ UNTRACED void improved_untraced(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     BY_STRIDE(improved_loop, head, hi, delta, top, F, b, tag, NULL, out);
 }
 
-/* The kernels of the rank pass, each an inline <name>_k that rank_loop
- * calls and an exported <name> that calls it. */
-INLINE void practice_rank_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo,
-                            i64 hi, i64 delta, i64 span, i64 tag, i64 *out)
-{
-    i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
-    i64 i = lo;
-    while (i < hi) {
-        i64 v = AT(K, i);
-        if (v & tag) {
-            i++;
-            continue;
-        }
-        i64 d = v - delta;
-        if (d < 0) {
-            i++;
-            continue;
-        }
-        if (d >= span) {
-            n_def++;
-            if (dnext < 0 || v < dnext)
-                dnext = v;
-            i++;
-            continue;
-        }
-        i64 j = lo + d;
-        i64 t = AT(K, j);
-        if (t & tag) {
-            AT(K, j) = t + 1;
-            n_c++;
-            i++;
-        } else {
-            AT(K, i) = t;
-            AT(K, j) = tag;
-            i64 pp = AT(P, i);
-            AT(P, i) = AT(P, j);
-            AT(P, j) = pp;
-            moves += 3;
-            created++;
-            n_d++;
-            if (j < i)
-                i++;
-        }
-    }
-    out[0] = n_d;
-    out[1] = n_c;
-    out[2] = n_def;
-    out[3] = dnext;
-    out[4] = moves;
-    out[5] = created;
-}
-
+/* The kernels of the rank pass.  Its practice is practice_k carrying the
+ * payloads; practice_rank is that call with the first six of practice_k's
+ * seven results, copied through a local, since its callers hand six words.
+ * The other four are each an inline <name>_k that rank_loop calls and an
+ * exported <name> that calls it. */
 void practice_rank(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
                    i64 delta, i64 span, i64 tag, i64 *out)
 {
-    practice_rank_k(K, K_s, P, P_s, lo, hi, delta, span, tag, out);
+    i64 r[7];
+    practice_k(K, K_s, P, P_s, lo, hi, delta, 0, span, 1, 1, tag, 0, r);
+    for (int k = 0; k < 6; k++)
+        out[k] = r[k];
 }
 
 INLINE void accumulate_records_k(char *K, i64 K_s, i64 lo, i64 hi, i64 tag,
@@ -1905,11 +1882,17 @@ INLINE void rank_loop(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
 {
     i64 passes = 0, moves = 0, created = 0;
     i64 phase = PHASE_OK, status = STATUS_OK, a = 0, b = 0, c = 0, d = 0;
-    i64 r[6];
+    i64 r[7];
     while (head < hi) {
         passes++;
         i64 seg = hi - head;
-        practice_rank_k(K, K_s, P, P_s, head, hi, delta, seg, tag, r);
+        /* P is never NULL here.  Told so, the compiler drops practice_k's
+         * tests of it: with the tests left in, rank sorts of keys over
+         * 3n-100n took 1.01-1.03 times as long (scripts/paired_grid.py,
+         * two runs of 61 and 101 rounds). */
+        if (!P)
+            __builtin_unreachable();
+        practice_k(K, K_s, P, P_s, head, hi, delta, 0, seg, 1, 1, tag, 0, r);
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
         moves += r[4];
         created += r[5];

@@ -90,6 +90,10 @@ STEPS = ("practice", "store", "partition", "retrieve", "accumulate", "repractice
  STEP_REPRACTICE, STEP_REACTIVATE, STEP_RESTORE) = range(len(STEPS))
 
 
+def _untraced(step, passes):
+    """The hook a pass loop calls in place of ``emit=None``: nothing."""
+
+
 def min_max(S, lo, hi):
     """Smallest and largest word in ``S[lo:hi]`` (caller ensures non-empty)."""
     mn = S[lo]
@@ -174,6 +178,8 @@ def distinct_passes(S, head, hi, delta, emit=None):
     ``PHASE_PARTITION`` when ``a`` keys settled where practice reported
     ``b``; ``PHASE_PREFIX`` as in :func:`improved_passes`.
     """
+    if emit is None:
+        emit = _untraced
     passes = 0
     moves = 0
     while head < hi:
@@ -182,14 +188,12 @@ def distinct_passes(S, head, hi, delta, emit=None):
         if status != STATUS_OK:
             return passes, moves, 0, head, PHASE_DUPLICATE, status, 0, 0, 0, 0
         moves += mv
-        if emit is not None:
-            emit(STEP_PRACTICE, passes)
+        emit(STEP_PRACTICE, passes)
         count, mv = collect_fixpoints(S, head, hi, delta)
         moves += mv
         if count != n_d:
             return passes, moves, 0, head, PHASE_PARTITION, 0, count, n_d, 0, 0
-        if emit is not None:
-            emit(STEP_PARTITION, passes)
+        emit(STEP_PARTITION, passes)
         head += n_d
         if head != hi and (dnext < 0 or n_d == 0):
             return passes, moves, 0, head, PHASE_PREFIX, 0, head, hi, 0, 0
@@ -197,7 +201,7 @@ def distinct_passes(S, head, hi, delta, emit=None):
     return passes, moves, 0, head, PHASE_OK, STATUS_OK, 0, 0, 0, 0
 
 
-def practice(S, lo, hi, delta, base, span, F, b, tag):
+def practice(S, lo, hi, delta, base, span, F, b, tag, *, P=None):
     """One practice pass over ``S[lo:hi]``.
 
     Keys in [delta, delta + span) hash to nodes of the form ``(F, b)``
@@ -210,6 +214,15 @@ def practice(S, lo, hi, delta, base, span, F, b, tag):
     displacing the slot's word to the scan position.  Words at or above
     the interval are deferred; words below ``delta`` are idle leftovers of
     an enclosing pass and are skipped.
+
+    ``P``, ``None`` or the payloads of a rank pass (an array parallel to
+    ``S``), makes elements move as (key, payload) pairs: where a key makes
+    its node, the payloads of its position and of the node's slot swap, so
+    the payload of a key consumed into a node waits at the node's slot,
+    and the step counts 3 moves.  Every other result is that of the same
+    call without ``P``.  ``P`` is keyword-only, so the ``c`` backend's
+    ``practice`` takes no payload; its payload form is
+    :func:`practice_rank`.
 
     Returns ``(n_distinct, n_companion, n_deferred, delta_next, moves,
     created, dup)``: ``n_companion`` counts keys folded into an existing
@@ -252,6 +265,11 @@ def practice(S, lo, hi, delta, base, span, F, b, tag):
             S[i] = t
             S[j] = tag | one if F != 1 else tag
             moves += 1
+            if P is not None:
+                pp = P[i]
+                P[i] = P[j]
+                P[j] = pp
+                moves += 2
             created += 1
             n_d += 1
             # The displaced word is re-examined unless it came from the
@@ -494,6 +512,8 @@ def sequential_passes(S, head, hi, delta, top, w, emit=None):
     ``PHASE_RETRIEVE`` when retrieval wrote ``a`` of ``b`` keys;
     ``PHASE_PREFIX`` as in :func:`improved_passes`.
     """
+    if emit is None:
+        emit = _untraced
     tag = 1 << (w - 1)
     passes = 0
     moves = 0
@@ -508,16 +528,14 @@ def sequential_passes(S, head, hi, delta, top, w, emit=None):
         if status != STATUS_OK or stored != n_d + eps_used:
             return (passes, moves, created, head, PHASE_STORE, status,
                     stored, n_d, eps_used, eps)
-        if emit is not None:
-            emit(STEP_PRACTICE, passes)
+        emit(STEP_PRACTICE, passes)
         mem = head + n_d + eps_used
         n_low, mv = partition_values(S, mem, hi, pivot, tag)
         moves += mv
         if n_low != n_c - eps_used:
             return (passes, moves, created, head, PHASE_PARTITION, 0,
                     n_low, n_c - eps_used, 0, 0)
-        if emit is not None:
-            emit(STEP_PARTITION, passes)
+        emit(STEP_PARTITION, passes)
         written, mv, status = retrieve_packed(
             S, head, mem, head + n_d + n_c, delta, eps, F, b, tag
         )
@@ -525,8 +543,7 @@ def sequential_passes(S, head, hi, delta, top, w, emit=None):
         if status != STATUS_OK or written != n_d + n_c:
             return (passes, moves, created, head, PHASE_RETRIEVE, status,
                     written, n_d + n_c, 0, 0)
-        if emit is not None:
-            emit(STEP_RETRIEVE, passes)
+        emit(STEP_RETRIEVE, passes)
         head += n_d + n_c
         if head != hi and (dnext < 0 or n_d + n_c == 0):
             return passes, moves, created, head, PHASE_PREFIX, 0, head, hi, 0, 0
@@ -567,6 +584,8 @@ def stacked_passes(S, L, head, hi, delta, top, depth, cap, w, emit=None):
     ``PHASE_UNWIND`` with a level's ``status``, or with status 0 when
     ``a`` words below the oldest level were left unwritten.
     """
+    if emit is None:
+        emit = _untraced
     tag = 1 << (w - 1)
     passes = 0
     moves = 0
@@ -585,8 +604,7 @@ def stacked_passes(S, L, head, hi, delta, top, depth, cap, w, emit=None):
         L[2 * depth] = head
         L[2 * depth + 1] = delta
         depth += 1
-        if emit is not None:
-            emit(STEP_PRACTICE, depth)
+        emit(STEP_PRACTICE, depth)
         end = head + n_d + eps_used
         if dnext >= 0 and end == head:
             return (passes, moves, created, head, delta, depth, PHASE_PREFIX, 0,
@@ -611,8 +629,7 @@ def stacked_passes(S, L, head, hi, delta, top, depth, cap, w, emit=None):
             return (passes, moves, created, head, delta, depth, PHASE_UNWIND,
                     status, 0, 0, 0, 0)
         write_end -= written
-        if emit is not None:
-            emit(STEP_RETRIEVE, level + 1)
+        emit(STEP_RETRIEVE, level + 1)
         end = h
     if depth and write_end != L[0]:
         return (passes, moves, created, head, delta, depth, PHASE_UNWIND, 0,
@@ -820,6 +837,8 @@ def improved_passes(S, head, hi, delta, top, F, b, tag, emit=None):
     (the prefix stopped at ``a`` of ``b``), as every pass loop does, so
     the loop ends within ``hi - head`` passes whatever the arguments.
     """
+    if emit is None:
+        emit = _untraced
     passes = 0
     moves = 0
     created = 0
@@ -838,26 +857,22 @@ def improved_passes(S, head, hi, delta, top, F, b, tag, emit=None):
         created += cr
         if dup >= 0:
             return passes, moves, created, head, PHASE_DUPLICATE, 0, dup, 0
-        if emit is not None:
-            emit(STEP_PRACTICE, passes)
+        emit(STEP_PRACTICE, passes)
         stored, mv, status = store_records(S, head, hi, n_d, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_STORE, status, stored, n_d
-        if emit is not None:
-            emit(STEP_STORE, passes)
+        emit(STEP_STORE, passes)
         n_low, mv = partition_values(S, head + n_d, hi, pivot, tag)
         moves += mv
         if n_low != n_c:
             return passes, moves, created, head, PHASE_PARTITION, 0, n_low, n_c
-        if emit is not None:
-            emit(STEP_PARTITION, passes)
+        emit(STEP_PARTITION, passes)
         mv, status = retrieve_scan(S, head, hi, n_d, n_c, delta, fields, bits, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_RETRIEVE, status, fields, bits
-        if emit is not None:
-            emit(STEP_RETRIEVE, passes)
+        emit(STEP_RETRIEVE, passes)
         head += n_d + n_c
         if head != hi and (dnext < 0 or n_d + n_c == 0):
             return passes, moves, created, head, PHASE_PREFIX, 0, head, hi
@@ -866,53 +881,9 @@ def improved_passes(S, head, hi, delta, top, F, b, tag, emit=None):
 
 
 def practice_rank(K, P, lo, hi, delta, span, tag):
-    """Counting practice over parallel key/payload arrays.
-
-    Same protocol as :func:`practice` with ``base = 0`` and ``F = 1``,
-    except elements move as (key, payload) pairs: the payload of a key
-    consumed into a node stays at the node's slot.  Returns the first six
-    results of :func:`practice`.
-    """
-    n_d = 0
-    n_c = 0
-    n_def = 0
-    dnext = -1
-    moves = 0
-    created = 0
-    i = lo
-    while i < hi:
-        v = K[i]
-        if v & tag:
-            i += 1
-            continue
-        d = v - delta
-        if d < 0:
-            i += 1
-            continue
-        if d >= span:
-            n_def += 1
-            if dnext < 0 or v < dnext:
-                dnext = v
-            i += 1
-            continue
-        j = lo + d
-        t = K[j]
-        if t & tag:
-            K[j] = t + 1
-            n_c += 1
-            i += 1
-        else:
-            K[i] = t
-            K[j] = tag
-            pp = P[i]
-            P[i] = P[j]
-            P[j] = pp
-            moves += 3
-            created += 1
-            n_d += 1
-            if j < i:
-                i += 1
-    return n_d, n_c, n_def, dnext, moves, created
+    """:func:`practice` of count nodes from ``lo`` (``base = 0``, ``F = b
+    = 1``), carrying the payloads ``P``: its first six results."""
+    return practice(K, lo, hi, delta, 0, span, 1, 1, tag, P=P)[:6]
 
 
 def accumulate_records(K, lo, hi, tag):
@@ -1083,51 +1054,50 @@ def rank_passes(K, P, head, hi, delta, tag, emit=None):
     """Every pass of a rank sort of ``K[head:hi]``, carrying ``P``, from
     interval start ``delta`` (the segment's minimum).
 
-    A pass is :func:`practice_rank` ("practice"), :func:`accumulate_records`
-    ("accumulate"), :func:`repractice_idle` ("repractice"),
-    :func:`reactivate` ("reactivate") and :func:`restore_keys`
-    ("restore"); a change to it is made to the C loop too.  Returns ``(passes, moves, node_creations, head, phase, status,
-    a, b, c, d)``: ``PHASE_ACCUMULATE`` when accumulation saw ``a`` nodes
-    and ``b`` elements where practice reported ``c`` and ``d``;
-    ``PHASE_TICKET`` when ticketing made ``a`` of ``b`` tickets;
+    A pass is :func:`practice` of count nodes from ``head`` carrying ``P``
+    ("practice"), :func:`accumulate_records` ("accumulate"),
+    :func:`repractice_idle` ("repractice"), :func:`reactivate`
+    ("reactivate") and :func:`restore_keys` ("restore"); a change to it is
+    made to the C loop too.  Returns ``(passes, moves, node_creations,
+    head, phase, status, a, b, c, d)``: ``PHASE_ACCUMULATE`` when
+    accumulation saw ``a`` nodes and ``b`` elements where practice
+    reported ``c`` and ``d``; ``PHASE_TICKET`` when ticketing made ``a``
+    of ``b`` tickets;
     ``PHASE_REACTIVATE`` and ``PHASE_RESTORE`` with their ``status``;
     ``PHASE_PREFIX`` as in :func:`improved_passes`.
     """
+    if emit is None:
+        emit = _untraced
     passes = 0
     moves = 0
     created = 0
     while head < hi:
         passes += 1
         seg = hi - head
-        n_d, n_c, _, dnext, mv, cr = practice_rank(K, P, head, hi, delta, seg, tag)
+        n_d, n_c, _, dnext, mv, cr, _ = practice(K, head, hi, delta, 0, seg, 1, 1, tag, P=P)
         moves += mv
         created += cr
-        if emit is not None:
-            emit(STEP_PRACTICE, passes)
+        emit(STEP_PRACTICE, passes)
         n_nodes, total = accumulate_records(K, head, hi, tag)
         if n_nodes != n_d or total != n_d + n_c:
             return (passes, moves, created, head, PHASE_ACCUMULATE, 0,
                     n_nodes, total, n_d, n_d + n_c)
-        if emit is not None:
-            emit(STEP_ACCUMULATE, passes)
+        emit(STEP_ACCUMULATE, passes)
         n_tickets, status = repractice_idle(K, head, hi, delta, seg, tag)
         if status != STATUS_OK or n_tickets != n_c:
             return (passes, moves, created, head, PHASE_TICKET, status,
                     n_tickets, n_c, 0, 0)
-        if emit is not None:
-            emit(STEP_REPRACTICE, passes)
+        emit(STEP_REPRACTICE, passes)
         mv, status = reactivate(K, P, head, hi, n_d + n_c, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_REACTIVATE, status, 0, 0, 0, 0
-        if emit is not None:
-            emit(STEP_REACTIVATE, passes)
+        emit(STEP_REACTIVATE, passes)
         mv, status = restore_keys(K, head, head + n_d + n_c, delta, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_RESTORE, status, 0, 0, 0, 0
-        if emit is not None:
-            emit(STEP_RESTORE, passes)
+        emit(STEP_RESTORE, passes)
         head += n_d + n_c
         if head != hi and (dnext < 0 or n_d + n_c == 0):
             return passes, moves, created, head, PHASE_PREFIX, 0, head, hi, 0, 0

@@ -4,8 +4,9 @@ Keys live in one ``int64`` array and payloads in a parallel one;
 elements move together, but all node bookkeeping happens in the key
 array alone.  Each pass:
 
-1. ``practice_rank`` — counting practice; the payload of a consumed key
-   waits at its node's slot.
+1. ``practice`` of count nodes carrying the payloads — the value sorts'
+   counting practice, in which the payload of a consumed key waits at its
+   node's slot.
 2. ``accumulate_records`` — prefix sums turn counts into the index of
    the last slot of each key's sorted run.
 3. ``repractice_idle`` — every idle word re-hashes to its node and takes

@@ -312,6 +312,42 @@ class TestRankPipeline:
         assert P.tolist() == [2, 3, 0, 1, 4]
 
 
+class TestPracticeCarryingPayloads:
+    """The payload form of practice (``practice_rank``, count nodes from
+    ``lo``) against the keys-only form, on keys over m/n of the segment,
+    so that keys over n are deferred, and on a strided payload view."""
+
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("ratio", [0.5, 1, 10, 100])
+    def test_payload_form_is_the_keys_only_form_carrying_payloads(
+            self, backend, rng, ratio, step):
+        k = active()
+        tag = 1 << 62
+        for _ in range(20):
+            n = int(rng.integers(1, 200))
+            lo = int(rng.integers(0, 4))
+            K_in = rng.integers(0, max(1, int(ratio * n)), size=lo + n).astype(np.int64)
+            # Mostly the segment's minimum, as in a rank pass; else any
+            # key of it, so that keys below the interval are passed over.
+            delta = int(rng.choice(K_in[lo:]) if rng.integers(0, 4) == 0 else K_in[lo:].min())
+            S = K_in.copy()
+            want = k.practice(S, lo, lo + n, delta, 0, n, 1, 1, tag)
+            K = K_in.copy()
+            P = np.full(step * (lo + n), -1, dtype=np.int64)[::step]
+            P[:] = np.arange(lo + n)
+            n_d, n_c, n_def, dnext, moves, created = k.practice_rank(
+                K, P, lo, lo + n, delta, n, tag)
+            assert (n_d, n_c, n_def, dnext, created) == want[:4] + want[5:6]
+            assert moves == want[4] + 2 * created
+            assert K.tolist() == S.tolist()
+            assert sorted(P.tolist()) == list(range(lo + n))
+            for i, x in enumerate(K.tolist()):
+                if x & tag:
+                    assert i >= lo and K_in[P[i]] == delta + (i - lo)
+                else:
+                    assert K_in[P[i]] == x
+
+
 class TestValuePlanePartition:
     def test_tags_stay_put(self, backend):
         k = active()
