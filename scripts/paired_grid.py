@@ -4,8 +4,9 @@ process, one pass-loop call at a time.
 Both sources are compiled with the ``c`` backend's flags (or each with its
 own, ``--base-flags`` and ``--new-flags``), and each build's pass loops
 are declared as its own source defines them, so that a source whose loops
-take other arguments binds too; a loop that takes a hook (``hook emit``)
-is handed ``NULL``, as an untraced sort hands it.  In each cell (sorter,
+take other arguments binds too, the hook type included; a loop that
+takes a hook (``hook emit``) is handed ``NULL``, as an untraced sort
+hands it.  In each cell (sorter,
 n, m/n) every round makes the same number of calls of each build's pass
 loop on fresh copies of an input the round draws, alternating which build
 goes first call by call, and checks that both leave the same words and
@@ -107,7 +108,10 @@ def bind(source, flags, directory, name):
     with open(source) as fh:
         text = fh.read()
     ffi = cffi.FFI()
-    ffi.cdef("typedef int64_t i64; typedef void (*hook)(int64_t, int64_t);")
+    # The hook type as the source declares it: it returns int since a hook
+    # can stop its loop, and returned nothing before.
+    typedef = re.search(r"^typedef \w+ \(\*hook\)\([^)]*\);", text, re.M)
+    ffi.cdef("typedef int64_t i64;" + (typedef[0] if typedef else ""))
     params, hooked = {}, set()
     for loop, args in re.findall(r"^void (\w+)\(([^)]*)\)\s*\{", text, re.M):
         if loop in LOOPS:

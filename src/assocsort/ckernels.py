@@ -5,15 +5,13 @@ The first process to ask for it compiles ``kernels.c`` with
 ``cc -O2 -shared -fPIC`` (and ``-mavx2`` on an x86-64 CPU that has AVX2,
 see :data:`ISA_FLAGS`) into a per-user cache and writes a cffi
 out-of-line ABI module beside the library.  Every later process only runs
-that small module and ``dlopen``\\ s the library.  Both files are named by a
-CRC-32 of the source, the declarations, the flags, the machine and the
-cffi version, and are written atomically (a temporary file, then
-``os.replace``), so concurrent first uses do not collide and an edited
-source is rebuilt.  The compiled code of that module and of the generated
-Python wrappers that call the kernels is cached beside the library (see
-:func:`_cached_code`), so a cache hit compiles nothing.  A new build
-deletes all but the most recently used few builds in its directory (see
-:func:`_prune`); a process that finds its build gone builds it again.
+that small module and ``dlopen``\\ s the library.  A build is those two
+files, named by a CRC-32 of the source, the declarations, the flags, the
+machine and the cffi version, and written atomically (a temporary file,
+then ``os.replace``), so concurrent first uses do not collide and an
+edited source is rebuilt.  A new build deletes all but the most recently
+used few builds in its directory (see :func:`_prune`); a process that
+finds its build gone builds it again.
 
 The cache is ``$XDG_CACHE_HOME/assocsort`` (default ``~/.cache/assocsort``);
 when that cannot be created, ``assocsort-<uid>`` under the system's
@@ -21,12 +19,14 @@ temporary directory, which must belong to the user and be writable by no
 one else.
 
 :func:`load` returns the kernels as a namespace whose members take the
-same arguments and return the same tuples as :mod:`assocsort.kernels`.  It
-raises :class:`BuildError`, naming the reason, when cffi, the compiler or a
-usable cache directory is missing or the compile fails.  A pass loop's
-``emit`` becomes ``NULL``, or a cffi callback of the hook; an exception
-the hook raises is kept, its later calls are ignored, and the exception is
-raised once the C loop returns.
+same arguments, by position, and return the same tuples as
+:mod:`assocsort.kernels`.  It raises :class:`BuildError`, naming the
+reason, when cffi, the compiler or a usable cache directory is missing or
+the compile fails.  Every member is one wrapper (see :func:`_bind`): an
+array becomes its address and byte stride, ``None`` for one ``NULL``, and
+a pass loop's ``emit`` ``NULL`` or a cffi callback of the hook.  An
+exception the hook raises stops the C loop at that phase and is raised
+once the loop returns.
 
 Each member checks the kernel's index arguments against the length of
 its arrays before any C runs.  When a word the kernel may touch lies
@@ -38,11 +38,9 @@ lands there).  A kernel that follows the words themselves to a slot
 segment and fails with a status instead.
 """
 
-import marshal
 import os
 import sys
 import zlib
-from importlib.util import MAGIC_NUMBER
 from types import SimpleNamespace
 
 from . import kernels as _kernels
@@ -81,45 +79,51 @@ PREFIX = "_kernels_"
 # by side do not evict each other.
 KEEP_BUILDS = 4
 
-# Every kernel, by name: (leading array arguments, results, bounds).  This
-# is the list of kernels every backend provides.  The other arguments are
-# integers, named as in the Python kernel.  Results 0 means the C function
-# returns the kernel's one integer; otherwise it writes that many into a
-# trailing ``int64_t *out``.  Bounds is the condition, over those integers
-# and ``size`` (the length of the shortest array) or an array's own
-# ``len``, under which every word the kernel may touch lies inside its
-# arrays and every shift it makes stays inside a word, so the C kernel may
-# run.
-_SCAN = "0 <= lo and hi <= size"
-# A node of the form ``(F, b)`` shifts a field of ``b`` bits by up to
-# ``(F - 1) * b`` bits.
-_FORM = " and 1 <= F and 1 <= b and F * b <= 63"
-# A loop that takes the word width ``w`` packs positions of segments up to
-# ``1 << (w - 1)`` words, so every shift it makes stays inside a word.
-_WIDTH = " and 2 <= w <= 63 and hi - {} <= 1 << (w - 1)"
+# Every kernel every backend provides, by name: (its array parameters,
+# results, bounds).  The C function takes the Python kernel's parameters
+# in order, an array as an address and a byte stride, ``emit`` as a
+# ``hook``, any other as an ``int64_t``; it returns its one result, or
+# writes ``results`` of them to a trailing ``int64_t *out``.  Bounds, of
+# ``size`` (the shortest array's length) and the kernel's arguments, holds
+# where every word the kernel may touch lies inside its arrays and every
+# shift stays inside a word, so that the C kernel may run.
+_scan = lambda size, S, lo, hi, *_: 0 <= lo and hi <= size
+# A node of the form ``(F, b)`` shifts ``b``-bit fields by up to ``(F - 1) * b``.
+_form = lambda F, b: 1 <= F and 1 <= b and F * b <= 63
+# A loop of word width ``w`` packs positions of segments up to ``1 << (w - 1)``.
+_width = lambda w, head, hi: 2 <= w <= 63 and hi - head <= 1 << (w - 1)
+
 SIGNATURES = {
-    "min_max": (1, 2, "0 <= lo < size and hi <= size"),
-    "implicit_practice": (1, 4, _SCAN),
-    "collect_fixpoints": (1, 2, _SCAN),
-    "practice": (1, 7, _SCAN + _FORM + " and 0 <= base and lo + base - (-span // F) <= size"),
-    "store_nodes": (1, 4, _SCAN),
-    "partition_values": (1, 2, _SCAN),
-    "retrieve_packed": (1, 3, "0 <= lo and mem_hi <= size and write_end <= size" + _FORM),
-    "store_records": (1, 3, _SCAN),
-    "retrieve_scan": (1, 2, _SCAN + _FORM + " and 0 <= n_c and lo + n_d + n_c <= size"),
-    "practice_cursors": (1, 7, _SCAN + _FORM + " and 0 <= span <= F * (hi - lo)"),
-    "improved_passes": (1, 8, "0 <= head and hi <= size" + _FORM),
-    "distinct_passes": (1, 10, "0 <= head and hi <= size"),
-    "sequential_passes": (1, 10, "0 <= head and hi <= size" + _WIDTH.format("head")),
-    "stacked_passes": (2, 12, "0 <= head and hi <= len(S) and 0 <= depth <= cap"
-                       " and 2 * cap <= len(L)" + _WIDTH.format("head")),
-    "rank_passes": (2, 10, "0 <= head and hi <= size"),
-    "practice_rank": (2, 6, _SCAN + " and lo + span <= size"),
-    "accumulate_records": (1, 2, _SCAN),
-    "repractice_idle": (1, 2, _SCAN + " and lo + span <= size"),
-    "reactivate": (2, 2, _SCAN),
-    "restore_keys": (1, 2, "0 <= lo and hi_sorted <= size"),
-    "radix_pass": (2, 0, "n <= size"),
+    "min_max": ("S", 2, lambda size, S, lo, hi: 0 <= lo < size and hi <= size),
+    "implicit_practice": ("S", 4, _scan),
+    "collect_fixpoints": ("S", 2, _scan),
+    "practice": ("S P", 7, lambda size, S, lo, hi, delta, base, span, F, b, *_: (
+        _scan(size, S, lo, hi) and _form(F, b) and 0 <= base
+        and lo + base - (-span // F) <= size)),
+    "store_nodes": ("S", 4, _scan),
+    "partition_values": ("S", 2, _scan),
+    "retrieve_packed": ("S", 3, lambda size, S, lo, mem_hi, write_end, delta, base, F, b, _: (
+        0 <= lo and mem_hi <= size and write_end <= size and _form(F, b))),
+    "store_records": ("S", 3, _scan),
+    "retrieve_scan": ("S", 2, lambda size, S, lo, hi, n_d, n_c, delta, F, b, _: (
+        _scan(size, S, lo, hi) and _form(F, b) and 0 <= n_c and lo + n_d + n_c <= size)),
+    "practice_cursors": ("S", 7, lambda size, S, lo, hi, delta, span, F, b, _: (
+        _scan(size, S, lo, hi) and _form(F, b) and 0 <= span <= F * (hi - lo))),
+    "improved_passes": ("S", 8, lambda size, S, head, hi, delta, top, F, b, *_: (
+        _scan(size, S, head, hi) and _form(F, b))),
+    "distinct_passes": ("S", 10, _scan),
+    "sequential_passes": ("S", 10, lambda size, S, head, hi, delta, top, w, _: (
+        _scan(size, S, head, hi) and _width(w, head, hi))),
+    "stacked_passes": ("S L", 12, lambda size, S, L, head, hi, delta, top, depth, cap, w, _: (
+        0 <= head and hi <= len(S) and 0 <= depth <= cap and 2 * cap <= len(L)
+        and _width(w, head, hi))),
+    "rank_passes": ("K P", 10, lambda size, K, P, head, hi, *_: 0 <= head and hi <= size),
+    "accumulate_records": ("K", 2, _scan),
+    "repractice_idle": ("K", 2, lambda size, K, lo, hi, delta, span, _: (
+        _scan(size, K, lo, hi) and lo + span <= size)),
+    "reactivate": ("K P", 2, lambda size, K, P, lo, hi, *_: 0 <= lo and hi <= size),
+    "restore_keys": ("K", 2, lambda size, K, lo, hi_sorted, *_: 0 <= lo and hi_sorted <= size),
+    "radix_pass": ("src dst", 0, lambda size, src, dst, n, _: n <= size),
 }
 
 
@@ -129,20 +133,15 @@ def _params(name):
 
 
 def _declaration(name, arrays, results):
-    params = _params(name)
-    args = [f"char *{a}, int64_t {a}_s" for a in params[:arrays]]
-    args += [f"{'hook' if a == 'emit' else 'int64_t'} {a}" for a in params[arrays:]]
-    if results:
-        return f"void {name}({', '.join(args)}, int64_t *out);"
-    return f"int64_t {name}({', '.join(args)});"
+    args = ", ".join(f"char *{a}, int64_t {a}_s" if a in arrays.split()
+                     else f"{'hook' if a == 'emit' else 'int64_t'} {a}" for a in _params(name))
+    return f"void {name}({args}, int64_t *out);" if results else f"int64_t {name}({args});"
 
 
-# A pass loop's ``emit``: NULL, or the hook it calls after each phase.
-CDEF = "\n".join(["typedef void (*hook)(int64_t, int64_t);"] + [
+# A pass loop's ``emit``: NULL, or the hook it calls after each phase,
+# which stops the loop by returning nonzero.
+CDEF = "\n".join(["typedef int (*hook)(int64_t, int64_t);"] + [
     _declaration(name, *sig[:2]) for name, sig in SIGNATURES.items()])
-
-# The file name the generated kernel wrappers are compiled under.
-WRAPPERS = "<assocsort c kernel wrappers>"
 
 # The dlopen()ed library.  It lives here, not in the kernel namespace: the
 # namespace holds only kernels, and the library must outlive every call.
@@ -198,10 +197,9 @@ def _open(directory: str, name: str):
     # another process) goes to the rebuild without running its module.
     if not os.path.exists(path + ".so"):
         raise FileNotFoundError(path + ".so")
-    with open(path + ".py", encoding="utf-8") as fh:
-        source = fh.read()
     scope = {}
-    exec(_cached_code(path, "module", source, path + ".py"), scope)
+    with open(path + ".py", encoding="utf-8") as fh:
+        exec(compile(fh.read(), path + ".py", "exec"), scope)
     ffi = scope["ffi"]
     lib = ffi.dlopen(path + ".so")
     try:
@@ -302,117 +300,61 @@ def load() -> SimpleNamespace:
                 ffi, _lib = _open(directory, name)
     except OSError as exc:
         raise BuildError(f"cannot build the c kernels: {exc}") from None
-    return _bind(ffi, _lib, os.path.join(directory, name))
+    return _bind(ffi, _lib)
 
 
-def _wrapper(name, arrays, results, bounds):
-    """Source of the Python function that calls C kernel ``name``.
+def _bind(ffi, lib) -> SimpleNamespace:
+    """The kernels over the C functions of ``lib``: one wrapper, bound to
+    each kernel's entry of :data:`SIGNATURES`, since a sort makes only two
+    or three kernel calls (its ``min_max`` scan and its pass loop)."""
+    new, from_buffer, NULL = ffi.new, ffi.from_buffer, ffi.NULL
 
-    It takes the Python kernel's arguments and returns its tuple; each
-    array becomes an address and a byte stride.  Unless ``bounds`` hold,
-    it hands the call to the Python kernel ``py_<name>`` instead.
-    """
-    params = _params(name)
-    head = ", ".join("emit=None" if a == "emit" else a for a in params)
-    lines = [f"def {name}({head}):", f"    size = len({params[0]})"]
-    for a in params[1:arrays]:
-        lines.append(f"    if len({a}) < size: size = len({a})")
-    lines += [f"    if not ({bounds}):", f"        return py_{name}({', '.join(params)})"]
-    cargs = []
-    for a in params[:arrays]:
-        lines += [
-            "    try:",
-            f"        {a}_p = from_buffer('char[]', {a})",
-            f"        {a}_s = 8",
-            "    except ValueError:",
-            f"        {a}_p, {a}_s = strided({a})",
-        ]
-        cargs += [f"{a}_p", f"{a}_s"]
-    cargs += params[arrays:]
-    if not results:
-        lines.append(f"    return c_{name}({', '.join(cargs)})")
-        return "\n".join(lines)
-    if "emit" in params:
-        lines.append("    emit, raised = hook(emit)")
-    lines += [
-        f"    out = new('int64_t[{results}]')",
-        f"    c_{name}({', '.join(cargs)}, out)",
-        *(["    if raised:", "        raise raised[0]"] if "emit" in params else []),
-        f"    return {', '.join(f'out[{i}]' for i in range(results))}",
-    ]
-    return "\n".join(lines)
-
-
-def _cached_code(path: str, kind: str, source: str, filename: str):
-    """``source`` compiled as ``filename``, from the cache file of ``kind``
-    beside build ``path`` when that holds it.
-
-    The file, ``<path>.<bytecode magic number>.<kind>``, is the CRC-32s
-    of ``source`` and of the marshalled code, then the code.  A file that
-    is missing, truncated or holds other code is replaced, atomically, by
-    a fresh compile (left as it is where the directory cannot be
-    written).
-    """
-    path = f"{path}.{MAGIC_NUMBER.hex()}.{kind}"
-    key = zlib.crc32(source.encode()).to_bytes(4, "little")
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        payload = data[8:]
-        if data[:4] == key and data[4:8] == zlib.crc32(payload).to_bytes(4, "little"):
-            return marshal.loads(payload)
-    except (OSError, EOFError, ValueError, TypeError):
-        pass
-    code = compile(source, filename, "exec")
-    payload = marshal.dumps(code)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(key + zlib.crc32(payload).to_bytes(4, "little") + payload)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-    return code
-
-
-def _bind(ffi, lib, path: str) -> SimpleNamespace:
-    """The kernels as Python functions over the C functions of ``lib``.
-
-    They are generated, one per kernel, with the parameters of the Python
-    twin spelled out: with a generic ``*args`` wrapper instead, a sort of
-    5000 keys over 100n (~1,570 kernel calls) took about 7% longer.  The
-    generated source is compiled once and cached beside the library at
-    ``path`` (see :func:`_cached_code`).
-    """
-
-    def strided(A):
-        """Address and byte stride of a 1-D view that exports no buffer."""
-        return ffi.cast("char *", A.__array_interface__["data"][0]), A.strides[0]
-
-    def hook(emit):
-        """``(C hook, raised)`` of a pass loop's ``emit``: ``NULL`` for
-        ``None``, else a callback that calls ``emit`` until it raises, then
-        keeps the exception in the list ``raised`` and ignores later calls."""
+    def hook(emit, raised):
+        """``NULL`` for an ``emit`` of ``None``, else a C hook that calls it;
+        where it raises, the exception goes to ``raised`` and the hook
+        returns 1, which stops the loop."""
         if emit is None:
-            return ffi.NULL, ()
-        raised = []
+            return NULL
 
         def call(step, passes):
-            if not raised:
-                emit(step, passes)
+            emit(step, passes)
+            return 0
 
-        return ffi.callback("hook", call, onerror=lambda _, exc, tb: raised.append(exc)), raised
+        return ffi.callback("hook", call, error=1, onerror=lambda _, e, tb: raised.append(e))
 
-    scope = {"__name__": __name__, "from_buffer": ffi.from_buffer,
-             "new": ffi.new, "strided": strided, "hook": hook}
-    for name in SIGNATURES:
-        scope["c_" + name] = getattr(lib, name)
-        scope["py_" + name] = getattr(_kernels, name)
-    source = "\n\n".join(_wrapper(name, *sig) for name, sig in SIGNATURES.items())
-    exec(_cached_code(path, "wrappers", source, WRAPPERS), scope)
-    for name in SIGNATURES:
-        scope[name].__doc__ = getattr(_kernels, name).__doc__
-    return SimpleNamespace(**{name: scope[name] for name in SIGNATURES})
+    def bind(name, arrays, results, bounds):
+        py, c = getattr(_kernels, name), getattr(lib, name)
+        params = _params(name)
+        defaults = py.__defaults__ or ()
+        kinds = tuple("array" if a in arrays.split() else a for a in params)
+
+        def kernel(*args):
+            if len(args) < len(params):
+                args += defaults[len(args) - len(params):]
+            cargs, sizes, raised = [], [], []
+            for kind, a in zip(kinds, args):
+                if kind != "array":
+                    cargs.append(hook(a, raised) if kind == "emit" else a)
+                elif a is None:
+                    cargs += NULL, 0
+                else:
+                    sizes.append(len(a))
+                    try:
+                        cargs += from_buffer("char[]", a), 8
+                    except ValueError:  # a strided view exports no buffer
+                        cargs += ffi.cast("char *", a.__array_interface__["data"][0]), a.strides[0]
+            if not bounds(min(sizes), *args):
+                return py(*args)
+            if not results:
+                return c(*cargs)
+            out = new(f"int64_t[{results}]")
+            c(*cargs, out)
+            if raised:
+                raise raised[0]
+            return tuple(out)
+
+        kernel.__name__ = kernel.__qualname__ = name
+        kernel.__doc__ = py.__doc__
+        return kernel
+
+    return SimpleNamespace(**{name: bind(name, *sig) for name, sig in SIGNATURES.items()})

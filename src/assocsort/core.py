@@ -62,8 +62,8 @@ from .words import WordConfig
 LEVELS = 32
 
 # A sort's ``trace``: called with the phase, the pass and a copy of the
-# array after each phase.  If it raises, the sort raises that exception and
-# the array's content is unspecified.
+# array after each phase.  If it raises, the sort stops at that phase and
+# raises that exception, and the array's content is unspecified.
 TraceFn = Callable[[str, int, np.ndarray], None]
 
 

@@ -10,8 +10,9 @@
  * (F == 1), bitmaps of F keys (b == 1) and F packed counters of b bits,
  * and retrieve_packed_k the count and packed memories of the counting
  * sorters.  practice_k is also the rank pass's practice, carrying the
- * payloads where it is handed them (kernels.practice's P), so there is
- * one counting practice for keys and for (key, payload) pairs.
+ * payloads where it is handed them (kernels.practice's P, which the
+ * exported practice takes too), so there is one counting practice for
+ * keys and for (key, payload) pairs.
  * improved_passes packs the count nodes of every pass where two fields
  * fit, sequential_passes and stacked_passes those of a pass whose keys a
  * count pass would defer, by the one rule of pass_interval.  Five
@@ -55,14 +56,16 @@
  * ------------------
  * * An array argument is a base address and its stride in bytes (``S``
  *   and ``S_s``), so strided and unaligned 1-D int64 views work as they
- *   do on the Python backend.
+ *   do on the Python backend; practice's payload is NULL, 0 where the
+ *   Python kernel's P is None.
  * * The Python kernel's result tuple is written to ``out``, element by
  *   element; kernels whose Python twin returns one integer return it.
  * * A pass loop takes its hook ``emit`` just before ``out``: NULL for an
  *   untraced sort, else a function it calls as emit(step, pass) after each
- *   phase's check passed, where the Python loop calls its own.  A traced
- *   sort thus runs the same loop as an untraced one, skip paths, cursors
- *   and masks included; only the hook's calls are added.
+ *   phase's check passed, where the Python loop calls its own; a nonzero
+ *   return stops the loop there, as a raising hook stops the Python one.
+ *   A traced sort thus runs the same loop as an untraced one, skip paths,
+ *   cursors and masks included; only the hook's calls are added.
  * * Arithmetic stays inside int64: the word model caps w at 63, so keys,
  *   tagged words and counts never reach the host sign bit.
  */
@@ -105,13 +108,14 @@ enum step {
 };
 
 /* A pass loop's argument before out: NULL, or the hook it calls as
- * emit(step, pass) after each phase's check passed. */
-typedef void (*hook)(int64_t, int64_t);
-#define EMIT(step, pass)          \
-    do {                          \
-        if (emit)                 \
-            emit((step), (pass)); \
-    } while (0)
+ * emit(step, pass) after each phase's check passed.  A nonzero return
+ * stops the loop there: EMIT leaves the loop it stands in. */
+typedef int (*hook)(int64_t, int64_t);
+#define EMIT(step, pass)                   \
+    if (emit && emit((step), (pass)) != 0) \
+        break;                             \
+    else                                   \
+        (void)0
 
 typedef int64_t i64;
 /* An int64 that may sit at any byte address. */
@@ -565,8 +569,9 @@ UNTRACED void distinct_untraced(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
  * Every count-form call passes F as a literal 1, so that its loop has no
  * field code.  A field shift is below F * b.  P is NULL, or the payloads
  * of a rank pass (kernels.practice's P): where a node is made, its slot's
- * payload swaps with the scan position's, 3 moves in all.  A value call
- * passes a literal NULL, so that its instance has no payload code.  A
+ * payload swaps with the scan position's, 3 moves in all.  A pass loop's
+ * value call passes a literal NULL, so that its instance has no payload
+ * code; the exported practice passes what it is handed.  A
  * payload-carrying call takes no deferred-key skip path: with it, rank
  * sorts of keys over 3n-10n took 1.02-1.11 times as long, though over
  * 30n-100n 0.87-0.94 (scripts/paired_grid.py, two runs of 61 and 101
@@ -640,10 +645,9 @@ INLINE void practice_k(char *S, i64 S_s, char *P, i64 P_s, i64 lo, i64 hi,
 }
 
 void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
-              i64 F, i64 b, i64 tag, i64 *out)
+              i64 F, i64 b, i64 tag, char *P, i64 P_s, i64 *out)
 {
-    practice_k(S, S_s, NULL, 0, lo, hi, delta, base, span, F, b, tag, 0,
-               out);
+    practice_k(S, S_s, P, P_s, lo, hi, delta, base, span, F, b, tag, 0, out);
 }
 
 /* store_nodes, taking the untagged-word skip path. */
@@ -1669,20 +1673,9 @@ UNTRACED void improved_untraced(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     BY_STRIDE(improved_loop, head, hi, delta, top, F, b, tag, NULL, out);
 }
 
-/* The kernels of the rank pass.  Its practice is practice_k carrying the
- * payloads; practice_rank is that call with the first six of practice_k's
- * seven results, copied through a local, since its callers hand six words.
- * The other four are each an inline <name>_k that rank_loop calls and an
- * exported <name> that calls it. */
-void practice_rank(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
-                   i64 delta, i64 span, i64 tag, i64 *out)
-{
-    i64 r[7];
-    practice_k(K, K_s, P, P_s, lo, hi, delta, 0, span, 1, 1, tag, 0, r);
-    for (int k = 0; k < 6; k++)
-        out[k] = r[k];
-}
-
+/* The kernels of the rank pass but its practice, which is practice_k
+ * carrying the payloads: each an inline <name>_k that rank_loop calls and
+ * an exported <name> that calls it. */
 INLINE void accumulate_records_k(char *K, i64 K_s, i64 lo, i64 hi, i64 tag,
                                  i64 *out)
 {

@@ -201,7 +201,7 @@ def distinct_passes(S, head, hi, delta, emit=None):
     return passes, moves, 0, head, PHASE_OK, STATUS_OK, 0, 0, 0, 0
 
 
-def practice(S, lo, hi, delta, base, span, F, b, tag, *, P=None):
+def practice(S, lo, hi, delta, base, span, F, b, tag, P=None):
     """One practice pass over ``S[lo:hi]``.
 
     Keys in [delta, delta + span) hash to nodes of the form ``(F, b)``
@@ -220,9 +220,7 @@ def practice(S, lo, hi, delta, base, span, F, b, tag, *, P=None):
     its node, the payloads of its position and of the node's slot swap, so
     the payload of a key consumed into a node waits at the node's slot,
     and the step counts 3 moves.  Every other result is that of the same
-    call without ``P``.  ``P`` is keyword-only, so the ``c`` backend's
-    ``practice`` takes no payload; its payload form is
-    :func:`practice_rank`.
+    call without ``P``.
 
     Returns ``(n_distinct, n_companion, n_deferred, delta_next, moves,
     created, dup)``: ``n_companion`` counts keys folded into an existing
@@ -880,12 +878,6 @@ def improved_passes(S, head, hi, delta, top, F, b, tag, emit=None):
     return passes, moves, created, head, PHASE_OK, STATUS_OK, 0, 0
 
 
-def practice_rank(K, P, lo, hi, delta, span, tag):
-    """:func:`practice` of count nodes from ``lo`` (``base = 0``, ``F = b
-    = 1``), carrying the payloads ``P``: its first six results."""
-    return practice(K, lo, hi, delta, 0, span, 1, 1, tag, P=P)[:6]
-
-
 def accumulate_records(K, lo, hi, tag):
     """Turn per-node counts into inclusive rank prefix sums, in place.
 
@@ -1074,7 +1066,7 @@ def rank_passes(K, P, head, hi, delta, tag, emit=None):
     while head < hi:
         passes += 1
         seg = hi - head
-        n_d, n_c, _, dnext, mv, cr, _ = practice(K, head, hi, delta, 0, seg, 1, 1, tag, P=P)
+        n_d, n_c, _, dnext, mv, cr, _ = practice(K, head, hi, delta, 0, seg, 1, 1, tag, P)
         moves += mv
         created += cr
         emit(STEP_PRACTICE, passes)

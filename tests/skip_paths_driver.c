@@ -77,10 +77,11 @@ static long failures;
  * step outside the 8 of kernels.STEPS or a pass below 1. */
 static i64 hook_calls, bad_calls;
 
-static void count_calls(int64_t step, int64_t pass)
+static int count_calls(int64_t step, int64_t pass)
 {
     hook_calls++;
     bad_calls += step < 0 || step > 7 || pass < 1;
+    return 0;
 }
 /* FNV-1a over the results and words of every case's first run. */
 static uint64_t digest = 14695981039346656037u;
@@ -181,7 +182,7 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
     switch (kind) {
     case PRACTICE:
         practice(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7],
-                 out);
+                 NULL, 0, out);
         break;
     case PRACTICE_CURSORS:
         practice_cursors(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6],

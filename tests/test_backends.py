@@ -24,6 +24,7 @@ from assocsort.backend import (
     use_backend,
     warmup,
 )
+from assocsort.core import LEVELS
 from assocsort.counters import OpCounters
 from assocsort.words import WordConfig
 
@@ -52,6 +53,55 @@ def test_output_and_counters_identical(algo, rng):
                 outcomes[name] = (S.tolist(), c.passes, c.moves, c.node_creations, c.max_depth)
         for name in COMPILED:
             assert outcomes[name] == outcomes["numpy"], f"{algo} on {name} diverged at n={n}"
+
+
+def _counting(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def call(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args)
+
+    return call
+
+
+@pytest.mark.skipif(not available("c"), reason="c backend unavailable")
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS) + ["sort_by_key"])
+def test_a_sort_reaches_compiled_code_two_or_three_times(algo, rng):
+    """On ``c`` a sort makes one ``min_max`` call, the front door's scan,
+    and one call of its pass loop, ``assoc_rec`` one per ``core.LEVELS``
+    levels: every pass runs inside the loop.  This is why one generic
+    wrapper binds every C kernel; per-pass kernel calls would fail here."""
+    n, depths = 2000, []
+    for ratio in (1, 3, 100):
+        if algo in ("cycle_distinct", "distinct_improved"):
+            keys = rng.choice(ratio * n, size=n, replace=False).astype(np.int64)
+        else:
+            keys = rng.integers(0, ratio * n, size=n).astype(np.int64)
+        calls = {}
+        with use_backend("c"):
+            namespaces = [active(), active_loops()]
+            originals = [dict(vars(ns)) for ns in namespaces]
+            try:
+                for ns, fns in zip(namespaces, originals):
+                    for name, fn in fns.items():
+                        setattr(ns, name, _counting(calls, name, fn))
+                c = OpCounters()
+                if algo == "sort_by_key":
+                    assocsort.sort_by_key(keys, np.arange(n), counters=c)
+                else:
+                    ALGORITHMS[algo](keys, counters=c)
+            finally:
+                for ns, fns in zip(namespaces, originals):
+                    for name, fn in fns.items():
+                        setattr(ns, name, fn)
+        assert np.all(keys[:-1] <= keys[1:])
+        loops = {name: k for name, k in calls.items() if name in _LOOP_NAMES}
+        assert calls.pop("min_max") == 1 and len(loops) == 1 and calls == loops, calls
+        levels = -(-c.max_depth // LEVELS) if algo == "assoc_rec" else 1
+        assert list(loops.values()) == [max(levels, 1)], (ratio, c.max_depth)
+        depths.append(c.max_depth)
+    # The recursive sort outgrew its first level buffer at least once.
+    assert algo != "assoc_rec" or max(depths) > LEVELS
 
 
 def test_use_backend_restores():

@@ -6,14 +6,11 @@ cache directory, so they pay for one compile each.
 """
 
 import itertools
-import marshal
 import os
 import re
 import shutil
 import subprocess
 import sys
-import zlib
-from importlib.util import MAGIC_NUMBER
 
 import numpy as np
 import pytest
@@ -122,7 +119,9 @@ PAST_THE_END = [
     ("practice", (0, 8, 0, 0, 57, 7, 1, T8), (0, 8, 0, 0, 56, 7, 1, T8)),
     ("improved_passes", (0, 9, 0, 7, 1, 7, T8), (0, 8, 0, 7, 1, 7, T8)),
     ("improved_passes", (0, 8, 0, 7, -1, 1, T8), (0, 8, 0, 7, 7, 1, T8)),
-    ("practice_rank", (0, 8, 0, 9, T8), (0, 8, 0, 8, T8)),
+    # The rank pass's practice: count nodes from lo over a span past the
+    # array (every practice row also runs with a payload, see the test).
+    ("practice", (0, 8, 0, 0, 9, 1, 1, T8), (0, 8, 0, 0, 8, 1, 1, T8)),
     ("accumulate_records", (0, 9, T8), (0, 8, T8)),
     ("repractice_idle", (1, 8, 0, 8, T8), (0, 8, 0, 8, T8)),
     ("reactivate", (0, 9, 0, T8), (0, 8, 0, T8)),
@@ -184,12 +183,28 @@ def _kernel(name):
     return getattr(active_loops() if name in _LOOP_NAMES else active(), name)
 
 
+def _arguments(name, words, args):
+    """``words`` and ``args`` in the order of kernel ``name``'s parameters:
+    an array parameter takes the next of ``words`` (``None`` once they run
+    out), any other the next of ``args``, until ``args`` run out."""
+    arrays = ckernels.SIGNATURES[name][0].split()
+    words, args, params = iter(words), list(args), []
+    for param in ckernels._params(name):
+        if param in arrays:
+            params.append(next(words, None))
+        elif args:
+            params.append(args.pop(0))
+        else:
+            break
+    return params
+
+
 def _call(name, args, lengths):
     """Kernel ``name`` of the active backend on fresh ramps of ``lengths``:
     its result or its error, and the words it left."""
     words = [np.arange(n, dtype=np.int64) for n in lengths]
     try:
-        got = tuple(int(x) for x in np.atleast_1d(_kernel(name)(*words, *args)))
+        got = tuple(int(x) for x in np.atleast_1d(_kernel(name)(*_arguments(name, words, args))))
     except IndexError as exc:
         got = str(exc)
     return got, [w.tolist() for w in words]
@@ -199,10 +214,15 @@ def _call(name, args, lengths):
 @pytest.mark.parametrize("name, bad, good", PAST_THE_END)
 def test_c_kernels_check_their_bounds(name, bad, good):
     """A call past the arrays never reaches C: it behaves as on numpy,
-    an ``IndexError`` where an index leaves the array."""
-    arrays = ckernels.SIGNATURES[name][0]
-    shapes = [[8] * arrays] + ([[8, 7], [7, 8]] if arrays == 2 else [])
-    for lengths in shapes:
+    an ``IndexError`` where an index leaves the array.  A kernel whose
+    last array may be ``None`` (``practice``'s payload) runs without it
+    and with it."""
+    arrays = ckernels.SIGNATURES[name][0].split()
+    params = ckernels._params(name)
+    optional = params[len(params) - len(getattr(kernels, name).__defaults__ or ()):]
+    required = len([a for a in arrays if a not in optional])
+    shapes = [[8] * required] + ([[8, 8], [8, 7], [7, 8]] if len(arrays) == 2 else [])
+    for lengths in dict.fromkeys(map(tuple, shapes)):
         for args in (bad, good):
             outcomes = {}
             for backend_name in ("c", "numpy"):
@@ -210,7 +230,7 @@ def test_c_kernels_check_their_bounds(name, bad, good):
                     outcomes[backend_name] = _call(name, args, lengths)
             assert outcomes["c"] == outcomes["numpy"], (lengths, args)
     with use_backend("numpy"):
-        assert not isinstance(_call(name, good, [8] * arrays)[0], str)
+        assert not isinstance(_call(name, good, [8] * len(arrays))[0], str)
 
 
 @needs_c
@@ -371,27 +391,28 @@ def _child(code, tmp_path, path=None, **env_vars):
     )
 
 
-# Prints the backend, whether ``subprocess`` was imported (a compile),
-# whether the generated kernel wrappers were compiled from source, and
-# whether the cffi module of the build was.
+# Logs, in ``steps``, each compile of a build's cffi module ("module"),
+# sorts, and prints the backend and whether ``subprocess`` was imported
+# (a compile).
 SORT_AND_REPORT = (
     "import builtins, os, sys\n"
-    "compiled = []\n"
+    "from assocsort.ckernels import PREFIX\n"
+    "steps = []\n"
     "_compile = builtins.compile\n"
     "def compile(source, filename, *args, **kwargs):\n"
-    "    compiled.append(filename)\n"
+    "    if os.path.basename(filename).startswith(PREFIX):\n"
+    "        steps.append('module')\n"
     "    return _compile(source, filename, *args, **kwargs)\n"
     "builtins.compile = compile\n"
     "import numpy as np, assocsort\n"
     "from assocsort.backend import current_backend\n"
-    "from assocsort.ckernels import PREFIX, WRAPPERS\n"
     "S = np.arange(500, dtype=np.int64)[::-1] % 37\n"
     "assocsort.sort(S)\n"
     "assert (S[:-1] <= S[1:]).all()\n"
-    "module = any(os.path.basename(f).startswith(PREFIX) for f in compiled)\n"
-    "print(current_backend(), 'subprocess' in sys.modules, WRAPPERS in compiled, module)\n"
+    "print(current_backend(), 'subprocess' in sys.modules)\n"
 )
-CACHED = [".module", ".py", ".so", ".wrappers"]
+# The files of a build: its library and its cffi module.
+CACHED = [".py", ".so"]
 
 
 @pytest.fixture
@@ -422,43 +443,13 @@ def test_no_compiler_refuses_forced_c(tmp_path, no_cc):
 def test_second_process_loads_from_cache_without_compiler(tmp_path, no_cc):
     first = _child(SORT_AND_REPORT, tmp_path)
     assert first.returncode == 0, first.stderr
-    assert first.stdout.split() == ["c", "True", "True", "True"]
+    assert first.stdout.split() == ["c", "True"]
     built = sorted(p.suffix for p in (tmp_path / "cache" / "assocsort").iterdir())
     assert built == CACHED
     second = _child(SORT_AND_REPORT, tmp_path, path=no_cc)
     assert second.returncode == 0, second.stderr
-    # A cache hit neither compiles the kernels nor imports subprocess, and
-    # compiles neither the wrappers' source nor the cffi module's.
-    assert second.stdout.split() == ["c", "False", "False", "False"]
-
-
-@needs_c
-def test_damaged_wrapper_cache_is_rewritten(tmp_path):
-    """A truncated, empty, foreign or corrupted wrapper file is ignored:
-    the wrappers are compiled afresh and the file rewritten, so the next
-    process hits.  The corrupted one still unmarshals, into wrappers that
-    would ask cffi for a type that does not exist."""
-    assert _child(SORT_AND_REPORT, tmp_path).returncode == 0
-    [wrappers] = (tmp_path / "cache" / "assocsort").glob("*.wrappers")
-    good = wrappers.read_bytes()
-    payload = marshal.dumps(compile("x = 1", "other", "exec"))
-    foreign = (zlib.crc32(b"other").to_bytes(4, "little")
-               + zlib.crc32(payload).to_bytes(4, "little") + payload)
-    corrupted = good.replace(b"char[]", b"chaR[]", 1)
-    assert corrupted != good
-    # The cffi module's code goes through the same cache.
-    [module] = (tmp_path / "cache" / "assocsort").glob("*.module")
-    module.write_bytes(module.read_bytes()[:-1])
-    proc = _child(SORT_AND_REPORT, tmp_path)
-    assert proc.stdout.split() == ["c", "False", "False", "True"], proc.stderr
-    for damaged in (good[: len(good) // 2], b"", foreign, corrupted):
-        wrappers.write_bytes(damaged)
-        proc = _child(SORT_AND_REPORT, tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["c", "False", "True", "False"], damaged[:16]
-        assert wrappers.read_bytes() != damaged
-        proc = _child(SORT_AND_REPORT, tmp_path)
-        assert proc.stdout.split() == ["c", "False", "False", "False"], damaged[:16]
+    # A cache hit neither runs the compiler nor imports subprocess.
+    assert second.stdout.split() == ["c", "False"]
 
 
 @needs_c
@@ -478,8 +469,7 @@ def test_uncreatable_cache_falls_back_to_private_temp_dir(tmp_path):
 def _fake_build(directory, number, mtime):
     """The files of a build named by ``number``, last modified at ``mtime``."""
     name = f"{ckernels.PREFIX}{number:08x}"
-    for suffix in (".py", ".so", f".{MAGIC_NUMBER.hex()}.module",
-                   f".{MAGIC_NUMBER.hex()}.wrappers"):
+    for suffix in CACHED:
         path = directory / (name + suffix)
         path.write_text("x")
         os.utime(path, (mtime, mtime))
@@ -508,16 +498,11 @@ def test_prune_keeps_the_newest_builds(tmp_path):
     ckernels._prune(str(tmp_path / "missing"), current)
 
 
-def test_a_build_without_its_library_is_not_opened(tmp_path, monkeypatch):
+def test_a_build_without_its_library_is_not_opened(tmp_path):
     """``_open`` refuses a build whose library is gone before it runs the
     build's module or asks cffi to load the library."""
     name = f"{ckernels.PREFIX}{0:08x}"
     (tmp_path / (name + ".py")).write_text("raise AssertionError('module ran')\n")
-
-    def no_code(*args):
-        raise AssertionError("module read")
-
-    monkeypatch.setattr(ckernels, "_cached_code", no_code)
     with pytest.raises(FileNotFoundError, match=re.escape(name + ".so")):
         ckernels._open(str(tmp_path), name)
 
@@ -532,19 +517,14 @@ def test_a_build_prunes_older_builds_and_a_pruned_build_is_rebuilt(tmp_path):
     [so] = cache.glob("*.so")
     old = [_fake_build(cache, k, 1_000_000 + k) for k in range(ckernels.KEEP_BUILDS + 2)]
     so.unlink()
-    # Logs each build and each cached compile, by kind, in order.
-    steps = (
-        "from assocsort import ckernels as ck\n"
-        "steps = []\n"
-        "ck._build = lambda *a, f=ck._build: (steps.append('build'), f(*a))[1]\n"
-        "ck._cached_code = lambda p, kind, *a, f=ck._cached_code: "
-        "(steps.append(kind), f(p, kind, *a))[1]\n"
-    )
-    proc = _child(steps + SORT_AND_REPORT + "print(*steps)\n", tmp_path)
+    # Logs each build beside the compiles of the module, in order.
+    build = ("from assocsort import ckernels as ck\n"
+             "ck._build = lambda *a, f=ck._build: (steps.append('build'), f(*a))[1]\n")
+    head, sort = SORT_AND_REPORT.split("import numpy")
+    proc = _child(head + build + "import numpy" + sort + "print(*steps)\n", tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = proc.stdout.split()
-    assert report[:2] == ["c", "True"], report
-    assert report[4:] == ["build", "module", "wrappers"], report
+    assert report == ["c", "True", "build", "module"], report
     builds = {_build_of(p) for p in cache.iterdir()}
     assert builds == {_build_of(so), *old[-(ckernels.KEEP_BUILDS - 1):]}
 
@@ -560,7 +540,7 @@ def test_a_loaded_build_outlives_newer_builds_in_a_prune(tmp_path):
         os.utime(path, (1_000_000, 1_000_000))
     newer = [_fake_build(cache, k, 2_000_000 + k) for k in range(ckernels.KEEP_BUILDS + 1)]
     proc = _child(SORT_AND_REPORT, tmp_path)
-    assert proc.stdout.split() == ["c", "False", "False", "False"], proc.stderr
+    assert proc.stdout.split() == ["c", "False"], proc.stderr
     ckernels._prune(str(cache), newer[-1])
     builds = {_build_of(p) for p in cache.iterdir()}
     assert builds == {_build_of(so), newer[-1], *newer[-(ckernels.KEEP_BUILDS - 1):-1]}

@@ -247,7 +247,7 @@ class TestRankPipeline:
         k = active()
         K = arr(2, 0, 2, 1)
         P = arr(a, b, c, d)
-        n_d, n_c, n_def, dnext, _, _ = k.practice_rank(K, P, 0, 4, 0, 4, TAG8)
+        n_d, n_c, n_def, dnext, *_ = k.practice(K, 0, 4, 0, 0, 4, 1, 1, TAG8, P)
         assert (n_d, n_c, n_def) == (3, 1, 0)
         assert P.tolist() == [b, d, a, c]
         assert K.tolist() == [TAG8, TAG8, TAG8 | 1, 2]
@@ -278,7 +278,7 @@ class TestRankPipeline:
         k = active()
         K = arr(3, 2, 1, 0, 90)
         P = arr(0, 1, 2, 3, 4)
-        n_d, n_c, n_def, *_ = k.practice_rank(K, P, 0, 5, 0, 5, TAG8)
+        n_d, n_c, n_def, *_ = k.practice(K, 0, 5, 0, 0, 5, 1, 1, TAG8, P)
         assert (n_d, n_c, n_def) == (4, 0, 1)
         k.accumulate_records(K, 0, 5, TAG8)
         made, status = k.repractice_idle(K, 0, 5, 0, 5, TAG8)
@@ -296,7 +296,7 @@ class TestRankPipeline:
         k = active()
         K = arr(2, 2, 0, 0, 9)
         P = arr(0, 1, 2, 3, 4)
-        n_d, n_c, n_def, *_ = k.practice_rank(K, P, 0, 5, 0, 5, TAG8)
+        n_d, n_c, n_def, *_ = k.practice(K, 0, 5, 0, 0, 5, 1, 1, TAG8, P)
         assert (n_d, n_c, n_def) == (2, 2, 1)
         assert K.tolist() == [TAG8 | 1, 2, TAG8 | 1, 0, 9]
         k.accumulate_records(K, 0, 5, TAG8)
@@ -313,8 +313,8 @@ class TestRankPipeline:
 
 
 class TestPracticeCarryingPayloads:
-    """The payload form of practice (``practice_rank``, count nodes from
-    ``lo``) against the keys-only form, on keys over m/n of the segment,
+    """The payload form of practice (count nodes from ``lo``, as the rank
+    pass makes them) against the keys-only form, on keys over m/n of the segment,
     so that keys over n are deferred, and on a strided payload view."""
 
     @pytest.mark.parametrize("step", [1, 2])
@@ -335,9 +335,9 @@ class TestPracticeCarryingPayloads:
             K = K_in.copy()
             P = np.full(step * (lo + n), -1, dtype=np.int64)[::step]
             P[:] = np.arange(lo + n)
-            n_d, n_c, n_def, dnext, moves, created = k.practice_rank(
-                K, P, lo, lo + n, delta, n, tag)
-            assert (n_d, n_c, n_def, dnext, created) == want[:4] + want[5:6]
+            n_d, n_c, n_def, dnext, moves, created, dup = k.practice(
+                K, lo, lo + n, delta, 0, n, 1, 1, tag, P)
+            assert (n_d, n_c, n_def, dnext, created, dup) == want[:4] + want[5:]
             assert moves == want[4] + 2 * created
             assert K.tolist() == S.tolist()
             assert sorted(P.tolist()) == list(range(lo + n))

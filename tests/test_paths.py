@@ -108,7 +108,8 @@ class _Stop(Exception):
 @pytest.mark.parametrize("at", [1, 3])
 def test_a_trace_that_raises_stops_the_sort(backend, sorter, at):
     """A trace that raises at its ``at``-th call makes the sort raise that
-    exception, and no later phase reaches the trace."""
+    exception, no later phase reaches the trace, and the sort stops there:
+    it leaves the keys unsorted, on ``c`` as on ``numpy``."""
     seen = []
 
     def trace(phase, passes, snapshot):
@@ -117,14 +118,17 @@ def test_a_trace_that_raises_stops_the_sort(backend, sorter, at):
             raise _Stop(phase, passes)
 
     keys = np.arange(40, dtype=np.int64) * 37 % 101  # distinct, over ~2.5n
+    S = keys.copy()
     with pytest.raises(_Stop) as exc:
-        _traced_sort(sorter, keys, trace)
+        _traced_sort(sorter, S, trace)
     assert len(seen) == at and exc.value.args == seen[-1]
+    assert not np.array_equal(S, np.sort(keys))
 
 
-def _traced_sort(sorter, keys, trace):
-    """A traced sort of ``keys`` at w = 8 that lets what it raises out."""
-    S, cfg = keys.copy(), WordConfig(8)
+def _traced_sort(sorter, S, trace):
+    """A traced sort of ``S`` in place at w = 8 that lets what it raises
+    out."""
+    cfg = WordConfig(8)
     if sorter == "sort_by_key":
         return sort_by_key(S, np.arange(len(S), dtype=np.int64), cfg=cfg, trace=trace)
     return ALGORITHMS[sorter](S, cfg=cfg, trace=trace)
