@@ -68,7 +68,17 @@ rank loop, carrying a payload ramp) get n keys drawn uniformly from
 [0, m), as ``sparse-sort`` and ``rank-pairs`` draw them.  An m/n of
 ``perm`` gives every sorter a permutation of [0, n).  Each sorter's call
 is its pass loop as its driver makes it, with the default word of 63
-bits.
+bits.  Each array is passed as its address and byte stride.  With
+``--step K`` the keys lie in a view of step K (2, or -1, say) of an
+array of their own, so that a loop runs its instance for any stride; the
+payload ramp and ``assoc_rec``'s level buffer stay contiguous.  Untraced
+step-2 views of the loops against the source before they lost their
+untraced any-stride instance:
+
+    git show 4f8ba8c:src/assocsort/kernels.c > /tmp/base.c
+    PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c \\
+        --step 2 --grid assoc_improved,cycle_distinct/5000/3,100 \\
+        --grid assoc_improved/131072/1 --rounds 101
 """
 
 import argparse
@@ -129,7 +139,8 @@ def bind(source, flags, directory, name):
             out = ffi.new(f"int64_t[{results}]")
             cargs = []
             for a in args:
-                cargs += [ffi.from_buffer("char[]", a), 8] if isinstance(a, np.ndarray) else [a]
+                cargs += ([ffi.cast("char *", a.ctypes.data), a.strides[0]]
+                          if isinstance(a, np.ndarray) else [a])
             fn(*cargs, *emit, out)
             return tuple(out)
         return call
@@ -188,9 +199,17 @@ def run(ns, sorter, S, lo, hi):
     return loop(S, L, 0, n, lo, *top, 0, n + 1, 63)
 
 
-def cell(A, B, sorter, n, ratio, rounds, seed, sorted_only=False):
-    """Mean time per call of ``A`` and of ``B`` in each round, and the
-    passes of each build's last call."""
+def view(keys, step):
+    """A copy of ``keys`` as a view of step ``step`` into an array of its
+    own: contiguous at step 1."""
+    S = np.zeros(len(keys) * abs(step), dtype=np.int64)[::step]
+    S[:] = keys
+    return S
+
+
+def cell(A, B, sorter, n, ratio, rounds, seed, sorted_only=False, step=1):
+    """Mean time per call of ``A`` and of ``B`` in each round, on keys in
+    views of step ``step``, and the passes of each build's last call."""
     at = LOOPS[loop_of(sorter)]
     calls = max(1, 200_000 // n)
     times = {id(A): [], id(B): []}
@@ -202,7 +221,7 @@ def cell(A, B, sorter, n, ratio, rounds, seed, sorted_only=False):
         for c in range(calls):
             left = {}
             for ns in (A, B) if (r + c) % 2 == 0 else (B, A):
-                S = keys.copy()
+                S = view(keys, step)
                 t0 = time.perf_counter_ns()
                 result = run(ns, sorter, S, lo, hi)
                 total[id(ns)] += time.perf_counter_ns() - t0
@@ -272,6 +291,9 @@ def main():
     parser.add_argument("--sorted-only", action="store_true",
                         help="check that each build sorts, not that both leave the "
                              "same words and results, and print each build's passes")
+    parser.add_argument("--step", type=int, default=1,
+                        help="pass the keys as views of this step (default 1, "
+                             "contiguous)")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the cells and both builds to PATH")
     args = parser.parse_args()
@@ -287,7 +309,7 @@ def main():
                                  for n in sizes.split(",")
                                  for r in ratios.split(",")):
             ta, tb, pa, pb = cell(A, B, sorter, n, ratio, args.rounds, args.seed,
-                                  args.sorted_only)
+                                  args.sorted_only, args.step)
             qa = np.percentile(ta, [25, 50, 75])
             qb = np.percentile(tb, [25, 50, 75])
             passes = f"  passes {pa} / {pb}" if args.sorted_only else ""
@@ -307,6 +329,7 @@ def main():
     if args.json:
         doc = {
             "rounds": args.rounds, "seed": args.seed, "sorted_only": args.sorted_only,
+            "step": args.step,
             "base": build_info(args.base, args.base_flags),
             "new": build_info(args.new, args.new_flags),
             "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),

@@ -22,7 +22,7 @@ from .core import (TraceFn, check_array, check_words, sort_associative,
                    sort_associative_recursive)
 from .counters import OpCounters
 from .cycle_leader import sort_distinct_keys
-from .errors import DuplicateKeyError
+from .errors import DuplicateKeyError, InputError
 from .improved import sort_distinct_improved, sort_improved
 from .ranksort import sort_by_key
 from .words import WordConfig
@@ -55,7 +55,7 @@ def resolve_algorithm(name: str):
         return ALGORITHMS[name]
     except KeyError:
         known = ", ".join(sorted(ALGORITHMS))
-        raise ValueError(f"unknown algorithm {name!r}: expected one of {known}")
+        raise InputError(f"unknown algorithm {name!r}: expected one of {known}")
 
 
 def sort_full_universe(

@@ -100,11 +100,14 @@ def counting_sort_baseline(S: np.ndarray, cfg=None, counters=None, cap: int = 1 
 
 
 def lsd_radix_baseline(S: np.ndarray, cfg=None, counters=None) -> OpCounters:
-    """LSD radix sort, 8-bit digits, through the active kernel backend."""
+    """LSD radix sort, 8-bit digits, through the active kernel backend;
+    refuses negative keys, whose digits it cannot order."""
     counters = counters if counters is not None else OpCounters()
     n = len(S)
     if n == 0:
         return counters
+    if int(S.min()) < 0:
+        raise ValueError(f"LSD radix sort takes keys >= 0, not {int(S.min())}")
     k = active()
     mx = int(S.max())
     src = S

@@ -24,8 +24,16 @@ from .bench import (
     summarize,
     write_csv,
 )
-from .errors import VerificationError
+from .errors import VerificationError, WordRangeError
 from .words import MAX_WIDTH, WordConfig
+
+
+def _width(text: str) -> int:
+    """A ``--w`` value, refused as a usage error where WordConfig refuses it."""
+    try:
+        return WordConfig(int(text)).w
+    except WordRangeError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -50,7 +58,7 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     p.add_argument("--trials", type=int, default=3, help="trials per cell (default 3)")
     p.add_argument(
-        "--w", type=int, default=MAX_WIDTH,
+        "--w", type=_width, default=MAX_WIDTH,
         help=f"virtual word width in bits (default {MAX_WIDTH})",
     )
     p.add_argument("--csv", metavar="PATH", help="write rows to this CSV file")

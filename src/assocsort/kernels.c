@@ -31,10 +31,10 @@
  * * Vector lane masks.  A skip path tests the 4 words of a block as one
  *   vector and finds its stop word from the mask of the lanes that fail
  *   (see lanes()).
- * * Each pass loop is compiled three times from one body: for an
- *   untraced sort once with the byte stride fixed at 8, which every
- *   contiguous array has, and once for any stride, and once for a traced
- *   sort (see UNTRACED).
+ * * Each pass loop is compiled twice from one body: once with the byte
+ *   stride fixed at 8, which every contiguous array has, and no hook, for
+ *   an untraced sort of such arrays, and once for any stride and a hook,
+ *   for every other sort (see UNTRACED).
  * * Masks for branches.  In a pass of improved_passes that defers no key,
  *   retrieval writes a packed node's keys by mask at node level: it sums
  *   the node's fields and picks the key of each word of a window of 8 by
@@ -401,23 +401,18 @@ INLINE i64 skip_unsettled(char *S, i64 S_s, i64 i, i64 hi, i64 lo, i64 delta)
     return i;
 }
 
-/* Kernel f(S, S_s, ...) with S_s a constant 8 where it is 8, as it is for
- * every contiguous array, so that it is compiled twice. */
-#define BY_STRIDE(f, ...) \
-    (S_s == 8 ? f(S, 8, __VA_ARGS__) : f(S, S_s, __VA_ARGS__))
-
-/* Each pass loop is compiled three times.  For an untraced sort it runs
- * in <loop>_untraced, a function of its own that takes no hook and calls
- * nothing, by BY_STRIDE: once with S_s a constant 8 and once for any
- * stride (with the generic instance alone, improved_passes sorts of keys
- * over 10n-100n took 11-16% longer, and assoc_seq, assoc_rec and
- * cycle_distinct sorts over 30n-100n 11-19%).  The exported loop, at the
- * end of the file, runs the instance for a traced sort itself, for any
- * stride.  With the hook's call in the function of the untraced instances,
- * which it keeps from being a leaf, their code changed: distinct_improved
- * sorts over 30n took 1.08-1.15 times as long as before the hook.  Hidden,
- * not static: GCC then emits the functions in the order of this file,
- * where static ones went first. */
+/* Each pass loop is compiled twice.  An untraced sort whose arrays all
+ * have byte stride 8, as every contiguous array has, runs it in
+ * <loop>_untraced: a function of its own, with the stride a constant 8,
+ * that takes no hook and calls nothing.  The constant stride is worth it:
+ * with the any-stride instance alone, improved_passes sorts of keys over
+ * 10n-100n took 11-16% longer, and assoc_seq, assoc_rec and cycle_distinct
+ * sorts over 30n-100n 11-19%.  So is the leaf: with the hook's call in the
+ * function, distinct_improved sorts over 30n took 1.08-1.15 times as long.
+ * Every other sort, traced or of a strided view, runs the exported loop's
+ * own instance, for any stride, which an untraced sort hands a NULL hook.
+ * Hidden, not static: GCC then emits the functions in the order of this
+ * file, where static ones went first. */
 #define UNTRACED __attribute__((noinline, visibility("hidden")))
 
 /* implicit_practice, taking the deferred-key skip path when skip is set. */
@@ -493,7 +488,7 @@ void collect_fixpoints(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 *out)
 
 /* Every pass of a cycle-leader sort in one call: the steps above, in a
  * loop, with the checks of kernels.distinct_passes between them.
- * Inlined into distinct_untraced twice, once with S_s fixed at 8, and into
+ * Inlined into distinct_untraced, with S_s fixed at 8, and into
  * distinct_passes.
  *
  * Unlike the other loops, this one takes the skip paths only in a pass
@@ -552,10 +547,10 @@ INLINE void distinct_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     loop_result(out, passes, moves, 0, head, phase, status, a, b, 0, 0);
 }
 
-UNTRACED void distinct_untraced(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
+UNTRACED void distinct_untraced(char *S, i64 head, i64 hi, i64 delta,
                                 i64 *out)
 {
-    BY_STRIDE(distinct_loop, head, hi, delta, NULL, out);
+    distinct_loop(S, 8, head, hi, delta, NULL, out);
 }
 
 /* The skip paths of partition_values_k: its right-hand scan and its
@@ -945,8 +940,7 @@ INLINE void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
 
 /* Every pass of a sequential counting sort in one call, with the checks of
  * kernels.sequential_passes between the phases.  Inlined into
- * sequential_untraced twice, once with S_s fixed at 8, and into
- * sequential_passes. */
+ * sequential_untraced, with S_s fixed at 8, and into sequential_passes. */
 INLINE void sequential_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                             i64 top, i64 w, hook emit, i64 *out)
 {
@@ -1004,10 +998,10 @@ INLINE void sequential_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     loop_result(out, passes, moves, created, head, phase, status, a, b, c, d);
 }
 
-UNTRACED void sequential_untraced(char *S, i64 S_s, i64 head, i64 hi,
-                                  i64 delta, i64 top, i64 w, i64 *out)
+UNTRACED void sequential_untraced(char *S, i64 head, i64 hi, i64 delta,
+                                  i64 top, i64 w, i64 *out)
 {
-    BY_STRIDE(sequential_loop, head, hi, delta, top, w, NULL, out);
+    sequential_loop(S, 8, head, hi, delta, top, w, NULL, out);
 }
 
 /* Every pass of a recursive counting sort in one call, with the checks of
@@ -1015,8 +1009,7 @@ UNTRACED void sequential_untraced(char *S, i64 S_s, i64 head, i64 hi,
  * cap levels are written; once head reaches hi, the unwind of every level,
  * newest first.  Level k's memory ends where level k + 1 starts, the
  * newest's at end, where this call's last pass left it.  Inlined into
- * stacked_untraced twice, once with S_s fixed at 8, and into
- * stacked_passes. */
+ * stacked_untraced, with S_s fixed at 8, and into stacked_passes. */
 INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
                          i64 delta, i64 top, i64 depth, i64 cap, i64 w,
                          hook emit, i64 *out)
@@ -1100,12 +1093,11 @@ INLINE void stacked_loop(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
         out[k] = v[k];
 }
 
-UNTRACED void stacked_untraced(char *S, i64 S_s, char *L, i64 L_s, i64 head,
-                               i64 hi, i64 delta, i64 top, i64 depth, i64 cap,
-                               i64 w, i64 *out)
+UNTRACED void stacked_untraced(char *S, char *L, i64 L_s, i64 head, i64 hi,
+                               i64 delta, i64 top, i64 depth, i64 cap, i64 w,
+                               i64 *out)
 {
-    BY_STRIDE(stacked_loop, L, L_s, head, hi, delta, top, depth, cap, w, NULL,
-              out);
+    stacked_loop(S, 8, L, L_s, head, hi, delta, top, depth, cap, w, NULL, out);
 }
 
 /* store_records, taking the untagged-word skip path. */
@@ -1400,7 +1392,7 @@ INLINE void practice_cursors_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta,
 void practice_cursors(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 span,
                       i64 F, i64 b, i64 tag, i64 *out)
 {
-    BY_STRIDE(practice_cursors_k, lo, hi, delta, span, F, b, tag, out);
+    practice_cursors_k(S, S_s, lo, hi, delta, span, F, b, tag, out);
 }
 
 /* store_records_k without the skip path, for a dense-last pass, whose
@@ -1533,7 +1525,7 @@ INLINE void retrieve_dense_form(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
 
 /* Every pass of both improved sorters in one call: the steps above, in a
  * loop, with the checks of kernels.improved_passes between them.
- * Inlined into improved_untraced twice, once with S_s fixed at 8, and into
+ * Inlined into improved_untraced, with S_s fixed at 8, and into
  * improved_passes. */
 INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                           i64 top, i64 F, i64 b, i64 tag, hook emit, i64 *out)
@@ -1667,10 +1659,10 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     out[7] = y;
 }
 
-UNTRACED void improved_untraced(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
-                                i64 top, i64 F, i64 b, i64 tag, i64 *out)
+UNTRACED void improved_untraced(char *S, i64 head, i64 hi, i64 delta, i64 top,
+                                i64 F, i64 b, i64 tag, i64 *out)
 {
-    BY_STRIDE(improved_loop, head, hi, delta, top, F, b, tag, NULL, out);
+    improved_loop(S, 8, head, hi, delta, top, F, b, tag, NULL, out);
 }
 
 /* The kernels of the rank pass but its practice, which is practice_k
@@ -1868,8 +1860,8 @@ void restore_keys(char *K, i64 K_s, i64 lo, i64 hi_sorted, i64 delta, i64 tag,
 }
 
 /* Every pass of a rank sort in one call, with the checks of
- * kernels.rank_passes between the phases.  Inlined into rank_untraced
- * twice, once with both strides fixed at 8, and into rank_passes. */
+ * kernels.rank_passes between the phases.  Inlined into rank_untraced,
+ * with both strides fixed at 8, and into rank_passes. */
 INLINE void rank_loop(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
                       i64 delta, i64 tag, hook emit, i64 *out)
 {
@@ -1937,13 +1929,10 @@ INLINE void rank_loop(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
     loop_result(out, passes, moves, created, head, phase, status, a, b, c, d);
 }
 
-UNTRACED void rank_untraced(char *K, i64 K_s, char *P, i64 P_s, i64 head,
-                            i64 hi, i64 delta, i64 tag, i64 *out)
+UNTRACED void rank_untraced(char *K, char *P, i64 head, i64 hi, i64 delta,
+                            i64 tag, i64 *out)
 {
-    if (K_s == 8 && P_s == 8)
-        rank_loop(K, 8, P, 8, head, hi, delta, tag, NULL, out);
-    else
-        rank_loop(K, K_s, P, P_s, head, hi, delta, tag, NULL, out);
+    rank_loop(K, 8, P, 8, head, hi, delta, tag, NULL, out);
 }
 
 i64 radix_pass(char *src, i64 src_s, char *dst, i64 dst_s, i64 n, i64 shift)
@@ -1966,57 +1955,56 @@ i64 radix_pass(char *src, i64 src_s, char *dst, i64 dst_s, i64 n, i64 shift)
 }
 
 /* The exported pass loops, last in the file: each runs its untraced
- * instances (see UNTRACED), or for a traced sort its instance with the
- * hook.  Placed here, each <loop>_untraced lies at the address where the
- * untraced loop lay before the hook, with the same code.  Where the
- * exported loops sat each beside its own, and so moved the untraced ones,
- * cycle_distinct sorts at m = n took 1.04-1.11 times as long and
- * assoc_improved sorts over 3n 1.03-1.08 (two layouts,
+ * instance (see UNTRACED) for an untraced sort of stride-8 arrays, and its
+ * own instance, handing it the hook, for every other sort.  Placed here,
+ * their instances follow every <loop>_untraced, not lie between them.
+ * Where the exported loops sat each beside its own, and so moved the
+ * untraced ones, cycle_distinct sorts at m = n took 1.04-1.11 times as
+ * long and assoc_improved sorts over 3n 1.03-1.08 (two layouts,
  * scripts/paired_grid.py, 101-201 rounds). */
 void distinct_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                      hook emit, i64 *out)
 {
-    if (emit)
-        distinct_loop(S, S_s, head, hi, delta, emit, out);
+    if (!emit && S_s == 8)
+        distinct_untraced(S, head, hi, delta, out);
     else
-        distinct_untraced(S, S_s, head, hi, delta, out);
+        distinct_loop(S, S_s, head, hi, delta, emit, out);
 }
 
 void sequential_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 top,
                        i64 w, hook emit, i64 *out)
 {
-    if (emit)
-        sequential_loop(S, S_s, head, hi, delta, top, w, emit, out);
+    if (!emit && S_s == 8)
+        sequential_untraced(S, head, hi, delta, top, w, out);
     else
-        sequential_untraced(S, S_s, head, hi, delta, top, w, out);
+        sequential_loop(S, S_s, head, hi, delta, top, w, emit, out);
 }
 
 void stacked_passes(char *S, i64 S_s, char *L, i64 L_s, i64 head, i64 hi,
                     i64 delta, i64 top, i64 depth, i64 cap, i64 w, hook emit,
                     i64 *out)
 {
-    if (emit)
+    if (!emit && S_s == 8)
+        stacked_untraced(S, L, L_s, head, hi, delta, top, depth, cap, w, out);
+    else
         stacked_loop(S, S_s, L, L_s, head, hi, delta, top, depth, cap, w, emit,
                      out);
-    else
-        stacked_untraced(S, S_s, L, L_s, head, hi, delta, top, depth, cap, w,
-                         out);
 }
 
 void improved_passes(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 top,
                      i64 F, i64 b, i64 tag, hook emit, i64 *out)
 {
-    if (emit)
-        improved_loop(S, S_s, head, hi, delta, top, F, b, tag, emit, out);
+    if (!emit && S_s == 8)
+        improved_untraced(S, head, hi, delta, top, F, b, tag, out);
     else
-        improved_untraced(S, S_s, head, hi, delta, top, F, b, tag, out);
+        improved_loop(S, S_s, head, hi, delta, top, F, b, tag, emit, out);
 }
 
 void rank_passes(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
                  i64 delta, i64 tag, hook emit, i64 *out)
 {
-    if (emit)
-        rank_loop(K, K_s, P, P_s, head, hi, delta, tag, emit, out);
+    if (!emit && K_s == 8 && P_s == 8)
+        rank_untraced(K, P, head, hi, delta, tag, out);
     else
-        rank_untraced(K, K_s, P, P_s, head, hi, delta, tag, out);
+        rank_loop(K, K_s, P, P_s, head, hi, delta, tag, emit, out);
 }

@@ -216,7 +216,16 @@ def test_criterion_04_single_pass_claims():
 def test_criterion_05_linear_scaling():
     """Doubling n (uniform, m = n) scales median elapsed by 1.5-2.8x,
     timed on the fastest installed backend.  The two sizes alternate,
-    trial by trial, so that load that comes and goes meets both."""
+    trial by trial, so that load that comes and goes meets both.
+
+    At w = 32 each size sorts in one pass of count nodes: keys of 21 and 22
+    bits leave floor(31/21) = floor(31/22) = 1 field to a node, so the
+    pass cannot pack.  It defers no key and its keys fill most of its
+    segment, so it is dense-last (``kernels.dense_last``): practice runs as
+    interleaved cursors and, with over a third of the keys repeated,
+    storage and retrieval run by mask.  This is the only tier-1 test that
+    times those count-node paths: a build with them deleted read 2.88 and
+    3.24, outside the bounds."""
     cfg = CFGS[32]
 
     def elapsed(n, trial):

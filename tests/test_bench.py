@@ -77,6 +77,15 @@ class TestBaselines:
         lsd_radix_baseline(S)
         assert S.tolist() == [0, 5, 2**62 - 1, 2**62]
 
+    @pytest.mark.parametrize("keys", [(-3, -1), (3, -1, 2)])
+    def test_radix_refuses_negative_keys(self, keys):
+        # [-3, -1] never returned (mx >> shift never reached 0) and
+        # [3, -1, 2] came back [2, 3, -1].
+        S = arr(*keys)
+        with pytest.raises(ValueError):
+            lsd_radix_baseline(S)
+        assert S.tolist() == list(keys)
+
 
 class TestVerify:
     def test_passes_silently(self):

@@ -115,6 +115,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["run", "backends"])
+    @pytest.mark.parametrize("w", ["99", "3"])
+    def test_word_width_out_of_range_is_a_usage_error(self, command, w, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "16", "--trials", "1", "--w", w])
+        assert exc.value.code == 2
+        assert "[4, 63]" in capsys.readouterr().err
+
 
 def _installed(dist):
     try:

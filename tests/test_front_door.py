@@ -112,3 +112,12 @@ ENTRIES = {
 def test_unsized_input_refused(entry, kind):
     with pytest.raises(AssocSortError):
         ENTRIES[entry](UNSIZED[kind]())
+
+
+@pytest.mark.parametrize("entry", [assocsort.sort, sort_full_universe], ids=["sort", "sort_full_universe"])
+def test_unknown_algorithm_refused_untouched(entry):
+    S = arr(*KEYS)
+    with pytest.raises(InputError) as exc:
+        entry(S, "nope")
+    assert "unknown algorithm 'nope'" in str(exc.value)
+    assert S.tolist() == KEYS

@@ -11,8 +11,10 @@ partitions) and at or below it in its left-hand one, and words off their
 own slot in
 ``collect_fixpoints``.  The standalone kernels and the pass loops take
 these paths in every pass, but for ``distinct_passes``, which turns them
-on per pass; each loop is compiled once for a byte stride of 8 and once
-for any stride.
+on per pass.  Each loop is compiled twice: an untraced call on arrays of
+byte stride 8 runs the instance with that stride fixed, and any other
+call, traced or on a view of step 2 or -1, the instance for any stride,
+which takes the hook.
 
 Each skip path returns the exact first word its scan must look at.  Each
 scan is fed runs of 0-9 skippable words at every offset of segments of
