@@ -10,7 +10,9 @@ Both sources are compiled with the ``c`` backend's flags
 (``ckernels.FLAGS``).  For each ``<loop>_untraced`` function and each
 exported kernel (``ckernels.SIGNATURES``) it prints whether the
 instructions ``objdump -d`` lists for it are the same in both libraries,
-and whether ``nm`` gives it the same address.  Instructions are compared
+whether ``nm`` gives it the same address, and its offset within its
+64-byte line in each (``@0x10 / @0x10``), so that code moved by whole
+lines shows that its placement within them is unchanged.  Instructions are compared
 without their own addresses and raw bytes, with jump and call targets
 reduced to the symbol (and offset) ``objdump`` names, ``%rip`` offsets
 dropped and ``objdump``'s ``#`` comments cut.  It exits 1 when a function
@@ -30,6 +32,8 @@ from assocsort import ckernels
 HEAD = re.compile(r"^[0-9a-f]+ <([^>]+)>:$")
 # "    9394:\tmov ..." is one of its instructions.
 INSN = re.compile(r"^\s*[0-9a-f]+:\t(.*)$")
+# The bytes of a cache line, which the offsets are taken within.
+LINE = 64
 
 
 def build(source, directory, name):
@@ -99,10 +103,11 @@ def main():
             code = "same" if a == b else f"differ ({len(a)} / {len(b)} instructions)"
         pa, pb = at_a.get(name), at_b.get(name)
         if pa is None or pb is None:
-            place = "missing"
+            place, line = "missing", ""
         else:
             place = "same" if pa == pb else f"differ ({pa:#x} / {pb:#x})"
-        print(f"{name:22s} instructions {code:32s} address {place}")
+            line = f"  line offset @{pa % LINE:#04x} / @{pb % LINE:#04x}"
+        print(f"{name:22s} instructions {code:32s} address {place}{line}")
         if name in args.funcs and not (code == place == "same"):
             differs.append(name)
     if differs:

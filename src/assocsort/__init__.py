@@ -22,12 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adapter import (
-    ALGORITHMS,
-    perm_rank_words,
-    resolve_algorithm,
-    sort_full_universe,
-)
+from .adapter import ALGORITHMS, perm_rank_words, resolve_algorithm
 from .backend import current_backend, set_backend, use_backend, warmup
 from .counters import OpCounters
 from .core import sort_associative, sort_associative_recursive
@@ -67,7 +62,6 @@ __all__ = [
     "sort_by_key",
     "sort_distinct_improved",
     "sort_distinct_keys",
-    "sort_full_universe",
     "sort_improved",
     "use_backend",
     "warmup",

@@ -142,7 +142,7 @@ def warmup() -> str:
     """Touch every pass loop of the active backend, and every kernel that
     sorts and baselines call through :func:`active`, once: a 16-word sort
     of each kind, untraced and traced (which runs the loop's hook path),
-    a 16-word ``sort_full_universe`` (``min_max`` and
+    a 16-word sort of keys wider than the word (``min_max`` and
     ``partition_values``) and the radix baseline's ``radix_pass``.
 
     Useful before timing, so that a first C build never lands inside a
@@ -152,7 +152,7 @@ def warmup() -> str:
     """
     import numpy as np
 
-    from .adapter import ALGORITHMS, sort_full_universe
+    from .adapter import ALGORITHMS
     from .words import WordConfig
 
     cfg = WordConfig(8)
@@ -164,6 +164,6 @@ def warmup() -> str:
         distinct = name in ("cycle_distinct", "distinct_improved")
         for trace in (None, quiet):
             sorter((shuffled if distinct else repeats).copy(), cfg=cfg, trace=trace)
-    sort_full_universe(shuffled * 16, cfg=cfg)
+    ALGORITHMS["assoc_improved"](shuffled * 16, cfg=cfg)
     active().radix_pass(ramp[::-1].copy(), np.empty_like(ramp), 16, 0)
     return current_backend()

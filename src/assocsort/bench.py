@@ -197,9 +197,7 @@ def make_trace_writer(fh, cfg: WordConfig):
 
 def feasible(algo: str, n: int, m: int, dist: str, cfg: WordConfig) -> bool:
     """Whether an instance fits the word model and the algorithm's contract."""
-    if n < 1 or m < 1:
-        return False
-    if n > cfg.tag_mask or m > cfg.tag_mask:
+    if n < 1 or m < 1 or n > cfg.tag_mask:
         return False
     if dist == "distinct" and m < n:
         return False

@@ -101,7 +101,7 @@ SIGNATURES = {
         _scan(size, S, lo, hi) and _form(F, b) and 0 <= base
         and lo + base - (-span // F) <= size)),
     "store_nodes": ("S", 4, _scan),
-    "partition_values": ("S", 2, _scan),
+    "partition_values": ("S P", 2, _scan),
     "retrieve_packed": ("S", 3, lambda size, S, lo, mem_hi, write_end, delta, base, F, b, _: (
         0 <= lo and mem_hi <= size and write_end <= size and _form(F, b))),
     "store_records": ("S", 3, _scan),

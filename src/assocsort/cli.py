@@ -36,6 +36,17 @@ def _width(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive(kind):
+    """An argparse type: a finite ``kind`` above 0, else a usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--algo", action="append", dest="algos", metavar="NAME",
@@ -43,11 +54,11 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
         help="algorithm or baseline; repeatable (default: assoc_improved)",
     )
     p.add_argument(
-        "--n", action="append", dest="ns", type=int, metavar="N",
+        "--n", action="append", dest="ns", type=_positive(int), metavar="N",
         help="array length; repeatable (default: 100000)",
     )
     p.add_argument(
-        "--ratio", action="append", dest="ratios", type=float, metavar="R",
+        "--ratio", action="append", dest="ratios", type=_positive(float), metavar="R",
         help="key range as a multiple of n (m = round(R*n)); repeatable (default: 1.0)",
     )
     p.add_argument(
@@ -56,7 +67,8 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
         help="input distribution; repeatable (default: uniform)",
     )
     p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--trials", type=int, default=3, help="trials per cell (default 3)")
+    p.add_argument("--trials", type=_positive(int), default=3,
+                   help="trials per cell (default 3)")
     p.add_argument(
         "--w", type=_width, default=MAX_WIDTH,
         help=f"virtual word width in bits (default {MAX_WIDTH})",

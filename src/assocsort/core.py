@@ -1,14 +1,17 @@
 """The input front door, the pass loop, and the counting variant.
 
-Every sorter enters through :func:`check_words`, which refuses malformed
-input before any word is written and scans the keys' minimum once.  It
-then makes one call of its *pass loop* (:func:`run_loop`), which runs
-every pass on the unsorted segment ``S[head:]`` until nothing is left.
-Each pass starts at the smallest key its predecessor deferred, so no
-pass rescans for a minimum.  A failed check is raised through the
-driver's ``_fail``.  Traced or not, a sort runs the loop of its backend;
-a traced one hands it a hook that gives the trace a snapshot after each
-phase (see :func:`hook`).
+Every sorter enters through :func:`by_range`, which checks ``cfg`` and
+``counters`` and, through :func:`check_words`, refuses malformed input
+before any word is written and scans the keys' minimum and maximum once.
+It then decides how the keys are sorted: keys in ``[0, 2**(w-1))`` as
+they are, any other ``int64`` keys shifted by their minimum or split at
+the midpoint of their range.  A sort of keys in range is one call of its
+*pass loop* (:func:`run_loop`), which runs every pass on the unsorted
+segment ``S[head:]`` until nothing is left.  Each pass starts at the
+smallest key its predecessor deferred, so no pass rescans for a minimum.
+A failed check is raised through the driver's ``_fail``.  Traced or not,
+a sort runs the loop of its backend; a traced one hands it a hook that
+gives the trace a snapshot after each phase (see :func:`hook`).
 
 The counting variant's sequential pass turns the front of the unsorted
 segment into *short-term memory* — a compact run of node words, each
@@ -45,7 +48,7 @@ import numpy as np
 
 from .backend import active, active_loops
 from .counters import OpCounters
-from .errors import CorruptStateError, InputError, WordRangeError
+from .errors import CorruptStateError, DuplicateKeyError, InputError, WordRangeError
 from .kernels import (
     PHASE_OK,
     PHASE_PARTITION,
@@ -62,8 +65,10 @@ from .words import WordConfig
 LEVELS = 32
 
 # A sort's ``trace``: called with the phase, the pass and a copy of the
-# array after each phase.  If it raises, the sort stops at that phase and
-# raises that exception, and the array's content is unspecified.
+# array after each phase; of a shifted sort, the shifted words, and of a
+# split one, each part in turn, its passes numbered on from the last
+# part's.  If it raises, the sort stops at that phase and raises that
+# exception, and the array's content is unspecified.
 TraceFn = Callable[[str, int, np.ndarray], None]
 
 
@@ -81,20 +86,14 @@ def check_array(S, what: str = "keys") -> None:
         raise InputError(f"{what} must be a writable 1-D int64 numpy array, got {got}")
 
 
-def check_words(
-    S: np.ndarray,
-    cfg: WordConfig,
-    P: Optional[np.ndarray] = None,
-    max_key: Optional[int] = None,
-) -> Optional[tuple]:
-    """The front door of every sorter: validate before any word is written.
+def check_words(S: np.ndarray, cfg: WordConfig, P: Optional[np.ndarray] = None) -> Optional[tuple]:
+    """Validate before any word is written.
 
     Refuses with :class:`~assocsort.errors.InputError` anything but a
     writable 1-D ``int64`` array, and for a payload ``P`` one of the same
-    kind and length that shares no memory with the keys.  Then checks the
-    array length against the word model's node slots and the keys against
-    ``[0, max_key]`` (``cfg.max_key`` unless given), with
-    :class:`~assocsort.errors.WordRangeError`.  Returns the keys'
+    kind and length that shares no memory with the keys, and with
+    :class:`~assocsort.errors.WordRangeError` more words than the word
+    model's node slots.  Keys may be any ``int64``.  Returns the keys'
     ``(min, max)``, or ``None`` when ``S`` is empty.
     """
     check_array(S)
@@ -106,30 +105,59 @@ def check_words(
         if np.shares_memory(S, P):
             raise InputError("payload shares memory with the keys")
     if n > cfg.tag_mask:
-        raise WordRangeError(
-            f"{n} words exceed the {cfg.tag_mask} node slots of w={cfg.w}"
-        )
+        raise WordRangeError(f"{n} words exceed the {cfg.tag_mask} node slots of w={cfg.w}")
     if n == 0:
         return None
-    if max_key is None:
-        max_key = cfg.max_key
     mn, mx = active().min_max(S, 0, n)
-    if mn < 0 or mx > max_key:
-        raise WordRangeError(f"keys must lie in [0, {max_key}], saw [{mn}, {mx}]")
     return int(mn), int(mx)
 
 
-def start(
-    S: np.ndarray,
-    cfg: Optional[WordConfig],
-    counters: Optional[OpCounters],
-    P: Optional[np.ndarray] = None,
-) -> tuple:
-    """``(cfg, counters, bounds)`` of a sort: the defaults filled in and
-    :func:`check_words`' answer, ``None`` for an empty ``S``."""
-    cfg = cfg or WordConfig()
-    counters = counters if counters is not None else OpCounters()
-    return cfg, counters, check_words(S, cfg, P)
+def by_range(sort, S, cfg, counters, P, *spec) -> OpCounters:
+    """The front door of every sorter: sort ``S`` (carrying ``P``) in place
+    with ``sort(S, P, bounds, cfg, counters, *spec)``, which takes keys in
+    ``[0, cfg.max_key]`` only, and return ``counters``.
+
+    ``cfg`` and ``counters`` default for ``None`` and are refused with
+    :class:`~assocsort.errors.InputError` if of another type; then
+    :func:`check_words` checks the input.  Keys in that range go to
+    ``sort`` as they are; keys whose range fits it are shifted down by
+    their minimum in place and back after (a ``DuplicateKeyError`` names
+    its key as the input held it); wider keys are split at the midpoint
+    of their range by ``partition_values`` at tag 0, each part taking the
+    same rule.  Shifts and splits count their writes as moves.
+    """
+    if cfg is None:
+        cfg = WordConfig()
+    if counters is None:
+        counters = OpCounters()
+    if not isinstance(cfg, WordConfig):
+        raise InputError(f"cfg must be a WordConfig, got {type(cfg).__name__}")
+    if not isinstance(counters, OpCounters):
+        raise InputError(f"counters must be an OpCounters, got {type(counters).__name__}")
+    bounds = check_words(S, cfg, P)
+    if bounds is None:
+        return counters
+    mn, mx = bounds
+    if 0 <= mn and mx <= cfg.max_key:
+        sort(S, P, bounds, cfg, counters, *spec)
+    elif mx - mn > cfg.max_key:
+        n_low, moves = active().partition_values(S, 0, len(S), (mn + mx) // 2, 0, P)
+        counters.moves += moves
+        for part in (slice(0, n_low), slice(n_low, None)):
+            by_range(sort, S[part], cfg, counters, None if P is None else P[part], *spec)
+    else:
+        S -= mn
+        counters.moves += len(S)
+        try:
+            sort(S, P, (0, mx - mn), cfg, counters, *spec)
+        except DuplicateKeyError as exc:
+            if exc.key is None:
+                raise
+            key = exc.key + mn
+            raise DuplicateKeyError(f"key {key} occurs more than once", key=key) from None
+        S += mn
+        counters.moves += len(S)
+    return counters
 
 
 def hook(S: np.ndarray, trace: Optional[TraceFn], passes: int = 0):
@@ -148,33 +176,33 @@ def run_loop(
     cfg: Optional[WordConfig],
     counters: Optional[OpCounters],
     P: Optional[np.ndarray] = None,
-    args: tuple = (),
-    top: bool = False,
+    args: Callable[[tuple, WordConfig], tuple] = lambda bounds, cfg: bounds[:1],
     trace: Optional[TraceFn] = None,
 ) -> OpCounters:
     """Sort ``S`` (carrying ``P``) in place in one call of the active
-    backend's pass loop named ``loop``.
+    backend's pass loop named ``loop`` (one a part, see :func:`by_range`).
 
-    The loop takes the arrays, the segment ``0, len(S)``, the minimum the
-    front door scanned (and, if ``top``, the maximum), ``args`` and the
+    The loop takes the arrays, the segment ``0, len(S)``, ``args`` of the
+    keys' ``(min, max)`` and ``cfg`` (by default the minimum alone) and the
     :func:`hook` of ``trace``, and returns ``(passes, moves,
     node_creations, head, phase, status, *numbers)``.  Its counters are
     added to ``counters``; a failed check is raised by ``fail(phase,
     status, *numbers)``.
     """
-    cfg, counters, bounds = start(S, cfg, counters, P)
-    if bounds is None:
-        return counters
+    return by_range(_pass_loop, S, cfg, counters, P, loop, fail, args, trace)
+
+
+def _pass_loop(S, P, bounds, cfg, counters, loop, fail, args, trace):
+    """The loop call of :func:`run_loop` on keys in ``[0, cfg.max_key]``."""
     arrays = (S,) if P is None else (S, P)
     passes, moves, created, _, phase, status, *numbers = getattr(active_loops(), loop)(
-        *arrays, 0, len(S), *bounds[: 1 + top], *args, hook(S, trace, counters.passes)
+        *arrays, 0, len(S), *args(bounds, cfg), hook(S, trace, counters.passes)
     )
     counters.passes += passes
     counters.moves += moves
     counters.node_creations += created
     if phase != PHASE_OK:
         fail(phase, status, *numbers)
-    return counters
 
 
 def stalled(head: int, n: int) -> CorruptStateError:
@@ -208,6 +236,11 @@ def _fail(phase, status, a=0, b=0, c=0, d=0):
     raise stalled(a, b)  # PHASE_PREFIX
 
 
+# The ``sequential_passes`` arguments after the segment: the keys' bounds
+# and the word width.
+_width = lambda bounds, cfg: (*bounds, cfg.w)
+
+
 def sort_associative(
     S: np.ndarray,
     cfg: Optional[WordConfig] = None,
@@ -215,9 +248,7 @@ def sort_associative(
     trace: Optional[TraceFn] = None,
 ) -> OpCounters:
     """Sort ``S`` in place, one practice/store/retrieve cycle per pass."""
-    cfg = cfg or WordConfig()
-    return run_loop("sequential_passes", _fail, S, cfg, counters, args=(cfg.w,),
-                    top=True, trace=trace)
+    return run_loop("sequential_passes", _fail, S, cfg, counters, args=_width, trace=trace)
 
 
 def sort_associative_recursive(
@@ -240,9 +271,12 @@ def sort_associative_recursive(
     fills it first.  A trace sees a level's practice and its retrieval
     numbered alike, by the pass that practiced it.
     """
-    cfg, counters, bounds = start(S, cfg, counters)
-    if bounds is None:
-        return counters
+    return by_range(_stacked, S, cfg, counters, None, trace)
+
+
+def _stacked(S, P, bounds, cfg, counters, trace):
+    """The ``stacked_passes`` calls of :func:`sort_associative_recursive`
+    on keys in ``[0, cfg.max_key]`` (``P`` is ``None``)."""
     n = len(S)
     L = np.empty(2 * LEVELS, dtype=np.int64)
     head, delta, depth = 0, bounds[0], 0
@@ -258,7 +292,7 @@ def sort_associative_recursive(
         if phase != PHASE_OK:
             _fail(phase, status, *numbers)
         if head == n:
-            return counters
+            return
         # In place (a realloc), so the old and the grown buffer are never
         # held at once; nothing else refers to ``L``.
         L.resize(len(L) + 2 * LEVELS, refcheck=False)

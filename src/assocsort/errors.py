@@ -6,11 +6,10 @@ class AssocSortError(Exception):
 
 
 class WordRangeError(AssocSortError):
-    """Input words do not fit the configured virtual word width.
+    """The input does not fit the configured virtual word width.
 
-    Raised when a key is negative, when a key occupies the tag bit
-    (i.e. ``key >= 2**(w-1)`` for the tagged variants), or when the
-    array is longer than the number of addressable node slots.
+    Raised when the array is longer than the ``2**(w-1)`` addressable
+    node slots, or a word width lies outside ``[4, 63]``; never by a key.
     """
 
 

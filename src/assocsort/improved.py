@@ -76,13 +76,11 @@ def _fail(phase, status, a, b):
     raise stalled(a, b)  # PHASE_PREFIX
 
 
-def _sort(bitmap, S, cfg, counters, trace):
-    """Sort ``S`` in one ``improved_passes`` call, of bitmap nodes of
-    ``w - 1`` keys if ``bitmap``, else of count nodes (packed per pass)."""
-    cfg = cfg or WordConfig()
-    form = (cfg.w - 1, 1) if bitmap else (1, cfg.w - 1)
-    return run_loop("improved_passes", _fail, S, cfg, counters,
-                    args=(*form, cfg.tag_mask), top=True, trace=trace)
+# The ``improved_passes`` arguments after the segment: the keys' bounds,
+# the node form ``(F, b)`` of count nodes (packed per pass) or of bitmaps
+# of ``w - 1`` keys, and the tag.
+_count = lambda bounds, cfg: (*bounds, 1, cfg.w - 1, cfg.tag_mask)
+_bitmap = lambda bounds, cfg: (*bounds, cfg.w - 1, 1, cfg.tag_mask)
 
 
 def sort_improved(
@@ -93,7 +91,7 @@ def sort_improved(
 ) -> OpCounters:
     """Sort ``S`` in place; a single pass whenever ``max - min < n``, and
     whenever the keys fit ``F * n`` (see :mod:`assocsort.improved`)."""
-    return _sort(False, S, cfg, counters, trace)
+    return run_loop("improved_passes", _fail, S, cfg, counters, args=_count, trace=trace)
 
 
 def sort_distinct_improved(
@@ -108,4 +106,4 @@ def sort_distinct_improved(
     ``(w - 1) * n`` of the minimum.  Raises
     :class:`~assocsort.errors.DuplicateKeyError` on a repeated key.
     """
-    return _sort(True, S, cfg, counters, trace)
+    return run_loop("improved_passes", _fail, S, cfg, counters, args=_bitmap, trace=trace)

@@ -56,8 +56,8 @@
  * ------------------
  * * An array argument is a base address and its stride in bytes (``S``
  *   and ``S_s``), so strided and unaligned 1-D int64 views work as they
- *   do on the Python backend; practice's payload is NULL, 0 where the
- *   Python kernel's P is None.
+ *   do on the Python backend; a payload (of practice or partition_values)
+ *   is NULL, 0 where the Python kernel's P is None.
  * * The Python kernel's result tuple is written to ``out``, element by
  *   element; kernels whose Python twin returns one integer return it.
  * * A pass loop takes its hook ``emit`` just before ``out``: NULL for an
@@ -122,6 +122,8 @@ typedef int64_t i64;
 typedef int64_t word __attribute__((aligned(1)));
 
 #define AT(A, i) (*(word *)((A) + (i) * A##_s))
+/* Exchange words i and j of A. */
+#define SWAP(A, i, j) do { i64 t_ = AT(A, i); AT(A, i) = AT(A, j); AT(A, j) = t_; } while (0)
 
 /* Inlined into every caller, so that the stride-8 instance of a pass loop
  * sees its constant stride in every access. */
@@ -619,9 +621,7 @@ INLINE void practice_k(char *S, i64 S_s, char *P, i64 P_s, i64 lo, i64 hi,
             AT(S, j) = tag | (F != 1 ? one : 0);
             moves++;
             if (P) {
-                i64 p = AT(P, i);
-                AT(P, i) = AT(P, j);
-                AT(P, j) = p;
+                SWAP(P, i, j);
                 moves += 2;
             }
             created++;
@@ -737,9 +737,11 @@ void store_nodes(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 span,
 }
 
 /* partition_values, taking the skip path of its right-hand scan where
- * skip has bit SKIP_HIGH, of its left-hand one where it has SKIP_LOW. */
-INLINE void partition_values_k(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot,
-                               i64 tag, int skip, i64 *out)
+ * skip has bit SKIP_HIGH, of its left-hand one where it has SKIP_LOW.  P
+ * is NULL or payloads that swap alongside; a pass loop passes a literal
+ * NULL, so that its instance has no payload code. */
+INLINE void partition_values_k(char *S, i64 S_s, char *P, i64 P_s, i64 lo,
+                               i64 hi, i64 pivot, i64 tag, int skip, i64 *out)
 {
     i64 vmask = tag - 1;
     i64 l = lo, r = hi - 1, moves = 0;
@@ -761,6 +763,10 @@ INLINE void partition_values_k(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot,
         AT(S, l) = (AT(S, l) & tag) | b;
         AT(S, r) = (AT(S, r) & tag) | a;
         moves += 2;
+        if (P) {
+            SWAP(P, l, r);
+            moves += 2;
+        }
         l++;
         r--;
     }
@@ -769,9 +775,9 @@ INLINE void partition_values_k(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot,
 }
 
 void partition_values(char *S, i64 S_s, i64 lo, i64 hi, i64 pivot, i64 tag,
-                      i64 *out)
+                      char *P, i64 P_s, i64 *out)
 {
-    partition_values_k(S, S_s, lo, hi, pivot, tag, SKIP_HIGH | SKIP_LOW, out);
+    partition_values_k(S, S_s, P, P_s, lo, hi, pivot, tag, SKIP_HIGH | SKIP_LOW, out);
 }
 
 /* The keys of the packed fields rest, of b bits each, from key key0:
@@ -966,7 +972,7 @@ INLINE void sequential_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         }
         EMIT(STEP_PRACTICE, passes);
         i64 mem = head + n_d + eps_used;
-        partition_values_k(S, S_s, mem, hi, pivot, tag, SKIP_HIGH, r);
+        partition_values_k(S, S_s, NULL, 0, mem, hi, pivot, tag, SKIP_HIGH, r);
         moves += r[1];
         if (r[0] != n_c - eps_used) {
             phase = PHASE_PARTITION;
@@ -1607,9 +1613,11 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
         /* A pass that defers nothing leaves only idle words in the tail,
          * all at or below the pivot, which the left-hand scan walks. */
         if (defers_none(seg, delta, top))
-            partition_values_k(S, S_s, head + n_d, hi, pivot, tag, SKIP_LOW, r);
+            partition_values_k(S, S_s, NULL, 0, head + n_d, hi, pivot, tag,
+                               SKIP_LOW, r);
         else
-            partition_values_k(S, S_s, head + n_d, hi, pivot, tag, SKIP_HIGH, r);
+            partition_values_k(S, S_s, NULL, 0, head + n_d, hi, pivot, tag,
+                               SKIP_HIGH, r);
         moves += r[1];
         if (r[0] != n_c) {
             phase = PHASE_PARTITION;
@@ -1777,9 +1785,7 @@ INLINE void reactivate_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
         if (!(y & tag)) {
             AT(K, i) = y;
             AT(K, q) = x;
-            i64 pp = AT(P, i);
-            AT(P, i) = AT(P, q);
-            AT(P, q) = pp;
+            SWAP(P, i, q);
             moves += 3;
             continue;
         }

@@ -264,9 +264,7 @@ def practice(S, lo, hi, delta, base, span, F, b, tag, P=None):
             S[j] = tag | one if F != 1 else tag
             moves += 1
             if P is not None:
-                pp = P[i]
-                P[i] = P[j]
-                P[j] = pp
+                P[i], P[j] = P[j], P[i]
                 moves += 2
             created += 1
             n_d += 1
@@ -357,17 +355,16 @@ def store_nodes(S, lo, hi, delta, span, pack_split, tag, eps_budget):
     return eps_used, wr - lo, moves, STATUS_OK
 
 
-def partition_values(S, lo, hi, pivot, tag):
+def partition_values(S, lo, hi, pivot, tag, P=None):
     """Two-finger partition of the value planes of ``S[lo:hi]``.
 
     Words whose low ``w - 1`` bits are <= ``pivot`` move to the front.
-    Tag bits stay where they are; only value planes swap.  Returns
-    ``(n_low, moves)``.
+    Tag bits stay where they are; only value planes swap (with tag 0, the
+    whole word).  A payload ``P``, as :func:`practice`'s, swaps alongside,
+    4 moves a swap.  Returns ``(n_low, moves)``.
     """
     vmask = tag - 1
-    l = lo
-    r = hi - 1
-    moves = 0
+    l, r, moves = lo, hi - 1, 0
     while l <= r:
         a = S[l] & vmask
         if a <= pivot:
@@ -380,6 +377,9 @@ def partition_values(S, lo, hi, pivot, tag):
         S[l] = (S[l] & tag) | b
         S[r] = (S[r] & tag) | a
         moves += 2
+        if P is not None:
+            P[l], P[r] = P[r], P[l]
+            moves += 2
         l += 1
         r -= 1
     return l - lo, moves
@@ -979,9 +979,7 @@ def reactivate(K, P, lo, hi, n_sorted, tag):
         if not y & tag:
             K[i] = y
             K[q] = x
-            pp = P[i]
-            P[i] = P[q]
-            P[q] = pp
+            P[i], P[q] = P[q], P[i]
             moves += 3
             continue
         # The word claims a node's slot: place it, then walk the chain of

@@ -51,6 +51,11 @@ def _fail(phase, status, a=0, b=0, c=0, d=0):
     raise stalled(a, b)  # PHASE_PREFIX
 
 
+# The ``rank_passes`` arguments after the segment: the keys' minimum and
+# the tag.
+_tag = lambda bounds, cfg: (bounds[0], cfg.tag_mask)
+
+
 def sort_by_key(
     K: np.ndarray,
     P: np.ndarray,
@@ -64,8 +69,7 @@ def sort_by_key(
     shares no memory with ``K``.  The sort is not stable: equal keys keep
     their payloads but may exchange relative order.
     """
-    cfg = cfg or WordConfig()
-    return run_loop("rank_passes", _fail, K, cfg, counters, P, (cfg.tag_mask,), trace=trace)
+    return run_loop("rank_passes", _fail, K, cfg, counters, P, _tag, trace=trace)
 
 
 def argsort_keys(
@@ -77,6 +81,7 @@ def argsort_keys(
 
     Returns ``(sorted_keys, perm)`` with
     ``sorted_keys[i] == keys[perm[i]]``; ``keys`` itself is untouched.
+    Keys may be any integers that ``int64`` holds, negative ones included.
     Refused with :class:`~assocsort.errors.InputError`: anything but a
     1-D array, and keys whose ``int64`` copy would not be exact, that is
     any dtype but a signed or unsigned integer one (floats, which the copy

@@ -4,8 +4,9 @@ All sorters in this package operate on ``numpy.int64`` arrays whose
 values are treated as *virtual words* of a configurable width ``w``.
 The most significant bit of a virtual word is the **tag bit**: setting
 it converts the word into a *node*, and the remaining ``w - 1`` bits
-become the node's *record*.  Keys must therefore fit in ``w - 1`` bits,
-i.e. lie in ``[0, 2**(w-1))``.
+become the node's *record*.  The pass loops therefore sort keys that fit
+in ``w - 1`` bits, i.e. lie in ``[0, 2**(w-1))``; ``core.by_range``
+shifts or splits any other ``int64`` keys into that range first.
 
 ``w`` is capped at 63 so that a full virtual word (tag bit included)
 still fits in a signed 64-bit integer; the arithmetic in the hot loops
@@ -49,5 +50,5 @@ class WordConfig:
 
     @property
     def max_key(self) -> int:
-        """Largest sortable key: ``2**(w-1) - 1``."""
+        """Largest key a pass loop sorts: ``2**(w-1) - 1``."""
         return self.value_mask

@@ -21,7 +21,8 @@
  *
  * Each case runs through views of byte stride 8, 16 and -8 (both
  * instances of each loop), which must give the same
- * results and words; where sorts is 1 and the loop reports no failure, it
+ * results and words; a partition_values case runs with a payload as well
+ * as without one (see partition_carrying); where sorts is 1 and the loop reports no failure, it
  * must leave its segment sorted (stacked_passes through its unwind, which
  * the same call runs once its passes reach the end).  Prints
  * the number of cases and of failures, and a digest of every case's
@@ -165,6 +166,38 @@ static void read_back(view v, i64 n, i64 *words)
 #endif
 }
 
+/* partition_values with integer arguments a on words, carrying a payload
+ * ramp, through views of byte stride: it must leave done's words (the
+ * words the same call without a payload left, at that stride) and
+ * out[0], count 2 moves more a swap than out[1], and leave beside each
+ * value plane the payload of the word it came from. */
+static void partition_carrying(const i64 *words, i64 n, const i64 *a,
+                               i64 stride, const char *done, const i64 *out)
+{
+    i64 *P = alloc(n * 8), *w = alloc(n * 8), got[2], vmask = a[3] - 1;
+    for (i64 i = 0; i < n; i++)
+        P[i] = i;
+    view S = view_of(words, n, stride), Pv = view_of(P, n, stride);
+    partition_values(S.base, stride, a[0], a[1], a[2], a[3], Pv.base, stride,
+                     got);
+    read_back(S, n, w);
+    read_back(Pv, n, P);
+    int bad = got[0] != out[0] || got[1] != 2 * out[1];
+    for (i64 i = 0; !bad && i < n; i++) {
+        i64 v;
+        memcpy(&v, done + i * stride, 8);
+        bad = w[i] != v || P[i] < 0 || P[i] >= n ||
+              (w[i] & vmask) != (words[P[i]] & vmask);
+    }
+    if (bad) {
+        fprintf(stderr, "partition_values, n %lld (stride %lld): payload run "
+                "differs\n", (long long)n, (long long)stride);
+        failures++;
+    }
+    free(P);
+    free(w);
+}
+
 /* Kernel kind with integer arguments a on words (and, for the loops
  * that take one, a zeroed level array of 2n words or a payload ramp)
  * through views of byte stride, a loop handed the hook emit; out gets its
@@ -201,7 +234,8 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
         store_nodes(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6], out);
         break;
     case PARTITION:
-        partition_values(s, stride, a[0], a[1], a[2], a[3], out);
+        partition_values(s, stride, a[0], a[1], a[2], a[3], NULL, 0, out);
+        partition_carrying(words, n, a, stride, s, out);
         break;
     case RETRIEVE:
         retrieve_scan(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6],

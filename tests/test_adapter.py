@@ -1,15 +1,10 @@
-"""Registry, façade helpers, and full-universe partitioning."""
+"""Registry, façade helpers, and keys over the whole ``int64`` range."""
 
 import numpy as np
 import pytest
 
 import assocsort
-from assocsort.adapter import (
-    ALGORITHMS,
-    perm_rank_words,
-    resolve_algorithm,
-    sort_full_universe,
-)
+from assocsort.adapter import ALGORITHMS, perm_rank_words, resolve_algorithm
 from assocsort.errors import DuplicateKeyError, WordRangeError
 from assocsort.words import WordConfig
 
@@ -69,53 +64,65 @@ class TestConvenience:
 
 
 class TestFullUniverse:
+    """Keys outside ``[0, 2**(w-1))`` through ``sort``: shifted down by
+    their minimum where their range fits the word, else split at its
+    midpoint, each part by the same rule."""
+
     def test_top_bit_keys(self, backend):
         S = arr(200, 3, 130, 7)
-        sort_full_universe(S, cfg=CFG8)
+        assocsort.sort(S, cfg=CFG8)
         assert S.tolist() == [3, 7, 130, 200]
 
     def test_random_full_range(self, backend, rng):
         for algo in ("assoc_improved", "assoc_seq", "assoc_rec", "perm_rank"):
-            vals = rng.integers(0, 256, size=120).astype(np.int64)
-            S = vals.copy()
-            sort_full_universe(S, algo=algo, cfg=CFG8)
-            assert np.array_equal(S, reference_sort(vals)), algo
+            for lo, hi in ((0, 256), (-(2**63), 2**63 - 1)):
+                vals = rng.integers(lo, hi, size=120, dtype=np.int64)
+                S = vals.copy()
+                assocsort.sort(S, algo, cfg=CFG8)
+                assert np.array_equal(S, reference_sort(vals)), (algo, lo)
 
     def test_distinct_full_range(self, backend, rng):
-        vals = rng.choice(2**16, size=400, replace=False).astype(np.int64)
-        S = vals.copy()
-        sort_full_universe(S, algo="distinct_improved", cfg=WordConfig(16))
-        assert np.array_equal(S, reference_sort(vals))
+        for algo in ("distinct_improved", "cycle_distinct"):
+            for scale in (1, 2**46):
+                vals = rng.choice(2**16, size=400, replace=False).astype(np.int64) * scale
+                S = vals - 2**15 * scale
+                assocsort.sort(S, algo, cfg=WordConfig(16))
+                assert np.array_equal(S, reference_sort(vals - 2**15 * scale)), (algo, scale)
 
-    @pytest.mark.parametrize("keys, key", [([200, 3, 130, 200, 7], 200), ([3, 130, 3], 3)])
+    @pytest.mark.parametrize(
+        "keys, key", [([200, 3, 130, 200, 7], 200), ([3, 130, 3], 3), ([-4, 9, -4], -4)]
+    )
     def test_repeated_key_is_named_as_the_input_held_it(self, backend, keys, key):
-        """The upper half is sorted shifted down by ``2**(w - 1)``; its
-        repeated key is reported with the shift added back."""
+        """A part sorted shifted down by its minimum reports its repeated
+        key with the shift added back."""
         with pytest.raises(DuplicateKeyError, match=f"^key {key} occurs more than once$") as exc:
-            sort_full_universe(arr(*keys), algo="distinct_improved", cfg=CFG8)
+            assocsort.sort(arr(*keys), "distinct_improved", cfg=CFG8)
         assert exc.value.key == key
 
     def test_cycle_leader_cannot_name_its_repeated_key(self, backend):
         with pytest.raises(DuplicateKeyError) as exc:
-            sort_full_universe(arr(200, 3, 130, 200, 7), algo="cycle_distinct", cfg=CFG8)
+            assocsort.sort(arr(200, 3, 130, 200, 7), "cycle_distinct", cfg=CFG8)
         assert exc.value.key is None
 
     def test_all_words_in_one_half(self, backend, rng):
         lo = rng.integers(0, 128, size=60).astype(np.int64)
-        S = lo.copy()
-        sort_full_universe(S, cfg=CFG8)
-        assert np.array_equal(S, reference_sort(lo))
-        hi = lo + 128
-        S = hi.copy()
-        sort_full_universe(S, cfg=CFG8)
-        assert np.array_equal(S, reference_sort(hi))
+        for shift in (0, 128, -(2**63)):
+            S = lo + shift
+            assocsort.sort(S, cfg=CFG8)
+            assert np.array_equal(S, reference_sort(lo + shift)), shift
 
     def test_empty(self, backend):
-        c = sort_full_universe(np.empty(0, dtype=np.int64), cfg=CFG8)
+        c = assocsort.sort(np.empty(0, dtype=np.int64), cfg=CFG8)
         assert c.passes == 0
 
     def test_validation(self, backend):
+        """Keys the top-bit split refused sort; more words than node slots
+        are still refused, before any is written."""
+        for keys in ([256], [-1], [256, -1, 2**63 - 1, 3]):
+            S = arr(*keys)
+            assocsort.sort(S, cfg=CFG8)
+            assert S.tolist() == sorted(keys)
+        S = np.arange(CFG8.tag_mask + 1, dtype=np.int64) * -3
         with pytest.raises(WordRangeError):
-            sort_full_universe(arr(256,), cfg=CFG8)
-        with pytest.raises(WordRangeError):
-            sort_full_universe(arr(-1,), cfg=CFG8)
+            assocsort.sort(S, cfg=CFG8)
+        assert S.tolist() == list(range(0, -3 * (CFG8.tag_mask + 1), -3))

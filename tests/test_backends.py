@@ -164,7 +164,8 @@ def test_warmup_reports_backend():
 
 
 # The kernels that sorts and baselines call through ``active()``: the
-# front door's scan, ``sort_full_universe``'s split and the radix baseline.
+# front door's scan, the split of keys wider than the word, and the radix
+# baseline.
 # The pass loops call the others within the backend.
 ACTIVE_KERNELS = ("min_max", "partition_values", "radix_pass")
 

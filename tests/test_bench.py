@@ -223,7 +223,7 @@ class TestFeasible:
         assert feasible("assoc_seq", 16, 100, "uniform", cfg8)
         assert not feasible("assoc_seq", 0, 100, "uniform", cfg8)
         assert not feasible("assoc_seq", 200, 100, "uniform", cfg8)  # n > slots
-        assert not feasible("assoc_seq", 16, 300, "uniform", cfg8)  # m > slots
+        assert feasible("assoc_seq", 16, 300, "uniform", cfg8)  # m > slots: split
         assert not feasible("cycle_distinct", 16, 8, "distinct", cfg8)  # m < n
         assert not feasible("cycle_distinct", 16, 100, "uniform", cfg8)
         assert feasible("cycle_distinct", 16, 100, "distinct", cfg8)

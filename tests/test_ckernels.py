@@ -126,8 +126,8 @@ PAST_THE_END = [
     ("repractice_idle", (1, 8, 0, 8, T8), (0, 8, 0, 8, T8)),
     ("reactivate", (0, 9, 0, T8), (0, 8, 0, T8)),
     ("restore_keys", (0, 9, 0, T8), (0, 8, 0, T8)),
-    # Tag 0: the value plane is the whole word, as ``sort_full_universe``
-    # partitions on the top bit.
+    # Tag 0: the value plane is the whole word, as a sort splits keys
+    # wider than the word.
     ("partition_values", (0, 9, T8 - 1, 0), (0, 8, T8 - 1, 0)),
     ("partition_values", (-1, 8, 3, 0), (0, 8, 3, 0)),
     ("radix_pass", (9, 0), (8, 0)),
@@ -215,8 +215,8 @@ def _call(name, args, lengths):
 def test_c_kernels_check_their_bounds(name, bad, good):
     """A call past the arrays never reaches C: it behaves as on numpy,
     an ``IndexError`` where an index leaves the array.  A kernel whose
-    last array may be ``None`` (``practice``'s payload) runs without it
-    and with it."""
+    last array may be ``None`` (the payload of ``practice`` and of
+    ``partition_values``) runs without it and with it."""
     arrays = ckernels.SIGNATURES[name][0].split()
     params = ckernels._params(name)
     optional = params[len(params) - len(getattr(kernels, name).__defaults__ or ()):]

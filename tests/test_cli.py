@@ -123,6 +123,26 @@ class TestParser:
         assert exc.value.code == 2
         assert "[4, 63]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "backends"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "-5"), ("--n", "0"), ("--trials", "0"), ("--trials", "-1"),
+        ("--ratio", "-1"), ("--ratio", "0"), ("--ratio", "nan"), ("--ratio", "inf"),
+    ])
+    def test_grid_value_below_one_is_a_usage_error(self, command, flag, value, capsys):
+        """An ``--n`` or ``--trials`` below 1, or a ``--ratio`` not above 0,
+        printed an empty table and exited 0, or ran m = 1."""
+        args = {"--n": "16", "--trials": "1", "--ratio": "1", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main([command, *(word for pair in args.items() for word in pair)])
+        assert exc.value.code == 2
+        assert f"{flag}: must be a finite number above 0, got {value}" in capsys.readouterr().err
+
+    def test_grid_value_of_the_wrong_type_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--n", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
 
 def _installed(dist):
     try:

@@ -41,11 +41,11 @@ def _random_inputs(rng, count=60):
 
 class TestCheckWords:
     def test_bounds(self, backend):
+        """The keys' ``(min, max)``, of any ``int64`` keys: those outside
+        ``[0, 2**(w-1))`` are the sort's to shift or split, not refused."""
         assert check_words(arr(0, 5, 127), CFG8) == (0, 127)
-        with pytest.raises(WordRangeError):
-            check_words(arr(-1,), CFG8)
-        with pytest.raises(WordRangeError):
-            check_words(arr(128,), CFG8)  # tag bit territory
+        assert check_words(arr(-1,), CFG8) == (-1, -1)
+        assert check_words(arr(128, -(2**63), 2**63 - 1), CFG8) == (-(2**63), 2**63 - 1)
 
 
 class TestPracticePhase:
@@ -168,10 +168,12 @@ class TestFullSort:
             assert np.array_equal(S, reference_sort(vals))
 
     def test_validation(self, backend, driver):
-        with pytest.raises(WordRangeError):
-            driver(arr(-3, 1), CFG8)
-        with pytest.raises(WordRangeError):
-            driver(arr(1, 130), CFG8)
+        """Keys outside ``[0, 2**(w-1))`` sort exactly, shifted by their
+        minimum or split; more words than node slots are still refused."""
+        for keys in ([-3, 1], [1, 130], [2**63 - 1, -(2**63), 7, -1, 7]):
+            S = arr(*keys)
+            driver(S, CFG8)
+            assert S.tolist() == sorted(keys)
         with pytest.raises(WordRangeError):
             driver(np.zeros(CFG8.tag_mask + 1, dtype=np.int64), CFG8)
 

@@ -76,11 +76,13 @@ class TestSortDistinctKeys:
             sort_distinct_keys(arr(90, 90, 5), CFG32)
 
     def test_range_validation(self, backend):
-        with pytest.raises(WordRangeError):
-            sort_distinct_keys(arr(-1, 3), CFG32)
+        """Keys outside ``[0, 2**(w-1))`` sort exactly; more words than
+        node slots are still refused."""
         cfg8 = WordConfig(8)
-        with pytest.raises(WordRangeError):
-            sort_distinct_keys(arr(3, 200), cfg8)  # 200 > 2**7 - 1
+        for keys, cfg in (([-1, 3], CFG32), ([3, 200], cfg8), ([2**63 - 1, -(2**63), 3], cfg8)):
+            S = arr(*keys)
+            sort_distinct_keys(S, cfg)
+            assert S.tolist() == sorted(keys)
         with pytest.raises(WordRangeError):
             sort_distinct_keys(
                 np.arange(cfg8.tag_mask + 1, dtype=np.int64), cfg8

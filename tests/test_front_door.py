@@ -1,10 +1,13 @@
 """The one input contract every sorter shares.
 
 Keys (and a payload) must be writable 1-D ``int64`` numpy arrays, and a
-payload must share no memory with its keys.  Anything else is refused
-with :class:`~assocsort.errors.InputError` before a single word is
-written, the same way by every entry point.  So is an array longer than
-the ``2**(w-1)`` node slots of the word model, with
+payload must share no memory with its keys; the keys may be any
+``int64``.  ``cfg`` and ``counters`` must be ``None``, a
+:class:`~assocsort.words.WordConfig` and an
+:class:`~assocsort.counters.OpCounters`.  Anything else is refused with
+:class:`~assocsort.errors.InputError` before a single word is written,
+the same way by every entry point.  So is an array longer than the
+``2**(w-1)`` node slots of the word model, with
 :class:`~assocsort.errors.WordRangeError`.
 """
 
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 import assocsort
-from assocsort.adapter import ALGORITHMS, sort_full_universe
+from assocsort.adapter import ALGORITHMS
 from assocsort.errors import AssocSortError, InputError, WordRangeError
 from assocsort.ranksort import argsort_keys, sort_by_key
 from assocsort.words import WordConfig
@@ -48,7 +51,6 @@ def _snapshot(x):
 SORTERS = {
     **ALGORITHMS,
     "sort_by_key": lambda S, cfg: sort_by_key(S, np.zeros(len(S), np.int64), cfg),
-    "sort_full_universe": lambda S, cfg: sort_full_universe(S, cfg=cfg),
 }
 
 
@@ -65,7 +67,7 @@ def test_malformed_keys_refused_untouched(name, kind):
 @pytest.mark.parametrize("name", sorted(SORTERS))
 def test_over_long_array_refused_untouched(name):
     """``2**(w-1) + 1`` keys at w = 4, four below ``2**(w-1)`` and five at or
-    above it, so that each half of a top-bit partition would fit."""
+    above it, so that each half of a split would fit."""
     cfg = WordConfig(4)
     S = np.array([5 * i % 16 for i in range(cfg.tag_mask + 1)], dtype=np.int64)
     before = _snapshot(S)
@@ -100,10 +102,10 @@ def test_payload_aliasing_keys_refused(alias):
 # Inputs with no length: every entry point refuses them with a typed error.
 UNSIZED = {"0-d": lambda: np.array(5, dtype=np.int64), "int": lambda: 5, "None": lambda: None}
 ENTRIES = {
-    **{f"sort/{name}": lambda x, name=name: assocsort.sort(x, name) for name in ALGORITHMS},
-    "sort_by_key": lambda x: sort_by_key(x, np.zeros(1, np.int64)),
+    **{f"sort/{name}": lambda x, name=name, **kw: assocsort.sort(x, name, **kw)
+       for name in ALGORITHMS},
+    "sort_by_key": lambda x, **kw: sort_by_key(x, np.zeros(np.size(x), np.int64), **kw),
     "argsort_keys": argsort_keys,
-    "sort_full_universe": sort_full_universe,
 }
 
 
@@ -114,7 +116,20 @@ def test_unsized_input_refused(entry, kind):
         ENTRIES[entry](UNSIZED[kind]())
 
 
-@pytest.mark.parametrize("entry", [assocsort.sort, sort_full_universe], ids=["sort", "sort_full_universe"])
+@pytest.mark.parametrize("bad", [5, "x", 0], ids=repr)
+@pytest.mark.parametrize("arg", ["cfg", "counters"])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_wrongly_typed_argument_refused_untouched(entry, arg, bad):
+    """A ``cfg`` or ``counters`` of another type, falsy ones included, is
+    refused, not taken for the default or met by an ``AttributeError``."""
+    S = arr(*KEYS)
+    with pytest.raises(InputError, match=f"^{arg} must be an? ") as exc:
+        ENTRIES[entry](S, **{arg: bad})
+    assert type(bad).__name__ in str(exc.value)
+    assert S.tolist() == KEYS
+
+
+@pytest.mark.parametrize("entry", [assocsort.sort], ids=["sort"])
 def test_unknown_algorithm_refused_untouched(entry):
     S = arr(*KEYS)
     with pytest.raises(InputError) as exc:

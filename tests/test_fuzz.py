@@ -1,14 +1,15 @@
 """Differential fuzz: the ``c`` backend against the plain ``numpy`` one.
 
-Every registry sorter, ``sort_by_key`` and ``sort_full_universe`` run on
-the same input under both backends, at word widths 4..63, and must leave
-the same keys and payload, the same four ``OpCounters`` fields, and, when
+Every registry sorter, ``sort_by_key`` and ``argsort_keys`` run on the
+same input under both backends, at word widths 4..63, and must leave the
+same keys and payload, the same four ``OpCounters`` fields, and, when
 they refuse or fail, the same exception with the same message.  The
 strategies lean on the edges of the word model: a segment of exactly
 ``2**(w-1)`` words at small ``w``, keys at ``max_key``, duplicate-heavy
 runs at ``w`` = 4..6 where companions are live, the bitmap sorter at
 ``w`` = 63 (63-bit words, 62 keys per node), and strided keys and
-payloads.
+payloads.  Keys over the whole ``int64`` range, which sorts shift or
+split, must also sort as numpy sorts them.
 """
 
 import numpy as np
@@ -16,10 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from assocsort.adapter import ALGORITHMS, sort_full_universe
+import assocsort
+from assocsort.adapter import ALGORITHMS
 from assocsort.backend import available, use_backend
 from assocsort.counters import OpCounters
-from assocsort.ranksort import sort_by_key
+from assocsort.ranksort import argsort_keys, sort_by_key
 from assocsort.words import WordConfig
 
 pytestmark = pytest.mark.skipif(not available("c"), reason="c backend unavailable")
@@ -42,12 +44,14 @@ def _view(values, stride):
 
 
 def _outcome(run, keys, payload, stride):
-    """Run ``run(K, P)`` on fresh views; returns everything observable."""
+    """Run ``run(K, P, counters)`` on fresh views; returns everything
+    observable, what ``run`` returns included."""
     kbuf, K = _view(keys, stride)
     pbuf, P = _view(payload, stride) if payload is not None else (None, None)
     counters = OpCounters()
+    returned = None
     try:
-        run(K, P, counters)
+        returned = run(K, P, counters)
         error = None
     except Exception as exc:  # the refusal itself is compared
         error = (type(exc).__name__, str(exc))
@@ -56,15 +60,18 @@ def _outcome(run, keys, payload, stride):
         None if pbuf is None else pbuf.tolist(),
         (counters.passes, counters.moves, counters.node_creations, counters.max_depth),
         error,
+        returned,
     )
 
 
 def _assert_same(run, keys, payload=None, stride=1):
+    """Both backends' outcome of ``run``, which must be the same; returns it."""
     results = {}
     for name in ("numpy", "c"):
         with use_backend(name):
             results[name] = _outcome(run, keys, payload, stride)
     assert results["c"] == results["numpy"]
+    return results["c"]
 
 
 def _sorter_run(sorter, cfg):
@@ -145,18 +152,67 @@ def test_bitmap_nodes_at_widest_word(data):
     _assert_same(_sorter_run("distinct_improved", cfg), keys, stride=stride)
 
 
+def _entry_run(entry, cfg, traced):
+    """``run(K, P, counters)`` of ``sort`` with the sorter ``entry`` (its
+    registry function, if ``traced``, returning the events its trace saw),
+    of ``sort_by_key``, or of ``argsort_keys`` writing its answer into ``K``
+    and ``P``."""
+    if entry == "argsort_keys":
+        def run(K, P, c):
+            K[:], P[:] = argsort_keys(K, cfg, c)
+    elif entry == "sort_by_key" or traced:
+        def run(K, P, c):
+            events = []
+            trace = lambda phase, passes, a: events.append((phase, passes, a.tolist()))
+            if entry == "sort_by_key":
+                sort_by_key(K, P, cfg=cfg, counters=c, trace=trace if traced else None)
+            else:
+                ALGORITHMS[entry](K, cfg=cfg, counters=c, trace=trace)
+            return events
+    else:
+        run = lambda K, P, c: assocsort.sort(K, entry, cfg=cfg, counters=c)
+    return run
+
+
 @FUZZ
 @given(st.data())
 def test_full_universe(data):
-    """Keys over all ``w`` bits, up to ``2**63 - 1`` at w = 63."""
-    w = data.draw(st.integers(4, 63))
-    cfg = WordConfig(w)
-    algo = data.draw(st.sampled_from(sorted(set(ALGORITHMS) - DISTINCT_ONLY)))
+    """Keys anywhere in ``int64``, at strides 1, 2 and -1: through ``sort``
+    for every value sorter, and through ``sort_by_key`` and
+    ``argsort_keys``, both backends give the same outcome (traces across
+    shifted and split parts included), and it is numpy's sort: payloads
+    stay with their keys, and ``argsort_keys``' permutation gives its
+    sorted keys."""
+    entry = data.draw(st.sampled_from(SORTERS + ["argsort_keys"]))
+    cfg = WordConfig(data.draw(st.integers(4, 63)))
     n = data.draw(st.integers(0, min(40, cfg.tag_mask)))
-    top = 2**w - 1
-    near = data.draw(st.booleans())
-    lo = max(0, top - 4 * n) if near else 0
-    keys = data.draw(st.lists(st.integers(lo, top), min_size=n, max_size=n))
+    unique = entry in DISTINCT_ONLY
+    shape = data.draw(st.sampled_from(["whole", "ends", "window"]))
+    if shape == "whole":
+        values = INT64
+    elif shape == "ends":  # crowd the least and the greatest int64
+        near = 4 * n
+        values = st.integers(-(2**63), -(2**63) + near) | st.integers(2**63 - 1 - near, 2**63 - 1)
+    else:
+        lo = data.draw(INT64)
+        width = max(data.draw(st.integers(1, 100 * n + 1)), 2 * n if unique else 1)
+        values = st.integers(lo, min(2**63 - 1, lo + width - 1))
+    keys = data.draw(st.lists(values, min_size=n, max_size=n, unique=unique))
+    payload = None
+    if entry == "sort_by_key":
+        payload = data.draw(st.lists(INT64, min_size=n, max_size=n))
+    elif entry == "argsort_keys":
+        payload = [0] * n
     stride = data.draw(st.sampled_from([1, 2, -1]))
-    run = lambda K, P, c: sort_full_universe(K, algo, cfg=cfg, counters=c)
-    _assert_same(run, keys, stride=stride)
+    traced = entry != "argsort_keys" and data.draw(st.booleans())
+    kbuf, pbuf, _, error, _ = _assert_same(_entry_run(entry, cfg, traced), keys, payload, stride)
+    assert error is None
+    K = np.array(kbuf, dtype=np.int64)[::stride][:n]
+    assert K.tolist() == sorted(keys)
+    if payload is not None:
+        P = np.array(pbuf, dtype=np.int64)[::stride][:n]
+        if entry == "sort_by_key":
+            assert sorted(zip(K.tolist(), P.tolist())) == sorted(zip(keys, payload))
+        else:
+            assert sorted(P.tolist()) == list(range(n))
+            assert np.array_equal(np.array(keys, dtype=np.int64)[P], K)

@@ -127,10 +127,14 @@ class TestSortImproved:
         assert seen == ["practice", "store", "partition", "retrieve"] * (len(seen) // 4)
 
     def test_validation(self, backend):
+        """Keys outside ``[0, 2**(w-1))`` sort exactly; more words than
+        node slots are still refused."""
+        for keys in ([-1], [200], [200, -1, 5, 200], [-(2**63), 2**63 - 1, 0]):
+            S = arr(*keys)
+            sort_improved(S, CFG8)
+            assert S.tolist() == sorted(keys)
         with pytest.raises(WordRangeError):
-            sort_improved(arr(-1,), CFG8)
-        with pytest.raises(WordRangeError):
-            sort_improved(arr(200,), CFG8)
+            sort_improved(np.zeros(CFG8.tag_mask + 1, dtype=np.int64), CFG8)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.lists(st.integers(min_value=0, max_value=127), max_size=90))
@@ -200,8 +204,12 @@ class TestSortDistinctImproved:
         assert 6 <= c.passes <= 14
 
     def test_validation(self, backend):
-        with pytest.raises(WordRangeError):
-            sort_distinct_improved(arr(-2, 0), CFG16)
+        """Keys outside ``[0, 2**(w-1))`` sort exactly; more words than
+        node slots are still refused."""
+        for keys in ([-2, 0], [1 << 15, 3, -9], [2**63 - 1, -(2**63), 0]):
+            S = arr(*keys)
+            sort_distinct_improved(S, CFG16)
+            assert S.tolist() == sorted(keys)
         with pytest.raises(WordRangeError):
             sort_distinct_improved(np.zeros(CFG8.tag_mask + 1, dtype=np.int64), CFG8)
 

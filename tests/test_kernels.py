@@ -361,6 +361,35 @@ class TestValuePlanePartition:
         assert sorted(vals[:2]) == [3, 10]
         assert sorted(vals[2:]) == [60, 70]
 
+    @pytest.mark.parametrize("step", [1, 2, -1])
+    @pytest.mark.parametrize("tag", [TAG8, 0], ids=["tagged", "whole words"])
+    def test_payload_form_is_the_keys_only_form_carrying_payloads(
+            self, backend, rng, tag, step):
+        """With ``P``, the same words and ``n_low``, 2 moves more a swap,
+        and beside each value plane the payload of the word it came from:
+        on tagged words, and with tag 0 on any ``int64`` words, as a sort
+        splits keys wider than the word."""
+        k = active()
+        vmask = tag - 1
+        for _ in range(20):
+            n = int(rng.integers(1, 120))
+            lo = int(rng.integers(0, 4))
+            if tag:
+                S_in = rng.integers(0, 2 * TAG8, size=lo + n).astype(np.int64)
+            else:
+                S_in = rng.integers(-(2**63), 2**63 - 1, size=lo + n, dtype=np.int64)
+            pivot = int(rng.choice(S_in[lo:] & vmask))
+            S = S_in.copy()
+            want = k.partition_values(S, lo, lo + n, pivot, tag)
+            K = S_in.copy()
+            P = np.full(abs(step) * (lo + n), -1, dtype=np.int64)[::step]
+            P[:] = np.arange(lo + n)
+            n_low, moves = k.partition_values(K, lo, lo + n, pivot, tag, P)
+            assert (n_low, moves) == (want[0], 2 * want[1])
+            assert K.tolist() == S.tolist()
+            assert sorted(P.tolist()) == list(range(lo + n))
+            assert np.array_equal(K & vmask, S_in[P] & vmask)
+
 
 def test_backends_agree_word_for_word(rng):
     """Same inputs through every kernel set that runs here must leave

@@ -6,8 +6,8 @@ count or bitmap nodes) and ``implicit_practice`` defer, or in
 ``stacked_passes`` leaves below the interval, untagged words in
 ``store_records``, ``store_nodes`` and the tag scan of ``retrieve_scan``,
 value planes above the pivot in the right-hand scan of
-``partition_values`` (with tag 0, whole words, as ``sort_full_universe``
-partitions) and at or below it in its left-hand one, and words off their
+``partition_values`` (with tag 0, whole words, as a sort splits keys
+wider than the word) and at or below it in its left-hand one, and words off their
 own slot in
 ``collect_fixpoints``.  The standalone kernels and the pass loops take
 these paths in every pass, but for ``distinct_passes``, which turns them
@@ -472,8 +472,9 @@ def _partition_stop_cases():
             seg = [60] + _scan(before, lane, tail, clean, stop)[::-1] + [60]
             yield "partition_values", [pivot + 1] * PAD + seg + [pivot + 1] * PAD, (
                 PAD, PAD + n, pivot, T8)
-        # Tag 0, as ``sort_full_universe`` partitions on the top bit: whole
-        # words with it set, to one at or below the pivot or a negative word.
+        # Tag 0, as a sort splits keys wider than the word at a pivot of
+        # T8 - 1: whole words with the top bit set, to one at or below the
+        # pivot or a negative word.
         for stop in (30, T8 - 1, -118):
             seg = [2 * T8 - 1] + _scan(before, lane, tail, _top_half, stop)[::-1] + [T8]
             yield "partition_values", [T8] * PAD + seg + [T8] * PAD, (PAD, PAD + n, T8 - 1, 0)
@@ -512,8 +513,8 @@ def _stop_cases():
 
 
 def _top_half(k):
-    """An 8-bit word with its top bit set, a key of the upper half of a
-    ``sort_full_universe`` partition."""
+    """An 8-bit word with its top bit set, a key of the upper part of a
+    split of keys wider than the word."""
     return T8 + (37 * k) % T8
 
 
