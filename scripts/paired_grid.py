@@ -9,19 +9,24 @@ takes a hook (``hook emit``) is handed ``NULL``, as an untraced sort
 hands it.  In each cell (sorter,
 n, m/n) every round makes the same number of calls of each build's pass
 loop on fresh copies of an input the round draws, alternating which build
-goes first call by call, and checks that both leave the same words and
-results.  The keys' minimum and maximum, which the drivers' front door
-scans for before the loop, are taken once a round, outside the timed
-calls.  With ``--sorted-only`` it checks instead that each build leaves
-the input sorted (``np.sort`` of it) and reports no failed check, for a
-change that moves words or counters; it then prints each build's passes
-too.  It prints, per cell, the median time per call of each build, their
-ratio (base / new, above 1 when the new build is faster), the base's
-spread between quartiles over its median, and the ratio of the base median
-to the new build's quartiles.  With ``--json PATH`` it also writes every
+goes first call by call, and checks that both leave the same words,
+payloads (``sort_by_key``) and results.  The keys' minimum and maximum,
+which the drivers' front door scans for before the loop, are taken once
+a round, outside the timed calls.  ``--same-words SORTERS`` lets the
+builds' ``moves`` differ in those sorters' cells, for a change that
+counts its writes another way but leaves the same words, payloads,
+passes and node creations.  With ``--sorted-only`` it checks instead
+that each build leaves the input sorted (``np.sort`` of it), each
+payload beside its key, and reports no failed check, for a change that
+moves words or counters; it then prints each build's passes too.  It
+prints, per cell, the median time per call of each build, their ratio
+(base / new, above 1 when the new build is faster), the base's spread
+between quartiles over its median, and the ratio of the base median to
+the new build's quartiles.  With ``--json PATH`` it also writes every
 cell (quartiles of each build's time per call, the ratio, the base IQR,
-each build's passes under ``--sorted-only``) and each build's source,
-flags and git revision to ``PATH``.
+``same_words`` where moves were let differ, each build's passes under
+``--sorted-only``) and each build's source, flags and git revision to
+``PATH``.
 
     git show 46a0063:src/assocsort/kernels.c > /tmp/base.c
     PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c \
@@ -38,6 +43,18 @@ source before them):
         --grid assoc_improved/16384,131072,1048576/0.25,0.5,1,perm \
         --grid assoc_improved,assoc_seq,assoc_rec/5000/1,3,10,30,100 \
         --sorted-only --rounds 201 --json BENCH_dense_grid.json
+
+The grid committed as ``BENCH_reactivate_grid.json`` (the rank sort's
+interleaved reactivation against the source before it; the value
+sorters' cells compare words and every result):
+
+    git show 7c3676f:src/assocsort/kernels.c > /tmp/base.c
+    PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c \
+        --grid sort_by_key/1024,2048,4096,8192,16384,32768,65536,131072,262144,524288,1048576/0.25,1,perm \
+        --grid sort_by_key/5000/1,3,10,30,100 \
+        --grid assoc_improved,distinct_improved,assoc_seq,assoc_rec,cycle_distinct/5000/3,100 \
+        --grid assoc_improved/131072/1 \
+        --same-words sort_by_key --rounds 101 --json BENCH_reactivate_grid.json
 
 The grid committed as ``BENCH_paired_grid.json`` (the counting sorters
 against the source before their passes packed):
@@ -170,10 +187,11 @@ def loop_of(sorter):
             "sort_by_key": "rank_passes", "assoc_rec": "stacked_passes"}[sorter]
 
 
-def run(ns, sorter, S, lo, hi):
-    """One call of ``sorter``'s pass loop on ``S``, as its driver makes it,
-    with the keys' minimum ``lo`` and maximum ``hi``, which the driver's
-    front door scans for before the loop."""
+def run(ns, sorter, S, lo, hi, P=None):
+    """One call of ``sorter``'s pass loop on ``S`` (carrying the payload
+    ``P`` for ``sort_by_key``), as its driver makes it, with the keys'
+    minimum ``lo`` and maximum ``hi``, which the driver's front door scans
+    for before the loop."""
     n = len(S)
     loop = ns[loop_of(sorter)]
     if sorter in ("assoc_improved", "distinct_improved"):
@@ -194,7 +212,7 @@ def run(ns, sorter, S, lo, hi):
     if sorter == "cycle_distinct":
         return loop(S, 0, n, lo)
     if sorter == "sort_by_key":
-        return loop(S, np.arange(n, dtype=np.int64), 0, n, lo, TAG)
+        return loop(S, P, 0, n, lo, TAG)
     L = np.zeros(2 * n + 2, dtype=np.int64)
     return loop(S, L, 0, n, lo, *top, 0, n + 1, 63)
 
@@ -207,9 +225,12 @@ def view(keys, step):
     return S
 
 
-def cell(A, B, sorter, n, ratio, rounds, seed, sorted_only=False, step=1):
+def cell(A, B, sorter, n, ratio, rounds, seed, sorted_only=False, step=1, same_words=False):
     """Mean time per call of ``A`` and of ``B`` in each round, on keys in
-    views of step ``step``, and the passes of each build's last call."""
+    views of step ``step``, and the passes of each build's last call.
+    Both builds must leave the same words and payloads and the same
+    results, but with ``same_words`` their ``moves``; with
+    ``sorted_only`` each must sort, each payload beside its key."""
     at = LOOPS[loop_of(sorter)]
     calls = max(1, 200_000 // n)
     times = {id(A): [], id(B): []}
@@ -222,17 +243,22 @@ def cell(A, B, sorter, n, ratio, rounds, seed, sorted_only=False, step=1):
             left = {}
             for ns in (A, B) if (r + c) % 2 == 0 else (B, A):
                 S = view(keys, step)
+                P = np.arange(n, dtype=np.int64) if sorter == "sort_by_key" else None
                 t0 = time.perf_counter_ns()
-                result = run(ns, sorter, S, lo, hi)
+                result = run(ns, sorter, S, lo, hi, P)
                 total[id(ns)] += time.perf_counter_ns() - t0
-                left[id(ns)] = (tuple(result), S)
+                left[id(ns)] = (tuple(result), S, P)
             if sorted_only:
-                for result, words in left.values():
+                for result, words, P in left.values():
                     assert result[at] == 0 and np.array_equal(words, expect), (
                         sorter, n, ratio, result)
+                    assert P is None or np.array_equal(keys[P], words), (sorter, n, ratio)
             else:
-                (ra, wa), (rb, wb) = left[id(A)], left[id(B)]
+                (ra, wa, pa), (rb, wb, pb) = left[id(A)], left[id(B)]
+                if same_words:  # all but moves, the second result of every loop
+                    ra, rb = ra[:1] + ra[2:], rb[:1] + rb[2:]
                 assert ra == rb and np.array_equal(wa, wb), (sorter, n, ratio)
+                assert pa is None or np.array_equal(pa, pb), (sorter, n, ratio)
         for k in total:
             times[k].append(total[k] / calls)
     return times[id(A)], times[id(B)], left[id(A)][0][0], left[id(B)][0][0]
@@ -291,6 +317,9 @@ def main():
     parser.add_argument("--sorted-only", action="store_true",
                         help="check that each build sorts, not that both leave the "
                              "same words and results, and print each build's passes")
+    parser.add_argument("--same-words", default="", metavar="SORTERS",
+                        help="comma-separated sorters whose builds must leave the same "
+                             "words, payloads and results but may count other moves")
     parser.add_argument("--step", type=int, default=1,
                         help="pass the keys as views of this step (default 1, "
                              "contiguous)")
@@ -298,6 +327,7 @@ def main():
                         help="also write the cells and both builds to PATH")
     args = parser.parse_args()
     cells = []
+    same_words = set(filter(None, args.same_words.split(",")))
     with tempfile.TemporaryDirectory() as directory:
         A = bind(args.base, args.base_flags.split(), directory, "base")
         B = bind(args.new, args.new_flags.split(), directory, "new")
@@ -309,7 +339,7 @@ def main():
                                  for n in sizes.split(",")
                                  for r in ratios.split(",")):
             ta, tb, pa, pb = cell(A, B, sorter, n, ratio, args.rounds, args.seed,
-                                  args.sorted_only, args.step)
+                                  args.sorted_only, args.step, sorter in same_words)
             qa = np.percentile(ta, [25, 50, 75])
             qb = np.percentile(tb, [25, 50, 75])
             passes = f"  passes {pa} / {pb}" if args.sorted_only else ""
@@ -323,6 +353,8 @@ def main():
                 "new_us": [round(q / 1e3, 2) for q in qb],
                 "base_over_new": round(qa[1] / qb[1], 4),
                 "base_iqr": round((qa[2] - qa[0]) / qa[1], 4),
+                **({"same_words": True} if sorter in same_words and not args.sorted_only
+                   else {}),
                 **({"base_passes": int(pa), "new_passes": int(pb)}
                    if args.sorted_only else {}),
             })

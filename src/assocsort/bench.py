@@ -206,6 +206,16 @@ def feasible(algo: str, n: int, m: int, dist: str, cfg: WordConfig) -> bool:
     return True
 
 
+def key_range(n: int, ratio: float) -> int:
+    """``m = round(n * ratio)``, the key values of an (n, ratio) cell;
+    ``ValueError`` naming both where ``m`` rounds below 1 (a ratio below
+    ``0.5 / n``), which used to be taken for m = 1 without a word."""
+    m = int(round(n * ratio))
+    if m < 1:
+        raise ValueError(f"n={n} with ratio={ratio} gives m = round(n * ratio) = {m} key values")
+    return m
+
+
 def run_bench(
     algos: Sequence[str],
     ns: Sequence[int],
@@ -222,8 +232,11 @@ def run_bench(
 
     ``trace`` is a driver trace callback (see :func:`make_trace_writer`),
     attached only when the array is at most ``TRACE_LIMIT`` words and the
-    algorithm supports snapshots.  Verification runs after timing.
+    algorithm supports snapshots.  Verification runs after timing.  An
+    (n, ratio) pair that :func:`key_range` refuses raises its
+    ``ValueError`` before anything runs.
     """
+    ms = {(n, ratio): key_range(n, ratio) for n in ns for ratio in ratios}
     cfg = WordConfig(w)
     rows: List[BenchRow] = []
     pending = []
@@ -236,7 +249,7 @@ def run_bench(
             sorter = resolve_algorithm(algo)
         for n in ns:
             for ratio in ratios:
-                m = max(1, int(round(n * ratio)))
+                m = ms[n, ratio]
                 for dist in dists:
                     if not is_baseline and not feasible(algo, n, m, dist, cfg):
                         continue

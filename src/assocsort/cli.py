@@ -19,6 +19,7 @@ from .backend import BACKENDS, available, current_backend, set_backend, use_back
 from .bench import (
     BASELINES,
     GENERATORS,
+    key_range,
     make_trace_writer,
     run_bench,
     summarize,
@@ -59,7 +60,8 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--ratio", action="append", dest="ratios", type=_positive(float), metavar="R",
-        help="key range as a multiple of n (m = round(R*n)); repeatable (default: 1.0)",
+        help="key range as a multiple of n (m = round(R*n), at least 1); "
+             "repeatable (default: 1.0)",
     )
     p.add_argument(
         "--dist", action="append", dest="dists", metavar="D",
@@ -85,7 +87,6 @@ def _defaults(args) -> None:
 
 
 def _cmd_run(args) -> int:
-    _defaults(args)
     if args.backend:
         set_backend(args.backend)
     trace_fh = None
@@ -116,7 +117,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_backends(args) -> int:
-    _defaults(args)
     names = [b for b in BACKENDS if available(b)]
     tables = {}
     for name in names:
@@ -170,7 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _defaults(args)
+    for n in args.ns:
+        for ratio in args.ratios:
+            try:
+                key_range(n, ratio)
+            except ValueError as exc:  # m = 0: a usage error, exit 2
+                parser.error(str(exc))
     return args.func(args)
 
 

@@ -12,7 +12,10 @@
  * sorters.  practice_k is also the rank pass's practice, carrying the
  * payloads where it is handed them (kernels.practice's P, which the
  * exported practice takes too), so there is one counting practice for
- * keys and for (key, payload) pairs.
+ * keys and for (key, payload) pairs.  A rank pass that defers nothing
+ * reactivates with reactivate_cursors_k, whose chains overlap the loads
+ * that reactivate_k makes one after another; the Python kernel takes the
+ * same steps.
  * improved_passes packs the count nodes of every pass where two fields
  * fit, sequential_passes and stacked_passes those of a pass whose keys a
  * count pass would defer, by the one rule of pass_interval.  Five
@@ -43,8 +46,11 @@
  *   kernels.dense_last) where a third of the keys or more repeat,
  *   storage and retrieval pick their writes by mask likewise.  A word
  *   outside the node's run, or one storage does not move, is written back
- *   unchanged, where the Python kernel leaves it.  The cursors of practice_cursors pick what they write to the slot
- *   they hash to by mask too.
+ *   unchanged, where the Python kernel leaves it.  The cursors of
+ *   practice_cursors pick what they write to the slot they hash to by mask
+ *   too, and the chains of reactivate_cursors the destination and the
+ *   word they write, and their scan steps over final words 4 at a time
+ *   (see skip_final).
  * * A walk over set bits.  Bitmap retrieval visits only the bits a record
  *   holds, not all F of them, and writes a node's keys lowest first, and
  *   packed retrieval only the fields that hold a count (see
@@ -399,6 +405,28 @@ INLINE i64 skip_unsettled(char *S, i64 S_s, i64 i, i64 hi, i64 lo, i64 delta)
             return i + __builtin_ctz(m);
         i += 4;
         settled += 4;
+    }
+    return i;
+}
+
+/* Up from i, below hi: words final in reactivate_cursors_k, a node other
+ * than a hole, or a ticket at its own slot, word i's slot being
+ * i - lo. */
+INLINE i64 skip_final(char *S, i64 S_s, i64 i, i64 hi, i64 lo, i64 tag,
+                      i64 hole)
+{
+    uint64_t at = (uint64_t)i - (uint64_t)lo;
+    u4 slot = (u4){at, at + 1, at + 2, at + 3};
+    v4 v;
+    while (i + 4 <= hi) {
+        load4(&v, S, S_s, i);
+        v4 stop = ((u4)v != slot) &
+                  (((v & SPLAT(tag)) == 0) | (v == SPLAT(hole)));
+        int m = lanes(stop);
+        if (m)
+            return i + __builtin_ctz(m);
+        i += 4;
+        slot += 4;
     }
     return i;
 }
@@ -1837,6 +1865,126 @@ void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
     reactivate_k(K, K_s, P, P_s, lo, hi, n_sorted, tag, out);
 }
 
+/* The chains of reactivate_cursors, and the segment from which rank_loop
+ * takes them in a pass that defers nothing.  reactivate_k follows each
+ * cycle of the segment's permutation as one chain of dependent loads;
+ * CHAINS chains overlap their loads.  Time of one call over reactivate_k's
+ * (the exported kernels on the same ticketed segment, calls alternating,
+ * medians of 5-2000 calls), keys over n/4 and n:
+ *
+ *     words      2^10       2^12       2^15       2^17       2^20
+ *     4 chains   0.72 0.74  0.53 0.46  0.29 0.25  0.33 0.31  0.21 0.24
+ *     2 chains   0.85 0.90  0.69 0.63  0.47 0.39  0.49 0.45  0.41 0.44
+ *     16 chains  0.78 0.81  0.54 0.48  0.28 0.24  0.31 0.29  0.18 0.18
+ *
+ * Their scan stepped over final words one at a time at first, and on
+ * permutations, where every word is final, took 1.38 times as long as
+ * reactivate_k at 2^15 words; with skip_final it reads 0.56.  The floor:
+ * time of rank sorts with no chains over time with chains in every pass
+ * that defers nothing (scripts/paired_grid.py, 41 rounds, keys over n/4,
+ * over n and permutations) read 0.99-1.06 at 64-512 words, 1.00-1.12 at
+ * 1,000 and 1.10-1.18 at 2,048; hence 2^10, which keeps the moves of every
+ * golden instance (at most 1,000 words). */
+#define CHAINS 4
+#define CHAIN_FLOOR ((i64)1 << 10)
+
+/* kernels.reactivate_cursors: reactivate_k of a segment that defers
+ * nothing (n_sorted == hi - lo), as CHAINS interleaved chains, chain c
+ * scanning the words [lo + c * blk, lo + (c + 1) * blk) of the segment,
+ * blk = ceil(n / CHAINS).  A scanned word that is final, a node or a
+ * ticket at its own slot, is stepped over; any other is taken in hand
+ * with its payload, and its slot becomes a hole, tag | (tag - 1), which
+ * no record or ticket of a segment of at most tag - 1 words equals.  The
+ * chain then places the word in hand and takes up the one it displaces,
+ * one step a round, until it fills a hole.  A step picks the destination
+ * and the word it writes by mask, since tickets and nodes come in no
+ * order a branch predicts.  Each slot is the destination of one word, so
+ * the words and payloads end as reactivate_k leaves them. */
+INLINE void reactivate_cursors_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo,
+                                 i64 hi, i64 tag, i64 *out)
+{
+    i64 vmask = tag - 1, hole = tag | vmask, n = hi - lo;
+    i64 blk = (n + CHAINS - 1) / CHAINS;
+    i64 cur[CHAINS], end[CHAINS], to[CHAINS], put[CHAINS], pay[CHAINS];
+    i64 moves = 0, placed = 0, status = STATUS_OK;
+    int live = 0; /* bit c: chain c has words left to scan or one in hand */
+    for (int c = 0; c < CHAINS; c++) {
+        cur[c] = lo + (c * blk < n ? c * blk : n);
+        end[c] = lo + ((c + 1) * blk < n ? (c + 1) * blk : n);
+        to[c] = -1;
+        put[c] = pay[c] = 0;
+        live |= (cur[c] < end[c]) << c;
+    }
+    while (live) {
+        for (int c = 0; c < CHAINS; c++) {
+            i64 q = to[c];
+            if (q < 0) {
+                if (!(live >> c & 1))
+                    continue;
+                i64 e = end[c], x = 0;
+                i64 i = skip_final(K, K_s, cur[c], e, lo, tag, hole);
+                for (; i < e; i++) {
+                    x = AT(K, i);
+                    if (!((x == i - lo) | (((x & tag) != 0) & (x != hole))))
+                        break;
+                }
+                cur[c] = i;
+                if (i == e) {
+                    live &= ~(1 << c);
+                    continue;
+                }
+                /* An untagged word past the segment or below it, or a
+                 * hole, which no chain has made at a word not yet
+                 * scanned. */
+                if ((uint64_t)x >= (uint64_t)n) {
+                    status = STATUS_BAD_SLOT;
+                    goto done;
+                }
+                pay[c] = AT(P, i);
+                AT(K, i) = hole;
+                moves++;
+                cur[c] = i + 1;
+                put[c] = x;
+                q = lo + x;
+            }
+            if (++placed > n) {
+                status = STATUS_BAD_SLOT;
+                goto done;
+            }
+            i64 z = AT(K, q), pz = AT(P, q);
+            AT(K, q) = put[c];
+            AT(P, q) = pay[c];
+            moves += 2;
+            if (z == hole) {
+                /* A hole is made only where its chain has scanned. */
+                if (q >= cur[(q - lo) / blk]) {
+                    status = STATUS_BAD_SLOT;
+                    goto done;
+                }
+                to[c] = -1;
+                continue;
+            }
+            i64 node = mask_if(z & tag), d = pick(node, z, z & vmask);
+            if ((uint64_t)d >= (uint64_t)n) {
+                status = STATUS_BAD_SLOT;
+                goto done;
+            }
+            put[c] = pick(node, z, tag | (q - lo));
+            pay[c] = pz;
+            to[c] = lo + d;
+        }
+    }
+done:
+    out[0] = moves;
+    out[1] = status;
+}
+
+void reactivate_cursors(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
+                        i64 tag, i64 *out)
+{
+    reactivate_cursors_k(K, K_s, P, P_s, lo, hi, tag, out);
+}
+
 /* The key is carried by mask: nodes and the untagged words of their runs
  * alternate in no order a branch predicts.  Only an untagged word before
  * any node, which a valid prefix never holds, takes the branch. */
@@ -1907,7 +2055,23 @@ INLINE void rank_loop(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
             break;
         }
         EMIT(STEP_REPRACTICE, passes);
-        reactivate_k(K, K_s, P, P_s, head, hi, n_d + n_c, tag, r);
+        /* The chains where the pass defers nothing: they would pack
+         * deferred keys in another order.  A segment of tag words, which
+         * the front door admits, could hold a record of tag - 1, a hole.
+         * The hint only lays reactivate_k's code out of the loop's path;
+         * it is taken once a pass.  Rank sorts of keys over 10n-100n
+         * (every pass but the last defers) and of permutations, against
+         * the loop before the chains: 0.95-0.99 and 0.90-0.94 of its time
+         * so; 1.02-1.07 and 1.00-1.03 with no hint; 0.95-0.99 and
+         * 1.06-1.08 with the chains hinted unlikely; over 10n-100n
+         * 1.05-1.15 with the chains called out of line
+         * (scripts/paired_grid.py, 101-201 rounds). */
+        if (__builtin_expect(n_d + n_c == seg && seg >= CHAIN_FLOOR &&
+                                 seg < tag,
+                             1))
+            reactivate_cursors_k(K, K_s, P, P_s, head, hi, tag, r);
+        else
+            reactivate_k(K, K_s, P, P_s, head, hi, n_d + n_c, tag, r);
         moves += r[0];
         if (r[1] != STATUS_OK) {
             phase = PHASE_REACTIVATE;

@@ -936,7 +936,13 @@ def reactivate(K, P, lo, hi, n_sorted, tag):
     key can be reconstructed later.  Every word lands in its final slot
     at most once, so a ticket or record naming a slot outside the segment,
     or more placements than slots, fails ``STATUS_BAD_SLOT`` before any
-    word outside ``[lo, hi)`` is touched.  Returns ``(moves, status)``.
+    word outside ``[lo, hi)`` is touched.  ``moves`` counts 3 for a swap
+    of two tickets and 2 for each word a chain places (word and payload),
+    so it depends on where the scan enters each cycle.  Returns ``(moves,
+    status)``.  :func:`rank_passes` takes :func:`reactivate_cursors`,
+    which leaves the same words, in a pass that defers nothing over
+    ``CHAIN_FLOOR`` words or more; a pass that defers keys keeps this
+    kernel, which packs them in the order its scan meets them.
     """
     vmask = tag - 1
     n = hi - lo
@@ -1018,6 +1024,96 @@ def reactivate(K, P, lo, hi, n_sorted, tag):
     return moves, STATUS_OK
 
 
+# A rank pass that defers nothing reactivates with this many chains ...
+CHAINS = 4
+# ... where its segment has at least this many words, above the largest
+# golden instance.
+CHAIN_FLOOR = 1 << 10
+
+
+def reactivate_cursors(K, P, lo, hi, tag):
+    """:func:`reactivate` of a segment that defers nothing (``n_sorted ==
+    hi - lo``, so every untagged word is a ticket) as ``CHAINS`` chains,
+    chain ``c`` scanning the block of words ``[lo + c * blk, lo + (c + 1)
+    * blk)``, ``blk = ceil((hi - lo) / CHAINS)``.  The segment holds at
+    most ``tag - 1`` words.
+
+    Round after round, each chain takes one step, in chain order.  A
+    chain with nothing in hand first scans: it steps over final words
+    (nodes, and tickets at their own slot), and takes the next word in
+    hand with its payload, writing ``HOLE = tag | (tag - 1)`` to its slot,
+    a value no record or ticket of the segment has.  A step places the
+    word in hand at its destination (a ticket as itself, a node as ``tag |
+    former slot``, payload beside it) and takes up the word it displaces,
+    or, where that word is a hole, ends the chain.  Each slot is the
+    destination of one word, so the words and payloads end as
+    :func:`reactivate` leaves them.
+
+    ``moves`` counts this kernel's own writes: 2 a placement (word and
+    payload) and 1 a hole.  A word past the segment or below it, a hole
+    read where no chain made one (an input word equal to ``HOLE``), or
+    more placements than slots fail ``STATUS_BAD_SLOT`` at once, leaving
+    the segment's words unspecified and nothing outside it written.
+    Returns ``(moves, status)``; ``kernels.c`` takes the same steps.
+    """
+    vmask = tag - 1
+    hole = tag | vmask
+    n = hi - lo
+    blk = -(-n // CHAINS)
+    cur = [lo + min(c * blk, n) for c in range(CHAINS)]
+    end = [lo + min((c + 1) * blk, n) for c in range(CHAINS)]
+    to = [-1] * CHAINS
+    put = [0] * CHAINS
+    pay = [0] * CHAINS
+    live = [cur[c] < end[c] for c in range(CHAINS)]  # words left to scan or one in hand
+    moves = 0
+    placed = 0
+    while any(live):
+        for c in range(CHAINS):
+            q = to[c]
+            if q < 0:
+                if not live[c]:
+                    continue
+                i = cur[c]
+                while i < end[c]:
+                    x = K[i]
+                    if x != i - lo and not (x & tag and x != hole):
+                        break
+                    i += 1
+                cur[c] = i
+                if i == end[c]:
+                    live[c] = False
+                    continue
+                if not 0 <= x < n:  # a hole no chain made, or a ticket out of range
+                    return moves, STATUS_BAD_SLOT
+                pay[c] = P[i]
+                K[i] = hole
+                moves += 1
+                cur[c] = i + 1
+                put[c] = x
+                q = lo + x
+            placed += 1
+            if placed > n:
+                return moves, STATUS_BAD_SLOT
+            z = K[q]
+            pz = P[q]
+            K[q] = put[c]
+            P[q] = pay[c]
+            moves += 2
+            if z == hole:
+                if q >= cur[(q - lo) // blk]:  # a hole is made only where its chain scanned
+                    return moves, STATUS_BAD_SLOT
+                to[c] = -1
+                continue
+            d = z & vmask if z & tag else z
+            if not 0 <= d < n:
+                return moves, STATUS_BAD_SLOT
+            put[c] = tag | (q - lo) if z & tag else z
+            pay[c] = pz
+            to[c] = lo + d
+    return moves, STATUS_OK
+
+
 def restore_keys(K, lo, hi_sorted, delta, tag):
     """Rewrite the sorted prefix's words as keys.
 
@@ -1047,8 +1143,11 @@ def rank_passes(K, P, head, hi, delta, tag, emit=None):
     A pass is :func:`practice` of count nodes from ``head`` carrying ``P``
     ("practice"), :func:`accumulate_records` ("accumulate"),
     :func:`repractice_idle` ("repractice"), :func:`reactivate`
-    ("reactivate") and :func:`restore_keys` ("restore"); a change to it is
-    made to the C loop too.  Returns ``(passes, moves, node_creations,
+    ("reactivate"; :func:`reactivate_cursors` where the pass defers
+    nothing and its segment has ``CHAIN_FLOOR`` words or more but fewer
+    than ``tag``, whose record ``tag - 1`` would be a hole) and
+    :func:`restore_keys` ("restore"); a change to it is made to the C loop
+    too.  Returns ``(passes, moves, node_creations,
     head, phase, status, a, b, c, d)``: ``PHASE_ACCUMULATE`` when
     accumulation saw ``a`` nodes and ``b`` elements where practice
     reported ``c`` and ``d``; ``PHASE_TICKET`` when ticketing made ``a``
@@ -1078,7 +1177,10 @@ def rank_passes(K, P, head, hi, delta, tag, emit=None):
             return (passes, moves, created, head, PHASE_TICKET, status,
                     n_tickets, n_c, 0, 0)
         emit(STEP_REPRACTICE, passes)
-        mv, status = reactivate(K, P, head, hi, n_d + n_c, tag)
+        if n_d + n_c == seg and CHAIN_FLOOR <= seg < tag:
+            mv, status = reactivate_cursors(K, P, head, hi, tag)
+        else:
+            mv, status = reactivate(K, P, head, hi, n_d + n_c, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_REACTIVATE, status, 0, 0, 0, 0

@@ -15,7 +15,13 @@ array alone.  Each pass:
 4. ``reactivate`` — a single scan delivers every element: tickets and
    nodes to their slots (nodes chain, moving at most once), deferred
    keys packed right after the sorted prefix.  A placed node's record
-   becomes its former slot index.
+   becomes its former slot index.  A pass that defers nothing (the one
+   pass of keys over at most n, the last pass of every sort) over
+   ``CHAIN_FLOOR`` words or more runs ``reactivate_cursors`` instead:
+   ``CHAINS`` interleaved chains, each scanning its block of the segment
+   and following a cycle from a word it takes in hand, leaving a hole,
+   until it fills a hole; the words end the same, and the chains'
+   loads overlap.
 5. ``restore_keys`` — the sorted prefix is rewritten as keys:
    ``delta + record`` at each node, repeated over its run.
 

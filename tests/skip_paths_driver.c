@@ -8,8 +8,10 @@
  * segments, stacked_passes segments whose second pass skips outside its
  * interval, passes that settle most of their segment and defer a few
  * keys, dense-last segments (for improved_passes and
- * practice_cursors) and the stop words of every skip path in every lane
- * of test_skip_paths.py, come from that test on stdin, one a line:
+ * practice_cursors), rank passes that defer nothing above CHAIN_FLOOR
+ * words (whose reactivation runs the chains of reactivate_cursors) and
+ * the stop words of every skip path in every lane of test_skip_paths.py,
+ * come from that test on stdin, one a line:
  *
  *   <kernel> <sorts> <k> <k integer arguments> <n> <n words>
  *

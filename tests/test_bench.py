@@ -16,6 +16,7 @@ from assocsort.bench import (
     gen_exponential,
     gen_uniform,
     lsd_radix_baseline,
+    key_range,
     make_trace_writer,
     run_bench,
     summarize,
@@ -159,6 +160,16 @@ class TestRunBench:
             seed=0, trials=1, w=32, warm=False,
         )
         assert [(r.n, r.m) for r in rows] == [(64, 128)]
+
+    def test_ratio_that_rounds_to_no_keys_is_refused(self):
+        """m = round(n * ratio) below 1 is refused before any cell runs,
+        where it was taken for m = 1."""
+        for ns, ratios, (n, ratio) in (([16], [0.001], (16, 0.001)), ([1], [0.4], (1, 0.4)),
+                                       ([3], [-2.0], (3, -2.0)),
+                                       ([64, 16], [1.0, 0.01], (16, 0.01))):
+            with pytest.raises(ValueError, match=f"n={n} with ratio={ratio} "):
+                run_bench(["assoc_improved"], ns, ratios, ["uniform"], trials=1, warm=False)
+        assert key_range(16, 0.04) == 1 and key_range(16, 2.0) == 32
 
     def test_rows_byte_stable_modulo_timing(self):
         kw = dict(seed=9, trials=2, w=32, do_verify=True, warm=False)

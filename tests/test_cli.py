@@ -137,6 +137,16 @@ class TestParser:
         assert exc.value.code == 2
         assert f"{flag}: must be a finite number above 0, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "backends"])
+    def test_ratio_that_rounds_to_no_keys_is_a_usage_error(self, command, capsys):
+        """``--n 16 --ratio 0.01`` gives m = round(0.16) = 0, which ran as
+        m = 1 without a word; every pair of the grid is checked."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "64", "--n", "16", "--ratio", "1", "--ratio", "0.01",
+                  "--trials", "1"])
+        assert exc.value.code == 2
+        assert "n=16 with ratio=0.01 gives m = round(n * ratio) = 0" in capsys.readouterr().err
+
     def test_grid_value_of_the_wrong_type_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--n", "x"])

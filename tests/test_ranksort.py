@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assocsort import kernels
+from assocsort.backend import BACKENDS, active, available, use_backend
+from assocsort.counters import OpCounters
 from assocsort.errors import InputError, WordRangeError
 from assocsort.ranksort import argsort_keys, sort_by_key
 from assocsort.words import WordConfig
@@ -121,3 +124,106 @@ class TestArgsortKeys:
         exist, breaking ``sorted_keys[i] == keys[perm[i]]``."""
         with pytest.raises(InputError):
             argsort_keys(keys, CFG32)
+
+
+TAG = 1 << 62
+
+
+def _keys(n, shape, rng):
+    """``n`` keys: drawn over ``shape`` times n (at least one value), a
+    permutation, or all equal."""
+    if shape == "perm":
+        return rng.permutation(n).astype(np.int64)
+    if shape == "equal":
+        return np.full(n, 7, dtype=np.int64)
+    return rng.integers(0, max(1, int(shape * n)), size=n).astype(np.int64)
+
+
+def _view(words, step):
+    """``words`` in a view of step ``step`` of an array of their own."""
+    V = np.zeros(len(words) * abs(step), dtype=np.int64)[::step]
+    V[:] = words
+    return V
+
+
+def _ticketed(keys):
+    """Keys and payload ramp of a rank sort's first pass just before its
+    reactivation, by the active backend: practiced, accumulated and
+    ticketed.  The pass defers nothing, since its span is the segment."""
+    n, k = len(keys), active()
+    K, P = keys.copy(), np.arange(n, dtype=np.int64)
+    delta = int(K.min())
+    n_d, n_c = k.practice(K, 0, n, delta, 0, n, 1, 1, TAG, P)[:2]
+    assert n_d + n_c == n
+    k.accumulate_records(K, 0, n, TAG)
+    assert k.repractice_idle(K, 0, n, delta, n, TAG) == (n_c, 0)
+    return K, P
+
+
+# Both sides of CHAIN_FLOOR and of every block boundary of the chains
+# (blocks of ceil(n / CHAINS) words; some empty below 2 * CHAINS words).
+CHAIN_CASES = [
+    *((n, shapes, (1, 2, -1)) for n in (*range(1, 10), 15, 16, 17, 1023, 1024, 1025,
+                                        1026, 1027, 4097)
+      for shapes in [(1 / 64, 1 / 4, 1, "perm", "equal")]),
+    (1 << 17, (1 / 4, "perm"), (1,)),
+]
+
+
+@pytest.mark.parametrize("n, shapes, steps", CHAIN_CASES, ids=lambda x: str(x))
+def test_chains_leave_what_reactivate_leaves(backend, n, shapes, steps):
+    """On a segment that defers nothing, ``reactivate_cursors`` leaves the
+    keys, payloads and status of ``reactivate``, through views of every
+    step; only the moves may differ, each counted by the kernel's rule."""
+    rng = np.random.default_rng([0xC4A1, n])
+    k = active()
+    for shape in shapes:
+        K0, P0 = _ticketed(_keys(n, shape, rng))
+        for step in steps:
+            K, P = _view(K0, step), _view(P0, step)
+            want = k.reactivate(K, P, 0, n, n, TAG)
+            K2, P2 = _view(K0, step), _view(P0, step)
+            got = k.reactivate_cursors(K2, P2, 0, n, TAG)
+            assert got[1] == want[1] == kernels.STATUS_OK, (shape, step)
+            assert np.array_equal(K2, K) and np.array_equal(P2, P), (shape, step)
+
+
+def test_chains_count_their_own_writes(backend):
+    """``moves`` is 2 a placement and 1 a hole: keys ``[1, 1, 0, 0]`` leave
+    node 0 at its destination and a cycle through slots 1, 2 and 3 (node
+    1 bound for slot 2, tickets 3 and 1), which the chain of slot 2 enters
+    and walks: 3 placements and 1 hole."""
+    K0, P0 = _ticketed(np.array([1, 1, 0, 0], dtype=np.int64))
+    assert K0.tolist() == [TAG, TAG | 2, 3, 1] and P0.tolist() == [2, 0, 1, 3]
+    K, P = K0.copy(), P0.copy()
+    assert active().reactivate_cursors(K, P, 0, 4, TAG) == (7, kernels.STATUS_OK)
+    assert K.tolist() == [TAG, 1, TAG | 1, 3] and P.tolist() == [2, 3, 0, 1]
+
+
+@pytest.mark.parametrize("w, n", [(12, 2047), (12, 2048), (63, 1023), (63, 1024)])
+def test_rank_passes_take_the_chains_where_they_may(w, n, monkeypatch):
+    """Guard: a pass that defers nothing takes the chains from
+    ``CHAIN_FLOOR`` words up, below ``tag`` words only, since a record of
+    ``tag - 1`` would be a hole (the front door admits ``tag`` words),
+    and a pass that defers keys never; such sorts give the same words,
+    payloads and counters on every backend."""
+    rng = np.random.default_rng([0xF100, w, n])
+    cfg, called = WordConfig(w), []
+    chains = kernels.reactivate_cursors
+    monkeypatch.setattr(kernels, "reactivate_cursors",
+                        lambda K, P, lo, hi, tag: called.append(hi - lo) or chains(K, P, lo, hi, tag))
+    for shape in ("perm", 1 / 4, 3):
+        keys = _keys(n, shape, rng) if shape != 3 else rng.integers(0, 3 * n, n)
+        got = set()
+        for name in (b for b in BACKENDS if available(b)):
+            K, P, c = keys.copy(), np.arange(n, dtype=np.int64), OpCounters()
+            called.clear()
+            with use_backend(name):
+                sort_by_key(K, P, cfg, counters=c)
+            assert np.array_equal(K, np.sort(keys)) and np.array_equal(keys[P], K)
+            got.add((tuple(K.tolist()), tuple(P.tolist()), c.passes, c.moves,
+                     c.node_creations))
+            if name == "numpy":
+                takes = shape != 3 and kernels.CHAIN_FLOOR <= n < cfg.tag_mask
+                assert called == ([n] if takes else []), (shape, called)
+        assert len(got) == 1, shape

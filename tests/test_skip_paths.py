@@ -1029,11 +1029,38 @@ def _driver_input():
             line("sequential_passes", sorts, seg, (0, n, delta, top, 8))
             line("stacked_passes", False, seg, (0, n, delta, top, 0, n, 8))
             line("rank_passes", sorts, seg, (0, n, delta, tag))
+    for seg in _chain_segments():
+        line("rank_passes", True, seg, (0, len(seg), min(seg), T63))
     for name in _LOOP_NAMES:
         seg, args = next((seg, args) for loop, seg, args in sorting
                          if loop == name and _emitted(name, seg, args) >= 8)
         line("+" + name, True, seg, (*args, _emitted(name, seg, args)))
     return lines
+
+
+def _chain_segments():
+    """Rank sorts whose one pass defers nothing and reactivates with
+    ``reactivate_cursors``: keys over n/4 and a permutation, of
+    ``CHAIN_FLOOR + CHAINS + 1`` words, so that the last chain's block is
+    shorter than the others."""
+    rng = np.random.default_rng(0xC4A1)
+    n = kernels.CHAIN_FLOOR + kernels.CHAINS + 1
+    return [rng.integers(500, 500 + n // 4, size=n).tolist(),
+            (500 + rng.permutation(n)).tolist()]
+
+
+def test_driver_runs_the_chains(monkeypatch):
+    """The driver's rank cases above ``CHAIN_FLOOR`` sort in one pass,
+    which reactivates with the chains."""
+    called, chains = [], kernels.reactivate_cursors
+    monkeypatch.setattr(kernels, "reactivate_cursors",
+                        lambda K, P, lo, hi, tag: called.append(hi - lo) or chains(K, P, lo, hi, tag))
+    for seg in _chain_segments():
+        called.clear()
+        K = np.array(seg, dtype=np.int64)
+        result = kernels.rank_passes(K, np.arange(len(K)), 0, len(K), min(seg), T63)
+        assert result[0] == 1 and result[4] == kernels.PHASE_OK and called == [len(seg)]
+        assert K.tolist() == sorted(seg)
 
 
 def _emitted(name, seg, args):
