@@ -11,8 +11,8 @@ n, m/n) every round makes the same number of calls of each build's pass
 loop on fresh copies of an input the round draws, alternating which build
 goes first call by call, and checks that both leave the same words,
 payloads (``sort_by_key``) and results.  The keys' minimum and maximum,
-which the drivers' front door scans for before the loop, are taken once
-a round, outside the timed calls.  ``--same-words SORTERS`` lets the
+which the front door scans for before the loop, are taken once a round,
+outside the timed calls.  ``--same-words SORTERS`` lets the
 builds' ``moves`` differ in those sorters' cells, for a change that
 counts its writes another way but leaves the same words, payloads,
 passes and node creations.  With ``--sorted-only`` it checks instead
@@ -189,9 +189,9 @@ def loop_of(sorter):
 
 def run(ns, sorter, S, lo, hi, P=None):
     """One call of ``sorter``'s pass loop on ``S`` (carrying the payload
-    ``P`` for ``sort_by_key``), as its driver makes it, with the keys'
-    minimum ``lo`` and maximum ``hi``, which the driver's front door scans
-    for before the loop."""
+    ``P`` for ``sort_by_key``), as ``sorter`` makes it, with the keys'
+    minimum ``lo`` and maximum ``hi``, which the front door scans for
+    before the loop."""
     n = len(S)
     loop = ns[loop_of(sorter)]
     if sorter in ("assoc_improved", "distinct_improved"):

@@ -1049,9 +1049,9 @@ def _chain_segments():
             (500 + rng.permutation(n)).tolist()]
 
 
-def test_driver_runs_the_chains(monkeypatch):
-    """The driver's rank cases above ``CHAIN_FLOOR`` sort in one pass,
-    which reactivates with the chains."""
+def test_sanitized_rank_cases_take_the_chains(monkeypatch):
+    """The rank cases above ``CHAIN_FLOOR`` that the sanitized and guarded
+    builds run sort in one pass, which reactivates with the chains."""
     called, chains = [], kernels.reactivate_cursors
     monkeypatch.setattr(kernels, "reactivate_cursors",
                         lambda K, P, lo, hi, tag: called.append(hi - lo) or chains(K, P, lo, hi, tag))
