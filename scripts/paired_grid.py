@@ -56,6 +56,16 @@ sorters' cells compare words and every result):
         --grid assoc_improved/131072/1 \
         --same-words sort_by_key --rounds 101 --json BENCH_reactivate_grid.json
 
+The grid committed as ``BENCH_density_grid.json`` (narrow fields for the
+sparse passes of ``assoc_improved`` against the source before them):
+
+    git show 3c5fec8:src/assocsort/kernels.c > /tmp/base.c
+    PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c \
+        --grid assoc_improved/5000,100000/1,3,10,30,100,30d,100d \
+        --grid assoc_improved/131072/1 \
+        --grid distinct_improved,assoc_seq,assoc_rec,cycle_distinct/5000/3,100 \
+        --sorted-only --rounds 41 --json BENCH_density_grid.json
+
 The grid committed as ``BENCH_paired_grid.json`` (the counting sorters
 against the source before their passes packed):
 
@@ -83,7 +93,10 @@ a pool of n/2 distinct keys in [0, m), as the benchmark's
 ``paper-variants`` draws them; ``assoc_improved`` and ``sort_by_key`` (the
 rank loop, carrying a payload ramp) get n keys drawn uniformly from
 [0, m), as ``sparse-sort`` and ``rank-pairs`` draw them.  An m/n of
-``perm`` gives every sorter a permutation of [0, n).  Each sorter's call
+``perm`` gives every sorter a permutation of [0, n), and one with a
+``d`` suffix (``100d``) the sorters that take repeated keys n keys drawn
+from n/4 values in [0, m), m = n times the number, as
+``tests/golden_counters.json`` draws its ``dup`` instances.  Each sorter's call
 is its pass loop as its driver makes it, with the default word of 63
 bits.  Each array is passed as its address and byte stride.  With
 ``--step K`` the keys lie in a view of step K (2, or -1, say) of an
@@ -117,6 +130,7 @@ TAG = 1 << 62
 DISTINCT = ("distinct_improved", "cycle_distinct")
 POOLED = ("assoc_seq", "assoc_rec")
 PERM = "perm"  # the m/n of a permutation
+DUP = "d"  # the suffix of an m/n of keys drawn from n/4 values
 
 
 # The pass loops, by name: where each reports its phase.
@@ -170,8 +184,14 @@ def keys_for(sorter, n, ratio, seed, r):
     ``ratio`` "perm" is a permutation of [0, n) for every sorter."""
     if ratio == PERM:
         return np.random.default_rng([seed, n, 0, r]).permutation(n).astype(np.int64)
-    m = max(int(ratio * n), 1)
+    dup = isinstance(ratio, str)
+    m = max(int(float(ratio.removesuffix(DUP) if dup else ratio) * n), 1)
     rng = np.random.default_rng([seed, n, m, r])
+    if dup:
+        if sorter in DISTINCT:
+            raise ValueError(f"{sorter} takes no repeated keys (m/n {ratio})")
+        pool = rng.integers(0, m, size=max(n // 4, 1))
+        return pool[rng.integers(0, len(pool), size=n)].astype(np.int64)
     if sorter in DISTINCT:
         return rng.choice(m, size=n, replace=False).astype(np.int64)
     if sorter in POOLED:
@@ -333,7 +353,8 @@ def main():
         B = bind(args.new, args.new_flags.split(), directory, "new")
         grids = [g.split("/") for g in args.grid or ["/".join((args.sorters, args.sizes,
                                                                 args.ratios))]]
-        for sorter, n, ratio in ((sorter, int(n), r if r == PERM else float(r))
+        for sorter, n, ratio in ((sorter, int(n),
+                                  r if r == PERM or r.endswith(DUP) else float(r))
                                  for sorters, sizes, ratios in grids
                                  for sorter in sorters.split(",")
                                  for n in sizes.split(",")

@@ -101,6 +101,8 @@ SIGNATURES = {
     "practice": ("S P", 7, lambda size, S, lo, hi, delta, base, span, F, b, *_: (
         _scan(size, S, lo, hi) and _form(F, b) and 0 <= base
         and lo + base - (-span // F) <= size)),
+    "unpractice": ("S", 4, lambda size, S, lo, hi, delta, base, span, F, b, *_: (
+        _scan(size, S, lo, hi) and _form(F, b) and 0 <= base and 0 <= span)),
     "store_nodes": ("S", 4, _scan),
     "partition_values": ("S P", 2, _scan),
     "retrieve_packed": ("S", 3, lambda size, S, lo, mem_hi, write_end, delta, base, F, b, _: (

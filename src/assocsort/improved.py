@@ -18,13 +18,27 @@ Because everything after practicing happens in the value planes while
 tags pin the nodes, a segment whose keys all lie within ``segment
 length`` of the minimum sorts in exactly one pass — in particular any
 array with ``max - min < n`` does.  Every pass packs its nodes where two
-fields fit a record (``kernels.pass_interval``): ``F = (w - 1) // b``
-counters of ``b = seg.bit_length()`` bits a node, each counting one key's
-occurrences, so that its interval covers ``F`` keys per segment word; so
-any array whose keys fit within ``F * n`` of the minimum sorts in one pass
-too.  The dense pass packs as well: its nodes then fill only the first
-``1/F`` of the segment, which shortens the chase of practice and leaves
-the rest of the segment idle.
+fields fit a record (``kernels.pass_interval``): in the *wide* form, ``F
+= (w - 1) // b`` counters of ``b = seg.bit_length()`` bits a node, which
+no count overflows, each counting one key's occurrences, so that its
+interval covers ``F`` keys per segment word; so any array whose keys fit
+within ``F * n`` of the minimum sorts in one pass too.  The dense pass
+packs as well: its nodes then fill only the first ``1/F`` of the segment,
+which shortens the chase of practice and leaves the rest of the segment
+idle.
+
+A pass that the wide form leaves short of the keys' maximum follows their
+density instead: it takes the narrowest fields, from 2 bits up, that few
+keys are expected to fill at the mean density ``seg / (max - delta)``
+(``kernels.narrow_bits``), as many as fit beside the index of the field
+that made the node: 28 fields of 2 bits at w = 63, which cover 28 keys a
+segment word.  A key that finds its field full is deferred and the
+interval ends before its node; ``unpractice`` turns the nodes from there
+up back into the keys that made them, so the pass stores, partitions and
+retrieves exactly the keys below, and every later pass takes one bit
+more.  Where the full field's node is the pass's first, the pass
+practices its segment again in the wide form, so that every pass still
+settles its least key.
 
 The distinct-keys sibling packs ``w - 1`` keys into each node as a
 bitmap, shrinking memory a further ``w - 1``-fold; duplicate keys are

@@ -18,8 +18,11 @@
  * same steps.
  * improved_passes packs the count nodes of every pass where two fields
  * fit, sequential_passes and stacked_passes those of a pass whose keys a
- * count pass would defer, by the one rule of pass_interval.  Five
- * things exist only here, and change no result:
+ * count pass would defer, by the one rule of pass_interval; a sparse pass
+ * of improved_passes takes narrow fields, which may fill up (see
+ * narrow_interval and narrow_pass), and unpractice_k undoes the nodes
+ * past the first full one.  Five things exist only here, and change no
+ * result:
  * * Skip paths.  Where a scan of a value-sort pass loop would only step
  *   past word after word (keys practice defers or, in stacked_passes,
  *   leaves below the interval, untagged words, value planes above the
@@ -592,7 +595,13 @@ UNTRACED void distinct_untraced(char *S, i64 head, i64 hi, i64 delta,
  * (b == 1) or packed counters, taking a skip path over deferred keys, or,
  * where outside is set, over untagged keys on either side of the interval.
  * Every count-form call passes F as a literal 1, so that its loop has no
- * field code.  A field shift is below F * b.  P is NULL, or the payloads
+ * field code.  A field shift is below F * b.  Where narrow is set, the
+ * packed fields may fill up (kernels.practice's narrow fields): a node
+ * records the field that made it above its fields, and a key that finds
+ * its field full is deferred, the interval ending before its node from
+ * then on; out[6] is then the last such key.  Only narrow_pass_k sets it
+ * as a literal, so that no loop's other instances have its code; the
+ * exported practice passes what it is handed.  P is NULL, or the payloads
  * of a rank pass (kernels.practice's P): where a node is made, its slot's
  * payload swaps with the scan position's, 3 moves in all.  A pass loop's
  * value call passes a literal NULL, so that its instance has no payload
@@ -603,10 +612,10 @@ UNTRACED void distinct_untraced(char *S, i64 head, i64 hi, i64 delta,
  * rounds). */
 INLINE void practice_k(char *S, i64 S_s, char *P, i64 P_s, i64 lo, i64 hi,
                        i64 delta, i64 base, i64 span, i64 F, i64 b, i64 tag,
-                       int outside, i64 *out)
+                       int outside, int narrow, i64 *out)
 {
     i64 n_d = 0, n_c = 0, n_def = 0, dnext = -1, moves = 0, created = 0;
-    i64 dup = -1, far = deferred_from(delta, span);
+    i64 full = -1, far = deferred_from(delta, span);
     i64 i = lo;
     while (i < hi) {
         i64 v = AT(S, i);
@@ -638,15 +647,28 @@ INLINE void practice_k(char *S, i64 S_s, char *P, i64 P_s, i64 lo, i64 hi,
         i64 t = AT(S, j);
         if (t & tag) {
             if (F != 1 && b == 1 && (t & one)) {
-                dup = v;
+                full = v;
                 break;
+            }
+            /* The skip path keeps its far: the keys it folds in lie past
+             * the lowered interval too. */
+            uint64_t cap = ((uint64_t)1 << b) - 1;
+            if (narrow && ((uint64_t)t >> (d % F * b) & cap) == cap) {
+                n_def++;
+                if (dnext < 0 || v < dnext)
+                    dnext = v;
+                span = d - d % F;
+                full = v;
+                i++;
+                continue;
             }
             AT(S, j) = (i64)((uint64_t)t + (uint64_t)one);
             n_c++;
             i++;
         } else {
             AT(S, i) = t;
-            AT(S, j) = tag | (F != 1 ? one : 0);
+            AT(S, j) = tag | (F != 1 ? one : 0) |
+                       (narrow ? (i64)((uint64_t)(d % F) << (F * b)) : 0);
             moves++;
             if (P) {
                 SWAP(P, i, j);
@@ -664,13 +686,67 @@ INLINE void practice_k(char *S, i64 S_s, char *P, i64 P_s, i64 lo, i64 hi,
     out[3] = dnext;
     out[4] = moves;
     out[5] = created;
-    out[6] = dup;
+    out[6] = full;
+}
+
+/* The bit length of x >= 0, as Python's int.bit_length: 0 for 0. */
+INLINE i64 bit_length(i64 x)
+{
+    return x ? 64 - __builtin_clzll((uint64_t)x) : 0;
 }
 
 void practice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base, i64 span,
-              i64 F, i64 b, i64 tag, char *P, i64 P_s, i64 *out)
+              i64 F, i64 b, i64 tag, char *P, i64 P_s, i64 narrow, i64 *out)
 {
-    practice_k(S, S_s, P, P_s, lo, hi, delta, base, span, F, b, tag, 0, out);
+    practice_k(S, S_s, P, P_s, lo, hi, delta, base, span, F, b, tag, 0,
+               narrow != 0, out);
+}
+
+/* kernels.unpractice: each node at or above slot lo + base + span / F, of
+ * narrow fields, back into the key that made it, with the practice's
+ * n_d, n_c and dnext corrected; the scan for nodes takes the
+ * untagged-word skip path. */
+INLINE void unpractice_k(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
+                         i64 span, i64 F, i64 b, i64 tag, i64 n_d, i64 n_c,
+                         i64 dnext, i64 *out)
+{
+    i64 vmask = tag - 1, moves = 0;
+    uint64_t field = ((uint64_t)1 << b) - 1;
+    for (i64 j = lo + base + span / F; j < hi; j++) {
+        if (!(AT(S, j) & tag)) {
+            j = skip_untagged_up(S, S_s, j + 1, hi, tag) - 1;
+            continue;
+        }
+        uint64_t rec = (uint64_t)(AT(S, j) & vmask);
+        i64 key0 = delta + (j - lo - base) * F, maker = (i64)(rec >> (F * b));
+        i64 total = 0, least = maker;
+        for (i64 f = F - 1; f >= 0; f--) {
+            i64 c = (i64)(rec >> (f * b) & field);
+            total += c;
+            if (c)
+                least = f;
+        }
+        if (maker < least)
+            least = maker;
+        AT(S, j) = key0 + maker;
+        moves++;
+        n_d--;
+        n_c -= total - 1;
+        if (dnext < 0 || key0 + least < dnext)
+            dnext = key0 + least;
+    }
+    out[0] = n_d;
+    out[1] = n_c;
+    out[2] = dnext;
+    out[3] = moves;
+}
+
+void unpractice(char *S, i64 S_s, i64 lo, i64 hi, i64 delta, i64 base,
+                i64 span, i64 F, i64 b, i64 tag, i64 n_d, i64 n_c, i64 dnext,
+                i64 *out)
+{
+    unpractice_k(S, S_s, lo, hi, delta, base, span, F, b, tag, n_d, n_c, dnext,
+                 out);
 }
 
 /* store_nodes, taking the untagged-word skip path. */
@@ -919,9 +995,10 @@ static void pass_budget(i64 seg, i64 w, i64 *eps, i64 *split)
  * iv gets the node form F, b, the span and the pivot of a pass over seg
  * words from key delta whose keys are at most top, for a sort of nodes of
  * the form (F, b).  A count pass packs b / len >= 2 fields of len = bit
- * length of seg bits: every such pass where its records fill the value
- * plane (1 << b == tag, the improved sorters), else only one whose keys
- * reach seg or more past delta. */
+ * length of seg bits, the wide form: every such pass where its records
+ * fill the value plane (1 << b == tag, the improved sorters), else only
+ * one whose keys reach seg or more past delta.  improved_loop narrows the
+ * fields of its count sorter's passes after (see narrow_interval). */
 INLINE void pass_interval(i64 seg, i64 delta, i64 top, i64 F, i64 b, i64 tag,
                           i64 *iv)
 {
@@ -944,6 +1021,75 @@ INLINE void pass_interval(i64 seg, i64 delta, i64 top, i64 F, i64 b, i64 tag,
     iv[3] = delta + span - 1 < tag - 1 ? delta + span - 1 : tag - 1;
 }
 
+/* kernels.SATURATION: a pass takes narrow fields only where it expects at
+ * most 2^-SATURATION of them to fill up. */
+#define SATURATION 6
+
+/* kernels.narrow_fields: the most fields of b bits that fit vbits bits
+ * beside the index of one of them. */
+INLINE i64 narrow_fields(i64 b, i64 vbits)
+{
+    i64 F = vbits / b;
+    while (F > 1 && F * b + bit_length(F - 1) > vbits)
+        F--;
+    return F;
+}
+
+/* x * y, or UINT64_MAX where that overflows, as kernels.narrow_bits
+ * saturates. */
+INLINE uint64_t sat_mul(uint64_t x, uint64_t y)
+{
+    uint64_t z;
+    return __builtin_mul_overflow(x, y, &z) ? UINT64_MAX : z;
+}
+
+/* kernels.narrow_bits: the narrowest b from 2 up below the bit length of
+ * seg whose narrow_fields exceed F and of which seg keys spread over
+ * spread >= seg fill at most 2^-SATURATION, by F' seg 2^SATURATION <=
+ * gap^k k!, k = 2^b, gap = spread / seg; 0 where there is none.  A check
+ * stops once the right side reaches the left, so within 21 steps, by which
+ * k! saturates. */
+INLINE i64 narrow_bits(i64 seg, i64 spread, i64 F, i64 vbits)
+{
+    uint64_t gap = (uint64_t)spread / (uint64_t)seg;
+    for (i64 b = 2; b < bit_length(seg); b++) {
+        i64 Fb = narrow_fields(b, vbits);
+        if (Fb <= F)
+            return 0;
+        uint64_t need = sat_mul(sat_mul(Fb, seg), (uint64_t)1 << SATURATION);
+        uint64_t have = 1;
+        for (uint64_t k = 1; k <= (uint64_t)1 << b && have < need; k++)
+            have = sat_mul(sat_mul(have, gap), k);
+        if (have >= need)
+            return b;
+    }
+    return 0;
+}
+
+/* The narrow fields of kernels.pass_interval, for a pass of improved_loop's
+ * count sorter (records of vbits = w - 1 bits) over seg > 0 words whose
+ * wide form iv leaves top out: narrow_bits plus wider bits, as many fields
+ * as fit, where that is more fields than iv's.  Out of line, as it runs
+ * once a pass. */
+__attribute__((noinline, visibility("hidden"))) void
+narrow_interval(i64 seg, i64 delta, i64 top, i64 vbits, i64 tag, i64 wider,
+                i64 *iv)
+{
+    if (top < delta || (uint64_t)top - (uint64_t)delta < (uint64_t)iv[2])
+        return;
+    i64 b = narrow_bits(seg, top - delta, iv[0], vbits), span;
+    if (!b || b + wider >= bit_length(seg) ||
+        narrow_fields(b + wider, vbits) <= iv[0])
+        return;
+    b += wider;
+    iv[0] = narrow_fields(b, vbits);
+    iv[1] = b;
+    if (__builtin_mul_overflow(iv[0], seg, &span) || span > tag)
+        span = tag;
+    iv[2] = span;
+    iv[3] = delta + span - 1 < tag - 1 ? delta + span - 1 : tag - 1;
+}
+
 /* kernels.practice_store: practice, then compact the nodes into memory,
  * in the node form of pass_interval over the seg - eps words the budget
  * leaves the interval.  A packed pass (F >= 2) has eps 0, so no field can
@@ -961,10 +1107,10 @@ INLINE void practice_store(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
     pass_interval(seg - eps, delta, top, 1, split, tag, iv);
     if (iv[0] == 1)
         practice_k(S, S_s, NULL, 0, head, hi, delta, eps, iv[2], 1, 1, tag,
-                   outside, p);
+                   outside, 0, p);
     else
         practice_k(S, S_s, NULL, 0, head, hi, delta, eps, iv[2], iv[0], iv[1],
-                   tag, outside, p);
+                   tag, outside, 0, p);
     store_nodes_k(S, S_s, head, hi, delta, iv[2], iv[0] * iv[1], tag, eps, st);
     i64 v[12] = {p[0], p[1], p[3], eps, st[0], iv[0], iv[1], iv[3], st[1],
                  st[3], p[4] + st[2], p[5]};
@@ -1557,6 +1703,62 @@ INLINE void retrieve_dense_form(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
 #undef RETRIEVE_OF
 }
 
+/* The practice of a pass of narrow fields (see narrow_interval), of the
+ * form iv, for improved_loop: practice_k, and where keys found their field
+ * full, the interval lowered to end before the node of the least of them
+ * (iv's span and pivot with it) and the nodes from there up unpracticed,
+ * or, where that node is the first, the whole segment practiced again in
+ * the wide form of pass_interval (the sort's node form F, b), which iv then
+ * gets and no count fills up.  out: practice_k's results, the counts
+ * corrected, with out[6] 1 where fields filled up, else -1.  Out of the
+ * loop, once for stride 8 and once for any stride, so that the loop's
+ * other practices keep their code; the rare undoing and second practice
+ * call the exported kernels. */
+INLINE void narrow_pass_k(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
+                          i64 top, i64 F, i64 b, i64 tag, i64 *iv, i64 *out)
+{
+    i64 r[7];
+    practice_k(S, S_s, NULL, 0, head, hi, delta, 0, iv[2], iv[0], iv[1], tag,
+               0, 1, out);
+    if (out[6] < 0)
+        return;
+    i64 d = out[6] - delta, span = d - d % iv[0];
+    unpractice(S, S_s, head, hi, delta, 0, span, iv[0], iv[1], tag, out[0],
+               out[1], out[3], r);
+    out[0] = r[0];
+    out[1] = r[1];
+    out[3] = r[2];
+    out[4] += r[3];
+    out[6] = 1;
+    iv[2] = span;
+    iv[3] = delta + span - 1;
+    if (span > 0)
+        return;
+    pass_interval(hi - head, delta, top, F, b, tag, iv);
+    practice(S, S_s, head, hi, delta, 0, iv[2], iv[0], iv[1], tag, NULL, 0, 0,
+             r);
+    out[0] = r[0];
+    out[1] = r[1];
+    out[2] = r[2];
+    out[3] = r[3];
+    out[4] += r[4];
+    out[5] += r[5];
+}
+
+__attribute__((noinline, visibility("hidden"))) void
+narrow_pass_8(char *S, i64 head, i64 hi, i64 delta, i64 top, i64 F, i64 b,
+              i64 tag, i64 *iv, i64 *out)
+{
+    narrow_pass_k(S, 8, head, hi, delta, top, F, b, tag, iv, out);
+}
+
+__attribute__((noinline, visibility("hidden"))) void
+narrow_pass(char *S, i64 S_s, i64 head, i64 hi, i64 delta, i64 top, i64 F,
+            i64 b, i64 tag, i64 *iv, i64 *out)
+{
+    narrow_pass_k(S, S_s, head, hi, delta, top, F, b, tag, iv, out);
+}
+
 /* Every pass of both improved sorters in one call: the steps above, in a
  * loop, with the checks of kernels.improved_passes between them.
  * Inlined into improved_untraced, with S_s fixed at 8, and into
@@ -1564,13 +1766,15 @@ INLINE void retrieve_dense_form(char *S, i64 S_s, i64 lo, i64 hi, i64 n_d,
 INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
                           i64 top, i64 F, i64 b, i64 tag, hook emit, i64 *out)
 {
-    i64 passes = 0, moves = 0, created = 0;
+    i64 passes = 0, moves = 0, created = 0, wider = 0;
     i64 phase = PHASE_OK, status = STATUS_OK, x = 0, y = 0;
     i64 r[7];
     while (head < hi) {
         passes++;
         i64 seg = hi - head, iv[4];
         pass_interval(seg, delta, top, F, b, tag, iv);
+        if (F == 1 && (uint64_t)1 << b == (uint64_t)tag)
+            narrow_interval(seg, delta, top, b, tag, wider, iv);
         i64 fields = iv[0], bits = iv[1], span = iv[2], pivot = iv[3];
         int dense = (fields == 1 || bits != 1) && dense_last(seg, delta, top, fields);
         if (dense && fields == 1) {
@@ -1579,14 +1783,25 @@ INLINE void improved_loop(char *S, i64 S_s, i64 head, i64 hi, i64 delta,
             packed_cursors(S, S_s, head, hi, delta, span, fields, bits, tag, r);
         } else if (fields == 1) {
             practice_k(S, S_s, NULL, 0, head, hi, delta, 0, span, 1, 1, tag, 0,
-                       r);
+                       0, r);
         } else if (bits == 1) {
             /* One instance per node form, as for retrieval below. */
             practice_k(S, S_s, NULL, 0, head, hi, delta, 0, span, fields, 1,
-                       tag, 0, r);
+                       tag, 0, 0, r);
+        } else if (F == 1 && bits < bit_length(seg)) {
+            if (S_s == 8)
+                narrow_pass_8(S, head, hi, delta, top, F, b, tag, iv, r);
+            else
+                narrow_pass(S, S_s, head, hi, delta, top, F, b, tag, iv, r);
+            wider += r[6] > 0;
+            r[6] = -1;
+            fields = iv[0];
+            bits = iv[1];
+            span = iv[2];
+            pivot = iv[3];
         } else {
             practice_k(S, S_s, NULL, 0, head, hi, delta, 0, span, fields, bits,
-                       tag, 0, r);
+                       tag, 0, 0, r);
         }
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
         /* Masked storage and retrieval of count nodes pay in a dense-last
@@ -2031,7 +2246,7 @@ INLINE void rank_loop(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
          * two runs of 61 and 101 rounds). */
         if (!P)
             __builtin_unreachable();
-        practice_k(K, K_s, P, P_s, head, hi, delta, 0, seg, 1, 1, tag, 0, r);
+        practice_k(K, K_s, P, P_s, head, hi, delta, 0, seg, 1, 1, tag, 0, 0, r);
         i64 n_d = r[0], n_c = r[1], dnext = r[3];
         moves += r[4];
         created += r[5];

@@ -201,7 +201,7 @@ def distinct_passes(S, head, hi, delta, emit=None):
     return passes, moves, 0, head, PHASE_OK, STATUS_OK, 0, 0, 0, 0
 
 
-def practice(S, lo, hi, delta, base, span, F, b, tag, P=None):
+def practice(S, lo, hi, delta, base, span, F, b, tag, P=None, narrow=0):
     """One practice pass over ``S[lo:hi]``.
 
     Keys in [delta, delta + span) hash to nodes of the form ``(F, b)``
@@ -215,6 +215,14 @@ def practice(S, lo, hi, delta, base, span, F, b, tag, P=None):
     the interval are deferred; words below ``delta`` are idle leftovers of
     an enclosing pass and are skipped.
 
+    With ``narrow`` set, packed fields may fill up (the narrow fields of
+    :func:`pass_interval`, ``b`` below the segment's bit length).  A node
+    then also records, above its fields, the field of the key that made
+    it, so that :func:`unpractice` can turn it back into that key, and a
+    key that finds its field full (at ``2**b - 1``) is deferred, the
+    interval ending before its node from then on: ``span`` falls to a
+    multiple of ``F``.
+
     ``P``, ``None`` or the payloads of a rank pass (an array parallel to
     ``S``), makes elements move as (key, payload) pairs: where a key makes
     its node, the payloads of its position and of the node's slot swap, so
@@ -223,11 +231,15 @@ def practice(S, lo, hi, delta, base, span, F, b, tag, P=None):
     call without ``P``.
 
     Returns ``(n_distinct, n_companion, n_deferred, delta_next, moves,
-    created, dup)``: ``n_companion`` counts keys folded into an existing
-    node, ``delta_next = -1`` when nothing was deferred, and ``dup`` is
-    the repeated key, or -1.
+    created, full)``: ``n_companion`` counts keys folded into an existing
+    node, ``delta_next = -1`` when nothing was deferred, and ``full`` is
+    the key that found its field full, or -1: a bitmap's repeated key, at
+    which practice stops, or the last (so the least) key that found a
+    narrow field full, whose node the interval ends before.
     """
     bitmap = F != 1 and b == 1
+    cap = (1 << b) - 1
+    full = -1
     n_d = 0
     n_c = 0
     n_def = 0
@@ -251,17 +263,29 @@ def practice(S, lo, hi, delta, base, span, F, b, tag, P=None):
             i += 1
             continue
         j = lo + base + d // F
-        one = 1 << (d % F * b)
+        f = d % F
+        one = 1 << (f * b)
         t = S[j]
         if t & tag:
             if bitmap and t & one:
                 return n_d, n_c, n_def, dnext, moves, created, v
+            if narrow and t >> (f * b) & cap == cap:
+                n_def += 1
+                if dnext < 0 or v < dnext:
+                    dnext = v
+                span = d - f
+                full = v
+                i += 1
+                continue
             S[j] = t + one
             n_c += 1
             i += 1
         else:
             S[i] = t
-            S[j] = tag | one if F != 1 else tag
+            if F == 1:
+                S[j] = tag
+            else:
+                S[j] = tag | f << (F * b) | one if narrow else tag | one
             moves += 1
             if P is not None:
                 P[i], P[j] = P[j], P[i]
@@ -272,7 +296,43 @@ def practice(S, lo, hi, delta, base, span, F, b, tag, P=None):
             # already-scanned prefix, where it was counted before.
             if j < i:
                 i += 1
-    return n_d, n_c, n_def, dnext, moves, created, -1
+    return n_d, n_c, n_def, dnext, moves, created, full
+
+
+def unpractice(S, lo, hi, delta, base, span, F, b, tag, n_d, n_c, dnext):
+    """Undo :func:`practice` of narrow packed fields (``F`` fields of
+    ``b`` bits) at and above slot ``lo + base + span // F``, the slot of
+    key ``delta + span`` where ``span`` is a multiple of ``F``.
+
+    Each node there, a tagged word of ``S[lo:hi]``, becomes the key that
+    made it: key ``delta + (j - lo - base) * F + c`` at slot ``j``, ``c``
+    the field its node records above its fields.  The keys its fields
+    counted besides that one still sit where practice left them, as keys,
+    so the segment holds its keys again from ``delta + span`` up.  The
+    practice's results ``n_d``, ``n_c`` and ``dnext`` come back corrected:
+    one node and the other keys of each undone node fewer, and ``dnext``
+    at most the least key an undone node counted (or made it).  Returns
+    ``(n_d, n_c, dnext, moves)``, a move a node.
+    """
+    vmask = tag - 1
+    field = (1 << b) - 1
+    moves = 0
+    for j in range(lo + base + span // F, hi):
+        x = S[j]
+        if not x & tag:
+            continue
+        rec = int(x) & vmask
+        key0 = delta + (j - lo - base) * F
+        counts = [rec >> (f * b) & field for f in range(F)]
+        maker = rec >> (F * b)
+        S[j] = key0 + maker
+        moves += 1
+        n_d -= 1
+        n_c -= sum(counts) - 1
+        least = key0 + min([f for f in range(F) if counts[f]] + [maker])
+        if dnext < 0 or least < dnext:
+            dnext = least
+    return n_d, n_c, dnext, moves
 
 
 def store_nodes(S, lo, hi, delta, span, pack_split, tag, eps_budget):
@@ -696,7 +756,7 @@ def retrieve_scan(S, lo, hi, n_d, n_c, delta, F, b, tag):
     return moves, STATUS_OK
 
 
-def pass_interval(seg, delta, top, F, b, tag):
+def pass_interval(seg, delta, top, F, b, tag, wider=0):
     """``(F, b, span, pivot)`` of a pass over ``seg`` words from key
     ``delta`` whose keys are at most ``top``, for a sort of nodes of the
     form ``(F, b)`` (see :func:`practice`): the pass's node form, the
@@ -706,23 +766,88 @@ def pass_interval(seg, delta, top, F, b, tag):
     :func:`practice_store` with ``(1, pack_split)``.
 
     A sort of count nodes packs a pass into ``b // bits >= 2`` fields of
-    ``bits = seg.bit_length()`` bits, which no count can overflow.  Records
-    of the whole value plane (``b = w - 1``: the improved sorters, whose
-    records park in words of their own) pack every such pass, the dense
-    one too.  Records that share their word with a former position
-    (``b = pack_split``: the counting sorters) pack only a pass whose keys
-    a count pass would defer (``top - delta >= seg``): packing their dense
-    passes made their loops 1.15-1.43 times slower on permutations.  A
-    count pass spans the segment; other nodes cover ``F`` keys a segment
-    word, clamped to the ``tag`` node slots.  The C loops compute the same.
+    ``bits = seg.bit_length()`` bits, which no count can overflow: the
+    *wide* form.  Records of the whole value plane (``b = w - 1``: the
+    improved sorters, whose records park in words of their own) pack every
+    such pass, the dense one too.  Records that share their word with a
+    former position (``b = pack_split``: the counting sorters) pack only a
+    pass whose keys a count pass would defer (``top - delta >= seg``):
+    packing their dense passes made their loops 1.15-1.43 times slower on
+    permutations.  A count pass spans the segment; other nodes cover ``F``
+    keys a segment word, clamped to the ``tag`` node slots.
+
+    An improved pass that the wide form leaves short of ``top`` takes
+    *narrow* fields where they cover more keys a word (see
+    :func:`narrow_bits`): ``b`` the narrowest width from 2 up at which few
+    fields are expected to fill up at the keys' mean density, plus
+    ``wider`` bits (the fields that filled up in the sort's earlier
+    passes), and :func:`narrow_fields` of them.  A ``wider`` of ``WIDE``
+    gives the wide form.  The C loops compute the same.
     """
     bits = int(seg).bit_length()
-    if F == 1 and seg > 0 and b // bits >= 2 and (1 << b == tag or top - delta >= seg):
+    plane = F == 1 and seg > 0 and 1 << b == tag
+    if F == 1 and seg > 0 and b // bits >= 2 and (plane or top - delta >= seg):
         F, b = b // bits, bits
+    span = seg if F == 1 else min(F * seg, tag)
+    if plane and top - delta >= span:
+        narrow = narrow_bits(seg, top - delta, F, tag)
+        if narrow and narrow + wider < bits and narrow_fields(narrow + wider, tag) > F:
+            b = narrow + wider
+            F = narrow_fields(b, tag)
+            span = min(F * seg, tag)
     if F == 1:
         return F, b, seg, delta + seg - 1
-    span = min(F * seg, tag)
     return F, b, span, min(delta + span - 1, tag - 1)
+
+
+# A pass_interval ``wider`` that no segment's bit length reaches: the wide form.
+WIDE = 64
+# A pass takes narrow fields of b bits only where it expects at most
+# 2**-SATURATION of them to fill up (see narrow_bits).
+SATURATION = 6
+# Where the arithmetic of narrow_bits saturates, as the C loops' does.
+_SAT = (1 << 64) - 1
+
+
+def narrow_fields(b, tag):
+    """The most fields of ``b`` bits that fit the value plane below
+    ``tag`` beside the index of one of them (the field that made the
+    node, see :func:`practice`): 28 of 2 bits at ``w = 63``."""
+    vbits = tag.bit_length() - 1
+    F = vbits // b
+    while F > 1 and F * b + (F - 1).bit_length() > vbits:
+        F -= 1
+    return F
+
+
+def narrow_bits(seg, spread, F, tag):
+    """The narrowest field width ``b`` from 2 up below ``seg.bit_length()``
+    at which :func:`narrow_fields` exceeds ``F`` and a pass over ``seg``
+    keys spread over ``spread`` is expected to fill at most
+    ``2**-SATURATION`` fields; 0 where there is none.
+
+    A key value's occurrences are taken as Poisson of mean ``seg /
+    spread`` at most ``1 / gap``, ``gap = spread // seg``, so that one
+    fills its field (``2**b`` occurrences or more) with probability at
+    most ``gap**-k / k!``, ``k = 2**b``, and the pass's ``F' * seg``
+    values (``F'`` fields a word) fill at most ``F' * seg / (gap**k *
+    k!)``.  In integers, saturating at ``2**64 - 1`` as C's do: ``F' *
+    seg * 2**SATURATION <= gap**k * k!``.
+    """
+    gap = spread // seg
+    for b in range(2, int(seg).bit_length()):
+        Fb = narrow_fields(b, tag)
+        if Fb <= F:
+            return 0
+        need = min(Fb * seg << SATURATION, _SAT)
+        have = 1
+        k = 1
+        while k <= 1 << b and have < need:
+            have = min(min(have * gap, _SAT) * k, _SAT)
+            k += 1
+        if have >= need:
+            return b
+    return 0
 
 
 # A dense-last pass practices with this many cursors.
@@ -824,6 +949,14 @@ def improved_passes(S, head, hi, delta, top, F, b, tag, emit=None):
     :func:`practice_cursors` in a :func:`dense_last` pass of count or packed
     nodes, which on keys in ``[delta, top]`` leaves what :func:`practice`
     leaves.  The next pass starts at the smallest key this one deferred.
+
+    A pass of narrow fields in which keys found their field full
+    ("practice" all the same) ends its interval before the node of the
+    least such key, turns the nodes from there up back into keys with
+    :func:`unpractice`, and stores, partitions and retrieves the keys
+    below; where that node is the first, it practices the whole segment
+    again in the wide form, so that the pass still settles its least key.
+    Every later pass then takes ``wider`` fields by one more bit.
     Returns ``(passes, moves, node_creations, head, phase, status, a,
     b)``: the counters so far, where the sorted prefix ends, and, when a
     check failed, the
@@ -840,21 +973,44 @@ def improved_passes(S, head, hi, delta, top, F, b, tag, emit=None):
     passes = 0
     moves = 0
     created = 0
+    wider = 0
     while head < hi:
         passes += 1
-        fields, bits, span, pivot = pass_interval(hi - head, delta, top, F, b, tag)
-        if (fields == 1 or bits != 1) and dense_last(hi - head, delta, top, fields):
-            n_d, n_c, _, dnext, mv, cr, dup = practice_cursors(
+        seg = hi - head
+        fields, bits, span, pivot = pass_interval(seg, delta, top, F, b, tag, wider)
+        if (fields == 1 or bits != 1) and dense_last(seg, delta, top, fields):
+            n_d, n_c, _, dnext, mv, cr, full = practice_cursors(
                 S, head, hi, delta, span, fields, bits, tag
             )
         else:
-            n_d, n_c, _, dnext, mv, cr, dup = practice(
-                S, head, hi, delta, 0, span, fields, bits, tag
+            narrow = F == 1 and fields != 1 and bits < int(seg).bit_length()
+            n_d, n_c, _, dnext, mv, cr, full = practice(
+                S, head, hi, delta, 0, span, fields, bits, tag, None, narrow
             )
         moves += mv
         created += cr
-        if dup >= 0:
-            return passes, moves, created, head, PHASE_DUPLICATE, 0, dup, 0
+        if full >= 0 and bits == 1:
+            return passes, moves, created, head, PHASE_DUPLICATE, 0, full, 0
+        if full >= 0:
+            # Narrow fields filled up: the pass settles the keys below the
+            # node of the least key that found its field full, and every
+            # later pass takes one bit more.
+            wider += 1
+            span = full - delta - (full - delta) % fields
+            n_d, n_c, dnext, mv = unpractice(
+                S, head, hi, delta, 0, span, fields, bits, tag, n_d, n_c, dnext
+            )
+            moves += mv
+            pivot = delta + span - 1
+            if span == 0:
+                # ... but for the first node, whose key is the pass's least:
+                # then the pass practices its segment again, in the wide form.
+                fields, bits, span, pivot = pass_interval(seg, delta, top, F, b, tag, WIDE)
+                n_d, n_c, _, dnext, mv, cr, _ = practice(
+                    S, head, hi, delta, 0, span, fields, bits, tag
+                )
+                moves += mv
+                created += cr
         emit(STEP_PRACTICE, passes)
         stored, mv, status = store_records(S, head, hi, n_d, tag)
         moves += mv

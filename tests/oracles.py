@@ -7,6 +7,7 @@ with the package under test.
 
 from bisect import bisect_left
 from collections import Counter
+from math import factorial
 
 import numpy as np
 
@@ -80,21 +81,48 @@ def epsilon_demand(n, w):
 def improved_pass_count(keys, w):
     """Passes ``assoc_improved`` takes on ``keys`` at word width ``w``.
 
-    Each pass starts at the least remaining key ``delta`` and settles every
-    remaining key of its interval.  Over ``seg`` remaining keys the
-    interval spans ``seg`` keys, unless some key lies ``seg`` or more past
-    ``delta`` and ``F = (w - 1) // b``, for ``b = seg.bit_length()``, is at
-    least 2: then it spans ``min(F * seg, 2**(w - 1))`` keys.
+    Each pass starts at the least remaining key ``delta`` over ``seg``
+    remaining keys, whose largest is ``top``, and settles every remaining
+    key of its interval.  Its *wide* interval spans ``seg`` keys, or
+    ``min(F * seg, 2**(w - 1))`` where ``F = (w - 1) // b`` for ``b =
+    seg.bit_length()`` is at least 2.  Where that leaves ``top`` out, the
+    pass takes *narrow* fields where some width below ``b`` gives more of
+    them: ``n`` fields of ``c`` bits a word, ``n`` the most with ``n * c +
+    ceil(log2 n) <= w - 1``.  ``c`` is the narrowest width from 2 up with
+    ``n * seg * 2**6 <= g**k * k!``, ``k = 2**c`` and ``g = (top -
+    delta) // seg``, plus one bit for each earlier pass whose fields filled
+    up.  A narrow interval spans ``min(n * seg, 2**(w - 1))`` keys, but
+    ends before the field group (of ``n`` keys from ``delta``) of the
+    least key that occurs ``2**c`` times or more in it; where that is the
+    first group, the pass spans its wide interval instead.
     """
     rest = sorted(int(k) for k in keys)
     passes = 0
+    wider = 0
     while rest:
         passes += 1
-        seg, delta = len(rest), rest[0]
-        span = seg
+        seg, delta, top = len(rest), rest[0], rest[-1]
         F = (w - 1) // seg.bit_length()
-        if rest[-1] - delta >= seg and F >= 2:
-            span = min(F * seg, 1 << (w - 1))
+        span = min(F * seg, 1 << (w - 1)) if F >= 2 else seg
+        wide = max(F, 1)
+        if top - delta >= span:
+            fields = lambda c: max(n for n in range(1, w) if n * c + (n - 1).bit_length() <= w - 1)
+            gap = (top - delta) // seg
+            narrow = next((c for c in range(2, seg.bit_length()) if fields(c) > wide
+                           and fields(c) * seg << 6 <= gap ** (1 << c) * factorial(1 << c)),
+                          None)
+            if narrow is not None and narrow + wider < seg.bit_length() \
+                    and fields(narrow + wider) > wide:
+                c = narrow + wider
+                n = fields(c)
+                counts = Counter(k for k in rest if k < delta + min(n * seg, 1 << (w - 1)))
+                full = [k for k, count in counts.items() if count >= 1 << c]
+                if not full:
+                    span = min(n * seg, 1 << (w - 1))
+                else:
+                    wider += 1
+                    if (min(full) - delta) // n:
+                        span = (min(full) - delta) // n * n
         rest = rest[bisect_left(rest, delta + span):]
     return passes
 

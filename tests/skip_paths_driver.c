@@ -9,7 +9,10 @@
  * interval, passes that settle most of their segment and defer a few
  * keys, dense-last segments (for improved_passes and
  * practice_cursors), rank passes that defer nothing above CHAIN_FLOOR
- * words (whose reactivation runs the chains of reactivate_cursors) and
+ * words (whose reactivation runs the chains of reactivate_cursors),
+ * improved_passes over sparse segments whose narrow fields fill up (once,
+ * twice in a pass, and at the least key, whose pass practices again in the
+ * wide form), unpractice from every slot of such a practice, and
  * the stop words of every skip path in every lane of test_skip_paths.py,
  * come from that test on stdin, one a line:
  *
@@ -62,17 +65,17 @@ typedef int64_t i64;
 
 #define NOUT 12
 #define MAXN (1 << 16)
-#define MAXA 8
+#define MAXA 11
 
-enum { PRACTICE, PRACTICE_CURSORS, IMPLICIT, FIXPOINTS, STORE, STORE_NODES,
-       PARTITION, RETRIEVE, IMPROVED, DISTINCT, SEQUENTIAL, STACKED, RANK,
-       KINDS };
+enum { PRACTICE, PRACTICE_CURSORS, UNPRACTICE, IMPLICIT, FIXPOINTS, STORE,
+       STORE_NODES, PARTITION, RETRIEVE, IMPROVED, DISTINCT, SEQUENTIAL,
+       STACKED, RANK, KINDS };
 
 static const char *const names[KINDS] = {
-    "practice", "practice_cursors", "implicit_practice", "collect_fixpoints",
-    "store_records", "store_nodes", "partition_values", "retrieve_scan",
-    "improved_passes", "distinct_passes", "sequential_passes",
-    "stacked_passes", "rank_passes",
+    "practice", "practice_cursors", "unpractice", "implicit_practice",
+    "collect_fixpoints", "store_records", "store_nodes", "partition_values",
+    "retrieve_scan", "improved_passes", "distinct_passes",
+    "sequential_passes", "stacked_passes", "rank_passes",
 };
 
 static long failures;
@@ -217,11 +220,15 @@ static void run(int kind, i64 *words, i64 n, const i64 *a, i64 stride,
     switch (kind) {
     case PRACTICE:
         practice(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7],
-                 NULL, 0, out);
+                 NULL, 0, a[8], out);
         break;
     case PRACTICE_CURSORS:
         practice_cursors(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6],
                          out);
+        break;
+    case UNPRACTICE:
+        unpractice(s, stride, a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7],
+                   a[8], a[9], a[10], out);
         break;
     case IMPLICIT:
         implicit_practice(s, stride, a[0], a[1], a[2], out);
@@ -336,6 +343,7 @@ int main(void)
     i64 k, n, a[MAXA], *w = alloc(MAXN * 8);
     long cases = 0;
     while (scanf("%31s %d %" SCNd64, name, &sorts, &k) == 3) {
+        memset(a, 0, sizeof a); /* practice's narrow is 0 where not given */
         int hooked = name[0] == '+', kind = kind_of(name + hooked);
         int ok = kind < KINDS && k >= hooked && k <= MAXA;
         for (i64 i = 0; ok && i < k; i++)

@@ -164,14 +164,16 @@ def test_criterion_03_pass_bound(instance_grid):
     presumes every pass consumes a full n-sized interval, but a pass
     only spans ``live - epsilon`` slots of the *remaining* segment, and
     duplicates plus shrinking segments make later intervals narrower,
-    not wider.  Measured: 727 grid instances exceed it, 382 of them
+    not wider.  Measured: 718 grid instances exceed it, 382 of them
     ``cycle_distinct`` and 229 ``perm_rank``, whose passes cover only the
     live segment; at uniform n=100, m=10n ``perm_rank`` needs 20-26
     passes against a bound of 21; the first failures the test prints are
-    ``assoc_improved`` at n=10^4, m=100n: 324 and 219 passes on
-    exponential keys and 209 on distinct ones, against 201.  The module
-    tests pin the true envelopes instead; this line stays red as a
-    faithful record of the gap.
+    ``assoc_rec`` at n=10^4, m=100n: 330 passes on uniform keys, against
+    201.  ``assoc_improved``, whose sparse passes take narrow fields, now
+    meets it on every instance (at n=10^4, m=100n at most 146 passes, on
+    exponential keys at w=32; 324 while every field had the segment's bit
+    length).  The module tests pin the true envelopes instead; this line
+    stays red as a faithful record of the gap.
     """
     violations = []
     for algo, rows in instance_grid.items():

@@ -113,6 +113,10 @@ PAST_THE_END = [
     ("collect_fixpoints", (-1, 8, 0), (0, 8, 0)),
     ("practice", (0, 8, 0, 1, 8, 1, 7, T8), (0, 8, 0, 0, 8, 1, 7, T8)),
     ("practice", (0, 8, 0, -1, 8, 1, 7, T8), (0, 8, 0, 0, 8, 1, 7, T8)),
+    # Narrow fields undone from a slot past the array, or below lo.
+    ("unpractice", (0, 9, 0, 0, 0, 2, 2, T8, 0, 0, -1), (0, 8, 0, 0, 0, 2, 2, T8, 0, 0, -1)),
+    ("unpractice", (0, 8, 0, -1, 0, 2, 2, T8, 0, 0, -1), (0, 8, 0, 0, 0, 2, 2, T8, 0, 0, -1)),
+    ("unpractice", (0, 8, 0, 0, -4, 2, 2, T8, 0, 0, -1), (0, 8, 0, 0, 4, 2, 2, T8, 0, 0, -1)),
     ("store_nodes", (0, 9, 0, 8, 3, T8, 0), (0, 8, 0, 8, 3, T8, 0)),
     ("partition_values", (0, 9, 3, T8), (0, 8, 3, T8)),
     ("retrieve_packed", (0, 4, 9, 0, 0, 1, 3, T8), (0, 4, 8, 0, 0, 1, 3, T8)),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from assocsort.backend import active, use_backend
-from assocsort.kernels import pass_budget, pass_interval
+from assocsort.kernels import WIDE, narrow_fields, pass_budget, pass_interval
 from assocsort.words import WordConfig
 
 from .conftest import arr
@@ -149,6 +149,40 @@ class TestStorePacked:
             assert pass_interval(seg - eps, 7, top, 1, split, tag) == (
                 1, split, seg - eps, 7 + seg - eps - 1)
         assert pass_interval(seg - eps, 7, 7 + seg, 1, split, tag)[:2] == (split // bits, bits)
+
+    @pytest.mark.parametrize("seg, top, wider, want", [
+        (5000, 15_000, 0, (4, 13, 20_000, 19_999)),  # 3n: the wide form covers it
+        (5000, 19_999, 0, (4, 13, 20_000, 19_999)),
+        (5000, 20_000, 0, (19, 3, 95_000, 94_999)),  # just past 4n: gap 4
+        (5000, 50_000, 0, (19, 3, 95_000, 94_999)),  # 10n
+        (5000, 150_000, 0, (28, 2, 140_000, 139_999)),  # 30n
+        (5000, 500_000, 0, (28, 2, 140_000, 139_999)),  # 100n
+        (5000, 500_000, 1, (19, 3, 95_000, 94_999)),  # after one pass filled up
+        (5000, 500_000, 2, (14, 4, 70_000, 69_999)),
+        (5000, 500_000, 10, (4, 13, 20_000, 19_999)),  # no narrower form left
+        (5000, 500_000, WIDE, (4, 13, 20_000, 19_999)),
+        (100_000, 3_000_000, 0, (19, 3, 1_900_000, 1_899_999)),  # 30n at 10^5
+        (100_000, 10_000_000, 0, (28, 2, 2_800_000, 2_799_999)),
+    ])
+    def test_sparse_improved_passes_narrow_their_fields(self, seg, top, wider, want):
+        """An improved pass (w = 63) that the wide form leaves short of
+        ``top`` takes the narrowest fields from 2 bits up that few keys are
+        expected to fill (``narrow_bits``), plus ``wider`` bits, as many as
+        fit beside a 5-bit field index (``narrow_fields``: 28 of 2 bits, 19
+        of 3, 14 of 4), where they are more fields than the wide form's."""
+        assert pass_interval(seg, 0, top, 1, 62, 1 << 62, wider) == want
+        assert [narrow_fields(b, 1 << 62) for b in (2, 3, 4, 5)] == [28, 19, 14, 11]
+
+    def test_narrow_fields_only_for_the_improved_count_sorter(self):
+        """Bitmaps (``distinct_improved``) and the counting sorters' packed
+        passes keep their forms however sparse their keys; so does a word
+        too narrow for two fields of 2 bits beside their index."""
+        tag = 1 << 62
+        assert pass_interval(5000, 0, 500_000, 62, 1, tag) == (62, 1, 310_000, 309_999)
+        eps, split = pass_budget(5000, 63)
+        assert pass_interval(5000 - eps, 0, 500_000, 1, split, tag)[:2] == (split // 13, 13)
+        assert pass_interval(100, 0, 10_000, 1, 7, 1 << 7) == (2, 2, 128, 127)  # w = 8
+        assert pass_interval(7, 0, 7_000, 1, 3, 1 << 3) == (1, 3, 7, 6)  # w = 4
 
 
 class TestImplicitPractice:

@@ -27,8 +27,11 @@ few keys (:func:`_settling_cases`), ``improved_passes`` and
 segments, whose practice runs as interleaved cursors and whose retrieval
 (and, for count nodes, storage) runs by mask in C, ``practice_cursors``
 in every node form a dense-last pass takes, bitmap retrieval records of
-chosen bits, which C walks bit by set bit, and ``stacked_passes`` segments whose second pass steps over
-blocks that mix keys below its interval with keys it defers, through
+chosen bits, which C walks bit by set bit, ``stacked_passes`` segments
+whose second pass steps over blocks that mix keys below its interval with
+keys it defers, and
+``improved_passes`` sparse segments whose narrow fields fill up, with
+``unpractice`` of their nodes from every slot, through
 views of step 1, 2 and -1, and must leave the same result and words as
 on ``numpy``.  The words around a segment are chosen so that a block that
 reads past the segment changes the result where a result can show it.
@@ -760,6 +763,48 @@ def _cursor_form_cases():
                 yield "practice_cursors", words, (PAD, PAD + n, DELTA, span, F, b, tag)
 
 
+def _narrow_segments():
+    """``(seg, delta)``: sparse segments of 40, 67 and 200 distinct keys
+    over 100n from 1000, whose first pass takes 28 fields of 2 bits, with
+    keys planted to fill fields of that pass: once, twice (the larger key
+    first), and at the least key, whose pass practices again in the wide
+    form; in two orders."""
+    rng = np.random.default_rng(0x9A2)
+    for n in (40, 67, 200):
+        keys = (1000 + rng.choice(100 * n, size=n, replace=False)).tolist()
+        delta = min(keys)
+        for plants in ([(delta + 9 * n // 2 + 1, 4)],
+                       [(delta + 7 * n + 3, 5), (delta + 2 * n + 1, 4)],
+                       [(delta, 4)]):
+            seg = list(keys)
+            at = n - sum(c for _, c in plants)
+            for key, copies in plants:
+                seg[at:at + copies] = [key] * copies
+                at += copies
+            for order in (seg, seg[::-1]):
+                yield order, delta
+
+
+def _narrow_cases():
+    """``improved_passes`` of count nodes at w = 63 on the segments of
+    :func:`_narrow_segments`, between padding of keys in the first
+    interval, so that a block that reads past the segment moves a count;
+    and ``unpractice`` of the narrow practice of each from every slot
+    from 0 to 8, so that its tag scan steps over blocks ending at every
+    offset."""
+    for seg, delta in _narrow_segments():
+        n, top = len(seg), max(seg)
+        words = [delta + 1] * PAD + seg + [delta + 1] * PAD
+        yield "improved_passes", words, (PAD, PAD + n, delta, top, 1, 62, T63)
+        F, b, span, _ = kernels.pass_interval(n, delta, top, 1, 62, T63)
+        S = np.array(words, dtype=np.int64)
+        n_d, n_c, _, dnext, *_ = kernels.practice(S, PAD, PAD + n, delta, 0, span, F, b,
+                                                  T63, None, 1)
+        for slot in range(9):
+            yield "unpractice", S.tolist(), (PAD, PAD + n, delta, 0, slot * F, F, b, T63,
+                                              n_d, n_c, dnext)
+
+
 def _sparse_cases():
     for n in SPARSE:
         yield from _sparse_pass_cases(n)
@@ -939,6 +984,26 @@ def test_dense_last_passes_take_the_cursors(monkeypatch):
         assert fields != 1 or 2 * n_c >= n_d
 
 
+def test_narrow_passes_fill_fields_as_numpy(monkeypatch):
+    """The narrow passes of :func:`_narrow_cases` fill their fields, and the
+    ``c`` loop and ``unpractice`` give the ``numpy`` results and words
+    through views of every step: one pass undoes nodes from the first
+    field's node but the least key's, which undoes every node and
+    practices again."""
+    spans, plain = [], kernels.unpractice
+    monkeypatch.setattr(kernels, "unpractice",
+                        lambda S, lo, hi, delta, base, span, *rest: spans.append(span)
+                        or plain(S, lo, hi, delta, base, span, *rest))
+    first = []
+    for name, words, args in _narrow_cases():
+        spans.clear()
+        _agree(name, words, args)
+        if name == "improved_passes":
+            assert spans, args  # the numpy loop's runs, every step
+            first.append(spans[0] == 0)
+    assert any(first) and not all(first)
+
+
 def test_skip_paths_stop_at_the_exact_word():
     """Each skip path returns the first word its scan must look at, in any
     lane of the block that holds it, with the words before it folded in:
@@ -1017,6 +1082,7 @@ def _driver_input():
              *_partition_cases(),
              *_pass_cases(), *_outside_cases(), *_sparse_cases(),
              *_dense_cases(), *_cursor_cases(), *_cursor_form_cases(), *_stop_cases(),
+             *_narrow_cases(),
              *(case for ratio in SETTLING_RATIOS for case in _settling_cases(ratio))]
     for name, words, (lo, hi, *rest) in cases:
         seg = words[lo:hi]
