@@ -66,6 +66,18 @@ sparse passes of ``assoc_improved`` against the source before them):
         --grid distinct_improved,assoc_seq,assoc_rec,cycle_distinct/5000/3,100 \
         --sorted-only --rounds 41 --json BENCH_density_grid.json
 
+The grid committed as ``BENCH_chains_grid.json`` (the chains in every rank
+pass, deferred keys handed to a tail cursor, against the source whose
+passes that defer took a sequential walk):
+
+    git show 45a8c1e:src/assocsort/kernels.c > /tmp/base.c
+    PYTHONPATH=src python scripts/paired_grid.py /tmp/base.c src/assocsort/kernels.c \
+        --grid sort_by_key/64,256,1000,1024,4096,32768,131072,1048576/0.25,1,perm \
+        --grid sort_by_key/5000,100000/1,2,3,5,10,30,100,30d,100d \
+        --grid assoc_improved,distinct_improved,assoc_seq,assoc_rec,cycle_distinct/5000/3,100 \
+        --grid assoc_improved/131072/1 \
+        --sorted-only --rounds 41 --json BENCH_chains_grid.json
+
 The grid committed as ``BENCH_paired_grid.json`` (the counting sorters
 against the source before their passes packed):
 

@@ -34,9 +34,9 @@ outside them, the Python kernel runs instead: it raises ``IndexError``
 where an index leaves the array, and otherwise gives the ``numpy``
 backend's result (a slot range past the end is harmless when no key
 lands there).  A kernel that follows the words themselves to a slot
-(the tickets and node records of ``reactivate`` and
-``reactivate_cursors``) checks that slot against its segment and fails
-with a status instead.
+(``reactivate``: its tickets and node records, to the segment's sorted
+prefix, and its deferred keys, to the tail cursor's next free slot)
+checks that slot against its segment and fails with a status instead.
 """
 
 import os
@@ -125,9 +125,6 @@ SIGNATURES = {
     "repractice_idle": ("K", 2, lambda size, K, lo, hi, delta, span, _: (
         _scan(size, K, lo, hi) and lo + span <= size)),
     "reactivate": ("K P", 2, lambda size, K, P, lo, hi, *_: 0 <= lo and hi <= size),
-    # A hole, ``tag | (tag - 1)``, is no record or ticket of ``tag - 1`` slots.
-    "reactivate_cursors": ("K P", 2, lambda size, K, P, lo, hi, tag: (
-        0 <= lo <= hi <= size and hi - lo <= tag - 1)),
     "restore_keys": ("K", 2, lambda size, K, lo, hi_sorted, *_: 0 <= lo and hi_sorted <= size),
     "radix_pass": ("src dst", 0, lambda size, src, dst, n, _: n <= size),
 }

@@ -12,10 +12,8 @@ class OpCounters:
     moves
         Word (or element) copies written to the array.  A swap counts as
         two moves; node-record increments are not moves.  A rank pass's
-        reactivation counts by its kernel's rule: ``kernels.reactivate``
-        3 a ticket swap and 2 a word its chain places, and
-        ``kernels.reactivate_cursors`` (a pass that defers nothing, of
-        ``kernels.CHAIN_FLOOR`` words or more) 2 a placement and 1 a hole.
+        reactivation (``kernels.reactivate``) counts 2 a placement (word
+        and payload) and 1 a hole.
     node_creations
         Number of words converted into tagged nodes across all passes.
     max_depth

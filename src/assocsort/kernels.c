@@ -12,10 +12,9 @@
  * sorters.  practice_k is also the rank pass's practice, carrying the
  * payloads where it is handed them (kernels.practice's P, which the
  * exported practice takes too), so there is one counting practice for
- * keys and for (key, payload) pairs.  A rank pass that defers nothing
- * reactivates with reactivate_cursors_k, whose chains overlap the loads
- * that reactivate_k makes one after another; the Python kernel takes the
- * same steps.
+ * keys and for (key, payload) pairs.  reactivate_k is the rank pass's
+ * reactivation, as the Python kernel's interleaved chains, with an
+ * instance of its own for a pass that defers nothing.
  * improved_passes packs the count nodes of every pass where two fields
  * fit, sequential_passes and stacked_passes those of a pass whose keys a
  * count pass would defer, by the one rule of pass_interval; a sparse pass
@@ -51,9 +50,9 @@
  *   outside the node's run, or one storage does not move, is written back
  *   unchanged, where the Python kernel leaves it.  The cursors of
  *   practice_cursors pick what they write to the slot they hash to by mask
- *   too, and the chains of reactivate_cursors the destination and the
- *   word they write, and their scan steps over final words 4 at a time
- *   (see skip_final).
+ *   too, and the chains of reactivate the destination and the word they
+ *   write, and their scan steps over final words 4 at a time (see
+ *   skip_final).
  * * A walk over set bits.  Bitmap retrieval visits only the bits a record
  *   holds, not all F of them, and writes a node's keys lowest first, and
  *   packed retrieval only the fields that hold a count (see
@@ -412,9 +411,8 @@ INLINE i64 skip_unsettled(char *S, i64 S_s, i64 i, i64 hi, i64 lo, i64 delta)
     return i;
 }
 
-/* Up from i, below hi: words final in reactivate_cursors_k, a node other
- * than a hole, or a ticket at its own slot, word i's slot being
- * i - lo. */
+/* Up from i, below hi: words final in reactivate_k, a node other than a
+ * hole, or a ticket at its own slot, word i's slot being i - lo. */
 INLINE i64 skip_final(char *S, i64 S_s, i64 i, i64 hi, i64 lo, i64 tag,
                       i64 hole)
 {
@@ -1973,159 +1971,73 @@ void repractice_idle(char *K, i64 K_s, i64 lo, i64 hi, i64 delta, i64 span,
     repractice_idle_k(K, K_s, lo, hi, delta, span, tag, out);
 }
 
-INLINE void reactivate_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
-                         i64 n_sorted, i64 tag, i64 *out)
-{
-    i64 vmask = tag - 1, n = hi - lo;
-    i64 moves = 0, status = STATUS_OK;
-    i64 placed = 0; /* words put in their final slot */
-    i64 kc = lo + n_sorted; /* pack cursor for deferred keys */
-    i64 i = lo;
-    while (i < hi) {
-        i64 x = AT(K, i), q;
-        if (x & tag) {
-            i++;
-            continue;
-        }
-        if (x < n_sorted) {
-            /* Idle ticket: its destination is its value. */
-            if (x < 0 || x >= n) {
-                status = STATUS_BAD_SLOT;
-                break;
-            }
-            q = lo + x;
-            if (q == i) {
-                i++;
-                continue;
-            }
-        } else {
-            /* Deferred key: its destination is the pack cursor. */
-            if (i >= kc) {
-                if (i == kc) {
-                    kc++;
-                    i++;
-                    continue;
-                }
-                status = STATUS_CURSOR;
-                break;
-            }
-            if (i >= lo + n_sorted) {
-                i++; /* already packed */
-                continue;
-            }
-            if (kc >= hi) {
-                status = STATUS_CURSOR;
-                break;
-            }
-            q = kc;
-            kc++;
-        }
-        if (++placed > n) {
-            status = STATUS_BAD_SLOT;
-            break;
-        }
-        i64 y = AT(K, q);
-        if (!(y & tag)) {
-            AT(K, i) = y;
-            AT(K, q) = x;
-            SWAP(P, i, q);
-            moves += 3;
-            continue;
-        }
-        /* The word claims a node's slot: place it, then walk the chain of
-         * displaced nodes until one lands in the hole at i. */
-        AT(K, q) = x;
-        i64 curp = AT(P, q);
-        AT(P, q) = AT(P, i);
-        moves += 2;
-        i64 former = q - lo, cur = y;
-        for (;;) {
-            i64 dd = cur & vmask;
-            if (dd < 0 || dd >= n || ++placed > n) {
-                status = STATUS_BAD_SLOT;
-                break;
-            }
-            i64 qq = lo + dd;
-            if (qq == i) {
-                AT(K, i) = tag | former;
-                AT(P, i) = curp;
-                moves += 2;
-                break;
-            }
-            i64 z = AT(K, qq), pz = AT(P, qq);
-            AT(K, qq) = tag | former;
-            AT(P, qq) = curp;
-            moves += 2;
-            if (z & tag) {
-                cur = z;
-                curp = pz;
-                former = dd;
-            } else {
-                AT(K, i) = z;
-                AT(P, i) = pz;
-                moves += 2;
-                break;
-            }
-        }
-        if (status != STATUS_OK)
-            break;
-    }
-    out[0] = moves;
-    out[1] = status;
-}
-
-void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
-                i64 n_sorted, i64 tag, i64 *out)
-{
-    reactivate_k(K, K_s, P, P_s, lo, hi, n_sorted, tag, out);
-}
-
-/* The chains of reactivate_cursors, and the segment from which rank_loop
- * takes them in a pass that defers nothing.  reactivate_k follows each
- * cycle of the segment's permutation as one chain of dependent loads;
- * CHAINS chains overlap their loads.  Time of one call over reactivate_k's
- * (the exported kernels on the same ticketed segment, calls alternating,
- * medians of 5-2000 calls), keys over n/4 and n:
+/* kernels.reactivate, as CHAINS interleaved chains over the prefix [lo,
+ * lo + n_sorted), chain c scanning its words [lo + c * blk, lo + (c + 1)
+ * * blk), blk = ceil(n_sorted / CHAINS).  A scanned word that is final, a
+ * node or a ticket at its own slot, is stepped over; any other is taken
+ * in hand with its payload, and its slot becomes a hole, -tag, which no
+ * record, ticket or key equals.  The chain then places the word in hand
+ * and takes up the one it displaces, one step a round, until it fills a
+ * hole; a deferred key goes to the tail slot that next_free finds from
+ * the cursor the chains share.  A step picks the destination and the word
+ * it writes by mask, since tickets and nodes come in no order a branch
+ * predicts.  The walk before the chains followed each cycle of the
+ * segment's permutation as one chain of dependent loads; the chains
+ * overlap their loads.  Time of one call of the chains over one of the
+ * walk, on the same ticketed segment that defers nothing (the exported
+ * kernels, calls alternating, medians of 5-2000 calls), keys over n/4 and
+ * n:
  *
  *     words      2^10       2^12       2^15       2^17       2^20
  *     4 chains   0.72 0.74  0.53 0.46  0.29 0.25  0.33 0.31  0.21 0.24
  *     2 chains   0.85 0.90  0.69 0.63  0.47 0.39  0.49 0.45  0.41 0.44
  *     16 chains  0.78 0.81  0.54 0.48  0.28 0.24  0.31 0.29  0.18 0.18
  *
- * Their scan stepped over final words one at a time at first, and on
- * permutations, where every word is final, took 1.38 times as long as
- * reactivate_k at 2^15 words; with skip_final it reads 0.56.  The floor:
- * time of rank sorts with no chains over time with chains in every pass
- * that defers nothing (scripts/paired_grid.py, 41 rounds, keys over n/4,
- * over n and permutations) read 0.99-1.06 at 64-512 words, 1.00-1.12 at
- * 1,000 and 1.10-1.18 at 2,048; hence 2^10, which keeps the moves of every
- * golden instance (at most 1,000 words). */
+ * The scan steps over final words 4 at a time (see skip_final): one at a
+ * time, it took 1.38 times as long as the walk on permutations of 2^15
+ * words, where every word is final; with skip_final, 0.56.  defers is a
+ * literal at every call, as practice_k's P: 0 compiles the instance for a
+ * pass that defers nothing (n_sorted == hi - lo), whose tail is empty and
+ * in which an untagged word at or past n_sorted fails. */
 #define CHAINS 4
-#define CHAIN_FLOOR ((i64)1 << 10)
+/* The hole, of reactivate_k's tag: below 0, so no record, ticket or key
+ * equals it. */
+#define HOLE (-tag)
 
-/* kernels.reactivate_cursors: reactivate_k of a segment that defers
- * nothing (n_sorted == hi - lo), as CHAINS interleaved chains, chain c
- * scanning the words [lo + c * blk, lo + (c + 1) * blk) of the segment,
- * blk = ceil(n / CHAINS).  A scanned word that is final, a node or a
- * ticket at its own slot, is stepped over; any other is taken in hand
- * with its payload, and its slot becomes a hole, tag | (tag - 1), which
- * no record or ticket of a segment of at most tag - 1 words equals.  The
- * chain then places the word in hand and takes up the one it displaces,
- * one step a round, until it fills a hole.  A step picks the destination
- * and the word it writes by mask, since tickets and nodes come in no
- * order a branch predicts.  Each slot is the destination of one word, so
- * the words and payloads end as reactivate_k leaves them. */
-INLINE void reactivate_cursors_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo,
-                                 i64 hi, i64 tag, i64 *out)
+/* From t, below hi: the first slot that holds no deferred key, an
+ * untagged word of m or more; hi where there is none.  It tests 4 words
+ * at a time, as a skip path does.  Tested one at a time, in a loop whose
+ * exit no branch predicts, rank sorts of 5,000 and 10^5 keys over 2n-5n
+ * took 1.02-1.07 times as long as with the walk before the chains, and
+ * 0.81-0.98 times so (medians; both builds' rank_passes in one harness,
+ * fresh keys each round). */
+INLINE i64 next_free(char *K, i64 K_s, i64 t, i64 hi, i64 m, i64 tag)
 {
-    i64 vmask = tag - 1, hole = tag | vmask, n = hi - lo;
-    i64 blk = (n + CHAINS - 1) / CHAINS;
+    v4 v;
+    while (t + 4 <= hi) {
+        load4(&v, K, K_s, t);
+        v4 stop = ((v & SPLAT(tag)) != 0) | (v < SPLAT(m));
+        int mask = lanes(stop);
+        if (mask)
+            return t + __builtin_ctz(mask);
+        t += 4;
+    }
+    while (t < hi && !(AT(K, t) & tag) && AT(K, t) >= m)
+        t++;
+    return t;
+}
+
+INLINE void reactivate_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
+                         i64 n_sorted, i64 tag, int defers, i64 *out)
+{
+    i64 vmask = tag - 1, n = hi - lo, m = defers ? n_sorted : n;
+    i64 blk = (m + CHAINS - 1) / CHAINS, tail = lo + m;
     i64 cur[CHAINS], end[CHAINS], to[CHAINS], put[CHAINS], pay[CHAINS];
     i64 moves = 0, placed = 0, status = STATUS_OK;
     int live = 0; /* bit c: chain c has words left to scan or one in hand */
     for (int c = 0; c < CHAINS; c++) {
-        cur[c] = lo + (c * blk < n ? c * blk : n);
-        end[c] = lo + ((c + 1) * blk < n ? (c + 1) * blk : n);
+        cur[c] = lo + (c * blk < m ? c * blk : m);
+        end[c] = lo + ((c + 1) * blk < m ? (c + 1) * blk : m);
         to[c] = -1;
         put[c] = pay[c] = 0;
         live |= (cur[c] < end[c]) << c;
@@ -2137,10 +2049,10 @@ INLINE void reactivate_cursors_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo,
                 if (!(live >> c & 1))
                     continue;
                 i64 e = end[c], x = 0;
-                i64 i = skip_final(K, K_s, cur[c], e, lo, tag, hole);
+                i64 i = skip_final(K, K_s, cur[c], e, lo, tag, HOLE);
                 for (; i < e; i++) {
                     x = AT(K, i);
-                    if (!((x == i - lo) | (((x & tag) != 0) & (x != hole))))
+                    if (!((x == i - lo) | (((x & tag) != 0) & (x != HOLE))))
                         break;
                 }
                 cur[c] = i;
@@ -2148,19 +2060,26 @@ INLINE void reactivate_cursors_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo,
                     live &= ~(1 << c);
                     continue;
                 }
-                /* An untagged word past the segment or below it, or a
-                 * hole, which no chain has made at a word not yet
-                 * scanned. */
-                if ((uint64_t)x >= (uint64_t)n) {
-                    status = STATUS_BAD_SLOT;
-                    goto done;
+                /* x is untagged, or a hole no chain made: below 0. */
+                i64 d = x;
+                if ((uint64_t)x >= (uint64_t)m) {
+                    if (!defers || x < 0) {
+                        status = STATUS_BAD_SLOT;
+                        goto done;
+                    }
+                    d = next_free(K, K_s, tail, hi, m, tag) - lo;
+                    if (d == n) {
+                        status = STATUS_CURSOR;
+                        goto done;
+                    }
+                    tail = lo + d + 1;
                 }
                 pay[c] = AT(P, i);
-                AT(K, i) = hole;
+                AT(K, i) = HOLE;
                 moves++;
                 cur[c] = i + 1;
                 put[c] = x;
-                q = lo + x;
+                q = lo + d;
             }
             if (++placed > n) {
                 status = STATUS_BAD_SLOT;
@@ -2170,9 +2089,10 @@ INLINE void reactivate_cursors_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo,
             AT(K, q) = put[c];
             AT(P, q) = pay[c];
             moves += 2;
-            if (z == hole) {
-                /* A hole is made only where its chain has scanned. */
-                if (q >= cur[(q - lo) / blk]) {
+            if (z == HOLE) {
+                /* A hole is made only in the prefix, where its chain has
+                 * scanned. */
+                if ((defers && q - lo >= m) || q >= cur[(q - lo) / blk]) {
                     status = STATUS_BAD_SLOT;
                     goto done;
                 }
@@ -2180,13 +2100,22 @@ INLINE void reactivate_cursors_k(char *K, i64 K_s, char *P, i64 P_s, i64 lo,
                 continue;
             }
             i64 node = mask_if(z & tag), d = pick(node, z, z & vmask);
-            if ((uint64_t)d >= (uint64_t)n) {
+            /* Past the prefix, only a deferred key may go. */
+            if ((uint64_t)d >= (uint64_t)m && (!defers || node || z < 0)) {
                 status = STATUS_BAD_SLOT;
                 goto done;
             }
             put[c] = pick(node, z, tag | (q - lo));
             pay[c] = pz;
             to[c] = lo + d;
+            if ((uint64_t)d >= (uint64_t)m) {
+                to[c] = next_free(K, K_s, tail, hi, m, tag);
+                if (to[c] == hi) {
+                    status = STATUS_CURSOR;
+                    goto done;
+                }
+                tail = to[c] + 1;
+            }
         }
     }
 done:
@@ -2194,10 +2123,17 @@ done:
     out[1] = status;
 }
 
-void reactivate_cursors(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
-                        i64 tag, i64 *out)
+void reactivate(char *K, i64 K_s, char *P, i64 P_s, i64 lo, i64 hi,
+                i64 n_sorted, i64 tag, i64 *out)
 {
-    reactivate_cursors_k(K, K_s, P, P_s, lo, hi, tag, out);
+    if (n_sorted < 0 || n_sorted > hi - lo) {
+        out[0] = 0;
+        out[1] = STATUS_CURSOR;
+    } else if (n_sorted == hi - lo) {
+        reactivate_k(K, K_s, P, P_s, lo, hi, n_sorted, tag, 0, out);
+    } else {
+        reactivate_k(K, K_s, P, P_s, lo, hi, n_sorted, tag, 1, out);
+    }
 }
 
 /* The key is carried by mask: nodes and the untagged words of their runs
@@ -2270,23 +2206,13 @@ INLINE void rank_loop(char *K, i64 K_s, char *P, i64 P_s, i64 head, i64 hi,
             break;
         }
         EMIT(STEP_REPRACTICE, passes);
-        /* The chains where the pass defers nothing: they would pack
-         * deferred keys in another order.  A segment of tag words, which
-         * the front door admits, could hold a record of tag - 1, a hole.
-         * The hint only lays reactivate_k's code out of the loop's path;
-         * it is taken once a pass.  Rank sorts of keys over 10n-100n
-         * (every pass but the last defers) and of permutations, against
-         * the loop before the chains: 0.95-0.99 and 0.90-0.94 of its time
-         * so; 1.02-1.07 and 1.00-1.03 with no hint; 0.95-0.99 and
-         * 1.06-1.08 with the chains hinted unlikely; over 10n-100n
-         * 1.05-1.15 with the chains called out of line
-         * (scripts/paired_grid.py, 101-201 rounds). */
-        if (__builtin_expect(n_d + n_c == seg && seg >= CHAIN_FLOOR &&
-                                 seg < tag,
-                             1))
-            reactivate_cursors_k(K, K_s, P, P_s, head, hi, tag, r);
+        /* The instance for a pass that defers nothing, the one pass of
+         * keys over at most n and the last of every sort, lies on the
+         * loop's path; the hint only lays the other out of it. */
+        if (__builtin_expect(n_d + n_c == seg, 1))
+            reactivate_k(K, K_s, P, P_s, head, hi, seg, tag, 0, r);
         else
-            reactivate_k(K, K_s, P, P_s, head, hi, n_d + n_c, tag, r);
+            reactivate_k(K, K_s, P, P_s, head, hi, n_d + n_c, tag, 1, r);
         moves += r[0];
         if (r[1] != STATUS_OK) {
             phase = PHASE_REACTIVATE;

@@ -46,7 +46,8 @@ STATUS_BAD_HASH = -5
 # An untagged word appeared before the first node of a sorted prefix.
 STATUS_BAD_PREFIX = -6
 # The scan cursor overtook the pack cursor, or keys were not a permutation
-# of the claimed interval.
+# of the claimed interval; or a rank pass's deferred key found no tail slot
+# left, or its prefix was not inside its segment.
 STATUS_CURSOR = -7
 # A ticket or node record names a slot outside the segment, or more words
 # were placed than the segment has slots (two words claim one slot); or a
@@ -1080,150 +1081,82 @@ def repractice_idle(K, lo, hi, delta, span, tag):
     return made, STATUS_OK
 
 
+# Reactivation runs this many interleaved chains.
+CHAINS = 4
+
+
 def reactivate(K, P, lo, hi, n_sorted, tag):
     """Move every element of the segment to its final slot for this pass.
 
-    Three kinds of words: nodes (tagged; destination = own record), idle
-    tickets (untagged, value < n_sorted; destination = value), and
-    deferred keys (untagged, value >= n_sorted; packed after the sorted
-    prefix in scan order).  Nodes are displaced at most once, along a
-    chain of node-into-node placements that ends in the scan hole.
-    A placed node's record is rewritten to its former slot index so the
-    key can be reconstructed later.  Every word lands in its final slot
-    at most once, so a ticket or record naming a slot outside the segment,
-    or more placements than slots, fails ``STATUS_BAD_SLOT`` before any
-    word outside ``[lo, hi)`` is touched.  ``moves`` counts 3 for a swap
-    of two tickets and 2 for each word a chain places (word and payload),
-    so it depends on where the scan enters each cycle.  Returns ``(moves,
-    status)``.  :func:`rank_passes` takes :func:`reactivate_cursors`,
-    which leaves the same words, in a pass that defers nothing over
-    ``CHAIN_FLOOR`` words or more; a pass that defers keys keeps this
-    kernel, which packs them in the order its scan meets them.
-    """
-    vmask = tag - 1
-    n = hi - lo
-    moves = 0
-    placed = 0  # words put in their final slot
-    kc = lo + n_sorted  # pack cursor for deferred keys
-    i = lo
-    while i < hi:
-        x = K[i]
-        if x & tag:
-            i += 1
-            continue
-        if x < n_sorted:
-            # Idle ticket: its destination is its value.
-            if x < 0 or x >= n:
-                return moves, STATUS_BAD_SLOT
-            q = lo + x
-            if q == i:
-                i += 1
-                continue
-        else:
-            # Deferred key: its destination is the pack cursor.
-            if i >= kc:
-                if i == kc:
-                    kc += 1
-                    i += 1
-                    continue
-                return moves, STATUS_CURSOR
-            if i >= lo + n_sorted:
-                i += 1  # already packed
-                continue
-            if kc >= hi:
-                return moves, STATUS_CURSOR
-            q = kc
-            kc += 1
-        placed += 1
-        if placed > n:
-            return moves, STATUS_BAD_SLOT
-        y = K[q]
-        if not y & tag:
-            K[i] = y
-            K[q] = x
-            P[i], P[q] = P[q], P[i]
-            moves += 3
-            continue
-        # The word claims a node's slot: place it, then walk the chain of
-        # displaced nodes until one lands in the hole at i.
-        K[q] = x
-        curp = P[q]
-        P[q] = P[i]
-        moves += 2
-        former = q - lo
-        cur = y
-        while True:
-            dd = cur & vmask
-            placed += 1
-            if dd < 0 or dd >= n or placed > n:
-                return moves, STATUS_BAD_SLOT
-            qq = lo + dd
-            if qq == i:
-                K[i] = tag | former
-                P[i] = curp
-                moves += 2
-                break
-            z = K[qq]
-            pz = P[qq]
-            K[qq] = tag | former
-            P[qq] = curp
-            moves += 2
-            if z & tag:
-                cur = z
-                curp = pz
-                former = dd
-            else:
-                K[i] = z
-                P[i] = pz
-                moves += 2
-                break
-    return moves, STATUS_OK
-
-
-# A rank pass that defers nothing reactivates with this many chains ...
-CHAINS = 4
-# ... where its segment has at least this many words, above the largest
-# golden instance.
-CHAIN_FLOOR = 1 << 10
-
-
-def reactivate_cursors(K, P, lo, hi, tag):
-    """:func:`reactivate` of a segment that defers nothing (``n_sorted ==
-    hi - lo``, so every untagged word is a ticket) as ``CHAINS`` chains,
-    chain ``c`` scanning the block of words ``[lo + c * blk, lo + (c + 1)
-    * blk)``, ``blk = ceil((hi - lo) / CHAINS)``.  The segment holds at
-    most ``tag - 1`` words.
+    The segment holds three kinds of words: nodes (tagged; destination
+    ``lo + record``), idle tickets (untagged, below ``n_sorted``;
+    destination ``lo + value``) and deferred keys (untagged, ``n_sorted``
+    or more), which go to the tail ``[lo + n_sorted, hi)``.  ``CHAINS``
+    interleaved chains move them, chain ``c`` scanning the block ``[lo +
+    c * blk, lo + (c + 1) * blk)`` of the prefix, ``blk = ceil(n_sorted /
+    CHAINS)``.
 
     Round after round, each chain takes one step, in chain order.  A
     chain with nothing in hand first scans: it steps over final words
     (nodes, and tickets at their own slot), and takes the next word in
-    hand with its payload, writing ``HOLE = tag | (tag - 1)`` to its slot,
-    a value no record or ticket of the segment has.  A step places the
-    word in hand at its destination (a ticket as itself, a node as ``tag |
-    former slot``, payload beside it) and takes up the word it displaces,
-    or, where that word is a hole, ends the chain.  Each slot is the
-    destination of one word, so the words and payloads end as
-    :func:`reactivate` leaves them.
+    hand with its payload, writing a hole, ``-tag``, to its slot: a
+    negative word, which no record, ticket or key (the front door hands
+    the loops keys of 0 or more) equals.  A step places
+    the word in hand at its destination, payload beside it: a ticket as
+    itself, a node as ``tag | former slot`` (from which
+    :func:`restore_keys` rebuilds its key), a deferred key at the next
+    tail slot holding no deferred key, which one cursor that the chains
+    share finds.  It takes up the word it displaces, or, where that word
+    is a hole, ends the chain.  Each slot is the destination of one word,
+    so the prefix ends the same whatever the order of the steps; the
+    tail ends holding the deferred keys, those from the prefix in the
+    order the chains hand them over.
 
-    ``moves`` counts this kernel's own writes: 2 a placement (word and
-    payload) and 1 a hole.  A word past the segment or below it, a hole
-    read where no chain made one (an input word equal to ``HOLE``), or
-    more placements than slots fail ``STATUS_BAD_SLOT`` at once, leaving
-    the segment's words unspecified and nothing outside it written.
-    Returns ``(moves, status)``; ``kernels.c`` takes the same steps.
+    ``moves`` counts the kernel's own writes: 2 a placement (word and
+    payload) and 1 a hole.  An untagged word below 0 (where the pass
+    defers nothing, ``n_sorted == hi - lo``, also one at or past
+    ``n_sorted``), a record past the prefix, a hole read where no chain
+    made one (an input word equal to ``-tag``), or more placements than
+    slots fail ``STATUS_BAD_SLOT`` at once; a deferred key with no tail
+    slot left, or a prefix that is not inside the segment, fails
+    ``STATUS_CURSOR``.  A failure leaves the segment's words unspecified
+    and nothing outside it written.  Returns ``(moves, status)``;
+    ``kernels.c`` takes the same steps.
     """
     vmask = tag - 1
-    hole = tag | vmask
+    hole = -tag
     n = hi - lo
-    blk = -(-n // CHAINS)
-    cur = [lo + min(c * blk, n) for c in range(CHAINS)]
-    end = [lo + min((c + 1) * blk, n) for c in range(CHAINS)]
+    m = n_sorted
+    if not 0 <= m <= n:
+        return 0, STATUS_CURSOR
+    blk = -(-m // CHAINS)
+    cur = [lo + min(c * blk, m) for c in range(CHAINS)]
+    end = [lo + min((c + 1) * blk, m) for c in range(CHAINS)]
     to = [-1] * CHAINS
     put = [0] * CHAINS
     pay = [0] * CHAINS
     live = [cur[c] < end[c] for c in range(CHAINS)]  # words left to scan or one in hand
+    tail = lo + m  # no tail slot before it waits for a deferred key
     moves = 0
     placed = 0
+
+    def destination(x):
+        """The slot of untagged word ``x``: a ticket's own, a deferred
+        key's the next tail slot holding none; else a failing status."""
+        nonlocal tail
+        if x < 0:
+            return STATUS_BAD_SLOT
+        if x < m:
+            return lo + x
+        if m == n:
+            return STATUS_BAD_SLOT
+        while tail < hi and not K[tail] & tag and K[tail] >= m:
+            tail += 1
+        if tail == hi:
+            return STATUS_CURSOR
+        tail += 1
+        return tail - 1
+
     while any(live):
         for c in range(CHAINS):
             q = to[c]
@@ -1240,14 +1173,14 @@ def reactivate_cursors(K, P, lo, hi, tag):
                 if i == end[c]:
                     live[c] = False
                     continue
-                if not 0 <= x < n:  # a hole no chain made, or a ticket out of range
-                    return moves, STATUS_BAD_SLOT
+                q = destination(x)  # x is untagged, or a hole no chain made
+                if q < 0:
+                    return moves, q
+                put[c] = x
                 pay[c] = P[i]
                 K[i] = hole
                 moves += 1
                 cur[c] = i + 1
-                put[c] = x
-                q = lo + x
             placed += 1
             if placed > n:
                 return moves, STATUS_BAD_SLOT
@@ -1257,16 +1190,23 @@ def reactivate_cursors(K, P, lo, hi, tag):
             P[q] = pay[c]
             moves += 2
             if z == hole:
-                if q >= cur[(q - lo) // blk]:  # a hole is made only where its chain scanned
+                # A hole is made only in the prefix, where its chain scanned.
+                if q >= lo + m or q >= cur[(q - lo) // blk]:
                     return moves, STATUS_BAD_SLOT
                 to[c] = -1
                 continue
-            d = z & vmask if z & tag else z
-            if not 0 <= d < n:
-                return moves, STATUS_BAD_SLOT
-            put[c] = tag | (q - lo) if z & tag else z
+            if z & tag:
+                if z & vmask >= m:
+                    return moves, STATUS_BAD_SLOT
+                to[c] = lo + (z & vmask)
+                put[c] = tag | (q - lo)
+            else:
+                d = destination(z)
+                if d < 0:
+                    return moves, d
+                to[c] = d
+                put[c] = z
             pay[c] = pz
-            to[c] = lo + d
     return moves, STATUS_OK
 
 
@@ -1299,10 +1239,7 @@ def rank_passes(K, P, head, hi, delta, tag, emit=None):
     A pass is :func:`practice` of count nodes from ``head`` carrying ``P``
     ("practice"), :func:`accumulate_records` ("accumulate"),
     :func:`repractice_idle` ("repractice"), :func:`reactivate`
-    ("reactivate"; :func:`reactivate_cursors` where the pass defers
-    nothing and its segment has ``CHAIN_FLOOR`` words or more but fewer
-    than ``tag``, whose record ``tag - 1`` would be a hole) and
-    :func:`restore_keys` ("restore"); a change to it is made to the C loop
+    ("reactivate") and :func:`restore_keys` ("restore"); a change to it is made to the C loop
     too.  Returns ``(passes, moves, node_creations,
     head, phase, status, a, b, c, d)``: ``PHASE_ACCUMULATE`` when
     accumulation saw ``a`` nodes and ``b`` elements where practice
@@ -1333,10 +1270,7 @@ def rank_passes(K, P, head, hi, delta, tag, emit=None):
             return (passes, moves, created, head, PHASE_TICKET, status,
                     n_tickets, n_c, 0, 0)
         emit(STEP_REPRACTICE, passes)
-        if n_d + n_c == seg and CHAIN_FLOOR <= seg < tag:
-            mv, status = reactivate_cursors(K, P, head, hi, tag)
-        else:
-            mv, status = reactivate(K, P, head, hi, n_d + n_c, tag)
+        mv, status = reactivate(K, P, head, hi, n_d + n_c, tag)
         moves += mv
         if status != STATUS_OK:
             return passes, moves, created, head, PHASE_REACTIVATE, status, 0, 0, 0, 0

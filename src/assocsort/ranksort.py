@@ -12,16 +12,15 @@ array alone.  Each pass:
 3. ``repractice_idle`` — every idle word re-hashes to its node and takes
    the node's current record as a destination ticket, decrementing the
    record; afterwards a node's record is its own destination.
-4. ``reactivate`` — a single scan delivers every element: tickets and
-   nodes to their slots (nodes chain, moving at most once), deferred
-   keys packed right after the sorted prefix.  A placed node's record
-   becomes its former slot index.  A pass that defers nothing (the one
-   pass of keys over at most n, the last pass of every sort) over
-   ``CHAIN_FLOOR`` words or more runs ``reactivate_cursors`` instead:
-   ``CHAINS`` interleaved chains, each scanning its block of the segment
-   and following a cycle from a word it takes in hand, leaving a hole,
-   until it fills a hole; the words end the same, and the chains'
-   loads overlap.
+4. ``reactivate`` — ``CHAINS`` interleaved chains deliver every
+   element, each scanning its block of the sorted prefix and following a
+   cycle from a word it takes in hand, leaving a hole, until it fills a
+   hole: tickets and nodes to their slots in the prefix (a placed node's
+   record becomes its former slot index), deferred keys to the tail
+   slots that hold none, which one cursor the chains share finds.  The
+   chains' loads overlap.  Deferred keys end in the tail in the order
+   the chains hand them over, so payloads of equal keys end in no
+   promised order; the sort is not stable.
 5. ``restore_keys`` — the sorted prefix is rewritten as keys:
    ``delta + record`` at each node, repeated over its run.
 

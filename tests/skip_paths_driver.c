@@ -8,8 +8,9 @@
  * segments, stacked_passes segments whose second pass skips outside its
  * interval, passes that settle most of their segment and defer a few
  * keys, dense-last segments (for improved_passes and
- * practice_cursors), rank passes that defer nothing above CHAIN_FLOOR
- * words (whose reactivation runs the chains of reactivate_cursors),
+ * practice_cursors), rank sorts whose one pass defers nothing and ones
+ * whose passes defer keys (whose reactivation hands them to the tail
+ * cursor),
  * improved_passes over sparse segments whose narrow fields fill up (once,
  * twice in a pass, and at the least key, whose pass practices again in the
  * wide form), unpractice from every slot of such a practice, and

@@ -46,8 +46,8 @@ def test_status_codes_match():
 def test_exports_match():
     """``kernels.c`` exports a function for each kernel of ``SIGNATURES``
     and no other, so that a kernel or loop deleted in Python cannot stay
-    exported from C, and gives ``CURSORS``, ``DENSE_FLOOR``, ``CHAINS``
-    and ``CHAIN_FLOOR`` the values of ``kernels.py``."""
+    exported from C, and gives ``CURSORS``, ``DENSE_FLOOR`` and ``CHAINS``
+    the values of ``kernels.py``."""
     text = open(ckernels.SOURCE, encoding="utf-8").read()
     exported = re.findall(r"^(?:void|i64) (\w+)\(", text, re.MULTILINE)
     assert sorted(exported) == sorted(ckernels.SIGNATURES)
@@ -56,9 +56,7 @@ def test_exports_match():
     assert int(cursors[1]) == kernels.CURSORS
     assert 1 << int(floor[1]) == kernels.DENSE_FLOOR
     chains = re.search(r"^#define CHAINS (\d+)$", text, re.MULTILINE)
-    floor = re.search(r"^#define CHAIN_FLOOR \(\(i64\)1 << (\d+)\)$", text, re.MULTILINE)
     assert int(chains[1]) == kernels.CHAINS
-    assert 1 << int(floor[1]) == kernels.CHAIN_FLOOR
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
@@ -132,12 +130,13 @@ PAST_THE_END = [
     ("practice", (0, 8, 0, 0, 9, 1, 1, T8), (0, 8, 0, 0, 8, 1, 1, T8)),
     ("accumulate_records", (0, 9, T8), (0, 8, T8)),
     ("repractice_idle", (1, 8, 0, 8, T8), (0, 8, 0, 8, T8)),
-    ("reactivate", (0, 9, 0, T8), (0, 8, 0, T8)),
-    # The chains: past the arrays, backwards, and a segment of tag words,
-    # one of whose records would be a hole.
-    ("reactivate_cursors", (0, 9, T8), (0, 8, T8)),
-    ("reactivate_cursors", (5, 4, T8), (4, 5, T8)),
-    ("reactivate_cursors", (0, 8, 8), (0, 8, 9)),
+    # A prefix past the arrays, a tail past them, backwards, and a prefix
+    # past its segment or below it; a segment of tag words.
+    ("reactivate", (0, 9, 9, T8), (0, 8, 8, T8)),
+    ("reactivate", (0, 9, 4, T8), (0, 8, 4, T8)),
+    ("reactivate", (5, 4, 0, T8), (4, 5, 1, T8)),
+    ("reactivate", (0, 7, 8, T8), (0, 8, 8, T8)),
+    ("reactivate", (0, 8, -1, T8), (0, 8, 8, 8)),
     ("restore_keys", (0, 9, 0, T8), (0, 8, 0, T8)),
     # Tag 0: the value plane is the whole word, as a sort splits keys
     # wider than the word.
@@ -294,61 +293,75 @@ def test_c_loops_budget_passes_as_numpy():
                 assert got["c"] == got["numpy"], (w, n)
 
 
-def _reactivate(name, K, lo, hi, *rest):
-    """Kernel ``name`` (``reactivate`` or ``reactivate_cursors``) on every
-    backend, over ``K`` and a payload ramp, with the arguments ``lo, hi,
-    *rest, T8``: ``{backend: (result, keys, payload)}``."""
+def _reactivate(K, lo, hi, n_sorted):
+    """``reactivate`` on every backend, over ``K`` and a payload ramp, with
+    the arguments ``lo, hi, n_sorted, T8``: ``{backend: (result, keys,
+    payload)}``."""
     got = {}
     for backend_name in (b for b in BACKENDS if available(b)):
         Kb = np.array(K, dtype=np.int64)
         Pb = np.arange(len(K), dtype=np.int64)
         with use_backend(backend_name):
-            result = getattr(active(), name)(Kb, Pb, lo, hi, *rest, T8)
+            result = active().reactivate(Kb, Pb, lo, hi, n_sorted, T8)
         got[backend_name] = (tuple(int(x) for x in result), Kb.tolist(), Pb.tolist())
     return got
 
 
-HOLE = T8 | (T8 - 1)
+BAD, CURSOR, HOLE = kernels.STATUS_BAD_SLOT, kernels.STATUS_CURSOR, -T8
 
 
 @pytest.mark.parametrize(
-    "name, K, lo, hi, rest",
+    "K, lo, hi, n_sorted, status",
     [
-        # A node record (``T8 | 6``) that points past a 4-word segment.
-        ("reactivate", [1, T8 | 6, 0, 0, 90, 91, 92, 93], 0, 4, (2,)),
-        ("reactivate", [90, 91, 92, 93, 1, T8 | 6, 0, 0], 4, 8, (2,)),
-        # Two tickets for one slot: they would swap forever.
-        ("reactivate", [0, 0], 0, 2, (2,)),
-        ("reactivate", [5, 1, 0, 1, 1, 3], 1, 5, (4,)),
-        # A ticket past the segment.
-        ("reactivate", [3, 0, 1, 2, 77], 0, 3, (4,)),
-        # The chains, on segments that defer nothing: a record past the
-        # segment, met by a chain; tickets past it and below it, met by a
-        # scan; two tickets for one slot, one of which a chain places
-        # again and again; a word equal to a hole, met by a scan, and met
-        # by a chain before its scan (which a chain's hole never is).
-        ("reactivate_cursors", [1, T8 | 6, 0, 0, 90, 91, 92, 93], 0, 4, ()),
-        ("reactivate_cursors", [90, 91, 1, T8 | 6, 0, 0, 92, 93], 2, 6, ()),
-        ("reactivate_cursors", [3, 0, 1, 77], 0, 3, ()),
-        ("reactivate_cursors", [90, -1, 0, 1, 91], 1, 4, ()),
-        ("reactivate_cursors", [90, 1, 1, 91], 1, 3, ()),
-        ("reactivate_cursors", [1, 2, 2, 0, 4, 5, 6, 7, 8], 0, 9, ()),
-        ("reactivate_cursors", [90, HOLE, 1, 2, 91], 1, 4, ()),
-        ("reactivate_cursors", [90, 91, 2, 1, HOLE, 3, 92], 2, 6, ()),
+        # A node record (``T8 | 6``) that points past the prefix, met by a
+        # chain.
+        ([1, T8 | 6, 0, 0, 90, 91, 92, 93], 0, 4, 2, BAD),
+        ([90, 91, 92, 93, 1, T8 | 6, 0, 0], 4, 8, 2, BAD),
+        ([1, T8 | 6, 0, 0, 90, 91, 92, 93], 0, 4, 4, BAD),
+        ([90, 91, 1, T8 | 6, 0, 0, 92, 93], 2, 6, 4, BAD),
+        # Two tickets for one slot, one of which a chain places again and
+        # again.
+        ([0, 0], 0, 2, 2, BAD),
+        ([5, 1, 0, 1, 1, 3], 1, 5, 4, BAD),
+        ([90, 1, 1, 91], 1, 3, 2, BAD),
+        ([1, 2, 2, 0, 4, 5, 6, 7, 8], 0, 9, 9, BAD),
+        # Where the pass defers nothing, a ticket past the segment; an
+        # untagged word below 0 (-129 has no bit 7), met by a scan.
+        ([3, 0, 1, 77], 0, 3, 3, BAD),
+        ([90, -129, 0, 1, 91], 1, 4, 3, BAD),
+        # A word equal to a hole, met by a scan, and met by a chain before
+        # its scan (which a chain's hole never is).
+        ([90, HOLE, 1, 2, 91], 1, 4, 3, BAD),
+        ([90, 91, 2, 1, HOLE, 3, 92], 2, 6, 4, BAD),
+        # Deferring passes: more deferred keys in the prefix (5, 6) than
+        # tail slots holding none (one; 7 is deferred); a tail node whose
+        # record lies past the prefix; a word equal to a hole in the tail.
+        ([90, 5, 6, 0, 7, 91], 1, 5, 2, CURSOR),
+        ([90, 7, 1, T8 | 3, 91], 1, 4, 2, BAD),
+        ([90, 5, HOLE, 91], 1, 3, 1, BAD),
     ],
 )
-def test_reactivate_stays_inside_its_segment(name, K, lo, hi, rest):
-    """A corrupt ticket or record stops ``reactivate`` with
-    ``STATUS_BAD_SLOT`` on every backend, before it writes outside
-    ``[lo, hi)``; ``reactivate_cursors`` as well, and so does an input
-    word equal to its hole, and both backends leave the same words."""
-    got = _reactivate(name, K, lo, hi, *rest)
+def test_reactivate_stays_inside_its_segment(K, lo, hi, n_sorted, status):
+    """A corrupt ticket, record or hole stops ``reactivate`` with
+    ``STATUS_BAD_SLOT``, and a deferred key with no tail slot left with
+    ``STATUS_CURSOR``, on every backend, before it writes outside ``[lo,
+    hi)``; both backends leave the same words."""
+    got = _reactivate(K, lo, hi, n_sorted)
     assert len(set(map(repr, got.values()))) == 1, got
     result, keys, payload = got["numpy"]
-    assert result[1] == kernels.STATUS_BAD_SLOT
+    assert result[1] == status
     outside = [i for i in range(len(K)) if not lo <= i < hi]
     assert [keys[i] for i in outside] == [K[i] for i in outside]
     assert [payload[i] for i in outside] == outside
+
+
+def test_the_tail_cursor_passes_deferred_keys_of_n_sorted():
+    """An untagged word equal to ``n_sorted`` is a deferred key: the tail
+    cursor passes four of them, one block of its 4-word test, and puts
+    the prefix's key 2 on ticket 1's slot, on every backend."""
+    got = _reactivate([2, 0, 2, 2, 2, 2, 1, 9], 0, 8, 2)
+    want = ((8, kernels.STATUS_OK), [0, 1, 2, 2, 2, 2, 2, 9], [1, 6, 2, 3, 4, 5, 0, 7])
+    assert list(got.values()) == [want] * len(got)
 
 
 @needs_c

@@ -326,7 +326,8 @@ class TestRankPipeline:
 
     def test_reactivate_places_tickets(self, backend):
         # duplicates force real work: idles draw tickets 3 and 1, and
-        # reactivation swaps the ticket at position 1 to its slot 3
+        # reactivation takes the ticket at position 1 to its slot 3, leaving
+        # a hole, and ticket 1 from there into it: 2 placements and a hole
         k = active()
         K = arr(2, 2, 0, 0, 9)
         P = arr(0, 1, 2, 3, 4)
@@ -339,7 +340,7 @@ class TestRankPipeline:
         assert status == 0 and made == 2
         assert K.tolist() == [TAG8, 3, TAG8 | 2, 1, 9]
         moves, status = k.reactivate(K, P, 0, 5, 4, TAG8)
-        assert status == 0 and moves == 3
+        assert status == 0 and moves == 5
         _, status = k.restore_keys(K, 0, 4, 0, TAG8)
         assert status == 0
         assert K.tolist() == [0, 0, 2, 2, 9]

@@ -405,10 +405,17 @@ LOOP_CORRUPT = [
     ("rank_passes", [[22], [0]], (0, 1, 5, 16), kernels.PHASE_ACCUMULATE, 0),
     ("rank_passes", [[6, 7, 4, 5, 7, 1, 2, 7, 2], list(range(9))], (0, 9, 1, 8),
      kernels.PHASE_TICKET, kernels.STATUS_BAD_HASH),
-    ("rank_passes", [[1, 0], [0, 1]], (0, 2, 1, 32), kernels.PHASE_REACTIVATE,
+    # Key 0, below ``delta``, which practice leaves in place and
+    # reactivation reads as a ticket for slot 0, which the node claims too.
+    # No segment stops reactivation with ``STATUS_CURSOR``: every word it
+    # reads as a deferred key is a key practice left in place, and the
+    # tail has a slot for each of those.
+    ("rank_passes", [[0, 1, 1], [0, 1, 2]], (0, 3, 1, 32), kernels.PHASE_REACTIVATE,
      kernels.STATUS_BAD_SLOT),
-    ("rank_passes", [[0, 2, 4], [0, 1, 2]], (0, 3, 1, 32), kernels.PHASE_REACTIVATE,
-     kernels.STATUS_CURSOR),
+    # Key 0 again, read as a ticket at its own slot, to which the tail
+    # cursor sends the node that deferred key 5 displaces from the tail.
+    ("rank_passes", [[0, 3, 5, 3], [0, 1, 2, 3]], (0, 4, 1, 32), kernels.PHASE_REACTIVATE,
+     kernels.STATUS_BAD_SLOT),
     ("rank_passes", [[2, 0], [0, 1]], (0, 2, 1, 16), kernels.PHASE_RESTORE,
      kernels.STATUS_BAD_PREFIX),
     ("rank_passes", [[6], [0]], (0, 1, 5, 32), kernels.PHASE_PREFIX, 0),

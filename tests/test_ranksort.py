@@ -126,16 +126,11 @@ class TestArgsortKeys:
             argsort_keys(keys, CFG32)
 
 
-TAG = 1 << 62
-
-
 def _keys(n, shape, rng):
-    """``n`` keys: drawn over ``shape`` times n (at least one value), a
-    permutation, or all equal."""
+    """``n`` keys: drawn over ``shape`` times n (at least one value), or a
+    permutation."""
     if shape == "perm":
         return rng.permutation(n).astype(np.int64)
-    if shape == "equal":
-        return np.full(n, 7, dtype=np.int64)
     return rng.integers(0, max(1, int(shape * n)), size=n).astype(np.int64)
 
 
@@ -146,74 +141,104 @@ def _view(words, step):
     return V
 
 
-def _ticketed(keys):
+def _segment(n, n_sorted, repeats, tag, rng):
+    """``n`` keys whose rank sort's first pass settles ``n_sorted``: those
+    over ``[0, n)`` (``n / 4`` values of it where ``repeats``, 0 among
+    them), the rest past ``n`` and below ``tag``, in random order."""
+    pool = rng.integers(0, n, size=max(1, n // 4)) if repeats else np.arange(n)
+    settled = rng.choice(pool, size=n_sorted)
+    settled[0] = 0
+    deferred = rng.integers(n, min(tag, 5 * n), size=n - n_sorted)
+    return rng.permutation(np.concatenate([settled, deferred])).astype(np.int64)
+
+
+def _ticketed(keys, tag):
     """Keys and payload ramp of a rank sort's first pass just before its
-    reactivation, by the active backend: practiced, accumulated and
-    ticketed.  The pass defers nothing, since its span is the segment."""
+    reactivation, by the active backend (practiced, accumulated and
+    ticketed), and the pass's ``n_sorted``."""
     n, k = len(keys), active()
     K, P = keys.copy(), np.arange(n, dtype=np.int64)
     delta = int(K.min())
-    n_d, n_c = k.practice(K, 0, n, delta, 0, n, 1, 1, TAG, P)[:2]
-    assert n_d + n_c == n
-    k.accumulate_records(K, 0, n, TAG)
-    assert k.repractice_idle(K, 0, n, delta, n, TAG) == (n_c, 0)
-    return K, P
+    n_d, n_c = k.practice(K, 0, n, delta, 0, n, 1, 1, tag, P)[:2]
+    k.accumulate_records(K, 0, n, tag)
+    assert k.repractice_idle(K, 0, n, delta, n, tag) == (n_c, 0)
+    return K, P, n_d + n_c
 
 
-# Both sides of CHAIN_FLOOR and of every block boundary of the chains
-# (blocks of ceil(n / CHAINS) words; some empty below 2 * CHAINS words).
-CHAIN_CASES = [
-    *((n, shapes, (1, 2, -1)) for n in (*range(1, 10), 15, 16, 17, 1023, 1024, 1025,
-                                        1026, 1027, 4097)
-      for shapes in [(1 / 64, 1 / 4, 1, "perm", "equal")]),
-    (1 << 17, (1 / 4, "perm"), (1,)),
+def _reactivated(K, P, n_sorted, tag):
+    """What one reactivation of a ticketed segment must leave, by no
+    kernel: the words and payloads of the prefix, where every node and
+    ticket sits at its destination, a node reading ``tag | its former
+    slot``; the (key, payload) multiset of the deferred keys, which the
+    tail holds; and how many words move, those not final where they are."""
+    words, pays, tail, moved = [None] * n_sorted, [None] * n_sorted, [], 0
+    for i, (x, p) in enumerate(zip(K.tolist(), P.tolist())):
+        if x & tag:
+            d, x = x & (tag - 1), tag | i
+        elif x < n_sorted:
+            d = x
+        else:
+            tail.append((x, p))
+            moved += i < n_sorted
+            continue
+        assert words[d] is None
+        words[d], pays[d], moved = x, p, moved + (d != i)
+    return words, pays, sorted(tail), moved
+
+
+# (w, n, n_sorted): one settled key, fewer than CHAINS, both sides of
+# block boundaries (blocks of ceil(n_sorted / CHAINS) words, some empty
+# below 2 * CHAINS words), all but one and all; a segment of tag words at
+# w = 12, which defers nothing, and one of tag - 1 words that defers a key.
+ORACLE_CASES = [
+    *((63, n, m) for n in (1, 2, 3, 9, 40)
+      for m in sorted({1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, n - 1, n}) if 1 <= m <= n),
+    *((63, 1029, m) for m in (1, 3, 257, 258, 1028, 1029)),
+    (12, 2048, 2048),
+    (12, 2047, 2046),
 ]
 
 
-@pytest.mark.parametrize("n, shapes, steps", CHAIN_CASES, ids=lambda x: str(x))
-def test_chains_leave_what_reactivate_leaves(backend, n, shapes, steps):
-    """On a segment that defers nothing, ``reactivate_cursors`` leaves the
-    keys, payloads and status of ``reactivate``, through views of every
-    step; only the moves may differ, each counted by the kernel's rule."""
-    rng = np.random.default_rng([0xC4A1, n])
-    k = active()
-    for shape in shapes:
-        K0, P0 = _ticketed(_keys(n, shape, rng))
-        for step in steps:
+@pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
+@pytest.mark.parametrize("w, n, n_sorted", ORACLE_CASES, ids=lambda x: str(x))
+def test_reactivate_leaves_the_oracle(w, n, n_sorted, repeats):
+    """One reactivation of a ticketed segment leaves what
+    :func:`_reactivated` says, on every backend and through views of step
+    1, 2 and -1, with the same words, payloads, moves and status
+    everywhere; ``moves``, 2 a placement and 1 a hole, lies between 2 and 3
+    a word that moves."""
+    tag = 1 << (w - 1)
+    rng = np.random.default_rng([0xC4A1, w, n, n_sorted, int(repeats)])
+    K0, P0, m = _ticketed(_segment(n, n_sorted, repeats, tag, rng), tag)
+    assert m == n_sorted
+    words, pays, tail, moved = _reactivated(K0, P0, m, tag)
+    got = set()
+    for name in (b for b in BACKENDS if available(b)):
+        for step in (1, 2, -1):
             K, P = _view(K0, step), _view(P0, step)
-            want = k.reactivate(K, P, 0, n, n, TAG)
-            K2, P2 = _view(K0, step), _view(P0, step)
-            got = k.reactivate_cursors(K2, P2, 0, n, TAG)
-            assert got[1] == want[1] == kernels.STATUS_OK, (shape, step)
-            assert np.array_equal(K2, K) and np.array_equal(P2, P), (shape, step)
-
-
-def test_chains_count_their_own_writes(backend):
-    """``moves`` is 2 a placement and 1 a hole: keys ``[1, 1, 0, 0]`` leave
-    node 0 at its destination and a cycle through slots 1, 2 and 3 (node
-    1 bound for slot 2, tickets 3 and 1), which the chain of slot 2 enters
-    and walks: 3 placements and 1 hole."""
-    K0, P0 = _ticketed(np.array([1, 1, 0, 0], dtype=np.int64))
-    assert K0.tolist() == [TAG, TAG | 2, 3, 1] and P0.tolist() == [2, 0, 1, 3]
-    K, P = K0.copy(), P0.copy()
-    assert active().reactivate_cursors(K, P, 0, 4, TAG) == (7, kernels.STATUS_OK)
-    assert K.tolist() == [TAG, 1, TAG | 1, 3] and P.tolist() == [2, 3, 0, 1]
+            with use_backend(name):
+                moves, status = active().reactivate(K, P, 0, n, m, tag)
+            assert status == kernels.STATUS_OK, (name, step)
+            assert K[:m].tolist() == words and P[:m].tolist() == pays, (name, step)
+            assert sorted(zip(K[m:].tolist(), P[m:].tolist())) == tail, (name, step)
+            assert 2 * moved <= moves <= 3 * moved, (name, step)
+            got.add((moves, tuple(K.tolist()), tuple(P.tolist())))
+    assert len(got) == 1
 
 
 @pytest.mark.parametrize("w, n", [(12, 2047), (12, 2048), (63, 1023), (63, 1024)])
-def test_rank_passes_take_the_chains_where_they_may(w, n, monkeypatch):
-    """Guard: a pass that defers nothing takes the chains from
-    ``CHAIN_FLOOR`` words up, below ``tag`` words only, since a record of
-    ``tag - 1`` would be a hole (the front door admits ``tag`` words),
-    and a pass that defers keys never; such sorts give the same words,
+def test_every_rank_pass_reactivates_through_reactivate(w, n, monkeypatch):
+    """A spy on ``kernels.reactivate`` sees it called once by every pass of
+    the ``numpy`` loop, passes that defer keys included (keys over 3n and
+    30n, where the word has room for them); the sorts give the same words,
     payloads and counters on every backend."""
     rng = np.random.default_rng([0xF100, w, n])
     cfg, called = WordConfig(w), []
-    chains = kernels.reactivate_cursors
-    monkeypatch.setattr(kernels, "reactivate_cursors",
-                        lambda K, P, lo, hi, tag: called.append(hi - lo) or chains(K, P, lo, hi, tag))
-    for shape in ("perm", 1 / 4, 3):
-        keys = _keys(n, shape, rng) if shape != 3 else rng.integers(0, 3 * n, n)
+    react = kernels.reactivate
+    monkeypatch.setattr(kernels, "reactivate", lambda K, P, lo, hi, n_sorted, tag: (
+        called.append(n_sorted < hi - lo) or react(K, P, lo, hi, n_sorted, tag)))
+    for shape in ("perm", 1 / 4, 3, 30):
+        keys = _keys(n, shape, rng) % (cfg.tag_mask + 1)
         got = set()
         for name in (b for b in BACKENDS if available(b)):
             K, P, c = keys.copy(), np.arange(n, dtype=np.int64), OpCounters()
@@ -224,6 +249,7 @@ def test_rank_passes_take_the_chains_where_they_may(w, n, monkeypatch):
             got.add((tuple(K.tolist()), tuple(P.tolist()), c.passes, c.moves,
                      c.node_creations))
             if name == "numpy":
-                takes = shape != 3 and kernels.CHAIN_FLOOR <= n < cfg.tag_mask
-                assert called == ([n] if takes else []), (shape, called)
+                assert len(called) == c.passes and called[-1] is False, shape
+                assert any(called) == (c.passes > 1), shape
+                assert any(called) or shape in ("perm", 1 / 4) or 3 * n > cfg.tag_mask
         assert len(got) == 1, shape

@@ -1095,7 +1095,7 @@ def _driver_input():
             line("sequential_passes", sorts, seg, (0, n, delta, top, 8))
             line("stacked_passes", False, seg, (0, n, delta, top, 0, n, 8))
             line("rank_passes", sorts, seg, (0, n, delta, tag))
-    for seg in _chain_segments():
+    for seg in _rank_segments():
         line("rank_passes", True, seg, (0, len(seg), min(seg), T63))
     for name in _LOOP_NAMES:
         seg, args = next((seg, args) for loop, seg, args in sorting
@@ -1104,29 +1104,38 @@ def _driver_input():
     return lines
 
 
-def _chain_segments():
-    """Rank sorts whose one pass defers nothing and reactivates with
-    ``reactivate_cursors``: keys over n/4 and a permutation, of
-    ``CHAIN_FLOOR + CHAINS + 1`` words, so that the last chain's block is
-    shorter than the others."""
+def _rank_segments():
+    """Rank sorts of ``CHAINS * 2**8 + CHAINS + 1`` words: keys over n/4
+    and a permutation, whose one pass defers nothing (its last chain's
+    block shorter than the others), and keys over 3n and 30n and from n/4
+    values over 10n, whose passes but the last defer keys, so that their
+    chains hand keys to the tail cursor."""
     rng = np.random.default_rng(0xC4A1)
-    n = kernels.CHAIN_FLOOR + kernels.CHAINS + 1
-    return [rng.integers(500, 500 + n // 4, size=n).tolist(),
-            (500 + rng.permutation(n)).tolist()]
+    n = kernels.CHAINS * 2**8 + kernels.CHAINS + 1
+    pool = rng.integers(0, 10 * n, size=n // 4)
+    return [(500 + rng.integers(0, n // 4, size=n)).tolist(),
+            (500 + rng.permutation(n)).tolist(),
+            (500 + rng.integers(0, 3 * n, size=n)).tolist(),
+            (500 + rng.integers(0, 30 * n, size=n)).tolist(),
+            (500 + pool[rng.integers(0, len(pool), size=n)]).tolist()]
 
 
 def test_sanitized_rank_cases_take_the_chains(monkeypatch):
-    """The rank cases above ``CHAIN_FLOOR`` that the sanitized and guarded
-    builds run sort in one pass, which reactivates with the chains."""
-    called, chains = [], kernels.reactivate_cursors
-    monkeypatch.setattr(kernels, "reactivate_cursors",
-                        lambda K, P, lo, hi, tag: called.append(hi - lo) or chains(K, P, lo, hi, tag))
-    for seg in _chain_segments():
+    """The rank cases that the sanitized and guarded builds run sort, each
+    pass reactivating through ``reactivate``: the first two in one pass that
+    defers nothing, the others in passes that, but for the last, defer
+    keys."""
+    called, react = [], kernels.reactivate
+    monkeypatch.setattr(kernels, "reactivate", lambda K, P, lo, hi, n_sorted, tag: (
+        called.append(n_sorted < hi - lo) or react(K, P, lo, hi, n_sorted, tag)))
+    for k, seg in enumerate(_rank_segments()):
         called.clear()
         K = np.array(seg, dtype=np.int64)
         result = kernels.rank_passes(K, np.arange(len(K)), 0, len(K), min(seg), T63)
-        assert result[0] == 1 and result[4] == kernels.PHASE_OK and called == [len(seg)]
-        assert K.tolist() == sorted(seg)
+        assert result[4] == kernels.PHASE_OK and K.tolist() == sorted(seg)
+        assert len(called) == result[0]
+        assert called == ([False] if k < 2 else [True] * (result[0] - 1) + [False])
+        assert k < 2 or result[0] > 1
 
 
 def _emitted(name, seg, args):
